@@ -23,10 +23,10 @@ fn bench_array_sizes(c: &mut Criterion) {
     for pes in [64usize, 128, 192] {
         let mut cfg = OperatorConfig::new(pes);
         cfg.window_len = window;
-        let op = FunctionalOperator::new(cfg.clone(), blosum62()).unwrap();
+        let mut op = FunctionalOperator::new(cfg.clone(), blosum62()).unwrap();
         let cycles = op.run_entry(&il0, &il1).cycles;
         println!("[operator] {pes} PEs: {cycles} simulated cycles for 384×128 windows");
-        group.bench_with_input(BenchmarkId::new("pes", pes), &op, |b, op| {
+        group.bench_function(BenchmarkId::new("pes", pes), |b| {
             b.iter(|| op.run_entry(&il0, &il1));
         });
     }
@@ -45,10 +45,10 @@ fn bench_slot_sizes(c: &mut Criterion) {
         let mut cfg = OperatorConfig::new(192);
         cfg.window_len = window;
         cfg.slot_size = slot;
-        let op = FunctionalOperator::new(cfg.clone(), blosum62()).unwrap();
+        let mut op = FunctionalOperator::new(cfg.clone(), blosum62()).unwrap();
         let cycles = op.run_entry(&il0, &il1).cycles;
         println!("[operator] slot {slot}: {cycles} simulated cycles (192 PEs)");
-        group.bench_with_input(BenchmarkId::new("slot", slot), &op, |b, op| {
+        group.bench_function(BenchmarkId::new("slot", slot), |b| {
             b.iter(|| op.run_entry(&il0, &il1));
         });
     }

@@ -34,7 +34,7 @@ fn bench_pe_paths(c: &mut Criterion) {
         },
     );
     group.bench_with_input(BenchmarkId::new("functional", "16x64"), &cfg, |b, cfg| {
-        let op = FunctionalOperator::new(cfg.clone(), blosum62()).unwrap();
+        let mut op = FunctionalOperator::new(cfg.clone(), blosum62()).unwrap();
         b.iter(|| op.run_entry(&il0, &il1));
     });
     group.finish();

@@ -358,6 +358,9 @@ impl Pipeline {
                     rec.set_meta(keys::STEP2_KERNEL_DOWNGRADE, reason);
                 }
             }
+            if let Some(b) = board.as_ref() {
+                rec.set_meta(keys::RASC_HOST_KERNEL, b.host_kernel);
+            }
             rec.set_meta(keys::WINDOW_LEN, &cfg.window_len().to_string());
             rec.set_meta(keys::THRESHOLD, &cfg.threshold.to_string());
             let mut lane_tiles = 0u64;

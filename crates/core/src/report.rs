@@ -179,6 +179,15 @@ mod tests {
         assert!(board.overlap_seconds > 0.0);
         assert!(board.overlap_occupancy > 0.0 && board.overlap_occupancy <= 1.0);
         assert_eq!(report.meta_value("backend"), Some("rasc"));
+        // The simulator's host kernel travels with the report; the
+        // software step-2 kernel keys stay absent on a pure-board run.
+        let host_kernel =
+            psc_rasc::FunctionalOperator::host_kernel(&cfg.operator_config(64), blosum62());
+        assert_eq!(
+            report.meta_value("rasc.host_kernel"),
+            Some(host_kernel.name())
+        );
+        assert_eq!(report.meta_value("step2.kernel"), None);
         assert_eq!(
             report.step("step2").unwrap().accelerated_seconds,
             Some(board.accelerated_seconds)

@@ -27,6 +27,7 @@
 //! fault-free run.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 use crossbeam::channel;
 use crossbeam::thread;
@@ -44,6 +45,13 @@ use crate::resource::{ResourceError, ResourceModel};
 /// Simulated cycles an ADR dispatch handshake burns before the
 /// protocol check rejects it (shared with the fleet replay).
 pub(crate) const ADR_HANDSHAKE_CYCLES: u64 = 8;
+
+/// Entry results a simulation worker hands to the draining thread at
+/// once. One channel crossing per entry wakes that thread thousands of
+/// times a run, which on `board_sim` cost as much as the scoring the
+/// second worker saved (EXPERIMENTS.md, "Board simulator on the lane
+/// kernels").
+const RESULT_CHUNK: usize = 64;
 
 /// Board-level configuration.
 #[derive(Clone, Debug)]
@@ -132,6 +140,11 @@ pub struct BoardReport {
     pub setup_seconds: f64,
     /// Fault injection / recovery counters for the run.
     pub faults: FaultSummary,
+    /// Name of the host kernel the simulator scored with
+    /// ([`FunctionalOperator::host_kernel`]). A fact about the host
+    /// wall time of the run, not a simulated statistic: it varies with
+    /// the machine while every other field repeats exactly.
+    pub host_kernel: &'static str,
     /// Per-`(entry, fpga)` double-buffer timeline, in dispatch order.
     /// Empty unless [`BoardConfig::record_timeline`] is set. On the
     /// simulated device clock (seconds from the accelerated section's
@@ -245,7 +258,7 @@ impl RascBoard {
     #[allow(clippy::too_many_arguments)]
     fn process_entry(
         &self,
-        ops: &[FunctionalOperator],
+        ops: &mut [FunctionalOperator],
         entry_idx: u64,
         entry: &Entry,
         tallies: &mut [FpgaTally],
@@ -258,7 +271,7 @@ impl RascBoard {
         let k1 = entry.il1.len() / l;
         let policy = self.config.recovery;
         let mut merged = Vec::new();
-        for (f, op) in ops.iter().enumerate() {
+        for (f, op) in ops.iter_mut().enumerate() {
             let (lo, hi) = self.shard(k0, f);
             if lo >= hi {
                 continue;
@@ -339,7 +352,7 @@ impl RascBoard {
     #[allow(clippy::too_many_arguments)]
     fn run_attempt(
         &self,
-        op: &FunctionalOperator,
+        op: &mut FunctionalOperator,
         shard: &[u8],
         il1: &[u8],
         fault: Option<FaultKind>,
@@ -426,8 +439,9 @@ impl RascBoard {
 
     /// Run a streamed workload with `host_threads` simulation workers.
     ///
-    /// `sink` receives `(entry_index, hits)` — possibly out of entry
-    /// order when `host_threads > 1`. The returned report is
+    /// `sink` receives `(entry_index, hits)` — when `host_threads > 1`
+    /// possibly out of entry order, and in bursts of up to
+    /// `RESULT_CHUNK` entries per worker. The returned report is
     /// deterministic regardless of thread count, and so is the error:
     /// when recovery is exhausted with degradation disabled, the fault
     /// of the earliest failing entry is returned (the sink may already
@@ -451,10 +465,10 @@ impl RascBoard {
         let mut n_entries = 0u64;
 
         if host_threads == 1 {
-            let ops = self.make_operators();
+            let mut ops = self.make_operators();
             for entry in entries {
                 let hits = self.process_entry(
-                    &ops,
+                    &mut ops,
                     n_entries,
                     &entry,
                     &mut tallies,
@@ -466,73 +480,72 @@ impl RascBoard {
                 n_entries += 1;
             }
         } else {
-            let (entry_tx, entry_rx) = channel::bounded::<(u64, Entry)>(host_threads * 2);
-            let (res_tx, res_rx) =
-                channel::bounded::<Result<(u64, Vec<Hit>), BoardFault>>(host_threads * 2);
+            // Workers claim entries in index order straight from the
+            // shared source: gathering an entry (the iterator's `next`)
+            // is short next to scoring it, so the lock is rarely
+            // contended and no feeder thread or entry queue is needed.
+            let source = Mutex::new((0u64, entries));
             let abort = AtomicBool::new(false);
+            let claim = || {
+                let mut src = source
+                    .lock()
+                    .expect("a worker panicked inside the entry iterator");
+                if abort.load(Ordering::Relaxed) {
+                    return None;
+                }
+                let entry = src.1.next()?;
+                src.0 += 1;
+                Some((src.0 - 1, entry))
+            };
+            let (res_tx, res_rx) =
+                channel::bounded::<Vec<Result<(u64, Vec<Hit>), BoardFault>>>(host_threads * 2);
             let mut first_err: Option<BoardFault> = None;
             let worker_out: Vec<(Vec<FpgaTally>, FaultSummary, Vec<EntryCost>)> =
                 thread::scope(|s| {
-                    let abort = &abort;
+                    let (abort, claim) = (&abort, &claim);
                     let handles: Vec<_> = (0..host_threads)
                         .map(|_| {
-                            let rx = entry_rx.clone();
                             let tx = res_tx.clone();
                             s.spawn(move |_| {
-                                let ops = self.make_operators();
+                                let mut ops = self.make_operators();
                                 let mut local = vec![FpgaTally::default(); nf];
                                 let mut lf = FaultSummary::default();
                                 let mut lc: Vec<EntryCost> = Vec::new();
-                                for (idx, entry) in rx.iter() {
+                                let mut chunk = Vec::new();
+                                while let Some((idx, entry)) = claim() {
                                     let out = self
                                         .process_entry(
-                                            &ops, idx, &entry, &mut local, injector, &mut lf,
+                                            &mut ops, idx, &entry, &mut local, injector, &mut lf,
                                             &mut lc,
                                         )
                                         .map(|hits| (idx, hits));
                                     if out.is_err() {
                                         abort.store(true, Ordering::Relaxed);
                                     }
-                                    if tx.send(out).is_err() {
+                                    chunk.push(out);
+                                    if chunk.len() == RESULT_CHUNK
+                                        && tx.send(std::mem::take(&mut chunk)).is_err()
+                                    {
                                         break;
                                     }
                                 }
+                                // The receiver only goes away with the run.
+                                let _ = tx.send(chunk);
                                 (local, lf, lc)
                             })
                         })
                         .collect();
-                    drop(entry_rx);
                     drop(res_tx);
 
-                    // Feed from a dedicated thread so the main thread can
-                    // drain results without deadlocking on the bounded
-                    // queue. The feeder must bail — not block or panic —
-                    // when the workers are gone (a worker panic drops every
-                    // `entry_rx` clone, turning `send` into an `Err`) or a
-                    // fault aborted the run.
-                    let feeder = s.spawn(move |_| {
-                        let mut count = 0u64;
-                        for entry in entries {
-                            if abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            if entry_tx.send((count, entry)).is_err() {
-                                break;
-                            }
-                            count += 1;
-                        }
-                        count
-                    });
-
-                    for res in res_rx.iter() {
+                    for res in res_rx.iter().flatten() {
                         match res {
                             Ok((idx, hits)) => sink(idx, hits),
-                            // Keep the earliest failing entry. The feeder
-                            // dispatches in index order and workers drain
-                            // everything dispatched, so the globally
-                            // earliest failure is always among the errors
-                            // collected here — whichever thread won the
-                            // race to the abort flag.
+                            // Keep the earliest failing entry. Entries are
+                            // claimed in index order and every claimed
+                            // entry is processed, so the globally earliest
+                            // failure is always among the errors collected
+                            // here — whichever thread won the race to the
+                            // abort flag.
                             Err(e) => {
                                 if first_err.is_none_or(|p| e.entry < p.entry) {
                                     first_err = Some(e);
@@ -540,13 +553,16 @@ impl RascBoard {
                             }
                         }
                     }
-                    n_entries = feeder.join().expect("feeder panicked");
                     handles
                         .into_iter()
                         .map(|h| h.join().expect("worker panicked"))
                         .collect()
                 })
                 .expect("board scope");
+            n_entries = source
+                .into_inner()
+                .expect("a worker panicked inside the entry iterator")
+                .0;
             if let Some(e) = first_err {
                 return Err(e);
             }
@@ -604,6 +620,8 @@ impl RascBoard {
         let mut report = BoardReport {
             entries: n_entries,
             faults,
+            host_kernel: FunctionalOperator::host_kernel(&self.config.operator, &self.matrix)
+                .name(),
             ..BoardReport::default()
         };
         let mut total_hits = 0u64;
@@ -774,11 +792,12 @@ mod tests {
     fn multithreaded_stream_matches_sequential() {
         let m = blosum62();
         let board = RascBoard::new(test_config(2), m).unwrap();
-        // A workload big enough to exercise the channels.
-        let work: Vec<Entry> = (0..40)
+        // A workload big enough that every worker hands over full
+        // result chunks and a partial last one.
+        let work: Vec<Entry> = (0..5 * RESULT_CHUNK + 7)
             .map(|i| {
                 let w0: Vec<Vec<u8>> = (0..(i % 7 + 1))
-                    .map(|j| (0..6u8).map(|r| (r + j as u8 + i as u8) % 20).collect())
+                    .map(|j| (0..6).map(|r| ((r + j + i) % 20) as u8).collect())
                     .collect();
                 let w1: Vec<Vec<u8>> = (0..(i % 5 + 1))
                     .map(|j| (0..6u8).map(|r| (r * 2 + j as u8) % 20).collect())

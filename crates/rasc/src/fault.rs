@@ -22,10 +22,10 @@
 //! output is bit-identical to the fault-free run — a fault may cost
 //! simulated cycles, never results.
 
-use psc_align::ungapped_score;
 use psc_score::SubstitutionMatrix;
 
 use crate::config::OperatorConfig;
+use crate::functional::BatchScorer;
 use crate::operator::Hit;
 
 /// One kind of injectable hardware misbehaviour.
@@ -467,33 +467,18 @@ pub fn hits_checksum(hits: &[Hit]) -> u64 {
 
 /// Host software reference for one entry shard — the kernel the board
 /// degrades to. Produces exactly the operator's hit *set* (same
-/// windows, same kernel, same threshold); the order is the natural
-/// i0-major software order rather than the PE wave order, which every
-/// consumer normalizes by sorting.
+/// windows, same kernel, same threshold) through the same batched
+/// scorer; the order is the scorer's natural software scan order
+/// (`i0`-major within each `IL1` tile) rather than the PE wave order,
+/// which every consumer normalizes by sorting.
 pub fn score_entry_software(
     matrix: &SubstitutionMatrix,
     config: &OperatorConfig,
     il0: &[u8],
     il1: &[u8],
 ) -> Vec<Hit> {
-    let l = config.window_len;
-    let k0 = il0.len() / l;
-    let k1 = il1.len() / l;
     let mut hits = Vec::new();
-    for i0 in 0..k0 {
-        let w0 = &il0[i0 * l..(i0 + 1) * l];
-        for i1 in 0..k1 {
-            let w1 = &il1[i1 * l..(i1 + 1) * l];
-            let score = ungapped_score(config.kernel, matrix, w0, w1);
-            if score >= config.threshold {
-                hits.push(Hit {
-                    i0: i0 as u32,
-                    i1: i1 as u32,
-                    score,
-                });
-            }
-        }
-    }
+    BatchScorer::new(config, matrix).scan(matrix, il0, il1, &mut hits);
     hits
 }
 
@@ -759,6 +744,49 @@ mod tests {
             stream_checksum(&[b"MKVLAWRN"]),
             "part boundaries must not affect the sum"
         );
+    }
+
+    #[test]
+    fn software_recompute_finds_the_operator_hit_set() {
+        use crate::functional::FunctionalOperator;
+        let m = psc_score::blosum62();
+        // Two IL1 tiles, three IL0 batches: a flood (threshold 1, every
+        // pair of identical windows hits) and a quiet entry (random
+        // windows under the paper's threshold).
+        let flood: Vec<u8> = (0..60u8).map(|r| r % 20).collect();
+        let random = |seed: u64, n: usize| -> Vec<u8> {
+            (0..(n * 60) as u64)
+                .map(|i| (mix4(seed, i, 0, 0) % 24) as u8)
+                .collect()
+        };
+        let mut quiet0 = random(3, 20);
+        let quiet1 = random(4, 600);
+        // One planted pair in the second tile, so quiet is not empty.
+        quiet0[13 * 60..14 * 60].copy_from_slice(&quiet1[550 * 60..551 * 60]);
+        for (threshold, il0, il1) in [
+            (1, flood.repeat(20), flood.repeat(600)),
+            (45, quiet0, quiet1),
+        ] {
+            let mut cfg = OperatorConfig::new(8);
+            cfg.threshold = threshold;
+            let mut expect = FunctionalOperator::new(cfg.clone(), m)
+                .unwrap()
+                .run_entry(&il0, &il1)
+                .hits;
+            let mut got = score_entry_software(m, &cfg, &il0, &il1);
+            if threshold == 1 {
+                assert_eq!(got.len(), 20 * 600, "flood: every pair hits");
+            } else {
+                assert!((1..20).contains(&got.len()), "quiet: {} hits", got.len());
+            }
+            // i0-major inside each 512-window tile, tiles in order.
+            assert!(got
+                .windows(2)
+                .all(|w| (w[0].i1 / 512, w[0].i0, w[0].i1) < (w[1].i1 / 512, w[1].i0, w[1].i1)));
+            expect.sort_unstable_by_key(|h| (h.i0, h.i1));
+            got.sort_unstable_by_key(|h| (h.i0, h.i1));
+            assert_eq!(got, expect);
+        }
     }
 
     #[test]

@@ -417,6 +417,8 @@ impl RascFleet {
             fifo_peak: sim.peak,
             bytes_in: sim.bytes_in,
             hit_count: sim.hit_count,
+            host_kernel: FunctionalOperator::host_kernel(&self.config.operator, &self.matrix)
+                .name(),
             ..BoardReport::default()
         };
         aggregate.bytes_out = sim.hit_count * std::mem::size_of::<(u32, u32)>() as u64;
@@ -470,7 +472,7 @@ impl RascFleet {
     /// fault-free order).
     fn base_of(
         &self,
-        ops: &[FunctionalOperator],
+        ops: &mut [FunctionalOperator],
         idx: u64,
         entry: &Entry,
     ) -> (EntryBase, Vec<Hit>) {
@@ -480,7 +482,7 @@ impl RascFleet {
         let policy = self.config.recovery;
         let mut shards = Vec::new();
         let mut merged = Vec::new();
-        for (f, op) in ops.iter().enumerate() {
+        for (f, op) in ops.iter_mut().enumerate() {
             let (lo, hi) = self.shard(k0, f);
             if lo >= hi {
                 continue;
@@ -521,9 +523,9 @@ impl RascFleet {
         let host_threads = host_threads.max(1);
         let mut bases: Vec<EntryBase> = Vec::new();
         if host_threads == 1 {
-            let ops = self.make_operators();
+            let mut ops = self.make_operators();
             for (idx, entry) in entries.enumerate() {
-                let (base, hits) = self.base_of(&ops, idx as u64, &entry);
+                let (base, hits) = self.base_of(&mut ops, idx as u64, &entry);
                 sink(idx as u64, hits);
                 bases.push(base);
             }
@@ -536,9 +538,9 @@ impl RascFleet {
                 let rx = entry_rx.clone();
                 let tx = res_tx.clone();
                 s.spawn(move |_| {
-                    let ops = self.make_operators();
+                    let mut ops = self.make_operators();
                     for (idx, entry) in rx.iter() {
-                        if tx.send(self.base_of(&ops, idx, &entry)).is_err() {
+                        if tx.send(self.base_of(&mut ops, idx, &entry)).is_err() {
                             break;
                         }
                     }

@@ -15,10 +15,14 @@
 //!   controller, stalling the array when full (the exact pathology that
 //!   limited the paper's dual-FPGA runs, §4.1).
 //! * [`functional::FunctionalOperator`] — **functional + analytic**: the
-//!   same results computed with the software kernel, and the same cycle
-//!   count derived wave-by-wave in closed form. Property tests assert
-//!   both paths agree *exactly* (results, order, and cycle count), so the
-//!   fast path is safe for the large experiment sweeps.
+//!   same results scored with the batched lane kernels of
+//!   [`psc_align::batch`] (the operator's own data flow in software, in
+//!   bounded scratch the operator reuses), re-ordered into the hardware's
+//!   drain order, and the same cycle count replayed in closed form from
+//!   the per-wave hit counts. Unit and property tests assert both paths
+//!   agree *exactly* (results, order, cycles, stalls, FIFO peak); every
+//!   board, fleet and ADR run takes this path, so a simulator wall
+//!   measures the design and not a scalar loop.
 //!
 //! [`board::RascBoard`] wraps one or two simulated FPGAs with the
 //! NUMAlink DMA model, host-side dispatch threads, and the result-channel

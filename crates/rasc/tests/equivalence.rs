@@ -25,12 +25,12 @@ fn case() -> impl Strategy<Value = Case> {
     (
         1usize..12,      // pe_count
         1usize..6,       // slot_size
-        2usize..14,      // window_len
+        2usize..65,      // window_len
         0i32..40,        // threshold
         1usize..12,      // fifo_capacity
         prop::bool::ANY, // kernel select
         0usize..20,      // k0
-        0usize..20,      // k1
+        0usize..81,      // k1
     )
         .prop_flat_map(
             |(pe_count, slot_size, window_len, threshold, fifo_capacity, literal, k0, k1)| {
@@ -67,7 +67,7 @@ proptest! {
         cfg.kernel = c.kernel;
 
         let mut hw = PscOperator::new(cfg.clone(), blosum62()).unwrap();
-        let sw = FunctionalOperator::new(cfg, blosum62()).unwrap();
+        let mut sw = FunctionalOperator::new(cfg, blosum62()).unwrap();
 
         let a = hw.run_entry(&c.il0, &c.il1);
         let b = sw.run_entry(&c.il0, &c.il1);

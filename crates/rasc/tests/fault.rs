@@ -319,11 +319,10 @@ fn heavy_tail_plan_counts_match_injector_and_stay_lossless() {
     }
 }
 
-/// Regression for the feeder-thread deadlock: a worker that panics
-/// mid-workload (here: entries whose streams are not whole windows trip
-/// the operator's input assertion) used to leave the feeder blocked
-/// forever on the bounded entry channel once every worker was gone.
-/// The feeder must bail on channel disconnect so the panic propagates.
+/// A worker that panics mid-workload (here: entries whose streams are
+/// not whole windows trip the operator's input assertion) must not
+/// leave the run blocked on a queue nobody serves any more: the panic
+/// propagates to the caller.
 #[test]
 fn worker_panic_propagates_instead_of_deadlocking() {
     let m = blosum62();

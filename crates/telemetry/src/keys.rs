@@ -143,6 +143,11 @@ pub const STEP2_KERNEL: &str = "step2.kernel";
 pub const STEP2_KERNEL_REQUESTED: &str = "step2.kernel.requested";
 /// Why the requested kernel was downgraded, when it was.
 pub const STEP2_KERNEL_DOWNGRADE: &str = "step2.kernel.downgrade";
+/// Host kernel the board simulator scored with (`wide`, `simd`,
+/// `profile`, …): says whether a simulator wall was SIMD or scalar host
+/// time. A host fact — it varies with the machine, unlike every
+/// simulated board statistic.
+pub const RASC_HOST_KERNEL: &str = "rasc.host_kernel";
 /// Configured window length `W + 2N`.
 pub const WINDOW_LEN: &str = "window_len";
 /// Configured ungapped score threshold.

@@ -7,6 +7,7 @@
 //!   counts);
 //! * [`render_report`] — all sections combined, as `psc report` prints.
 
+use crate::keys;
 use crate::recorder::Histogram;
 use crate::report::RunReport;
 
@@ -77,6 +78,11 @@ pub fn render_utilization(report: &RunReport) -> String {
         "Simulated RASC board ({} PEs per FPGA, {} entries, {} hits)\n",
         board.pe_count, board.entries, board.hit_count
     ));
+    if let Some(kernel) = report.meta_value(keys::RASC_HOST_KERNEL) {
+        out.push_str(&format!(
+            "  simulator host kernel: {kernel} (host time only; simulated numbers do not depend on it)\n"
+        ));
+    }
     out.push_str(&format!(
         "  {:<6} {:>14} {:>12} {:>8} {:>12} {:>10}\n",
         "fpga", "cycles", "stalls", "stall%", "util%", "fifo_peak"
@@ -349,6 +355,11 @@ mod tests {
         assert!(text.contains("50.00%"), "{text}"); // utilization
         assert!(text.contains("4096 B in"), "{text}");
         assert!(text.contains("62.50% occupancy"), "{text}");
+        assert!(!text.contains("host kernel"), "{text}");
+        let mut r = report_with_board();
+        r.meta.push((keys::RASC_HOST_KERNEL.into(), "wide".into()));
+        let text = render_utilization(&r);
+        assert!(text.contains("simulator host kernel: wide"), "{text}");
     }
 
     #[test]

@@ -48,7 +48,7 @@ fn main() {
     let il1 = windows(&mut rng, 400, 60);
 
     let mut hw = PscOperator::new(cfg.clone(), blosum62()).unwrap();
-    let sw = FunctionalOperator::new(cfg.clone(), blosum62()).unwrap();
+    let mut sw = FunctionalOperator::new(cfg.clone(), blosum62()).unwrap();
     let a = hw.run_entry(&il0, &il1);
     let b = sw.run_entry(&il0, &il1);
     assert_eq!(a, b, "cycle-accurate and functional paths must agree");
@@ -71,7 +71,7 @@ fn main() {
         let mut c = OperatorConfig::new(pes);
         c.window_len = 60;
         c.threshold = 45;
-        let op = FunctionalOperator::new(c.clone(), blosum62()).unwrap();
+        let mut op = FunctionalOperator::new(c.clone(), blosum62()).unwrap();
         let r = op.run_entry(&il0, &il1);
         println!(
             "  {pes:>4} PEs: {:>9} cycles  ({:>5.2} ms)  utilization {:>5.1}%",
@@ -90,7 +90,7 @@ fn main() {
         c.window_len = 60;
         c.threshold = threshold;
         c.fifo_capacity = 32;
-        let op = FunctionalOperator::new(c, blosum62()).unwrap();
+        let mut op = FunctionalOperator::new(c, blosum62()).unwrap();
         let r = op.run_entry(&flood0, &flood1);
         println!(
             "  {label:<26} cycles={:>8}  stalls={:>7}  hits={}",
