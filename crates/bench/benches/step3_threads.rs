@@ -1,5 +1,4 @@
-//! The overlapped streaming pipeline vs the step-2→step-3 barrier, and
-//! sharded parallel gapped extension vs the sequential loop (paper
+//! Sharded parallel gapped extension vs the sequential loop (paper
 //! Table 7's post-RASC bottleneck, attacked on the host side).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -26,7 +25,7 @@ fn workload() -> (psc_seqio::Bank, psc_seqio::Seq) {
     (proteins, genome.genome)
 }
 
-fn cfg(overlap: bool, step3_threads: usize) -> PipelineConfig {
+fn cfg(step3_threads: usize) -> PipelineConfig {
     PipelineConfig {
         backend: Step2Backend::Rasc {
             pe_count: 128,
@@ -35,32 +34,26 @@ fn cfg(overlap: bool, step3_threads: usize) -> PipelineConfig {
         },
         // More surviving candidates → a step-3 load worth sharding.
         threshold: 37,
-        overlap,
         step3_threads,
         ..PipelineConfig::default()
     }
 }
 
-fn bench_overlap_modes(c: &mut Criterion) {
+fn bench_step3_threads(c: &mut Criterion) {
     let (proteins, genome) = workload();
-    let mut group = c.benchmark_group("step3_overlap");
+    let mut group = c.benchmark_group("step3_threads");
     group.sample_size(10);
-    for (overlap, threads, label) in [
-        (false, 1usize, "barrier-seq"),
-        (false, 4, "barrier-4t"),
-        (true, 1, "overlap-seq"),
-        (true, 4, "overlap-4t"),
-    ] {
+    for threads in [1usize, 4] {
         group.bench_with_input(
-            BenchmarkId::new("search", label),
-            &(overlap, threads),
-            |bch, &(overlap, threads)| {
-                bch.iter(|| search_genome(&proteins, &genome, blosum62(), cfg(overlap, threads)));
+            BenchmarkId::new("search", threads),
+            &threads,
+            |bch, &threads| {
+                bch.iter(|| search_genome(&proteins, &genome, blosum62(), cfg(threads)));
             },
         );
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_overlap_modes);
+criterion_group!(benches, bench_step3_threads);
 criterion_main!(benches);

@@ -7,7 +7,7 @@
 //!          ablation-kernel ablation-seed ablation-twohit
 //!          step2-kernels   (writes BENCH_step2_kernels.json)
 //!          step2-balance   (writes BENCH_step2_balance.json)
-//!          step3-overlap   (writes BENCH_step3_overlap.json)
+//!          step3-threads   (writes BENCH_step3_threads.json)
 //!          serve-amortize  (writes BENCH_serve_amortize.json)
 //!          trace-overhead  (writes BENCH_trace_overhead.json)
 //!          fleet-scaling   (writes BENCH_fleet_scaling.json)
@@ -31,7 +31,7 @@ fn main() {
         .map(String::as_str)
         .collect();
     if wants.is_empty() {
-        eprintln!("usage: experiments [--quick] <table1..table7|fig1..fig3|ablation-*|step2-kernels|step2-balance|step3-overlap|serve-amortize|trace-overhead|extension-step3|fleet-scaling|analyzer-bench|all>");
+        eprintln!("usage: experiments [--quick] <table1..table7|fig1..fig3|ablation-*|step2-kernels|step2-balance|step3-threads|serve-amortize|trace-overhead|extension-step3|fleet-scaling|analyzer-bench|all>");
         std::process::exit(2);
     }
     let all = wants.contains(&"all");
@@ -131,8 +131,8 @@ fn main() {
     if want("extension-step3") {
         exps::extension_step3(&workload);
     }
-    if want("step3-overlap") {
-        exps::step3_overlap(&workload);
+    if want("step3-threads") {
+        exps::step3_threads(&workload);
     }
     if want("serve-amortize") {
         exps::serve_amortize(&workload);

@@ -584,18 +584,16 @@ pub fn extension_step3(workload: &Workload) {
     );
 }
 
-/// Extension — the overlapped streaming pipeline: step-2 shard
-/// completion feeding incremental anchor dedup through a bounded
-/// channel, plus sharded parallel step-3 gapped extension. Run under a
+/// Extension — sharded parallel step-3 gapped extension. Run under a
 /// heavy-tailed fault plan (the hardest case for determinism), software
 /// step 3 against the proposed gapped operator, written to
-/// `BENCH_step3_overlap.json`.
-pub fn step3_overlap(workload: &Workload) {
+/// `BENCH_step3_threads.json`.
+pub fn step3_threads(workload: &Workload) {
     use psc_core::config::Step3Backend;
-    println!("## Extension — overlapped streaming + parallel step-3 (10× bank, 192 PEs)");
+    println!("## Extension — parallel step-3 (10× bank, 192 PEs)");
     println!("   (threshold lowered by 8 as in extension-step3 to land in the paper's");
     println!("    Table 7 regime where step 3 dominates; seeded heavy-tail faults on)\n");
-    let make_cfg = |step3_backend: Step3Backend, overlap: bool, step3_threads: usize| {
+    let make_cfg = |step3_backend: Step3Backend, step3_threads: usize| {
         let mut cfg = experiment_config();
         cfg.threshold -= 8;
         cfg.backend = Step2Backend::Rasc {
@@ -608,13 +606,11 @@ pub fn step3_overlap(workload: &Workload) {
             rate_ppm: psc_rasc::DEFAULT_FAULT_RATE_PPM,
         });
         cfg.step3_backend = step3_backend;
-        cfg.overlap = overlap;
         cfg.step3_threads = step3_threads;
         cfg
     };
     let mut t = Table::new(&[
         "step-3 engine",
-        "mode",
         "threads",
         "step3 (s)",
         "modeled N-core (s)",
@@ -630,8 +626,8 @@ pub fn step3_overlap(workload: &Workload) {
         let mut baseline_hsps: Option<Vec<psc_align::Hsp>> = None;
         let mut seq_extension = 0.0f64;
         let mut seq_modeled_p4 = 0.0f64;
-        for (overlap, threads) in [(false, 1usize), (false, 4), (true, 1), (true, 4)] {
-            let cfg = make_cfg(engine.clone(), overlap, threads);
+        for threads in [1usize, 4] {
+            let cfg = make_cfg(engine.clone(), threads);
             let mut best_step3 = f64::INFINITY;
             let mut best_wall = f64::INFINITY;
             let mut best_extension = f64::INFINITY;
@@ -639,13 +635,15 @@ pub fn step3_overlap(workload: &Workload) {
             let mut last = None;
             for _ in 0..3 {
                 let rec = psc_core::MemRecorder::new();
-                let r = psc_core::search_genome_recorded(
+                let r = psc_core::try_search_genome_traced(
                     &workload.banks[2],
                     &workload.genome.genome,
                     blosum62(),
                     cfg.clone(),
                     &rec,
-                );
+                    &psc_core::NullTracer,
+                )
+                .expect("experiment config is valid");
                 let spans = rec.snapshot().spans;
                 best_step3 = best_step3.min(r.output.profile.step3);
                 best_wall = best_wall.min(r.output.profile.step2_wall + r.output.profile.step3);
@@ -654,8 +652,8 @@ pub fn step3_overlap(workload: &Workload) {
                 last = Some(r);
             }
             let r = last.unwrap();
-            // The streamed/parallel modes are optimisations only: any
-            // divergence from the sequential barrier run is a bug.
+            // Parallel step 3 is an optimisation only: any divergence
+            // from the sequential run is a bug.
             match &baseline_hsps {
                 None => {
                     baseline_hsps = Some(r.output.hsps.clone());
@@ -669,7 +667,7 @@ pub fn step3_overlap(workload: &Workload) {
                 }
                 Some(base) => assert_eq!(
                     base, &r.output.hsps,
-                    "overlap={overlap} threads={threads} diverged from the barrier run"
+                    "threads={threads} diverged from the sequential run"
                 ),
             }
             let board = r.output.board.as_ref().expect("RASC run has a board");
@@ -686,7 +684,6 @@ pub fn step3_overlap(workload: &Workload) {
             let modeled_speedup = seq_extension / best_modeled;
             t.row(vec![
                 label.into(),
-                if overlap { "overlap" } else { "barrier" }.into(),
                 threads.to_string(),
                 secs(best_step3),
                 secs(best_modeled),
@@ -695,7 +692,7 @@ pub fn step3_overlap(workload: &Workload) {
                 format!("{:.1} %", board.overlap_occupancy * 100.0),
             ]);
             json_rows.push(format!(
-                "    {{\"step3_backend\": \"{label}\", \"overlap\": {overlap}, \
+                "    {{\"step3_backend\": \"{label}\", \
                  \"step3_threads\": {threads}, \"step3_seconds\": {best_step3:.6}, \
                  \"step3_extension_seconds\": {best_extension:.6}, \
                  \"step3_modeled_parallel_seconds\": {best_modeled:.6}, \
@@ -711,16 +708,16 @@ pub fn step3_overlap(workload: &Workload) {
         }
     }
     t.print();
-    println!("\n   (modeled = the sequential barrier run's measured per-shard costs");
-    println!("    replayed through the worker pull schedule on N free cores; speedup is");
-    println!("    vs that run's extension. Outputs are asserted bit-identical across");
-    println!("    modes; wall columns saturate at this host's free-core count.)\n");
+    println!("\n   (modeled = the sequential run's measured per-shard costs replayed");
+    println!("    through the worker pull schedule on N free cores; speedup is vs");
+    println!("    that run's extension. Outputs are asserted bit-identical across");
+    println!("    thread counts; wall columns saturate at this host's free-core count.)\n");
     let json = format!(
-        "{{\n  \"experiment\": \"step3_overlap\",\n  \
+        "{{\n  \"experiment\": \"step3_threads\",\n  \
          \"fault_plan\": \"heavy-tail seed 7\",\n  \"runs\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );
-    let path = "BENCH_step3_overlap.json";
+    let path = "BENCH_step3_threads.json";
     match std::fs::write(path, &json) {
         Ok(()) => eprintln!("[experiments] wrote {path}"),
         Err(e) => eprintln!("[experiments] could not write {path}: {e}"),
@@ -993,13 +990,15 @@ pub fn step2_kernels(workload: &Workload) {
             // single-run counts, not a 3× accumulation.
             let rec = psc_core::MemRecorder::new();
             let t0 = Instant::now();
-            let r = psc_core::search_genome_recorded(
+            let r = psc_core::try_search_genome_traced(
                 &workload.banks[1],
                 &workload.genome.genome,
                 blosum62(),
                 cfg.clone(),
                 &rec,
-            );
+                &psc_core::NullTracer,
+            )
+            .expect("experiment config is valid");
             best = best.min(t0.elapsed().as_secs_f64());
             result = Some(r);
             last_rec = Some(rec);
@@ -1271,7 +1270,7 @@ pub fn step2_balance(workload: &Workload, quick: bool) {
 /// Tracing overhead — the flight recorder's zero-cost claim, measured.
 ///
 /// Runs the same search best-of-3 with the tracer off (`NullTracer`)
-/// and on (`RingTracer`, wall clock, overlap + parallel step 3 for the
+/// and on (`RingTracer`, wall clock, parallel step 2 + step 3 for the
 /// richest event mix), asserts the recorded overhead stays within the
 /// 2 % budget DESIGN.md §13 promises, and writes
 /// `BENCH_trace_overhead.json`.
@@ -1391,7 +1390,6 @@ pub fn trace_overhead(workload: &Workload) {
     let cfg = PipelineConfig {
         backend: Step2Backend::SoftwareParallel { threads: 2 },
         step3_threads: 2,
-        overlap: true,
         ..experiment_config()
     };
     let reps = 3;
@@ -1403,25 +1401,20 @@ pub fn trace_overhead(workload: &Workload) {
         for _ in 0..reps {
             let tracer = psc_core::RingTracer::new(psc_core::TraceClock::Wall);
             let t0 = Instant::now();
-            let r = if trace {
-                psc_core::try_search_genome_traced(
-                    &workload.banks[2],
-                    &workload.genome.genome,
-                    blosum62(),
-                    cfg.clone(),
-                    &psc_core::NullRecorder,
-                    &tracer,
-                )
-                .expect("traced run")
+            let tracer_used: &dyn psc_core::Tracer = if trace {
+                &tracer
             } else {
-                psc_core::try_search_genome(
-                    &workload.banks[2],
-                    &workload.genome.genome,
-                    blosum62(),
-                    cfg.clone(),
-                )
-                .expect("plain run")
+                &psc_core::NullTracer
             };
+            let r = psc_core::try_search_genome_traced(
+                &workload.banks[2],
+                &workload.genome.genome,
+                blosum62(),
+                cfg.clone(),
+                &psc_core::NullRecorder,
+                tracer_used,
+            )
+            .expect("experiment config is valid");
             let wall = t0.elapsed().as_secs_f64();
             std::hint::black_box(&r);
             if wall < best_wall {
@@ -1460,7 +1453,7 @@ pub fn trace_overhead(workload: &Workload) {
     println!("\n   (best of {reps}; spans = committed span events across all lanes)\n");
     let json = format!(
         "{{\n  \"experiment\": \"trace_overhead\",\n  \"reps\": {reps},\n  \
-         \"backend\": \"parallel x2, step3 x2, overlap\",\n  \
+         \"backend\": \"parallel x2, step3 x2\",\n  \
          \"plain_seconds\": {plain:.6},\n  \"traced_seconds\": {traced:.6},\n  \
          \"overhead_pct\": {overhead_pct:.3},\n  \"budget_pct\": 2.0,\n  \
          \"trace_spans\": {units},\n  \"trace_lanes\": {lanes},\n  \

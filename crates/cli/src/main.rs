@@ -121,7 +121,6 @@ commands:
                   [--step2-kernel auto|scalar|profile|simd|wide|split]
                   [--step2-schedule contiguous|bucketed]   (step-2 work distribution)
                   [--step3-threads N]    (parallel gapped extension workers)
-                  [--overlap on|off]     (stream step-3 during step-2 shard completion)
                   [--format tab|pairwise|gff] [--mask on]
                   [--fault-seed S] [--fault-rate PPM]   (seeded fault injection)
                   [--fault-tail uniform|heavy]   (stuck-board persistence model)
@@ -185,7 +184,6 @@ const KNOWN_SEARCH: &[&str] = &[
     "step2-kernel",
     "step2-schedule",
     "step3-threads",
-    "overlap",
     "format",
     "mask",
     "fault-seed",
@@ -218,7 +216,6 @@ const KNOWN_SERVE: &[&str] = &[
     "step2-kernel",
     "step2-schedule",
     "step3-threads",
-    "overlap",
     "mask",
     "fault-seed",
     "fault-rate",
@@ -492,11 +489,6 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, String> {
         index_threads: threads,
         mask: mask_flag(flags)?,
         step3_threads: flags.parsed("step3-threads", 1usize)?.max(1),
-        overlap: match flags.get("overlap") {
-            Some("on") => true,
-            Some("off") | None => false,
-            Some(other) => return Err(format!("bad --overlap value {other:?} (on|off)")),
-        },
         fault_plan: fault_plan(flags)?,
         recovery: recovery_policy(flags)?,
         fleet,

@@ -28,6 +28,18 @@ fn unknown_command_fails() {
 }
 
 #[test]
+fn removed_overlap_flag_is_rejected() {
+    let out = psc()
+        .args(["search", "--proteins", "p.fa", "--genome", "g.fa"])
+        .args(["--overlap", "on"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --overlap"), "{err}");
+}
+
+#[test]
 fn matrix_prints_blosum62() {
     let out = psc().arg("matrix").output().unwrap();
     assert!(out.status.success());

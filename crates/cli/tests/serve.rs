@@ -429,5 +429,16 @@ fn search_rejects_index_plus_genome_and_unknown_flags() {
         err.contains("unknown flag --step2-kernal") && err.contains("--step2-kernel"),
         "{err}"
     );
+
+    // A removed flag is an unknown flag: `--overlap` went with the
+    // streamed step-2 mode it selected.
+    let out = psc()
+        .args(["serve", "--index", bundle.to_str().unwrap()])
+        .args(["--listen", "127.0.0.1:0", "--overlap", "on"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --overlap"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }

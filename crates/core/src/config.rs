@@ -126,12 +126,6 @@ pub struct PipelineConfig {
     /// fixed-size shards and merged by shard index, so HSP output,
     /// counters, and telemetry are bit-identical at any thread count.
     pub step3_threads: usize,
-    /// Streamed execution: step-2 candidates flow through a bounded
-    /// channel into the anchor builder as each board entry / software
-    /// chunk completes, instead of waiting on the step-2 barrier.
-    /// Output is bit-identical to the barrier run (the anchor dedup is
-    /// order-invariant); only wall clock changes.
-    pub overlap: bool,
     /// Minimum subject-position separation between gapped-extension
     /// anchors on one (seq0, seq1, diagonal) line; candidates closer than
     /// this to the previous anchor are folded into it.
@@ -179,7 +173,6 @@ impl Default for PipelineConfig {
             max_evalue: 1e-3,
             index_threads: 1,
             step3_threads: 1,
-            overlap: false,
             min_anchor_sep: 60,
             fifo_capacity: 512,
             slot_size: 16,

@@ -46,74 +46,28 @@ pub struct GenomeSearchResult {
 /// Compare a protein bank against a genome (the paper's tblastn-style
 /// workload), reporting genomic coordinates.
 ///
-/// Panics on configuration errors; use [`try_search_genome`] to handle
-/// them.
+/// Panics on configuration errors; use [`try_search_genome_traced`] to
+/// handle them.
 pub fn search_genome(
     proteins: &Bank,
     genome: &Seq,
     matrix: &SubstitutionMatrix,
     config: PipelineConfig,
 ) -> GenomeSearchResult {
-    search_genome_recorded(
-        proteins,
-        genome,
-        matrix,
-        config,
-        &psc_telemetry::NullRecorder,
-    )
-}
-
-/// [`search_genome`], surfacing configuration errors.
-pub fn try_search_genome(
-    proteins: &Bank,
-    genome: &Seq,
-    matrix: &SubstitutionMatrix,
-    config: PipelineConfig,
-) -> Result<GenomeSearchResult, PipelineError> {
-    try_search_genome_recorded(
-        proteins,
-        genome,
-        matrix,
-        config,
-        &psc_telemetry::NullRecorder,
-    )
-}
-
-/// [`search_genome`] with telemetry recording (see
-/// [`Pipeline::run_recorded`]).
-///
-/// Panics on configuration errors; use
-/// [`try_search_genome_recorded`] to handle them.
-pub fn search_genome_recorded(
-    proteins: &Bank,
-    genome: &Seq,
-    matrix: &SubstitutionMatrix,
-    config: PipelineConfig,
-    rec: &dyn psc_telemetry::Recorder,
-) -> GenomeSearchResult {
-    try_search_genome_recorded(proteins, genome, matrix, config, rec)
-        .unwrap_or_else(|e| panic!("pipeline configuration error: {e}"))
-}
-
-/// [`search_genome_recorded`], surfacing configuration errors.
-pub fn try_search_genome_recorded(
-    proteins: &Bank,
-    genome: &Seq,
-    matrix: &SubstitutionMatrix,
-    config: PipelineConfig,
-    rec: &dyn psc_telemetry::Recorder,
-) -> Result<GenomeSearchResult, PipelineError> {
     try_search_genome_traced(
         proteins,
         genome,
         matrix,
         config,
-        rec,
+        &psc_telemetry::NullRecorder,
         &psc_telemetry::NullTracer,
     )
+    .unwrap_or_else(|e| panic!("pipeline configuration error: {e}"))
 }
 
-/// [`try_search_genome_recorded`] with a flight recorder attached.
+/// [`search_genome`] with telemetry recording and a flight recorder
+/// attached (see [`crate::Pipeline::try_run_traced`]), surfacing
+/// configuration errors.
 ///
 /// This is exactly [`SearchEngine::for_genome`] followed by one
 /// [`SearchEngine::query_traced`] call — frame translation and the

@@ -36,10 +36,7 @@ pub mod step2;
 
 pub use config::{PipelineConfig, SeedChoice, Step2Backend};
 pub use engine::{EngineError, SearchEngine};
-pub use genome::{
-    search_genome, search_genome_recorded, try_search_genome, try_search_genome_recorded,
-    try_search_genome_traced, GenomeMatch, GenomeSearchResult,
-};
+pub use genome::{search_genome, try_search_genome_traced, GenomeMatch, GenomeSearchResult};
 pub use gff::to_gff3;
 pub use pipeline::{
     shard_critical_path, Pipeline, PipelineError, PipelineOutput, PipelineStats, PreparedBank,

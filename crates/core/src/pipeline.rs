@@ -4,10 +4,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use crossbeam::{channel, thread};
 use psc_align::{cull_hsps, gapped_extend, GapConfig, GappedHit, Hsp};
 use psc_index::{FlatBank, SeedIndex};
-use psc_rasc::{BoardReport, Entry, FleetReport, RascBoard, RascFleet};
+use psc_rasc::{
+    BoardFault, BoardReport, BoardSegment, Entry, FleetReport, Hit, RascBoard, RascFleet,
+};
 use psc_score::karlin::{gapped_params, ungapped_params};
 use psc_score::{SubstitutionMatrix, ROBINSON_FREQS};
 use psc_seqio::Bank;
@@ -114,69 +115,33 @@ impl Pipeline {
 
     /// Compare two protein banks.
     ///
-    /// Panics on configuration errors; use [`Pipeline::try_run`] to
-    /// handle them.
+    /// Panics on configuration errors; use [`Pipeline::try_run_traced`]
+    /// to handle them.
     pub fn run(&self, bank0: &Bank, bank1: &Bank, matrix: &SubstitutionMatrix) -> PipelineOutput {
-        self.run_recorded(bank0, bank1, matrix, &NullRecorder)
-    }
-
-    /// Compare two protein banks, surfacing configuration errors.
-    pub fn try_run(
-        &self,
-        bank0: &Bank,
-        bank1: &Bank,
-        matrix: &SubstitutionMatrix,
-    ) -> Result<PipelineOutput, PipelineError> {
-        self.try_run_recorded(bank0, bank1, matrix, &NullRecorder)
-    }
-
-    /// Compare two protein banks, recording telemetry into `rec`.
-    ///
-    /// Panics on configuration errors; use
-    /// [`Pipeline::try_run_recorded`] to handle them.
-    pub fn run_recorded(
-        &self,
-        bank0: &Bank,
-        bank1: &Bank,
-        matrix: &SubstitutionMatrix,
-        rec: &dyn Recorder,
-    ) -> PipelineOutput {
-        self.try_run_recorded(bank0, bank1, matrix, rec)
+        self.try_run_traced(bank0, bank1, matrix, &NullRecorder, &NullTracer)
             .unwrap_or_else(|e| panic!("pipeline configuration error: {e}"))
     }
 
-    /// Compare two protein banks, recording telemetry into `rec`.
+    /// Compare two protein banks, recording telemetry into `rec` and
+    /// flight-recorder units into `tracer`, surfacing configuration
+    /// errors.
     ///
-    /// With a [`NullRecorder`] this is exactly [`Pipeline::try_run`]:
-    /// the per-item instrumentation (per-key histograms, per-anchor
-    /// accounting) is gated on [`Recorder::enabled`] or computed outside
-    /// the step-2 hot loop, and candidate/HSP output is bit-identical
-    /// either way.
-    pub fn try_run_recorded(
-        &self,
-        bank0: &Bank,
-        bank1: &Bank,
-        matrix: &SubstitutionMatrix,
-        rec: &dyn Recorder,
-    ) -> Result<PipelineOutput, PipelineError> {
-        self.try_run_traced(bank0, bank1, matrix, rec, &NullTracer)
-    }
-
-    /// [`Pipeline::try_run_recorded`] with a flight recorder attached.
-    ///
-    /// The tracer follows the recorder's off-hot-loop discipline: the
+    /// With a [`NullRecorder`] the per-item instrumentation (per-key
+    /// histograms, per-anchor accounting) is gated on
+    /// [`Recorder::enabled`] or computed outside the step-2 hot loop.
+    /// The tracer follows the same off-hot-loop discipline: the
     /// step-2/step-3 kernels only ever collect plain timing numbers
     /// (and only when the tracer is enabled); every [`UnitTrace`] is
     /// committed from the driver after the unit completes. Candidate,
-    /// HSP, stats and report output are bit-identical with tracing on
-    /// or off, under any fault plan, with or without `--overlap`.
+    /// HSP, stats and report output are bit-identical with recording or
+    /// tracing on or off, under any fault plan.
     ///
-    /// Under [`TraceClock::Wall`] host lanes carry measured timings and
-    /// the overlap channel is instrumented; under [`TraceClock::Virtual`]
-    /// host units are emitted as deterministic scheduled work (weights
-    /// from pair mass / anchor counts) so the whole trace is
-    /// byte-identical across thread counts. Simulated board lanes are
-    /// cycle-derived and deterministic under both clocks.
+    /// Under [`TraceClock::Wall`] host lanes carry measured timings;
+    /// under [`TraceClock::Virtual`] host units are emitted as
+    /// deterministic scheduled work (weights from pair mass / anchor
+    /// counts) so the whole trace is byte-identical across thread
+    /// counts. Simulated board lanes are cycle-derived and
+    /// deterministic under both clocks.
     pub fn try_run_traced(
         &self,
         bank0: &Bank,
@@ -269,19 +234,9 @@ impl Pipeline {
         if tracer.enabled() && tracer.clock() == TraceClock::Virtual {
             commit_virtual_step2(tracer, idx0, idx1, key_count);
         }
-        let (mut s2stats, board, fleet, step2_accel_override) = if cfg.overlap {
-            run_step2_overlapped(
-                cfg, &params, flat0, idx0, flat1, idx1, span, key_count, matrix, &mut dedup, tracer,
-            )?
-        } else {
-            let (candidates, s2stats, board, fleet, step2_accel_override) = run_step2_barrier(
-                cfg, &params, flat0, idx0, flat1, idx1, span, key_count, matrix, tracer,
-            )?;
-            for c in &candidates {
-                dedup.push(c);
-            }
-            (s2stats, board, fleet, step2_accel_override)
-        };
+        let (mut s2stats, board, fleet, step2_accel_override) = run_step2(
+            cfg, &params, flat0, idx0, flat1, idx1, key_count, &mut dedup, tracer,
+        )?;
         // A fleet run reports through the same single-board shape: the
         // aggregate sums every board. Its timeline lives on the fleet
         // report (per-board lanes), so `commit_board_timeline` below is
@@ -293,8 +248,8 @@ impl Pipeline {
         if let Some(f) = fleet.as_ref().filter(|_| tracer.enabled()) {
             commit_fleet_timeline(tracer, f);
         }
-        // Both modes push the same candidate multiset; the pushed count
-        // is the one `candidates` counter.
+        // Every backend pushes the same candidate multiset; the pushed
+        // count is the one `candidates` counter.
         s2stats.candidates = dedup.pushed();
         let step2_wall = t1.elapsed().as_secs_f64();
         let step2_accelerated =
@@ -654,7 +609,7 @@ struct Localized {
 /// Incremental, order-invariant anchor deduplication.
 ///
 /// Candidates are bucketed by `(seq0, seq1, diagonal)` as they arrive —
-/// in *any* order, because overlapped step 2 delivers them in entry
+/// in *any* order, because the board backends deliver them in entry
 /// completion order rather than position order. [`AnchorDedup::finish`]
 /// sorts each bucket by `local1` and folds runs closer than `min_sep`
 /// subject residues, keeping the best-scoring member of each fold
@@ -662,7 +617,8 @@ struct Localized {
 /// (the diagonal fixes `local0`, the flat position fixes the score), so
 /// the per-bucket sort is a total order and the output is identical to
 /// the historical sort-everything-then-fold pass no matter how pushes
-/// interleave — the property the overlap-equivalence tests pin.
+/// interleave — the property `anchor_dedup_is_push_order_invariant`
+/// pins.
 struct AnchorDedup<'a> {
     flat0: &'a FlatBank,
     flat1: &'a FlatBank,
@@ -816,11 +772,11 @@ fn extend_anchors(
     let next = AtomicUsize::new(0);
     let mut sharded: Vec<ShardResult> = Vec::with_capacity(shard_count);
     let mut lanes: Vec<ShardLane> = Vec::new();
-    thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads.min(shard_count))
             .map(|w| {
                 let (next, extend_one) = (&next, &extend_one);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut local: Vec<ShardResult> = Vec::new();
                     let mut my_lanes: Vec<ShardLane> = Vec::new();
                     loop {
@@ -851,8 +807,7 @@ fn extend_anchors(
             sharded.extend(local);
             lanes.extend(my_lanes);
         }
-    })
-    .expect("step-3 scope");
+    });
     sharded.sort_unstable_by_key(|&(shard, _, _)| shard);
     lanes.sort_unstable_by_key(|l| l.shard);
     let shard_seconds = sharded.iter().map(|&(_, _, s)| s).collect();
@@ -893,11 +848,6 @@ pub fn shard_critical_path(shard_seconds: &[f64], workers: usize) -> f64 {
     finish.iter().fold(0.0f64, |acc, &t| acc.max(t))
 }
 
-/// Batches in flight between step-2 producers and the anchor builder in
-/// overlapped mode. Bounded so a slow consumer back-pressures the
-/// producers instead of buffering the whole candidate set.
-const OVERLAP_CHANNEL_DEPTH: usize = 32;
-
 /// Pair mass → deterministic virtual-clock weight of a step-2 unit, in
 /// ticks; 256 pairs per tick keeps light items visible on the replay.
 fn step2_weight(pairs: u64) -> u64 {
@@ -909,22 +859,16 @@ fn step2_weight(pairs: u64) -> u64 {
 /// plus each unit's offset.
 fn commit_step2_timings(tracer: &dyn Tracer, base: f64, times: &[ItemTiming]) {
     for t in times {
-        let mut events = vec![UnitEvent::span(
-            keys::EV_EXTEND,
-            t.kernel_seconds,
-            step2_weight(t.pairs),
-        )];
-        if t.send_seconds > 0.0 {
-            events.push(UnitEvent::span(keys::EV_CHANNEL_FULL, t.send_seconds, 1));
-        }
-        events.push(UnitEvent::mark(keys::EV_CANDIDATES, t.candidates));
         tracer.commit(UnitTrace {
             stage: keys::STAGE_STEP2.to_string(),
             index: t.item as u64,
             lane: t.worker,
             start_seconds: Some(base + t.start_seconds),
             sim_clock: false,
-            events,
+            events: vec![
+                UnitEvent::span(keys::EV_EXTEND, t.kernel_seconds, step2_weight(t.pairs)),
+                UnitEvent::mark(keys::EV_CANDIDATES, t.candidates),
+            ],
         });
     }
 }
@@ -981,47 +925,65 @@ fn commit_virtual_step3(tracer: &dyn Tracer, anchors: usize) {
     }
 }
 
+/// One `(entry, fpga)` timeline record as two sim-clock units on lane
+/// `seg.fpga`: DMA-in on `dma_stage`, compute on `compute_stage` with
+/// recovery backoff split out and fault marks attached.
+fn commit_segment(
+    tracer: &dyn Tracer,
+    dma_stage: String,
+    compute_stage: String,
+    index: u64,
+    seg: &BoardSegment,
+) {
+    tracer.commit(UnitTrace {
+        stage: dma_stage,
+        index,
+        lane: seg.fpga as u32,
+        start_seconds: Some(seg.dma_start),
+        sim_clock: true,
+        events: vec![
+            UnitEvent::span(keys::EV_DMA_IN, seg.dma_end - seg.dma_start, 1),
+            UnitEvent::mark(keys::EV_ENTRY, seg.entry),
+        ],
+    });
+    let busy = (seg.compute_end - seg.compute_start - seg.backoff_seconds).max(0.0);
+    let mut events = vec![UnitEvent::span(keys::EV_COMPUTE, busy, 1)];
+    if seg.backoff_seconds > 0.0 {
+        events.push(UnitEvent::span(
+            keys::EV_RETRY_BACKOFF,
+            seg.backoff_seconds,
+            1,
+        ));
+    }
+    if seg.retries > 0 {
+        events.push(UnitEvent::mark(keys::EV_FAULT_RETRY, seg.retries as u64));
+    }
+    if seg.degraded {
+        events.push(UnitEvent::mark(keys::EV_FAULT_DEGRADED, 1));
+    }
+    tracer.commit(UnitTrace {
+        stage: compute_stage,
+        index,
+        lane: seg.fpga as u32,
+        start_seconds: Some(seg.compute_start),
+        sim_clock: true,
+        events,
+    });
+}
+
 /// Board lanes from the cycle-derived [`BoardReport`] timeline: DMA-in
-/// and compute (recovery backoff split out, fault marks attached) per
-/// FPGA, plus one result-link drain lane — all on the simulated clock,
-/// so they are deterministic under both trace clocks.
+/// and compute per FPGA ([`commit_segment`]), plus one result-link
+/// drain lane — all on the simulated clock, so they are deterministic
+/// under both trace clocks.
 fn commit_board_timeline(tracer: &dyn Tracer, report: &BoardReport) {
     for (i, seg) in report.timeline.iter().enumerate() {
-        let idx = i as u64;
-        tracer.commit(UnitTrace {
-            stage: keys::STAGE_BOARD_DMA.to_string(),
-            index: idx,
-            lane: seg.fpga as u32,
-            start_seconds: Some(seg.dma_start),
-            sim_clock: true,
-            events: vec![
-                UnitEvent::span(keys::EV_DMA_IN, seg.dma_end - seg.dma_start, 1),
-                UnitEvent::mark(keys::EV_ENTRY, seg.entry),
-            ],
-        });
-        let busy = (seg.compute_end - seg.compute_start - seg.backoff_seconds).max(0.0);
-        let mut events = vec![UnitEvent::span(keys::EV_COMPUTE, busy, 1)];
-        if seg.backoff_seconds > 0.0 {
-            events.push(UnitEvent::span(
-                keys::EV_RETRY_BACKOFF,
-                seg.backoff_seconds,
-                1,
-            ));
-        }
-        if seg.retries > 0 {
-            events.push(UnitEvent::mark(keys::EV_FAULT_RETRY, seg.retries as u64));
-        }
-        if seg.degraded {
-            events.push(UnitEvent::mark(keys::EV_FAULT_DEGRADED, 1));
-        }
-        tracer.commit(UnitTrace {
-            stage: keys::STAGE_BOARD_COMPUTE.to_string(),
-            index: idx,
-            lane: seg.fpga as u32,
-            start_seconds: Some(seg.compute_start),
-            sim_clock: true,
-            events,
-        });
+        commit_segment(
+            tracer,
+            keys::STAGE_BOARD_DMA.to_string(),
+            keys::STAGE_BOARD_COMPUTE.to_string(),
+            i as u64,
+            seg,
+        );
     }
     if !report.timeline.is_empty() {
         let drain_start = report
@@ -1056,41 +1018,13 @@ fn commit_board_timeline(tracer: &dyn Tracer, report: &BoardReport) {
 /// marks. All sim-clock, so deterministic under both trace clocks.
 fn commit_fleet_timeline(tracer: &dyn Tracer, report: &FleetReport) {
     for (i, (b, seg)) in report.timeline.iter().enumerate() {
-        let idx = i as u64;
-        tracer.commit(UnitTrace {
-            stage: keys::board_dma_stage(*b),
-            index: idx,
-            lane: seg.fpga as u32,
-            start_seconds: Some(seg.dma_start),
-            sim_clock: true,
-            events: vec![
-                UnitEvent::span(keys::EV_DMA_IN, seg.dma_end - seg.dma_start, 1),
-                UnitEvent::mark(keys::EV_ENTRY, seg.entry),
-            ],
-        });
-        let busy = (seg.compute_end - seg.compute_start - seg.backoff_seconds).max(0.0);
-        let mut events = vec![UnitEvent::span(keys::EV_COMPUTE, busy, 1)];
-        if seg.backoff_seconds > 0.0 {
-            events.push(UnitEvent::span(
-                keys::EV_RETRY_BACKOFF,
-                seg.backoff_seconds,
-                1,
-            ));
-        }
-        if seg.retries > 0 {
-            events.push(UnitEvent::mark(keys::EV_FAULT_RETRY, seg.retries as u64));
-        }
-        if seg.degraded {
-            events.push(UnitEvent::mark(keys::EV_FAULT_DEGRADED, 1));
-        }
-        tracer.commit(UnitTrace {
-            stage: keys::board_compute_stage(*b),
-            index: idx,
-            lane: seg.fpga as u32,
-            start_seconds: Some(seg.compute_start),
-            sim_clock: true,
-            events,
-        });
+        commit_segment(
+            tracer,
+            keys::board_dma_stage(*b),
+            keys::board_compute_stage(*b),
+            i as u64,
+            seg,
+        );
     }
     for (i, ev) in report.events.iter().enumerate() {
         let events = match ev.kind {
@@ -1114,107 +1048,103 @@ fn commit_fleet_timeline(tracer: &dyn Tracer, report: &FleetReport) {
     }
 }
 
-/// The historical barrier step 2: run the configured backend to
-/// completion and hand back the full candidate vector.
+/// What [`run_step2`] hands back besides the candidates it pushed into
+/// the dedup: counters (`candidates` left for the caller to fill from
+/// [`AnchorDedup::pushed`]), the board or fleet report (at most one is
+/// `Some`), and the hybrid backend's effective accelerated seconds.
+type Step2Output = (
+    Step2Stats,
+    Option<BoardReport>,
+    Option<FleetReport>,
+    Option<f64>,
+);
+
+/// Step 2 on the configured backend, feeding `dedup` directly: the
+/// board and fleet push each entry's candidates from the draining
+/// thread as the entry completes, the software kernels push after the
+/// worker join. The dedup is push-order-invariant, so the anchors — and
+/// everything downstream — are bit-identical across backends, thread
+/// counts and fault plans.
 #[allow(clippy::too_many_arguments)]
-#[allow(clippy::type_complexity)]
-fn run_step2_barrier(
+fn run_step2(
     cfg: &PipelineConfig,
     params: &Step2Params<'_>,
     flat0: &FlatBank,
     idx0: &SeedIndex,
     flat1: &FlatBank,
     idx1: &SeedIndex,
-    span: usize,
     key_count: u32,
-    matrix: &SubstitutionMatrix,
+    dedup: &mut AnchorDedup<'_>,
     tracer: &dyn Tracer,
-) -> Result<
-    (
-        Vec<Candidate>,
-        Step2Stats,
-        Option<BoardReport>,
-        Option<FleetReport>,
-        Option<f64>,
-    ),
-    PipelineError,
-> {
+) -> Result<Step2Output, PipelineError> {
     let trace_wall = tracer.enabled() && tracer.clock() == TraceClock::Wall;
-    // Run the whole key range on `threads` software workers, timed when
-    // a wall-clock tracer is attached (timing changes no output).
-    let software = |threads: usize| -> (Vec<Candidate>, Step2Stats) {
-        if !trace_wall {
-            return step2::run_software(flat0, idx0, flat1, idx1, params, threads);
+    // Software kernels over `keys` on `threads` workers, timed when a
+    // wall-clock tracer is attached (timing changes no output).
+    let software = |dedup: &mut AnchorDedup<'_>, keys: std::ops::Range<u32>, threads: usize| {
+        let (candidates, stats) = if trace_wall {
+            let base = tracer.epoch_seconds();
+            // analyzer: allow(determinism) -- flight-recorder stage epoch, never results
+            let epoch = Instant::now();
+            let (c, s, times) = step2::run_software_keys_timed(
+                flat0, idx0, flat1, idx1, params, keys, threads, &epoch,
+            );
+            commit_step2_timings(tracer, base, &times);
+            (c, s)
+        } else {
+            step2::run_software_keys(flat0, idx0, flat1, idx1, params, keys, threads)
+        };
+        for c in &candidates {
+            dedup.push(c);
         }
-        let base = tracer.epoch_seconds();
-        // analyzer: allow(determinism) -- flight-recorder stage epoch, never results
-        let epoch = Instant::now();
-        let (c, s, times) = step2::run_software_keys_timed(
-            flat0,
-            idx0,
-            flat1,
-            idx1,
-            params,
-            0..key_count,
-            threads,
-            &epoch,
-        );
-        commit_step2_timings(tracer, base, &times);
-        (c, s)
+        stats
+    };
+    let board_config = |pe_count: usize, fpga_count: usize| {
+        let mut board_cfg = cfg.board_config(pe_count, fpga_count);
+        board_cfg.record_timeline = tracer.enabled();
+        board_cfg
     };
     Ok(match &cfg.backend {
-        Step2Backend::SoftwareScalar => {
-            let (c, s) = software(1);
-            (c, s, None, None, None)
-        }
+        Step2Backend::SoftwareScalar => (software(dedup, 0..key_count, 1), None, None, None),
         Step2Backend::SoftwareParallel { threads } => {
-            let (c, s) = software(*threads);
-            (c, s, None, None, None)
+            (software(dedup, 0..key_count, *threads), None, None, None)
         }
         Step2Backend::Rasc {
             pe_count,
             fpga_count,
             host_threads,
         } => {
-            let mut board_cfg = cfg.board_config(*pe_count, *fpga_count);
-            board_cfg.record_timeline = tracer.enabled();
+            let board_cfg = board_config(*pe_count, *fpga_count);
             if cfg.fleet.boards >= 2 {
                 // Multi-board fleet: same entries, work-stealing
                 // dispatch, bit-identical hit stream (the fleet emits
                 // fault-free results by construction).
-                let fleet = RascFleet::new(board_cfg, cfg.fleet, matrix)
+                let fleet = RascFleet::new(board_cfg, cfg.fleet, params.matrix)
                     .map_err(PipelineError::OperatorDoesNotFit)?;
-                let mut candidates: Vec<Candidate> = Vec::new();
-                let (mut s, r) = run_rasc_fleet_step2_stream(
-                    &fleet,
+                let (stats, report) = run_board_entries(
+                    params,
                     flat0,
                     idx0,
                     flat1,
                     idx1,
-                    span,
-                    cfg.n_ctx,
-                    *host_threads,
                     0..key_count,
-                    |batch| candidates.extend(batch),
+                    dedup,
+                    |entries, sink| fleet.run_stream(entries, *host_threads, sink),
                 )?;
-                candidates.sort_unstable_by_key(|c| (c.pos0, c.pos1));
-                s.candidates = candidates.len() as u64;
-                (candidates, s, None, Some(r), None)
+                (stats, None, Some(report), None)
             } else {
-                let board =
-                    RascBoard::new(board_cfg, matrix).map_err(PipelineError::OperatorDoesNotFit)?;
-                let (c, s, r) = run_rasc_step2(
-                    &board,
+                let board = RascBoard::new(board_cfg, params.matrix)
+                    .map_err(PipelineError::OperatorDoesNotFit)?;
+                let (stats, report) = run_board_entries(
+                    params,
                     flat0,
                     idx0,
                     flat1,
                     idx1,
-                    span,
-                    cfg.n_ctx,
-                    *host_threads,
                     0..key_count,
+                    dedup,
+                    |entries, sink| board.run_stream(entries, *host_threads, sink),
                 )?;
-                (c, s, Some(r), None, None)
+                (stats, Some(report), None, None)
             }
         }
         Step2Backend::Hybrid {
@@ -1226,41 +1156,25 @@ fn run_step2_barrier(
                 return Err(PipelineError::InvalidFpgaShare(*fpga_share));
             }
             let cut = split_keys_by_pair_mass(idx0, idx1, *fpga_share);
-            let mut board_cfg = cfg.board_config(*pe_count, 1);
-            board_cfg.record_timeline = tracer.enabled();
-            let board =
-                RascBoard::new(board_cfg, matrix).map_err(PipelineError::OperatorDoesNotFit)?;
+            let board = RascBoard::new(board_config(*pe_count, 1), params.matrix)
+                .map_err(PipelineError::OperatorDoesNotFit)?;
             // FPGA takes the dense low keys; CPU workers the rest.
-            let (mut c, mut s, mut r) =
-                run_rasc_step2(&board, flat0, idx0, flat1, idx1, span, cfg.n_ctx, 1, 0..cut)?;
-            let base = tracer.epoch_seconds();
+            let (mut stats, mut report) = run_board_entries(
+                params,
+                flat0,
+                idx0,
+                flat1,
+                idx1,
+                0..cut,
+                dedup,
+                |entries, sink| board.run_stream(entries, 1, sink),
+            )?;
             // analyzer: allow(determinism) -- wall-clock step profile is the audited exception
             let t_cpu = Instant::now();
-            let (c2, s2) = if trace_wall {
-                let (c2, s2, times) = step2::run_software_keys_timed(
-                    flat0,
-                    idx0,
-                    flat1,
-                    idx1,
-                    params,
-                    cut..key_count,
-                    *cpu_threads,
-                    &t_cpu,
-                );
-                commit_step2_timings(tracer, base, &times);
-                (c2, s2)
-            } else {
-                step2::run_software_keys(
-                    flat0,
-                    idx0,
-                    flat1,
-                    idx1,
-                    params,
-                    cut..key_count,
-                    *cpu_threads,
-                )
-            };
+            let cpu = software(dedup, cut..key_count, *cpu_threads);
             let cpu_wall = t_cpu.elapsed().as_secs_f64();
+            stats.pairs += cpu.pairs;
+            stats.active_keys += cpu.active_keys;
             // The host share sees the same fault plan as the board
             // (its own fault domain); recovery restores every faulted
             // block, so candidates stay bit-identical.
@@ -1276,256 +1190,14 @@ fn run_step2_barrier(
                     &injector,
                     &cfg.recovery,
                 )?;
-                r.faults.merge(&host);
+                report.faults.merge(&host);
             }
-            c.extend(c2);
-            c.sort_unstable_by_key(|x| (x.pos0, x.pos1));
-            s.pairs += s2.pairs;
-            s.active_keys += s2.active_keys;
-            s.candidates = c.len() as u64;
             // CPU and FPGA run concurrently: the slower side bounds
             // the effective step-2 time.
-            let effective = r.accelerated_seconds.max(cpu_wall);
-            (c, s, Some(r), None, Some(effective))
+            let effective = report.accelerated_seconds.max(cpu_wall);
+            (stats, Some(report), None, Some(effective))
         }
     })
-}
-
-/// Streamed step 2: candidate batches flow through a bounded channel
-/// into `dedup` as each board entry (or software chunk) completes,
-/// instead of waiting for the full candidate vector. Because the anchor
-/// dedup is order-invariant, the anchors — and everything downstream —
-/// are bit-identical to [`run_step2_barrier`]; only wall clock changes.
-/// `stats.candidates` is left for the caller to fill from
-/// [`AnchorDedup::pushed`].
-/// What the streamed step 2 hands back besides its side effects on the
-/// dedup: counters, the board or fleet report (at most one is `Some`),
-/// and the hybrid backend's effective FPGA share.
-type Step2OverlapOutput = (
-    Step2Stats,
-    Option<BoardReport>,
-    Option<FleetReport>,
-    Option<f64>,
-);
-
-#[allow(clippy::too_many_arguments)]
-fn run_step2_overlapped(
-    cfg: &PipelineConfig,
-    params: &Step2Params<'_>,
-    flat0: &FlatBank,
-    idx0: &SeedIndex,
-    flat1: &FlatBank,
-    idx1: &SeedIndex,
-    span: usize,
-    key_count: u32,
-    matrix: &SubstitutionMatrix,
-    dedup: &mut AnchorDedup<'_>,
-    tracer: &dyn Tracer,
-) -> Result<Step2OverlapOutput, PipelineError> {
-    let trace_wall = tracer.enabled() && tracer.clock() == TraceClock::Wall;
-    let (tx, rx) = channel::bounded::<Vec<Candidate>>(OVERLAP_CHANNEL_DEPTH);
-    thread::scope(|s| {
-        let consumer = s.spawn(move |_| {
-            if !trace_wall {
-                for batch in rx.iter() {
-                    for c in &batch {
-                        dedup.push(c);
-                    }
-                }
-                return;
-            }
-            // Traced consumer: per batch, the blocked wait on an empty
-            // channel (stall), the dedup-push time (busy), and a
-            // queue-depth sample right after the take. Only clock
-            // samples are taken in the loop; units are committed once
-            // the channel closes, keeping the tracer's lock off the
-            // consumer's hot path.
-            let mut rows: Vec<(f64, f64, f64, u64, u64)> = Vec::new();
-            loop {
-                let wait0 = tracer.epoch_seconds();
-                let Ok(batch) = rx.recv() else { break };
-                let waited = (tracer.epoch_seconds() - wait0).max(0.0);
-                let depth = rx.len() as u64;
-                let push0 = tracer.epoch_seconds();
-                for c in &batch {
-                    dedup.push(c);
-                }
-                let pushed = (tracer.epoch_seconds() - push0).max(0.0);
-                rows.push((wait0, waited, pushed, depth, batch.len() as u64));
-            }
-            for (index, (wait0, waited, pushed, depth, batch_len)) in rows.into_iter().enumerate() {
-                tracer.commit(UnitTrace {
-                    stage: keys::STAGE_CHANNEL_RECV.to_string(),
-                    index: index as u64,
-                    lane: 0,
-                    start_seconds: Some(wait0),
-                    sim_clock: false,
-                    events: vec![
-                        UnitEvent::span(keys::EV_CHANNEL_EMPTY, waited, 1),
-                        UnitEvent::span(keys::EV_MERGE, pushed, 1),
-                        UnitEvent::mark(keys::EV_QUEUE_DEPTH, depth),
-                        UnitEvent::mark(keys::EV_BATCH, batch_len),
-                    ],
-                });
-            }
-        });
-        // Producer-side channel instrumentation for the board
-        // backends: each emitted batch becomes a `channel.send` unit
-        // whose span is the (possibly back-pressured) send. Samples
-        // accumulate here and are committed after the producer drains.
-        let mut sends: Vec<(f64, f64, u64, u64)> = Vec::new();
-        let result = (|| {
-            let sends = &mut sends;
-            let mut emit = |batch: Vec<Candidate>| {
-                if !trace_wall {
-                    let _ = tx.send(batch);
-                    return;
-                }
-                let n = batch.len() as u64;
-                let s0 = tracer.epoch_seconds();
-                let _ = tx.send(batch);
-                let dur = (tracer.epoch_seconds() - s0).max(0.0);
-                sends.push((s0, dur, tx.len() as u64, n));
-            };
-            // Software producers over `keys` on `threads` workers,
-            // timed when a wall-clock tracer is attached.
-            let stream_software = |threads: usize, keys: std::ops::Range<u32>| -> Step2Stats {
-                if !trace_wall {
-                    return step2::run_software_stream(
-                        flat0, idx0, flat1, idx1, params, keys, threads, &tx,
-                    );
-                }
-                let base = tracer.epoch_seconds();
-                // analyzer: allow(determinism) -- flight-recorder stage epoch, never results
-                let epoch = Instant::now();
-                let (stats, times) = step2::run_software_stream_timed(
-                    flat0, idx0, flat1, idx1, params, keys, threads, &tx, &epoch,
-                );
-                commit_step2_timings(tracer, base, &times);
-                stats
-            };
-            Ok(match &cfg.backend {
-                Step2Backend::SoftwareScalar => {
-                    let stats = stream_software(1, 0..key_count);
-                    (stats, None, None, None)
-                }
-                Step2Backend::SoftwareParallel { threads } => {
-                    let stats = stream_software(*threads, 0..key_count);
-                    (stats, None, None, None)
-                }
-                Step2Backend::Rasc {
-                    pe_count,
-                    fpga_count,
-                    host_threads,
-                } => {
-                    let mut board_cfg = cfg.board_config(*pe_count, *fpga_count);
-                    board_cfg.record_timeline = tracer.enabled();
-                    if cfg.fleet.boards >= 2 {
-                        let fleet = RascFleet::new(board_cfg, cfg.fleet, matrix)
-                            .map_err(PipelineError::OperatorDoesNotFit)?;
-                        let (stats, report) = run_rasc_fleet_step2_stream(
-                            &fleet,
-                            flat0,
-                            idx0,
-                            flat1,
-                            idx1,
-                            span,
-                            cfg.n_ctx,
-                            *host_threads,
-                            0..key_count,
-                            &mut emit,
-                        )?;
-                        (stats, None, Some(report), None)
-                    } else {
-                        let board = RascBoard::new(board_cfg, matrix)
-                            .map_err(PipelineError::OperatorDoesNotFit)?;
-                        let (stats, report) = run_rasc_step2_stream(
-                            &board,
-                            flat0,
-                            idx0,
-                            flat1,
-                            idx1,
-                            span,
-                            cfg.n_ctx,
-                            *host_threads,
-                            0..key_count,
-                            &mut emit,
-                        )?;
-                        (stats, Some(report), None, None)
-                    }
-                }
-                Step2Backend::Hybrid {
-                    pe_count,
-                    cpu_threads,
-                    fpga_share,
-                } => {
-                    if !(0.0..=1.0).contains(fpga_share) {
-                        return Err(PipelineError::InvalidFpgaShare(*fpga_share));
-                    }
-                    let cut = split_keys_by_pair_mass(idx0, idx1, *fpga_share);
-                    let mut board_cfg = cfg.board_config(*pe_count, 1);
-                    board_cfg.record_timeline = tracer.enabled();
-                    let board = RascBoard::new(board_cfg, matrix)
-                        .map_err(PipelineError::OperatorDoesNotFit)?;
-                    let (mut stats, mut report) = run_rasc_step2_stream(
-                        &board,
-                        flat0,
-                        idx0,
-                        flat1,
-                        idx1,
-                        span,
-                        cfg.n_ctx,
-                        1,
-                        0..cut,
-                        &mut emit,
-                    )?;
-                    // analyzer: allow(determinism) -- wall-clock step profile is the audited exception
-                    let t_cpu = Instant::now();
-                    let s2 = stream_software(*cpu_threads, cut..key_count);
-                    let cpu_wall = t_cpu.elapsed().as_secs_f64();
-                    stats.pairs += s2.pairs;
-                    stats.active_keys += s2.active_keys;
-                    // Same host-share fault exposure as the barrier
-                    // path — the summary is workload + plan pure, so
-                    // both modes report identical fault counters.
-                    if let Some(plan) = &cfg.fault_plan {
-                        let injector = psc_rasc::FaultInjector::new(plan.clone());
-                        let host = host_share_faults(
-                            flat0,
-                            idx0,
-                            flat1,
-                            idx1,
-                            params,
-                            cut..key_count,
-                            &injector,
-                            &cfg.recovery,
-                        )?;
-                        report.faults.merge(&host);
-                    }
-                    let effective = report.accelerated_seconds.max(cpu_wall);
-                    (stats, Some(report), None, Some(effective))
-                }
-            })
-        })();
-        drop(tx);
-        for (index, (s0, dur, depth, batch_len)) in sends.into_iter().enumerate() {
-            tracer.commit(UnitTrace {
-                stage: keys::STAGE_CHANNEL_SEND.to_string(),
-                index: index as u64,
-                lane: 0,
-                start_seconds: Some(s0),
-                sim_clock: false,
-                events: vec![
-                    UnitEvent::span(keys::EV_CHANNEL_FULL, dur, 1),
-                    UnitEvent::mark(keys::EV_QUEUE_DEPTH, depth),
-                    UnitEvent::mark(keys::EV_BATCH, batch_len),
-                ],
-            });
-        }
-        consumer.join().expect("overlap consumer panicked");
-        result
-    })
-    .expect("overlap scope")
 }
 
 /// Virtual fault domain of the hybrid backend's host (CPU) share —
@@ -1648,25 +1320,27 @@ fn split_keys_by_pair_mass(idx0: &SeedIndex, idx1: &SeedIndex, share: f64) -> u3
     idx0.key_count() as u32
 }
 
-/// Step 2 on the simulated board: stream one entry per active key in
-/// `keys`, handing each entry's surviving candidates to `emit` as the
-/// entry completes (entry *completion* order — position order only
-/// within one batch). Errors only when an entry exhausts the board's
+/// Step 2 on simulated hardware: gather one [`Entry`] per active key
+/// of `keys` (in key order), hand the entry stream to `run` — a
+/// board's or a fleet's `run_stream` — and push each entry's surviving
+/// hits into `dedup` as the entry completes (entry *completion* order;
+/// the dedup is order-invariant). Errors only when an entry exhausts
 /// fault recovery with degradation disabled. The returned stats leave
-/// `candidates` at zero for the consumer to count.
+/// `candidates` at zero for the caller to count.
 #[allow(clippy::too_many_arguments)]
-fn run_rasc_step2_stream(
-    board: &RascBoard,
+fn run_board_entries<R>(
+    params: &Step2Params<'_>,
     flat0: &FlatBank,
     idx0: &SeedIndex,
     flat1: &FlatBank,
     idx1: &SeedIndex,
-    span: usize,
-    n_ctx: usize,
-    host_threads: usize,
     keys: std::ops::Range<u32>,
-    mut emit: impl FnMut(Vec<Candidate>),
-) -> Result<(Step2Stats, BoardReport), PipelineError> {
+    dedup: &mut AnchorDedup<'_>,
+    run: impl FnOnce(
+        Box<dyn Iterator<Item = Entry> + Send + '_>,
+        &mut dyn FnMut(u64, Vec<Hit>),
+    ) -> Result<R, BoardFault>,
+) -> Result<(Step2Stats, R), PipelineError> {
     // Keys with work on both sides, in key order.
     let active: Vec<u32> = keys
         .filter(|&k| !idx0.list(k).is_empty() && !idx1.list(k).is_empty())
@@ -1680,6 +1354,7 @@ fn run_rasc_step2_stream(
         stats.pairs += idx0.list(k).len() as u64 * idx1.list(k).len() as u64;
     }
 
+    let (span, n_ctx) = (params.span, params.n_ctx);
     let entries = active.iter().map(|&key| {
         let mut il0 = Vec::new();
         let mut il1 = Vec::new();
@@ -1688,117 +1363,19 @@ fn run_rasc_step2_stream(
         Entry { il0, il1 }
     });
 
-    let report = board
-        .run_stream(entries, host_threads, |entry_idx, hits| {
-            let key = active[entry_idx as usize];
-            let list0 = idx0.list(key);
-            let list1 = idx1.list(key);
-            let mut batch = Vec::with_capacity(hits.len());
-            for h in hits {
-                batch.push(Candidate {
-                    pos0: list0[h.i0 as usize],
-                    pos1: list1[h.i1 as usize],
-                    score: h.score,
-                });
-            }
-            if !batch.is_empty() {
-                emit(batch);
-            }
-        })
-        .map_err(PipelineError::BoardFault)?;
-    Ok((stats, report))
-}
-
-/// Barrier wrapper over [`run_rasc_step2_stream`]: collect every batch,
-/// then normalize to position order (entry completion order depends on
-/// host threading, and under a fault plan degraded entries report in
-/// software order).
-#[allow(clippy::too_many_arguments)]
-fn run_rasc_step2(
-    board: &RascBoard,
-    flat0: &FlatBank,
-    idx0: &SeedIndex,
-    flat1: &FlatBank,
-    idx1: &SeedIndex,
-    span: usize,
-    n_ctx: usize,
-    host_threads: usize,
-    keys: std::ops::Range<u32>,
-) -> Result<(Vec<Candidate>, Step2Stats, BoardReport), PipelineError> {
-    let mut candidates: Vec<Candidate> = Vec::new();
-    let (mut stats, report) = run_rasc_step2_stream(
-        board,
-        flat0,
-        idx0,
-        flat1,
-        idx1,
-        span,
-        n_ctx,
-        host_threads,
-        keys,
-        |batch| candidates.extend(batch),
-    )?;
-    candidates.sort_unstable_by_key(|c| (c.pos0, c.pos1));
-    stats.candidates = candidates.len() as u64;
-    Ok((candidates, stats, report))
-}
-
-/// [`run_rasc_step2_stream`] across a multi-board fleet: one entry per
-/// active key, dispatched by the fleet's work-stealing scheduler. The
-/// emitted candidate multiset is bit-identical to the single-board run
-/// at any board count, steal policy, or fault plan — the fleet streams
-/// fault-free results by construction (see `psc_rasc::fleet`).
-#[allow(clippy::too_many_arguments)]
-fn run_rasc_fleet_step2_stream(
-    fleet: &RascFleet,
-    flat0: &FlatBank,
-    idx0: &SeedIndex,
-    flat1: &FlatBank,
-    idx1: &SeedIndex,
-    span: usize,
-    n_ctx: usize,
-    host_threads: usize,
-    keys: std::ops::Range<u32>,
-    mut emit: impl FnMut(Vec<Candidate>),
-) -> Result<(Step2Stats, FleetReport), PipelineError> {
-    let active: Vec<u32> = keys
-        .filter(|&k| !idx0.list(k).is_empty() && !idx1.list(k).is_empty())
-        .collect();
-
-    let mut stats = Step2Stats {
-        active_keys: active.len() as u64,
-        ..Step2Stats::default()
-    };
-    for &k in &active {
-        stats.pairs += idx0.list(k).len() as u64 * idx1.list(k).len() as u64;
-    }
-
-    let entries = active.iter().map(|&key| {
-        let mut il0 = Vec::new();
-        let mut il1 = Vec::new();
-        step2::gather_windows(flat0, idx0.list(key), span, n_ctx, &mut il0);
-        step2::gather_windows(flat1, idx1.list(key), span, n_ctx, &mut il1);
-        Entry { il0, il1 }
-    });
-
-    let report = fleet
-        .run_stream(entries, host_threads, |entry_idx, hits| {
-            let key = active[entry_idx as usize];
-            let list0 = idx0.list(key);
-            let list1 = idx1.list(key);
-            let mut batch = Vec::with_capacity(hits.len());
-            for h in hits {
-                batch.push(Candidate {
-                    pos0: list0[h.i0 as usize],
-                    pos1: list1[h.i1 as usize],
-                    score: h.score,
-                });
-            }
-            if !batch.is_empty() {
-                emit(batch);
-            }
-        })
-        .map_err(PipelineError::BoardFault)?;
+    let report = run(Box::new(entries), &mut |entry_idx, hits| {
+        let key = active[entry_idx as usize];
+        let list0 = idx0.list(key);
+        let list1 = idx1.list(key);
+        for h in hits {
+            dedup.push(&Candidate {
+                pos0: list0[h.i0 as usize],
+                pos1: list1[h.i1 as usize],
+                score: h.score,
+            });
+        }
+    })
+    .map_err(PipelineError::BoardFault)?;
     Ok((stats, report))
 }
 
@@ -1965,7 +1542,9 @@ mod tests {
                 ..small_config()
             };
             let rec = psc_telemetry::MemRecorder::new();
-            let out = Pipeline::new(cfg).run_recorded(&b0, &b1, blosum62(), &rec);
+            let out = Pipeline::new(cfg)
+                .try_run_traced(&b0, &b1, blosum62(), &rec, &NullTracer)
+                .unwrap();
             (out, rec.snapshot())
         };
         let (want, base_snap) = mk(Step2Schedule::Contiguous, 1);
@@ -2095,7 +1674,7 @@ mod tests {
         let b1 = b0.clone();
         // share 0.0 sends every key to the host kernel, so the fault
         // summary below is purely host-share activity.
-        let mk = |fault_plan, overlap| {
+        let mk = |fault_plan| {
             let cfg = PipelineConfig {
                 backend: Step2Backend::Hybrid {
                     pe_count: 64,
@@ -2103,7 +1682,6 @@ mod tests {
                     fpga_share: 0.0,
                 },
                 fault_plan,
-                overlap,
                 ..small_config()
             };
             Pipeline::new(cfg).run(&b0, &b1, blosum62())
@@ -2112,8 +1690,8 @@ mod tests {
             seed: 7,
             rate_ppm: 600_000,
         };
-        let clean = mk(None, false);
-        let faulted = mk(Some(plan.clone()), false);
+        let clean = mk(None);
+        let faulted = mk(Some(plan.clone()));
         // Recovery restores every corrupted block: output identical.
         assert_eq!(clean.hsps, faulted.hsps);
         assert_eq!(clean.stats.step2, faulted.stats.step2);
@@ -2121,13 +1699,10 @@ mod tests {
         assert!(summary.faults_injected > 0, "plan never fired: {summary:?}");
         assert_eq!(summary.faults_detected, summary.checksum_mismatches);
         assert!(summary.retries > 0, "no retry exercised: {summary:?}");
-        // Pure function of workload + plan: replays and the overlapped
-        // mode report the exact same counters.
-        let replay = mk(Some(plan.clone()), false);
+        // Pure function of workload + plan: a replay reports the exact
+        // same counters.
+        let replay = mk(Some(plan));
         assert_eq!(summary, replay.board.as_ref().unwrap().faults);
-        let overlapped = mk(Some(plan), true);
-        assert_eq!(clean.hsps, overlapped.hsps);
-        assert_eq!(summary, overlapped.board.as_ref().unwrap().faults);
     }
 
     #[test]
@@ -2220,7 +1795,7 @@ mod tests {
     }
 
     #[test]
-    fn overlap_and_parallel_step3_match_barrier() {
+    fn parallel_step3_matches_sequential() {
         let seqs: Vec<Vec<u8>> = (0..12)
             .map(|i| {
                 (0..150u32)
@@ -2253,25 +1828,22 @@ mod tests {
             },
         ];
         for backend in backends {
-            let barrier = Pipeline::new(PipelineConfig {
+            let sequential = Pipeline::new(PipelineConfig {
                 backend: backend.clone(),
                 ..small_config()
             })
             .run(&b0, &b1, blosum62());
-            assert!(!barrier.hsps.is_empty());
-            for (overlap, step3_threads) in [(false, 4), (true, 1), (true, 4)] {
-                let cfg = PipelineConfig {
-                    backend: backend.clone(),
-                    overlap,
-                    step3_threads,
-                    ..small_config()
-                };
-                let out = Pipeline::new(cfg).run(&b0, &b1, blosum62());
-                let tag = format!("{} overlap={overlap} t3={step3_threads}", backend.name());
-                assert_eq!(barrier.hsps, out.hsps, "{tag}");
-                assert_eq!(barrier.stats.step2, out.stats.step2, "{tag}");
-                assert_eq!(barrier.stats.anchors, out.stats.anchors, "{tag}");
-            }
+            assert!(!sequential.hsps.is_empty());
+            let cfg = PipelineConfig {
+                backend: backend.clone(),
+                step3_threads: 4,
+                ..small_config()
+            };
+            let out = Pipeline::new(cfg).run(&b0, &b1, blosum62());
+            let tag = backend.name();
+            assert_eq!(sequential.hsps, out.hsps, "{tag}");
+            assert_eq!(sequential.stats.step2, out.stats.step2, "{tag}");
+            assert_eq!(sequential.stats.anchors, out.stats.anchors, "{tag}");
         }
     }
 

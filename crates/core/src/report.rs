@@ -102,7 +102,7 @@ mod tests {
     use crate::pipeline::Pipeline;
     use psc_score::blosum62;
     use psc_seqio::{Bank, Seq};
-    use psc_telemetry::MemRecorder;
+    use psc_telemetry::{MemRecorder, NullTracer};
 
     fn banks() -> (Bank, Bank) {
         let seqs: Vec<Vec<u8>> = (0..8)
@@ -134,7 +134,9 @@ mod tests {
         let (b0, b1) = banks();
         let cfg = small_config();
         let rec = MemRecorder::new();
-        let out = Pipeline::new(cfg.clone()).run_recorded(&b0, &b1, blosum62(), &rec);
+        let out = Pipeline::new(cfg.clone())
+            .try_run_traced(&b0, &b1, blosum62(), &rec, &NullTracer)
+            .unwrap();
         let report = build_run_report(&out, &cfg, &rec.snapshot());
 
         assert_eq!(report.steps.len(), 3);
@@ -166,7 +168,9 @@ mod tests {
             ..small_config()
         };
         let rec = MemRecorder::new();
-        let out = Pipeline::new(cfg.clone()).run_recorded(&b0, &b1, blosum62(), &rec);
+        let out = Pipeline::new(cfg.clone())
+            .try_run_traced(&b0, &b1, blosum62(), &rec, &NullTracer)
+            .unwrap();
         let report = build_run_report(&out, &cfg, &rec.snapshot());
 
         let board = report.board.as_ref().expect("board section");

@@ -31,7 +31,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crossbeam::{channel, thread};
 use psc_align::{
     profile_score, profile_score2, score_lanes, score_lanes_split, score_lanes_wide,
     ungapped_score, InterleavedWindows, Kernel, KernelBackend, KernelChoice, ScoreProfile, LANES,
@@ -61,9 +60,9 @@ pub struct Step2Stats {
     pub active_keys: u64,
 }
 
-/// Wall timing of one step-2 work unit — a bucketed [`WorkItem`] or a
-/// contiguous chunk — collected by the `_timed` drivers for the flight
-/// recorder. Kernel modules stay off the telemetry surface, so these
+/// Wall timing of one step-2 work unit — a bucketed [`WorkItem`], a
+/// contiguous chunk, or the whole key range of a one-thread run —
+/// collected by [`run_software_keys_timed`] for the flight recorder. Kernel modules stay off the telemetry surface, so these
 /// are plain numbers relative to a caller-owned epoch; the pipeline
 /// turns them into trace spans after the stage completes. All offsets
 /// come from `epoch.elapsed()` on the instant the caller passes in —
@@ -79,10 +78,6 @@ pub struct ItemTiming {
     pub start_seconds: f64,
     /// Kernel time of the unit (gather + rectangle scoring).
     pub kernel_seconds: f64,
-    /// Seconds spent blocked shipping the unit's batch into the
-    /// overlap channel (streaming drivers only; 0 for barrier runs and
-    /// for empty batches that are never sent).
-    pub send_seconds: f64,
     /// Seed pairs the unit scored.
     pub pairs: u64,
     /// Candidates the unit produced.
@@ -665,8 +660,7 @@ pub fn run_software_keys(
     keys: std::ops::Range<u32>,
     threads: usize,
 ) -> (Vec<Candidate>, Step2Stats) {
-    let (out, stats, _) =
-        run_software_keys_inner(flat0, idx0, flat1, idx1, params, keys, threads, None);
+    let (out, stats, _) = run_units(flat0, idx0, flat1, idx1, params, keys, threads, None);
     (out, stats)
 }
 
@@ -685,11 +679,21 @@ pub fn run_software_keys_timed(
     threads: usize,
     epoch: &std::time::Instant,
 ) -> (Vec<Candidate>, Step2Stats, Vec<ItemTiming>) {
-    run_software_keys_inner(flat0, idx0, flat1, idx1, params, keys, threads, Some(epoch))
+    run_units(flat0, idx0, flat1, idx1, params, keys, threads, Some(epoch))
 }
 
+/// The one step-2 worker loop. `keys` is cut into *units* — the whole
+/// range for one thread (both schedules walk keys in order then; only
+/// the per-rectangle lane routing differs, and that is a function of
+/// the schedule, not of the partition), one [`balanced_chunks`] range
+/// per worker under `contiguous`, the [`bucketed_items`] in
+/// [`lpt_order`] under `bucketed` — and workers claim units off an
+/// atomic counter. Per-unit results are stitched back together in unit
+/// (= key) order, so the merged output is independent of which worker
+/// finished which unit when. With `epoch` set each unit also yields an
+/// [`ItemTiming`].
 #[allow(clippy::too_many_arguments)]
-fn run_software_keys_inner(
+fn run_units(
     flat0: &FlatBank,
     idx0: &SeedIndex,
     flat1: &FlatBank,
@@ -704,227 +708,94 @@ fn run_software_keys_inner(
     let backend = params.resolved_backend();
     let tmat = transposed_matrix(params.matrix);
 
-    if threads == 1 {
-        // Sequentially, both schedules walk keys in order; only the
-        // per-rectangle lane routing differs, and that is a function of
-        // the schedule, not of the item partition.
-        let mut scratch = KeyScratch::default();
-        let mut out = Vec::new();
-        let mut stats = Step2Stats::default();
-        let t0 = epoch.map(|e| e.elapsed().as_secs_f64());
-        run_key_range(
-            flat0,
-            idx0,
-            flat1,
-            idx1,
-            params,
-            backend,
-            &tmat,
-            keys,
-            &mut scratch,
-            &mut out,
-            &mut stats,
-        );
-        stats.candidates = out.len() as u64;
-        let times = unit_timing(epoch, t0, 0, 0, 0.0, stats.pairs, stats.candidates)
-            .into_iter()
-            .collect();
-        return (out, stats, times);
-    }
-
-    match params.schedule {
-        Step2Schedule::Contiguous => run_contiguous(
-            flat0, idx0, flat1, idx1, params, backend, &tmat, keys, threads, epoch,
-        ),
-        Step2Schedule::Bucketed => run_bucketed(
-            flat0, idx0, flat1, idx1, params, backend, &tmat, keys, threads, epoch,
-        ),
-    }
-}
-
-/// Close one unit's timing record: `t0` was read before the kernel,
-/// "now" is read here (so the unit's span is kernel + send; the send
-/// share is subtracted back out). Returns `None` when timing is off.
-#[allow(clippy::too_many_arguments)]
-fn unit_timing(
-    epoch: Option<&std::time::Instant>,
-    t0: Option<f64>,
-    item: usize,
-    worker: u32,
-    send_seconds: f64,
-    pairs: u64,
-    candidates: u64,
-) -> Option<ItemTiming> {
-    let (e, t0) = (epoch?, t0?);
-    Some(ItemTiming {
-        item,
-        worker,
-        start_seconds: t0,
-        kernel_seconds: (e.elapsed().as_secs_f64() - t0 - send_seconds).max(0.0),
-        send_seconds,
-        pairs,
-        candidates,
-    })
-}
-
-/// Contiguous multi-threaded schedule: one balanced key-range chunk per
-/// worker, results concatenated in chunk (= key) order.
-#[allow(clippy::too_many_arguments)]
-fn run_contiguous(
-    flat0: &FlatBank,
-    idx0: &SeedIndex,
-    flat1: &FlatBank,
-    idx1: &SeedIndex,
-    params: &Step2Params<'_>,
-    backend: KernelBackend,
-    tmat: &SubstitutionMatrix,
-    keys: std::ops::Range<u32>,
-    threads: usize,
-    epoch: Option<&std::time::Instant>,
-) -> (Vec<Candidate>, Step2Stats, Vec<ItemTiming>) {
-    let chunks = balanced_chunks(idx0, idx1, keys, threads);
-    if chunks.is_empty() {
-        return (Vec::new(), Step2Stats::default(), Vec::new());
-    }
-    let mut results: Vec<(Vec<Candidate>, Step2Stats, Option<ItemTiming>)> =
-        Vec::with_capacity(chunks.len());
-    thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(w, range)| {
-                s.spawn(move |_| {
-                    let mut scratch = KeyScratch::default();
-                    let mut out = Vec::new();
-                    let mut stats = Step2Stats::default();
-                    let t0 = epoch.map(|e| e.elapsed().as_secs_f64());
-                    run_key_range(
-                        flat0,
-                        idx0,
-                        flat1,
-                        idx1,
-                        params,
-                        backend,
-                        tmat,
-                        range,
-                        &mut scratch,
-                        &mut out,
-                        &mut stats,
-                    );
-                    let timing =
-                        unit_timing(epoch, t0, w, w as u32, 0.0, stats.pairs, out.len() as u64);
-                    (out, stats, timing)
-                })
-            })
-            .collect();
-        for h in handles {
-            // analyzer: allow(hot-path-no-panic) -- join only fails if a worker already panicked
-            results.push(h.join().expect("step-2 worker panicked"));
+    // Units in key order, and the order workers claim them in.
+    let (units, order): (Vec<std::ops::Range<u32>>, Vec<usize>) = if threads == 1 {
+        (vec![keys], vec![0])
+    } else {
+        match params.schedule {
+            Step2Schedule::Contiguous => {
+                let chunks = balanced_chunks(idx0, idx1, keys, threads);
+                let order = (0..chunks.len()).collect();
+                (chunks, order)
+            }
+            Step2Schedule::Bucketed => {
+                let items = bucketed_items(idx0, idx1, keys);
+                let order = lpt_order(&items);
+                (items.into_iter().map(|item| item.keys).collect(), order)
+            }
         }
-    })
-    // analyzer: allow(hot-path-no-panic) -- scope only fails if a worker already panicked
-    .expect("step-2 scope");
+    };
 
-    let mut out = Vec::new();
-    let mut stats = Step2Stats::default();
-    let mut times = Vec::new();
-    for (mut part, st, timing) in results {
-        out.append(&mut part);
-        stats.pairs += st.pairs;
-        stats.active_keys += st.active_keys;
-        times.extend(timing);
-    }
-    stats.candidates = out.len() as u64;
-    (out, stats, times)
-}
-
-/// Bucketed multi-threaded schedule: workers pull [`WorkItem`]s off an
-/// atomic counter in heaviest-first order, then per-item results are
-/// stitched back together in item (= key) order — so the merged output
-/// is independent of which worker finished which item when.
-#[allow(clippy::too_many_arguments)]
-fn run_bucketed(
-    flat0: &FlatBank,
-    idx0: &SeedIndex,
-    flat1: &FlatBank,
-    idx1: &SeedIndex,
-    params: &Step2Params<'_>,
-    backend: KernelBackend,
-    tmat: &SubstitutionMatrix,
-    keys: std::ops::Range<u32>,
-    threads: usize,
-    epoch: Option<&std::time::Instant>,
-) -> (Vec<Candidate>, Step2Stats, Vec<ItemTiming>) {
-    let items = bucketed_items(idx0, idx1, keys);
-    let order = lpt_order(&items);
-    if items.is_empty() {
-        return (Vec::new(), Step2Stats::default(), Vec::new());
-    }
+    type UnitResult = (usize, Vec<Candidate>, Step2Stats);
     let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, Vec<Candidate>, Step2Stats)> = Vec::with_capacity(items.len());
-    let mut times: Vec<ItemTiming> = Vec::new();
-    thread::scope(|s| {
-        let handles: Vec<_> = (0..threads.min(items.len()))
-            .map(|w| {
-                let (items, order, next) = (&items, &order, &next);
-                s.spawn(move |_| {
-                    let mut scratch = KeyScratch::default();
-                    let mut mine = Vec::new();
-                    let mut my_times = Vec::new();
-                    loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= order.len() {
-                            break;
-                        }
-                        let idx = order[t];
-                        let t0 = epoch.map(|e| e.elapsed().as_secs_f64());
-                        // analyzer: allow(hot-path-no-alloc) -- per-item result vector, moved into the key-order merge
-                        let mut out = Vec::new();
-                        let mut st = Step2Stats::default();
-                        run_key_range(
-                            flat0,
-                            idx0,
-                            flat1,
-                            idx1,
-                            params,
-                            backend,
-                            tmat,
-                            items[idx].keys.clone(),
-                            &mut scratch,
-                            &mut out,
-                            &mut st,
-                        );
-                        my_times.extend(unit_timing(
-                            epoch,
-                            t0,
-                            idx,
-                            w as u32,
-                            0.0,
-                            st.pairs,
-                            out.len() as u64,
-                        ));
-                        mine.push((idx, out, st));
-                    }
-                    (mine, my_times)
-                })
-            })
-            .collect();
-        for h in handles {
-            // analyzer: allow(hot-path-no-panic) -- join only fails if a worker already panicked
-            let (mine, my_times) = h.join().expect("step-2 worker panicked");
-            collected.extend(mine);
-            times.extend(my_times);
+    let worker = |w: u32| -> (Vec<UnitResult>, Vec<ItemTiming>) {
+        let mut scratch = KeyScratch::default();
+        let mut mine = Vec::new();
+        let mut my_times = Vec::new();
+        while let Some(&unit) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let t0 = epoch.map(|e| e.elapsed().as_secs_f64());
+            // analyzer: allow(hot-path-no-alloc) -- per-unit result vector, moved into the key-order merge
+            let mut out = Vec::new();
+            let mut st = Step2Stats::default();
+            run_key_range(
+                flat0,
+                idx0,
+                flat1,
+                idx1,
+                params,
+                backend,
+                &tmat,
+                units[unit].clone(),
+                &mut scratch,
+                &mut out,
+                &mut st,
+            );
+            my_times.extend(epoch.zip(t0).map(|(e, t0)| ItemTiming {
+                item: unit,
+                worker: w,
+                start_seconds: t0,
+                kernel_seconds: (e.elapsed().as_secs_f64() - t0).max(0.0),
+                pairs: st.pairs,
+                candidates: out.len() as u64,
+            }));
+            mine.push((unit, out, st));
         }
-    })
-    // analyzer: allow(hot-path-no-panic) -- scope only fails if a worker already panicked
-    .expect("step-2 scope");
+        (mine, my_times)
+    };
+    let workers = threads.min(units.len());
+    let per_worker = if workers <= 1 {
+        vec![worker(0)]
+    } else {
+        std::thread::scope(|s| {
+            let worker = &worker;
+            let handles: Vec<_> = (0..workers as u32)
+                .map(|w| s.spawn(move || worker(w)))
+                .collect();
+            handles
+                .into_iter()
+                // analyzer: allow(hot-path-no-panic) -- join only fails if a worker already panicked
+                .map(|h| h.join().expect("step-2 worker panicked"))
+                .collect()
+        })
+    };
 
-    collected.sort_unstable_by_key(|&(idx, ..)| idx);
+    let mut results: Vec<UnitResult> = Vec::new();
+    let mut times: Vec<ItemTiming> = Vec::new();
+    for (mine, my_times) in per_worker {
+        results.extend(mine);
+        times.extend(my_times);
+    }
+    results.sort_unstable_by_key(|&(unit, ..)| unit);
     times.sort_unstable_by_key(|t| t.item);
     let mut out = Vec::new();
     let mut stats = Step2Stats::default();
-    for (_, mut part, st) in collected {
-        out.append(&mut part);
+    for (_, mut part, st) in results {
+        if out.is_empty() {
+            // The sequential run's single unit moves through uncopied.
+            out = part;
+        } else {
+            out.append(&mut part);
+        }
         stats.pairs += st.pairs;
         stats.active_keys += st.active_keys;
     }
@@ -967,245 +838,6 @@ fn balanced_chunks(
         .map(|w| w[0]..w[1])
         .filter(has_pairs)
         .collect()
-}
-
-/// Streaming software step 2: each worker ships its finished candidate
-/// block through `out_tx` as soon as its key range completes, instead
-/// of waiting for the final key-major merge. Blocks arrive in chunk
-/// *completion* order (key-major within a block), so the consumer must
-/// be order-invariant — the pipeline's anchor dedup is. The returned
-/// stats count candidates sent.
-#[allow(clippy::too_many_arguments)]
-pub fn run_software_stream(
-    flat0: &FlatBank,
-    idx0: &SeedIndex,
-    flat1: &FlatBank,
-    idx1: &SeedIndex,
-    params: &Step2Params<'_>,
-    keys: std::ops::Range<u32>,
-    threads: usize,
-    out_tx: &channel::Sender<Vec<Candidate>>,
-) -> Step2Stats {
-    run_software_stream_inner(
-        flat0, idx0, flat1, idx1, params, keys, threads, out_tx, None,
-    )
-    .0
-}
-
-/// [`run_software_stream`] that also returns per-unit wall timings for
-/// the flight recorder, including the time each worker spent blocked
-/// on a full overlap channel (`send_seconds`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_software_stream_timed(
-    flat0: &FlatBank,
-    idx0: &SeedIndex,
-    flat1: &FlatBank,
-    idx1: &SeedIndex,
-    params: &Step2Params<'_>,
-    keys: std::ops::Range<u32>,
-    threads: usize,
-    out_tx: &channel::Sender<Vec<Candidate>>,
-    epoch: &std::time::Instant,
-) -> (Step2Stats, Vec<ItemTiming>) {
-    run_software_stream_inner(
-        flat0,
-        idx0,
-        flat1,
-        idx1,
-        params,
-        keys,
-        threads,
-        out_tx,
-        Some(epoch),
-    )
-}
-
-/// Measure one channel send: returns the seconds the worker spent
-/// blocked in `send` (0 when timing is off or the batch is empty).
-fn timed_send(
-    tx: &channel::Sender<Vec<Candidate>>,
-    out: Vec<Candidate>,
-    epoch: Option<&std::time::Instant>,
-) -> f64 {
-    if out.is_empty() {
-        return 0.0;
-    }
-    let s0 = epoch.map(|e| e.elapsed().as_secs_f64());
-    let _ = tx.send(out);
-    match (epoch, s0) {
-        (Some(e), Some(s0)) => (e.elapsed().as_secs_f64() - s0).max(0.0),
-        _ => 0.0,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_software_stream_inner(
-    flat0: &FlatBank,
-    idx0: &SeedIndex,
-    flat1: &FlatBank,
-    idx1: &SeedIndex,
-    params: &Step2Params<'_>,
-    keys: std::ops::Range<u32>,
-    threads: usize,
-    out_tx: &channel::Sender<Vec<Candidate>>,
-    epoch: Option<&std::time::Instant>,
-) -> (Step2Stats, Vec<ItemTiming>) {
-    assert_eq!(idx0.key_count(), idx1.key_count(), "incompatible indexes");
-    let threads = threads.max(1);
-    let backend = params.resolved_backend();
-    let tmat = transposed_matrix(params.matrix);
-
-    if threads == 1 {
-        let mut scratch = KeyScratch::default();
-        let mut out = Vec::new();
-        let mut stats = Step2Stats::default();
-        let t0 = epoch.map(|e| e.elapsed().as_secs_f64());
-        run_key_range(
-            flat0,
-            idx0,
-            flat1,
-            idx1,
-            params,
-            backend,
-            &tmat,
-            keys,
-            &mut scratch,
-            &mut out,
-            &mut stats,
-        );
-        stats.candidates = out.len() as u64;
-        let send = timed_send(out_tx, out, epoch);
-        let times = unit_timing(epoch, t0, 0, 0, send, stats.pairs, stats.candidates)
-            .into_iter()
-            .collect();
-        return (stats, times);
-    }
-
-    let mut stats = Step2Stats::default();
-    let mut times: Vec<ItemTiming> = Vec::new();
-    match params.schedule {
-        Step2Schedule::Contiguous => {
-            let chunks = balanced_chunks(idx0, idx1, keys, threads);
-            if chunks.is_empty() {
-                return (Step2Stats::default(), Vec::new());
-            }
-            thread::scope(|s| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .enumerate()
-                    .map(|(w, range)| {
-                        let tx = out_tx.clone();
-                        let tmat = &tmat;
-                        s.spawn(move |_| {
-                            let mut scratch = KeyScratch::default();
-                            let mut out = Vec::new();
-                            let mut st = Step2Stats::default();
-                            let t0 = epoch.map(|e| e.elapsed().as_secs_f64());
-                            run_key_range(
-                                flat0,
-                                idx0,
-                                flat1,
-                                idx1,
-                                params,
-                                backend,
-                                tmat,
-                                range,
-                                &mut scratch,
-                                &mut out,
-                                &mut st,
-                            );
-                            st.candidates = out.len() as u64;
-                            let candidates = st.candidates;
-                            let send = timed_send(&tx, out, epoch);
-                            let timing =
-                                unit_timing(epoch, t0, w, w as u32, send, st.pairs, candidates);
-                            (st, timing)
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // analyzer: allow(hot-path-no-panic) -- join only fails if a worker already panicked
-                    let (st, timing) = h.join().expect("step-2 worker panicked");
-                    stats.pairs += st.pairs;
-                    stats.active_keys += st.active_keys;
-                    stats.candidates += st.candidates;
-                    times.extend(timing);
-                }
-            })
-            // analyzer: allow(hot-path-no-panic) -- scope only fails if a worker already panicked
-            .expect("step-2 scope");
-        }
-        Step2Schedule::Bucketed => {
-            let items = bucketed_items(idx0, idx1, keys);
-            let order = lpt_order(&items);
-            if items.is_empty() {
-                return (Step2Stats::default(), Vec::new());
-            }
-            let next = AtomicUsize::new(0);
-            thread::scope(|s| {
-                let handles: Vec<_> = (0..threads.min(items.len()))
-                    .map(|w| {
-                        let tx = out_tx.clone();
-                        let (items, order, next, tmat) = (&items, &order, &next, &tmat);
-                        s.spawn(move |_| {
-                            let mut scratch = KeyScratch::default();
-                            let mut st = Step2Stats::default();
-                            let mut my_times = Vec::new();
-                            loop {
-                                let t = next.fetch_add(1, Ordering::Relaxed);
-                                if t >= order.len() {
-                                    break;
-                                }
-                                let idx = order[t];
-                                let pairs_before = st.pairs;
-                                let t0 = epoch.map(|e| e.elapsed().as_secs_f64());
-                                // analyzer: allow(hot-path-no-alloc) -- per-item batch, ownership moves into the channel send
-                                let mut out = Vec::new();
-                                run_key_range(
-                                    flat0,
-                                    idx0,
-                                    flat1,
-                                    idx1,
-                                    params,
-                                    backend,
-                                    tmat,
-                                    items[idx].keys.clone(),
-                                    &mut scratch,
-                                    &mut out,
-                                    &mut st,
-                                );
-                                st.candidates += out.len() as u64;
-                                let candidates = out.len() as u64;
-                                let send = timed_send(&tx, out, epoch);
-                                my_times.extend(unit_timing(
-                                    epoch,
-                                    t0,
-                                    idx,
-                                    w as u32,
-                                    send,
-                                    st.pairs - pairs_before,
-                                    candidates,
-                                ));
-                            }
-                            (st, my_times)
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // analyzer: allow(hot-path-no-panic) -- join only fails if a worker already panicked
-                    let (st, my_times) = h.join().expect("step-2 worker panicked");
-                    stats.pairs += st.pairs;
-                    stats.active_keys += st.active_keys;
-                    stats.candidates += st.candidates;
-                    times.extend(my_times);
-                }
-            })
-            // analyzer: allow(hot-path-no-panic) -- scope only fails if a worker already panicked
-            .expect("step-2 scope");
-        }
-    }
-    times.sort_unstable_by_key(|t| t.item);
-    (stats, times)
 }
 
 #[cfg(test)]
@@ -1307,6 +939,44 @@ mod tests {
             assert_eq!(seq_s, par_s, "threads={threads}");
         }
         assert!(!seq_c.is_empty());
+
+        // The timed driver is the same loop: equal candidates and
+        // stats, plus one timing per unit (in unit order) whose counts
+        // add up to the run's.
+        let keys = 0..i0.key_count() as u32;
+        let epoch = std::time::Instant::now();
+        for schedule in [Step2Schedule::Contiguous, Step2Schedule::Bucketed] {
+            let p = Step2Params {
+                schedule,
+                ..params(m, 18)
+            };
+            for threads in [1, 2, 8] {
+                let (c, st, times) =
+                    run_software_keys_timed(&f0, &i0, &f1, &i1, &p, keys.clone(), threads, &epoch);
+                let tag = format!("{schedule:?} threads={threads}");
+                assert_eq!(seq_c, c, "{tag}");
+                assert_eq!(seq_s, st, "{tag}");
+                let units = match (threads, schedule) {
+                    (1, _) => 1,
+                    (_, Step2Schedule::Contiguous) => {
+                        balanced_chunks(&i0, &i1, keys.clone(), threads).len()
+                    }
+                    (_, Step2Schedule::Bucketed) => bucketed_items(&i0, &i1, keys.clone()).len(),
+                };
+                let items: Vec<usize> = times.iter().map(|t| t.item).collect();
+                assert_eq!(items, (0..units).collect::<Vec<_>>(), "{tag}");
+                assert_eq!(
+                    times.iter().map(|t| t.pairs).sum::<u64>(),
+                    st.pairs,
+                    "{tag}"
+                );
+                assert_eq!(
+                    times.iter().map(|t| t.candidates).sum::<u64>(),
+                    st.candidates,
+                    "{tag}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `(thread, key)` pair owns a disjoint output range and pass 2 writes
 //! without synchronisation.
 
-use crossbeam::thread;
+use std::thread;
 
 use crate::flat::FlatBank;
 use crate::seed::SeedModel;
@@ -50,13 +50,12 @@ impl SeedIndex {
             thread::scope(|s| {
                 let handles: Vec<_> = chunks
                     .iter()
-                    .map(|&range| s.spawn(move |_| count_chunk(flat, model, range)))
+                    .map(|&range| s.spawn(move || count_chunk(flat, model, range)))
                     .collect();
                 for h in handles {
                     histograms.push(h.join().expect("index counter panicked"));
                 }
-            })
-            .expect("index build scope");
+            });
         }
 
         // Global offsets: prefix sum over keys of summed chunk counts, and
@@ -96,7 +95,7 @@ impl SeedIndex {
             let writer = DisjointWriter(positions.as_mut_ptr());
             thread::scope(|s| {
                 for (&range, cursor) in chunks.iter().zip(cursors.iter_mut()) {
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         // Capture the wrapper, not its raw-pointer field
                         // (edition-2021 closures capture fields).
                         let writer: DisjointWriter = writer;
@@ -106,8 +105,7 @@ impl SeedIndex {
                         scatter_chunk(flat, model, range, cursor, out);
                     });
                 }
-            })
-            .expect("index scatter scope");
+            });
         }
 
         SeedIndex {

@@ -27,10 +27,9 @@
 //! fault-free run.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
 
-use crossbeam::channel;
-use crossbeam::thread;
 use psc_score::SubstitutionMatrix;
 
 use crate::config::OperatorConfig;
@@ -215,6 +214,126 @@ struct EntryCost {
     degraded: bool,
 }
 
+/// One simulation worker's private state: its operators (one per
+/// FPGA) and everything it accumulates while streaming. Merged across
+/// workers once the stream ends.
+struct Worker {
+    ops: Vec<FunctionalOperator>,
+    tallies: Vec<FpgaTally>,
+    faults: FaultSummary,
+    costs: Vec<EntryCost>,
+}
+
+/// The host-side scaffold shared by [`RascBoard::run_stream`] and the
+/// fleet's Phase-A precompute: `host_threads` workers, each with its own
+/// `init()` state, claim `(index, entry)` in index order straight from
+/// the shared source — gathering an entry (the iterator's `next`) is
+/// short next to scoring it, so the lock is rarely contended and no
+/// feeder thread or entry queue is needed — run `process` on it, and
+/// hand the results to `drain` on the calling thread, in bursts of up
+/// to `RESULT_CHUNK` and possibly out of index order. One thread runs
+/// inline with no channel at all.
+///
+/// The first `Err` stops further claims; the error returned is that of
+/// the earliest failing entry. Entries are claimed in index order and
+/// every claimed entry is processed, so the globally earliest failure
+/// is always among the errors collected — whichever thread won the race
+/// to the abort flag (`drain` may already have seen later entries by
+/// then). On success returns the number of entries streamed and every
+/// worker's final state.
+pub(crate) fn stream_entries<I, S, T>(
+    entries: I,
+    host_threads: usize,
+    init: impl Fn() -> S + Sync,
+    process: impl Fn(&mut S, u64, &Entry) -> Result<T, BoardFault> + Sync,
+    mut drain: impl FnMut(T),
+) -> Result<(u64, Vec<S>), BoardFault>
+where
+    I: Iterator<Item = Entry> + Send,
+    S: Send,
+    T: Send,
+{
+    let host_threads = host_threads.max(1);
+    let source = Mutex::new((0u64, entries));
+    let abort = AtomicBool::new(false);
+    let claim = || {
+        let mut src = source
+            .lock()
+            .expect("a worker panicked inside the entry iterator");
+        if abort.load(Ordering::Relaxed) {
+            return None;
+        }
+        let entry = src.1.next()?;
+        src.0 += 1;
+        Some((src.0 - 1, entry))
+    };
+    let work = |emit: &mut dyn FnMut(Result<T, BoardFault>) -> bool| {
+        let mut state = init();
+        while let Some((idx, entry)) = claim() {
+            let out = process(&mut state, idx, &entry);
+            let failed = out.is_err();
+            // `emit` reports false once nobody is receiving any more.
+            if !emit(out) || failed {
+                abort.store(true, Ordering::Relaxed);
+            }
+        }
+        state
+    };
+    let mut first_err: Option<BoardFault> = None;
+    let mut accept = |res: Result<T, BoardFault>| match res {
+        Ok(t) => drain(t),
+        Err(e) => {
+            if first_err.is_none_or(|p| e.entry < p.entry) {
+                first_err = Some(e);
+            }
+        }
+    };
+    let states = if host_threads == 1 {
+        vec![work(&mut |res| {
+            accept(res);
+            true
+        })]
+    } else {
+        std::thread::scope(|s| {
+            // Created in here so a panicking `drain` drops the receiver
+            // before the scope joins: blocked senders wake up and stop.
+            let (tx, rx) = sync_channel::<Vec<Result<T, BoardFault>>>(host_threads * 2);
+            let handles: Vec<_> = (0..host_threads)
+                .map(|_| {
+                    let (tx, work) = (tx.clone(), &work);
+                    s.spawn(move || {
+                        let mut chunk = Vec::new();
+                        let state = work(&mut |res| {
+                            chunk.push(res);
+                            chunk.len() < RESULT_CHUNK
+                                || tx.send(std::mem::take(&mut chunk)).is_ok()
+                        });
+                        // The receiver only goes away with the run.
+                        let _ = tx.send(chunk);
+                        state
+                    })
+                })
+                .collect();
+            drop(tx);
+            rx.iter().flatten().for_each(&mut accept);
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
+    };
+    match first_err {
+        Some(e) => Err(e),
+        None => {
+            let claimed = source
+                .into_inner()
+                .expect("a worker panicked inside the entry iterator")
+                .0;
+            Ok((claimed, states))
+        }
+    }
+}
+
 /// A simulated RASC-100 board.
 #[derive(Debug)]
 pub struct RascBoard {
@@ -254,18 +373,20 @@ impl RascBoard {
     /// Process one entry on all FPGAs (used by the streaming workers),
     /// retrying and degrading per the recovery policy. Returns the
     /// merged hit list (FPGA 0's hits first, `i0` rebased to the full
-    /// entry) and updates the tallies and fault counters.
-    #[allow(clippy::too_many_arguments)]
+    /// entry) and updates the worker's tallies and fault counters.
     fn process_entry(
         &self,
-        ops: &mut [FunctionalOperator],
+        worker: &mut Worker,
         entry_idx: u64,
         entry: &Entry,
-        tallies: &mut [FpgaTally],
         injector: Option<&FaultInjector>,
-        faults: &mut FaultSummary,
-        costs: &mut Vec<EntryCost>,
     ) -> Result<Vec<Hit>, BoardFault> {
+        let Worker {
+            ops,
+            tallies,
+            faults,
+            costs,
+        } = worker;
         let l = self.config.operator.window_len;
         let k0 = entry.il0.len() / l;
         let k1 = entry.il1.len() / l;
@@ -440,12 +561,12 @@ impl RascBoard {
     /// Run a streamed workload with `host_threads` simulation workers.
     ///
     /// `sink` receives `(entry_index, hits)` — when `host_threads > 1`
-    /// possibly out of entry order, and in bursts of up to
-    /// `RESULT_CHUNK` entries per worker. The returned report is
-    /// deterministic regardless of thread count, and so is the error:
-    /// when recovery is exhausted with degradation disabled, the fault
-    /// of the earliest failing entry is returned (the sink may already
-    /// have seen other entries by then).
+    /// possibly out of entry order, and in bursts (see
+    /// [`stream_entries`]). The returned report is deterministic
+    /// regardless of thread count, and so is the error: when recovery
+    /// is exhausted with degradation disabled, the fault of the
+    /// earliest failing entry is returned (the sink may already have
+    /// seen other entries by then).
     pub fn run_stream<I>(
         &self,
         entries: I,
@@ -456,133 +577,42 @@ impl RascBoard {
         I: Iterator<Item = Entry> + Send,
     {
         let nf = self.config.fpga_count;
-        let host_threads = host_threads.max(1);
         let injector = self.config.fault_plan.clone().map(FaultInjector::new);
         let injector = injector.as_ref();
+        let (n_entries, workers) = stream_entries(
+            entries,
+            host_threads,
+            || Worker {
+                ops: self.make_operators(),
+                tallies: vec![FpgaTally::default(); nf],
+                faults: FaultSummary::default(),
+                costs: Vec::new(),
+            },
+            |worker, idx, entry| {
+                self.process_entry(worker, idx, entry, injector)
+                    .map(|hits| (idx, hits))
+            },
+            |(idx, hits)| sink(idx, hits),
+        )?;
+
         let mut tallies = vec![FpgaTally::default(); nf];
         let mut faults = FaultSummary::default();
         let mut costs: Vec<EntryCost> = Vec::new();
-        let mut n_entries = 0u64;
-
-        if host_threads == 1 {
-            let mut ops = self.make_operators();
-            for entry in entries {
-                let hits = self.process_entry(
-                    &mut ops,
-                    n_entries,
-                    &entry,
-                    &mut tallies,
-                    injector,
-                    &mut faults,
-                    &mut costs,
-                )?;
-                sink(n_entries, hits);
-                n_entries += 1;
+        for w in workers {
+            faults.merge(&w.faults);
+            costs.extend(w.costs);
+            for (t, l) in tallies.iter_mut().zip(w.tallies) {
+                t.cycles += l.cycles;
+                t.stalls += l.stalls;
+                t.busy += l.busy;
+                t.bytes_in += l.bytes_in;
+                t.hits += l.hits;
+                t.peak = t.peak.max(l.peak);
             }
-        } else {
-            // Workers claim entries in index order straight from the
-            // shared source: gathering an entry (the iterator's `next`)
-            // is short next to scoring it, so the lock is rarely
-            // contended and no feeder thread or entry queue is needed.
-            let source = Mutex::new((0u64, entries));
-            let abort = AtomicBool::new(false);
-            let claim = || {
-                let mut src = source
-                    .lock()
-                    .expect("a worker panicked inside the entry iterator");
-                if abort.load(Ordering::Relaxed) {
-                    return None;
-                }
-                let entry = src.1.next()?;
-                src.0 += 1;
-                Some((src.0 - 1, entry))
-            };
-            let (res_tx, res_rx) =
-                channel::bounded::<Vec<Result<(u64, Vec<Hit>), BoardFault>>>(host_threads * 2);
-            let mut first_err: Option<BoardFault> = None;
-            let worker_out: Vec<(Vec<FpgaTally>, FaultSummary, Vec<EntryCost>)> =
-                thread::scope(|s| {
-                    let (abort, claim) = (&abort, &claim);
-                    let handles: Vec<_> = (0..host_threads)
-                        .map(|_| {
-                            let tx = res_tx.clone();
-                            s.spawn(move |_| {
-                                let mut ops = self.make_operators();
-                                let mut local = vec![FpgaTally::default(); nf];
-                                let mut lf = FaultSummary::default();
-                                let mut lc: Vec<EntryCost> = Vec::new();
-                                let mut chunk = Vec::new();
-                                while let Some((idx, entry)) = claim() {
-                                    let out = self
-                                        .process_entry(
-                                            &mut ops, idx, &entry, &mut local, injector, &mut lf,
-                                            &mut lc,
-                                        )
-                                        .map(|hits| (idx, hits));
-                                    if out.is_err() {
-                                        abort.store(true, Ordering::Relaxed);
-                                    }
-                                    chunk.push(out);
-                                    if chunk.len() == RESULT_CHUNK
-                                        && tx.send(std::mem::take(&mut chunk)).is_err()
-                                    {
-                                        break;
-                                    }
-                                }
-                                // The receiver only goes away with the run.
-                                let _ = tx.send(chunk);
-                                (local, lf, lc)
-                            })
-                        })
-                        .collect();
-                    drop(res_tx);
-
-                    for res in res_rx.iter().flatten() {
-                        match res {
-                            Ok((idx, hits)) => sink(idx, hits),
-                            // Keep the earliest failing entry. Entries are
-                            // claimed in index order and every claimed
-                            // entry is processed, so the globally earliest
-                            // failure is always among the errors collected
-                            // here — whichever thread won the race to the
-                            // abort flag.
-                            Err(e) => {
-                                if first_err.is_none_or(|p| e.entry < p.entry) {
-                                    first_err = Some(e);
-                                }
-                            }
-                        }
-                    }
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("worker panicked"))
-                        .collect()
-                })
-                .expect("board scope");
-            n_entries = source
-                .into_inner()
-                .expect("a worker panicked inside the entry iterator")
-                .0;
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-            for (local, lf, lc) in worker_out {
-                faults.merge(&lf);
-                costs.extend(lc);
-                for (t, l) in tallies.iter_mut().zip(local) {
-                    t.cycles += l.cycles;
-                    t.stalls += l.stalls;
-                    t.busy += l.busy;
-                    t.bytes_in += l.bytes_in;
-                    t.hits += l.hits;
-                    t.peak = t.peak.max(l.peak);
-                }
-            }
-            // Workers interleave entries; the timeline fold must see
-            // them in dispatch order to stay thread-count invariant.
-            costs.sort_unstable_by_key(|c| (c.entry, c.fpga));
         }
-
+        // Workers interleave entries; the timeline fold must see them
+        // in dispatch order to stay thread-count invariant.
+        costs.sort_unstable_by_key(|c| (c.entry, c.fpga));
         Ok(self.report_from(&tallies, n_entries, faults, &costs))
     }
 

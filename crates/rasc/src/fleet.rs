@@ -46,11 +46,11 @@
 
 use std::collections::VecDeque;
 
-use crossbeam::channel;
-use crossbeam::thread;
 use psc_score::SubstitutionMatrix;
 
-use crate::board::{BoardConfig, BoardReport, BoardSegment, Entry, ADR_HANDSHAKE_CYCLES};
+use crate::board::{
+    stream_entries, BoardConfig, BoardReport, BoardSegment, Entry, ADR_HANDSHAKE_CYCLES,
+};
 use crate::fault::{BoardFault, FaultInjector, FaultKind, FaultSummary};
 use crate::functional::FunctionalOperator;
 use crate::operator::Hit;
@@ -386,7 +386,7 @@ impl RascFleet {
     where
         I: Iterator<Item = Entry> + Send,
     {
-        let bases = self.precompute(entries, host_threads, &mut sink);
+        let bases = self.precompute(entries, host_threads, &mut sink)?;
         let sim = self.simulate(&bases, self.fleet.boards, self.config.record_timeline)?;
 
         let mut modeled = Vec::new();
@@ -516,55 +516,24 @@ impl RascFleet {
         entries: I,
         host_threads: usize,
         sink: &mut impl FnMut(u64, Vec<Hit>),
-    ) -> Vec<EntryBase>
+    ) -> Result<Vec<EntryBase>, BoardFault>
     where
         I: Iterator<Item = Entry> + Send,
     {
-        let host_threads = host_threads.max(1);
         let mut bases: Vec<EntryBase> = Vec::new();
-        if host_threads == 1 {
-            let mut ops = self.make_operators();
-            for (idx, entry) in entries.enumerate() {
-                let (base, hits) = self.base_of(&mut ops, idx as u64, &entry);
-                sink(idx as u64, hits);
-                bases.push(base);
-            }
-            return bases;
-        }
-        let (entry_tx, entry_rx) = channel::bounded::<(u64, Entry)>(host_threads * 2);
-        let (res_tx, res_rx) = channel::bounded::<(EntryBase, Vec<Hit>)>(host_threads * 2);
-        thread::scope(|s| {
-            for _ in 0..host_threads {
-                let rx = entry_rx.clone();
-                let tx = res_tx.clone();
-                s.spawn(move |_| {
-                    let mut ops = self.make_operators();
-                    for (idx, entry) in rx.iter() {
-                        if tx.send(self.base_of(&mut ops, idx, &entry)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(entry_rx);
-            drop(res_tx);
-            let feeder = s.spawn(move |_| {
-                for (idx, entry) in entries.enumerate() {
-                    if entry_tx.send((idx as u64, entry)).is_err() {
-                        break;
-                    }
-                }
-            });
-            for (base, hits) in res_rx.iter() {
+        stream_entries(
+            entries,
+            host_threads,
+            || self.make_operators(),
+            |ops, idx, entry| Ok(self.base_of(ops, idx, entry)),
+            |(base, hits)| {
                 sink(base.entry, hits);
                 bases.push(base);
-            }
-            feeder.join().expect("fleet feeder panicked");
-        })
-        .expect("fleet scope");
+            },
+        )?;
         // Workers interleave; Phase B needs index order.
         bases.sort_unstable_by_key(|b| b.entry);
-        bases
+        Ok(bases)
     }
 
     /// Replay board `injector`'s fault stream over one entry's base

@@ -161,12 +161,6 @@ pub const SERVE_QUERY_SEQ: &str = "serve.query_seq";
 pub const EV_EXTEND: &str = "extend";
 /// Merge thread blocked waiting for a shard.
 pub const EV_MERGE_WAIT: &str = "merge_wait";
-/// Producer blocked on a full channel.
-pub const EV_CHANNEL_FULL: &str = "channel_full";
-/// Consumer blocked on an empty channel.
-pub const EV_CHANNEL_EMPTY: &str = "channel_empty";
-/// Merge work proper (after the wait).
-pub const EV_MERGE: &str = "merge";
 /// Host→board DMA transfer.
 pub const EV_DMA_IN: &str = "dma_in";
 /// Board→host DMA transfer plus sync.
@@ -187,10 +181,6 @@ pub const EV_FAULT_RETRY: &str = "fault.retry";
 pub const EV_FAULT_DEGRADED: &str = "fault.degraded";
 /// Hits the unit reported.
 pub const EV_HITS: &str = "hits";
-/// Channel depth observed at the event.
-pub const EV_QUEUE_DEPTH: &str = "queue_depth";
-/// Batch length observed at the event.
-pub const EV_BATCH: &str = "batch";
 /// A dry fleet board waiting on a work-steal pull (span).
 pub const EV_STEAL_WAIT: &str = "steal_wait";
 /// A quarantined fleet board draining its queue (span).
@@ -226,10 +216,6 @@ pub fn board_dma_stage(board: usize) -> String {
 pub fn board_compute_stage(board: usize) -> String {
     format!("board.compute.b{board:02}")
 }
-/// Producer-side channel sends.
-pub const STAGE_CHANNEL_SEND: &str = "channel.send";
-/// Consumer-side channel receives.
-pub const STAGE_CHANNEL_RECV: &str = "channel.recv";
 
 #[cfg(test)]
 mod tests {

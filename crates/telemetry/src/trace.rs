@@ -7,9 +7,9 @@
 //! The pipeline's workers race on atomic pull counters, so raw
 //! first-come event logs can never be deterministic. Instead, recording
 //! is *unit-deferred*: each logical unit of work (a step-2 work item, a
-//! step-3 shard, a board entry, a channel batch) is described by one
-//! [`UnitTrace`] — its phases and instant marks — built from locally
-//! owned measurements and committed to the tracer off the hot loop.
+//! step-3 shard, a board entry) is described by one [`UnitTrace`] — its
+//! phases and instant marks — built from locally owned measurements and
+//! committed to the tracer off the hot loop.
 //! [`RingTracer::finish`] then lays the units onto lanes:
 //!
 //! * **pinned** units (wall clock, board timeline) carry an absolute
@@ -56,8 +56,7 @@ pub enum TraceClock {
     Wall,
     /// Modeled ticks from deterministic work counts, replayed onto
     /// [`VIRTUAL_LANES`] lanes. Byte-deterministic across runs and
-    /// thread counts; schedule-dependent lanes (the overlap channel)
-    /// are omitted.
+    /// thread counts.
     Virtual,
 }
 
@@ -117,8 +116,7 @@ impl UnitEvent {
 #[derive(Clone, Debug, PartialEq)]
 pub struct UnitTrace {
     /// Lane-group name: `"step2"`, `"step3"`, `"step3.merge"`,
-    /// `"channel.send"`, `"channel.recv"`, `"board.dma"`,
-    /// `"board.compute"`, `"board.link"`, …
+    /// `"board.dma"`, `"board.compute"`, `"board.link"`, …
     pub stage: String,
     /// Deterministic issue order within the stage — the replay order of
     /// scheduled units.
@@ -285,10 +283,10 @@ pub struct InstantEvent {
     pub value: u64,
 }
 
-/// One timeline row: a worker, an FPGA engine, or a channel endpoint.
+/// One timeline row: a worker or an FPGA engine.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Lane {
-    /// `"step2.w0"`, `"board.compute.fpga1"`, `"channel.recv"`, …
+    /// `"step2.w0"`, `"board.compute.fpga1"`, `"board.link"`, …
     pub name: String,
     /// The lane-group the name was derived from (see [`stage_of`]).
     pub stage: String,
@@ -791,7 +789,7 @@ mod tests {
         assert_eq!(stage_of("step2.w13"), "step2");
         assert_eq!(stage_of("board.compute.fpga0"), "board.compute");
         assert_eq!(stage_of("step3.merge"), "step3.merge");
-        assert_eq!(stage_of("channel.recv"), "channel.recv");
+        assert_eq!(stage_of("board.link"), "board.link");
         assert_eq!(stage_of("weird.wx"), "weird.wx");
     }
 

@@ -11,8 +11,6 @@
 //!
 //! | class                 | source                                     |
 //! |-----------------------|--------------------------------------------|
-//! | `channel-full`        | `channel_full` spans (producer backpressure)|
-//! | `channel-empty`       | `channel_empty` spans (consumer starvation)|
 //! | `merge-wait`          | `merge_wait` spans (in-order merge holds)  |
 //! | `board-retry-backoff` | `retry_backoff` spans (fault recovery)     |
 //! | `fleet-steal`         | `steal_wait` spans (dry board stealing)    |
@@ -29,10 +27,6 @@ use std::collections::BTreeMap;
 use crate::report::RunReport;
 use crate::trace::{Lane, SpanEvent, Trace, TraceClock};
 
-/// Producer blocked on a full overlap channel.
-pub const STALL_CHANNEL_FULL: &str = "channel-full";
-/// Consumer starved on an empty overlap channel.
-pub const STALL_CHANNEL_EMPTY: &str = "channel-empty";
 /// Merge thread holding for in-order shard results.
 pub const STALL_MERGE_WAIT: &str = "merge-wait";
 /// Simulated board burning backoff cycles between fault retries.
@@ -51,8 +45,6 @@ pub const STALL_BOARD_IDLE: &str = "board-idle";
 /// Map a span name to its stall class, or `None` for busy work.
 pub fn stall_class(span_name: &str) -> Option<&'static str> {
     match span_name {
-        "channel_full" => Some(STALL_CHANNEL_FULL),
-        "channel_empty" => Some(STALL_CHANNEL_EMPTY),
         "merge_wait" => Some(STALL_MERGE_WAIT),
         "retry_backoff" => Some(STALL_RETRY_BACKOFF),
         "steal_wait" => Some(STALL_FLEET_STEAL),

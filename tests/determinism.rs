@@ -3,7 +3,10 @@
 //! thread counts. This is what makes the simulated-hardware numbers in
 //! EXPERIMENTS.md reproducible statements rather than measurements.
 
-use psc_core::{search_genome, search_genome_recorded, MemRecorder, PipelineConfig, Step2Backend};
+use psc_core::{
+    search_genome, try_search_genome_traced, GenomeSearchResult, MemRecorder, NullTracer,
+    PipelineConfig, Step2Backend,
+};
 use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig};
 use psc_score::blosum62;
 
@@ -25,6 +28,33 @@ fn workload() -> (psc_seqio::Bank, psc_seqio::Seq) {
         &proteins,
     );
     (proteins, genome.genome)
+}
+
+/// One recorded run (no flight recorder).
+fn recorded(
+    proteins: &psc_seqio::Bank,
+    genome: &psc_seqio::Seq,
+    cfg: PipelineConfig,
+    rec: &MemRecorder,
+) -> GenomeSearchResult {
+    try_search_genome_traced(proteins, genome, blosum62(), cfg, rec, &NullTracer)
+        .expect("valid configuration")
+}
+
+/// [`recorded`] reduced to its stripped run-report JSON: the full
+/// telemetry artifact with the wall-clock fields (the only honest
+/// nondeterminism) zeroed.
+fn stripped_report(
+    proteins: &psc_seqio::Bank,
+    genome: &psc_seqio::Seq,
+    cfg: &PipelineConfig,
+) -> (GenomeSearchResult, String) {
+    let rec = MemRecorder::new();
+    let result = recorded(proteins, genome, cfg.clone(), &rec);
+    let mut report = psc_core::build_run_report(&result.output, cfg, &rec.snapshot());
+    report.strip_wall_clock();
+    let json = report.to_json_string();
+    (result, json)
 }
 
 #[test]
@@ -53,7 +83,7 @@ fn telemetry_recording_does_not_change_results() {
     };
     let plain = search_genome(&proteins, &genome, blosum62(), cfg());
     let rec = MemRecorder::new();
-    let recorded = search_genome_recorded(&proteins, &genome, blosum62(), cfg(), &rec);
+    let recorded = recorded(&proteins, &genome, cfg(), &rec);
     assert_eq!(plain.output.hsps, recorded.output.hsps);
     assert_eq!(plain.output.stats.step2, recorded.output.stats.step2);
     assert_eq!(plain.output.stats.anchors, recorded.output.stats.anchors);
@@ -109,25 +139,80 @@ fn stripped_run_reports_are_byte_identical() {
     // (the only honest nondeterminism) are zeroed. This pins the report
     // pipeline end to end: recorder → snapshot → RunReport → JSON.
     let (proteins, genome) = workload();
-    let run = || {
-        let cfg = PipelineConfig {
-            backend: Step2Backend::Rasc {
-                pe_count: 64,
-                fpga_count: 2,
-                host_threads: 2,
-            },
-            ..PipelineConfig::default()
-        };
-        let rec = MemRecorder::new();
-        let result = search_genome_recorded(&proteins, &genome, blosum62(), cfg.clone(), &rec);
-        let mut report = psc_core::build_run_report(&result.output, &cfg, &rec.snapshot());
-        report.strip_wall_clock();
-        report.to_json_string()
+    let cfg = PipelineConfig {
+        backend: Step2Backend::Rasc {
+            pe_count: 64,
+            fpga_count: 2,
+            host_threads: 2,
+        },
+        ..PipelineConfig::default()
     };
-    let a = run();
-    let b = run();
+    let (_, a) = stripped_report(&proteins, &genome, &cfg);
+    let (_, b) = stripped_report(&proteins, &genome, &cfg);
     assert!(a.contains("step2.pairs"), "report lost its counters");
     assert_eq!(a, b, "stripped run reports must be byte-identical");
+}
+
+#[test]
+fn step3_threads_match_sequential_on_every_backend() {
+    // Parallel step 3 is an optimisation, never a semantic change: for
+    // every step-2 backend and fault plan, `step3_threads` ∈ {2, 8}
+    // must reproduce the sequential run bit for bit — same HSPs, same
+    // counters, and a byte-identical stripped run-report JSON.
+    let rasc = Step2Backend::Rasc {
+        pe_count: 64,
+        fpga_count: 2,
+        host_threads: 2,
+    };
+    let hybrid = Step2Backend::Hybrid {
+        pe_count: 64,
+        cpu_threads: 2,
+        fpga_share: 0.5,
+    };
+    let seeded = psc_rasc::FaultPlan::Seeded {
+        seed: 97,
+        rate_ppm: 250_000,
+    };
+    let heavy_tail = psc_rasc::FaultPlan::SeededHeavyTail {
+        seed: 97,
+        rate_ppm: 250_000,
+    };
+    let cases = [
+        ("scalar", Step2Backend::SoftwareScalar, None),
+        (
+            "parallel",
+            Step2Backend::SoftwareParallel { threads: 3 },
+            None,
+        ),
+        ("rasc", rasc.clone(), None),
+        ("hybrid", hybrid, None),
+        ("rasc + seeded faults", rasc.clone(), Some(seeded)),
+        ("rasc + heavy-tail faults", rasc, Some(heavy_tail)),
+    ];
+    let (proteins, genome) = workload();
+    for (name, backend, fault_plan) in cases {
+        let cfg = |step3_threads| PipelineConfig {
+            backend: backend.clone(),
+            fault_plan: fault_plan.clone(),
+            step3_threads,
+            ..PipelineConfig::default()
+        };
+        let (want, want_json) = stripped_report(&proteins, &genome, &cfg(1));
+        assert!(
+            want_json.contains("step3.shards"),
+            "{name}: report lost the shard counter"
+        );
+        for step3_threads in [2, 8] {
+            let (got, got_json) = stripped_report(&proteins, &genome, &cfg(step3_threads));
+            let tag = format!("{name}, step3_threads={step3_threads}");
+            assert_eq!(want.output.hsps, got.output.hsps, "HSPs diverged ({tag})");
+            assert_eq!(
+                want.output.stats, got.output.stats,
+                "stats diverged ({tag})"
+            );
+            assert_eq!(want_json, got_json, "stripped report diverged ({tag})");
+        }
+    }
 }
 
 #[test]

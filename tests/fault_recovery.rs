@@ -8,8 +8,8 @@ use std::sync::LazyLock;
 
 use proptest::prelude::*;
 use psc_core::{
-    build_run_report, MemRecorder, Pipeline, PipelineConfig, PipelineError, PipelineOutput,
-    Step2Backend,
+    build_run_report, MemRecorder, NullRecorder, NullTracer, Pipeline, PipelineConfig,
+    PipelineError, PipelineOutput, Step2Backend,
 };
 use psc_datagen::{random_bank, BankConfig};
 use psc_rasc::{FaultKind, FaultPlan, FaultSpec, RecoveryPolicy};
@@ -92,7 +92,7 @@ fn degraded_run_is_bit_identical_and_reported() {
     };
     let rec = MemRecorder::new();
     let out = Pipeline::new(cfg.clone())
-        .try_run_recorded(&b0, &b1, blosum62(), &rec)
+        .try_run_traced(&b0, &b1, blosum62(), &rec, &NullTracer)
         .unwrap();
     assert_eq!(out.hsps, BASELINE.hsps);
     assert_eq!(out.stats.step2, BASELINE.stats.step2);
@@ -128,7 +128,7 @@ fn exhausted_recovery_surfaces_as_pipeline_error() {
             ..rasc_config(host_threads)
         };
         let err = Pipeline::new(cfg)
-            .try_run(&b0, &b1, blosum62())
+            .try_run_traced(&b0, &b1, blosum62(), &NullRecorder, &NullTracer)
             .unwrap_err();
         match err {
             PipelineError::BoardFault(bf) => {

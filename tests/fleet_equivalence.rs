@@ -12,8 +12,8 @@ use std::sync::LazyLock;
 use proptest::prelude::*;
 use psc_align::Hsp;
 use psc_core::{
-    build_run_report, search_genome_recorded, MemRecorder, PipelineConfig, PipelineStats,
-    Step2Backend,
+    build_run_report, try_search_genome_traced, MemRecorder, NullTracer, PipelineConfig,
+    PipelineStats, Step2Backend,
 };
 use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig};
 use psc_rasc::{FaultPlan, FleetConfig, StealPolicy, Topology};
@@ -69,7 +69,9 @@ fn neutral_run(
 ) {
     let (proteins, genome) = &*WORKLOAD;
     let rec = MemRecorder::new();
-    let result = search_genome_recorded(proteins, genome, blosum62(), cfg.clone(), &rec);
+    let result =
+        try_search_genome_traced(proteins, genome, blosum62(), cfg.clone(), &rec, &NullTracer)
+            .expect("valid configuration");
     let mut report = build_run_report(&result.output, &cfg, &rec.snapshot());
     report.strip_wall_clock();
     report.board = None;
@@ -178,26 +180,21 @@ fn permanently_wedged_board_is_quarantined_and_entries_complete_elsewhere() {
     );
 }
 
-/// The board count changes dispatch, never results — including under
-/// `--overlap` streaming, where fleet batches flow through the bounded
-/// channel as entries complete.
+/// The board count changes dispatch, never results — including with
+/// parallel step 3 downstream of the fleet.
 #[test]
-fn overlapped_fleet_matches_barrier_fleet() {
-    let mut barrier = fleet_config(4, 2);
-    barrier.fault_plan = Some(FaultPlan::seeded_heavy(97));
-    let mut overlapped = barrier.clone();
-    overlapped.overlap = true;
-    overlapped.step3_threads = 4;
-    let (h1, s1, f1, j1) = neutral_run(barrier);
-    let (h2, s2, f2, j2) = neutral_run(overlapped);
-    assert_eq!(h1, h2, "HSPs diverged between barrier and overlap");
-    assert_eq!(s1, s2, "stats diverged between barrier and overlap");
-    assert_eq!(
-        j1, j2,
-        "stripped report diverged between barrier and overlap"
-    );
-    // The fleet schedule itself is overlap-invariant too: same steals,
-    // same makespan, same per-board entry counts.
+fn fleet_is_step3_thread_invariant() {
+    let mut sequential = fleet_config(4, 2);
+    sequential.fault_plan = Some(FaultPlan::seeded_heavy(97));
+    let mut parallel = sequential.clone();
+    parallel.step3_threads = 4;
+    let (h1, s1, f1, j1) = neutral_run(sequential);
+    let (h2, s2, f2, j2) = neutral_run(parallel);
+    assert_eq!(h1, h2, "HSPs diverged with step3_threads=4");
+    assert_eq!(s1, s2, "stats diverged with step3_threads=4");
+    assert_eq!(j1, j2, "stripped report diverged with step3_threads=4");
+    // The fleet schedule itself is invariant too: same steals, same
+    // makespan, same per-board entry counts.
     let (f1, f2) = (f1.expect("fleet"), f2.expect("fleet"));
     assert_eq!(f1.steals, f2.steals);
     assert_eq!(f1.makespan_seconds, f2.makespan_seconds);

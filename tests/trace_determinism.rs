@@ -1,13 +1,13 @@
 //! Flight-recorder guarantees at pipeline level: virtual-clock traces
 //! are byte-deterministic across thread counts and backends, tracing
-//! never changes pipeline output (fault plans and `--overlap`
-//! included), wall-clock traces reconcile against the run report, and
+//! never changes pipeline output (fault plans included), wall-clock
+//! traces reconcile against the run report, and
 //! every lane's time is exhaustively attributed
 //! (`busy + stalls == lane wall`).
 
 use psc_core::{
-    build_run_report, MemRecorder, NullRecorder, Pipeline, PipelineConfig, PipelineOutput,
-    RingTracer, Step2Backend, TraceClock,
+    build_run_report, MemRecorder, NullRecorder, NullTracer, Pipeline, PipelineConfig,
+    PipelineOutput, RingTracer, Step2Backend, TraceClock,
 };
 use psc_datagen::{random_bank, BankConfig};
 use psc_rasc::FaultPlan;
@@ -50,29 +50,26 @@ fn run_traced(cfg: PipelineConfig, tracer: &RingTracer) -> (PipelineOutput, Trac
 
 /// The virtual clock models scheduled work, not measured time, so the
 /// exported trace (and its analysis) must be byte-identical across
-/// worker counts, schedules, and overlap modes.
+/// worker counts and schedules.
 #[test]
 fn virtual_trace_is_byte_deterministic_across_thread_counts() {
-    let variant = |threads: usize, step3_threads: usize, overlap: bool| {
+    let variant = |threads: usize, step3_threads: usize| {
         let tracer = RingTracer::new(TraceClock::Virtual);
         let cfg = PipelineConfig {
             backend: Step2Backend::SoftwareParallel { threads },
             step3_threads,
-            overlap,
             ..base_config()
         };
         let (_, trace) = run_traced(cfg, &tracer);
         (trace.to_chrome_string(), render_analysis(&analyze(&trace)))
     };
-    let (chrome, analysis) = variant(1, 1, false);
+    let (chrome, analysis) = variant(1, 1);
     assert!(chrome.contains("psc-trace-1"));
-    for (threads, step3_threads, overlap) in
-        [(2, 2, false), (4, 3, false), (2, 2, true), (4, 1, true)]
-    {
-        let (c, a) = variant(threads, step3_threads, overlap);
+    for (threads, step3_threads) in [(2, 2), (4, 3), (4, 1)] {
+        let (c, a) = variant(threads, step3_threads);
         assert_eq!(
             chrome, c,
-            "virtual trace changed at threads={threads} step3={step3_threads} overlap={overlap}"
+            "virtual trace changed at threads={threads} step3={step3_threads}"
         );
         assert_eq!(analysis, a, "virtual analysis changed");
     }
@@ -102,7 +99,7 @@ fn virtual_board_lanes_are_deterministic() {
 
 /// Tracing only observes: output (HSPs, counters, board fault
 /// telemetry) is identical with the flight recorder on or off, for
-/// every backend, with faults, and with the overlapped pipeline.
+/// every backend and with faults.
 #[test]
 fn tracing_does_not_change_pipeline_output() {
     let (b0, b1) = banks();
@@ -110,7 +107,6 @@ fn tracing_does_not_change_pipeline_output() {
         PipelineConfig {
             backend: Step2Backend::SoftwareParallel { threads: 2 },
             step3_threads: 2,
-            overlap: true,
             ..base_config()
         },
         PipelineConfig {
@@ -128,13 +124,12 @@ fn tracing_does_not_change_pipeline_output() {
                 cpu_threads: 2,
                 fpga_share: 0.5,
             },
-            overlap: true,
             ..base_config()
         },
     ];
     for (i, cfg) in configs.into_iter().enumerate() {
         let plain = Pipeline::new(cfg.clone())
-            .try_run(&b0, &b1, blosum62())
+            .try_run_traced(&b0, &b1, blosum62(), &NullRecorder, &NullTracer)
             .unwrap();
         for clock in [TraceClock::Wall, TraceClock::Virtual] {
             let tracer = RingTracer::new(clock);
@@ -181,7 +176,7 @@ fn wall_trace_reconciles_with_run_report() {
 
 /// Every non-busy second of every lane lands in a named stall class:
 /// `busy + stalls == lane wall`, enforced on a real traced run with
-/// faults, overlap, and parallel step 3 (the richest stall mix).
+/// faults and parallel step 3 (the richest stall mix).
 #[test]
 fn stall_attribution_is_exhaustive() {
     let tracer = RingTracer::new(TraceClock::Wall);
@@ -192,7 +187,6 @@ fn stall_attribution_is_exhaustive() {
             host_threads: 2,
         },
         step3_threads: 2,
-        overlap: true,
         fault_plan: Some(FaultPlan::seeded(5)),
         ..base_config()
     };
