@@ -9,10 +9,13 @@
 //!   per-position table of substitution scores indexed by residue code,
 //!   built once and amortized over the whole of `IL1` (the table plays
 //!   the role of the PE's substitution ROM preloaded with one row);
-//! * an **interleaved layout** ([`InterleavedWindows`]) transposes the
-//!   `IL1` windows so that position `p` of [`LANES`] consecutive windows
-//!   is one contiguous 16-byte load — the byte stream an input
-//!   controller would broadcast across the PE array;
+//! * an **interleaved layout** ([`InterleavedWindows`]) holds the
+//!   lane-axis windows transposed, so that position `p` of [`LANES`]
+//!   consecutive windows is one contiguous 16-byte load — the byte
+//!   stream an input controller would broadcast across the PE array.
+//!   Its one fill routine takes each window from the caller once, into
+//!   an L1-resident staging block, and transposes the block in
+//!   registers: the gather and the transposition are a single pass;
 //! * [`score_lanes`] then scores [`LANES`] window pairs per recurrence
 //!   step in 16-bit SIMD lanes (AVX2 on x86-64, an autovectorizable
 //!   lane-array fallback elsewhere), and [`profile_score`] is the
@@ -237,13 +240,15 @@ impl ScoreProfile {
     /// (Re)build the profile for `window`, reusing the allocation.
     pub fn build(&mut self, matrix: &SubstitutionMatrix, window: &[u8]) {
         self.len = window.len();
-        self.data.clear();
+        // No `clear()`: the score slots of every row are overwritten
+        // below and the unused tail of the second shuffle table is never
+        // written at all, so `resize` only has to zero-fill growth.
         self.data.resize(window.len() * PROFILE_STRIDE, 0);
         let flat = matrix.flat();
-        for (p, &a) in window.iter().enumerate() {
+        for (row, &a) in self.data.chunks_exact_mut(PROFILE_STRIDE).zip(window) {
             debug_assert!((a as usize) < AA_ALPHABET_LEN);
-            let row = &mut self.data[p * PROFILE_STRIDE..][..AA_ALPHABET_LEN];
-            row.copy_from_slice(&flat[a as usize * AA_ALPHABET_LEN..][..AA_ALPHABET_LEN]);
+            row[..AA_ALPHABET_LEN]
+                .copy_from_slice(&flat[a as usize * AA_ALPHABET_LEN..][..AA_ALPHABET_LEN]);
         }
     }
 
@@ -341,7 +346,8 @@ pub fn profile_score2(
     (ma, mb)
 }
 
-/// `IL1` windows transposed into position-major (interleaved) order.
+/// Lane-axis windows transposed into position-major (interleaved)
+/// order.
 ///
 /// `data[p * stride + j]` is residue `p` of window `j`; the lane stride
 /// is padded up to a multiple of [`WIDE_LANES`] (pad windows read as
@@ -349,12 +355,84 @@ pub fn profile_score2(
 /// 16- and 32-lane kernels can load full blocks. This is the transpose
 /// an input controller performs when it broadcasts the `IL1` byte stream
 /// across the PE array one residue per cycle.
+///
+/// There is one way in, [`fill`](InterleavedWindows::fill): the caller
+/// writes each window once, into a staging row, and the routine does
+/// the transposition — so a gather out of the flat bank lands in kernel
+/// layout without a row-major copy of the whole list in between.
 #[derive(Clone, Debug, Default)]
 pub struct InterleavedWindows {
     data: Vec<u8>,
+    /// [`WIDE_LANES`] staging rows, each the window length rounded up to
+    /// whole tiles: the lane block being transposed (2 KiB at the
+    /// default 60-residue window, so it never leaves L1).
+    stage: Vec<u8>,
     len: usize,
     count: usize,
     stride: usize,
+}
+
+/// Lanes per transpose tile: eight staging rows, one `u64` of output
+/// per position.
+const TILE_ROWS: usize = 8;
+
+/// Positions per transpose tile: one 16-byte load per staging row.
+const TILE_COLS: usize = 16;
+
+/// Transpose an 8×8 byte matrix held as eight little-endian `u64` rows
+/// (`rows[r]` byte `c` is element `(r, c)`): three rounds of masked
+/// swaps exchange the off-diagonal 1×1, 2×2 and 4×4 sub-blocks.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+#[inline(always)]
+fn transpose_8x8(mut rows: [u64; 8]) -> [u64; 8] {
+    const ROUNDS: [(usize, u64); 3] = [
+        (1, 0x00ff_00ff_00ff_00ff),
+        (2, 0x0000_ffff_0000_ffff),
+        (4, 0x0000_0000_ffff_ffff),
+    ];
+    for (half, mask) in ROUNDS {
+        let shift = 8 * half as u32;
+        for lo in (0..8).filter(|r| r & half == 0) {
+            let hi = lo + half;
+            let t = ((rows[lo] >> shift) ^ rows[hi]) & mask;
+            rows[hi] ^= t;
+            rows[lo] ^= t << shift;
+        }
+    }
+    rows
+}
+
+/// Portable transpose tile: `out[c]` byte `r` is `rows[r][c]` — two
+/// 8×8 register transposes side by side.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+#[inline(always)]
+fn transpose_tile_portable(rows: &[[u8; TILE_COLS]; TILE_ROWS]) -> [u64; TILE_COLS] {
+    let mut out = [0u64; TILE_COLS];
+    for (half, out) in out.chunks_exact_mut(8).enumerate() {
+        let mut block = [0u64; 8];
+        for (v, row) in block.iter_mut().zip(rows) {
+            let mut bytes = [0u8; 8];
+            bytes.copy_from_slice(&row[half * 8..][..8]);
+            *v = u64::from_le_bytes(bytes);
+        }
+        out.copy_from_slice(&transpose_8x8(block));
+    }
+    out
+}
+
+/// The transpose tile [`InterleavedWindows::fill`] is built from:
+/// `out[c]` packs column `c` of the eight `rows`, row 0 in the low byte.
+#[inline(always)]
+fn transpose_tile(rows: &[[u8; TILE_COLS]; TILE_ROWS]) -> [u64; TILE_COLS] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        unsafe { x86::transpose_tile_sse2(rows) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        transpose_tile_portable(rows)
+    }
 }
 
 impl InterleavedWindows {
@@ -362,24 +440,79 @@ impl InterleavedWindows {
         InterleavedWindows::default()
     }
 
-    /// (Re)fill from `count` row-major windows of length `len` packed
-    /// back to back in `windows` (the `gather_windows` layout).
-    pub fn build(&mut self, windows: &[u8], len: usize) {
-        let count = windows.len().checked_div(len).unwrap_or(0);
-        debug_assert_eq!(count * len, windows.len());
+    /// (Re)fill with `count` windows of length `len`; `write(j, row)`
+    /// must write all `len` residues of window `j` into `row` and is
+    /// called once per window, in order.
+    ///
+    /// Windows are staged one lane block ([`WIDE_LANES`]) at a time,
+    /// the block is transposed through [`TILE_ROWS`]×[`TILE_COLS`] byte
+    /// tiles in registers, and every position receives its whole
+    /// `WIDE_LANES`-byte run in one go. Each byte of the layout is
+    /// written exactly once per call, whatever shape the buffers held
+    /// before, and nothing is allocated once they have grown to the
+    /// largest shape seen. Zero-length windows hold nothing: `len == 0`
+    /// leaves the layout empty.
+    pub fn fill(&mut self, count: usize, len: usize, mut write: impl FnMut(usize, &mut [u8])) {
+        let count = if len == 0 { 0 } else { count };
         self.len = len;
         self.count = count;
         self.stride = count.div_ceil(WIDE_LANES) * WIDE_LANES;
-        self.data.clear();
-        self.data.resize(len * self.stride, 0);
-        if len == 0 {
-            return;
+        let stride = self.stride;
+        // Staging rows are padded to whole tiles so the transpose loads
+        // full columns; the pad columns are never stored.
+        let stage_len = len.div_ceil(TILE_COLS) * TILE_COLS;
+        self.data.resize(len * stride, 0);
+        self.stage.resize(WIDE_LANES * stage_len, 0);
+
+        for j0 in (0..count).step_by(WIDE_LANES) {
+            let real = WIDE_LANES.min(count - j0);
+            for (r, row) in self.stage.chunks_exact_mut(stage_len).enumerate() {
+                if r < real {
+                    write(j0 + r, &mut row[..len]);
+                } else {
+                    // Pad lanes of a short final block are scored like
+                    // any other, so they must hold valid residue codes.
+                    row[..len].fill(0);
+                }
+            }
+            self.store_block(j0, stage_len);
         }
-        for (j, w) in windows.chunks_exact(len).enumerate() {
-            for (p, &c) in w.iter().enumerate() {
-                self.data[p * self.stride + j] = c;
+    }
+
+    /// Transpose the staged lane block into lanes `j0 .. j0+WIDE_LANES`
+    /// of every position (the part of [`fill`](InterleavedWindows::fill)
+    /// that does not depend on the caller's closure).
+    fn store_block(&mut self, j0: usize, stage_len: usize) {
+        let (len, stride) = (self.len, self.stride);
+        for p0 in (0..len).step_by(TILE_COLS) {
+            let mut tiles = [[0u64; TILE_COLS]; WIDE_LANES / TILE_ROWS];
+            for (g, tile) in tiles.iter_mut().enumerate() {
+                let mut rows = [[0u8; TILE_COLS]; TILE_ROWS];
+                for (r, row) in rows.iter_mut().enumerate() {
+                    row.copy_from_slice(
+                        &self.stage[(g * TILE_ROWS + r) * stage_len + p0..][..TILE_COLS],
+                    );
+                }
+                *tile = transpose_tile(&rows);
+            }
+            for i in 0..TILE_COLS.min(len - p0) {
+                let run = &mut self.data[(p0 + i) * stride + j0..][..WIDE_LANES];
+                for (g, tile) in tiles.iter().enumerate() {
+                    run[g * TILE_ROWS..][..TILE_ROWS].copy_from_slice(&tile[i].to_le_bytes());
+                }
             }
         }
+    }
+
+    /// [`fill`](InterleavedWindows::fill) from row-major windows of
+    /// length `len` packed back to back in `windows` (the
+    /// `gather_windows` layout).
+    pub fn build(&mut self, windows: &[u8], len: usize) {
+        let count = windows.len().checked_div(len).unwrap_or(0);
+        debug_assert_eq!(count * len, windows.len());
+        self.fill(count, len, |j, row| {
+            row.copy_from_slice(&windows[j * len..][..len])
+        });
     }
 
     /// Number of real (non-pad) windows.
@@ -621,6 +754,47 @@ fn score_lanes_split_fallback(
 mod x86 {
     use super::*;
     use core::arch::x86_64::*;
+
+    /// SSE2 transpose tile: three rounds of byte, word and dword
+    /// unpacks turn eight 16-byte rows into eight registers that each
+    /// hold two finished columns.
+    ///
+    /// # Safety
+    /// Caller must ensure SSE2 is available (always, on x86_64).
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    pub(super) unsafe fn transpose_tile_sse2(
+        rows: &[[u8; TILE_COLS]; TILE_ROWS],
+    ) -> [u64; TILE_COLS] {
+        let r = |i: usize| _mm_loadu_si128(rows[i].as_ptr() as *const __m128i);
+        // Bytes of row pairs: columns 0–7 (`lo`) and 8–15 (`hi`).
+        let (a0, a1) = (_mm_unpacklo_epi8(r(0), r(1)), _mm_unpackhi_epi8(r(0), r(1)));
+        let (a2, a3) = (_mm_unpacklo_epi8(r(2), r(3)), _mm_unpackhi_epi8(r(2), r(3)));
+        let (a4, a5) = (_mm_unpacklo_epi8(r(4), r(5)), _mm_unpackhi_epi8(r(4), r(5)));
+        let (a6, a7) = (_mm_unpacklo_epi8(r(6), r(7)), _mm_unpackhi_epi8(r(6), r(7)));
+        // Words of row quads: four columns per register.
+        let (b0, b1) = (_mm_unpacklo_epi16(a0, a2), _mm_unpackhi_epi16(a0, a2));
+        let (b2, b3) = (_mm_unpacklo_epi16(a1, a3), _mm_unpackhi_epi16(a1, a3));
+        let (b4, b5) = (_mm_unpacklo_epi16(a4, a6), _mm_unpackhi_epi16(a4, a6));
+        let (b6, b7) = (_mm_unpacklo_epi16(a5, a7), _mm_unpackhi_epi16(a5, a7));
+        // Dwords of all eight rows: columns `2k` and `2k + 1` in `c[k]`.
+        let c = [
+            _mm_unpacklo_epi32(b0, b4),
+            _mm_unpackhi_epi32(b0, b4),
+            _mm_unpacklo_epi32(b1, b5),
+            _mm_unpackhi_epi32(b1, b5),
+            _mm_unpacklo_epi32(b2, b6),
+            _mm_unpackhi_epi32(b2, b6),
+            _mm_unpacklo_epi32(b3, b7),
+            _mm_unpackhi_epi32(b3, b7),
+        ];
+        let mut out = [0u64; TILE_COLS];
+        for (k, v) in c.into_iter().enumerate() {
+            out[2 * k] = _mm_cvtsi128_si64(v) as u64;
+            out[2 * k + 1] = _mm_cvtsi128_si64(_mm_unpackhi_epi64(v, v)) as u64;
+        }
+        out
+    }
 
     /// AVX2 16-lane kernel. One recurrence step is: a 16-byte load of
     /// residue codes, a two-table byte shuffle against the profile row
@@ -996,21 +1170,86 @@ mod tests {
         }
     }
 
-    #[test]
-    fn interleave_round_trips() {
-        let len = 9;
-        let rows = windows(21, 20, len);
-        let mut il = InterleavedWindows::new();
-        il.build(&rows, len);
-        assert_eq!(il.count(), 20);
-        assert_eq!(il.stride, 32);
-        for (j, w) in rows.chunks_exact(len).enumerate() {
-            for (p, &c) in w.iter().enumerate() {
-                assert_eq!(il.data[p * il.stride + j], c);
+    /// The layout `fill` must produce, byte by byte: residue `p` of
+    /// window `j` at `p * stride + j`, pad lanes zero.
+    fn naive_interleave(rows: &[u8], count: usize, len: usize) -> Vec<u8> {
+        let stride = count.div_ceil(WIDE_LANES) * WIDE_LANES;
+        let mut data = vec![0u8; len * stride];
+        for j in 0..count {
+            for p in 0..len {
+                data[p * stride + j] = rows[j * len + p];
             }
         }
-        // Pad lanes read as residue 0.
-        assert_eq!(il.data[20], 0);
+        data
+    }
+
+    #[test]
+    fn fill_matches_naive_transposition_across_reused_shapes() {
+        // One instance walks the whole grid down and back up again, so
+        // every shape is filled over the leftovers of both a larger and
+        // a smaller one: nothing stale may show through, in the real
+        // lanes or in the pad lanes of the last block.
+        const COUNTS: [usize; 9] = [0, 1, 31, 32, 33, 63, 64, 65, 1000];
+        const LENS: [usize; 7] = [1, 7, 8, 9, 60, 64, 300];
+        let mut shapes: Vec<(usize, usize)> = COUNTS
+            .iter()
+            .flat_map(|&c| LENS.iter().map(move |&l| (c, l)))
+            .collect();
+        shapes.extend(shapes.clone().into_iter().rev());
+        let mut il = InterleavedWindows::new();
+        for (n, (count, len)) in shapes.into_iter().enumerate() {
+            // Residue codes offset by one so a stale or missing byte
+            // cannot pass for the zero a pad lane must hold.
+            let rows: Vec<u8> = windows(n as u64 + 1, count, len)
+                .into_iter()
+                .map(|c| c + 1)
+                .collect();
+            let mut calls = 0;
+            il.fill(count, len, |j, row| {
+                assert_eq!(j, calls, "windows are requested once, in order");
+                calls += 1;
+                row.copy_from_slice(&rows[j * len..][..len]);
+            });
+            assert_eq!(calls, count);
+            assert_eq!((il.count(), il.len()), (count, len));
+            assert_eq!(
+                il.data,
+                naive_interleave(&rows, count, len),
+                "count={count} len={len}"
+            );
+            // `build` is the same routine fed from a row-major slice.
+            let mut built = InterleavedWindows::new();
+            built.build(&rows, len);
+            assert_eq!(built.data, il.data, "count={count} len={len}");
+        }
+        // Zero-length windows hold nothing, whatever count is claimed.
+        il.fill(5, 0, |_, _| panic!("no window to write"));
+        assert_eq!((il.count(), il.len(), il.data.len()), (0, 0, 0));
+    }
+
+    #[test]
+    fn transpose_tiles_match_naive() {
+        // The tile `fill` runs on this target and the portable tile
+        // (the only one on targets without SSE2) both equal the
+        // definition: out[c] byte r = rows[r][c].
+        for seed in 0..50u64 {
+            let bytes = windows(seed + 100, TILE_ROWS, TILE_COLS);
+            let mut rows = [[0u8; TILE_COLS]; TILE_ROWS];
+            for (row, chunk) in rows.iter_mut().zip(bytes.chunks_exact(TILE_COLS)) {
+                row.copy_from_slice(chunk);
+                // Use the whole byte range, not just residue codes.
+                for b in row.iter_mut() {
+                    *b = b.wrapping_mul(37).wrapping_add(seed as u8);
+                }
+            }
+            let mut want = [0u64; TILE_COLS];
+            for (c, w) in want.iter_mut().enumerate() {
+                let column: [u8; TILE_ROWS] = std::array::from_fn(|r| rows[r][c]);
+                *w = u64::from_le_bytes(column);
+            }
+            assert_eq!(transpose_tile(&rows), want, "seed={seed}");
+            assert_eq!(transpose_tile_portable(&rows), want, "seed={seed}");
+        }
     }
 
     #[test]

@@ -180,7 +180,9 @@ fn xdrop_half(
 /// pipeline: the seed start). The right sweep aligns
 /// `s0[anchor0..] × s1[anchor1..]`; the left sweep aligns the reversed
 /// prefixes `s0[..anchor0] × s1[..anchor1]`. Scores add because the two
-/// halves share only the anchor boundary.
+/// halves share only the anchor boundary. Each sweep reads at most
+/// `cfg.max_extent` residues per sequence, so the cost of one call does
+/// not depend on how long the sequences are.
 pub fn gapped_extend(
     matrix: &SubstitutionMatrix,
     s0: &[u8],
@@ -192,8 +194,18 @@ pub fn gapped_extend(
     assert!(anchor0 <= s0.len() && anchor1 <= s1.len());
     let (right, ri, rj) = xdrop_half(matrix, &s0[anchor0..], &s1[anchor1..], cfg);
 
-    let left_a: Vec<u8> = s0[..anchor0].iter().rev().copied().collect();
-    let left_b: Vec<u8> = s1[..anchor1].iter().rev().copied().collect();
+    // `xdrop_half` reads at most `max_extent` residues of either side,
+    // so only that much of each prefix is reversed — not the whole
+    // frame an anchor deep in a genome has behind it.
+    let reversed_prefix = |s: &[u8], anchor: usize| -> Vec<u8> {
+        s[anchor.saturating_sub(cfg.max_extent)..anchor]
+            .iter()
+            .rev()
+            .copied()
+            .collect()
+    };
+    let left_a = reversed_prefix(s0, anchor0);
+    let left_b = reversed_prefix(s1, anchor1);
     let (left, li, lj) = xdrop_half(matrix, &left_a, &left_b, cfg);
 
     GappedHit {
@@ -520,6 +532,69 @@ mod tests {
         let hit = gapped_extend(m, &s, &s, 3, 3, &cfg());
         assert_eq!(hit.score, 14);
         assert_eq!((hit.start0, hit.end0), (0, 3));
+    }
+
+    #[test]
+    fn extension_sees_only_max_extent_around_the_anchor() {
+        // The left sweep reverses at most `max_extent` residues of each
+        // prefix. The answer must equal the one on the sequences cut to
+        // `[anchor − max_extent, anchor + max_extent]`, with coordinates
+        // shifted by the cut — for anchors deeper than `max_extent`,
+        // exactly at it, at the very start and at the very end.
+        let m = blosum62();
+        let cfg = GapConfig {
+            max_extent: 40,
+            ..GapConfig::default()
+        };
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut residue = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % 20) as u8
+        };
+        // s1 is s0 with a residue dropped every 37 and one substituted
+        // every 11, so extensions run long, cross gaps, and would keep
+        // going past `max_extent` if allowed to.
+        let s0: Vec<u8> = (0..600).map(|_| residue()).collect();
+        let s1: Vec<u8> = s0
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 37 != 36)
+            .map(|(i, &c)| if i % 11 == 5 { (c + 7) % 20 } else { c })
+            .collect();
+        let cut = |s: &[u8], anchor: usize| -> (usize, Vec<u8>) {
+            let lo = anchor.saturating_sub(cfg.max_extent);
+            let hi = (anchor + cfg.max_extent).min(s.len());
+            (lo, s[lo..hi].to_vec())
+        };
+        let anchors = [
+            (300, 292),           // deep in both
+            (cfg.max_extent, 41), // exactly max_extent deep / one past
+            (41, cfg.max_extent), // and the other way round
+            (0, 0),               // no left half
+            (s0.len(), s1.len()), // no right half
+            (s0.len(), 250),      // mixed
+            (17, 500),            // shallow in one, deep in the other
+        ];
+        let mut long_left = false;
+        for (a0, a1) in anchors {
+            let full = gapped_extend(m, &s0, &s1, a0, a1, &cfg);
+            let (lo0, c0) = cut(&s0, a0);
+            let (lo1, c1) = cut(&s1, a1);
+            let local = gapped_extend(m, &c0, &c1, a0 - lo0, a1 - lo1, &cfg);
+            let shifted = GappedHit {
+                score: local.score,
+                start0: local.start0 + lo0,
+                end0: local.end0 + lo0,
+                start1: local.start1 + lo1,
+                end1: local.end1 + lo1,
+            };
+            assert_eq!(full, shifted, "anchor ({a0}, {a1})");
+            assert!(a0 - full.start0 <= cfg.max_extent && a1 - full.start1 <= cfg.max_extent);
+            long_left |= a0 - full.start0 > cfg.max_extent / 2;
+        }
+        assert!(long_left, "no case exercised a long left extension");
     }
 
     #[test]

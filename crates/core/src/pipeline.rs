@@ -319,6 +319,7 @@ impl Pipeline {
             rec.set_meta(keys::WINDOW_LEN, &cfg.window_len().to_string());
             rec.set_meta(keys::THRESHOLD, &cfg.threshold.to_string());
             let mut lane_tiles = 0u64;
+            let mut gather_bytes = 0u64;
             let (mut slots_useful, mut slots_total) = (0u64, 0u64);
             for key in 0..key_count {
                 let (n0, n1) = (idx0.list(key).len(), idx1.list(key).len());
@@ -327,6 +328,7 @@ impl Pipeline {
                 }
                 let mass = n0 as u64 * n1 as u64;
                 rec.observe(keys::STEP2_PAIRS_PER_KEY, mass);
+                gather_bytes += (n0 + n1) as u64 * params.window_len() as u64;
                 let Some(kb) = step2_kernel else { continue };
                 lane_tiles +=
                     step2::rectangle_tile_count(n0, n1, params.window_len(), kb, params.schedule);
@@ -344,6 +346,7 @@ impl Pipeline {
                     rec.add(&keys::step2_lane_slots_total_bucket(b), total);
                 }
             }
+            rec.add(keys::STEP2_GATHER_BYTES, gather_bytes);
             if step2_kernel.is_some_and(|k| k.lane_width() > 1) {
                 rec.add(keys::STEP2_SIMD_TILES, lane_tiles);
                 rec.add(keys::STEP2_LANE_SLOTS_USEFUL, slots_useful);

@@ -151,6 +151,15 @@ mod tests {
         let h = report.histogram("step2.pairs_per_key").expect("histogram");
         assert_eq!(h.count, out.stats.step2.active_keys);
         assert_eq!(h.sum, out.stats.step2.pairs);
+        // The banks are identical, so every indexed position is in an
+        // active key on both sides and its window is gathered twice.
+        let positions = report
+            .counter("step1.positions_indexed.bank0")
+            .expect("positions");
+        assert_eq!(
+            report.counter("step2.gather_bytes"),
+            Some(2 * positions * cfg.window_len() as u64)
+        );
         // Round-trips through JSON.
         let back = RunReport::parse(&report.to_json_string()).unwrap();
         assert_eq!(report, back);

@@ -13,10 +13,19 @@
 //! [`psc_align::KernelChoice`], auto-detected by default): the original
 //! per-pair `scalar` kernel, a score-`profile` kernel that builds one
 //! substitution table per `IL0` window, and the batched lane kernels
-//! (`simd`, `wide`, `split`) that transpose one side and score
-//! [`psc_align::LANES`] or [`psc_align::WIDE_LANES`] window pairs per
-//! step through cache-sized tiles. All emit bit-identical candidates in
-//! identical order.
+//! (`simd`, `wide`, `split`) that stream one side in lane order and
+//! score [`psc_align::LANES`] or [`psc_align::WIDE_LANES`] window pairs
+//! per step through cache-sized tiles. All emit bit-identical
+//! candidates in identical order.
+//!
+//! The data plane is one pass per side per key. The profile side is
+//! gathered row-major ([`gather_windows`]); the lane side goes from the
+//! flat bank straight into kernel layout (`gather_lanes`: each window
+//! is copied once, into a staging row of
+//! [`InterleavedWindows::fill`], and the index list — the address
+//! stream — is prefetched a fixed distance ahead so its cache misses
+//! overlap). The scalar and profile backends, which read both sides
+//! row-major, gather both with [`gather_windows`].
 //!
 //! Multi-threaded runs distribute keys under a [`Step2Schedule`]:
 //! `contiguous` cuts the key range into one balanced chunk per worker,
@@ -85,14 +94,42 @@ pub struct ItemTiming {
 }
 
 /// Gather the extension windows for every position of an index list into
-/// one contiguous buffer (the byte stream an input controller would DMA).
+/// one contiguous row-major buffer (the byte stream an input controller
+/// would DMA). `window_into` writes every byte of every row, so the
+/// buffer is resized without clearing it first.
 pub fn gather_windows(flat: &FlatBank, list: &[u32], span: usize, n_ctx: usize, out: &mut Vec<u8>) {
     let l = span + 2 * n_ctx;
-    out.clear();
     out.resize(list.len() * l, 0);
-    for (i, &pos) in list.iter().enumerate() {
-        flat.window_into(pos, span, n_ctx, &mut out[i * l..(i + 1) * l]);
+    if l == 0 {
+        return;
     }
+    for (row, &pos) in out.chunks_exact_mut(l).zip(list) {
+        flat.window_into(pos, span, n_ctx, row);
+    }
+}
+
+/// Windows ahead of the one being copied that [`gather_lanes`]
+/// prefetches. An index list is a known stream of random addresses into
+/// the bank; this many window copies cover the latency of a miss.
+const PREFETCH_AHEAD: usize = 8;
+
+/// Gather the windows of an index list straight into lane order: each
+/// window is read out of the flat bank once, into a staging row of
+/// [`InterleavedWindows::fill`], and leaves it transposed — the lane
+/// side of a rectangle never exists row-major.
+fn gather_lanes(
+    flat: &FlatBank,
+    list: &[u32],
+    span: usize,
+    n_ctx: usize,
+    lanes: &mut InterleavedWindows,
+) {
+    lanes.fill(list.len(), span + 2 * n_ctx, |j, row| {
+        if let Some(&ahead) = list.get(j + PREFETCH_AHEAD) {
+            flat.prefetch_window(ahead, span, n_ctx);
+        }
+        flat.window_into(list[j], span, n_ctx, row);
+    });
 }
 
 /// How step 2 distributes key work across workers.
@@ -400,9 +437,12 @@ fn transposed_matrix(m: &SubstitutionMatrix) -> SubstitutionMatrix {
 /// loop allocates nothing in steady state.
 #[derive(Default)]
 struct KeyScratch {
+    /// Row-major `IL0` / `IL1` windows — on the lane path only the
+    /// profile side's is filled.
     w0: Vec<u8>,
     w1: Vec<u8>,
-    il1: InterleavedWindows,
+    /// The lane side of the current key, in lane order.
+    lanes: InterleavedWindows,
     profiles: Vec<ScoreProfile>,
     /// `(i, j, score)` hits of the current key, tile order.
     hits: Vec<(u32, u32, i32)>,
@@ -436,29 +476,42 @@ fn run_key_range(
         }
         stats.active_keys += 1;
         stats.pairs += list0.len() as u64 * list1.len() as u64;
-        gather_windows(flat0, list0, params.span, params.n_ctx, &mut scratch.w0);
-        gather_windows(flat1, list1, params.span, params.n_ctx, &mut scratch.w1);
-        match backend {
-            KernelBackend::Scalar => {
-                scalar_rectangle(params, list0, list1, &scratch.w0, &scratch.w1, out)
-            }
-            KernelBackend::Profile => profile_rectangle(params, list0, list1, scratch, out),
+        let (span, n_ctx) = (params.span, params.n_ctx);
+        let lanes_on_il0 = match backend {
+            KernelBackend::Scalar | KernelBackend::Profile => None,
             KernelBackend::Simd | KernelBackend::Wide | KernelBackend::Split => {
-                match lane_orientation(list0.len(), list1.len(), params.schedule) {
-                    None => profile_rectangle(params, list0, list1, scratch, out),
-                    Some(false) => lanes_rectangle(
-                        params,
-                        backend,
-                        params.matrix,
-                        false,
-                        list0,
-                        list1,
-                        scratch,
-                        out,
-                    ),
-                    Some(true) => {
-                        lanes_rectangle(params, backend, tmat, true, list0, list1, scratch, out)
-                    }
+                lane_orientation(list0.len(), list1.len(), params.schedule)
+            }
+        };
+        // Only the side that becomes score profiles is gathered
+        // row-major; the lane side goes from the bank into lane order.
+        match lanes_on_il0 {
+            Some(false) => {
+                gather_windows(flat0, list0, span, n_ctx, &mut scratch.w0);
+                gather_lanes(flat1, list1, span, n_ctx, &mut scratch.lanes);
+                lanes_rectangle(
+                    params,
+                    backend,
+                    params.matrix,
+                    false,
+                    list0,
+                    list1,
+                    scratch,
+                    out,
+                );
+            }
+            Some(true) => {
+                gather_windows(flat1, list1, span, n_ctx, &mut scratch.w1);
+                gather_lanes(flat0, list0, span, n_ctx, &mut scratch.lanes);
+                lanes_rectangle(params, backend, tmat, true, list0, list1, scratch, out);
+            }
+            None => {
+                gather_windows(flat0, list0, span, n_ctx, &mut scratch.w0);
+                gather_windows(flat1, list1, span, n_ctx, &mut scratch.w1);
+                if backend == KernelBackend::Scalar {
+                    scalar_rectangle(params, list0, list1, &scratch.w0, &scratch.w1, out);
+                } else {
+                    profile_rectangle(params, list0, list1, scratch, out);
                 }
             }
         }
@@ -541,19 +594,21 @@ fn profile_rectangle(
     }
 }
 
-/// Batched lane loop (the `simd`, `wide` and `split` backends):
-/// transpose the lane-axis windows once per key, then walk the pair
-/// rectangle in cache-sized tiles — profiles for an i-tile are built
-/// together, and each j-tile of the interleaved stream is reused by
-/// every profile of the i-tile before moving on (the PE array's
-/// broadcast, tiled for a cache hierarchy instead of wires).
+/// Batched lane loop (the `simd`, `wide` and `split` backends): with the
+/// lane-axis windows already in `scratch.lanes` ([`gather_lanes`]) and
+/// the profile side row-major, walk the pair rectangle in cache-sized
+/// tiles — profiles for an i-tile are built together, and each j-tile
+/// of the interleaved stream is reused by every profile of the i-tile
+/// before moving on (the PE array's broadcast, tiled for a cache
+/// hierarchy instead of wires).
 ///
 /// With `transposed` set (bucketed schedule, `|IL1| < |IL0|`) the
-/// profile axis is `IL1` scored under `profile_matrix` =
-/// [`transposed_matrix`] and the lanes stream `IL0`, so lanes fill from
-/// the larger list while every recurrence step adds the same
-/// substitution score — hits are recorded in `(i0, i1)` coordinates
-/// either way and sorted back to the scalar loop's lexicographic order.
+/// profile axis is `IL1` (rows in `scratch.w1`) scored under
+/// `profile_matrix` = [`transposed_matrix`] and the lanes stream `IL0`,
+/// so lanes fill from the larger list while every recurrence step adds
+/// the same substitution score — hits are recorded in `(i0, i1)`
+/// coordinates either way and sorted back to the scalar loop's
+/// lexicographic order.
 #[allow(clippy::too_many_arguments)]
 fn lanes_rectangle(
     params: &Step2Params<'_>,
@@ -569,16 +624,16 @@ fn lanes_rectangle(
     let KeyScratch {
         w0,
         w1,
-        il1,
+        lanes,
         profiles,
         hits,
     } = scratch;
-    let (prof_rows, lane_rows, np, nl) = if transposed {
-        (&*w1, &*w0, list1.len(), list0.len())
+    let (prof_rows, np, nl) = if transposed {
+        (&*w1, list1.len(), list0.len())
     } else {
-        (&*w0, &*w1, list0.len(), list1.len())
+        (&*w0, list0.len(), list1.len())
     };
-    il1.build(lane_rows, l);
+    debug_assert_eq!((lanes.count(), lanes.len()), (nl, l));
     profiles.resize_with(TILE_I, ScoreProfile::new);
     hits.clear();
 
@@ -598,17 +653,17 @@ fn lanes_rectangle(
             while j < tj.end {
                 let block: &[i32] = match backend {
                     KernelBackend::Wide => {
-                        score_lanes_wide(params.kernel, prof, il1, j, &mut lanes32);
+                        score_lanes_wide(params.kernel, prof, lanes, j, &mut lanes32);
                         &lanes32
                     }
                     KernelBackend::Split => {
-                        score_lanes_split(params.kernel, prof, il1, j, &mut lanes32);
+                        score_lanes_split(params.kernel, prof, lanes, j, &mut lanes32);
                         &lanes32
                     }
                     // Scalar/Profile are never routed here; treat them
                     // as the 16-lane path to keep the match total.
                     KernelBackend::Simd | KernelBackend::Scalar | KernelBackend::Profile => {
-                        score_lanes(params.kernel, prof, il1, j, &mut lanes16);
+                        score_lanes(params.kernel, prof, lanes, j, &mut lanes16);
                         &lanes16
                     }
                 };
@@ -878,6 +933,39 @@ mod tests {
         }
     }
 
+    /// Bank and default-seed index over sequences given as residue
+    /// *codes* (the ASCII `setup()` helper encodes letters instead).
+    fn index_codes<S: AsRef<[u8]>>(seqs: &[S]) -> (FlatBank, SeedIndex) {
+        let bank: Bank = seqs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let codes = s.as_ref().to_vec();
+                Seq::from_codes(format!("s{i}"), codes, psc_seqio::SeqKind::Protein)
+            })
+            .collect();
+        let flat = FlatBank::from_bank(&bank);
+        let idx = SeedIndex::build(&flat, &subset_seed_default(), 1);
+        (flat, idx)
+    }
+
+    /// A sequence of `reps` copies of one 4-mer: its four rotations
+    /// are four keys with about `reps` positions each, so the lane list
+    /// of those keys spans several lane blocks with a ragged tail.
+    fn motif_seq(reps: usize) -> Vec<u8> {
+        [18u8, 4, 17, 1].repeat(reps)
+    }
+
+    /// Longest index list whose length is not a whole number of wide
+    /// lane blocks.
+    fn longest_ragged_list(idx: &SeedIndex) -> usize {
+        idx.nonempty_keys()
+            .map(|k| idx.list(k).len())
+            .filter(|n| n % WIDE_LANES != 0)
+            .max()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn identical_sequences_pair_up() {
         let s = b"MKVLAWRNDCQEHFYW".as_slice();
@@ -907,30 +995,19 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        // Enough sequences to spread across keys. These are residue
-        // *codes*, so banks are built with from_codes, not the ASCII
-        // setup() helper.
-        let seqs: Vec<Vec<u8>> = (0..30)
+        // Enough sequences to spread across keys, plus motif keys whose
+        // lane list is several ragged lane blocks long.
+        let mut seqs: Vec<Vec<u8>> = (0..30)
             .map(|i| {
                 (0..120u32)
                     .map(|j| (((i * 31 + j * 7) % 97) % 20) as u8)
                     .collect()
             })
             .collect();
-        let mk = |seqs: &[Vec<u8>]| -> (FlatBank, SeedIndex) {
-            let bank: Bank = seqs
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    Seq::from_codes(format!("s{i}"), s.clone(), psc_seqio::SeqKind::Protein)
-                })
-                .collect();
-            let flat = FlatBank::from_bank(&bank);
-            let idx = SeedIndex::build(&flat, &subset_seed_default(), 1);
-            (flat, idx)
-        };
-        let (f0, i0) = mk(&seqs);
-        let (f1, i1) = mk(&seqs);
+        seqs.push(motif_seq(45));
+        let (f0, i0) = index_codes(&seqs);
+        let (f1, i1) = index_codes(&seqs);
+        assert!(longest_ragged_list(&i1) > WIDE_LANES);
         let m = blosum62();
         let (seq_c, seq_s) = run_software(&f0, &i0, &f1, &i1, &params(m, 18), 1);
         for threads in [2, 4, 7] {
@@ -991,20 +1068,18 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mk = |seqs: &[Vec<u8>]| -> (FlatBank, SeedIndex) {
-            let bank: Bank = seqs
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    Seq::from_codes(format!("s{i}"), s.clone(), psc_seqio::SeqKind::Protein)
-                })
-                .collect();
-            let flat = FlatBank::from_bank(&bank);
-            let idx = SeedIndex::build(&flat, &subset_seed_default(), 1);
-            (flat, idx)
+        // The motif keys put a multi-block, ragged lane list on either
+        // side: IL0 (70) under the bucketed schedule, which transposes
+        // these rectangles, IL1 (45) under the contiguous one.
+        let with_motif = |n: usize, reps: usize| -> Vec<Vec<u8>> {
+            let mut v = seqs[..n].to_vec();
+            v.push(motif_seq(reps));
+            v
         };
-        let (f0, i0) = mk(&seqs[..25]);
-        let (f1, i1) = mk(&seqs[..23]);
+        let (f0, i0) = index_codes(&with_motif(25, 70));
+        let (f1, i1) = index_codes(&with_motif(23, 45));
+        assert!(longest_ragged_list(&i0) > 2 * WIDE_LANES);
+        assert!(longest_ragged_list(&i1) > WIDE_LANES);
         let m = blosum62();
         for kernel in [Kernel::ClampedSum, Kernel::PaperLiteral] {
             let base = Step2Params {
@@ -1236,6 +1311,58 @@ mod tests {
         assert!(cands.is_empty());
         assert_eq!(stats.pairs, 0);
         assert_eq!(stats.active_keys, 0);
+    }
+
+    #[test]
+    fn gather_lanes_equals_gather_windows_then_build() {
+        // Windows that overhang the start and the end of a sequence, a
+        // sequence shorter than the window, and neighbours whose
+        // residues must not leak in: the fused gather must PAD exactly
+        // like the row-major one, for either bank of a rectangle, and
+        // over the leftovers of a previous, larger fill.
+        let long: Vec<u8> = (0..200u32).map(|j| ((j * 7 + j / 13) % 20) as u8).collect();
+        let banks = [
+            index_codes(&[&long, &long[..5], &long[40..52], &long[3..90]]).0,
+            index_codes(&[&long[..9], &long]).0,
+        ];
+        let (span, n_ctx) = (4, 6);
+        let l = span + 2 * n_ctx;
+        let mut fused = InterleavedWindows::new();
+        let mut rows = Vec::new();
+        let mut built = InterleavedWindows::new();
+        for flat in &banks {
+            // Every position at which a seed fits, then ever shorter
+            // prefixes: the lane counts cross block boundaries on the
+            // way down.
+            let all: Vec<u32> = (0..flat.seq_count())
+                .flat_map(|s| {
+                    let (lo, hi) = flat.bounds_of(s);
+                    lo..(hi + 1).saturating_sub(span as u32).max(lo)
+                })
+                .collect();
+            assert!(all.len() > 3 * WIDE_LANES);
+            for take in [all.len(), 65, 33, 32, 5, 1, 0, 47] {
+                let list = &all[..take];
+                gather_lanes(flat, list, span, n_ctx, &mut fused);
+                gather_windows(flat, list, span, n_ctx, &mut rows);
+                built.build(&rows, l);
+                assert_eq!((fused.count(), fused.len()), (take, l));
+                for p in 0..l {
+                    for j0 in (0..take).step_by(WIDE_LANES) {
+                        assert_eq!(
+                            fused.wide_lane_codes(p, j0),
+                            built.wide_lane_codes(p, j0),
+                            "take={take} p={p} j0={j0}"
+                        );
+                    }
+                }
+            }
+            // The cases this test exists for are really in the list.
+            let pad_rows = rows
+                .chunks_exact(l)
+                .filter(|w| w.contains(&psc_index::flat::PAD));
+            assert!(pad_rows.count() > 0);
+        }
     }
 
     #[test]

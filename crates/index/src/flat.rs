@@ -107,6 +107,34 @@ impl FlatBank {
         out[left_pad + copied..].fill(PAD);
     }
 
+    /// Hint the cache hierarchy that the window at `pos` is about to be
+    /// read by [`FlatBank::window_into`]. An index list is a random
+    /// address stream into the bank, but it is known in advance: issuing
+    /// this a few windows ahead lets the misses overlap instead of
+    /// serialising behind each copy. Touches both cache lines a window
+    /// can straddle; a no-op on targets without a prefetch instruction.
+    #[inline]
+    pub fn prefetch_window(&self, pos: u32, span: usize, n_ctx: usize) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let first = (pos as usize).saturating_sub(n_ctx);
+            let last = (pos as usize + span + n_ctx).saturating_sub(1);
+            let base = self.residues.as_ptr();
+            for at in [first, last] {
+                // SAFETY: a prefetch is a hint that never faults and
+                // reads or writes nothing, whatever the address; the
+                // pointer is formed with `wrapping_add`, so no in-bounds
+                // requirement is attached to it either.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(base.wrapping_add(at) as *const i8) };
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (pos, span, n_ctx);
+        }
+    }
+
     /// Allocating convenience wrapper around [`FlatBank::window_into`].
     pub fn window(&self, pos: u32, span: usize, n_ctx: usize) -> Vec<u8> {
         let mut out = vec![0u8; span + 2 * n_ctx];

@@ -67,6 +67,10 @@ pub const STEP2_CANDIDATES_KEPT: &str = "step2.candidates_kept";
 pub const STEP2_CANDIDATES_CULLED: &str = "step2.candidates_culled";
 /// Seed keys with a non-empty position list in both banks.
 pub const STEP2_ACTIVE_KEYS: &str = "step2.active_keys";
+/// Window bytes step 2 reads out of the two banks: Σ over active keys
+/// of `(|IL0| + |IL1|) · window_len`. Computed from the indexes after
+/// the run, like the tile count — never counted inside the kernels.
+pub const STEP2_GATHER_BYTES: &str = "step2.gather_bytes";
 /// In-flight queries observed when a served query was admitted
 /// (admission-queue depth, this query included).
 pub const SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";

@@ -3,6 +3,8 @@
 //! * [`render_breakdown`] — the Table 1/7 per-step percentage table;
 //! * [`render_utilization`] — the Table 5-style per-FPGA PE utilization
 //!   view, extended with stall share and FIFO high-water marks;
+//! * [`render_step2`] — step-2 pairs next to the window bytes gathered
+//!   for them;
 //! * [`render_histogram`] — ASCII-bar log2 histograms (per-key pair
 //!   counts);
 //! * [`render_report`] — all sections combined, as `psc report` prints.
@@ -198,6 +200,36 @@ pub fn render_fleet(report: &RunReport) -> String {
     out
 }
 
+/// Step-2 section: the pair rectangle next to the window bytes read to
+/// fill it. Windows gathered per pair is what separates a score-bound
+/// run (long lists on both sides, near 0) from a gather-bound one
+/// (a short list against a long one, near 1). Empty for reports that
+/// predate the gather counter.
+pub fn render_step2(report: &RunReport) -> String {
+    let (Some(pairs), Some(bytes)) = (
+        report.counter(keys::STEP2_PAIRS),
+        report.counter(keys::STEP2_GATHER_BYTES),
+    ) else {
+        return String::new();
+    };
+    let mut out = format!(
+        "Step 2\n  {pairs} pairs over {} active keys, {bytes} window bytes gathered",
+        report.counter(keys::STEP2_ACTIVE_KEYS).unwrap_or(0),
+    );
+    let window_len = report
+        .meta_value(keys::WINDOW_LEN)
+        .and_then(|l| l.parse::<u64>().ok())
+        .filter(|&l| l > 0 && pairs > 0);
+    if let Some(l) = window_len {
+        out.push_str(&format!(
+            " ({:.3} windows per pair)",
+            (bytes / l) as f64 / pairs as f64
+        ));
+    }
+    out.push('\n');
+    out
+}
+
 /// One log2 histogram with ASCII bars scaled to `width` columns.
 pub fn render_histogram(name: &str, h: &Histogram, width: usize) -> String {
     let mut out = String::new();
@@ -254,10 +286,11 @@ pub fn render_report(report: &RunReport) -> String {
     }
     out.push('\n');
     out.push_str(&render_utilization(report));
-    let fleet = render_fleet(report);
-    if !fleet.is_empty() {
-        out.push('\n');
-        out.push_str(&fleet);
+    for section in [render_step2(report), render_fleet(report)] {
+        if !section.is_empty() {
+            out.push('\n');
+            out.push_str(&section);
+        }
     }
     if !report.counters.is_empty() {
         out.push_str("\nCounters\n");
@@ -498,6 +531,25 @@ mod tests {
             text.contains("modeled speedup: b1 1.00x b4 4.00x"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn step2_section_puts_gathered_bytes_next_to_pairs() {
+        // Reports without the gather counter render no section.
+        let old = render_report(&report_with_board());
+        assert!(!old.contains("window bytes gathered"), "{old}");
+        let mut r = report_with_board();
+        r.counters.push(("step2.active_keys".into(), 4));
+        r.counters.push(("step2.gather_bytes".into(), 730 * 60));
+        let text = render_report(&r);
+        assert!(
+            text.contains("1000 pairs over 4 active keys, 43800 window bytes gathered\n"),
+            "{text}"
+        );
+        // With the window length known, bytes become windows per pair.
+        r.meta.push(("window_len".into(), "60".into()));
+        let text = render_report(&r);
+        assert!(text.contains("(0.730 windows per pair)"), "{text}");
     }
 
     #[test]
