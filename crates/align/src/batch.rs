@@ -1057,17 +1057,13 @@ mod tests {
     use crate::ungapped_score;
     use psc_score::blosum62;
     use psc_score::matrix::match_mismatch;
+    use psc_seqio::prng::SplitMix64;
 
+    /// Seeded residue stream over the full alphabet.
     fn windows(seed: u64, count: usize, len: usize) -> Vec<u8> {
-        // Simple deterministic LCG residue stream over the full alphabet.
-        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        let mut rng = SplitMix64::new(seed);
         (0..count * len)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 33) % AA_ALPHABET_LEN as u64) as u8
-            })
+            .map(|_| rng.range(0..AA_ALPHABET_LEN as u8))
             .collect()
     }
 

@@ -546,17 +546,11 @@ mod tests {
             max_extent: 40,
             ..GapConfig::default()
         };
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut residue = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) % 20) as u8
-        };
+        let mut rng = psc_seqio::prng::SplitMix64::new(0x9e37_79b9_7f4a_7c15);
         // s1 is s0 with a residue dropped every 37 and one substituted
         // every 11, so extensions run long, cross gaps, and would keep
         // going past `max_extent` if allowed to.
-        let s0: Vec<u8> = (0..600).map(|_| residue()).collect();
+        let s0: Vec<u8> = (0..600).map(|_| rng.range(0..20u8)).collect();
         let s1: Vec<u8> = s0
             .iter()
             .enumerate()

@@ -183,17 +183,14 @@ mod tests {
         ];
         let reference = cull_hsps(base.clone(), 0.5);
         // Walk a deterministic set of permutations: rotations plus
-        // LCG-driven Fisher–Yates shuffles.
-        let mut state = 0x9e37_79b9u64;
+        // seeded Fisher–Yates shuffles.
+        let mut rng = psc_seqio::prng::SplitMix64::new(0x9e37_79b9);
         for trial in 0..32 {
             let mut v = base.clone();
             let shift = trial % v.len();
             v.rotate_left(shift);
             for i in (1..v.len()).rev() {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                v.swap(i, (state >> 33) as usize % (i + 1));
+                v.swap(i, rng.range(0..=i));
             }
             assert_eq!(cull_hsps(v, 0.5), reference, "trial {trial}");
         }

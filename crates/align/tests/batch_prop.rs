@@ -6,7 +6,6 @@
 //! pinned to its overflow guard: exact whenever the guard admits the
 //! window, refused by `resolve` otherwise.
 
-use proptest::prelude::*;
 use psc_align::{
     profile_score, score_batch, ungapped_score, InterleavedWindows, Kernel, KernelBackend,
     KernelChoice, ScoreProfile, LANES,
@@ -14,52 +13,56 @@ use psc_align::{
 use psc_score::blosum62;
 use psc_score::matrix::match_mismatch;
 use psc_seqio::alphabet::AA_ALPHABET_LEN;
+use psc_seqio::prng::{for_cases, SplitMix64};
 
-fn residues(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(0u8..AA_ALPHABET_LEN as u8, len)
+fn residues(g: &mut SplitMix64, len: impl std::ops::RangeBounds<usize>) -> Vec<u8> {
+    g.vec(len, |g| g.range(0..AA_ALPHABET_LEN as u8))
 }
 
 /// A batch of `n` subject windows of length `len`, row-major.
-fn window_batch() -> impl Strategy<Value = (Vec<u8>, usize)> {
-    (1usize..40, 0usize..37).prop_flat_map(|(len, n)| {
-        proptest::collection::vec(0u8..AA_ALPHABET_LEN as u8, len * n).prop_map(move |v| (v, len))
-    })
+fn window_batch(g: &mut SplitMix64) -> (Vec<u8>, usize) {
+    let (len, n) = (g.range(1usize..40), g.range(0usize..37));
+    (residues(g, len * n..=len * n), len)
 }
 
-proptest! {
-    /// The profile-based scalar kernel is bit-identical to
-    /// `ungapped_score` for both kernel variants.
-    #[test]
-    fn profile_matches_reference(s0 in residues(0..80), s1 in residues(0..80)) {
+const KERNELS: [Kernel; 2] = [Kernel::ClampedSum, Kernel::PaperLiteral];
+
+/// The profile-based scalar kernel is bit-identical to
+/// `ungapped_score` for both kernel variants.
+#[test]
+fn profile_matches_reference() {
+    for_cases(0xba01, 256, |g| {
+        let (s0, s1) = (residues(g, 0..80), residues(g, 0..80));
         let n = s0.len().min(s1.len());
         let (s0, s1) = (&s0[..n], &s1[..n]);
         let m = blosum62();
         let mut prof = ScoreProfile::default();
         prof.build(m, s0);
-        for kernel in [Kernel::ClampedSum, Kernel::PaperLiteral] {
-            prop_assert_eq!(
+        for kernel in KERNELS {
+            assert_eq!(
                 profile_score(kernel, &prof, s1),
                 ungapped_score(kernel, m, s0, s1)
             );
         }
-    }
+    });
+}
 
-    /// Every backend agrees with the reference on whole batches,
-    /// including batch sizes that are not multiples of the SIMD lane
-    /// count and windows of odd length.
-    #[test]
-    fn backends_match_reference_on_batches(
-        (il1, len) in window_batch(),
-        s0 in residues(1..40),
-        kernel in prop_oneof![Just(Kernel::ClampedSum), Just(Kernel::PaperLiteral)],
-    ) {
+/// Every backend agrees with the reference on whole batches,
+/// including batch sizes that are not multiples of the SIMD lane
+/// count and windows of odd length.
+#[test]
+fn backends_match_reference_on_batches() {
+    for_cases(0xba02, 256, |g| {
+        let (il1, len) = window_batch(g);
+        let s0 = residues(g, 1..40);
+        let kernel = *g.select(&KERNELS);
         let m = blosum62();
         let w0: Vec<u8> = s0.iter().cycle().take(len).copied().collect();
         let mut prof = ScoreProfile::default();
         prof.build(m, &w0);
         let mut inter = InterleavedWindows::default();
         inter.build(&il1, len);
-        prop_assert_eq!(inter.count(), il1.len() / len);
+        assert_eq!(inter.count(), il1.len() / len);
 
         let expected: Vec<i32> = il1
             .chunks_exact(len)
@@ -73,29 +76,37 @@ proptest! {
         ] {
             let mut out = Vec::new();
             score_batch(backend, kernel, m, &w0, &prof, &il1, &inter, &mut out);
-            prop_assert_eq!(&out, &expected, "backend {:?}", backend);
+            assert_eq!(&out, &expected, "backend {:?}", backend);
         }
         // The split kernel joins the agreement set whenever its i8
         // saturation guard admits the window.
         if psc_align::split_window_fits(len, m) {
             let mut out = Vec::new();
-            score_batch(KernelBackend::Split, kernel, m, &w0, &prof, &il1, &inter, &mut out);
-            prop_assert_eq!(&out, &expected, "backend Split");
+            score_batch(
+                KernelBackend::Split,
+                kernel,
+                m,
+                &w0,
+                &prof,
+                &il1,
+                &inter,
+                &mut out,
+            );
+            assert_eq!(&out, &expected, "backend Split");
         }
-    }
+    });
+}
 
-    /// The split kernel is bit-identical to the reference on any
-    /// window/matrix combination its saturation guard admits, and
-    /// `resolve` refuses it (degrading to a 16-bit path) otherwise.
-    #[test]
-    fn split_matches_reference_under_guard(
-        (il1, len) in window_batch(),
-        s0 in residues(1..40),
-        mat in 1i8..=16,
-        mis in -16i8..=0,
-        kernel in prop_oneof![Just(Kernel::ClampedSum), Just(Kernel::PaperLiteral)],
-    ) {
-        let m = match_mismatch("split", mat, mis);
+/// The split kernel is bit-identical to the reference on any
+/// window/matrix combination its saturation guard admits, and
+/// `resolve` refuses it (degrading to a 16-bit path) otherwise.
+#[test]
+fn split_matches_reference_under_guard() {
+    for_cases(0xba03, 256, |g| {
+        let (il1, len) = window_batch(g);
+        let s0 = residues(g, 1..40);
+        let m = match_mismatch("split", g.range(1i8..=16), g.range(-16i8..=0));
+        let kernel = *g.select(&KERNELS);
         let w0: Vec<u8> = s0.iter().cycle().take(len).copied().collect();
         let mut prof = ScoreProfile::default();
         prof.build(&m, &w0);
@@ -104,33 +115,41 @@ proptest! {
 
         let resolved = KernelChoice::Split.resolve(len, &m);
         if psc_align::split_window_fits(len, &m) {
-            prop_assert_eq!(resolved, KernelBackend::Split);
+            assert_eq!(resolved, KernelBackend::Split);
             let expected: Vec<i32> = il1
                 .chunks_exact(len)
                 .map(|w1| ungapped_score(kernel, &m, &w0, w1))
                 .collect();
             let mut out = Vec::new();
-            score_batch(KernelBackend::Split, kernel, &m, &w0, &prof, &il1, &inter, &mut out);
-            prop_assert_eq!(&out, &expected);
+            score_batch(
+                KernelBackend::Split,
+                kernel,
+                &m,
+                &w0,
+                &prof,
+                &il1,
+                &inter,
+                &mut out,
+            );
+            assert_eq!(&out, &expected);
         } else {
-            prop_assert!(matches!(
+            assert!(matches!(
                 resolved,
                 KernelBackend::Simd | KernelBackend::Profile
             ));
         }
-    }
+    });
+}
 
-    /// Bit-identity also holds under a matrix with a wider dynamic range
-    /// than BLOSUM62 (large match/mismatch scores stress the i16 lanes'
-    /// overflow guard — `resolve` must refuse SIMD when it cannot hold).
-    #[test]
-    fn wide_scores_stay_exact(
-        (il1, len) in window_batch(),
-        s0 in residues(1..40),
-        mat in 1i8..=127,
-        mis in -128i8..=0,
-    ) {
-        let m = match_mismatch("wide", mat, mis);
+/// Bit-identity also holds under a matrix with a wider dynamic range
+/// than BLOSUM62 (large match/mismatch scores stress the i16 lanes'
+/// overflow guard — `resolve` must refuse SIMD when it cannot hold).
+#[test]
+fn wide_scores_stay_exact() {
+    for_cases(0xba04, 256, |g| {
+        let (il1, len) = window_batch(g);
+        let s0 = residues(g, 1..40);
+        let m = match_mismatch("wide", g.range(1i8..=127), g.range(-128i8..=0));
         let w0: Vec<u8> = s0.iter().cycle().take(len).copied().collect();
         let mut prof = ScoreProfile::default();
         prof.build(&m, &w0);
@@ -143,14 +162,26 @@ proptest! {
             .map(|w1| ungapped_score(Kernel::ClampedSum, &m, &w0, w1))
             .collect();
         let mut out = Vec::new();
-        score_batch(backend, Kernel::ClampedSum, &m, &w0, &prof, &il1, &inter, &mut out);
-        prop_assert_eq!(&out, &expected, "backend {:?}", backend);
-    }
+        score_batch(
+            backend,
+            Kernel::ClampedSum,
+            &m,
+            &w0,
+            &prof,
+            &il1,
+            &inter,
+            &mut out,
+        );
+        assert_eq!(&out, &expected, "backend {:?}", backend);
+    });
+}
 
-    /// The interleaved layout is a faithful transpose: lane j of block
-    /// `j0` at position `p` is window `j0+j`'s residue `p`.
-    #[test]
-    fn interleave_roundtrips((il1, len) in window_batch()) {
+/// The interleaved layout is a faithful transpose: lane j of block
+/// `j0` at position `p` is window `j0+j`'s residue `p`.
+#[test]
+fn interleave_roundtrips() {
+    for_cases(0xba05, 256, |g| {
+        let (il1, len) = window_batch(g);
         let mut inter = InterleavedWindows::default();
         inter.build(&il1, len);
         let n = inter.count();
@@ -158,9 +189,9 @@ proptest! {
             let block = j / LANES * LANES;
             let lane = j % LANES;
             for (p, &b) in w1.iter().enumerate() {
-                prop_assert_eq!(inter.lane_codes(p, block)[lane], b);
+                assert_eq!(inter.lane_codes(p, block)[lane], b);
             }
         }
-        prop_assert_eq!(n, il1.len() / len.max(1));
-    }
+        assert_eq!(n, il1.len() / len.max(1));
+    });
 }

@@ -1,110 +1,119 @@
 //! Property tests for extension kernels and gapped alignment.
 
-use proptest::prelude::*;
 use psc_align::{banded_global, gapped_extend, ungapped_score, xdrop_ungapped, GapConfig, Kernel};
 use psc_score::blosum62;
+use psc_seqio::prng::{for_cases, SplitMix64};
 
-fn residues(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(0u8..20, len)
+fn residues(g: &mut SplitMix64, len: std::ops::Range<usize>) -> Vec<u8> {
+    g.vec(len, |g| g.range(0u8..20))
 }
 
-proptest! {
-    /// The windowed score is bounded by 0 below and by the sum of
-    /// positive pair scores above, for both kernels.
-    #[test]
-    fn window_score_bounds(s0 in residues(0..80), s1 in residues(0..80)) {
+/// A position drawn uniformly from those where a `w`-mer fits in `s`.
+fn word_pos(g: &mut SplitMix64, s: &[u8], w: usize) -> usize {
+    ((s.len() - w) as f64 * g.f64()) as usize
+}
+
+/// The windowed score is bounded by 0 below and by the sum of
+/// positive pair scores above, for both kernels.
+#[test]
+fn window_score_bounds() {
+    for_cases(0xa101, 256, |g| {
+        let (s0, s1) = (residues(g, 0..80), residues(g, 0..80));
         let n = s0.len().min(s1.len());
         let (s0, s1) = (&s0[..n], &s1[..n]);
         let m = blosum62();
         let pos_sum: i32 = s0.iter().zip(s1).map(|(&a, &b)| m.score(a, b).max(0)).sum();
         for kernel in [Kernel::ClampedSum, Kernel::PaperLiteral] {
             let s = ungapped_score(kernel, m, s0, s1);
-            prop_assert!(s >= 0);
-            prop_assert!(s <= pos_sum);
+            assert!(s >= 0);
+            assert!(s <= pos_sum);
         }
-    }
+    });
+}
 
-    /// PaperLiteral accumulates positives only, so it always dominates
-    /// ClampedSum.
-    #[test]
-    fn literal_dominates_clamped(s0 in residues(1..80), s1 in residues(1..80)) {
+/// PaperLiteral accumulates positives only, so it always dominates
+/// ClampedSum.
+#[test]
+fn literal_dominates_clamped() {
+    for_cases(0xa102, 256, |g| {
+        let (s0, s1) = (residues(g, 1..80), residues(g, 1..80));
         let n = s0.len().min(s1.len());
         let m = blosum62();
-        prop_assert!(
+        assert!(
             ungapped_score(Kernel::PaperLiteral, m, &s0[..n], &s1[..n])
                 >= ungapped_score(Kernel::ClampedSum, m, &s0[..n], &s1[..n])
         );
-    }
+    });
+}
 
-    /// Matrix symmetry makes both kernels symmetric in their arguments.
-    #[test]
-    fn window_score_symmetric(s0 in residues(0..60), s1 in residues(0..60)) {
+/// Matrix symmetry makes both kernels symmetric in their arguments.
+#[test]
+fn window_score_symmetric() {
+    for_cases(0xa103, 256, |g| {
+        let (s0, s1) = (residues(g, 0..60), residues(g, 0..60));
         let n = s0.len().min(s1.len());
         let m = blosum62();
         for kernel in [Kernel::ClampedSum, Kernel::PaperLiteral] {
-            prop_assert_eq!(
+            assert_eq!(
                 ungapped_score(kernel, m, &s0[..n], &s1[..n]),
                 ungapped_score(kernel, m, &s1[..n], &s0[..n])
             );
         }
-    }
+    });
+}
 
-    /// X-drop extension never scores below the bare word, and its
-    /// reported segment reproduces the reported score.
-    #[test]
-    fn xdrop_consistent(
-        s0 in residues(12..120),
-        s1 in residues(12..120),
-        frac0 in 0.0f64..1.0,
-        frac1 in 0.0f64..1.0,
-    ) {
+/// X-drop extension never scores below the bare word, and its
+/// reported segment reproduces the reported score.
+#[test]
+fn xdrop_consistent() {
+    for_cases(0xa104, 256, |g| {
+        let (s0, s1) = (residues(g, 12..120), residues(g, 12..120));
         let m = blosum62();
         let w = 3usize;
-        let pos0 = ((s0.len() - w) as f64 * frac0) as usize;
-        let pos1 = ((s1.len() - w) as f64 * frac1) as usize;
+        let (pos0, pos1) = (word_pos(g, &s0, w), word_pos(g, &s1, w));
         let word_score: i32 = (0..w).map(|k| m.score(s0[pos0 + k], s1[pos1 + k])).sum();
         let hit = xdrop_ungapped(m, &s0, &s1, pos0, pos1, w, 12);
-        prop_assert!(hit.score >= word_score);
+        assert!(hit.score >= word_score);
         // Recompute the segment score.
         let recomputed: i32 = (0..hit.len)
             .map(|k| m.score(s0[hit.start0 + k], s1[hit.start1 + k]))
             .sum();
-        prop_assert_eq!(recomputed, hit.score);
-        prop_assert!(hit.start0 + hit.len <= s0.len());
-        prop_assert!(hit.start1 + hit.len <= s1.len());
-    }
+        assert_eq!(recomputed, hit.score);
+        assert!(hit.start0 + hit.len <= s0.len());
+        assert!(hit.start1 + hit.len <= s1.len());
+    });
+}
 
-    /// Gapped extension from an anchor dominates ungapped extension from
-    /// the same anchor (gaps only add options).
-    #[test]
-    fn gapped_dominates_ungapped(
-        s0 in residues(12..100),
-        s1 in residues(12..100),
-        frac0 in 0.0f64..1.0,
-        frac1 in 0.0f64..1.0,
-    ) {
+/// Gapped extension from an anchor dominates ungapped extension from
+/// the same anchor (gaps only add options).
+#[test]
+fn gapped_dominates_ungapped() {
+    for_cases(0xa105, 256, |g| {
+        let (s0, s1) = (residues(g, 12..100), residues(g, 12..100));
         let m = blosum62();
         let w = 3usize;
-        let pos0 = ((s0.len() - w) as f64 * frac0) as usize;
-        let pos1 = ((s1.len() - w) as f64 * frac1) as usize;
+        let (pos0, pos1) = (word_pos(g, &s0, w), word_pos(g, &s1, w));
         let ung = xdrop_ungapped(m, &s0, &s1, pos0, pos1, w, 1_000_000);
-        let cfg = GapConfig { xdrop: 1_000_000, ..GapConfig::default() };
+        let cfg = GapConfig {
+            xdrop: 1_000_000,
+            ..GapConfig::default()
+        };
         let gap = gapped_extend(m, &s0, &s1, pos0, pos1, &cfg);
-        prop_assert!(
+        assert!(
             gap.score >= ung.score,
             "gapped {} < ungapped {}",
             gap.score,
             ung.score
         );
-    }
+    });
+}
 
-    /// banded_global with a full-width band reproduces gapped_extend's
-    /// score on the ranges the extension chose.
-    #[test]
-    fn traceback_score_matches_extension(
-        s0 in residues(10..60),
-        s1 in residues(10..60),
-    ) {
+/// banded_global with a full-width band reproduces gapped_extend's
+/// score on the ranges the extension chose.
+#[test]
+fn traceback_score_matches_extension() {
+    for_cases(0xa106, 256, |g| {
+        let (s0, s1) = (residues(g, 10..60), residues(g, 10..60));
         let m = blosum62();
         let cfg = GapConfig::default();
         let hit = gapped_extend(m, &s0, &s1, 0, 0, &cfg);
@@ -113,12 +122,20 @@ proptest! {
         if !a.is_empty() || !b.is_empty() {
             let band = a.len().max(b.len()) + 2; // full-width band
             let aln = banded_global(m, a, b, &cfg, band);
-            prop_assert_eq!(aln.score, hit.score);
+            assert_eq!(aln.score, hit.score);
             // Ops must consume exactly the two ranges.
-            let used0 = aln.ops.iter().filter(|o| !matches!(o, psc_align::AlignOp::Ins)).count();
-            let used1 = aln.ops.iter().filter(|o| !matches!(o, psc_align::AlignOp::Del)).count();
-            prop_assert_eq!(used0, a.len());
-            prop_assert_eq!(used1, b.len());
+            let used0 = aln
+                .ops
+                .iter()
+                .filter(|o| !matches!(o, psc_align::AlignOp::Ins))
+                .count();
+            let used1 = aln
+                .ops
+                .iter()
+                .filter(|o| !matches!(o, psc_align::AlignOp::Del))
+                .count();
+            assert_eq!(used0, a.len());
+            assert_eq!(used1, b.len());
         }
-    }
+    });
 }

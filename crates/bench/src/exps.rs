@@ -348,12 +348,11 @@ pub fn fig1(workload: &Workload) {
 /// software kernel and the cycles-per-window cost.
 pub fn fig2() {
     use psc_rasc::{OperatorConfig, PscOperator};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use psc_seqio::prng::SplitMix64;
 
     println!("## Figure 2 equivalent — PE datapath verification and cost");
     println!("   (one residue pair per clock; window of W+2N cycles per comparison)\n");
-    let mut rng = StdRng::seed_from_u64(0xfe);
+    let mut rng = SplitMix64::new(0xfe);
     let mut t = Table::new(&[
         "window (W+2N)",
         "cycles/comparison",
@@ -369,8 +368,8 @@ pub fn fig2() {
         // Verify equivalence on random windows.
         let mut all_equal = true;
         for _ in 0..200 {
-            let w0: Vec<u8> = (0..window).map(|_| rng.gen_range(0..20u8)).collect();
-            let w1: Vec<u8> = (0..window).map(|_| rng.gen_range(0..20u8)).collect();
+            let w0: Vec<u8> = (0..window).map(|_| rng.range(0..20u8)).collect();
+            let w1: Vec<u8> = (0..window).map(|_| rng.range(0..20u8)).collect();
             let r = op.run_entry(&w0, &w1);
             let sw = ungapped_score(Kernel::ClampedSum, blosum62(), &w0, &w1);
             let hw = r.hits.first().map(|h| h.score).unwrap_or(0);

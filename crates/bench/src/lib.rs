@@ -2,8 +2,8 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation section
 //! on the synthetic, scaled-down workload described in DESIGN.md §2/§5.
-//! The `experiments` binary drives everything; `benches/` holds the
-//! criterion micro-benchmarks for the individual components.
+//! The `experiments` binary drives everything; per-component rates are
+//! the per-layer metrics of `benchmark/` (see BENCHMARK.json).
 //!
 //! Scale: the paper compares banks of 1k/3k/10k/30k proteins (0.3–10 M
 //! amino acids) against the 220 Mnt Human chromosome 1 on a 2009 Itanium.

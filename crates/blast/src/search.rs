@@ -227,9 +227,8 @@ mod tests {
     use super::*;
     use psc_datagen::{mutate_protein, random_bank, BankConfig, MutationConfig};
     use psc_score::blosum62;
+    use psc_seqio::prng::SplitMix64;
     use psc_seqio::Seq;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn config() -> BlastConfig {
         BlastConfig::default()
@@ -251,7 +250,7 @@ mod tests {
 
     #[test]
     fn finds_embedded_homolog() {
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = SplitMix64::new(11);
         let core: Vec<u8> = psc_datagen::random_protein(&mut rng, 80);
         let homolog = mutate_protein(
             &mut rng,

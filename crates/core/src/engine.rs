@@ -205,7 +205,7 @@ impl SearchEngine {
             t1: self.prep1.index().clone(),
             t0,
         };
-        serialize_bundle(&bundle, model.as_ref()).to_vec()
+        serialize_bundle(&bundle, model.as_ref())
     }
 
     /// The engine's configuration.

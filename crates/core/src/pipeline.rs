@@ -1782,16 +1782,13 @@ mod tests {
         };
         let reference = run(&base);
         assert!(reference.len() >= 5, "want several buckets: {reference:?}");
-        let mut state = 0x243f_6a88u64;
+        let mut rng = psc_seqio::prng::SplitMix64::new(0x243f_6a88);
         for trial in 0..32 {
             let mut v = base.clone();
             let shift = trial % v.len();
             v.rotate_left(shift);
             for i in (1..v.len()).rev() {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                v.swap(i, (state >> 33) as usize % (i + 1));
+                v.swap(i, rng.range(0..=i));
             }
             assert_eq!(run(&v), reference, "trial {trial}");
         }

@@ -6,9 +6,8 @@
 //! descended from a common ancestor, where "same family" is the ground
 //! truth that the annotation provided.
 
+use psc_seqio::prng::SplitMix64;
 use psc_seqio::{Bank, Seq};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::mutate::{mutate_protein, MutationConfig};
 use crate::protein::random_protein;
@@ -64,14 +63,14 @@ pub struct Family {
 /// Returns the families; `Family::members` of *other* families serve as
 /// ground-truth false positives for a query.
 pub fn generate_families(config: &FamilyConfig) -> Vec<Family> {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = SplitMix64::new(config.seed);
     let query_mutation = MutationConfig {
         divergence: (config.mutation.divergence * 0.5).min(0.25),
         ..config.mutation.clone()
     };
     (0..config.family_count)
         .map(|id| {
-            let len = rng.gen_range(config.min_len..=config.max_len);
+            let len = rng.range(config.min_len..=config.max_len);
             let ancestor = random_protein(&mut rng, len);
             let query_res = mutate_protein(&mut rng, &ancestor, &query_mutation);
             let query = Seq::from_codes(

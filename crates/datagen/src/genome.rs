@@ -7,11 +7,9 @@
 //! spliced into either strand. The plants are recorded, giving every
 //! sensitivity experiment a ground truth no real chromosome can offer.
 
+use psc_seqio::prng::{cumulative, SplitMix64};
 use psc_seqio::seq::reverse_complement_codes;
 use psc_seqio::{Bank, GeneticCode, Seq};
-use rand::distributions::{Distribution, WeightedIndex};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::mutate::{mutate_protein, MutationConfig};
 
@@ -79,14 +77,14 @@ pub struct SyntheticGenome {
 
 /// Back-translate a protein into DNA, choosing uniformly among synonymous
 /// codons. Residues with no codon (X, B, Z) are skipped.
-pub fn back_translate(rng: &mut StdRng, protein: &[u8], code: &GeneticCode) -> Vec<u8> {
+pub fn back_translate(rng: &mut SplitMix64, protein: &[u8], code: &GeneticCode) -> Vec<u8> {
     let mut out = Vec::with_capacity(protein.len() * 3);
     for &aa in protein {
         let codons = code.codons_for(psc_seqio::Aa(aa));
         if codons.is_empty() {
             continue;
         }
-        let c = codons[rng.gen_range(0..codons.len())];
+        let c = *rng.select(&codons);
         out.extend_from_slice(&c);
     }
     out
@@ -100,15 +98,15 @@ pub fn generate_genome(config: &GenomeConfig, donors: &Bank) -> SyntheticGenome 
         config.gene_count == 0 || !donors.is_empty(),
         "planting genes requires donor proteins"
     );
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = SplitMix64::new(config.seed);
     let code = GeneticCode::standard();
 
     // Background: weighted A/C/G/T by GC content.
     let at = (1.0 - config.gc_content) / 2.0;
     let gc = config.gc_content / 2.0;
-    let base_dist = WeightedIndex::new([at, gc, gc, at]).expect("valid GC content");
+    let bases = cumulative(&[at, gc, gc, at]);
     let mut genome: Vec<u8> = (0..config.len)
-        .map(|_| base_dist.sample(&mut rng) as u8)
+        .map(|_| rng.weighted(&bases) as u8)
         .collect();
 
     // Plant coding regions at non-overlapping positions.
@@ -129,12 +127,12 @@ pub fn generate_genome(config: &GenomeConfig, donors: &Bank) -> SyntheticGenome 
         // Find a free position (bounded retries keep generation O(genes²)
         // in the worst case but effectively linear at sane densities).
         for _attempt in 0..50 {
-            let start = rng.gen_range(0..=genome.len() - dna.len());
+            let start = rng.range(0..=genome.len() - dna.len());
             let end = start + dna.len();
             if occupied.iter().any(|&(s, e)| start < e && s < end) {
                 continue;
             }
-            let forward = rng.gen_bool(0.5);
+            let forward = rng.chance(0.5);
             if forward {
                 genome[start..end].copy_from_slice(&dna);
             } else {
@@ -156,11 +154,11 @@ pub fn generate_genome(config: &GenomeConfig, donors: &Bank) -> SyntheticGenome 
     // (period 1-6) dropped into free space; they translate into
     // low-entropy protein in every frame.
     for _ in 0..config.repeat_tracts {
-        let period = rng.gen_range(1..=6usize);
-        let unit: Vec<u8> = (0..period).map(|_| rng.gen_range(0..4u8)).collect();
+        let period = rng.range(1..=6usize);
+        let unit: Vec<u8> = (0..period).map(|_| rng.range(0..4u8)).collect();
         let len = config.repeat_len.min(genome.len());
         for _attempt in 0..50 {
-            let start = rng.gen_range(0..=genome.len() - len);
+            let start = rng.range(0..=genome.len() - len);
             let end = start + len;
             if occupied.iter().any(|&(s, e)| start < e && s < end) {
                 continue;
@@ -279,7 +277,7 @@ mod tests {
 
     #[test]
     fn back_translate_round_trip() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SplitMix64::new(5);
         let protein: Vec<u8> = (0..20u8).collect();
         let code = GeneticCode::standard();
         let dna = back_translate(&mut rng, &protein, code);

@@ -8,9 +8,7 @@
 
 use psc_score::karlin::compute_lambda;
 use psc_score::{blosum62, ROBINSON_FREQS};
-use rand::distributions::{Distribution, WeightedIndex};
-use rand::rngs::StdRng;
-use rand::Rng;
+use psc_seqio::prng::{cumulative, SplitMix64};
 
 use crate::protein::BACKGROUND;
 
@@ -35,9 +33,10 @@ impl Default for MutationConfig {
     }
 }
 
-/// Precomputed conditional substitution tables `q(j | i)`.
+/// Precomputed conditional substitution tables `q(j | i)`, each the
+/// running sums `SplitMix64::weighted` draws from.
 struct ConditionalModel {
-    tables: Vec<WeightedIndex<f64>>,
+    tables: Vec<Vec<f64>>,
 }
 
 impl ConditionalModel {
@@ -58,7 +57,7 @@ impl ConditionalModel {
                         }
                     })
                     .collect();
-                WeightedIndex::new(weights).expect("non-degenerate row")
+                cumulative(&weights)
             })
             .collect();
         ConditionalModel { tables }
@@ -70,11 +69,11 @@ impl ConditionalModel {
     }
 
     #[inline]
-    fn substitute(&self, rng: &mut StdRng, residue: u8) -> u8 {
+    fn substitute(&self, rng: &mut SplitMix64, residue: u8) -> u8 {
         if residue >= 20 {
             return residue; // Leave ambiguity codes alone.
         }
-        self.tables[residue as usize].sample(rng) as u8
+        rng.weighted(&self.tables[residue as usize]) as u8
     }
 }
 
@@ -82,21 +81,21 @@ impl ConditionalModel {
 ///
 /// Returns the mutated residues. Indels insert background-distributed
 /// residues or delete a geometric-length run.
-pub fn mutate_protein(rng: &mut StdRng, ancestor: &[u8], config: &MutationConfig) -> Vec<u8> {
+pub fn mutate_protein(rng: &mut SplitMix64, ancestor: &[u8], config: &MutationConfig) -> Vec<u8> {
     let model = ConditionalModel::instance();
-    let background = WeightedIndex::new(BACKGROUND).expect("background weights are positive");
+    let background = cumulative(&BACKGROUND);
     let mut out = Vec::with_capacity(ancestor.len() + 8);
     let mut i = 0usize;
     while i < ancestor.len() {
-        if config.indel_rate > 0.0 && rng.gen_bool(config.indel_rate) {
+        if config.indel_rate > 0.0 && rng.chance(config.indel_rate) {
             let mut len = 1usize;
-            while rng.gen_bool(config.indel_extend) && len < 30 {
+            while rng.chance(config.indel_extend) && len < 30 {
                 len += 1;
             }
-            if rng.gen_bool(0.5) {
+            if rng.chance(0.5) {
                 // Insertion of `len` background residues.
                 for _ in 0..len {
-                    out.push(background.sample(rng) as u8);
+                    out.push(rng.weighted(&background) as u8);
                 }
                 // Current residue handled on the next loop turn.
                 continue;
@@ -107,7 +106,7 @@ pub fn mutate_protein(rng: &mut StdRng, ancestor: &[u8], config: &MutationConfig
             }
         }
         let c = ancestor[i];
-        if c < 20 && config.divergence > 0.0 && rng.gen_bool(config.divergence) {
+        if c < 20 && config.divergence > 0.0 && rng.chance(config.divergence) {
             out.push(model.substitute(rng, c));
         } else {
             out.push(c);
@@ -131,10 +130,9 @@ pub fn identity(a: &[u8], b: &[u8]) -> f64 {
 mod tests {
     use super::*;
     use crate::protein::random_protein;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(42)
+    fn rng() -> SplitMix64 {
+        SplitMix64::new(42)
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Random protein generation with realistic residue composition.
 
+use psc_seqio::prng::{cumulative, SplitMix64};
 use psc_seqio::{Bank, Seq};
-use rand::distributions::{Distribution, WeightedIndex};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Background residue composition used by all generators (Robinson &
 /// Robinson 1991, the same background `psc-score` uses for statistics).
@@ -35,19 +33,18 @@ impl Default for BankConfig {
 }
 
 /// Sample one random protein of the given length.
-pub fn random_protein(rng: &mut StdRng, len: usize) -> Vec<u8> {
-    let dist = WeightedIndex::new(BACKGROUND).expect("background weights are positive");
-    (0..len).map(|_| dist.sample(rng) as u8).collect()
+pub fn random_protein(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
+    let background = cumulative(&BACKGROUND);
+    (0..len).map(|_| rng.weighted(&background) as u8).collect()
 }
 
 /// Generate a bank of random proteins per the configuration.
 pub fn random_bank(config: &BankConfig) -> Bank {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let dist = WeightedIndex::new(BACKGROUND).expect("background weights are positive");
+    let mut rng = SplitMix64::new(config.seed);
     (0..config.count)
         .map(|i| {
-            let len = rng.gen_range(config.min_len..=config.max_len);
-            let residues: Vec<u8> = (0..len).map(|_| dist.sample(&mut rng) as u8).collect();
+            let len = rng.range(config.min_len..=config.max_len);
+            let residues = random_protein(&mut rng, len);
             Seq::from_codes(format!("prot{i:06}"), residues, psc_seqio::SeqKind::Protein)
         })
         .collect()
@@ -105,7 +102,7 @@ mod tests {
 
     #[test]
     fn composition_tracks_background() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SplitMix64::new(7);
         let p = random_protein(&mut rng, 200_000);
         let mut counts = [0usize; 20];
         for &c in &p {

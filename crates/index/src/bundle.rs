@@ -25,13 +25,12 @@
 //! [`SerialError::ModelMismatch`] it raises — is the same code path an
 //! index loaded on its own goes through.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use psc_score::SubstitutionMatrix;
 use psc_seqio::alphabet::AA_ALPHABET_LEN;
 use psc_seqio::{Bank, MaskConfig, Seq, SeqKind};
 
 use crate::seed::SeedModel;
-use crate::serial::{deserialize_index, fletcher64, serialize_index, SerialError};
+use crate::serial::{deserialize_index, fletcher64, put_u64, write_index, Reader, SerialError};
 use crate::table::SeedIndex;
 
 const BUNDLE_MAGIC: &[u8; 8] = b"PSCBDL\x00\x02";
@@ -88,52 +87,35 @@ pub struct BundleInfo {
     pub has_t0: bool,
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_seq(buf: &mut BytesMut, seq: &Seq) {
+fn put_seq(buf: &mut Vec<u8>, seq: &Seq) {
     put_str(buf, &seq.id);
-    buf.put_u64_le(seq.residues.len() as u64);
-    buf.put_slice(&seq.residues);
+    put_u64(buf, seq.residues.len() as u64);
+    buf.extend_from_slice(&seq.residues);
 }
 
-fn put_index(buf: &mut BytesMut, index: &SeedIndex, model: &dyn SeedModel) {
-    let blob = serialize_index(index, model);
-    buf.put_u64_le(blob.len() as u64);
-    buf.put_slice(&blob);
+/// An index section: the single-index format behind its byte length.
+fn put_index(buf: &mut Vec<u8>, index: &SeedIndex, model: &dyn SeedModel) {
+    let len_at = buf.len();
+    put_u64(buf, 0);
+    write_index(buf, index, model);
+    let len = (buf.len() - len_at - 8) as u64;
+    buf[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
 }
+
+/// Where the checksum sits, between the flags and the body it covers
+/// together with the version.
+const CHECKSUM_AT: usize = BUNDLE_MAGIC.len() + 4;
 
 /// Serialize a bundle. `model` must be the model the indexes were built
 /// under; its fingerprint is embedded in the header and in each index
 /// section.
-pub fn serialize_bundle(bundle: &IndexBundle, model: &dyn SeedModel) -> Bytes {
+pub fn serialize_bundle(bundle: &IndexBundle, model: &dyn SeedModel) -> Vec<u8> {
     debug_assert_eq!(bundle.frames.len(), FRAME_COUNT);
-    let mut body = BytesMut::new();
-    put_str(&mut body, &model.name());
-    put_str(&mut body, &bundle.genome_id);
-    body.put_u64_le(bundle.genome_len);
-    for frame in &bundle.frames {
-        put_seq(&mut body, frame);
-    }
-    if let Some(mask) = &bundle.mask {
-        body.put_u64_le(mask.window as u64);
-        body.put_u64_le(mask.trigger.to_bits());
-        body.put_u64_le(mask.extend.to_bits());
-    }
-    put_str(&mut body, &bundle.matrix.name);
-    let table: Vec<u8> = bundle.matrix.flat().iter().map(|&s| s as u8).collect();
-    body.put_slice(&table);
-    put_index(&mut body, &bundle.t1, model);
-    if let Some(t0) = &bundle.t0 {
-        body.put_u32_le(t0.bank.len() as u32);
-        for (_, seq) in t0.bank.iter() {
-            put_seq(&mut body, seq);
-        }
-        put_index(&mut body, &t0.index, model);
-    }
-
     let mut flags = 0u16;
     if bundle.mask.is_some() {
         flags |= FLAG_MASKED;
@@ -141,53 +123,42 @@ pub fn serialize_bundle(bundle: &IndexBundle, model: &dyn SeedModel) -> Bytes {
     if bundle.t0.is_some() {
         flags |= FLAG_T0;
     }
-    let version = BUNDLE_VERSION.to_le_bytes();
-    let flag_bytes = flags.to_le_bytes();
-    let checksum = fletcher64(&[&version, &flag_bytes, &body]);
+    let mut buf = Vec::new();
+    buf.extend_from_slice(BUNDLE_MAGIC);
+    buf.extend_from_slice(&BUNDLE_VERSION.to_le_bytes());
+    buf.extend_from_slice(&flags.to_le_bytes());
+    put_u64(&mut buf, 0);
 
-    let mut buf = BytesMut::with_capacity(BUNDLE_MAGIC.len() + 12 + body.len());
-    buf.put_slice(BUNDLE_MAGIC);
-    buf.put_slice(&version);
-    buf.put_slice(&flag_bytes);
-    buf.put_u64_le(checksum);
-    buf.put_slice(&body);
-    buf.freeze()
-}
-
-/// Panic-free cursor over the bundle body: every read is
-/// length-checked, so truncation and length-field corruption surface
-/// as [`SerialError::Corrupt`].
-struct Reader<'a> {
-    data: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], SerialError> {
-        if self.data.len() < n {
-            return Err(SerialError::Corrupt(what));
+    put_str(&mut buf, &model.name());
+    put_str(&mut buf, &bundle.genome_id);
+    put_u64(&mut buf, bundle.genome_len);
+    for frame in &bundle.frames {
+        put_seq(&mut buf, frame);
+    }
+    if let Some(mask) = &bundle.mask {
+        put_u64(&mut buf, mask.window as u64);
+        put_u64(&mut buf, mask.trigger.to_bits());
+        put_u64(&mut buf, mask.extend.to_bits());
+    }
+    put_str(&mut buf, &bundle.matrix.name);
+    buf.extend(bundle.matrix.flat().iter().map(|&s| s as u8));
+    put_index(&mut buf, &bundle.t1, model);
+    if let Some(t0) = &bundle.t0 {
+        buf.extend_from_slice(&(t0.bank.len() as u32).to_le_bytes());
+        for (_, seq) in t0.bank.iter() {
+            put_seq(&mut buf, seq);
         }
-        let (head, rest) = self.data.split_at(n);
-        self.data = rest;
-        Ok(head)
+        put_index(&mut buf, &t0.index, model);
     }
 
-    fn u16(&mut self, what: &'static str) -> Result<u16, SerialError> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
+    let (header, body) = buf.split_at(CHECKSUM_AT + 8);
+    let checksum = fletcher64(&[&header[BUNDLE_MAGIC.len()..CHECKSUM_AT], body]);
+    buf[CHECKSUM_AT..CHECKSUM_AT + 8].copy_from_slice(&checksum.to_le_bytes());
+    buf
+}
 
-    fn u32(&mut self, what: &'static str) -> Result<u32, SerialError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, SerialError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
+/// The bundle's own field encodings, read through the shared cursor.
+impl Reader<'_> {
     fn str(&mut self, what: &'static str) -> Result<String, SerialError> {
         let len = self.u32(what)? as usize;
         let bytes = self.take(len, what)?;
@@ -421,7 +392,7 @@ mod tests {
             deserialize_bundle(b"junk", &model).unwrap_err(),
             SerialError::BadMagic
         );
-        let mut raw = serialize_bundle(&sample_bundle(false, None), &model).to_vec();
+        let mut raw = serialize_bundle(&sample_bundle(false, None), &model);
         raw[BUNDLE_MAGIC.len()] = 9;
         assert_eq!(
             deserialize_bundle(&raw, &model).unwrap_err(),
@@ -433,13 +404,12 @@ mod tests {
     fn rejects_single_byte_flip_at_every_offset() {
         let model = sample_model();
         let bytes = serialize_bundle(&sample_bundle(true, Some(MaskConfig::default())), &model);
-        let checksum_at = BUNDLE_MAGIC.len() + 4;
         for at in 0..bytes.len() {
-            let mut raw = bytes.to_vec();
+            let mut raw = bytes.clone();
             raw[at] ^= 0x20;
             let got = deserialize_bundle(&raw, &model);
             assert!(got.is_err(), "flip at {at} accepted");
-            if at >= checksum_at {
+            if at >= CHECKSUM_AT {
                 assert!(
                     matches!(got, Err(SerialError::Corrupt(_))),
                     "flip at {at}: {got:?}"

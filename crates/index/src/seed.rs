@@ -282,13 +282,9 @@ mod tests {
     #[test]
     fn subset_seed_key_in_range() {
         let s = subset_seed_default();
-        let mut rng = 0x12345u64;
+        let mut rng = psc_seqio::prng::SplitMix64::new(0x12345);
         for _ in 0..1000 {
-            let mut w = [0u8; 4];
-            for slot in w.iter_mut() {
-                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-                *slot = ((rng >> 33) % 20) as u8;
-            }
+            let w: [u8; 4] = std::array::from_fn(|_| rng.range(0..20u8));
             let k = s.key(&w).unwrap();
             assert!((k as usize) < s.key_count());
         }

@@ -29,8 +29,6 @@
 //! blocks are guarded by the same arithmetic, so a single discipline is
 //! audited in both places.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::seed::SeedModel;
 use crate::table::SeedIndex;
 
@@ -91,77 +89,124 @@ pub fn fletcher64(parts: &[&[u8]]) -> u64 {
     (b << 32) | a
 }
 
+/// Panic-free little-endian cursor over serialized bytes: every read
+/// is length-checked, so truncation and length-field corruption surface
+/// as [`SerialError::Corrupt`] naming what was being read.
+pub(crate) struct Reader<'a> {
+    pub(crate) data: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    pub(crate) fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], SerialError> {
+        if self.data.len() < n {
+            return Err(SerialError::Corrupt(what));
+        }
+        let (head, rest) = self.data.split_at(n);
+        self.data = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], SerialError> {
+        let bytes = self.take(N, what)?;
+        Ok(bytes.try_into().expect("take returned N bytes"))
+    }
+
+    pub(crate) fn u16(&mut self, what: &'static str) -> Result<u16, SerialError> {
+        self.array(what).map(u16::from_le_bytes)
+    }
+
+    pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32, SerialError> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64, SerialError> {
+        self.array(what).map(u64::from_le_bytes)
+    }
+
+    /// `count` consecutive `u32` words.
+    fn u32s(&mut self, count: usize, what: &'static str) -> Result<Vec<u32>, SerialError> {
+        let n = count.checked_mul(4).ok_or(SerialError::Corrupt(what))?;
+        let words = self.take(n, what)?.chunks_exact(4);
+        Ok(words
+            .map(|w| u32::from_le_bytes(w.try_into().expect("chunk of 4")))
+            .collect())
+    }
+}
+
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u32s(buf: &mut Vec<u8>, words: &[u32]) {
+    for &w in words {
+        buf.extend_from_slice(&w.to_le_bytes());
+    }
+}
+
+/// Append `index` and its seed-model fingerprint to `buf` in the
+/// current (v2, checksummed) format.
+pub(crate) fn write_index(buf: &mut Vec<u8>, index: &SeedIndex, model: &dyn SeedModel) {
+    let (offsets, positions) = (index.offsets(), index.positions());
+    let name = model.name();
+    buf.reserve(MAGIC.len() + 4 + name.len() + 8 + 16 + (offsets.len() + positions.len()) * 4);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION_V2.to_le_bytes());
+    buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
+    buf.extend_from_slice(name.as_bytes());
+    let checksum_at = buf.len();
+    put_u64(buf, 0);
+    put_u64(buf, index.key_count() as u64);
+    put_u64(buf, positions.len() as u64);
+    put_u32s(buf, offsets);
+    put_u32s(buf, positions);
+    let checksum = fletcher64(&[&buf[checksum_at + 8..]]);
+    buf[checksum_at..checksum_at + 8].copy_from_slice(&checksum.to_le_bytes());
+}
+
 /// Serialize an index together with its seed-model fingerprint, in the
 /// current (v2, checksummed) format.
-pub fn serialize_index(index: &SeedIndex, model: &dyn SeedModel) -> Bytes {
-    let offsets = index.offsets();
-    let positions = index.positions();
-    let name = model.name();
-    let mut payload = BytesMut::with_capacity(16 + (offsets.len() + positions.len()) * 4);
-    payload.put_u64_le(index.key_count() as u64);
-    payload.put_u64_le(positions.len() as u64);
-    for &o in offsets {
-        payload.put_u32_le(o);
-    }
-    for &p in positions {
-        payload.put_u32_le(p);
-    }
-    let checksum = fletcher64(&[&payload]);
-    let mut buf = BytesMut::with_capacity(MAGIC.len() + 4 + name.len() + 8 + payload.len());
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION_V2);
-    buf.put_u16_le(name.len() as u16);
-    buf.put_slice(name.as_bytes());
-    buf.put_u64_le(checksum);
-    buf.put_slice(&payload);
-    buf.freeze()
+pub fn serialize_index(index: &SeedIndex, model: &dyn SeedModel) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_index(&mut buf, index, model);
+    buf
 }
 
 /// Deserialize an index (v1 or v2), verifying it was built under
 /// `model`. For v2 data the payload checksum is verified before any
 /// structural parsing.
-pub fn deserialize_index(mut data: &[u8], model: &dyn SeedModel) -> Result<SeedIndex, SerialError> {
+pub fn deserialize_index(data: &[u8], model: &dyn SeedModel) -> Result<SeedIndex, SerialError> {
     if data.len() < MAGIC.len() + 4 || &data[..MAGIC.len()] != MAGIC {
         return Err(SerialError::BadMagic);
     }
-    data.advance(MAGIC.len());
-    let version = data.get_u16_le();
+    let mut r = Reader {
+        data: &data[MAGIC.len()..],
+    };
+    let version = r.u16("header truncated")?;
     if version != VERSION_V1 && version != VERSION_V2 {
         return Err(SerialError::BadVersion(version));
     }
-    let name_len = data.get_u16_le() as usize;
-    if data.remaining() < name_len {
-        return Err(SerialError::Corrupt("model name truncated"));
-    }
-    let stored = String::from_utf8_lossy(&data[..name_len]).into_owned();
-    data.advance(name_len);
+    let name_len = r.u16("header truncated")? as usize;
+    let stored = String::from_utf8_lossy(r.take(name_len, "model name truncated")?).into_owned();
     let supplied = model.name();
     if stored != supplied {
         return Err(SerialError::ModelMismatch { stored, supplied });
     }
     if version == VERSION_V2 {
-        if data.remaining() < 8 {
-            return Err(SerialError::Corrupt("checksum truncated"));
-        }
-        let stored_sum = data.get_u64_le();
-        if fletcher64(&[data]) != stored_sum {
+        let stored_sum = r.u64("checksum truncated")?;
+        if fletcher64(&[r.data]) != stored_sum {
             return Err(SerialError::Corrupt("payload checksum mismatch"));
         }
     }
-    deserialize_index_body(data, model)
+    deserialize_index_body(r, model)
 }
 
-/// The counts + offsets + positions body shared by both versions (and
-/// embedded, pre-checksummed, inside bundle sections).
-pub(crate) fn deserialize_index_body(
-    mut data: &[u8],
+/// The counts + offsets + positions body shared by both versions.
+fn deserialize_index_body(
+    mut r: Reader<'_>,
     model: &dyn SeedModel,
 ) -> Result<SeedIndex, SerialError> {
-    if data.remaining() < 16 {
-        return Err(SerialError::Corrupt("header truncated"));
-    }
-    let key_count = data.get_u64_le() as usize;
-    let n_positions = data.get_u64_le() as usize;
+    let key_count = r.u64("header truncated")? as usize;
+    let n_positions = r.u64("header truncated")? as usize;
     if key_count != model.key_count() {
         return Err(SerialError::Corrupt("key count does not match model"));
     }
@@ -169,17 +214,11 @@ pub(crate) fn deserialize_index_body(
         .checked_add(n_positions)
         .and_then(|words| words.checked_mul(4))
         .ok_or(SerialError::Corrupt("size overflow"))?;
-    if data.remaining() != need {
+    if r.data.len() != need {
         return Err(SerialError::Corrupt("payload size mismatch"));
     }
-    let mut offsets = Vec::with_capacity(key_count + 1);
-    for _ in 0..=key_count {
-        offsets.push(data.get_u32_le());
-    }
-    let mut positions = Vec::with_capacity(n_positions);
-    for _ in 0..n_positions {
-        positions.push(data.get_u32_le());
-    }
+    let offsets = r.u32s(key_count + 1, "payload size mismatch")?;
+    let positions = r.u32s(n_positions, "payload size mismatch")?;
     // Structural validation: offsets must be a monotone prefix-sum table
     // ending exactly at the positions length.
     if offsets[0] != 0 {
@@ -334,7 +373,7 @@ mod tests {
     #[test]
     fn rejects_single_byte_flip_at_every_offset() {
         let (idx, model) = sample_index();
-        let bytes = serialize_index(&idx, &model).to_vec();
+        let bytes = serialize_index(&idx, &model);
         let payload_start = MAGIC.len() + 4 + model.name().len() + 8;
         for at in 0..bytes.len() {
             let mut raw = bytes.clone();
@@ -372,8 +411,7 @@ mod tests {
     #[test]
     fn rejects_tampered_offsets() {
         let (idx, model) = sample_index();
-        let bytes = serialize_index(&idx, &model);
-        let mut raw = bytes.to_vec();
+        let mut raw = serialize_index(&idx, &model);
         // Flip a byte inside the offsets table (after the header).
         let header = MAGIC.len() + 2 + 2 + model.name().len() + 8 + 16;
         raw[header + 5] ^= 0xFF;
@@ -384,8 +422,7 @@ mod tests {
     #[test]
     fn rejects_bad_version() {
         let (idx, model) = sample_index();
-        let bytes = serialize_index(&idx, &model);
-        let mut raw = bytes.to_vec();
+        let mut raw = serialize_index(&idx, &model);
         raw[MAGIC.len()] = 99;
         assert_eq!(
             deserialize_index(&raw, &model).unwrap_err(),

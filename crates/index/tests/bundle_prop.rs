@@ -2,29 +2,29 @@
 //! identity over arbitrary banks and models, and any truncation is a
 //! detected error — never a wrong answer.
 
-use proptest::prelude::*;
 use psc_index::{
     deserialize_bundle, serialize_bundle, BundleT0, ExactSeed, FlatBank, IndexBundle, SeedModel,
     SerialError,
 };
 use psc_score::blosum62;
+use psc_seqio::prng::{for_cases, SplitMix64};
 use psc_seqio::{Bank, MaskConfig, Seq, SeqKind};
 
 /// Arbitrary protein residue codes over the full 24-letter alphabet
 /// (ambiguity codes included — they index nothing but must survive the
 /// round trip byte-for-byte).
-fn residues() -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(0u8..24, 0..60)
+fn residues(g: &mut SplitMix64) -> Vec<u8> {
+    g.vec(0..60, |g| g.range(0u8..24))
 }
 
 /// Exactly six frames of arbitrary residues.
-fn frames() -> impl Strategy<Value = Vec<Vec<u8>>> {
-    proptest::collection::vec(residues(), 6..=6)
+fn frames(g: &mut SplitMix64) -> Vec<Vec<u8>> {
+    g.vec(6..=6, residues)
 }
 
 /// 0–3 arbitrary protein sequences for the optional T0 section.
-fn t0_bank() -> impl Strategy<Value = Vec<Vec<u8>>> {
-    proptest::collection::vec(residues(), 0..4)
+fn t0_bank(g: &mut SplitMix64) -> Vec<Vec<u8>> {
+    g.vec(0..4, residues)
 }
 
 fn build_bundle(
@@ -92,43 +92,35 @@ fn assert_identity(a: &IndexBundle, b: &IndexBundle) {
     }
 }
 
-proptest! {
-    /// serialize → deserialize is an identity for arbitrary frame
-    /// contents, models, T0 sections and mask configurations.
-    #[test]
-    fn round_trip_is_identity(
-        frame_res in frames(),
-        t0_res in t0_bank(),
-        span in 2usize..4,
-        with_t0 in 0u8..2,
-        with_mask in 0u8..2,
-        genome_len in 0u64..100_000,
-    ) {
-        let model = ExactSeed::new(span);
-        let mask = (with_mask == 1).then(MaskConfig::default);
-        let t0 = (with_t0 == 1).then_some(&t0_res[..]);
+/// serialize → deserialize is an identity for arbitrary frame
+/// contents, models, T0 sections and mask configurations.
+#[test]
+fn round_trip_is_identity() {
+    for_cases(0x1d01, 256, |g| {
+        let (frame_res, t0_res) = (frames(g), t0_bank(g));
+        let model = ExactSeed::new(g.range(2usize..4));
+        let t0 = g.chance(0.5).then_some(&t0_res[..]);
+        let mask = g.chance(0.5).then(MaskConfig::default);
+        let genome_len = g.range(0u64..100_000);
         let bundle = build_bundle(&model, &frame_res, t0, mask, genome_len);
         let bytes = serialize_bundle(&bundle, &model);
         let back = deserialize_bundle(&bytes, &model).expect("round trip");
         assert_identity(&bundle, &back);
         // A second serialization is byte-identical (the format is
         // canonical, so artifacts can be content-compared).
-        prop_assert_eq!(&serialize_bundle(&back, &model)[..], &bytes[..]);
-    }
+        assert_eq!(serialize_bundle(&back, &model), bytes);
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-    /// Every strict prefix of a valid bundle fails to parse — as a
-    /// structural error, never a panic or a silently wrong bundle.
-    #[test]
-    fn truncation_at_every_boundary_is_detected(
-        frame_res in frames(),
-        with_t0 in 0u8..2,
-    ) {
+/// Every strict prefix of a valid bundle fails to parse — as a
+/// structural error, never a panic or a silently wrong bundle.
+#[test]
+fn truncation_at_every_boundary_is_detected() {
+    for_cases(0x1d02, 6, |g| {
+        let frame_res = frames(g);
         let model = ExactSeed::new(2);
         let t0_res: Vec<Vec<u8>> = vec![vec![1, 2, 3, 4, 5, 6, 7, 8]];
-        let t0 = (with_t0 == 1).then_some(&t0_res[..]);
+        let t0 = g.chance(0.5).then_some(&t0_res[..]);
         let bundle = build_bundle(&model, &frame_res, t0, None, 9_000);
         let bytes = serialize_bundle(&bundle, &model);
         for cut in 0..bytes.len() {
@@ -140,5 +132,5 @@ proptest! {
                 Err(other) => panic!("truncation to {cut} gave {other:?}"),
             }
         }
-    }
+    });
 }

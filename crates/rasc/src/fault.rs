@@ -23,6 +23,7 @@
 //! simulated cycles, never results.
 
 use psc_score::SubstitutionMatrix;
+use psc_seqio::prng::mix;
 
 use crate::config::OperatorConfig;
 use crate::functional::BatchScorer;
@@ -215,16 +216,8 @@ impl FaultPlan {
     }
 }
 
-/// SplitMix64 finalizer — the hash behind seeded plans and every
-/// "which bit / which hit" choice, so injection is a pure function of
-/// its integer inputs.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
+/// The hash behind seeded plans and every "which bit / which hit"
+/// choice, so injection is a pure function of its integer inputs.
 fn mix4(seed: u64, entry: u64, fpga: u64, salt: u64) -> u64 {
     mix(seed ^ mix(entry ^ mix(fpga ^ mix(salt))))
 }

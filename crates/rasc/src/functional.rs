@@ -340,16 +340,11 @@ mod tests {
         assert!(r.cycles >= f.cycles_lower_bound(9, 5));
     }
 
-    /// Seeded LCG residue stream over the full alphabet.
-    fn lcg_windows(seed: u64, count: usize, len: usize) -> Vec<u8> {
-        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+    /// Seeded residue stream over the full alphabet.
+    fn seeded_windows(seed: u64, count: usize, len: usize) -> Vec<u8> {
+        let mut rng = psc_seqio::prng::SplitMix64::new(seed);
         (0..count * len)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 33) % AA_ALPHABET_LEN as u64) as u8
-            })
+            .map(|_| rng.range(0..AA_ALPHABET_LEN as u8))
             .collect()
     }
 
@@ -382,8 +377,8 @@ mod tests {
             .collect();
         let mut results = Vec::new();
         for &(k0, k1) in cases {
-            let il0 = lcg_windows((k0 * 4099 + k1) as u64, k0, cfg.window_len);
-            let il1 = lcg_windows((k1 * 8209 + k0) as u64 ^ 0xff, k1, cfg.window_len);
+            let il0 = seeded_windows((k0 * 4099 + k1) as u64, k0, cfg.window_len);
+            let il1 = seeded_windows((k1 * 8209 + k0) as u64 ^ 0xff, k1, cfg.window_len);
             let expect = oracle.run_entry(&il0, &il1);
             for (op, b) in ops.iter_mut().zip(backends) {
                 assert_eq!(op.run_entry(&il0, &il1), expect, "{b:?} k0={k0} k1={k1}");
@@ -480,8 +475,8 @@ mod tests {
                 FunctionalOperator::host_kernel(&cfg, &m),
                 KernelBackend::Profile
             );
-            let mut il0 = lcg_windows(5, 4, 300);
-            let il1 = lcg_windows(6, 230, 300);
+            let mut il0 = seeded_windows(5, 4, 300);
+            let il1 = seeded_windows(6, 230, 300);
             il0[..300].copy_from_slice(&il1[300 * 200..300 * 201]);
             let mut oracle = PscOperator::new(cfg.clone(), &m).unwrap();
             let mut op = FunctionalOperator::new(cfg, &m).unwrap();

@@ -4,10 +4,10 @@
 //! streams. This is what licenses running the paper's experiment sweeps
 //! on the fast path.
 
-use proptest::prelude::*;
 use psc_align::Kernel;
 use psc_rasc::{FunctionalOperator, OperatorConfig, PscOperator};
 use psc_score::blosum62;
+use psc_seqio::prng::{for_cases, SplitMix64};
 
 #[derive(Clone, Debug)]
 struct Case {
@@ -21,44 +21,26 @@ struct Case {
     il1: Vec<u8>,
 }
 
-fn case() -> impl Strategy<Value = Case> {
-    (
-        1usize..12,      // pe_count
-        1usize..6,       // slot_size
-        2usize..65,      // window_len
-        0i32..40,        // threshold
-        1usize..12,      // fifo_capacity
-        prop::bool::ANY, // kernel select
-        0usize..20,      // k0
-        0usize..81,      // k1
-    )
-        .prop_flat_map(
-            |(pe_count, slot_size, window_len, threshold, fifo_capacity, literal, k0, k1)| {
-                let res = proptest::collection::vec(0u8..24, window_len * k0);
-                let res1 = proptest::collection::vec(0u8..24, window_len * k1);
-                (res, res1).prop_map(move |(il0, il1)| Case {
-                    pe_count,
-                    slot_size,
-                    window_len,
-                    threshold,
-                    fifo_capacity,
-                    kernel: if literal {
-                        Kernel::PaperLiteral
-                    } else {
-                        Kernel::ClampedSum
-                    },
-                    il0,
-                    il1,
-                })
-            },
-        )
+fn case(g: &mut SplitMix64) -> Case {
+    let window_len = g.range(2usize..65);
+    let (k0, k1) = (g.range(0usize..20), g.range(0usize..81));
+    let mut windows = |k: usize| g.vec(window_len * k..=window_len * k, |g| g.range(0u8..24));
+    Case {
+        il0: windows(k0),
+        il1: windows(k1),
+        pe_count: g.range(1usize..12),
+        slot_size: g.range(1usize..6),
+        window_len,
+        threshold: g.range(0i32..40),
+        fifo_capacity: g.range(1usize..12),
+        kernel: *g.select(&[Kernel::ClampedSum, Kernel::PaperLiteral]),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn cycle_accurate_equals_functional(c in case()) {
+#[test]
+fn cycle_accurate_equals_functional() {
+    for_cases(0xe901, 128, |g| {
+        let c = case(g);
         let mut cfg = OperatorConfig::new(c.pe_count);
         cfg.slot_size = c.slot_size;
         cfg.window_len = c.window_len;
@@ -71,21 +53,27 @@ proptest! {
 
         let a = hw.run_entry(&c.il0, &c.il1);
         let b = sw.run_entry(&c.il0, &c.il1);
-        prop_assert_eq!(&a.hits, &b.hits, "hit stream diverged");
-        prop_assert_eq!(a.cycles, b.cycles, "cycle count diverged");
-        prop_assert_eq!(a.stall_cycles, b.stall_cycles, "stalls diverged");
-        prop_assert_eq!(a.busy_pe_cycles, b.busy_pe_cycles, "busy accounting diverged");
+        assert_eq!(&a.hits, &b.hits, "hit stream diverged");
+        assert_eq!(a.cycles, b.cycles, "cycle count diverged");
+        assert_eq!(a.stall_cycles, b.stall_cycles, "stalls diverged");
+        assert_eq!(
+            a.busy_pe_cycles, b.busy_pe_cycles,
+            "busy accounting diverged"
+        );
 
         // And the no-traffic lower bound really is a lower bound.
         let k0 = c.il0.len() / c.window_len;
         let k1 = c.il1.len() / c.window_len;
-        prop_assert!(b.cycles >= sw.cycles_lower_bound(k0, k1));
-    }
+        assert!(b.cycles >= sw.cycles_lower_bound(k0, k1));
+    });
+}
 
-    /// The hit set is exactly the pairs the software kernel scores at or
-    /// above threshold, independent of array geometry.
-    #[test]
-    fn hits_independent_of_geometry(c in case()) {
+/// The hit set is exactly the pairs the software kernel scores at or
+/// above threshold, independent of array geometry.
+#[test]
+fn hits_independent_of_geometry() {
+    for_cases(0xe902, 128, |g| {
+        let c = case(g);
         let mut cfg_a = OperatorConfig::new(c.pe_count);
         cfg_a.slot_size = c.slot_size;
         cfg_a.window_len = c.window_len;
@@ -97,12 +85,16 @@ proptest! {
         cfg_b.slot_size = 1;
         cfg_b.fifo_capacity = 1;
 
-        let a = FunctionalOperator::new(cfg_a, blosum62()).unwrap().run_entry(&c.il0, &c.il1);
-        let b = FunctionalOperator::new(cfg_b, blosum62()).unwrap().run_entry(&c.il0, &c.il1);
+        let a = FunctionalOperator::new(cfg_a, blosum62())
+            .unwrap()
+            .run_entry(&c.il0, &c.il1);
+        let b = FunctionalOperator::new(cfg_b, blosum62())
+            .unwrap()
+            .run_entry(&c.il0, &c.il1);
         let mut ha = a.hits.clone();
         let mut hb = b.hits.clone();
         ha.sort_by_key(|h| (h.i0, h.i1));
         hb.sort_by_key(|h| (h.i0, h.i1));
-        prop_assert_eq!(ha, hb);
-    }
+        assert_eq!(ha, hb);
+    });
 }

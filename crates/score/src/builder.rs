@@ -221,9 +221,7 @@ mod tests {
     /// matrix should *correlate* with BLOSUM62 — which is exactly what
     /// the tests check.
     fn model_blocks(count: usize, rows: usize, len: usize) -> Vec<Block> {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(0xb105);
+        let mut rng = psc_seqio::prng::SplitMix64::new(0xb105);
         let cfg = psc_datagen::MutationConfig {
             divergence: 0.5,
             indel_rate: 0.0,

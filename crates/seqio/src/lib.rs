@@ -9,6 +9,9 @@
 //! Everything downstream (indexing, scoring, the PSC operator simulator)
 //! works on the compact `u8` residue codes defined by [`alphabet`]; ASCII
 //! only appears at the I/O boundary.
+//!
+//! As the crate every other one depends on, it also carries [`prng`]:
+//! the workspace's one seeded random source and property-case runner.
 
 #![forbid(unsafe_code)]
 
@@ -18,6 +21,7 @@ pub mod codon;
 pub mod complexity;
 pub mod error;
 pub mod fasta;
+pub mod prng;
 pub mod seq;
 pub mod translate;
 

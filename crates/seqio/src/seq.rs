@@ -4,7 +4,6 @@ use crate::alphabet::{self, Aa, Nt};
 
 /// Whether a sequence holds encoded nucleotides or amino acids.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SeqKind {
     Dna,
     Protein,
@@ -15,7 +14,6 @@ pub enum SeqKind {
 /// Residues are stored encoded, never as ASCII: downstream indexing and
 /// scoring address substitution tables directly with `residues[i]`.
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Seq {
     /// Identifier (first word of the FASTA header).
     pub id: String,

@@ -1,14 +1,15 @@
 //! Robustness: the I/O boundary must never panic, whatever bytes arrive.
 
-use proptest::prelude::*;
 use psc_seqio::fasta::{read_fasta_with, ResiduePolicy};
+use psc_seqio::prng::for_cases;
 use psc_seqio::{read_fasta, SeqKind};
 
-proptest! {
-    /// Arbitrary bytes: the parser returns Ok or Err, never panics, and
-    /// any parsed bank holds only valid residue codes.
-    #[test]
-    fn parser_total_on_arbitrary_bytes(data in proptest::collection::vec(any::<u8>(), 0..2000)) {
+/// Arbitrary bytes: the parser returns Ok or Err, never panics, and
+/// any parsed bank holds only valid residue codes.
+#[test]
+fn parser_total_on_arbitrary_bytes() {
+    for_cases(0xb0b1, 256, |g| {
+        let data = g.vec(0..2000, |g| g.range(0..=u8::MAX));
         for kind in [SeqKind::Protein, SeqKind::Dna] {
             if let Ok(bank) = read_fasta(&data[..], kind) {
                 let limit = match kind {
@@ -16,22 +17,22 @@ proptest! {
                     SeqKind::Dna => 5,
                 };
                 for (_, s) in bank.iter() {
-                    prop_assert!(s.residues.iter().all(|&c| c < limit));
+                    assert!(s.residues.iter().all(|&c| c < limit));
                 }
             }
             // Strict mode likewise must be total.
             let _ = read_fasta_with(&data[..], kind, ResiduePolicy::Strict);
         }
-    }
+    });
+}
 
-    /// FASTA-shaped noise: headers plus arbitrary residue lines.
-    #[test]
-    fn parser_total_on_fastaish_noise(
-        records in proptest::collection::vec(
-            ("[ -~]{0,30}", proptest::collection::vec(any::<u8>(), 0..120)),
-            0..6
-        )
-    ) {
+/// FASTA-shaped noise: headers plus arbitrary residue lines.
+#[test]
+fn parser_total_on_fastaish_noise() {
+    for_cases(0xb0b2, 256, |g| {
+        let records = g.vec(0..6, |g| {
+            (g.printable(0..=30), g.vec(0..120, |g| g.range(0..=u8::MAX)))
+        });
         let mut data = Vec::new();
         for (header, body) in &records {
             data.extend_from_slice(b">");
@@ -42,16 +43,19 @@ proptest! {
         }
         let _ = read_fasta(&data[..], SeqKind::Protein);
         let _ = read_fasta(&data[..], SeqKind::Dna);
-    }
+    });
+}
 
-    /// Masking is total and only ever substitutes X for standard codes.
-    #[test]
-    fn masking_total(residues in proptest::collection::vec(0u8..24, 0..500)) {
+/// Masking is total and only ever substitutes X for standard codes.
+#[test]
+fn masking_total() {
+    for_cases(0xb0b3, 256, |g| {
+        let residues = g.vec(0..500, |g| g.range(0u8..24));
         let cfg = psc_seqio::MaskConfig::default();
         let masked = psc_seqio::mask_low_complexity(&residues, &cfg);
-        prop_assert_eq!(masked.len(), residues.len());
+        assert_eq!(masked.len(), residues.len());
         for (&m, &o) in masked.iter().zip(&residues) {
-            prop_assert!(m == o || m == psc_seqio::Aa::X.0);
+            assert!(m == o || m == psc_seqio::Aa::X.0);
         }
-    }
+    });
 }

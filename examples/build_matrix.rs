@@ -9,14 +9,13 @@
 
 use psc_score::karlin::ungapped_params;
 use psc_score::{blosum62, build_blosum, Block, ROBINSON_FREQS};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use psc_seqio::prng::SplitMix64;
 
 fn main() {
     // Alignment blocks from the BLOSUM62-tilted mutation model: 80
     // families of 6 members at 50% divergence (ungapped, standard
     // residues only — exactly what the BLOCKS database provides).
-    let mut rng = StdRng::seed_from_u64(0xb10c);
+    let mut rng = SplitMix64::new(0xb10c);
     let mutation = psc_datagen::MutationConfig {
         divergence: 0.5,
         indel_rate: 0.0,

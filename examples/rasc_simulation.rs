@@ -11,16 +11,15 @@
 
 use psc_rasc::{FunctionalOperator, OperatorConfig, PscOperator, ResourceModel};
 use psc_score::blosum62;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use psc_seqio::prng::SplitMix64;
 
 /// Random window stream: `count` windows of `len` residues.
-fn windows(rng: &mut StdRng, count: usize, len: usize) -> Vec<u8> {
-    (0..count * len).map(|_| rng.gen_range(0..20u8)).collect()
+fn windows(rng: &mut SplitMix64, count: usize, len: usize) -> Vec<u8> {
+    (0..count * len).map(|_| rng.range(0..20u8)).collect()
 }
 
 fn main() {
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = SplitMix64::new(7);
 
     // --- Resource model -----------------------------------------------
     println!("Virtex-4 LX200 resource check (window 60, slots of 16):");
