@@ -2,46 +2,67 @@
 //! paper's step-2 kernel.
 //!
 //! The PSC operator wins on the RASC-100 by keeping one `IL0` window
-//! resident per processing element and streaming every `IL1` window past
-//! it. The software analogue of that data flow is implemented here:
+//! resident per processing element, streaming every `IL1` window past
+//! it, and pushing only the pairs above a threshold into the result
+//! FIFO: the PE is a *filter*. The software analogue of that data flow
+//! is implemented here:
 //!
-//! * a **score profile** ([`ScoreProfile`]) turns one `IL0` window into a
-//!   per-position table of substitution scores indexed by residue code,
-//!   built once and amortized over the whole of `IL1` (the table plays
-//!   the role of the PE's substitution ROM preloaded with one row);
 //! * an **interleaved layout** ([`InterleavedWindows`]) holds the
-//!   lane-axis windows transposed, so that position `p` of [`LANES`]
-//!   consecutive windows is one contiguous 16-byte load — the byte
-//!   stream an input controller would broadcast across the PE array.
-//!   Its one fill routine takes each window from the caller once, into
-//!   an L1-resident staging block, and transposes the block in
-//!   registers: the gather and the transposition are a single pass;
-//! * [`score_lanes`] then scores [`LANES`] window pairs per recurrence
-//!   step in 16-bit SIMD lanes (AVX2 on x86-64, an autovectorizable
-//!   lane-array fallback elsewhere), and [`profile_score`] is the
-//!   profile-based scalar kernel used when the batch is too small or the
-//!   accumulator could overflow 16 bits.
+//!   lane-axis windows transposed, so that position `p` of a block of
+//!   consecutive windows is one contiguous load — the byte stream an
+//!   input controller would broadcast across the PE array. Its one fill
+//!   routine takes each window from the caller once, into an
+//!   L1-resident staging block, and transposes the block in registers:
+//!   the gather and the transposition are a single pass;
+//! * a **lane filter** ([`LaneFilter`]) is the threshold-scan primitive
+//!   both step-2 callers run on: for one row-major window and a run of
+//!   lane blocks it reports every lane whose score reaches the
+//!   threshold. It *classifies* in saturating byte lanes — 64 window
+//!   pairs per recurrence step on AVX-512BW, 32 on AVX2, plain arrays
+//!   elsewhere — and *rescores* only the flagged lanes, with
+//!   [`ungapped_score`] itself. Substitution rows come from a
+//!   per-matrix table built once; nothing is built per window;
+//! * a **score profile** ([`ScoreProfile`]) turns one window into a
+//!   per-position table of substitution scores, for the scalar
+//!   [`profile_score`] kernel (small rectangles) and for
+//!   [`score_batch`], which returns *every* score of a batch through
+//!   16-bit lanes (tests and the benchmark's kernel measurement).
 //!
-//! Every path returns max scores **bit-identical** to
-//! [`ungapped_score`](crate::ungapped_score) for both [`Kernel`]
-//! variants; the property tests in `tests/batch_prop.rs` pin that down.
+//! Why byte lanes are exact as a classifier, at any window length and
+//! any threshold: the running score is never negative and substitution
+//! scores are `i8`, so a saturating add never clips downward; a lane
+//! that never reaches 127 therefore holds its true score; and a lane
+//! that does reach 127 has a true best of at least 127. Flagging the
+//! lanes at `min(threshold, 127)` or above thus misses no pair that
+//! scores `threshold`, and the rescoring — which compares the exact
+//! `i32` score against the threshold itself — drops the few flagged
+//! below a threshold past 127. (A threshold of zero or less flags every
+//! lane: every pair is a hit.)
+//!
+//! Every path reports scores **bit-identical** to [`ungapped_score`]
+//! for both [`Kernel`] variants; the unit tests below and the property
+//! tests in `tests/batch_prop.rs` pin that down.
+
+use std::ops::Range;
 
 use psc_score::SubstitutionMatrix;
 use psc_seqio::alphabet::AA_ALPHABET_LEN;
 
-use crate::ungapped::Kernel;
+use crate::ungapped::{ungapped_score, Kernel};
 
-/// Window pairs scored per 16-lane SIMD recurrence step.
-pub const LANES: usize = 16;
+/// Window pairs per lane block of the `simd` path: one 256-bit register
+/// of byte lanes (two of 16-bit lanes).
+pub const LANES: usize = 32;
 
-/// Window pairs scored per wide (32-lane) recurrence step. The
-/// interleaved layout pads its stride to this, so every narrower path
-/// divides it evenly.
-pub const WIDE_LANES: usize = 32;
+/// Window pairs per lane block of the `wide` path: one 512-bit register
+/// of byte lanes (two of 16-bit lanes). The interleaved layout pads its
+/// stride to this, so every narrower block divides it evenly.
+pub const WIDE_LANES: usize = 64;
 
-/// Bytes per profile position: two 16-byte shuffle tables (codes 0–15
+/// Bytes per substitution row ([`ScoreProfile`] position or
+/// [`LaneFilter`] table row): two 16-byte shuffle tables (codes 0–15
 /// and 16–23; the upper 8 slots of the second table stay zero).
-const PROFILE_STRIDE: usize = 2 * LANES;
+const ROW_BYTES: usize = 32;
 
 /// A concrete step-2 kernel implementation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,16 +72,13 @@ pub enum KernelBackend {
     /// Score-profile scalar kernel: one table build per `IL0` window,
     /// then a single indexed load per residue pair.
     Profile,
-    /// Batched SIMD kernel: score profiles plus 16 i16 lanes over the
-    /// interleaved `IL1` stream.
+    /// The AVX2 lane path: [`LaneFilter`] over [`LANES`]-wide blocks
+    /// (a portable lane array on hosts without AVX2).
     Simd,
-    /// Wide batched kernel: 32 i16 lanes per step (AVX-512BW on hosts
-    /// that have it, an autovectorizable 32-lane array elsewhere).
+    /// The AVX-512BW lane path: [`LaneFilter`] over
+    /// [`WIDE_LANES`]-wide blocks (a portable lane array on hosts
+    /// without AVX-512BW).
     Wide,
-    /// Split accumulator kernel for short windows: 32 saturating i8
-    /// lanes per 256-bit op, exact while the whole window fits the i8
-    /// guard (see [`split_window_fits`]).
-    Split,
 }
 
 impl KernelBackend {
@@ -71,17 +89,17 @@ impl KernelBackend {
             KernelBackend::Profile => "profile",
             KernelBackend::Simd => "simd",
             KernelBackend::Wide => "wide",
-            KernelBackend::Split => "split",
         }
     }
 
-    /// Window pairs consumed per recurrence step — the denominator of
-    /// the lane-occupancy accounting.
+    /// Window pairs per lane block — what [`LaneFilter`] steps by under
+    /// this backend, and the denominator of the lane-occupancy
+    /// accounting.
     pub fn lane_width(self) -> usize {
         match self {
             KernelBackend::Scalar | KernelBackend::Profile => 1,
             KernelBackend::Simd => LANES,
-            KernelBackend::Wide | KernelBackend::Split => WIDE_LANES,
+            KernelBackend::Wide => WIDE_LANES,
         }
     }
 }
@@ -96,7 +114,6 @@ pub enum KernelChoice {
     Profile,
     Simd,
     Wide,
-    Split,
 }
 
 impl KernelChoice {
@@ -108,7 +125,6 @@ impl KernelChoice {
             "profile" => KernelChoice::Profile,
             "simd" => KernelChoice::Simd,
             "wide" => KernelChoice::Wide,
-            "split" => KernelChoice::Split,
             _ => return None,
         })
     }
@@ -116,12 +132,12 @@ impl KernelChoice {
     /// Resolve to a concrete backend for windows of `window_len` scored
     /// under `matrix`.
     ///
-    /// The 16- and 32-lane paths accumulate in 16-bit lanes, so they
-    /// are only selected (or honoured when requested) while
-    /// `window_len * max_score` fits an `i16`; the split kernel's i8
-    /// lanes demand the tighter [`split_window_fits`] bound. `Auto`
-    /// prefers the widest path the host's instruction set and the
-    /// window's overflow guards allow.
+    /// One resolution serves the filter and [`score_batch`], whose
+    /// 16-bit lanes are exact only while `window_len * max_score` fits
+    /// an `i16` — so the lane backends are selected (or honoured when
+    /// requested) under that guard, although [`LaneFilter`] itself is
+    /// exact at any length. `Auto` prefers the widest path the host's
+    /// instruction set and the guard allow.
     pub fn resolve(self, window_len: usize, matrix: &SubstitutionMatrix) -> KernelBackend {
         self.resolve_with_reason(window_len, matrix).0
     }
@@ -136,28 +152,14 @@ impl KernelChoice {
         matrix: &SubstitutionMatrix,
     ) -> (KernelBackend, Option<&'static str>) {
         let fits_i16 = simd_window_fits(window_len, matrix);
-        let fits_i8 = split_window_fits(window_len, matrix);
         match self {
             KernelChoice::Scalar => (KernelBackend::Scalar, None),
             KernelChoice::Profile => (KernelBackend::Profile, None),
             KernelChoice::Simd if fits_i16 => (KernelBackend::Simd, None),
-            KernelChoice::Simd => (
-                KernelBackend::Profile,
-                Some("window overflows the i16 lane accumulator"),
-            ),
             KernelChoice::Wide if fits_i16 => (KernelBackend::Wide, None),
-            KernelChoice::Wide => (
+            KernelChoice::Simd | KernelChoice::Wide => (
                 KernelBackend::Profile,
                 Some("window overflows the i16 lane accumulator"),
-            ),
-            KernelChoice::Split if fits_i8 => (KernelBackend::Split, None),
-            KernelChoice::Split if fits_i16 => (
-                KernelBackend::Simd,
-                Some("window overflows the saturating i8 accumulator"),
-            ),
-            KernelChoice::Split => (
-                KernelBackend::Profile,
-                Some("window overflows both the i8 and i16 lane accumulators"),
             ),
             KernelChoice::Auto if fits_i16 && wide_available() => (KernelBackend::Wide, None),
             KernelChoice::Auto if fits_i16 && simd_available() => (KernelBackend::Simd, None),
@@ -174,25 +176,12 @@ fn simd_window_fits(window_len: usize, matrix: &SubstitutionMatrix) -> bool {
     (window_len as i64) * max <= i16::MAX as i64
 }
 
-/// True when the split kernel's saturating i8 lanes are exact for this
-/// window/matrix combination.
-///
-/// The running clamped score after `k` steps is at most `k * max_score`,
-/// so while `window_len * max_score <= i8::MAX` no lane ever saturates
-/// upward; downward saturation at -128 is erased by the `max(0)` clamp.
-/// That makes the i8 path bit-identical to the scalar kernels — it is a
-/// short-window variant, not an approximation.
-pub fn split_window_fits(window_len: usize, matrix: &SubstitutionMatrix) -> bool {
-    let max = matrix.max_score().max(0) as i64;
-    (window_len as i64) * max <= i8::MAX as i64
-}
-
-/// Does this host have the SIMD instructions the 16-lane fast path
+/// Does this host have the AVX2 instructions the `simd` lane path
 /// wants?
 ///
-/// Without them [`score_lanes`] still works (the lane-array fallback is
-/// plain safe Rust the compiler autovectorizes), so this only steers
-/// `Auto` away from a path with no hardware win.
+/// Without them the path still works (the lane-array fallback is plain
+/// safe Rust the compiler autovectorizes), so this only steers `Auto`
+/// away from a path with no hardware win.
 pub fn simd_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -204,7 +193,7 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// Does this host have the AVX-512BW instructions the 32-lane wide path
+/// Does this host have the AVX-512BW instructions the `wide` lane path
 /// wants? Same contract as [`simd_available`]: the wide fallback is
 /// portable, this only informs `Auto` and the recorded profile.
 pub fn wide_available() -> bool {
@@ -218,18 +207,29 @@ pub fn wide_available() -> bool {
     }
 }
 
+/// One matrix row in shuffle-table form: `scores[c]` for residue codes
+/// `c < 24`, zero above.
+type SubRow = [i8; ROW_BYTES];
+
+fn sub_row(matrix: &SubstitutionMatrix, a: u8) -> SubRow {
+    debug_assert!((a as usize) < AA_ALPHABET_LEN);
+    let mut row = [0i8; ROW_BYTES];
+    row[..AA_ALPHABET_LEN]
+        .copy_from_slice(&matrix.flat()[a as usize * AA_ALPHABET_LEN..][..AA_ALPHABET_LEN]);
+    row
+}
+
 /// Per-position substitution-score table for one `IL0` window.
 ///
 /// Row `p` holds `matrix.score(window[p], c)` for every residue code
-/// `c`, laid out as two 16-byte halves so the SIMD path can use them as
-/// byte-shuffle tables directly. Building a profile costs one row copy
-/// per position and is amortized over every `IL1` window scored against
-/// it — the software analogue of loading a PE's substitution ROM once
-/// and streaming the bank past it.
+/// `c`, laid out as two 16-byte halves so the 16-bit lane bodies can use
+/// them as byte-shuffle tables directly. Building a profile costs one
+/// row copy per position and is amortized over every `IL1` window scored
+/// against it. The scalar `profile` kernel and [`score_batch`] read
+/// profiles; the [`LaneFilter`] does not.
 #[derive(Clone, Debug, Default)]
 pub struct ScoreProfile {
-    data: Vec<i8>,
-    len: usize,
+    rows: Vec<SubRow>,
 }
 
 impl ScoreProfile {
@@ -239,54 +239,44 @@ impl ScoreProfile {
 
     /// (Re)build the profile for `window`, reusing the allocation.
     pub fn build(&mut self, matrix: &SubstitutionMatrix, window: &[u8]) {
-        self.len = window.len();
-        // No `clear()`: the score slots of every row are overwritten
-        // below and the unused tail of the second shuffle table is never
-        // written at all, so `resize` only has to zero-fill growth.
-        self.data.resize(window.len() * PROFILE_STRIDE, 0);
-        let flat = matrix.flat();
-        for (row, &a) in self.data.chunks_exact_mut(PROFILE_STRIDE).zip(window) {
-            debug_assert!((a as usize) < AA_ALPHABET_LEN);
-            row[..AA_ALPHABET_LEN]
-                .copy_from_slice(&flat[a as usize * AA_ALPHABET_LEN..][..AA_ALPHABET_LEN]);
-        }
+        self.rows.clear();
+        self.rows.extend(window.iter().map(|&a| sub_row(matrix, a)));
     }
 
     /// Window length this profile was built for.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.rows.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rows.is_empty()
     }
 
     /// Substitution score at window position `p` against residue `c`.
     #[cfg(test)]
     fn score(&self, p: usize, c: u8) -> i32 {
-        self.data[p * PROFILE_STRIDE + c as usize] as i32
+        self.rows[p][c as usize] as i32
     }
 }
 
-/// Profile-based scalar kernel: bit-identical to
-/// [`ungapped_score`](crate::ungapped_score) on the window the profile
-/// was built from, one indexed byte load per residue pair.
+/// Profile-based scalar kernel: bit-identical to [`ungapped_score`] on
+/// the window the profile was built from, one indexed byte load per
+/// residue pair.
 ///
 /// The row walk keeps the whole lookup inside one 32-byte profile row
-/// (`chunks_exact` + a masked index, so the compiler drops every bounds
-/// check) and carries no dependence on the `IL0` residues — the two
-/// things that make it faster than the `matrix.score(a, b)` baseline.
+/// (a masked index, so the compiler drops every bounds check) and
+/// carries no dependence on the `IL0` residues — the two things that
+/// make it faster than the `matrix.score(a, b)` baseline.
 #[inline]
 pub fn profile_score(kernel: Kernel, profile: &ScoreProfile, w1: &[u8]) -> i32 {
     debug_assert_eq!(profile.len(), w1.len());
     let mut score = 0i32;
     let mut max_score = 0i32;
-    let rows = profile.data.chunks_exact(PROFILE_STRIDE);
     match kernel {
         Kernel::ClampedSum => {
-            for (row, &b) in rows.zip(w1) {
+            for (row, &b) in profile.rows.iter().zip(w1) {
                 // The mask keeps the index inside the 32-byte row
                 // (residue codes are < 24 by construction).
                 let sub = row[(b & 0x1f) as usize] as i32;
@@ -295,7 +285,7 @@ pub fn profile_score(kernel: Kernel, profile: &ScoreProfile, w1: &[u8]) -> i32 {
             }
         }
         Kernel::PaperLiteral => {
-            for (row, &b) in rows.zip(w1) {
+            for (row, &b) in profile.rows.iter().zip(w1) {
                 let sub = row[(b & 0x1f) as usize] as i32;
                 score = score.max(score + sub);
                 max_score = max_score.max(score);
@@ -324,7 +314,7 @@ pub fn profile_score2(
     let mut ma = 0i32;
     let mut sb = 0i32;
     let mut mb = 0i32;
-    let rows = profile.data.chunks_exact(PROFILE_STRIDE);
+    let rows = profile.rows.iter();
     match kernel {
         Kernel::ClampedSum => {
             for ((row, &a), &b) in rows.zip(w1a).zip(w1b) {
@@ -351,10 +341,10 @@ pub fn profile_score2(
 ///
 /// `data[p * stride + j]` is residue `p` of window `j`; the lane stride
 /// is padded up to a multiple of [`WIDE_LANES`] (pad windows read as
-/// residue 0 and their scores are simply never consumed), so both the
-/// 16- and 32-lane kernels can load full blocks. This is the transpose
-/// an input controller performs when it broadcasts the `IL1` byte stream
-/// across the PE array one residue per cycle.
+/// residue 0 and are never reported), so every lane body loads whole
+/// blocks. This is the transpose an input controller performs when it
+/// broadcasts the `IL1` byte stream across the PE array one residue per
+/// cycle.
 ///
 /// There is one way in, [`fill`](InterleavedWindows::fill): the caller
 /// writes each window once, into a staging row, and the routine does
@@ -363,14 +353,18 @@ pub fn profile_score2(
 #[derive(Clone, Debug, Default)]
 pub struct InterleavedWindows {
     data: Vec<u8>,
-    /// [`WIDE_LANES`] staging rows, each the window length rounded up to
-    /// whole tiles: the lane block being transposed (2 KiB at the
+    /// [`STAGE_LANES`] staging rows, each the window length rounded up
+    /// to whole tiles: the lane block being transposed (2 KiB at the
     /// default 60-residue window, so it never leaves L1).
     stage: Vec<u8>,
     len: usize,
     count: usize,
     stride: usize,
 }
+
+/// Windows staged and transposed together by
+/// [`InterleavedWindows::fill`].
+const STAGE_LANES: usize = 32;
 
 /// Lanes per transpose tile: eight staging rows, one `u64` of output
 /// per position.
@@ -444,14 +438,14 @@ impl InterleavedWindows {
     /// must write all `len` residues of window `j` into `row` and is
     /// called once per window, in order.
     ///
-    /// Windows are staged one lane block ([`WIDE_LANES`]) at a time,
-    /// the block is transposed through [`TILE_ROWS`]×[`TILE_COLS`] byte
-    /// tiles in registers, and every position receives its whole
-    /// `WIDE_LANES`-byte run in one go. Each byte of the layout is
-    /// written exactly once per call, whatever shape the buffers held
-    /// before, and nothing is allocated once they have grown to the
-    /// largest shape seen. Zero-length windows hold nothing: `len == 0`
-    /// leaves the layout empty.
+    /// Windows are staged [`STAGE_LANES`] at a time, the staged block is
+    /// transposed through [`TILE_ROWS`]×[`TILE_COLS`] byte tiles in
+    /// registers, and every position receives its whole run of the
+    /// block in one go. Each byte of the layout is written exactly once
+    /// per call, whatever shape the buffers held before, and nothing is
+    /// allocated once they have grown to the largest shape seen.
+    /// Zero-length windows hold nothing: `len == 0` leaves the layout
+    /// empty.
     pub fn fill(&mut self, count: usize, len: usize, mut write: impl FnMut(usize, &mut [u8])) {
         let count = if len == 0 { 0 } else { count };
         self.len = len;
@@ -462,16 +456,24 @@ impl InterleavedWindows {
         // full columns; the pad columns are never stored.
         let stage_len = len.div_ceil(TILE_COLS) * TILE_COLS;
         self.data.resize(len * stride, 0);
-        self.stage.resize(WIDE_LANES * stage_len, 0);
+        self.stage.resize(STAGE_LANES * stage_len, 0);
 
-        for j0 in (0..count).step_by(WIDE_LANES) {
-            let real = WIDE_LANES.min(count - j0);
+        for j0 in (0..stride).step_by(STAGE_LANES) {
+            // Pad lanes are scored like any other, so they must hold
+            // valid residue codes: a staging block past the last window
+            // is zeroed in place, the pad rows of a short one in the
+            // staging rows.
+            if j0 >= count {
+                for p in 0..len {
+                    self.data[p * stride + j0..][..STAGE_LANES].fill(0);
+                }
+                continue;
+            }
+            let real = STAGE_LANES.min(count - j0);
             for (r, row) in self.stage.chunks_exact_mut(stage_len).enumerate() {
                 if r < real {
                     write(j0 + r, &mut row[..len]);
                 } else {
-                    // Pad lanes of a short final block are scored like
-                    // any other, so they must hold valid residue codes.
                     row[..len].fill(0);
                 }
             }
@@ -479,13 +481,13 @@ impl InterleavedWindows {
         }
     }
 
-    /// Transpose the staged lane block into lanes `j0 .. j0+WIDE_LANES`
+    /// Transpose the staged lane block into lanes `j0 .. j0+STAGE_LANES`
     /// of every position (the part of [`fill`](InterleavedWindows::fill)
     /// that does not depend on the caller's closure).
     fn store_block(&mut self, j0: usize, stage_len: usize) {
         let (len, stride) = (self.len, self.stride);
         for p0 in (0..len).step_by(TILE_COLS) {
-            let mut tiles = [[0u64; TILE_COLS]; WIDE_LANES / TILE_ROWS];
+            let mut tiles = [[0u64; TILE_COLS]; STAGE_LANES / TILE_ROWS];
             for (g, tile) in tiles.iter_mut().enumerate() {
                 let mut rows = [[0u8; TILE_COLS]; TILE_ROWS];
                 for (r, row) in rows.iter_mut().enumerate() {
@@ -496,7 +498,7 @@ impl InterleavedWindows {
                 *tile = transpose_tile(&rows);
             }
             for i in 0..TILE_COLS.min(len - p0) {
-                let run = &mut self.data[(p0 + i) * stride + j0..][..WIDE_LANES];
+                let run = &mut self.data[(p0 + i) * stride + j0..][..STAGE_LANES];
                 for (g, tile) in tiles.iter().enumerate() {
                     run[g * TILE_ROWS..][..TILE_ROWS].copy_from_slice(&tile[i].to_le_bytes());
                 }
@@ -544,210 +546,290 @@ impl InterleavedWindows {
     pub fn wide_lane_codes(&self, p: usize, j0: usize) -> &[u8] {
         &self.data[p * self.stride + j0..][..WIDE_LANES]
     }
-}
 
-/// Score one lane block: windows `j0 .. j0+LANES` of `il1` against
-/// `profile`, writing [`LANES`] max scores into `out`.
-///
-/// `j0` must be a multiple of [`LANES`] and within the padded stride;
-/// scores of pad lanes are meaningless and must be ignored by the
-/// caller. Results are bit-identical to the scalar kernels as long as
-/// `profile.len() * matrix.max_score()` fits an `i16` (see
-/// [`KernelChoice::resolve`]).
-#[inline]
-pub fn score_lanes(
-    kernel: Kernel,
-    profile: &ScoreProfile,
-    il1: &InterleavedWindows,
-    j0: usize,
-    out: &mut [i32; LANES],
-) {
-    debug_assert_eq!(profile.len(), il1.len());
-    debug_assert_eq!(j0 % LANES, 0);
-    debug_assert!(j0 + LANES <= il1.stride);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 confirmed present at runtime.
-            unsafe { x86::score_lanes_avx2(kernel, profile, il1, j0, out) };
-            return;
+    /// Copy window `j` back out of the lane layout, row-major, into
+    /// `out` (`out.len()` must be the window length).
+    pub fn window_into(&self, j: usize, out: &mut [u8]) {
+        assert!(j < self.stride && out.len() == self.len);
+        for (o, run) in out.iter_mut().zip(self.data.chunks_exact(self.stride)) {
+            *o = run[j];
         }
     }
-    score_lanes_fallback(kernel, profile, il1, j0, out);
 }
 
-/// Portable lane-array kernel: the same 16-lane recurrence written as
-/// plain array arithmetic for the compiler to autovectorize. Used when
-/// the host lacks AVX2 but a SIMD backend was requested explicitly.
-fn score_lanes_fallback(
+/// The instruction set a lane body runs on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Isa {
+    /// AVX-512BW, [`WIDE_LANES`]-wide blocks.
+    Avx512,
+    /// AVX2, [`LANES`]-wide blocks.
+    Avx2,
+    /// Plain lane arrays at either width.
+    Portable,
+}
+
+impl Isa {
+    /// The body `backend`'s lane path runs on this host.
+    fn of(backend: KernelBackend) -> Isa {
+        match backend {
+            KernelBackend::Wide if wide_available() => Isa::Avx512,
+            KernelBackend::Simd if simd_available() => Isa::Avx2,
+            _ => Isa::Portable,
+        }
+    }
+}
+
+/// Most lane blocks one body call scores: they share each substitution
+/// row load, and their add→max dependency chains overlap.
+const MAX_BLOCKS: usize = 4;
+
+/// A matrix's 24 substitution rows in shuffle-table form — the lane
+/// path's ROM, indexed by the profile-side residue at score time.
+#[derive(Clone, Debug)]
+#[repr(align(64))]
+struct LaneTable([SubRow; AA_ALPHABET_LEN]);
+
+/// The threshold-scan primitive of step 2: which lanes of an
+/// [`InterleavedWindows`] score at least `threshold` against one
+/// row-major window, and what exactly they score.
+///
+/// Built once per run and matrix (768 bytes of table plus the matrix
+/// itself); [`scan`](LaneFilter::scan) allocates nothing.
+#[derive(Clone, Debug)]
+pub struct LaneFilter {
+    matrix: SubstitutionMatrix,
+    table: LaneTable,
     kernel: Kernel,
-    profile: &ScoreProfile,
-    il1: &InterleavedWindows,
+    threshold: i32,
+    /// Lanes per block ([`KernelBackend::lane_width`]).
+    width: usize,
+    isa: Isa,
+}
+
+impl LaneFilter {
+    /// The filter `backend` runs for `kernel`, `matrix` and `threshold`
+    /// on this host, or `None` for the scalar-width backends, which
+    /// have no lane path. Any threshold and any window length are
+    /// exact.
+    pub fn new(
+        backend: KernelBackend,
+        kernel: Kernel,
+        matrix: &SubstitutionMatrix,
+        threshold: i32,
+    ) -> Option<LaneFilter> {
+        let width = backend.lane_width();
+        (width > 1).then(|| LaneFilter {
+            matrix: matrix.clone(),
+            table: LaneTable(std::array::from_fn(|a| sub_row(matrix, a as u8))),
+            kernel,
+            threshold,
+            width,
+            isa: Isa::of(backend),
+        })
+    }
+
+    /// Run the body of `isa` instead of the one the host would pick.
+    /// The caller answers for the host having `isa` and for its block
+    /// width being this backend's.
+    #[cfg(test)]
+    fn with_isa(mut self, isa: Isa) -> LaneFilter {
+        self.isa = isa;
+        self
+    }
+
+    /// Lanes per block: `range.start` of a [`scan`](LaneFilter::scan)
+    /// must be a multiple of this.
+    pub fn block_width(&self) -> usize {
+        self.width
+    }
+
+    /// Call `hit(j, score)` for every lane `j` of `range` whose window
+    /// scores at least the threshold against `window`, in ascending
+    /// lane order, with the exact score. Pad lanes are never reported.
+    ///
+    /// `range.start` must be a multiple of
+    /// [`block_width`](LaneFilter::block_width) and `range.end` at most
+    /// `lanes.count()`. `lane_window` is scratch for the flagged lanes'
+    /// windows; it only grows to the window length.
+    pub fn scan(
+        &self,
+        window: &[u8],
+        lanes: &InterleavedWindows,
+        range: Range<usize>,
+        lane_window: &mut Vec<u8>,
+        mut hit: impl FnMut(usize, i32),
+    ) {
+        // The bodies read `window.len()` positions of whole blocks
+        // through raw pointers: these are their bounds checks.
+        assert_eq!(window.len(), lanes.len(), "window length mismatch");
+        assert!(
+            range.start.is_multiple_of(self.width) && range.end <= lanes.count(),
+            "lane range {range:?} off the block grid or past the last window"
+        );
+        lane_window.resize(window.len(), 0);
+        let mut j0 = range.start;
+        while j0 < range.end {
+            let mut masks = [0u64; MAX_BLOCKS];
+            let blocks = self.classify(window, lanes, j0, range.end, &mut masks);
+            for (b, mut mask) in masks.into_iter().take(blocks).enumerate() {
+                let block = j0 + b * self.width;
+                // Pad lanes, and real ones past the range, are not ours
+                // to report.
+                let live = range.end - block;
+                if live < u64::BITS as usize {
+                    mask &= (1 << live) - 1;
+                }
+                while mask != 0 {
+                    let j = block + mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    lanes.window_into(j, lane_window);
+                    let score = ungapped_score(self.kernel, &self.matrix, window, lane_window);
+                    // A flag says "at least `min(threshold, 127)`".
+                    if score >= self.threshold {
+                        hit(j, score);
+                    }
+                }
+            }
+            j0 += blocks * self.width;
+        }
+    }
+
+    /// Classify the next blocks from lane `j0` (at most [`MAX_BLOCKS`],
+    /// never past the block holding lane `end - 1`): bit `t` of
+    /// `masks[b]` is set when byte lane `j0 + b * width + t` reaches the
+    /// threshold or saturates. Returns the number of blocks classified.
+    fn classify(
+        &self,
+        window: &[u8],
+        lanes: &InterleavedWindows,
+        j0: usize,
+        end: usize,
+        masks: &mut [u64; MAX_BLOCKS],
+    ) -> usize {
+        let left = (end - j0).div_ceil(self.width);
+        debug_assert!(j0 + left * self.width <= lanes.stride);
+        // A byte lane answers for thresholds up to its ceiling; `scan`
+        // re-checks a higher one on the rescored lanes. Lanes never go
+        // negative, so a threshold of zero or less flags them all.
+        let threshold = self.threshold.clamp(0, i8::MAX as i32) as i8;
+        match self.isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::of` saw AVX-512BW; `scan` checked that the
+            // window is as long as the layout's and that `left` blocks
+            // from `j0` lie inside its stride.
+            Isa::Avx512 => unsafe {
+                x86::classify_avx512bw(self, window, lanes, j0, left, threshold, masks)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above, with AVX2.
+            Isa::Avx2 => unsafe {
+                x86::classify_avx2(self, window, lanes, j0, left, threshold, masks)
+            },
+            _ => {
+                let mut best = [0i8; WIDE_LANES];
+                let best = &mut best[..self.width];
+                let rows = window.iter().map(|&a| &self.table.0[a as usize]);
+                lanes_portable(self.kernel, rows, lanes, j0, best);
+                masks[0] = (best.iter().enumerate())
+                    .fold(0, |mask, (l, &v)| mask | (u64::from(v >= threshold) << l));
+                1
+            }
+        }
+    }
+}
+
+/// A lane accumulator of the portable body. Byte lanes saturate — the
+/// filter's exactness rests on it; the 16-bit lanes of [`score_batch`]
+/// wrap like their vector bodies, exact while `len * max_score` fits an
+/// `i16` ([`KernelChoice::resolve`]).
+trait Lane: Copy + Ord + Default {
+    fn plus(self, sub: i8) -> Self;
+}
+
+impl Lane for i8 {
+    fn plus(self, sub: i8) -> i8 {
+        self.saturating_add(sub)
+    }
+}
+
+impl Lane for i16 {
+    fn plus(self, sub: i8) -> i16 {
+        self.wrapping_add(sub as i16)
+    }
+}
+
+/// Portable lane body: best scores of lanes `j0 .. j0 + best.len()` (at
+/// most [`WIDE_LANES`]) against the window whose substitution rows are
+/// `rows`, one per position, as plain array arithmetic for the compiler
+/// to autovectorize.
+fn lanes_portable<'r, T: Lane>(
+    kernel: Kernel,
+    rows: impl Iterator<Item = &'r SubRow>,
+    lanes: &InterleavedWindows,
     j0: usize,
-    out: &mut [i32; LANES],
+    best: &mut [T],
 ) {
-    let mut score = [0i16; LANES];
-    let mut max_score = [0i16; LANES];
-    for p in 0..profile.len() {
-        let codes = il1.lane_codes(p, j0);
-        let row = &profile.data[p * PROFILE_STRIDE..][..PROFILE_STRIDE];
+    let zero = T::default();
+    let mut score = [zero; WIDE_LANES];
+    let score = &mut score[..best.len()];
+    best.fill(zero);
+    for (p, row) in rows.enumerate() {
+        let codes = &lanes.data[p * lanes.stride + j0..][..best.len()];
         match kernel {
             Kernel::ClampedSum => {
-                for l in 0..LANES {
-                    let s = (score[l] + row[codes[l] as usize] as i16).max(0);
-                    score[l] = s;
-                    max_score[l] = max_score[l].max(s);
+                for ((s, b), &c) in score.iter_mut().zip(best.iter_mut()).zip(codes) {
+                    *s = s.plus(row[(c & 0x1f) as usize]).max(zero);
+                    *b = (*b).max(*s);
                 }
             }
             Kernel::PaperLiteral => {
                 // `score = max(score, score + sub)` only ever adds the
                 // positive part, so the running score is the maximum.
-                for l in 0..LANES {
-                    score[l] += (row[codes[l] as usize] as i16).max(0);
+                for (s, &c) in score.iter_mut().zip(codes) {
+                    *s = s.plus(row[(c & 0x1f) as usize].max(0));
                 }
             }
         }
     }
-    let final_v = match kernel {
-        Kernel::ClampedSum => max_score,
-        Kernel::PaperLiteral => score,
-    };
-    for l in 0..LANES {
-        out[l] = final_v[l] as i32;
+    if kernel == Kernel::PaperLiteral {
+        best.copy_from_slice(score);
     }
 }
 
-/// Score one wide lane block: windows `j0 .. j0+WIDE_LANES` of `il1`
-/// against `profile`, writing [`WIDE_LANES`] max scores into `out`.
-///
-/// Same contract as [`score_lanes`] with `j0` a multiple of
-/// [`WIDE_LANES`]: pad-lane scores are meaningless, results are
-/// bit-identical to the scalar kernels while the window passes the i16
-/// guard of [`KernelChoice::resolve`].
-#[inline]
-pub fn score_lanes_wide(
+/// 16-bit lanes one [`score_batch`] step scores under `simd` (a 256-bit
+/// register) and `wide` (a 512-bit one).
+const SIMD_WORDS: usize = LANES / 2;
+const WIDE_WORDS: usize = WIDE_LANES / 2;
+
+/// Best scores of lanes `j0 .. j0 + best.len()` of `il1` against
+/// `profile` in 16-bit lanes: `best.len()` is [`SIMD_WORDS`] (AVX2 when
+/// the host has it) or [`WIDE_WORDS`] (AVX-512BW likewise).
+fn score_words(
     kernel: Kernel,
     profile: &ScoreProfile,
     il1: &InterleavedWindows,
     j0: usize,
-    out: &mut [i32; WIDE_LANES],
+    best: &mut [i16],
 ) {
-    debug_assert_eq!(profile.len(), il1.len());
-    debug_assert_eq!(j0 % WIDE_LANES, 0);
-    debug_assert!(j0 + WIDE_LANES <= il1.stride);
+    assert_eq!(profile.len(), il1.len());
+    assert!(j0 + best.len() <= il1.stride);
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx512bw") {
-            // SAFETY: AVX-512F/BW confirmed present at runtime.
-            unsafe { x86::score_lanes_avx512(kernel, profile, il1, j0, out) };
+        let codes = il1.data[j0..].as_ptr();
+        if best.len() == WIDE_WORDS && wide_available() {
+            // SAFETY: AVX-512BW is present, and the asserts above keep
+            // every 32-byte load of `profile.len()` positions at `j0`
+            // inside the layout.
+            unsafe { x86::words_avx512(kernel, profile, codes, il1.stride, best) };
+            return;
+        }
+        if best.len() == SIMD_WORDS && simd_available() {
+            // SAFETY: as above, with AVX2 and 16-byte loads.
+            unsafe { x86::words_avx2(kernel, profile, codes, il1.stride, best) };
             return;
         }
     }
-    score_lanes_wide_fallback(kernel, profile, il1, j0, out);
-}
-
-/// Portable 32-lane i16 kernel for hosts without AVX-512BW.
-fn score_lanes_wide_fallback(
-    kernel: Kernel,
-    profile: &ScoreProfile,
-    il1: &InterleavedWindows,
-    j0: usize,
-    out: &mut [i32; WIDE_LANES],
-) {
-    let mut score = [0i16; WIDE_LANES];
-    let mut max_score = [0i16; WIDE_LANES];
-    for p in 0..profile.len() {
-        let codes = il1.wide_lane_codes(p, j0);
-        let row = &profile.data[p * PROFILE_STRIDE..][..PROFILE_STRIDE];
-        match kernel {
-            Kernel::ClampedSum => {
-                for l in 0..WIDE_LANES {
-                    let s = (score[l] + row[codes[l] as usize] as i16).max(0);
-                    score[l] = s;
-                    max_score[l] = max_score[l].max(s);
-                }
-            }
-            Kernel::PaperLiteral => {
-                for l in 0..WIDE_LANES {
-                    score[l] += (row[codes[l] as usize] as i16).max(0);
-                }
-            }
-        }
-    }
-    let final_v = match kernel {
-        Kernel::ClampedSum => max_score,
-        Kernel::PaperLiteral => score,
-    };
-    for l in 0..WIDE_LANES {
-        out[l] = final_v[l] as i32;
-    }
-}
-
-/// Score one wide lane block with the split (saturating i8) kernel:
-/// 32 window pairs per 256-bit op, twice the lanes of the i16 paths
-/// per vector register.
-///
-/// Only exact while [`split_window_fits`] holds for the profile's
-/// window — [`KernelChoice::resolve`] enforces that guard; callers
-/// going through [`score_batch`] inherit it.
-#[inline]
-pub fn score_lanes_split(
-    kernel: Kernel,
-    profile: &ScoreProfile,
-    il1: &InterleavedWindows,
-    j0: usize,
-    out: &mut [i32; WIDE_LANES],
-) {
-    debug_assert_eq!(profile.len(), il1.len());
-    debug_assert_eq!(j0 % WIDE_LANES, 0);
-    debug_assert!(j0 + WIDE_LANES <= il1.stride);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 confirmed present at runtime.
-            unsafe { x86::score_lanes_split_avx2(kernel, profile, il1, j0, out) };
-            return;
-        }
-    }
-    score_lanes_split_fallback(kernel, profile, il1, j0, out);
-}
-
-/// Portable saturating-i8 lane kernel, bit-identical to the AVX2 split
-/// path (both saturate at ±127/-128 the same way).
-fn score_lanes_split_fallback(
-    kernel: Kernel,
-    profile: &ScoreProfile,
-    il1: &InterleavedWindows,
-    j0: usize,
-    out: &mut [i32; WIDE_LANES],
-) {
-    let mut score = [0i8; WIDE_LANES];
-    let mut max_score = [0i8; WIDE_LANES];
-    for p in 0..profile.len() {
-        let codes = il1.wide_lane_codes(p, j0);
-        let row = &profile.data[p * PROFILE_STRIDE..][..PROFILE_STRIDE];
-        match kernel {
-            Kernel::ClampedSum => {
-                for l in 0..WIDE_LANES {
-                    let s = score[l].saturating_add(row[codes[l] as usize]).max(0);
-                    score[l] = s;
-                    max_score[l] = max_score[l].max(s);
-                }
-            }
-            Kernel::PaperLiteral => {
-                for l in 0..WIDE_LANES {
-                    score[l] = score[l].saturating_add(row[codes[l] as usize].max(0));
-                }
-            }
-        }
-    }
-    let final_v = match kernel {
-        Kernel::ClampedSum => max_score,
-        Kernel::PaperLiteral => score,
-    };
-    for l in 0..WIDE_LANES {
-        out[l] = final_v[l] as i32;
-    }
+    lanes_portable(kernel, profile.rows.iter(), il1, j0, best);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -796,104 +878,222 @@ mod x86 {
         out
     }
 
-    /// AVX2 16-lane kernel. One recurrence step is: a 16-byte load of
-    /// residue codes, a two-table byte shuffle against the profile row
-    /// (codes 0–15 from the low table, 16–23 from the high table), a
-    /// sign-extend to i16, then the add/max gates of the PE datapath —
-    /// for 16 window pairs at once.
+    /// Half of a [`SubRow`]: one 16-byte shuffle table.
+    const HALF: usize = ROW_BYTES / 2;
+
+    /// AVX-512BW byte-lane body: `N` blocks of 64 window pairs; one
+    /// recurrence step per block is a 64-byte load of residue codes, a
+    /// substitution lookup, a saturating add and the max gates of the
+    /// PE datapath. The lookup: the two 16-byte tables of the row
+    /// broadcast to every 128-bit lane; a test of the codes' bit 4
+    /// (codes 16–23) picks, per byte, the shuffle against the high
+    /// table over the one against the low table (`pshufb` indexes by
+    /// the low 4 bits, which for codes 16–23 is `code - 16`). Six µops
+    /// per block and position.
     ///
     /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn score_lanes_avx2(
-        kernel: Kernel,
-        profile: &ScoreProfile,
-        il1: &InterleavedWindows,
-        j0: usize,
-        out: &mut [i32; LANES],
+    /// AVX-512F/BW must be available, and `codes + p * stride` must be
+    /// readable for `64 * N` bytes at every `p < window.len()`.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    #[inline]
+    unsafe fn bytes_avx512bw<const N: usize>(
+        f: &LaneFilter,
+        window: &[u8],
+        codes: *const u8,
+        stride: usize,
+        threshold: i8,
+        masks: &mut [u64],
     ) {
-        let l = profile.len();
-        let stride = il1.stride;
-        let codes_base = il1.data.as_ptr().add(j0);
-        let prof_base = profile.data.as_ptr();
-        let zero = _mm256_setzero_si256();
-        let fifteen = _mm_set1_epi8(15);
-        let mut score = zero;
-        let mut max_score = zero;
-        for p in 0..l {
-            let codes = _mm_loadu_si128(codes_base.add(p * stride) as *const __m128i);
-            let row = prof_base.add(p * PROFILE_STRIDE);
-            let lo = _mm_loadu_si128(row as *const __m128i);
-            let hi = _mm_loadu_si128(row.add(LANES) as *const __m128i);
-            // pshufb indexes by the low 4 bits, which for codes 16..24
-            // is exactly `code - 16` — select the matching table.
-            let from_hi = _mm_cmpgt_epi8(codes, fifteen);
-            let sub8 = _mm_blendv_epi8(
-                _mm_shuffle_epi8(lo, codes),
-                _mm_shuffle_epi8(hi, codes),
-                from_hi,
-            );
-            let sub = _mm256_cvtepi8_epi16(sub8);
-            match kernel {
-                Kernel::ClampedSum => {
-                    score = _mm256_max_epi16(_mm256_add_epi16(score, sub), zero);
-                    max_score = _mm256_max_epi16(max_score, score);
-                }
-                Kernel::PaperLiteral => {
-                    score = _mm256_add_epi16(score, _mm256_max_epi16(sub, zero));
+        let zero = _mm512_setzero_si512();
+        let bit4 = _mm512_set1_epi8(0x10);
+        let mut score = [zero; N];
+        let mut best = [zero; N];
+        for (p, &a) in window.iter().enumerate() {
+            let row = f.table.0[a as usize].as_ptr();
+            let lo = _mm512_broadcast_i32x4(_mm_loadu_si128(row as *const __m128i));
+            let hi = _mm512_broadcast_i32x4(_mm_loadu_si128(row.add(HALF) as *const __m128i));
+            let at = codes.add(p * stride);
+            for b in 0..N {
+                let c = _mm512_loadu_si512(at.add(b * WIDE_LANES) as *const _);
+                let sub = _mm512_mask_shuffle_epi8(
+                    _mm512_shuffle_epi8(lo, c),
+                    _mm512_test_epi8_mask(c, bit4),
+                    hi,
+                    c,
+                );
+                match f.kernel {
+                    Kernel::ClampedSum => {
+                        score[b] = _mm512_max_epi8(_mm512_adds_epi8(score[b], sub), zero);
+                        best[b] = _mm512_max_epi8(best[b], score[b]);
+                    }
+                    Kernel::PaperLiteral => {
+                        score[b] = _mm512_adds_epi8(score[b], _mm512_max_epi8(sub, zero));
+                    }
                 }
             }
         }
-        let final_v = match kernel {
-            Kernel::ClampedSum => max_score,
-            Kernel::PaperLiteral => score,
-        };
-        let lo32 = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(final_v));
-        let hi32 = _mm256_cvtepi16_epi32(_mm256_extracti128_si256(final_v, 1));
-        _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, lo32);
-        _mm256_storeu_si256(out.as_mut_ptr().add(8) as *mut __m256i, hi32);
+        let threshold = _mm512_set1_epi8(threshold);
+        for b in 0..N {
+            let v = match f.kernel {
+                Kernel::ClampedSum => best[b],
+                Kernel::PaperLiteral => score[b],
+            };
+            masks[b] = _mm512_cmpge_epi8_mask(v, threshold);
+        }
     }
 
-    /// AVX-512BW 32-lane kernel. The recurrence step widens the AVX2
-    /// one: a 32-byte load of residue codes, the same two-table byte
-    /// shuffle done per 128-bit half of a 256-bit register (the shuffle
-    /// tables broadcast to both halves), a sign-extend of all 32 i8
-    /// substitution scores into one `__m512i` of i16 lanes, then the
-    /// add/max gates — 32 window pairs per step.
+    /// [`bytes_avx512bw`] over the next 1, 2 or 4 of `left` blocks.
     ///
     /// # Safety
-    /// Caller must ensure AVX-512F and AVX-512BW are available.
+    /// AVX-512F/BW must be available, `window.len() == lanes.len()` and
+    /// `j0 + left * 64 <= lanes.stride`.
     #[target_feature(enable = "avx512f,avx512bw")]
-    pub(super) unsafe fn score_lanes_avx512(
+    pub(super) unsafe fn classify_avx512bw(
+        f: &LaneFilter,
+        window: &[u8],
+        lanes: &InterleavedWindows,
+        j0: usize,
+        left: usize,
+        threshold: i8,
+        masks: &mut [u64; MAX_BLOCKS],
+    ) -> usize {
+        let (codes, stride) = (lanes.data.as_ptr().add(j0), lanes.stride);
+        match left {
+            1 => {
+                bytes_avx512bw::<1>(f, window, codes, stride, threshold, masks);
+                1
+            }
+            2 | 3 => {
+                bytes_avx512bw::<2>(f, window, codes, stride, threshold, masks);
+                2
+            }
+            _ => {
+                bytes_avx512bw::<4>(f, window, codes, stride, threshold, masks);
+                4
+            }
+        }
+    }
+
+    /// AVX2 byte-lane body: `N` blocks of 32 window pairs, the
+    /// recurrence of the AVX-512BW body with a compare-and-blend in
+    /// place of the mask registers.
+    ///
+    /// # Safety
+    /// AVX2 must be available, and `codes + p * stride` must be
+    /// readable for `32 * N` bytes at every `p < window.len()`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn bytes_avx2<const N: usize>(
+        f: &LaneFilter,
+        window: &[u8],
+        codes: *const u8,
+        stride: usize,
+        threshold: i8,
+        masks: &mut [u64],
+    ) {
+        let zero = _mm256_setzero_si256();
+        let fifteen = _mm256_set1_epi8(15);
+        let mut score = [zero; N];
+        let mut best = [zero; N];
+        for (p, &a) in window.iter().enumerate() {
+            let row = f.table.0[a as usize].as_ptr();
+            let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(row as *const __m128i));
+            let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(row.add(HALF) as *const __m128i));
+            let at = codes.add(p * stride);
+            for b in 0..N {
+                let c = _mm256_loadu_si256(at.add(b * LANES) as *const __m256i);
+                let sub = _mm256_blendv_epi8(
+                    _mm256_shuffle_epi8(lo, c),
+                    _mm256_shuffle_epi8(hi, c),
+                    _mm256_cmpgt_epi8(c, fifteen),
+                );
+                match f.kernel {
+                    Kernel::ClampedSum => {
+                        score[b] = _mm256_max_epi8(_mm256_adds_epi8(score[b], sub), zero);
+                        best[b] = _mm256_max_epi8(best[b], score[b]);
+                    }
+                    Kernel::PaperLiteral => {
+                        score[b] = _mm256_adds_epi8(score[b], _mm256_max_epi8(sub, zero));
+                    }
+                }
+            }
+        }
+        // `threshold >= 0`, so `v >= threshold` is `v > threshold - 1`.
+        let below = _mm256_set1_epi8(threshold - 1);
+        for b in 0..N {
+            let v = match f.kernel {
+                Kernel::ClampedSum => best[b],
+                Kernel::PaperLiteral => score[b],
+            };
+            masks[b] = _mm256_movemask_epi8(_mm256_cmpgt_epi8(v, below)) as u32 as u64;
+        }
+    }
+
+    /// [`bytes_avx2`] over the next 1, 2 or 4 of `left` blocks.
+    ///
+    /// # Safety
+    /// AVX2 must be available, `window.len() == lanes.len()` and
+    /// `j0 + left * 32 <= lanes.stride`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn classify_avx2(
+        f: &LaneFilter,
+        window: &[u8],
+        lanes: &InterleavedWindows,
+        j0: usize,
+        left: usize,
+        threshold: i8,
+        masks: &mut [u64; MAX_BLOCKS],
+    ) -> usize {
+        let (codes, stride) = (lanes.data.as_ptr().add(j0), lanes.stride);
+        match left {
+            1 => {
+                bytes_avx2::<1>(f, window, codes, stride, threshold, masks);
+                1
+            }
+            2 | 3 => {
+                bytes_avx2::<2>(f, window, codes, stride, threshold, masks);
+                2
+            }
+            _ => {
+                bytes_avx2::<4>(f, window, codes, stride, threshold, masks);
+                4
+            }
+        }
+    }
+
+    /// AVX-512BW 16-bit body of [`score_batch`]: 32 window pairs. The
+    /// two-table byte shuffle runs per 128-bit half of a 256-bit
+    /// register (the tables broadcast to both halves), all 32 `i8`
+    /// substitution scores sign-extend into one `__m512i` of `i16`
+    /// lanes, then the add/max gates.
+    ///
+    /// # Safety
+    /// AVX-512F/BW must be available, `codes + p * stride` must be
+    /// readable for 32 bytes at every `p < profile.len()`, and `best`
+    /// must hold 32 lanes.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(super) unsafe fn words_avx512(
         kernel: Kernel,
         profile: &ScoreProfile,
-        il1: &InterleavedWindows,
-        j0: usize,
-        out: &mut [i32; WIDE_LANES],
+        codes: *const u8,
+        stride: usize,
+        best: &mut [i16],
     ) {
-        let l = profile.len();
-        let stride = il1.stride;
-        let codes_base = il1.data.as_ptr().add(j0);
-        let prof_base = profile.data.as_ptr();
+        debug_assert_eq!(best.len(), WIDE_WORDS);
         let zero = _mm512_setzero_si512();
         let fifteen = _mm256_set1_epi8(15);
         let mut score = zero;
         let mut max_score = zero;
-        for p in 0..l {
-            let codes = _mm256_loadu_si256(codes_base.add(p * stride) as *const __m256i);
-            let row = prof_base.add(p * PROFILE_STRIDE);
-            // Broadcast each 16-byte table to both 128-bit halves so
-            // `_mm256_shuffle_epi8` (which shuffles per half) sees the
-            // full table against either half of the code vector.
+        for (p, row) in profile.rows.iter().enumerate() {
+            let row = row.as_ptr();
             let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(row as *const __m128i));
-            let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(row.add(LANES) as *const __m128i));
-            let from_hi = _mm256_cmpgt_epi8(codes, fifteen);
-            let sub8 = _mm256_blendv_epi8(
-                _mm256_shuffle_epi8(lo, codes),
-                _mm256_shuffle_epi8(hi, codes),
-                from_hi,
-            );
-            let sub = _mm512_cvtepi8_epi16(sub8);
+            let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(row.add(HALF) as *const __m128i));
+            let c = _mm256_loadu_si256(codes.add(p * stride) as *const __m256i);
+            let sub = _mm512_cvtepi8_epi16(_mm256_blendv_epi8(
+                _mm256_shuffle_epi8(lo, c),
+                _mm256_shuffle_epi8(hi, c),
+                _mm256_cmpgt_epi8(c, fifteen),
+            ));
             match kernel {
                 Kernel::ClampedSum => {
                     score = _mm512_max_epi16(_mm512_add_epi16(score, sub), zero);
@@ -908,54 +1108,47 @@ mod x86 {
             Kernel::ClampedSum => max_score,
             Kernel::PaperLiteral => score,
         };
-        let lo32 = _mm512_cvtepi16_epi32(_mm512_castsi512_si256(final_v));
-        let hi32 = _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64(final_v, 1));
-        _mm512_storeu_si512(out.as_mut_ptr() as *mut _, lo32);
-        _mm512_storeu_si512(out.as_mut_ptr().add(16) as *mut _, hi32);
+        _mm512_storeu_si512(best.as_mut_ptr() as *mut _, final_v);
     }
 
-    /// AVX2 split-accumulator kernel: the whole recurrence stays in
-    /// saturating i8 lanes, so one 256-bit register carries 32 window
-    /// pairs — double the lanes of the i16 paths per op. Exact only
-    /// under [`split_window_fits`] (no upward saturation possible;
-    /// downward saturation is erased by the `max(0)` clamp).
+    /// AVX2 16-bit body of [`score_batch`]: 16 window pairs — a 16-byte
+    /// load of residue codes, the two-table byte shuffle, a sign-extend
+    /// to `i16`, then the add/max gates.
     ///
     /// # Safety
-    /// Caller must ensure AVX2 is available.
+    /// AVX2 must be available, `codes + p * stride` must be readable
+    /// for 16 bytes at every `p < profile.len()`, and `best` must hold
+    /// 16 lanes.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn score_lanes_split_avx2(
+    pub(super) unsafe fn words_avx2(
         kernel: Kernel,
         profile: &ScoreProfile,
-        il1: &InterleavedWindows,
-        j0: usize,
-        out: &mut [i32; WIDE_LANES],
+        codes: *const u8,
+        stride: usize,
+        best: &mut [i16],
     ) {
-        let l = profile.len();
-        let stride = il1.stride;
-        let codes_base = il1.data.as_ptr().add(j0);
-        let prof_base = profile.data.as_ptr();
+        debug_assert_eq!(best.len(), SIMD_WORDS);
         let zero = _mm256_setzero_si256();
-        let fifteen = _mm256_set1_epi8(15);
+        let fifteen = _mm_set1_epi8(15);
         let mut score = zero;
         let mut max_score = zero;
-        for p in 0..l {
-            let codes = _mm256_loadu_si256(codes_base.add(p * stride) as *const __m256i);
-            let row = prof_base.add(p * PROFILE_STRIDE);
-            let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(row as *const __m128i));
-            let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(row.add(LANES) as *const __m128i));
-            let from_hi = _mm256_cmpgt_epi8(codes, fifteen);
-            let sub8 = _mm256_blendv_epi8(
-                _mm256_shuffle_epi8(lo, codes),
-                _mm256_shuffle_epi8(hi, codes),
-                from_hi,
-            );
+        for (p, row) in profile.rows.iter().enumerate() {
+            let row = row.as_ptr();
+            let lo = _mm_loadu_si128(row as *const __m128i);
+            let hi = _mm_loadu_si128(row.add(HALF) as *const __m128i);
+            let c = _mm_loadu_si128(codes.add(p * stride) as *const __m128i);
+            let sub = _mm256_cvtepi8_epi16(_mm_blendv_epi8(
+                _mm_shuffle_epi8(lo, c),
+                _mm_shuffle_epi8(hi, c),
+                _mm_cmpgt_epi8(c, fifteen),
+            ));
             match kernel {
                 Kernel::ClampedSum => {
-                    score = _mm256_max_epi8(_mm256_adds_epi8(score, sub8), zero);
-                    max_score = _mm256_max_epi8(max_score, score);
+                    score = _mm256_max_epi16(_mm256_add_epi16(score, sub), zero);
+                    max_score = _mm256_max_epi16(max_score, score);
                 }
                 Kernel::PaperLiteral => {
-                    score = _mm256_adds_epi8(score, _mm256_max_epi8(sub8, zero));
+                    score = _mm256_add_epi16(score, _mm256_max_epi16(sub, zero));
                 }
             }
         }
@@ -963,22 +1156,17 @@ mod x86 {
             Kernel::ClampedSum => max_score,
             Kernel::PaperLiteral => score,
         };
-        let q0 = _mm256_castsi256_si128(final_v);
-        let q1 = _mm256_extracti128_si256(final_v, 1);
-        for (i, q) in [q0, q1].into_iter().enumerate() {
-            let a = _mm256_cvtepi8_epi32(q);
-            let b = _mm256_cvtepi8_epi32(_mm_srli_si128(q, 8));
-            _mm256_storeu_si256(out.as_mut_ptr().add(16 * i) as *mut __m256i, a);
-            _mm256_storeu_si256(out.as_mut_ptr().add(16 * i + 8) as *mut __m256i, b);
-        }
+        _mm256_storeu_si256(best.as_mut_ptr() as *mut __m256i, final_v);
     }
 }
 
 /// Score every window of `il1` against `profile` under `backend`,
 /// appending one max score per window to `out` in window order.
 ///
-/// This is the convenience entry point (tests, benches, small batches);
-/// the tiled step-2 loop drives [`score_lanes`] directly.
+/// This returns *all* scores, through the 16-bit lane bodies under the
+/// lane backends (tests, and the benchmark's kernel measurement); step 2
+/// itself only wants the scores at or above a threshold and runs
+/// [`LaneFilter::scan`].
 #[allow(clippy::too_many_arguments)]
 pub fn score_batch(
     backend: KernelBackend,
@@ -998,7 +1186,7 @@ pub fn score_batch(
                 return;
             }
             for w1 in il1_rowmajor.chunks_exact(l) {
-                out.push(crate::ungapped_score(kernel, matrix, w0, w1));
+                out.push(ungapped_score(kernel, matrix, w0, w1));
             }
         }
         KernelBackend::Profile => {
@@ -1018,34 +1206,13 @@ pub fn score_batch(
                 out.push(profile_score(kernel, profile, rem));
             }
         }
-        KernelBackend::Simd => {
-            let mut lanes = [0i32; LANES];
-            let mut j = 0;
-            while j < il1.count() {
-                score_lanes(kernel, profile, il1, j, &mut lanes);
-                let take = LANES.min(il1.count() - j);
-                out.extend_from_slice(&lanes[..take]);
-                j += LANES;
-            }
-        }
-        KernelBackend::Wide => {
-            let mut lanes = [0i32; WIDE_LANES];
-            let mut j = 0;
-            while j < il1.count() {
-                score_lanes_wide(kernel, profile, il1, j, &mut lanes);
-                let take = WIDE_LANES.min(il1.count() - j);
-                out.extend_from_slice(&lanes[..take]);
-                j += WIDE_LANES;
-            }
-        }
-        KernelBackend::Split => {
-            let mut lanes = [0i32; WIDE_LANES];
-            let mut j = 0;
-            while j < il1.count() {
-                score_lanes_split(kernel, profile, il1, j, &mut lanes);
-                let take = WIDE_LANES.min(il1.count() - j);
-                out.extend_from_slice(&lanes[..take]);
-                j += WIDE_LANES;
+        KernelBackend::Simd | KernelBackend::Wide => {
+            let mut best = [0i16; WIDE_WORDS];
+            let best = &mut best[..backend.lane_width() / 2];
+            for j in (0..il1.count()).step_by(best.len()) {
+                score_words(kernel, profile, il1, j, best);
+                let take = best.len().min(il1.count() - j);
+                out.extend(best[..take].iter().map(|&s| s as i32));
             }
         }
     }
@@ -1054,7 +1221,6 @@ pub fn score_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ungapped_score;
     use psc_score::blosum62;
     use psc_score::matrix::match_mismatch;
     use psc_seqio::prng::SplitMix64;
@@ -1100,13 +1266,13 @@ mod tests {
         for (seed, count, len) in [
             (1, 1, 1),
             (2, 16, 60),
-            (3, 17, 60), // one lane block + 1 tail window
-            (4, 5, 7),   // sub-lane batch, odd length
-            (5, 48, 33), // several blocks, non-lane-multiple length
+            (3, 17, 60), // one 16-lane vector + 1 tail window
+            (4, 5, 7),   // sub-vector batch, odd length
+            (5, 48, 33), // several vectors, non-lane-multiple length
             (6, 3, 0),   // empty windows
             (7, 0, 12),  // empty IL1
-            (8, 33, 21), // one wide block + 1 tail window
-            (9, 95, 14), // several wide blocks, ragged tail
+            (8, 33, 21), // one 32-lane vector + 1 tail window
+            (9, 95, 14), // several 32-lane vectors, ragged tail
         ] {
             let w0 = windows(seed, 1, len);
             let il1 = windows(seed ^ 0xff, count, len);
@@ -1114,41 +1280,230 @@ mod tests {
         }
     }
 
+    const KERNELS: [Kernel; 2] = [Kernel::ClampedSum, Kernel::PaperLiteral];
+
+    /// Every dispatch body of both lane backends: the portable one, and
+    /// each vector one whose instruction set this host has.
+    fn bodies(
+        kernel: Kernel,
+        m: &SubstitutionMatrix,
+        threshold: i32,
+    ) -> Vec<(&'static str, LaneFilter)> {
+        let (wide, simd) = (KernelBackend::Wide, KernelBackend::Simd);
+        let mut out = Vec::new();
+        for (backend, isa, name, available) in [
+            (wide, Isa::Avx512, "avx512bw", wide_available()),
+            (wide, Isa::Portable, "portable64", true),
+            (simd, Isa::Avx2, "avx2", simd_available()),
+            (simd, Isa::Portable, "portable32", true),
+        ] {
+            let f = LaneFilter::new(backend, kernel, m, threshold).expect("a lane backend");
+            assert_eq!(f.block_width(), backend.lane_width());
+            if available {
+                out.push((name, f.with_isa(isa)));
+            } else {
+                eprintln!("note: this CPU lacks {name}; that body is not exercised");
+            }
+        }
+        out
+    }
+
+    /// The scalar kernel's score of every window of `rows` against `w0`.
+    fn all_scores(kernel: Kernel, m: &SubstitutionMatrix, w0: &[u8], rows: &[u8]) -> Vec<i32> {
+        rows.chunks_exact(w0.len())
+            .map(|w1| ungapped_score(kernel, m, w0, w1))
+            .collect()
+    }
+
+    /// What a scan must report: `(lane, score)` of every score at least
+    /// `threshold`, in lane order.
+    fn at_least(scores: &[i32], threshold: i32) -> Vec<(usize, i32)> {
+        let lanes = scores.iter().copied().enumerate();
+        lanes.filter(|&(_, s)| s >= threshold).collect()
+    }
+
+    fn scalar_filter(
+        kernel: Kernel,
+        m: &SubstitutionMatrix,
+        w0: &[u8],
+        rows: &[u8],
+        threshold: i32,
+    ) -> Vec<(usize, i32)> {
+        at_least(&all_scores(kernel, m, w0, rows), threshold)
+    }
+
+    fn scan(
+        f: &LaneFilter,
+        w0: &[u8],
+        il: &InterleavedWindows,
+        range: Range<usize>,
+        lane_window: &mut Vec<u8>,
+    ) -> Vec<(usize, i32)> {
+        let mut got = Vec::new();
+        f.scan(w0, il, range, lane_window, |j, s| got.push((j, s)));
+        got
+    }
+
     #[test]
-    fn split_backend_agrees_under_its_guard() {
-        // blosum62's max score is 11, so windows up to 11 residues pass
-        // the i8 guard; a ±3 matrix stretches the length to 42.
-        let cases: [(&SubstitutionMatrix, u64, usize, usize); 4] = [
-            (blosum62(), 41, 70, 11),
-            (blosum62(), 42, 7, 5),
-            (&match_mismatch("PM3", 3, -3), 43, 65, 42),
-            (&match_mismatch("PM2", 2, -2), 44, 33, 63),
-        ];
-        for (m, seed, count, len) in cases {
-            assert!(split_window_fits(len, m), "case must satisfy the guard");
-            let w0 = windows(seed, 1, len);
-            let rows = windows(seed ^ 0xff, count, len);
-            let mut profile = ScoreProfile::new();
-            profile.build(m, &w0);
-            let mut il1 = InterleavedWindows::new();
-            il1.build(&rows, len);
-            for kernel in [Kernel::ClampedSum, Kernel::PaperLiteral] {
-                let expect: Vec<i32> = rows
-                    .chunks_exact(len)
-                    .map(|w1| ungapped_score(kernel, m, &w0, w1))
-                    .collect();
-                let mut got = Vec::new();
-                score_batch(
-                    KernelBackend::Split,
-                    kernel,
-                    m,
-                    &w0,
-                    &profile,
-                    &rows,
-                    &il1,
-                    &mut got,
-                );
-                assert_eq!(got, expect, "{kernel:?} len={len} matrix={}", m.name);
+    fn lane_filter_equals_the_scalar_filter_on_every_body() {
+        const COUNTS: [usize; 12] = [0, 1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1000];
+        const LENS: [usize; 5] = [1, 7, 60, 64, 300];
+        const THRESHOLDS: [i32; 7] = [-5, 0, 1, 45, 127, 128, 10_000];
+        // One layout and one scratch window walk the whole grid down and
+        // back up, so every shape is scanned over the leftovers of both
+        // a larger and a smaller one: a stale pad lane would be reported.
+        // (The one shape left out, 1000 x 300, is a third of the grid's
+        // work and crosses no boundary its neighbours do not.)
+        let mut shapes: Vec<(usize, usize)> = COUNTS
+            .iter()
+            .flat_map(|&c| LENS.iter().map(move |&l| (c, l)))
+            .filter(|&shape| shape != (1000, 300))
+            .collect();
+        shapes.extend(shapes.clone().into_iter().rev());
+        let hot = match_mismatch("PM127", 127, -127);
+        let mut il = InterleavedWindows::new();
+        let mut lane_window = Vec::new();
+        let mut selective = 0usize;
+        for (n, (count, len)) in shapes.into_iter().enumerate() {
+            let mut rng = SplitMix64::new(n as u64 + 1);
+            // Three profile-side windows: random; all residue 0, which
+            // scores its best against the residue-0 pad lanes; and one
+            // that a third of the lanes nearly copy.
+            let planted = windows(n as u64 ^ 0x5eed, 1, len);
+            let w0s = [windows(n as u64 ^ 0xabc, 1, len), vec![0u8; len], planted];
+            let mut rows = windows(n as u64 ^ 0xff, count, len);
+            for row in rows.chunks_exact_mut(len).step_by(3) {
+                row.copy_from_slice(&w0s[2]);
+                for _ in 0..len / 8 {
+                    row[rng.range(0..len)] = rng.range(0..AA_ALPHABET_LEN as u8);
+                }
+            }
+            il.build(&rows, len);
+            for m in [blosum62(), &hot] {
+                for kernel in KERNELS {
+                    let scores: Vec<Vec<i32>> = w0s
+                        .iter()
+                        .map(|w0| all_scores(kernel, m, w0, &rows))
+                        .collect();
+                    for threshold in THRESHOLDS {
+                        for (name, f) in bodies(kernel, m, threshold) {
+                            for (w0, scores) in w0s.iter().zip(&scores) {
+                                let want = at_least(scores, threshold);
+                                let tag = format!(
+                                    "{name} {kernel:?} {} count={count} len={len} t={threshold}",
+                                    m.name
+                                );
+                                let got = scan(&f, w0, &il, 0..count, &mut lane_window);
+                                assert_eq!(got, want, "{tag}");
+                                selective += usize::from(!got.is_empty() && got.len() < count);
+                                // The same lanes as two ranges: a whole
+                                // first block, then the rest short of
+                                // the last three windows.
+                                let (w, end) = (f.block_width(), count.saturating_sub(3));
+                                if w < end && threshold >= 45 {
+                                    let mut split = scan(&f, w0, &il, 0..w, &mut lane_window);
+                                    split.extend(scan(&f, w0, &il, w..end, &mut lane_window));
+                                    let want = at_least(&scores[..end], threshold);
+                                    assert_eq!(split, want, "{tag} (two ranges)");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Plenty of scans were neither a flood nor a desert.
+        assert!(selective > 1000, "only {selective} selective scans");
+    }
+
+    #[test]
+    fn byte_lanes_stay_exact_through_saturation() {
+        let code = |c: u8| psc_seqio::alphabet::encode_protein(&[c])[0];
+        let (w, p) = (code(b'W'), code(b'P'));
+        let len = 60;
+        let mut il = InterleavedWindows::new();
+        let mut lane_window = Vec::new();
+
+        // BLOSUM62, W/W = 11 and W/P = -4, a window of Ws. Lane 0 climbs
+        // to 143 in 13 steps and then falls to 0: its byte score sticks
+        // at 127 where a wrapping add would leave a best of 121. Lane 1
+        // stops at 121, lane 2 never leaves 0.
+        let w0 = vec![w; len];
+        let lane = |ws: usize| -> Vec<u8> {
+            let mut v = vec![p; len];
+            v[..ws].fill(w);
+            v
+        };
+        let rows = [lane(13), lane(11), lane(0)].concat();
+        let m = blosum62();
+        il.build(&rows, len);
+        for threshold in [1, 45, 121, 122, 127, 128, 143, 144] {
+            let want: Vec<(usize, i32)> = [(0, 143), (1, 121)]
+                .into_iter()
+                .filter(|&(_, s)| s >= threshold)
+                .collect();
+            assert_eq!(
+                scalar_filter(Kernel::ClampedSum, m, &w0, &rows, threshold),
+                want
+            );
+            for (name, f) in bodies(Kernel::ClampedSum, m, threshold) {
+                let got = scan(&f, &w0, &il, 0..3, &mut lane_window);
+                assert_eq!(got, want, "{name} t={threshold}");
+            }
+        }
+
+        // +1/-1, 300 long: lane k matches its first 126 + k residues and
+        // nothing after, so the lanes peak at exactly 126, 127 and 128.
+        let pm1 = match_mismatch("PM1", 1, -1);
+        let len = 300;
+        let w0 = vec![w; len];
+        let rows: Vec<u8> = (126..=128)
+            .flat_map(|k| {
+                let mut v = vec![p; len];
+                v[..k].fill(w);
+                v
+            })
+            .collect();
+        il.build(&rows, len);
+        for kernel in KERNELS {
+            for (threshold, want) in [
+                (126, vec![(0, 126), (1, 127), (2, 128)]),
+                (127, vec![(1, 127), (2, 128)]),
+                (128, vec![(2, 128)]),
+                (129, vec![]),
+            ] {
+                for (name, f) in bodies(kernel, &pm1, threshold) {
+                    let got = scan(&f, &w0, &il, 0..3, &mut lane_window);
+                    assert_eq!(got, want, "{name} {kernel:?} t={threshold}");
+                }
+            }
+        }
+
+        // +127/-127, 300 long: true scores pass i16 (`resolve` sends
+        // this shape to `profile`), yet driven directly the byte lanes
+        // still classify exactly, at thresholds on either side of their
+        // ceiling, and the reported scores are the i32 truth. Lane 1
+        // copies the window; lane 2 matches 3 residues (381), collapses
+        // to 0 and never recovers.
+        let hot = match_mismatch("PM127", 127, -127);
+        assert!(!simd_window_fits(len, &hot));
+        let w0 = windows(71, 1, len);
+        let mut rows = windows(72, 70, len);
+        rows[len..2 * len].copy_from_slice(&w0);
+        for (r, &c) in rows[2 * len..3 * len].iter_mut().zip(&w0) {
+            *r = (c + 1) % AA_ALPHABET_LEN as u8;
+        }
+        rows[2 * len..2 * len + 3].copy_from_slice(&w0[..3]);
+        il.build(&rows, len);
+        for kernel in KERNELS {
+            let scores = all_scores(kernel, &hot, &w0, &rows);
+            assert_eq!((scores[1], scores[2]), (38_100, 381));
+            for threshold in [1, 127, 128, 381, 382, 38_100, 38_101] {
+                let want = at_least(&scores, threshold);
+                for (name, f) in bodies(kernel, &hot, threshold) {
+                    let got = scan(&f, &w0, &il, 0..70, &mut lane_window);
+                    assert_eq!(got, want, "{name} {kernel:?} t={threshold}");
+                }
             }
         }
     }
@@ -1273,19 +1628,11 @@ mod tests {
             KernelChoice::Wide.resolve_with_reason(60, m),
             (KernelBackend::Wide, None)
         );
-        assert_eq!(
-            KernelChoice::Split.resolve_with_reason(11, m),
-            (KernelBackend::Split, None)
-        );
         // Wide shares the i16 guard with Simd.
         let (b, why) = KernelChoice::Wide.resolve_with_reason(4000, m);
         assert_eq!(b, KernelBackend::Profile);
         assert!(why.is_some_and(|r| r.contains("i16")));
-        // Split degrades to Simd first, then Profile.
-        let (b, why) = KernelChoice::Split.resolve_with_reason(60, m);
-        assert_eq!(b, KernelBackend::Simd);
-        assert!(why.is_some_and(|r| r.contains("i8")));
-        let (b, why) = KernelChoice::Split.resolve_with_reason(4000, m);
+        let (b, why) = KernelChoice::Simd.resolve_with_reason(4000, m);
         assert_eq!(b, KernelBackend::Profile);
         assert!(why.is_some_and(|r| r.contains("i16")));
         // Auto never reports a downgrade, and picks the widest lane
@@ -1307,7 +1654,6 @@ mod tests {
         assert_eq!(KernelBackend::Profile.lane_width(), 1);
         assert_eq!(KernelBackend::Simd.lane_width(), LANES);
         assert_eq!(KernelBackend::Wide.lane_width(), WIDE_LANES);
-        assert_eq!(KernelBackend::Split.lane_width(), WIDE_LANES);
         assert_eq!(WIDE_LANES % LANES, 0);
     }
 
@@ -1346,7 +1692,8 @@ mod tests {
         assert_eq!(KernelChoice::parse("profile"), Some(KernelChoice::Profile));
         assert_eq!(KernelChoice::parse("simd"), Some(KernelChoice::Simd));
         assert_eq!(KernelChoice::parse("wide"), Some(KernelChoice::Wide));
-        assert_eq!(KernelChoice::parse("split"), Some(KernelChoice::Split));
+        // Removed with the kernel: the byte-lane filter subsumes it.
+        assert_eq!(KernelChoice::parse("split"), None);
         assert_eq!(KernelChoice::parse("fpga"), None);
     }
 }

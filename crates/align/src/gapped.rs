@@ -50,23 +50,26 @@ pub struct GappedHit {
     pub end0: usize,
     pub start1: usize,
     pub end1: usize,
+    /// DP cells the two sweeps evaluated — the work this extension
+    /// cost, a function of the sequences and the gap model alone.
+    pub cells: u64,
 }
 
 const NEG_INF: i32 = i32::MIN / 4;
 
 /// One direction of affine X-drop extension: align prefixes of `a`
 /// against prefixes of `b`, anchored at `(0,0)`, returning
-/// `(best_score, a_consumed, b_consumed)`.
+/// `(best_score, a_consumed, b_consumed, cells_evaluated)`.
 fn xdrop_half(
     matrix: &SubstitutionMatrix,
     a: &[u8],
     b: &[u8],
     cfg: &GapConfig,
-) -> (i32, usize, usize) {
+) -> (i32, usize, usize, u64) {
     let n = a.len().min(cfg.max_extent);
     let m = b.len().min(cfg.max_extent);
     if n == 0 || m == 0 {
-        return (0, 0, 0);
+        return (0, 0, 0, 0);
     }
 
     // Row-sweep DP over `a` (i), columns over `b` (j), with a live column
@@ -80,6 +83,7 @@ fn xdrop_half(
 
     let mut best = 0i32;
     let (mut best_i, mut best_j) = (0usize, 0usize);
+    let mut cells = 0u64;
 
     // Row 0: leading gaps in `b`.
     h_prev[0] = 0;
@@ -117,6 +121,7 @@ fn xdrop_half(
         e_cur[lo] = NEG_INF;
 
         let row_hi = (hi + 1).min(m + 1);
+        cells += row_hi.saturating_sub(lo.max(1)) as u64;
         for j in lo.max(1)..row_hi {
             // F: gap in `b` (vertical move).
             let f = (h_prev[j] - cfg.open - cfg.extend).max(f_col[j] - cfg.extend);
@@ -171,7 +176,7 @@ fn xdrop_half(
         }
     }
 
-    (best, best_i, best_j)
+    (best, best_i, best_j, cells)
 }
 
 /// Affine-gap X-drop extension around an anchor pair.
@@ -192,7 +197,7 @@ pub fn gapped_extend(
     cfg: &GapConfig,
 ) -> GappedHit {
     assert!(anchor0 <= s0.len() && anchor1 <= s1.len());
-    let (right, ri, rj) = xdrop_half(matrix, &s0[anchor0..], &s1[anchor1..], cfg);
+    let (right, ri, rj, right_cells) = xdrop_half(matrix, &s0[anchor0..], &s1[anchor1..], cfg);
 
     // `xdrop_half` reads at most `max_extent` residues of either side,
     // so only that much of each prefix is reversed — not the whole
@@ -206,7 +211,7 @@ pub fn gapped_extend(
     };
     let left_a = reversed_prefix(s0, anchor0);
     let left_b = reversed_prefix(s1, anchor1);
-    let (left, li, lj) = xdrop_half(matrix, &left_a, &left_b, cfg);
+    let (left, li, lj, left_cells) = xdrop_half(matrix, &left_a, &left_b, cfg);
 
     GappedHit {
         score: left + right,
@@ -214,6 +219,7 @@ pub fn gapped_extend(
         end0: anchor0 + ri,
         start1: anchor1 - lj,
         end1: anchor1 + rj,
+        cells: left_cells + right_cells,
     }
 }
 
@@ -483,6 +489,34 @@ mod tests {
     }
 
     #[test]
+    fn cells_count_the_dp_work_of_both_sweeps() {
+        let m = blosum62();
+        // One residue each side of the anchor boundary: the right sweep
+        // evaluates the single cell (1, 1), the left sweep has nothing.
+        let w = encode_protein(b"W");
+        assert_eq!(gapped_extend(m, &w, &w, 0, 0, &cfg()).cells, 1);
+        assert_eq!(gapped_extend(m, &w, &w, 1, 1, &cfg()).cells, 1);
+        assert_eq!(gapped_extend(m, &w, &[], 0, 0, &cfg()).cells, 0);
+        // The sweeps are mirror images: extending right from the start
+        // costs what extending left from the end of the reversed pair
+        // does, and an anchor in the middle costs the two halves.
+        let s0 = encode_protein(b"MKVLAWHHHRNDCQEHFYWMKVLAW");
+        let s1 = encode_protein(b"MKVLAWRNDCQEHFYWMKILAW");
+        let rev = |s: &[u8]| s.iter().rev().copied().collect::<Vec<u8>>();
+        let right = gapped_extend(m, &s0, &s1, 0, 0, &cfg());
+        let left = gapped_extend(m, &rev(&s0), &rev(&s1), s0.len(), s1.len(), &cfg());
+        assert_eq!(right.cells, left.cells);
+        assert_eq!(right.score, left.score);
+        let (a0, a1) = (9, 6);
+        let mid = gapped_extend(m, &s0, &s1, a0, a1, &cfg());
+        let halves = gapped_extend(m, &s0[a0..], &s1[a1..], 0, 0, &cfg()).cells
+            + gapped_extend(m, &s0[..a0], &s1[..a1], a0, a1, &cfg()).cells;
+        assert_eq!(mid.cells, halves);
+        // Never more than the two full rectangles.
+        assert!(mid.cells <= (s0.len() * s1.len()) as u64);
+    }
+
+    #[test]
     fn extend_bridges_a_gap() {
         let m = blosum62();
         // s1 = s0 with three residues deleted in the middle.
@@ -583,6 +617,7 @@ mod tests {
                 end0: local.end0 + lo0,
                 start1: local.start1 + lo1,
                 end1: local.end1 + lo1,
+                cells: local.cells,
             };
             assert_eq!(full, shifted, "anchor ({a0}, {a1})");
             assert!(a0 - full.start0 <= cfg.max_extent && a1 - full.start1 <= cfg.max_extent);

@@ -6,11 +6,12 @@
 //!   (step 2 — the code the PSC operator implements in hardware), in the
 //!   two published variants, plus the X-drop ungapped extension NCBI
 //!   BLAST uses (for the baseline);
-//! * [`batch`]: the batched ungapped engine — score profiles,
-//!   interleaved window layout and 16/32-lane SIMD scoring of many
-//!   window pairs at once (the software analogue of the PE array's data
-//!   flow), with runtime dispatch over AVX2 / AVX-512BW / portable
-//!   lane arrays;
+//! * [`batch`]: the batched ungapped engine — interleaved window
+//!   layout and the threshold filter that classifies 32/64 window pairs
+//!   at once in saturating byte lanes and rescores the survivors (the
+//!   software analogue of the PE array's data flow), with runtime
+//!   dispatch over AVX2 / AVX-512BW / portable lane arrays; score
+//!   profiles for the scalar kernel;
 //! * [`gapped`]: gapped extension (step 3) — affine-gap X-drop extension
 //!   to find high-scoring ranges, banded global alignment for traceback;
 //! * [`hsp`]: high-scoring segment pair bookkeeping — scores, E-values,
@@ -23,9 +24,8 @@ pub mod report;
 pub mod ungapped;
 
 pub use batch::{
-    profile_score, profile_score2, score_batch, score_lanes, score_lanes_split, score_lanes_wide,
-    simd_available, split_window_fits, wide_available, InterleavedWindows, KernelBackend,
-    KernelChoice, ScoreProfile, LANES, WIDE_LANES,
+    profile_score, profile_score2, score_batch, simd_available, wide_available, InterleavedWindows,
+    KernelBackend, KernelChoice, LaneFilter, ScoreProfile, LANES, WIDE_LANES,
 };
 pub use gapped::{banded_global, gapped_extend, AlignOp, Alignment, GapConfig, GappedHit};
 pub use hsp::{cull_hsps, Hsp};

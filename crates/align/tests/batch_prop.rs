@@ -1,14 +1,14 @@
 //! Property tests for the batched ungapped engine: every backend
-//! (profile scalar, 16-lane SIMD, 32-lane wide, saturating i8 split)
-//! must be bit-identical to the reference `ungapped_score` kernel on
-//! arbitrary windows — including odd lengths, non-lane-multiple batch
-//! sizes and both kernel variants. The split backend is additionally
-//! pinned to its overflow guard: exact whenever the guard admits the
-//! window, refused by `resolve` otherwise.
+//! (profile scalar, the `simd` and `wide` lane paths) must be
+//! bit-identical to the reference `ungapped_score` kernel on arbitrary
+//! windows — including odd lengths, non-lane-multiple batch sizes and
+//! both kernel variants — whether it returns every score
+//! (`score_batch`) or only those at or above a threshold
+//! (`LaneFilter::scan`).
 
 use psc_align::{
     profile_score, score_batch, ungapped_score, InterleavedWindows, Kernel, KernelBackend,
-    KernelChoice, ScoreProfile, LANES,
+    KernelChoice, LaneFilter, ScoreProfile, LANES,
 };
 use psc_score::blosum62;
 use psc_score::matrix::match_mismatch;
@@ -78,65 +78,44 @@ fn backends_match_reference_on_batches() {
             score_batch(backend, kernel, m, &w0, &prof, &il1, &inter, &mut out);
             assert_eq!(&out, &expected, "backend {:?}", backend);
         }
-        // The split kernel joins the agreement set whenever its i8
-        // saturation guard admits the window.
-        if psc_align::split_window_fits(len, m) {
-            let mut out = Vec::new();
-            score_batch(
-                KernelBackend::Split,
-                kernel,
-                m,
-                &w0,
-                &prof,
-                &il1,
-                &inter,
-                &mut out,
-            );
-            assert_eq!(&out, &expected, "backend Split");
-        }
     });
 }
 
-/// The split kernel is bit-identical to the reference on any
-/// window/matrix combination its saturation guard admits, and
-/// `resolve` refuses it (degrading to a 16-bit path) otherwise.
+/// The lane filter reports exactly the windows the reference kernel
+/// scores at or above the threshold, with the reference's scores, in
+/// lane order — under any match/mismatch matrix, at thresholds on both
+/// sides of the byte range, at window lengths whose scores pass 16
+/// bits, over any block-aligned sub-range.
 #[test]
-fn split_matches_reference_under_guard() {
+fn lane_filter_matches_reference_filter() {
     for_cases(0xba03, 256, |g| {
-        let (il1, len) = window_batch(g);
-        let s0 = residues(g, 1..40);
-        let m = match_mismatch("split", g.range(1i8..=16), g.range(-16i8..=0));
+        let len = g.range(1usize..300);
+        let n = g.range(0usize..200);
+        let il1 = residues(g, len * n..=len * n);
+        let m = match_mismatch("filter", g.range(1i8..=127), g.range(-128i8..=0));
         let kernel = *g.select(&KERNELS);
-        let w0: Vec<u8> = s0.iter().cycle().take(len).copied().collect();
-        let mut prof = ScoreProfile::default();
-        prof.build(&m, &w0);
+        let threshold = g.range(-3i32..300);
+        let w0 = residues(g, len..=len);
         let mut inter = InterleavedWindows::default();
         inter.build(&il1, len);
+        let mut lane_window = Vec::new();
 
-        let resolved = KernelChoice::Split.resolve(len, &m);
-        if psc_align::split_window_fits(len, &m) {
-            assert_eq!(resolved, KernelBackend::Split);
-            let expected: Vec<i32> = il1
+        // No `resolve` in between: the filter needs no overflow guard.
+        for backend in [KernelBackend::Simd, KernelBackend::Wide] {
+            let filter = LaneFilter::new(backend, kernel, &m, threshold).expect("a lane backend");
+            let start = g.range(0..=n / filter.block_width()) * filter.block_width();
+            let end = g.range(start..=n);
+            let expected: Vec<(usize, i32)> = il1
                 .chunks_exact(len)
                 .map(|w1| ungapped_score(kernel, &m, &w0, w1))
+                .enumerate()
+                .filter(|&(j, s)| (start..end).contains(&j) && s >= threshold)
                 .collect();
-            let mut out = Vec::new();
-            score_batch(
-                KernelBackend::Split,
-                kernel,
-                &m,
-                &w0,
-                &prof,
-                &il1,
-                &inter,
-                &mut out,
-            );
-            assert_eq!(&out, &expected);
-        } else {
-            assert!(matches!(
-                resolved,
-                KernelBackend::Simd | KernelBackend::Profile
-            ));
+            let mut got = Vec::new();
+            filter.scan(&w0, &inter, start..end, &mut lane_window, |j, s| {
+                got.push((j, s))
+            });
+            assert_eq!(got, expected, "{backend:?} {start}..{end} t={threshold}");
         }
     });
 }

@@ -177,7 +177,10 @@ pub fn build(files: &[FileSymbols]) -> CallGraph {
                 let name = call.name.as_str();
                 let cands: Vec<usize> = match call.kind {
                     CallKind::Method => {
-                        if STD_METHODS.contains(&name) {
+                        // `p.add(n)` in an `unsafe fn` (the SIMD
+                        // kernels) is a raw-pointer offset, not
+                        // `Recorder::add`; anywhere else it is followed.
+                        if STD_METHODS.contains(&name) || (name == "add" && f.is_unsafe) {
                             unresolved += 1;
                             continue;
                         }
@@ -796,6 +799,23 @@ mod tests {
         )]);
         assert_eq!(g.n_edges, 0);
         assert_eq!(g.unresolved, 3);
+    }
+
+    #[test]
+    fn add_is_a_pointer_offset_only_inside_an_unsafe_fn() {
+        let recorder = (
+            "crates/telemetry/src/recorder.rs",
+            "telemetry",
+            "impl MemRecorder { pub fn add(&self) { x.unwrap(); } }\n",
+        );
+        let kernel = |body: &'static str| ("crates/align/src/batch.rs", "align", body);
+        let (diags, _) = ws_check(&[
+            kernel("pub unsafe fn score_all(p: *const u8) { p.add(1); }\n"),
+            recorder,
+        ]);
+        assert!(diags.is_empty(), "{diags:?}");
+        let (diags, _) = ws_check(&[kernel("pub fn score_all() { rec.add(1); }\n"), recorder]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
     }
 
     #[test]

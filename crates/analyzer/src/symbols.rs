@@ -33,6 +33,8 @@ pub struct FnDef {
     pub has_self: bool,
     /// True when the definition sits under `#[cfg(test)]` / `#[test]`.
     pub is_test: bool,
+    /// True for `unsafe fn` — where `p.add(n)` is a raw-pointer offset.
+    pub is_unsafe: bool,
     pub facts: Facts,
     pub calls: Vec<CallSite>,
 }
@@ -237,6 +239,7 @@ impl Scanner<'_> {
                             has_body: false,
                             has_self: takes_self(toks, i + 2),
                             is_test: self.file.in_test_code(t.line),
+                            is_unsafe: i > 0 && toks[i - 1].ident() == Some("unsafe"),
                             facts: Facts::default(),
                             calls: Vec::new(),
                         });

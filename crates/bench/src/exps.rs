@@ -1097,7 +1097,6 @@ pub fn step2_balance(workload: &Workload, quick: bool) {
         KernelChoice::Profile,
         KernelChoice::Simd,
         KernelChoice::Wide,
-        KernelChoice::Split,
     ] {
         let probe = params_for(choice, Step2Schedule::Contiguous);
         let backend = probe.resolved_backend();

@@ -7,7 +7,7 @@
 //! psc search          --proteins bank.fasta --genome genome.fasta
 //!                     [--backend scalar|parallel|rasc] [--pes 192] [--fpgas 1]
 //!                     [--threads T] [--evalue 1e-3] [--seed-model subset4|subset3|exact4]
-//!                     [--step2-kernel auto|scalar|profile|simd|wide|split]
+//!                     [--step2-kernel auto|scalar|profile|simd|wide]
 //!                     [--step2-schedule contiguous|bucketed]
 //!                     [--report-json report.json]
 //!                     [--trace trace.json] [--trace-clock wall|virtual]
@@ -80,6 +80,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // A kernel name that does not exist is a usage error like an unknown
+    // flag: reported before any file is read.
+    if let Err(e) = step2_kernel(&flags) {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
+    }
     let result = match command.as_str() {
         "generate-bank" => generate_bank(&flags),
         "generate-genome" => generate_genome_cmd(&flags),
@@ -118,7 +124,7 @@ commands:
                   [--boards N]           (simulated multi-board fleet; rasc only)
                   [--steal-policy richest|none] [--quarantine-after K]
                   [--seed-model subset4|subset3|exact4] [--threshold T]
-                  [--step2-kernel auto|scalar|profile|simd|wide|split]
+                  [--step2-kernel auto|scalar|profile|simd|wide]
                   [--step2-schedule contiguous|bucketed]   (step-2 work distribution)
                   [--step3-threads N]    (parallel gapped extension workers)
                   [--format tab|pairwise|gff] [--mask on]
@@ -423,6 +429,15 @@ fn mask_flag(flags: &Flags) -> Result<Option<psc_seqio::MaskConfig>, String> {
 
 /// The full pipeline configuration from command-line flags (shared by
 /// `psc search` and `psc serve`).
+fn step2_kernel(flags: &Flags) -> Result<psc_core::KernelChoice, String> {
+    match flags.get("step2-kernel") {
+        None => Ok(psc_core::KernelChoice::Auto),
+        Some(s) => psc_core::KernelChoice::parse(s).ok_or_else(|| {
+            format!("bad --step2-kernel value {s:?} (auto|scalar|profile|simd|wide)")
+        }),
+    }
+}
+
 fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, String> {
     let threads = flags.parsed("threads", 1usize)?;
     let backend = match flags.get("backend").unwrap_or("scalar") {
@@ -468,12 +483,7 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, String> {
         }
         fleet.quarantine_after = k;
     }
-    let step2_kernel = match flags.get("step2-kernel") {
-        None => psc_core::KernelChoice::Auto,
-        Some(s) => psc_core::KernelChoice::parse(s).ok_or_else(|| {
-            format!("bad --step2-kernel value {s:?} (auto|scalar|profile|simd|wide|split)")
-        })?,
-    };
+    let step2_kernel = step2_kernel(flags)?;
     let step2_schedule = match flags.get("step2-schedule") {
         None => psc_core::Step2Schedule::default(),
         Some(s) => psc_core::Step2Schedule::parse(s)

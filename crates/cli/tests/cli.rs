@@ -40,6 +40,28 @@ fn removed_overlap_flag_is_rejected() {
 }
 
 #[test]
+fn removed_split_kernel_is_rejected() {
+    // The byte-lane filter subsumed the `split` kernel; asking for it by
+    // name is a usage error that lists what is left.
+    for cmd in [
+        ["search", "--proteins", "p.fa", "--genome", "g.fa"].as_slice(),
+        ["serve", "--index", "g.psc"].as_slice(),
+    ] {
+        let out = psc()
+            .args(cmd)
+            .args(["--step2-kernel", "split"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("bad --step2-kernel value \"split\" (auto|scalar|profile|simd|wide)"),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn matrix_prints_blosum62() {
     let out = psc().arg("matrix").output().unwrap();
     assert!(out.status.success());

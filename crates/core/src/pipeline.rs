@@ -432,10 +432,12 @@ impl Pipeline {
         // running into a sequence end).
         let mut xdrop_terminations = 0u64;
         let mut evalue_rejected = 0u64;
+        let mut dp_cells = 0u64;
         for (a, &(hit, cycles)) in anchors.iter().zip(&extensions) {
             let s0 = &bank0.get(a.seq0 as usize).residues;
             let s1 = &bank1.get(a.seq1 as usize).residues;
             step3_cycles += cycles;
+            dp_cells += hit.cells;
             if hit.start0 > 0 && hit.start1 > 0 {
                 xdrop_terminations += 1;
             }
@@ -483,6 +485,7 @@ impl Pipeline {
             keys::STEP3_SHARDS,
             anchors.len().div_ceil(STEP3_SHARD) as u64,
         );
+        rec.add(keys::STEP3_DP_CELLS, dp_cells);
         rec.add(keys::STEP3_XDROP_TERMINATIONS, xdrop_terminations);
         rec.add(keys::STEP3_EVALUE_REJECTED, evalue_rejected);
         rec.add(keys::STEP3_HSPS_REPORTED, hsps.len() as u64);
@@ -1504,7 +1507,6 @@ mod tests {
             KernelChoice::Profile,
             KernelChoice::Simd,
             KernelChoice::Wide,
-            KernelChoice::Split,
         ] {
             let out = mk(choice);
             assert_eq!(scalar.hsps, out.hsps, "{choice:?}");

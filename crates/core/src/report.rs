@@ -147,6 +147,9 @@ mod tests {
             Some(out.stats.step2.candidates)
         );
         assert_eq!(report.counter("step3.anchors"), Some(out.stats.anchors));
+        // Every anchor's extension evaluates at least its first cell.
+        let cells = report.counter("step3.dp_cells").expect("cell counter");
+        assert!(cells >= out.stats.anchors && out.stats.anchors > 0);
         assert_eq!(report.meta_value("backend"), Some("software-scalar"));
         let h = report.histogram("step2.pairs_per_key").expect("histogram");
         assert_eq!(h.count, out.stats.step2.active_keys);

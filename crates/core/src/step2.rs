@@ -12,20 +12,22 @@
 //! Interchangeable kernel backends score that rectangle (selected by
 //! [`psc_align::KernelChoice`], auto-detected by default): the original
 //! per-pair `scalar` kernel, a score-`profile` kernel that builds one
-//! substitution table per `IL0` window, and the batched lane kernels
-//! (`simd`, `wide`, `split`) that stream one side in lane order and
-//! score [`psc_align::LANES`] or [`psc_align::WIDE_LANES`] window pairs
-//! per step through cache-sized tiles. All emit bit-identical
-//! candidates in identical order.
+//! substitution table per `IL0` window, and the lane paths (`simd`,
+//! `wide`) that stream one side in lane order through cache-sized
+//! tiles and run step 2 as what the paper's PE is — a threshold filter
+//! ([`psc_align::LaneFilter`]): [`psc_align::LANES`] or
+//! [`psc_align::WIDE_LANES`] window pairs are classified per step in
+//! saturating byte lanes, and only the survivors are rescored. All emit
+//! bit-identical candidates in identical order.
 //!
-//! The data plane is one pass per side per key. The profile side is
-//! gathered row-major ([`gather_windows`]); the lane side goes from the
-//! flat bank straight into kernel layout (`gather_lanes`: each window
-//! is copied once, into a staging row of
-//! [`InterleavedWindows::fill`], and the index list — the address
-//! stream — is prefetched a fixed distance ahead so its cache misses
-//! overlap). The scalar and profile backends, which read both sides
-//! row-major, gather both with [`gather_windows`].
+//! The data plane is one pass per side per key. The side whose windows
+//! are scanned one at a time is gathered row-major
+//! ([`gather_windows`]); the lane side goes from the flat bank straight
+//! into kernel layout (`gather_lanes`: each window is copied once, into
+//! a staging row of [`InterleavedWindows::fill`], and the index list —
+//! the address stream — is prefetched a fixed distance ahead so its
+//! cache misses overlap). The scalar and profile backends, which read
+//! both sides row-major, gather both with [`gather_windows`].
 //!
 //! Multi-threaded runs distribute keys under a [`Step2Schedule`]:
 //! `contiguous` cuts the key range into one balanced chunk per worker,
@@ -41,9 +43,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use psc_align::{
-    profile_score, profile_score2, score_lanes, score_lanes_split, score_lanes_wide,
-    ungapped_score, InterleavedWindows, Kernel, KernelBackend, KernelChoice, ScoreProfile, LANES,
-    WIDE_LANES,
+    profile_score, profile_score2, ungapped_score, InterleavedWindows, Kernel, KernelBackend,
+    KernelChoice, LaneFilter, ScoreProfile,
 };
 use psc_index::{FlatBank, SeedIndex};
 use psc_score::SubstitutionMatrix;
@@ -193,26 +194,25 @@ impl Step2Params<'_> {
     }
 }
 
-/// `IL0` rows whose profiles are built together (one i-tile).
+/// Row-major windows scanned over one j-tile before moving to the next
+/// (one i-tile).
 const TILE_I: usize = 32;
 
-/// Target bytes of interleaved `IL1` stream per j-tile — sized so a
-/// tile stays cache-resident while every profile of the i-tile streams
-/// over it.
+/// Target bytes of interleaved lane stream per j-tile — sized so a tile
+/// stays cache-resident while every window of the i-tile scans it.
 const TILE_J_BYTES: usize = 32 << 10;
 
-/// j-tile width (in windows) for a given window length and kernel lane
+/// j-tile width (in windows) for a given window length and lane-block
 /// width — the one formula both the hot loop and the analytic tile
-/// count derive from.
+/// count derive from. Always a whole number of lane blocks.
 fn tile_j_for(window_len: usize, lane_width: usize) -> usize {
     (TILE_J_BYTES / window_len.max(1)).clamp(lane_width, 1 << 14) / lane_width * lane_width
 }
 
-/// j-tile width for the 16-lane kernel (kept for the existing tests
-/// and telemetry call sites).
+/// j-tile width of the `simd` lane path.
 #[cfg(test)]
 fn simd_tile_j(window_len: usize) -> usize {
-    tile_j_for(window_len, LANES)
+    tile_j_for(window_len, KernelBackend::Simd.lane_width())
 }
 
 /// The exact `(i, j)` tile sequence [`lanes_rectangle`] walks for one
@@ -236,17 +236,17 @@ pub fn tile_walk(
     })
 }
 
-/// [`tile_walk`] for the 16-lane kernel.
+/// [`tile_walk`] of the `simd` lane path.
 #[doc(hidden)]
 pub fn simd_tile_walk(
     n0: usize,
     n1: usize,
     window_len: usize,
 ) -> impl Iterator<Item = (std::ops::Range<usize>, std::ops::Range<usize>)> {
-    tile_walk(n0, n1, window_len, LANES)
+    tile_walk(n0, n1, window_len, KernelBackend::Simd.lane_width())
 }
 
-/// Number of cache tiles a lane kernel of `lane_width` walks for one
+/// Number of cache tiles a lane path of `lane_width` walks for one
 /// key's `n0 × n1` pair rectangle — the telemetry counterpart of
 /// [`tile_walk`], computed analytically so instrumentation never
 /// touches the hot loop.
@@ -257,9 +257,9 @@ pub fn tile_count(n0: usize, n1: usize, window_len: usize, lane_width: usize) ->
     n0.div_ceil(TILE_I) as u64 * n1.div_ceil(tile_j_for(window_len, lane_width)) as u64
 }
 
-/// [`tile_count`] for the 16-lane kernel.
+/// [`tile_count`] of the `simd` lane path.
 pub fn simd_tile_count(n0: usize, n1: usize, window_len: usize) -> u64 {
-    tile_count(n0, n1, window_len, LANES)
+    tile_count(n0, n1, window_len, KernelBackend::Simd.lane_width())
 }
 
 /// Cache tiles the resolved lane kernel walks for one key's `n0 × n1`
@@ -371,11 +371,16 @@ pub fn lpt_order(items: &[WorkItem]) -> Vec<usize> {
     order
 }
 
-/// How a lane kernel covers one `n0 × n1` rectangle under `schedule`:
+/// Longer side below which the bucketed schedule keeps a rectangle off
+/// the lane path: so few lanes of a block would be live that the scalar
+/// profile kernel is the better fit.
+const MIN_LANE_SIDE: usize = 16;
+
+/// How a lane path covers one `n0 × n1` rectangle under `schedule`:
 /// `None` routes it to the scalar profile kernel (both sides shorter
-/// than a lane block, so lanes would mostly idle), `Some(transposed)`
-/// keeps it on the lane path with the lane axis on `IL1` (`false`) or
-/// transposed onto the larger `IL0` (`true`).
+/// than [`MIN_LANE_SIDE`], so lanes would mostly idle),
+/// `Some(transposed)` keeps it on the lane path with the lane axis on
+/// `IL1` (`false`) or transposed onto the larger `IL0` (`true`).
 ///
 /// This is the single routing decision both the hot loop and the
 /// analytic lane-occupancy accounting consult, so the recorded
@@ -383,7 +388,7 @@ pub fn lpt_order(items: &[WorkItem]) -> Vec<usize> {
 pub fn lane_orientation(n0: usize, n1: usize, schedule: Step2Schedule) -> Option<bool> {
     match schedule {
         Step2Schedule::Contiguous => Some(false),
-        Step2Schedule::Bucketed if n0.max(n1) < LANES => None,
+        Step2Schedule::Bucketed if n0.max(n1) < MIN_LANE_SIDE => None,
         Step2Schedule::Bucketed => Some(n1 < n0),
     }
 }
@@ -418,10 +423,10 @@ pub fn rectangle_lane_slots(
 }
 
 /// The transposed substitution lookup used when a rectangle runs in
-/// transposed orientation: `t[b][a] = m[a][b]`, so scoring `IL1`
-/// profiles against streamed `IL0` windows adds exactly the same
-/// substitution score per recurrence step as the normal orientation —
-/// candidates stay bit-identical even for asymmetric matrices.
+/// transposed orientation: `t[b][a] = m[a][b]`, so scanning `IL1`
+/// windows over streamed `IL0` lanes adds exactly the same substitution
+/// score per recurrence step as the normal orientation — candidates
+/// stay bit-identical even for asymmetric matrices.
 fn transposed_matrix(m: &SubstitutionMatrix) -> SubstitutionMatrix {
     let flat = m.flat();
     let mut t = [0i8; AA_ALPHABET_LEN * AA_ALPHABET_LEN];
@@ -438,22 +443,29 @@ fn transposed_matrix(m: &SubstitutionMatrix) -> SubstitutionMatrix {
 #[derive(Default)]
 struct KeyScratch {
     /// Row-major `IL0` / `IL1` windows — on the lane path only the
-    /// profile side's is filled.
+    /// side scanned window by window is filled.
     w0: Vec<u8>,
     w1: Vec<u8>,
     /// The lane side of the current key, in lane order.
     lanes: InterleavedWindows,
-    profiles: Vec<ScoreProfile>,
+    /// One lane's window copied back out row-major, for the rescoring
+    /// of a flagged lane.
+    lane_window: Vec<u8>,
+    /// The profile backend's one profile.
+    profile: ScoreProfile,
     /// `(i, j, score)` hits of the current key, tile order.
     hits: Vec<(u32, u32, i32)>,
 }
 
+/// The run's two lane filters: `[0]` scans `IL0` windows over `IL1`
+/// lanes under the matrix as given, `[1]` the transposed orientation
+/// under [`transposed_matrix`]. Absent for the scalar-width backends.
+type LaneFilters = Option<[LaneFilter; 2]>;
+
 /// Run step 2 on one key range, appending candidates (key-major order).
 ///
 /// `scratch` is reused across calls so the bucketed scheduler's
-/// per-item invocations allocate nothing in steady state; `tmat` is the
-/// run's [`transposed_matrix`], consulted only when a rectangle runs in
-/// transposed orientation.
+/// per-item invocations allocate nothing in steady state.
 #[allow(clippy::too_many_arguments)]
 fn run_key_range(
     flat0: &FlatBank,
@@ -462,7 +474,7 @@ fn run_key_range(
     idx1: &SeedIndex,
     params: &Step2Params<'_>,
     backend: KernelBackend,
-    tmat: &SubstitutionMatrix,
+    filters: &LaneFilters,
     keys: std::ops::Range<u32>,
     scratch: &mut KeyScratch,
     out: &mut Vec<Candidate>,
@@ -477,33 +489,23 @@ fn run_key_range(
         stats.active_keys += 1;
         stats.pairs += list0.len() as u64 * list1.len() as u64;
         let (span, n_ctx) = (params.span, params.n_ctx);
-        let lanes_on_il0 = match backend {
-            KernelBackend::Scalar | KernelBackend::Profile => None,
-            KernelBackend::Simd | KernelBackend::Wide | KernelBackend::Split => {
-                lane_orientation(list0.len(), list1.len(), params.schedule)
-            }
-        };
-        // Only the side that becomes score profiles is gathered
-        // row-major; the lane side goes from the bank into lane order.
-        match lanes_on_il0 {
-            Some(false) => {
+        let lane_path = filters.as_ref().and_then(|filters| {
+            let transposed = lane_orientation(list0.len(), list1.len(), params.schedule)?;
+            Some((transposed, &filters[transposed as usize]))
+        });
+        match lane_path {
+            // Only the side scanned window by window is gathered
+            // row-major; the lane side goes from the bank into lane
+            // order.
+            Some((false, filter)) => {
                 gather_windows(flat0, list0, span, n_ctx, &mut scratch.w0);
                 gather_lanes(flat1, list1, span, n_ctx, &mut scratch.lanes);
-                lanes_rectangle(
-                    params,
-                    backend,
-                    params.matrix,
-                    false,
-                    list0,
-                    list1,
-                    scratch,
-                    out,
-                );
+                lanes_rectangle(params, filter, false, list0, list1, scratch, out);
             }
-            Some(true) => {
+            Some((true, filter)) => {
                 gather_windows(flat1, list1, span, n_ctx, &mut scratch.w1);
                 gather_lanes(flat0, list0, span, n_ctx, &mut scratch.lanes);
-                lanes_rectangle(params, backend, tmat, true, list0, list1, scratch, out);
+                lanes_rectangle(params, filter, true, list0, list1, scratch, out);
             }
             None => {
                 gather_windows(flat0, list0, span, n_ctx, &mut scratch.w0);
@@ -551,10 +553,7 @@ fn profile_rectangle(
     out: &mut Vec<Candidate>,
 ) {
     let l = params.window_len();
-    if scratch.profiles.is_empty() {
-        scratch.profiles.push(ScoreProfile::new());
-    }
-    let prof = &mut scratch.profiles[0];
+    let prof = &mut scratch.profile;
     for (i, &pos0) in list0.iter().enumerate() {
         prof.build(params.matrix, &scratch.w0[i * l..(i + 1) * l]);
         let mut j = 0;
@@ -594,26 +593,22 @@ fn profile_rectangle(
     }
 }
 
-/// Batched lane loop (the `simd`, `wide` and `split` backends): with the
-/// lane-axis windows already in `scratch.lanes` ([`gather_lanes`]) and
-/// the profile side row-major, walk the pair rectangle in cache-sized
-/// tiles — profiles for an i-tile are built together, and each j-tile
-/// of the interleaved stream is reused by every profile of the i-tile
-/// before moving on (the PE array's broadcast, tiled for a cache
-/// hierarchy instead of wires).
+/// The lane path (`simd` and `wide` backends): with the lane-axis
+/// windows already in `scratch.lanes` ([`gather_lanes`]) and the other
+/// side row-major, walk the pair rectangle in cache-sized tiles — each
+/// j-tile of the interleaved stream is scanned by every window of the
+/// i-tile before moving on (the PE array's broadcast, tiled for a cache
+/// hierarchy instead of wires) — and keep what `filter` reports.
 ///
 /// With `transposed` set (bucketed schedule, `|IL1| < |IL0|`) the
-/// profile axis is `IL1` (rows in `scratch.w1`) scored under
-/// `profile_matrix` = [`transposed_matrix`] and the lanes stream `IL0`,
-/// so lanes fill from the larger list while every recurrence step adds
-/// the same substitution score — hits are recorded in `(i0, i1)`
-/// coordinates either way and sorted back to the scalar loop's
-/// lexicographic order.
-#[allow(clippy::too_many_arguments)]
+/// row-major axis is `IL1` (rows in `scratch.w1`), `filter` is the one
+/// built on [`transposed_matrix`] and the lanes stream `IL0`, so lanes
+/// fill from the larger list while every recurrence step adds the same
+/// substitution score — hits are recorded in `(i0, i1)` coordinates
+/// either way and sorted back to the scalar loop's lexicographic order.
 fn lanes_rectangle(
     params: &Step2Params<'_>,
-    backend: KernelBackend,
-    profile_matrix: &SubstitutionMatrix,
+    filter: &LaneFilter,
     transposed: bool,
     list0: &[u32],
     list1: &[u32],
@@ -625,57 +620,25 @@ fn lanes_rectangle(
         w0,
         w1,
         lanes,
-        profiles,
+        lane_window,
         hits,
+        ..
     } = scratch;
-    let (prof_rows, np, nl) = if transposed {
+    let (rows, nr, nl) = if transposed {
         (&*w1, list1.len(), list0.len())
     } else {
         (&*w0, list0.len(), list1.len())
     };
     debug_assert_eq!((lanes.count(), lanes.len()), (nl, l));
-    profiles.resize_with(TILE_I, ScoreProfile::new);
     hits.clear();
 
-    let width = backend.lane_width();
-    let mut lanes16 = [0i32; LANES];
-    let mut lanes32 = [0i32; WIDE_LANES];
-    for (ti, tj) in tile_walk(np, nl, l, width) {
-        // First j-tile of an i-tile: (re)build that i-tile's profiles.
-        if tj.start == 0 {
-            for i in ti.clone() {
-                profiles[i - ti.start].build(profile_matrix, &prof_rows[i * l..(i + 1) * l]);
-            }
-        }
-        for i in ti.clone() {
-            let prof = &profiles[i - ti.start];
-            let mut j = tj.start;
-            while j < tj.end {
-                let block: &[i32] = match backend {
-                    KernelBackend::Wide => {
-                        score_lanes_wide(params.kernel, prof, lanes, j, &mut lanes32);
-                        &lanes32
-                    }
-                    KernelBackend::Split => {
-                        score_lanes_split(params.kernel, prof, lanes, j, &mut lanes32);
-                        &lanes32
-                    }
-                    // Scalar/Profile are never routed here; treat them
-                    // as the 16-lane path to keep the match total.
-                    KernelBackend::Simd | KernelBackend::Scalar | KernelBackend::Profile => {
-                        score_lanes(params.kernel, prof, lanes, j, &mut lanes16);
-                        &lanes16
-                    }
-                };
-                let take = width.min(tj.end - j);
-                for (t, &score) in block[..take].iter().enumerate() {
-                    if score >= params.threshold {
-                        let (hi, hj) = if transposed { (j + t, i) } else { (i, j + t) };
-                        hits.push((hi as u32, hj as u32, score));
-                    }
-                }
-                j += width;
-            }
+    for (ti, tj) in tile_walk(nr, nl, l, filter.block_width()) {
+        for i in ti {
+            let window = &rows[i * l..(i + 1) * l];
+            filter.scan(window, lanes, tj.clone(), lane_window, |j, score| {
+                let (i0, i1) = if transposed { (j, i) } else { (i, j) };
+                hits.push((i0 as u32, i1 as u32, score));
+            });
         }
     }
 
@@ -761,7 +724,10 @@ fn run_units(
     assert_eq!(idx0.key_count(), idx1.key_count(), "incompatible indexes");
     let threads = threads.max(1);
     let backend = params.resolved_backend();
-    let tmat = transposed_matrix(params.matrix);
+    let filter = |matrix| LaneFilter::new(backend, params.kernel, matrix, params.threshold);
+    let filters: LaneFilters = filter(params.matrix)
+        .zip(filter(&transposed_matrix(params.matrix)))
+        .map(|(plain, transposed)| [plain, transposed]);
 
     // Units in key order, and the order workers claim them in.
     let (units, order): (Vec<std::ops::Range<u32>>, Vec<usize>) = if threads == 1 {
@@ -799,7 +765,7 @@ fn run_units(
                 idx1,
                 params,
                 backend,
-                &tmat,
+                &filters,
                 units[unit].clone(),
                 &mut scratch,
                 &mut out,
@@ -898,6 +864,7 @@ fn balanced_chunks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psc_align::{LANES, WIDE_LANES};
     use psc_index::seed::subset_seed_default;
     use psc_score::blosum62;
     use psc_seqio::{Bank, Seq};
@@ -956,12 +923,12 @@ mod tests {
         [18u8, 4, 17, 1].repeat(reps)
     }
 
-    /// Longest index list whose length is not a whole number of wide
-    /// lane blocks.
+    /// Longest index list whose length is not a whole number of lane
+    /// blocks at either width.
     fn longest_ragged_list(idx: &SeedIndex) -> usize {
         idx.nonempty_keys()
             .map(|k| idx.list(k).len())
-            .filter(|n| n % WIDE_LANES != 0)
+            .filter(|n| n % LANES != 0)
             .max()
             .unwrap_or(0)
     }
@@ -1007,15 +974,22 @@ mod tests {
         seqs.push(motif_seq(45));
         let (f0, i0) = index_codes(&seqs);
         let (f1, i1) = index_codes(&seqs);
-        assert!(longest_ragged_list(&i1) > WIDE_LANES);
+        assert!(longest_ragged_list(&i1) > LANES);
         let m = blosum62();
-        let (seq_c, seq_s) = run_software(&f0, &i0, &f1, &i1, &params(m, 18), 1);
-        for threads in [2, 4, 7] {
-            let (par_c, par_s) = run_software(&f0, &i0, &f1, &i1, &params(m, 18), threads);
-            assert_eq!(seq_c, par_c, "threads={threads}");
-            assert_eq!(seq_s, par_s, "threads={threads}");
+        // 127 and 128 sit on either side of the byte lanes' ceiling
+        // (past it the rescored comparison decides, not the flag); a
+        // full window of the motif scores exactly 128.
+        for threshold in [127, 128, 18] {
+            let p = params(m, threshold);
+            let (seq_c, seq_s) = run_software(&f0, &i0, &f1, &i1, &p, 1);
+            for threads in [2, 4, 7] {
+                let (par_c, par_s) = run_software(&f0, &i0, &f1, &i1, &p, threads);
+                assert_eq!(seq_c, par_c, "threads={threads} t={threshold}");
+                assert_eq!(seq_s, par_s, "threads={threads} t={threshold}");
+            }
+            assert!(!seq_c.is_empty(), "t={threshold}");
         }
-        assert!(!seq_c.is_empty());
+        let (seq_c, seq_s) = run_software(&f0, &i0, &f1, &i1, &params(m, 18), 1);
 
         // The timed driver is the same loop: equal candidates and
         // stats, plus one timing per unit (in unit order) whose counts
@@ -1068,9 +1042,10 @@ mod tests {
                     .collect()
             })
             .collect();
-        // The motif keys put a multi-block, ragged lane list on either
-        // side: IL0 (70) under the bucketed schedule, which transposes
-        // these rectangles, IL1 (45) under the contiguous one.
+        // The motif keys put a ragged lane list on either side — IL0
+        // (70: two wide blocks, three narrow ones) under the bucketed
+        // schedule, which transposes these rectangles, IL1 (45: one
+        // wide block, two narrow ones) under the contiguous one.
         let with_motif = |n: usize, reps: usize| -> Vec<Vec<u8>> {
             let mut v = seqs[..n].to_vec();
             v.push(motif_seq(reps));
@@ -1078,23 +1053,32 @@ mod tests {
         };
         let (f0, i0) = index_codes(&with_motif(25, 70));
         let (f1, i1) = index_codes(&with_motif(23, 45));
-        assert!(longest_ragged_list(&i0) > 2 * WIDE_LANES);
-        assert!(longest_ragged_list(&i1) > WIDE_LANES);
+        assert!(longest_ragged_list(&i0) > WIDE_LANES);
+        assert!(longest_ragged_list(&i1) > LANES);
         let m = blosum62();
-        for kernel in [Kernel::ClampedSum, Kernel::PaperLiteral] {
+        // 127 and 128 sit on either side of the byte lanes' ceiling
+        // (past it the rescored comparison decides, not the flag); a
+        // full window of the motif scores exactly 128.
+        for (kernel, threshold) in [
+            (Kernel::ClampedSum, 18),
+            (Kernel::ClampedSum, 127),
+            (Kernel::ClampedSum, 128),
+            (Kernel::PaperLiteral, 18),
+            (Kernel::PaperLiteral, 127),
+            (Kernel::PaperLiteral, 128),
+        ] {
             let base = Step2Params {
                 kernel,
                 kernel_backend: KernelChoice::Scalar,
-                ..params(m, 18)
+                ..params(m, threshold)
             };
             let (want_c, want_s) = run_software(&f0, &i0, &f1, &i1, &base, 1);
-            assert!(!want_c.is_empty());
+            assert!(!want_c.is_empty(), "{kernel:?} t={threshold}");
             for choice in [
                 KernelChoice::Auto,
                 KernelChoice::Profile,
                 KernelChoice::Simd,
                 KernelChoice::Wide,
-                KernelChoice::Split,
             ] {
                 for schedule in [Step2Schedule::Contiguous, Step2Schedule::Bucketed] {
                     for threads in [1, 3] {
@@ -1104,14 +1088,11 @@ mod tests {
                             ..base
                         };
                         let (c, s) = run_software(&f0, &i0, &f1, &i1, &p, threads);
-                        assert_eq!(
-                            want_c, c,
-                            "{kernel:?} {choice:?} {schedule:?} threads={threads}"
+                        let tag = format!(
+                            "{kernel:?} t={threshold} {choice:?} {schedule:?} threads={threads}"
                         );
-                        assert_eq!(
-                            want_s, s,
-                            "{kernel:?} {choice:?} {schedule:?} threads={threads}"
-                        );
+                        assert_eq!(want_c, c, "{tag}");
+                        assert_eq!(want_s, s, "{tag}");
                     }
                 }
             }
@@ -1138,13 +1119,25 @@ mod tests {
     fn simd_tile_count_equals_walk_length() {
         // The closed form must agree with the tile sequence the hot
         // loop actually iterates, across boundary-straddling shapes and
-        // window lengths (including extremes that hit both clamps).
+        // window lengths (including extremes that hit both clamps) —
+        // at the block width the hot loop takes from its filter, which
+        // is the width the telemetry takes from the backend.
         let tile_j_60 = simd_tile_j(60);
-        for l in [1, 4, 16, 60, 200, TILE_J_BYTES, TILE_J_BYTES * 2] {
-            for n0 in [0, 1, TILE_I - 1, TILE_I, TILE_I + 1, 3 * TILE_I + 5] {
-                for n1 in [0, 1, tile_j_60 - 1, tile_j_60, tile_j_60 + 1, 70_000] {
-                    let walked = simd_tile_walk(n0, n1, l).count() as u64;
-                    assert_eq!(simd_tile_count(n0, n1, l), walked, "n0={n0} n1={n1} l={l}");
+        for backend in [KernelBackend::Simd, KernelBackend::Wide] {
+            let filter = LaneFilter::new(backend, Kernel::ClampedSum, blosum62(), 45);
+            let width = filter.expect("a lane backend").block_width();
+            assert_eq!(width, backend.lane_width());
+            for l in [1, 4, 16, 60, 200, TILE_J_BYTES, TILE_J_BYTES * 2] {
+                for n0 in [0, 1, TILE_I - 1, TILE_I, TILE_I + 1, 3 * TILE_I + 5] {
+                    for n1 in [0, 1, tile_j_60 - 1, tile_j_60, tile_j_60 + 1, 70_000] {
+                        let walked = tile_walk(n0, n1, l, width).count() as u64;
+                        let tag = format!("{backend:?} n0={n0} n1={n1} l={l}");
+                        assert_eq!(tile_count(n0, n1, l, width), walked, "{tag}");
+                        if backend == KernelBackend::Simd {
+                            assert_eq!(simd_tile_count(n0, n1, l), walked, "{tag}");
+                            assert_eq!(simd_tile_walk(n0, n1, l).count() as u64, walked, "{tag}");
+                        }
+                    }
                 }
             }
         }
@@ -1165,7 +1158,7 @@ mod tests {
     #[test]
     fn tile_count_matches_walk_for_wide_lanes() {
         // The generalized closed form must agree with the generalized
-        // walk at the 32-lane width the wide/split kernels step by.
+        // walk at the 64-lane width the wide path steps by.
         for l in [1, 16, 60, 200] {
             let tj = tile_j_for(l, WIDE_LANES);
             for n0 in [0, 1, TILE_I, TILE_I + 1] {
@@ -1178,8 +1171,9 @@ mod tests {
                     );
                 }
             }
-            // The j tile is always a whole number of 32-wide lane blocks.
+            // The j tile is always a whole number of wide lane blocks.
             assert_eq!(tj % WIDE_LANES, 0, "l={l}");
+            assert_eq!(WIDE_LANES, KernelBackend::Wide.lane_width());
         }
     }
 
@@ -1269,9 +1263,10 @@ mod tests {
         assert_eq!(lane_orientation(5, 7, c), Some(false));
 
         // Slot accounting mirrors orientation: scalar-width backends
-        // waste nothing; 16-lane contiguous pads the il1 axis; bucketed
-        // pads the larger axis so narrow-il1 rectangles stop wasting
-        // nearly the whole vector.
+        // waste nothing; contiguous pads the il1 axis to whole blocks
+        // (32 lanes under simd, 64 under wide); bucketed pads the larger
+        // axis so narrow-il1 rectangles stop wasting nearly the whole
+        // vector.
         let wide = KernelBackend::Wide;
         assert_eq!(
             rectangle_lane_slots(10, 10, KernelBackend::Scalar, b),
@@ -1279,16 +1274,25 @@ mod tests {
         );
         let (useful, total) = rectangle_lane_slots(3, 500, KernelBackend::Simd, c);
         assert_eq!(useful, 1500);
-        assert_eq!(total, 3 * 500u64.div_ceil(16) * 16);
+        assert_eq!(total, 3 * 500u64.div_ceil(32) * 32);
         let (useful_b, total_b) = rectangle_lane_slots(3, 500, wide, b);
         assert_eq!(useful_b, 1500);
-        assert_eq!(total_b, 3 * 500u64.div_ceil(32) * 32);
+        assert_eq!(total_b, 3 * 500u64.div_ceil(64) * 64);
+        // Transposed, the padded axis is il0.
+        assert_eq!(
+            rectangle_lane_slots(500, 3, wide, b),
+            (1500, 3 * 500u64.div_ceil(64) * 64)
+        );
+        assert_eq!(
+            rectangle_tile_count(500, 3, 60, wide, b),
+            tile_walk(3, 500, 60, 64).count() as u64
+        );
         // Narrow-both rectangles route to the profile path: no padding.
         assert_eq!(rectangle_lane_slots(5, 7, wide, b), (35, 35));
-        // Contiguous 16-lane on a lane-starved rectangle: 500×1 pads
-        // each row to a full vector.
+        // Contiguous on a lane-starved rectangle: 500×1 pads each row
+        // to a full block.
         let (u, t) = rectangle_lane_slots(500, 1, KernelBackend::Simd, c);
-        assert_eq!((u, t), (500, 500 * 16));
+        assert_eq!((u, t), (500, 500 * 32));
         assert!(u * 10 < t, "expected heavy padding on starved axis");
     }
 

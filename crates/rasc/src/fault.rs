@@ -471,7 +471,7 @@ pub fn score_entry_software(
     il1: &[u8],
 ) -> Vec<Hit> {
     let mut hits = Vec::new();
-    BatchScorer::new(config, matrix).scan(matrix, il0, il1, &mut hits);
+    BatchScorer::new(config, matrix).scan(il0, il1, &mut hits);
     hits
 }
 

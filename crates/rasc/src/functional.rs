@@ -3,17 +3,18 @@
 //! Computes exactly the hits, the hit order and the cycle count of
 //! [`crate::operator::PscOperator`] without stepping a PE register:
 //!
-//! * **scoring** runs on the batched lane kernels of [`psc_align::batch`]
+//! * **scoring** runs on the threshold filter of [`psc_align::batch`]
 //!   — the software form of the operator's own data flow (one `IL0`
-//!   window resident, every `IL1` window streamed past it). `IL1` is
-//!   interleaved one bounded tile at a time into scratch the operator
-//!   owns and reuses across entries; each `IL0` window's score profile
-//!   is swept over the tile and the rare scores at or above the
-//!   threshold are kept. The backend is what
-//!   [`KernelChoice::Auto`] resolves to for the configured window and
-//!   matrix, once at construction, so a window that could overflow the
-//!   16-bit lanes (or a host without the vector extensions) falls back
-//!   to the profile kernel by itself;
+//!   window resident, every `IL1` window streamed past it, only the
+//!   pairs above the threshold pushed out). `IL1` is interleaved one
+//!   bounded tile at a time into scratch the operator owns and reuses
+//!   across entries; each `IL0` window is scanned over the tile by one
+//!   [`LaneFilter`], which classifies in byte lanes and rescores the
+//!   rare survivors. The backend is what [`KernelChoice::Auto`]
+//!   resolves to for the configured window and matrix, once at
+//!   construction, so a window that could overflow the 16-bit lanes
+//!   (or a host without the vector extensions) falls back to the
+//!   profile kernel by itself;
 //! * **ordering** sorts the kept hits into the hardware's drain order —
 //!   batch-major, wave-major within a batch, PE order within a wave;
 //! * **accounting** replays the cycle / stall / FIFO high-water model
@@ -24,7 +25,8 @@
 //! every board, fleet and ADR run takes this path.
 
 use psc_align::{
-    score_batch, InterleavedWindows, Kernel, KernelBackend, KernelChoice, ScoreProfile, WIDE_LANES,
+    score_batch, InterleavedWindows, Kernel, KernelBackend, KernelChoice, LaneFilter, ScoreProfile,
+    WIDE_LANES,
 };
 use psc_score::SubstitutionMatrix;
 
@@ -32,8 +34,8 @@ use crate::config::OperatorConfig;
 use crate::operator::{EntryResult, Hit};
 
 /// Target bytes of interleaved `IL1` per tile — the size
-/// `psc_core::step2` tiles its `IL1` stream to, so a tile stays
-/// cache-resident while every `IL0` profile sweeps it.
+/// `psc_core::step2` tiles its lane stream to, so a tile stays
+/// cache-resident while every `IL0` window scans it.
 const TILE_BYTES: usize = 32 << 10;
 
 /// Most windows interleaved at once, whatever the window length.
@@ -48,22 +50,33 @@ const TILE_MAX_WINDOWS: usize = 512;
 pub(crate) struct BatchScorer {
     backend: KernelBackend,
     kernel: Kernel,
+    matrix: SubstitutionMatrix,
     window_len: usize,
     threshold: i32,
-    /// `IL1` windows per tile: a whole number of wide lane blocks.
+    /// `IL1` windows per tile: a whole number of lane blocks at either
+    /// block width.
     tile_windows: usize,
-    profile: ScoreProfile,
+    /// The lane path; `None` under the scalar-width backends, which
+    /// score through `profile` and `scores` instead.
+    filter: Option<LaneFilter>,
     tile: InterleavedWindows,
+    lane_window: Vec<u8>,
+    profile: ScoreProfile,
     scores: Vec<i32>,
 }
 
 impl BatchScorer {
     /// A scorer for `config` under the backend `Auto` resolves to.
     pub(crate) fn new(config: &OperatorConfig, matrix: &SubstitutionMatrix) -> BatchScorer {
-        BatchScorer::with_backend(config, FunctionalOperator::host_kernel(config, matrix))
+        let backend = FunctionalOperator::host_kernel(config, matrix);
+        BatchScorer::with_backend(config, matrix, backend)
     }
 
-    fn with_backend(config: &OperatorConfig, backend: KernelBackend) -> BatchScorer {
+    fn with_backend(
+        config: &OperatorConfig,
+        matrix: &SubstitutionMatrix,
+        backend: KernelBackend,
+    ) -> BatchScorer {
         let tile_windows = (TILE_BYTES / config.window_len.max(1))
             .clamp(WIDE_LANES, TILE_MAX_WINDOWS)
             / WIDE_LANES
@@ -71,11 +84,14 @@ impl BatchScorer {
         BatchScorer {
             backend,
             kernel: config.kernel,
+            matrix: matrix.clone(),
             window_len: config.window_len,
             threshold: config.threshold,
             tile_windows,
-            profile: ScoreProfile::new(),
+            filter: LaneFilter::new(backend, config.kernel, matrix, config.threshold),
             tile: InterleavedWindows::new(),
+            lane_window: Vec::new(),
+            profile: ScoreProfile::new(),
             scores: Vec::new(),
         }
     }
@@ -83,39 +99,48 @@ impl BatchScorer {
     /// Append every pair of `il0 × il1` scoring at or above the
     /// threshold to `hits`, in scan order: `IL1` tile-major, then `i0`,
     /// then `i1` — plain `i0`-major whenever `IL1` fits one tile.
-    pub(crate) fn scan(
-        &mut self,
-        matrix: &SubstitutionMatrix,
-        il0: &[u8],
-        il1: &[u8],
-        hits: &mut Vec<Hit>,
-    ) {
+    pub(crate) fn scan(&mut self, il0: &[u8], il1: &[u8], hits: &mut Vec<Hit>) {
         let l = self.window_len;
         for (t, rows) in il1.chunks(self.tile_windows * l).enumerate() {
-            // Only the lane kernels read the interleaved layout.
-            if self.backend.lane_width() > 1 {
-                self.tile.build(rows, l);
-            }
-            for (i0, w0) in il0.chunks_exact(l).enumerate() {
-                self.profile.build(matrix, w0);
-                self.scores.clear();
-                score_batch(
-                    self.backend,
-                    self.kernel,
-                    matrix,
-                    w0,
-                    &self.profile,
-                    rows,
-                    &self.tile,
-                    &mut self.scores,
-                );
-                for (j, &score) in self.scores.iter().enumerate() {
-                    if score >= self.threshold {
-                        hits.push(Hit {
-                            i0: i0 as u32,
-                            i1: (t * self.tile_windows + j) as u32,
-                            score,
+            let first = t * self.tile_windows;
+            let mut hit = |i0: usize, j: usize, score: i32| {
+                hits.push(Hit {
+                    i0: i0 as u32,
+                    i1: (first + j) as u32,
+                    score,
+                })
+            };
+            match &self.filter {
+                Some(filter) => {
+                    self.tile.build(rows, l);
+                    let lanes = 0..self.tile.count();
+                    for (i0, w0) in il0.chunks_exact(l).enumerate() {
+                        let scratch = &mut self.lane_window;
+                        filter.scan(w0, &self.tile, lanes.clone(), scratch, |j, score| {
+                            hit(i0, j, score)
                         });
+                    }
+                }
+                // Scalar-width backends read the tile row-major.
+                None => {
+                    for (i0, w0) in il0.chunks_exact(l).enumerate() {
+                        self.profile.build(&self.matrix, w0);
+                        self.scores.clear();
+                        score_batch(
+                            self.backend,
+                            self.kernel,
+                            &self.matrix,
+                            w0,
+                            &self.profile,
+                            rows,
+                            &self.tile,
+                            &mut self.scores,
+                        );
+                        for (j, &score) in self.scores.iter().enumerate() {
+                            if score >= self.threshold {
+                                hit(i0, j, score);
+                            }
+                        }
                     }
                 }
             }
@@ -127,7 +152,6 @@ impl BatchScorer {
 #[derive(Debug)]
 pub struct FunctionalOperator {
     config: OperatorConfig,
-    matrix: SubstitutionMatrix,
     scorer: BatchScorer,
 }
 
@@ -140,8 +164,8 @@ impl FunctionalOperator {
         Self::with_backend(config, matrix, backend)
     }
 
-    /// Build with a forced scoring backend. The caller answers for the
-    /// backend's overflow guard (see [`KernelChoice::resolve`]).
+    /// Build with a forced scoring backend; every one is exact for any
+    /// window.
     pub(crate) fn with_backend(
         config: OperatorConfig,
         matrix: &SubstitutionMatrix,
@@ -149,9 +173,8 @@ impl FunctionalOperator {
     ) -> Result<FunctionalOperator, String> {
         config.validate()?;
         Ok(FunctionalOperator {
-            scorer: BatchScorer::with_backend(&config, backend),
+            scorer: BatchScorer::with_backend(&config, matrix, backend),
             config,
-            matrix: matrix.clone(),
         })
     }
 
@@ -183,7 +206,7 @@ impl FunctionalOperator {
         let slots = self.config.num_slots() as u64;
         let cap = self.config.fifo_capacity;
 
-        self.scorer.scan(&self.matrix, il0, il1, &mut out.hits);
+        self.scorer.scan(il0, il1, &mut out.hits);
         // Hardware drain order: IL0 batch, then wave, then PE.
         out.hits
             .sort_unstable_by_key(|h| (h.i0 as usize / p, h.i1, h.i0));
@@ -445,19 +468,40 @@ mod tests {
     }
 
     #[test]
-    fn split_backend_matches_under_its_guard() {
-        // blosum62's best score is 11: 11-residue windows fit the i8 lanes.
-        for kernel in [Kernel::ClampedSum, Kernel::PaperLiteral] {
-            let mut cfg = window60(5, kernel, 16);
-            cfg.window_len = 11;
-            cfg.threshold = 8;
-            assert!(psc_align::split_window_fits(cfg.window_len, blosum62()));
-            check_backends(
-                &cfg,
-                blosum62(),
-                &[KernelBackend::Split, KernelBackend::Scalar],
-                &[(7, 2990), (12, 65), (1, 1)],
-            );
+    fn flooded_and_quiet_two_tile_entries_match_the_oracle() {
+        // Two IL1 tiles (600 windows), three IL0 batches on 3 PEs. The
+        // flood — identical windows at threshold 1, every pair a hit —
+        // is the filter at its worst (every lane flagged and rescored);
+        // the quiet entry has one planted pair, in the second tile, at
+        // the paper's threshold and on both sides of the byte range.
+        let flood = seeded_windows(9, 1, 60);
+        let quiet1 = seeded_windows(11, 600, 60);
+        let mut quiet0 = seeded_windows(10, 7, 60);
+        quiet0[4 * 60..5 * 60].copy_from_slice(&quiet1[550 * 60..551 * 60]);
+        let planted = psc_align::ungapped_score(
+            Kernel::ClampedSum,
+            blosum62(),
+            &quiet0[4 * 60..5 * 60],
+            &quiet1[550 * 60..551 * 60],
+        );
+        assert!(planted >= 128, "planted pair scores {planted}");
+        for (threshold, il0, il1, hits) in [
+            (1, flood.repeat(7), flood.repeat(600), 7 * 600),
+            (45, quiet0.clone(), quiet1.clone(), 1),
+            (127, quiet0.clone(), quiet1.clone(), 1),
+            (128, quiet0, quiet1, 1),
+        ] {
+            let mut cfg = window60(3, Kernel::ClampedSum, 64);
+            cfg.threshold = threshold;
+            let expect = PscOperator::new(cfg.clone(), blosum62())
+                .unwrap()
+                .run_entry(&il0, &il1);
+            assert_eq!(expect.hits.len(), hits, "threshold {threshold}");
+            for backend in EXACT_AT_60 {
+                let mut op = FunctionalOperator::with_backend(cfg.clone(), blosum62(), backend);
+                let got = op.as_mut().unwrap().run_entry(&il0, &il1);
+                assert_eq!(got, expect, "{backend:?} threshold {threshold}");
+            }
         }
     }
 
@@ -489,7 +533,7 @@ mod tests {
     #[test]
     fn long_windows_shrink_the_tile_to_stay_bounded() {
         let mut cfg = OperatorConfig::new(4);
-        for (window_len, tile) in [(60, 512), (4, 512), (300, 96), (40_000, 32)] {
+        for (window_len, tile) in [(60, 512), (4, 512), (300, 64), (40_000, 64)] {
             cfg.window_len = window_len;
             let s = BatchScorer::new(&cfg, blosum62());
             assert_eq!(s.tile_windows, tile, "window_len {window_len}");

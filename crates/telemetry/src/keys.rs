@@ -90,6 +90,8 @@ pub const STEP2_LANE_SLOTS_TOTAL: &str = "step2.lane_slots_total";
 pub const STEP3_ANCHORS: &str = "step3.anchors";
 /// Step-3 extension shards.
 pub const STEP3_SHARDS: &str = "step3.shards";
+/// DP cells evaluated by the gapped extensions of all anchors.
+pub const STEP3_DP_CELLS: &str = "step3.dp_cells";
 /// Gapped extensions cut off by the X-drop rule.
 pub const STEP3_XDROP_TERMINATIONS: &str = "step3.xdrop_terminations";
 /// HSPs rejected by the E-value filter.

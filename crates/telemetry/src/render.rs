@@ -230,6 +230,37 @@ pub fn render_step2(report: &RunReport) -> String {
     out
 }
 
+/// Step-3 section: the DP cells gapped extension evaluated — the work —
+/// next to the anchors that caused it and, when the report still has
+/// its wall clock, the time one cell took. Empty for reports that
+/// predate the cell counter or had nothing to extend.
+pub fn render_step3(report: &RunReport) -> String {
+    let (Some(cells), Some(anchors)) = (
+        report.counter(keys::STEP3_DP_CELLS),
+        report.counter(keys::STEP3_ANCHORS).filter(|&a| a > 0),
+    ) else {
+        return String::new();
+    };
+    let mut out = format!(
+        "Step 3\n  {cells} DP cells over {anchors} anchors ({:.0} cells per anchor",
+        cells as f64 / anchors as f64
+    );
+    let extension = report
+        .spans
+        .iter()
+        .find(|s| s.name == keys::STEP3_EXTENSION)
+        .map(|s| s.seconds)
+        .filter(|&s| s > 0.0 && cells > 0);
+    if let Some(seconds) = extension {
+        out.push_str(&format!(
+            ", {:.2} ns per cell",
+            seconds * 1e9 / cells as f64
+        ));
+    }
+    out.push_str(")\n");
+    out
+}
+
 /// One log2 histogram with ASCII bars scaled to `width` columns.
 pub fn render_histogram(name: &str, h: &Histogram, width: usize) -> String {
     let mut out = String::new();
@@ -286,7 +317,11 @@ pub fn render_report(report: &RunReport) -> String {
     }
     out.push('\n');
     out.push_str(&render_utilization(report));
-    for section in [render_step2(report), render_fleet(report)] {
+    for section in [
+        render_step2(report),
+        render_step3(report),
+        render_fleet(report),
+    ] {
         if !section.is_empty() {
             out.push('\n');
             out.push_str(&section);
@@ -550,6 +585,38 @@ mod tests {
         r.meta.push(("window_len".into(), "60".into()));
         let text = render_report(&r);
         assert!(text.contains("(0.730 windows per pair)"), "{text}");
+    }
+
+    #[test]
+    fn step3_section_prices_the_dp_cell() {
+        // No cell counter (an older report), or nothing extended: no
+        // section.
+        let mut r = report_with_board();
+        assert!(!render_report(&r).contains("DP cells"));
+        r.counters.push(("step3.anchors".into(), 0));
+        r.counters.push(("step3.dp_cells".into(), 0));
+        assert!(!render_report(&r).contains("DP cells"));
+        r.counters.retain(|(k, _)| k != "step3.anchors");
+        r.counters.push(("step3.anchors".into(), 40));
+        r.counters.retain(|(k, _)| k != "step3.dp_cells");
+        r.counters.push(("step3.dp_cells".into(), 200_000));
+        // Stripped of its wall clock the report still says how much
+        // work there was; with it, what a cell cost.
+        let text = render_report(&r);
+        assert!(
+            text.contains("200000 DP cells over 40 anchors (5000 cells per anchor)\n"),
+            "{text}"
+        );
+        r.spans.push(SpanReport {
+            name: "step3.extension".into(),
+            seconds: 0.0015,
+            count: 1,
+        });
+        let text = render_report(&r);
+        assert!(
+            text.contains("(5000 cells per anchor, 7.50 ns per cell)\n"),
+            "{text}"
+        );
     }
 
     #[test]

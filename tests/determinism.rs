@@ -190,6 +190,14 @@ fn step3_threads_match_sequential_on_every_backend() {
         ("rasc + heavy-tail faults", rasc, Some(heavy_tail)),
     ];
     let (proteins, genome) = workload();
+    // The DP cells step 3 evaluates depend on the anchors alone: one
+    // value for every backend, fault plan and thread count here, and
+    // for every step-2 kernel below.
+    let dp_cells = |json: &str| -> u64 {
+        let report = psc_telemetry::RunReport::parse(json).expect("report JSON");
+        report.counter("step3.dp_cells").expect("cell counter")
+    };
+    let mut cells = Vec::new();
     for (name, backend, fault_plan) in cases {
         let cfg = |step3_threads| PipelineConfig {
             backend: backend.clone(),
@@ -202,6 +210,7 @@ fn step3_threads_match_sequential_on_every_backend() {
             want_json.contains("step3.shards"),
             "{name}: report lost the shard counter"
         );
+        cells.push((name.to_string(), dp_cells(&want_json)));
         for step3_threads in [2, 8] {
             let (got, got_json) = stripped_report(&proteins, &genome, &cfg(step3_threads));
             let tag = format!("{name}, step3_threads={step3_threads}");
@@ -212,6 +221,18 @@ fn step3_threads_match_sequential_on_every_backend() {
             );
             assert_eq!(want_json, got_json, "stripped report diverged ({tag})");
         }
+    }
+    for name in ["scalar", "profile", "simd", "wide"] {
+        let cfg = PipelineConfig {
+            step2_kernel: psc_core::KernelChoice::parse(name).expect("a kernel name"),
+            ..PipelineConfig::default()
+        };
+        let (_, json) = stripped_report(&proteins, &genome, &cfg);
+        cells.push((format!("{name} kernel"), dp_cells(&json)));
+    }
+    assert!(cells[0].1 > 0, "no DP cells counted");
+    for (name, n) in &cells {
+        assert_eq!(*n, cells[0].1, "step3.dp_cells under {name}");
     }
 }
 
