@@ -4,20 +4,30 @@
 //!
 //! * [`gapped_extend`] — affine-gap **X-drop extension** from a seed
 //!   anchor, one dynamic-programming sweep to the right of the anchor and
-//!   one to the left (on the reversed prefixes). It finds the maximal
+//!   one to the left (the prefixes read backwards). It finds the maximal
 //!   scoring gapped segment pair and its coordinate ranges without
-//!   storing a traceback, so memory stays linear in the band.
+//!   storing a traceback, so memory stays linear in the band. The sweep
+//!   itself lives in [`crate::xdrop`].
 //! * [`banded_global`] — **banded global alignment with traceback** over
 //!   the ranges the extension chose, used when the actual alignment
 //!   (match/substitution/indel operations) must be reported.
 
 use psc_score::SubstitutionMatrix;
 
+pub use crate::xdrop::{gapped_extend, ExtendScratch};
+
 /// Affine gap model and X-drop control.
 ///
 /// A gap of length `L` costs `open + extend·L` (NCBI convention: the
 /// default "11/1" means `open = 11`, `extend = 1`, so a 1-residue gap
 /// costs 12).
+///
+/// `open`, `extend` and `xdrop` are *costs*: non-negative, and small
+/// against `i32` (the DP subtracts up to `open + extend·max_extent`
+/// from a quarter of `i32::MIN`); `max_extent ≥ 1`. [`gapped_extend`]
+/// still answers for a model outside that contract — a negative cost
+/// rewards gaps — but only through its one-cell-at-a-time sweep: the
+/// vector sweep is exact because gap moves only subtract.
 #[derive(Clone, Copy, Debug)]
 pub struct GapConfig {
     pub open: i32,
@@ -55,173 +65,9 @@ pub struct GappedHit {
     pub cells: u64,
 }
 
-const NEG_INF: i32 = i32::MIN / 4;
-
-/// One direction of affine X-drop extension: align prefixes of `a`
-/// against prefixes of `b`, anchored at `(0,0)`, returning
-/// `(best_score, a_consumed, b_consumed, cells_evaluated)`.
-fn xdrop_half(
-    matrix: &SubstitutionMatrix,
-    a: &[u8],
-    b: &[u8],
-    cfg: &GapConfig,
-) -> (i32, usize, usize, u64) {
-    let n = a.len().min(cfg.max_extent);
-    let m = b.len().min(cfg.max_extent);
-    if n == 0 || m == 0 {
-        return (0, 0, 0, 0);
-    }
-
-    // Row-sweep DP over `a` (i), columns over `b` (j), with a live column
-    // window [lo, hi) that the X-drop test narrows as rows advance.
-    let width = m + 1;
-    let mut h_prev = vec![NEG_INF; width];
-    let mut e_prev = vec![NEG_INF; width]; // gap open in `a` (consumes b)
-    let mut h_cur = vec![NEG_INF; width];
-    let mut e_cur = vec![NEG_INF; width];
-    let mut f_col = vec![NEG_INF; width]; // gap open in `b` (consumes a)
-
-    let mut best = 0i32;
-    let (mut best_i, mut best_j) = (0usize, 0usize);
-    let mut cells = 0u64;
-
-    // Row 0: leading gaps in `b`.
-    h_prev[0] = 0;
-    let mut hi = 1usize;
-    while hi <= m {
-        let s = -(cfg.open + cfg.extend * hi as i32);
-        if s < -cfg.xdrop {
-            break;
-        }
-        h_prev[hi] = s;
-        e_prev[hi] = s;
-        hi += 1;
-    }
-    let mut lo = 0usize;
-
-    for i in 1..=n {
-        let ai = a[i - 1];
-        let mut new_lo = usize::MAX;
-        let mut new_hi = 0usize;
-        // Column 0 of this row: leading gap in `a`.
-        if lo == 0 {
-            let s = -(cfg.open + cfg.extend * i as i32);
-            if s >= best - cfg.xdrop {
-                h_cur[0] = s;
-                f_col[0] = s;
-                new_lo = 0;
-                new_hi = 1;
-            } else {
-                h_cur[0] = NEG_INF;
-                f_col[0] = NEG_INF;
-            }
-        } else {
-            h_cur[lo.saturating_sub(1)] = NEG_INF;
-        }
-        e_cur[lo] = NEG_INF;
-
-        let row_hi = (hi + 1).min(m + 1);
-        cells += row_hi.saturating_sub(lo.max(1)) as u64;
-        for j in lo.max(1)..row_hi {
-            // F: gap in `b` (vertical move).
-            let f = (h_prev[j] - cfg.open - cfg.extend).max(f_col[j] - cfg.extend);
-            f_col[j] = f;
-            // E: gap in `a` (horizontal move).
-            let e = if j > 0 {
-                (h_cur[j - 1] - cfg.open - cfg.extend).max(e_cur[j - 1] - cfg.extend)
-            } else {
-                NEG_INF
-            };
-            e_cur[j] = e;
-            // H: diagonal.
-            let diag = if h_prev[j - 1] > NEG_INF {
-                h_prev[j - 1] + matrix.score(ai, b[j - 1])
-            } else {
-                NEG_INF
-            };
-            let h = diag.max(e).max(f);
-            if h >= best - cfg.xdrop {
-                h_cur[j] = h;
-                if h > best {
-                    best = h;
-                    best_i = i;
-                    best_j = j;
-                }
-                if new_lo == usize::MAX {
-                    new_lo = j;
-                }
-                new_hi = j + 1;
-            } else {
-                h_cur[j] = NEG_INF;
-            }
-        }
-        if new_lo == usize::MAX {
-            // Every cell of the row died: extension is over.
-            break;
-        }
-        lo = new_lo;
-        hi = new_hi;
-        std::mem::swap(&mut h_prev, &mut h_cur);
-        std::mem::swap(&mut e_prev, &mut e_cur);
-        // Reset the slice of the new current row we may touch.
-        let reset_hi = (hi + 2).min(width);
-        for v in &mut h_cur[lo.saturating_sub(1)..reset_hi] {
-            *v = NEG_INF;
-        }
-        for v in &mut e_cur[lo.saturating_sub(1)..reset_hi] {
-            *v = NEG_INF;
-        }
-        if lo >= hi {
-            break;
-        }
-    }
-
-    (best, best_i, best_j, cells)
-}
-
-/// Affine-gap X-drop extension around an anchor pair.
-///
-/// `anchor0`/`anchor1` is a position pair known to be similar (in the
-/// pipeline: the seed start). The right sweep aligns
-/// `s0[anchor0..] × s1[anchor1..]`; the left sweep aligns the reversed
-/// prefixes `s0[..anchor0] × s1[..anchor1]`. Scores add because the two
-/// halves share only the anchor boundary. Each sweep reads at most
-/// `cfg.max_extent` residues per sequence, so the cost of one call does
-/// not depend on how long the sequences are.
-pub fn gapped_extend(
-    matrix: &SubstitutionMatrix,
-    s0: &[u8],
-    s1: &[u8],
-    anchor0: usize,
-    anchor1: usize,
-    cfg: &GapConfig,
-) -> GappedHit {
-    assert!(anchor0 <= s0.len() && anchor1 <= s1.len());
-    let (right, ri, rj, right_cells) = xdrop_half(matrix, &s0[anchor0..], &s1[anchor1..], cfg);
-
-    // `xdrop_half` reads at most `max_extent` residues of either side,
-    // so only that much of each prefix is reversed — not the whole
-    // frame an anchor deep in a genome has behind it.
-    let reversed_prefix = |s: &[u8], anchor: usize| -> Vec<u8> {
-        s[anchor.saturating_sub(cfg.max_extent)..anchor]
-            .iter()
-            .rev()
-            .copied()
-            .collect()
-    };
-    let left_a = reversed_prefix(s0, anchor0);
-    let left_b = reversed_prefix(s1, anchor1);
-    let (left, li, lj, left_cells) = xdrop_half(matrix, &left_a, &left_b, cfg);
-
-    GappedHit {
-        score: left + right,
-        start0: anchor0 - li,
-        end0: anchor0 + ri,
-        start1: anchor1 - lj,
-        end1: anchor1 + rj,
-        cells: left_cells + right_cells,
-    }
-}
+/// The DP's `−∞`: far enough from `i32::MIN` that the gap costs of a
+/// whole sweep can be subtracted from it without wrapping.
+pub(crate) const NEG_INF: i32 = i32::MIN / 4;
 
 /// One alignment operation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -477,6 +323,18 @@ mod tests {
         GapConfig::default()
     }
 
+    /// The extension, on a scratch of its own.
+    fn gapped_extend(
+        m: &SubstitutionMatrix,
+        s0: &[u8],
+        s1: &[u8],
+        anchor0: usize,
+        anchor1: usize,
+        cfg: &GapConfig,
+    ) -> GappedHit {
+        super::gapped_extend(m, s0, s1, anchor0, anchor1, cfg, &mut ExtendScratch::new())
+    }
+
     #[test]
     fn extend_identical_sequences() {
         let m = blosum62();
@@ -570,8 +428,8 @@ mod tests {
 
     #[test]
     fn extension_sees_only_max_extent_around_the_anchor() {
-        // The left sweep reverses at most `max_extent` residues of each
-        // prefix. The answer must equal the one on the sequences cut to
+        // Each sweep reads at most `max_extent` residues of either
+        // side. The answer must equal the one on the sequences cut to
         // `[anchor − max_extent, anchor + max_extent]`, with coordinates
         // shifted by the cut — for anchors deeper than `max_extent`,
         // exactly at it, at the very start and at the very end.

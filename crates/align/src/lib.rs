@@ -14,6 +14,9 @@
 //!   profiles for the scalar kernel;
 //! * [`gapped`]: gapped extension (step 3) — affine-gap X-drop extension
 //!   to find high-scoring ranges, banded global alignment for traceback;
+//! * [`xdrop`]: the X-drop sweep under that extension — a scalar row
+//!   body that defines it and AVX-512F / AVX2 bodies that compute each
+//!   DP row in `i32` lanes to the same digits;
 //! * [`hsp`]: high-scoring segment pair bookkeeping — scores, E-values,
 //!   deduplication and culling.
 
@@ -22,12 +25,15 @@ pub mod gapped;
 pub mod hsp;
 pub mod report;
 pub mod ungapped;
+pub mod xdrop;
 
 pub use batch::{
     profile_score, profile_score2, score_batch, simd_available, wide_available, InterleavedWindows,
     KernelBackend, KernelChoice, LaneFilter, ScoreProfile, LANES, WIDE_LANES,
 };
-pub use gapped::{banded_global, gapped_extend, AlignOp, Alignment, GapConfig, GappedHit};
+pub use gapped::{
+    banded_global, gapped_extend, AlignOp, Alignment, ExtendScratch, GapConfig, GappedHit,
+};
 pub use hsp::{cull_hsps, Hsp};
 pub use report::{format_pairwise, AlignmentSummary};
 pub use ungapped::{ungapped_score, xdrop_ungapped, Kernel, UngappedHit};

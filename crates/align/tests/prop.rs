@@ -1,6 +1,8 @@
 //! Property tests for extension kernels and gapped alignment.
 
-use psc_align::{banded_global, gapped_extend, ungapped_score, xdrop_ungapped, GapConfig, Kernel};
+use psc_align::{
+    banded_global, gapped_extend, ungapped_score, xdrop_ungapped, ExtendScratch, GapConfig, Kernel,
+};
 use psc_score::blosum62;
 use psc_seqio::prng::{for_cases, SplitMix64};
 
@@ -98,7 +100,7 @@ fn gapped_dominates_ungapped() {
             xdrop: 1_000_000,
             ..GapConfig::default()
         };
-        let gap = gapped_extend(m, &s0, &s1, pos0, pos1, &cfg);
+        let gap = gapped_extend(m, &s0, &s1, pos0, pos1, &cfg, &mut ExtendScratch::new());
         assert!(
             gap.score >= ung.score,
             "gapped {} < ungapped {}",
@@ -116,7 +118,7 @@ fn traceback_score_matches_extension() {
         let (s0, s1) = (residues(g, 10..60), residues(g, 10..60));
         let m = blosum62();
         let cfg = GapConfig::default();
-        let hit = gapped_extend(m, &s0, &s1, 0, 0, &cfg);
+        let hit = gapped_extend(m, &s0, &s1, 0, 0, &cfg, &mut ExtendScratch::new());
         let a = &s0[hit.start0..hit.end0];
         let b = &s1[hit.start1..hit.end1];
         if !a.is_empty() || !b.is_empty() {

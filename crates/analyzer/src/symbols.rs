@@ -177,6 +177,7 @@ pub fn scan(file: &SourceFile) -> FileSymbols {
         fn_stack: Vec::new(),
         impl_stack: Vec::new(),
         pending: Pending::None,
+        sig_depth: 0,
     }
     .run()
 }
@@ -204,6 +205,10 @@ struct Scanner<'a> {
     fn_stack: Vec<usize>,
     impl_stack: Vec<Option<String>>,
     pending: Pending,
+    /// `(`/`[` depth inside the signature of a pending fn: a `;` in
+    /// there belongs to an array type (`&mut [i32; 16]`), not to a
+    /// bodyless declaration.
+    sig_depth: u32,
 }
 
 impl Scanner<'_> {
@@ -218,10 +223,20 @@ impl Scanner<'_> {
                 self.close_brace();
                 continue;
             }
+            let in_signature = matches!(self.pending, Pending::Fn(_));
+            if in_signature && (t.is_punct('(') || t.is_punct('[')) {
+                self.sig_depth += 1;
+                continue;
+            }
+            if in_signature && (t.is_punct(')') || t.is_punct(']')) {
+                self.sig_depth = self.sig_depth.saturating_sub(1);
+                continue;
+            }
             if t.is_punct(';') {
-                // A `;` before the body brace means the signature was a
-                // bodyless declaration (trait method, extern).
-                if matches!(self.pending, Pending::Fn(_)) {
+                // A `;` outside every bracket of the signature, before
+                // the body brace, means a bodyless declaration (trait
+                // method, extern).
+                if in_signature && self.sig_depth == 0 {
                     self.pending = Pending::None;
                 }
                 continue;
@@ -244,9 +259,13 @@ impl Scanner<'_> {
                             calls: Vec::new(),
                         });
                         self.pending = Pending::Fn(idx);
+                        self.sig_depth = 0;
                     }
                     continue;
                 }
+                // `impl Trait` in a signature (argument or return
+                // position) opens no impl block.
+                "impl" if in_signature => continue,
                 "impl" => {
                     self.pending = Pending::Impl(impl_target(self.file, i));
                     continue;

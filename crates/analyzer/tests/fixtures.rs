@@ -144,6 +144,40 @@ fn tracer_fixtures() {
     assert!(check("tracer_bad.rs", false, &outside).is_empty());
 }
 
+/// The symbol scanner keeps a fn whose signature holds a `;` (an array
+/// type) or an `impl Trait`: the body is its body, so its calls enter
+/// the call graph the transitive lints walk.
+#[test]
+fn signature_fixtures() {
+    let file = psc_analyzer::source::SourceFile::new(
+        "crates/fix/src/signatures.rs",
+        "fix",
+        false,
+        &fixture("signatures.rs"),
+    );
+    let syms = psc_analyzer::symbols::scan(&file);
+    let by_name = |name: &str| {
+        syms.fns
+            .iter()
+            .find(|f| f.name == name)
+            .unwrap_or_else(|| panic!("no fn {name}"))
+    };
+    for (name, qual) in [
+        ("lanes", None),
+        ("each", None),
+        ("provided", None),
+        ("after_the_trait", Some("Row")),
+    ] {
+        let f = by_name(name);
+        assert!(f.has_body, "{name} lost its body");
+        assert_eq!(f.qual.as_deref(), qual, "{name}");
+        let calls: Vec<&str> = f.calls.iter().map(|c| c.name.as_str()).collect();
+        assert!(calls.contains(&"helper"), "{name} calls {calls:?}");
+    }
+    assert!(!by_name("declared").has_body);
+    assert!(by_name("helper").calls.is_empty());
+}
+
 #[test]
 fn diagnostics_render_file_line_format() {
     let sel = module_sel(LintSelection {

@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use psc_align::{cull_hsps, gapped_extend, xdrop_ungapped, GapConfig, Hsp};
+use psc_align::{cull_hsps, gapped_extend, xdrop_ungapped, ExtendScratch, GapConfig, Hsp};
 use psc_score::karlin::{gapped_params, ungapped_params};
 use psc_score::{KarlinParams, SubstitutionMatrix, ROBINSON_FREQS};
 use psc_seqio::Bank;
@@ -186,10 +186,11 @@ pub fn tblastn(
     let t2 = Instant::now();
     let mut gapped_extensions = 0u64;
     let mut hsps = Vec::new();
+    let mut scratch = ExtendScratch::new();
     for (q, s, aq, asub, _raw) in candidates {
         let qres = &queries.get(q as usize).residues;
         let sres = &subjects.get(s as usize).residues;
-        let hit = gapped_extend(matrix, qres, sres, aq, asub, &config.gap);
+        let hit = gapped_extend(matrix, qres, sres, aq, asub, &config.gap, &mut scratch);
         gapped_extensions += 1;
         let evalue = stats.evalue(hit.score, m, n);
         if evalue <= config.max_evalue {

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use psc_align::{cull_hsps, gapped_extend, GapConfig, GappedHit, Hsp};
+use psc_align::{cull_hsps, gapped_extend, ExtendScratch, GapConfig, GappedHit, Hsp};
 use psc_index::{FlatBank, SeedIndex};
 use psc_rasc::{
     BoardFault, BoardReport, BoardSegment, Entry, FleetReport, Hit, RascBoard, RascFleet,
@@ -711,13 +711,16 @@ impl<'a> AnchorDedup<'a> {
 /// identical no matter how many workers run.
 const STEP3_SHARD: usize = 64;
 
-/// Extend every anchor, in anchor order. With `threads > 1` the anchors
-/// are cut into [`STEP3_SHARD`]-sized shards pulled by workers off a
-/// shared counter; results are reassembled by shard index, so the
-/// returned `(hit, simulated_cycles)` vector is bit-identical to the
-/// sequential loop at any thread count. The gapped operator has no
-/// interior mutability, so one instance serves all workers and the
-/// per-anchor cycle counts sum to the same total in any order.
+/// Extend every anchor, in anchor order. The anchors are cut into
+/// [`STEP3_SHARD`]-sized shards pulled by workers off a shared counter
+/// — `threads` of them, or this thread alone when there is one worker
+/// or one shard; results are reassembled by shard index, so the
+/// returned `(hit, simulated_cycles)` vector is bit-identical at any
+/// thread count. Each worker extends on DP rows of its own
+/// ([`ExtendScratch`]), so an anchor costs no allocation. The gapped
+/// operator has no interior mutability, so one instance serves all
+/// workers and the per-anchor cycle counts sum to the same total in any
+/// order.
 ///
 /// The second return value is the wall seconds each shard spent in
 /// extension, indexed by shard. It feeds the `step3.extension` /
@@ -737,83 +740,67 @@ fn extend_anchors(
     threads: usize,
     tracer: Option<&dyn Tracer>,
 ) -> (Vec<(GappedHit, u64)>, Vec<f64>, Vec<ShardLane>) {
-    let extend_one = |a: &Anchor| -> (GappedHit, u64) {
-        let s0 = &bank0.get(a.seq0 as usize).residues;
-        let s1 = &bank1.get(a.seq1 as usize).residues;
-        match gapped_op {
-            None => (
-                gapped_extend(matrix, s0, s1, a.local0 as usize, a.local1 as usize, gap),
-                0,
-            ),
-            Some(op) => {
-                let (hit, cycles, _overflow) =
-                    op.extend(s0, s1, a.local0 as usize, a.local1 as usize);
-                (hit, cycles)
-            }
-        }
-    };
+    // (shard index, extended hits, shard wall seconds) from one worker.
+    type ShardResult = (usize, Vec<(GappedHit, u64)>, f64);
     let shard_count = anchors.len().div_ceil(STEP3_SHARD);
-    let threads = threads.max(1);
-    if threads == 1 || anchors.len() <= STEP3_SHARD {
-        let mut out = Vec::with_capacity(anchors.len());
-        let mut shard_seconds = Vec::with_capacity(shard_count);
-        let mut lanes = Vec::new();
-        for (i, shard) in anchors.chunks(STEP3_SHARD).enumerate() {
+    let next = AtomicUsize::new(0);
+    let work = |worker: u32| -> (Vec<ShardResult>, Vec<ShardLane>) {
+        let mut scratch = ExtendScratch::new();
+        let mut extend_one = |a: &Anchor| -> (GappedHit, u64) {
+            let s0 = &bank0.get(a.seq0 as usize).residues;
+            let s1 = &bank1.get(a.seq1 as usize).residues;
+            let (a0, a1) = (a.local0 as usize, a.local1 as usize);
+            match gapped_op {
+                None => (gapped_extend(matrix, s0, s1, a0, a1, gap, &mut scratch), 0),
+                Some(op) => {
+                    let (hit, cycles, _overflow) = op.extend(s0, s1, a0, a1, &mut scratch);
+                    (hit, cycles)
+                }
+            }
+        };
+        let mut shards: Vec<ShardResult> = Vec::new();
+        let mut lanes: Vec<ShardLane> = Vec::new();
+        loop {
+            let shard = next.fetch_add(1, Ordering::Relaxed);
+            if shard >= shard_count {
+                break;
+            }
+            let lo = shard * STEP3_SHARD;
+            let hi = (lo + STEP3_SHARD).min(anchors.len());
             if let Some(tr) = tracer {
                 lanes.push(ShardLane {
-                    shard: i,
-                    worker: 0,
+                    shard,
+                    worker,
                     start_seconds: tr.epoch_seconds(),
                 });
             }
             // analyzer: allow(determinism) -- span telemetry only, never results
             let t0 = Instant::now();
-            out.extend(shard.iter().map(extend_one));
-            shard_seconds.push(t0.elapsed().as_secs_f64());
+            let hits: Vec<_> = anchors[lo..hi].iter().map(&mut extend_one).collect();
+            shards.push((shard, hits, t0.elapsed().as_secs_f64()));
         }
-        return (out, shard_seconds, lanes);
-    }
-    // (shard index, extended hits, shard wall seconds) from one worker.
-    type ShardResult = (usize, Vec<(GappedHit, u64)>, f64);
-    let next = AtomicUsize::new(0);
-    let mut sharded: Vec<ShardResult> = Vec::with_capacity(shard_count);
-    let mut lanes: Vec<ShardLane> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads.min(shard_count))
-            .map(|w| {
-                let (next, extend_one) = (&next, &extend_one);
-                s.spawn(move || {
-                    let mut local: Vec<ShardResult> = Vec::new();
-                    let mut my_lanes: Vec<ShardLane> = Vec::new();
-                    loop {
-                        let shard = next.fetch_add(1, Ordering::Relaxed);
-                        if shard >= shard_count {
-                            break;
-                        }
-                        let lo = shard * STEP3_SHARD;
-                        let hi = (lo + STEP3_SHARD).min(anchors.len());
-                        if let Some(tr) = tracer {
-                            my_lanes.push(ShardLane {
-                                shard,
-                                worker: w as u32,
-                                start_seconds: tr.epoch_seconds(),
-                            });
-                        }
-                        // analyzer: allow(determinism) -- span telemetry only, never results
-                        let t0 = Instant::now();
-                        let hits: Vec<_> = anchors[lo..hi].iter().map(extend_one).collect();
-                        local.push((shard, hits, t0.elapsed().as_secs_f64()));
-                    }
-                    (local, my_lanes)
+        (shards, lanes)
+    };
+    let workers = threads.min(shard_count);
+    let (mut sharded, mut lanes) = if workers <= 1 {
+        work(0)
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers as u32)
+                .map(|w| {
+                    let work = &work;
+                    s.spawn(move || work(w))
                 })
-            })
-            .collect();
-        for h in handles {
-            let (local, my_lanes) = h.join().expect("step-3 worker panicked");
-            sharded.extend(local);
-            lanes.extend(my_lanes);
-        }
-    });
+                .collect();
+            let (mut shards, mut lanes) = (Vec::with_capacity(shard_count), Vec::new());
+            for h in handles {
+                let (worker_shards, worker_lanes) = h.join().expect("step-3 worker panicked");
+                shards.extend(worker_shards);
+                lanes.extend(worker_lanes);
+            }
+            (shards, lanes)
+        })
+    };
     sharded.sort_unstable_by_key(|&(shard, _, _)| shard);
     lanes.sort_unstable_by_key(|l| l.shard);
     let shard_seconds = sharded.iter().map(|&(_, _, s)| s).collect();

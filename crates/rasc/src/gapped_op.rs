@@ -16,7 +16,7 @@
 //! X-drop extension the software pipeline uses, so results are identical
 //! by construction and only the *timing* is modelled.
 
-use psc_align::{gapped_extend, GapConfig, GappedHit};
+use psc_align::{gapped_extend, ExtendScratch, GapConfig, GappedHit};
 use psc_score::SubstitutionMatrix;
 
 use crate::config::DEFAULT_CLOCK_HZ;
@@ -115,15 +115,18 @@ impl GappedOperator {
     /// Extend one anchored candidate. Returns the hit (identical to the
     /// software `gapped_extend`) and the cycles the systolic array would
     /// spend: one clock per anti-diagonal of the explored rectangle,
-    /// plus fixed job latency.
+    /// plus fixed job latency. `scratch` is the caller's, so one
+    /// operator serves many workers.
     pub fn extend(
         &self,
         s0: &[u8],
         s1: &[u8],
         anchor0: usize,
         anchor1: usize,
+        scratch: &mut ExtendScratch,
     ) -> (GappedHit, u64, bool) {
-        let hit = gapped_extend(&self.matrix, s0, s1, anchor0, anchor1, &self.config.gap);
+        let gap = &self.config.gap;
+        let hit = gapped_extend(&self.matrix, s0, s1, anchor0, anchor1, gap, scratch);
         let m = (hit.end0 - hit.start0) as u64;
         let n = (hit.end1 - hit.start1) as u64;
         let cycles = m + n + self.config.job_latency;
@@ -139,8 +142,9 @@ impl GappedOperator {
         jobs: impl Iterator<Item = (&'a [u8], &'a [u8], usize, usize)>,
     ) -> GappedOperatorResult {
         let mut out = GappedOperatorResult::default();
+        let mut scratch = ExtendScratch::new();
         for (s0, s1, a0, a1) in jobs {
-            let (hit, cycles, overflow) = self.extend(s0, s1, a0, a1);
+            let (hit, cycles, overflow) = self.extend(s0, s1, a0, a1, &mut scratch);
             out.hits.push(hit);
             out.cycles += cycles;
             out.band_overflows += overflow as u64;
@@ -237,8 +241,9 @@ mod tests {
         let op = GappedOperator::new(GappedOperatorConfig::default(), blosum62()).unwrap();
         let s0 = encode_protein(b"MKVLAWHHHRNDCQEHFYWGGAML");
         let s1 = encode_protein(b"MKVLAWRNDCQEHFYWGGAML");
-        let (hit, cycles, _) = op.extend(&s0, &s1, 0, 0);
-        let sw = gapped_extend(blosum62(), &s0, &s1, 0, 0, &GapConfig::default());
+        let scratch = &mut ExtendScratch::new();
+        let (hit, cycles, _) = op.extend(&s0, &s1, 0, 0, scratch);
+        let sw = gapped_extend(blosum62(), &s0, &s1, 0, 0, &GapConfig::default(), scratch);
         assert_eq!(hit, sw);
         assert_eq!(
             cycles,
@@ -271,7 +276,7 @@ mod tests {
         // Segments of very different length: a long gap in one sequence.
         let s0 = encode_protein(b"MKVLAWRNDCQEHFYWMKVLAWRNDCQEHFYW");
         let s1 = encode_protein(b"MKVLAWHHHHHHHHHHHHHHHHRNDCQEHFYWMKVLAWRNDCQEHFYW");
-        let (_, _, overflow) = op.extend(&s0, &s1, 0, 0);
+        let (_, _, overflow) = op.extend(&s0, &s1, 0, 0, &mut ExtendScratch::new());
         assert!(overflow, "16-residue indel must exceed a 2-cell band");
     }
 
@@ -304,7 +309,7 @@ mod tests {
         let a = encode_protein(b"MKVLAWHHHRNDCQEHFYWGGAML");
         let b = encode_protein(b"MKVLAWRNDCQEHFYWGGAML");
         let cfg = GapConfig::default();
-        let anchored = gapped_extend(m, &a, &b, 0, 0, &cfg);
+        let anchored = gapped_extend(m, &a, &b, 0, 0, &cfg, &mut ExtendScratch::new());
         let (sw, _) = systolic_banded_sw(
             m,
             &a[anchored.start0..anchored.end0],
@@ -350,8 +355,9 @@ mod tests {
         let op = GappedOperator::new(GappedOperatorConfig::default(), blosum62()).unwrap();
         let small = encode_protein(b"MKVLAWRN");
         let big: Vec<u8> = small.iter().cycle().take(200).copied().collect();
-        let (_, c_small, _) = op.extend(&small, &small, 0, 0);
-        let (_, c_big, _) = op.extend(&big, &big, 0, 0);
+        let scratch = &mut ExtendScratch::new();
+        let (_, c_small, _) = op.extend(&small, &small, 0, 0, scratch);
+        let (_, c_big, _) = op.extend(&big, &big, 0, 0, scratch);
         assert!(c_big > 2 * c_small);
     }
 }
