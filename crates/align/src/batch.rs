@@ -11,9 +11,10 @@
 //!   lane-axis windows transposed, so that position `p` of a block of
 //!   consecutive windows is one contiguous load — the byte stream an
 //!   input controller would broadcast across the PE array. Its one fill
-//!   routine takes each window from the caller once, into an
-//!   L1-resident staging block, and transposes the block in registers:
-//!   the gather and the transposition are a single pass;
+//!   routine reads each window where the caller says it lies, sixteen
+//!   at a time through a byte-transpose network in registers: the
+//!   gather and the transposition are a single pass, with no copy in
+//!   between;
 //! * a **lane filter** ([`LaneFilter`]) is the threshold-scan primitive
 //!   both step-2 callers run on: for one row-major window and a run of
 //!   lane blocks it reports every lane whose score reaches the
@@ -347,31 +348,40 @@ pub fn profile_score2(
 /// cycle.
 ///
 /// There is one way in, [`fill`](InterleavedWindows::fill): the caller
-/// writes each window once, into a staging row, and the routine does
-/// the transposition — so a gather out of the flat bank lands in kernel
-/// layout without a row-major copy of the whole list in between.
+/// names a *source* for each window — the window's bytes where they
+/// already lie — and a byte-transpose network reads [`GROUP`] sources at
+/// a time into lane order. A gather out of the flat bank lands in kernel
+/// layout without being copied on the way.
 #[derive(Clone, Debug, Default)]
 pub struct InterleavedWindows {
+    /// The layout, `len * stride` bytes from the front. Kept at the
+    /// largest size seen: a smaller shape leaves the tail untouched.
     data: Vec<u8>,
-    /// [`STAGE_LANES`] staging rows, each the window length rounded up
-    /// to whole tiles: the lane block being transposed (2 KiB at the
-    /// default 60-residue window, so it never leaves L1).
-    stage: Vec<u8>,
+    /// [`GROUP`] rows a [`fill`](InterleavedWindows::fill) closure may
+    /// write a window into when it cannot lend one in place, and one
+    /// more that is never lent and stays zero: the pad lanes' source.
+    edge: Vec<u8>,
     len: usize,
     count: usize,
     stride: usize,
 }
 
-/// Windows staged and transposed together by
-/// [`InterleavedWindows::fill`].
-const STAGE_LANES: usize = 32;
+/// Windows the network transposes together, and window positions one
+/// pass of it covers: a 16 × 16 byte tile, sixteen bytes loaded from
+/// each source and one 16-byte run of lanes stored per position.
+const GROUP: usize = 16;
 
-/// Lanes per transpose tile: eight staging rows, one `u64` of output
-/// per position.
-const TILE_ROWS: usize = 8;
+/// The sources of one group of windows.
+type Sources<'a> = [&'a [u8]; GROUP];
 
-/// Positions per transpose tile: one 16-byte load per staging row.
-const TILE_COLS: usize = 16;
+/// One pass of the byte-transpose network: `pass(rows, p0, cols, out,
+/// stride)` writes residue `p0 + c` of `rows[r]` to `out[c * stride + r]`
+/// for every `c < cols`.
+///
+/// # Safety
+/// Every row must be readable for [`GROUP`] bytes from `p0`, and `out`
+/// must hold [`GROUP`] bytes at `c * stride` for every `c < cols`.
+type Pass = unsafe fn(&Sources, usize, usize, &mut [u8], usize);
 
 /// Transpose an 8×8 byte matrix held as eight little-endian `u64` rows
 /// (`rows[r]` byte `c` is element `(r, c)`): three rounds of masked
@@ -396,36 +406,65 @@ fn transpose_8x8(mut rows: [u64; 8]) -> [u64; 8] {
     rows
 }
 
-/// Portable transpose tile: `out[c]` byte `r` is `rows[r][c]` — two
-/// 8×8 register transposes side by side.
+/// The portable pass — the definition the vector one is tested against,
+/// and the one every target without it runs: the tile as four 8×8
+/// register transposes.
 #[cfg(any(test, not(target_arch = "x86_64")))]
-#[inline(always)]
-fn transpose_tile_portable(rows: &[[u8; TILE_COLS]; TILE_ROWS]) -> [u64; TILE_COLS] {
-    let mut out = [0u64; TILE_COLS];
-    for (half, out) in out.chunks_exact_mut(8).enumerate() {
-        let mut block = [0u64; 8];
-        for (v, row) in block.iter_mut().zip(rows) {
-            let mut bytes = [0u8; 8];
-            bytes.copy_from_slice(&row[half * 8..][..8]);
-            *v = u64::from_le_bytes(bytes);
+fn pass_portable(rows: &Sources, p0: usize, cols: usize, out: &mut [u8], stride: usize) {
+    for (half, rows) in rows.chunks_exact(8).enumerate() {
+        for c0 in [0, 8] {
+            let mut block = [0u64; 8];
+            for (v, row) in block.iter_mut().zip(rows) {
+                let mut bytes = [0u8; 8];
+                bytes.copy_from_slice(&row[p0 + c0..][..8]);
+                *v = u64::from_le_bytes(bytes);
+            }
+            for (c, v) in (c0..cols).zip(transpose_8x8(block)) {
+                out[c * stride + 8 * half..][..8].copy_from_slice(&v.to_le_bytes());
+            }
         }
-        out.copy_from_slice(&transpose_8x8(block));
     }
-    out
 }
 
-/// The transpose tile [`InterleavedWindows::fill`] is built from:
-/// `out[c]` packs column `c` of the eight `rows`, row 0 in the low byte.
-#[inline(always)]
-fn transpose_tile(rows: &[[u8; TILE_COLS]; TILE_ROWS]) -> [u64; TILE_COLS] {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        unsafe { x86::transpose_tile_sse2(rows) }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        transpose_tile_portable(rows)
+/// The pass [`InterleavedWindows::fill`] runs. SSE2 is part of the
+/// x86-64 baseline, so nothing is detected at run time; the same rounds
+/// on 256- and 512-bit registers were measured and bought nothing (the
+/// gather waits on the bank, not on the unpacks — EXPERIMENTS.md,
+/// "Step-2 gather in place").
+#[cfg(target_arch = "x86_64")]
+const HOST_PASS: Pass = x86::pass_sse2;
+#[cfg(not(target_arch = "x86_64"))]
+const HOST_PASS: Pass = pass_portable;
+
+/// Write residue `p` of `rows[r]` to `data[p * stride + j0 + r]` for
+/// every `p < len`, a pass per [`GROUP`] positions; the columns the last
+/// pass loads past `len` are not stored.
+fn transpose_group(
+    pass: Pass,
+    rows: &Sources,
+    len: usize,
+    data: &mut [u8],
+    stride: usize,
+    j0: usize,
+) {
+    // A vector pass loads whole registers from the sources and stores
+    // 16-byte lane runs through raw pointers: these are its bounds
+    // checks.
+    let need = len.next_multiple_of(GROUP);
+    assert!(
+        rows.iter().all(|row| row.len() >= need),
+        "a source is shorter than the network reads"
+    );
+    assert!(
+        j0 + GROUP <= stride && len * stride <= data.len(),
+        "lanes {j0}.. of {len} positions lie outside the layout"
+    );
+    for p0 in (0..len).step_by(GROUP) {
+        let out = &mut data[p0 * stride + j0..len * stride];
+        // SAFETY: the first assert keeps `GROUP` bytes from `p0` inside
+        // every source, the second the lane run of every position
+        // inside `out`.
+        unsafe { pass(rows, p0, GROUP.min(len - p0), out, stride) };
     }
 }
 
@@ -434,86 +473,84 @@ impl InterleavedWindows {
         InterleavedWindows::default()
     }
 
-    /// (Re)fill with `count` windows of length `len`; `write(j, row)`
-    /// must write all `len` residues of window `j` into `row` and is
-    /// called once per window, in order.
+    /// (Re)fill with `count` windows of length `len`. `source(j, row)`
+    /// is called once per window, in order, and either lends window `j`
+    /// where it already lies — a slice of `row.len()` bytes, the window
+    /// and then anything readable (the network loads whole registers;
+    /// what lies past the window is not stored) — or writes the window
+    /// to the front of `row` and returns `None`.
     ///
-    /// Windows are staged [`STAGE_LANES`] at a time, the staged block is
-    /// transposed through [`TILE_ROWS`]×[`TILE_COLS`] byte tiles in
-    /// registers, and every position receives its whole run of the
-    /// block in one go. Each byte of the layout is written exactly once
-    /// per call, whatever shape the buffers held before, and nothing is
-    /// allocated once they have grown to the largest shape seen.
-    /// Zero-length windows hold nothing: `len == 0` leaves the layout
-    /// empty.
-    pub fn fill(&mut self, count: usize, len: usize, mut write: impl FnMut(usize, &mut [u8])) {
-        let count = if len == 0 { 0 } else { count };
-        self.len = len;
-        self.count = count;
-        self.stride = count.div_ceil(WIDE_LANES) * WIDE_LANES;
-        let stride = self.stride;
-        // Staging rows are padded to whole tiles so the transpose loads
-        // full columns; the pad columns are never stored.
-        let stage_len = len.div_ceil(TILE_COLS) * TILE_COLS;
-        self.data.resize(len * stride, 0);
-        self.stage.resize(STAGE_LANES * stage_len, 0);
-
-        for j0 in (0..stride).step_by(STAGE_LANES) {
-            // Pad lanes are scored like any other, so they must hold
-            // valid residue codes: a staging block past the last window
-            // is zeroed in place, the pad rows of a short one in the
-            // staging rows.
-            if j0 >= count {
-                for p in 0..len {
-                    self.data[p * stride + j0..][..STAGE_LANES].fill(0);
-                }
-                continue;
-            }
-            let real = STAGE_LANES.min(count - j0);
-            for (r, row) in self.stage.chunks_exact_mut(stage_len).enumerate() {
-                if r < real {
-                    write(j0 + r, &mut row[..len]);
-                } else {
-                    row[..len].fill(0);
-                }
-            }
-            self.store_block(j0, stage_len);
-        }
+    /// Each byte of the layout is written exactly once per call,
+    /// whatever shape the buffers held before, and nothing is allocated
+    /// once they have grown to the largest shape seen. Zero-length
+    /// windows hold nothing: `len == 0` leaves the layout empty.
+    pub fn fill<'w>(
+        &mut self,
+        count: usize,
+        len: usize,
+        source: impl FnMut(usize, &mut [u8]) -> Option<&'w [u8]>,
+    ) {
+        self.fill_with(HOST_PASS, count, len, source);
     }
 
-    /// Transpose the staged lane block into lanes `j0 .. j0+STAGE_LANES`
-    /// of every position (the part of [`fill`](InterleavedWindows::fill)
-    /// that does not depend on the caller's closure).
-    fn store_block(&mut self, j0: usize, stage_len: usize) {
-        let (len, stride) = (self.len, self.stride);
-        for p0 in (0..len).step_by(TILE_COLS) {
-            let mut tiles = [[0u64; TILE_COLS]; STAGE_LANES / TILE_ROWS];
-            for (g, tile) in tiles.iter_mut().enumerate() {
-                let mut rows = [[0u8; TILE_COLS]; TILE_ROWS];
-                for (r, row) in rows.iter_mut().enumerate() {
-                    row.copy_from_slice(
-                        &self.stage[(g * TILE_ROWS + r) * stage_len + p0..][..TILE_COLS],
-                    );
-                }
-                *tile = transpose_tile(&rows);
+    /// [`fill`](InterleavedWindows::fill) through a named pass.
+    fn fill_with<'w>(
+        &mut self,
+        pass: Pass,
+        count: usize,
+        len: usize,
+        mut source: impl FnMut(usize, &mut [u8]) -> Option<&'w [u8]>,
+    ) {
+        let count = if len == 0 { 0 } else { count };
+        let stride = count.div_ceil(WIDE_LANES) * WIDE_LANES;
+        (self.len, self.count, self.stride) = (len, count, stride);
+        let need = len.next_multiple_of(GROUP);
+        if self.data.len() < len * stride {
+            self.data.resize(len * stride, 0);
+        }
+        if self.edge.len() < (GROUP + 1) * need {
+            // Cut afresh into longer rows, all zero.
+            self.edge.clear();
+            self.edge.resize((GROUP + 1) * need, 0);
+        }
+        let pitch = self.edge.len() / (GROUP + 1);
+        let (edge, zeros) = self.edge.split_at_mut(GROUP * pitch);
+
+        for j0 in (0..count).step_by(GROUP) {
+            // Pad lanes are scored like any other, so the ones of a
+            // short last group read residue 0.
+            let mut rows: Sources = [zeros; GROUP];
+            let real = rows.iter_mut().zip(edge.chunks_exact_mut(pitch));
+            for (j, (slot, row)) in (j0..count).zip(real) {
+                let row = &mut row[..need];
+                *slot = source(j, row).unwrap_or(row);
             }
-            for i in 0..TILE_COLS.min(len - p0) {
-                let run = &mut self.data[(p0 + i) * stride + j0..][..STAGE_LANES];
-                for (g, tile) in tiles.iter().enumerate() {
-                    run[g * TILE_ROWS..][..TILE_ROWS].copy_from_slice(&tile[i].to_le_bytes());
-                }
+            transpose_group(pass, &rows, len, &mut self.data, stride, j0);
+        }
+        // The pad lanes past the last group, a run of [`GROUP`] at a time.
+        let grouped = count.next_multiple_of(GROUP);
+        for p in 0..len {
+            let pad = &mut self.data[p * stride..(p + 1) * stride][grouped..];
+            for run in pad.chunks_exact_mut(GROUP) {
+                run.copy_from_slice(&[0; GROUP]);
             }
         }
     }
 
     /// [`fill`](InterleavedWindows::fill) from row-major windows of
     /// length `len` packed back to back in `windows` (the
-    /// `gather_windows` layout).
+    /// `gather_windows` layout): every row is read where it lies but the
+    /// last few, which end too close to the end of the slice.
     pub fn build(&mut self, windows: &[u8], len: usize) {
         let count = windows.len().checked_div(len).unwrap_or(0);
         debug_assert_eq!(count * len, windows.len());
         self.fill(count, len, |j, row| {
-            row.copy_from_slice(&windows[j * len..][..len])
+            let at = j * len;
+            let run = windows.get(at..at + row.len());
+            if run.is_none() {
+                row[..len].copy_from_slice(&windows[at..at + len]);
+            }
+            run
         });
     }
 
@@ -837,45 +874,58 @@ mod x86 {
     use super::*;
     use core::arch::x86_64::*;
 
-    /// SSE2 transpose tile: three rounds of byte, word and dword
-    /// unpacks turn eight 16-byte rows into eight registers that each
-    /// hold two finished columns.
+    /// `f(0); … f(15);` — a loop over the sixteen rows that cannot stay
+    /// rolled, so every index is a constant and the register array the
+    /// closure names is never an array in memory.
+    #[rustfmt::skip]
+    macro_rules! unrolled {
+        ($f:expr) => {{
+            #[allow(unused_mut)] // the stores' closure mutates nothing it names
+            let mut f = $f;
+            f(0); f(1); f(2); f(3); f(4); f(5); f(6); f(7);
+            f(8); f(9); f(10); f(11); f(12); f(13); f(14); f(15);
+        }};
+    }
+
+    /// The pass on the sixteen SSE2 registers: load one from each row,
+    /// then four times over interleave the bytes of registers `i` and
+    /// `i + 8` into registers `2i` (`punpcklbw`) and `2i + 1`
+    /// (`punpckhbw`) — a perfect shuffle of the register file, which
+    /// rotates the 8-bit (row, column) index of every byte by one place,
+    /// so four of them swap its halves: register `c` ends up holding
+    /// column `c`, rows 0–15 in byte order — one run of lanes, stored
+    /// whole.
     ///
     /// # Safety
-    /// Caller must ensure SSE2 is available (always, on x86_64).
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    pub(super) unsafe fn transpose_tile_sse2(
-        rows: &[[u8; TILE_COLS]; TILE_ROWS],
-    ) -> [u64; TILE_COLS] {
-        let r = |i: usize| _mm_loadu_si128(rows[i].as_ptr() as *const __m128i);
-        // Bytes of row pairs: columns 0–7 (`lo`) and 8–15 (`hi`).
-        let (a0, a1) = (_mm_unpacklo_epi8(r(0), r(1)), _mm_unpackhi_epi8(r(0), r(1)));
-        let (a2, a3) = (_mm_unpacklo_epi8(r(2), r(3)), _mm_unpackhi_epi8(r(2), r(3)));
-        let (a4, a5) = (_mm_unpacklo_epi8(r(4), r(5)), _mm_unpackhi_epi8(r(4), r(5)));
-        let (a6, a7) = (_mm_unpacklo_epi8(r(6), r(7)), _mm_unpackhi_epi8(r(6), r(7)));
-        // Words of row quads: four columns per register.
-        let (b0, b1) = (_mm_unpacklo_epi16(a0, a2), _mm_unpackhi_epi16(a0, a2));
-        let (b2, b3) = (_mm_unpacklo_epi16(a1, a3), _mm_unpackhi_epi16(a1, a3));
-        let (b4, b5) = (_mm_unpacklo_epi16(a4, a6), _mm_unpackhi_epi16(a4, a6));
-        let (b6, b7) = (_mm_unpacklo_epi16(a5, a7), _mm_unpackhi_epi16(a5, a7));
-        // Dwords of all eight rows: columns `2k` and `2k + 1` in `c[k]`.
-        let c = [
-            _mm_unpacklo_epi32(b0, b4),
-            _mm_unpackhi_epi32(b0, b4),
-            _mm_unpacklo_epi32(b1, b5),
-            _mm_unpackhi_epi32(b1, b5),
-            _mm_unpacklo_epi32(b2, b6),
-            _mm_unpackhi_epi32(b2, b6),
-            _mm_unpacklo_epi32(b3, b7),
-            _mm_unpackhi_epi32(b3, b7),
-        ];
-        let mut out = [0u64; TILE_COLS];
-        for (k, v) in c.into_iter().enumerate() {
-            out[2 * k] = _mm_cvtsi128_si64(v) as u64;
-            out[2 * k + 1] = _mm_cvtsi128_si64(_mm_unpackhi_epi64(v, v)) as u64;
+    /// See [`Pass`].
+    pub(super) unsafe fn pass_sse2(
+        rows: &Sources,
+        p0: usize,
+        cols: usize,
+        out: &mut [u8],
+        stride: usize,
+    ) {
+        let load = |r: usize| _mm_loadu_si128(rows[r].as_ptr().add(p0) as *const __m128i);
+        let mut x = [load(0); GROUP];
+        unrolled!(|r: usize| x[r] = load(r));
+        for _ in 0..4 {
+            let mut y = x;
+            unrolled!(|i: usize| {
+                let (a, b) = (x[i / 2], x[i / 2 + GROUP / 2]);
+                y[i] = if i & 1 == 0 {
+                    _mm_unpacklo_epi8(a, b)
+                } else {
+                    _mm_unpackhi_epi8(a, b)
+                };
+            });
+            x = y;
         }
-        out
+        let out = out.as_mut_ptr();
+        unrolled!(|c: usize| {
+            if c < cols {
+                _mm_storeu_si128(out.add(c * stride) as *mut __m128i, x[c]);
+            }
+        });
     }
 
     /// Half of a [`SubRow`]: one 16-byte shuffle table.
@@ -1534,72 +1584,220 @@ mod tests {
         data
     }
 
+    /// The portable pass, and the vector one where there is one.
+    fn passes() -> Vec<(&'static str, Pass)> {
+        let mut out: Vec<(&'static str, Pass)> = vec![("portable", pass_portable)];
+        #[cfg(target_arch = "x86_64")]
+        out.push(("sse2", x86::pass_sse2));
+        out
+    }
+
+    /// `fill_with(pass, ..)` from row-major `rows`, lending two windows
+    /// in three where they lie in a copy of `rows` that ends flush with
+    /// the last one (so the last few cannot be lent) and staging the
+    /// rest — junk behind the window — in the row `fill` offers. Returns
+    /// how many windows were lent.
+    fn fill_mixed(
+        il: &mut InterleavedWindows,
+        (name, pass): (&str, Pass),
+        rows: &[u8],
+        len: usize,
+    ) -> usize {
+        let count = rows.len().checked_div(len).unwrap_or(0);
+        let bank = rows.to_vec().into_boxed_slice();
+        let (mut calls, mut lent) = (0, 0);
+        // Whatever a larger shape left behind the layout stays as it is:
+        // a last pass stores no column past the window.
+        let stride = count.div_ceil(WIDE_LANES) * WIDE_LANES;
+        let behind = il.data.get(len * stride..).map(<[u8]>::to_vec);
+        il.fill_with(pass, count, len, |j, row| {
+            assert_eq!(j, calls, "windows are requested once, in order");
+            assert_eq!(row.len(), len.next_multiple_of(GROUP));
+            calls += 1;
+            let run = bank
+                .get(j * len..j * len + row.len())
+                .filter(|_| j % 3 != 0);
+            if run.is_none() {
+                row.fill(0xee);
+                row[..len].copy_from_slice(&bank[j * len..][..len]);
+            }
+            lent += usize::from(run.is_some());
+            run
+        });
+        assert_eq!(calls, if len == 0 { 0 } else { count });
+        if let Some(behind) = behind {
+            assert_eq!(il.data[len * il.stride..], behind, "{name} len={len}");
+        }
+        lent
+    }
+
     #[test]
     fn fill_matches_naive_transposition_across_reused_shapes() {
-        // One instance walks the whole grid down and back up again, so
-        // every shape is filled over the leftovers of both a larger and
-        // a smaller one: nothing stale may show through, in the real
-        // lanes or in the pad lanes of the last block.
-        const COUNTS: [usize; 9] = [0, 1, 31, 32, 33, 63, 64, 65, 1000];
-        const LENS: [usize; 7] = [1, 7, 8, 9, 60, 64, 300];
+        // One instance per pass walks the whole grid down and back up
+        // again, so every shape is filled over the leftovers of both a
+        // larger and a smaller one: nothing stale may show through, in
+        // the real lanes or in the pad lanes of the last block. The
+        // lengths sit on and around the tile's width and its multiples.
+        const COUNTS: [usize; 9] = [0, 1, 15, 16, 17, 63, 64, 65, 1000];
+        const LENS: [usize; 14] = [1, 15, 16, 17, 24, 31, 32, 33, 59, 60, 63, 64, 65, 130];
         let mut shapes: Vec<(usize, usize)> = COUNTS
             .iter()
             .flat_map(|&c| LENS.iter().map(move |&l| (c, l)))
             .collect();
         shapes.extend(shapes.clone().into_iter().rev());
-        let mut il = InterleavedWindows::new();
-        for (n, (count, len)) in shapes.into_iter().enumerate() {
-            // Residue codes offset by one so a stale or missing byte
-            // cannot pass for the zero a pad lane must hold.
-            let rows: Vec<u8> = windows(n as u64 + 1, count, len)
-                .into_iter()
-                .map(|c| c + 1)
-                .collect();
-            let mut calls = 0;
-            il.fill(count, len, |j, row| {
-                assert_eq!(j, calls, "windows are requested once, in order");
-                calls += 1;
-                row.copy_from_slice(&rows[j * len..][..len]);
-            });
-            assert_eq!(calls, count);
-            assert_eq!((il.count(), il.len()), (count, len));
-            assert_eq!(
-                il.data,
-                naive_interleave(&rows, count, len),
-                "count={count} len={len}"
+        for (name, pass) in passes() {
+            let mut il = InterleavedWindows::new();
+            let (mut lent, mut total) = (0, 0);
+            for (n, &(count, len)) in shapes.iter().enumerate() {
+                // Residue codes offset by one so a stale or missing byte
+                // cannot pass for the zero a pad lane must hold.
+                let rows: Vec<u8> = windows(n as u64 + 1, count, len)
+                    .into_iter()
+                    .map(|c| c + 1)
+                    .collect();
+                let tag = format!("{name} count={count} len={len}");
+                lent += fill_mixed(&mut il, (name, pass), &rows, len);
+                total += count;
+                assert_eq!((il.count(), il.len()), (count, len), "{tag}");
+                let want = naive_interleave(&rows, count, len);
+                assert_eq!(il.data[..want.len()], want, "{tag}");
+                // `build` is `fill` through the host's pass, fed from the
+                // row-major slice.
+                let mut built = InterleavedWindows::new();
+                built.build(&rows, len);
+                assert_eq!(built.data, want, "{tag} (build)");
+            }
+            // Lent and staged sources were both common, so they met in
+            // most groups of sixteen.
+            assert!(
+                lent > total / 2 && total - lent > total / 4,
+                "{lent} of {total}"
             );
-            // `build` is the same routine fed from a row-major slice.
-            let mut built = InterleavedWindows::new();
-            built.build(&rows, len);
-            assert_eq!(built.data, il.data, "count={count} len={len}");
+            // Nothing is allocated once the buffers have grown: a
+            // smaller shape, then the largest again, leave them where
+            // and as long as they were.
+            let before = (
+                il.data.as_ptr(),
+                il.data.len(),
+                il.edge.as_ptr(),
+                il.edge.len(),
+            );
+            for (count, len) in [(17, 24), (1000, 130), (0, 60), (1000, 130)] {
+                fill_mixed(&mut il, (name, pass), &windows(7, count, len), len);
+                let after = (
+                    il.data.as_ptr(),
+                    il.data.len(),
+                    il.edge.as_ptr(),
+                    il.edge.len(),
+                );
+                assert_eq!(after, before, "{name} count={count} len={len}");
+            }
+            // Zero-length windows hold nothing, whatever count is claimed.
+            il.fill_with(pass, 5, 0, |_, _| panic!("no window to write"));
+            assert_eq!((il.count(), il.len(), il.stride), (0, 0, 0));
         }
-        // Zero-length windows hold nothing, whatever count is claimed.
-        il.fill(5, 0, |_, _| panic!("no window to write"));
-        assert_eq!((il.count(), il.len(), il.data.len()), (0, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "shorter than")]
+    fn a_source_shorter_than_the_network_reads_is_refused() {
+        // The window itself is all there; the bytes behind it that a
+        // whole-register load would touch are not.
+        let rows = windows(3, 4, 60);
+        InterleavedWindows::new().fill(4, 60, |j, _| Some(&rows[j * 60..][..60]));
     }
 
     #[test]
     fn transpose_tiles_match_naive() {
-        // The tile `fill` runs on this target and the portable tile
-        // (the only one on targets without SSE2) both equal the
-        // definition: out[c] byte r = rows[r][c].
+        // The 8×8 register transpose the portable pass is made of
+        // equals the definition, out[c] byte r = rows[r][c], over the
+        // whole byte range; so does one group through every pass.
         for seed in 0..50u64 {
-            let bytes = windows(seed + 100, TILE_ROWS, TILE_COLS);
-            let mut rows = [[0u8; TILE_COLS]; TILE_ROWS];
-            for (row, chunk) in rows.iter_mut().zip(bytes.chunks_exact(TILE_COLS)) {
-                row.copy_from_slice(chunk);
-                // Use the whole byte range, not just residue codes.
-                for b in row.iter_mut() {
-                    *b = b.wrapping_mul(37).wrapping_add(seed as u8);
+            let bytes: Vec<u8> = windows(seed + 100, GROUP, 64)
+                .into_iter()
+                .map(|b| b.wrapping_mul(37).wrapping_add(seed as u8))
+                .collect();
+            let block: [u64; 8] = std::array::from_fn(|r| {
+                u64::from_le_bytes(std::array::from_fn(|c| bytes[r * 64 + c]))
+            });
+            let want: [u64; 8] = std::array::from_fn(|c| {
+                u64::from_le_bytes(std::array::from_fn(|r| bytes[r * 64 + c]))
+            });
+            assert_eq!(transpose_8x8(block), want, "seed={seed}");
+            for (name, pass) in passes() {
+                let mut il = InterleavedWindows::new();
+                fill_mixed(&mut il, (name, pass), &bytes, 64);
+                let want = naive_interleave(&bytes, GROUP, 64);
+                assert_eq!(il.data, want, "{name} seed={seed}");
+            }
+        }
+    }
+
+    /// Each pass's speed, called directly over the same address
+    /// stream: 200 k 60-residue windows in 50 ascending lists across a
+    /// 16 MB bank and across a 2 MB one, every window lent in place and
+    /// prefetched 8 ahead as `core::step2::gather_lanes` does. Five
+    /// rounds on fresh lists, every pass in each, one walk with the
+    /// bank out of L2. Prints the lowest and the median ns per window;
+    /// run
+    /// `cargo test --release -p psc-align --lib -- --ignored --nocapture gather_ns_per_window`.
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn gather_ns_per_window() {
+        const LEN: usize = 60;
+        const AHEAD: usize = 8;
+        fn prefetch(bank: &[u8], at: usize, reach: usize) {
+            #[cfg(target_arch = "x86_64")]
+            for at in [at, at + reach - 1] {
+                use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+                // SAFETY: a prefetch never faults, whatever the address.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(bank.as_ptr().wrapping_add(at) as *const i8) };
+            }
+        }
+        let sum = |bytes: &[u8]| bytes.iter().map(|&b| b as u64).sum::<u64>();
+        let mut rng = SplitMix64::new(0x5eed_0019);
+        for megabytes in [16, 2] {
+            let bank = windows(megabytes as u64, megabytes << 20, 1);
+            let mut ns = vec![Vec::new(); passes().len()];
+            for _ in 0..5 {
+                let lists: Vec<Vec<usize>> = (0..50)
+                    .map(|_| {
+                        let mut list: Vec<usize> =
+                            (0..4000).map(|_| rng.range(0..bank.len() - 64)).collect();
+                        list.sort_unstable();
+                        list
+                    })
+                    .collect();
+                let mut sums = Vec::new();
+                for ((_, pass), ns) in passes().into_iter().zip(&mut ns) {
+                    let mut il = InterleavedWindows::new();
+                    il.fill_with(pass, 4000, LEN, |_, _| Some(&bank[..64]));
+                    // Walk 16 MB of something else: the bank leaves L2.
+                    let mut checksum = sum(&windows(9, 16 << 20, 1)) & 1;
+                    let mut seconds = 0.0;
+                    for list in &lists {
+                        let t0 = std::time::Instant::now();
+                        il.fill_with(pass, list.len(), LEN, |j, row| {
+                            if let Some(&ahead) = list.get(j + AHEAD) {
+                                prefetch(&bank, ahead, row.len());
+                            }
+                            Some(&bank[list[j]..][..row.len()])
+                        });
+                        seconds += t0.elapsed().as_secs_f64();
+                        checksum += sum(&il.data[..LEN * il.stride]);
+                    }
+                    sums.push(checksum);
+                    ns.push(seconds * 1e9 / 200_000.0);
                 }
+                assert!(sums.windows(2).all(|w| w[0] == w[1]), "{sums:?}");
             }
-            let mut want = [0u64; TILE_COLS];
-            for (c, w) in want.iter_mut().enumerate() {
-                let column: [u8; TILE_ROWS] = std::array::from_fn(|r| rows[r][c]);
-                *w = u64::from_le_bytes(column);
+            for ((name, _), mut ns) in passes().into_iter().zip(ns) {
+                ns.sort_by(f64::total_cmp);
+                println!(
+                    "{megabytes} MB bank, {name}: {:.1} ns per window at best, {:.1} in the median",
+                    ns[0], ns[2]
+                );
             }
-            assert_eq!(transpose_tile(&rows), want, "seed={seed}");
-            assert_eq!(transpose_tile_portable(&rows), want, "seed={seed}");
         }
     }
 

@@ -20,14 +20,16 @@
 //! saturating byte lanes, and only the survivors are rescored. All emit
 //! bit-identical candidates in identical order.
 //!
-//! The data plane is one pass per side per key. The side whose windows
-//! are scanned one at a time is gathered row-major
+//! The data plane is one pass per side per key, both sides walking one
+//! [`psc_index::flat::WindowCursor`] down the index list. The side whose
+//! windows are scanned one at a time is gathered row-major
 //! ([`gather_windows`]); the lane side goes from the flat bank straight
-//! into kernel layout (`gather_lanes`: each window is copied once, into
-//! a staging row of [`InterleavedWindows::fill`], and the index list —
-//! the address stream — is prefetched a fixed distance ahead so its
-//! cache misses overlap). The scalar and profile backends, which read
-//! both sides row-major, gather both with [`gather_windows`].
+//! into kernel layout (`gather_lanes`: [`InterleavedWindows::fill`]
+//! transposes each interior window out of the bank where it lies, only
+//! the windows at a sequence's edges are copied first, and the index
+//! list — the address stream — is prefetched a fixed distance ahead so
+//! its cache misses overlap). The scalar and profile backends, which
+//! read both sides row-major, gather both with [`gather_windows`].
 //!
 //! Multi-threaded runs distribute keys under a [`Step2Schedule`]:
 //! `contiguous` cuts the key range into one balanced chunk per worker,
@@ -96,28 +98,27 @@ pub struct ItemTiming {
 
 /// Gather the extension windows for every position of an index list into
 /// one contiguous row-major buffer (the byte stream an input controller
-/// would DMA). `window_into` writes every byte of every row, so the
-/// buffer is resized without clearing it first.
+/// would DMA). The cursor writes every byte of every row, so the buffer
+/// is resized without clearing it first.
 pub fn gather_windows(flat: &FlatBank, list: &[u32], span: usize, n_ctx: usize, out: &mut Vec<u8>) {
     let l = span + 2 * n_ctx;
     out.resize(list.len() * l, 0);
-    if l == 0 {
-        return;
-    }
-    for (row, &pos) in out.chunks_exact_mut(l).zip(list) {
-        flat.window_into(pos, span, n_ctx, row);
+    let mut cursor = flat.window_cursor(span, n_ctx);
+    for (i, &pos) in list.iter().enumerate() {
+        cursor.copy_into(pos, &mut out[i * l..]);
     }
 }
 
-/// Windows ahead of the one being copied that [`gather_lanes`]
+/// Windows ahead of the one being read that [`gather_lanes`]
 /// prefetches. An index list is a known stream of random addresses into
-/// the bank; this many window copies cover the latency of a miss.
+/// the bank; this many windows cover the latency of a miss.
 const PREFETCH_AHEAD: usize = 8;
 
-/// Gather the windows of an index list straight into lane order: each
-/// window is read out of the flat bank once, into a staging row of
-/// [`InterleavedWindows::fill`], and leaves it transposed — the lane
-/// side of a rectangle never exists row-major.
+/// Gather the windows of an index list straight into lane order: an
+/// interior window is lent to [`InterleavedWindows::fill`] where it lies
+/// in the flat bank and leaves it transposed — the lane side of a
+/// rectangle never exists row-major. Only a window that overhangs its
+/// sequence, or ends too close to the end of the bank, is copied first.
 fn gather_lanes(
     flat: &FlatBank,
     list: &[u32],
@@ -125,11 +126,12 @@ fn gather_lanes(
     n_ctx: usize,
     lanes: &mut InterleavedWindows,
 ) {
+    let mut cursor = flat.window_cursor(span, n_ctx);
     lanes.fill(list.len(), span + 2 * n_ctx, |j, row| {
         if let Some(&ahead) = list.get(j + PREFETCH_AHEAD) {
-            flat.prefetch_window(ahead, span, n_ctx);
+            cursor.prefetch(ahead, row.len());
         }
-        flat.window_into(list[j], span, n_ctx, row);
+        cursor.source(list[j], row)
     });
 }
 
@@ -1323,49 +1325,154 @@ mod tests {
         // sequence shorter than the window, and neighbours whose
         // residues must not leak in: the fused gather must PAD exactly
         // like the row-major one, for either bank of a rectangle, and
-        // over the leftovers of a previous, larger fill.
-        let long: Vec<u8> = (0..200u32).map(|j| ((j * 7 + j / 13) % 20) as u8).collect();
+        // over the leftovers of a previous, larger fill — at the unit
+        // tests' 16-residue window, the default 60 and the board's 59,
+        // whose interior windows are lent in place while the edge ones
+        // (every window of a 30-residue sequence, and the last of each
+        // bank, which ends flush with its allocation) are staged.
+        let long: Vec<u8> = (0..2700u32)
+            .map(|j| ((j * 7 + j / 13) % 20) as u8)
+            .collect();
         let banks = [
-            index_codes(&[&long, &long[..5], &long[40..52], &long[3..90]]).0,
-            index_codes(&[&long[..9], &long]).0,
+            index_codes(&[&long[..200], &long[..5], &long[40..52], &long[3..90]]).0,
+            index_codes(&[&long[..9], &long[..200]]).0,
+            index_codes(&[
+                &long[..],
+                &long[..30],
+                &long[60..90],
+                &long[5..],
+                &long[..30],
+            ])
+            .0,
         ];
-        let (span, n_ctx) = (4, 6);
-        let l = span + 2 * n_ctx;
         let mut fused = InterleavedWindows::new();
         let mut rows = Vec::new();
         let mut built = InterleavedWindows::new();
-        for flat in &banks {
-            // Every position at which a seed fits, then ever shorter
-            // prefixes: the lane counts cross block boundaries on the
-            // way down.
-            let all: Vec<u32> = (0..flat.seq_count())
-                .flat_map(|s| {
-                    let (lo, hi) = flat.bounds_of(s);
-                    lo..(hi + 1).saturating_sub(span as u32).max(lo)
-                })
-                .collect();
-            assert!(all.len() > 3 * WIDE_LANES);
-            for take in [all.len(), 65, 33, 32, 5, 1, 0, 47] {
-                let list = &all[..take];
-                gather_lanes(flat, list, span, n_ctx, &mut fused);
-                gather_windows(flat, list, span, n_ctx, &mut rows);
-                built.build(&rows, l);
-                assert_eq!((fused.count(), fused.len()), (take, l));
-                for p in 0..l {
-                    for j0 in (0..take).step_by(WIDE_LANES) {
-                        assert_eq!(
-                            fused.wide_lane_codes(p, j0),
-                            built.wide_lane_codes(p, j0),
-                            "take={take} p={p} j0={j0}"
-                        );
+        for (span, n_ctx) in [(4, 6), (4, 28), (3, 28)] {
+            let l = span + 2 * n_ctx;
+            for flat in &banks {
+                // Every position at which a seed fits, then ever shorter
+                // prefixes and the bank's last positions: the lane
+                // counts cross block boundaries on the way down.
+                let all: Vec<u32> = (0..flat.seq_count())
+                    .flat_map(|s| {
+                        let (lo, hi) = flat.bounds_of(s);
+                        lo..(hi + 1).saturating_sub(span as u32).max(lo)
+                    })
+                    .collect();
+                assert!(all.len() > 3 * WIDE_LANES);
+                let lists = [all.len(), 65, 33, 32, 5, 1, 0, 47].map(|take| &all[..take]);
+                for list in lists.into_iter().chain([&all[all.len() - 70..]]) {
+                    let take = list.len();
+                    gather_lanes(flat, list, span, n_ctx, &mut fused);
+                    gather_windows(flat, list, span, n_ctx, &mut rows);
+                    for (&pos, row) in list.iter().zip(rows.chunks_exact(l)) {
+                        assert_eq!(row, flat.window(pos, span, n_ctx), "pos={pos} l={l}");
+                    }
+                    built.build(&rows, l);
+                    assert_eq!((fused.count(), fused.len()), (take, l));
+                    for p in 0..l {
+                        for j0 in (0..take).step_by(WIDE_LANES) {
+                            assert_eq!(
+                                fused.wide_lane_codes(p, j0),
+                                built.wide_lane_codes(p, j0),
+                                "take={take} l={l} p={p} j0={j0}"
+                            );
+                        }
                     }
                 }
+                // The cases this test exists for are really in the list.
+                gather_windows(flat, &all, span, n_ctx, &mut rows);
+                let padded = |w: &&[u8]| w.contains(&psc_index::flat::PAD);
+                let pad_rows = rows.chunks_exact(l).filter(padded).count();
+                assert!(pad_rows > 0 && (pad_rows < all.len() || flat.len() < 1000));
             }
-            // The cases this test exists for are really in the list.
-            let pad_rows = rows
-                .chunks_exact(l)
-                .filter(|w| w.contains(&psc_index::flat::PAD));
-            assert!(pad_rows.count() > 0);
+        }
+    }
+
+    /// Where a key's time goes, per side: ns per window of the lane-side
+    /// gather and of the row-side gather against the time the filter
+    /// spends scanning, summed over every active key of three shapes
+    /// that stand in for the benchmark's software workloads (uniform
+    /// random residues; the bank a "genome" of six long frames or 1 000
+    /// proteins). Run
+    /// `cargo test --release -p psc-core --lib -- --ignored --nocapture gather_vs_scan`.
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn gather_vs_scan_per_key() {
+        use psc_seqio::prng::SplitMix64;
+        use std::time::Instant;
+        let mut rng = SplitMix64::new(0x5eed_0019);
+        let mut bank = |count: usize, len: usize| -> (FlatBank, SeedIndex) {
+            let seqs: Vec<Vec<u8>> = (0..count)
+                .map(|_| (0..len).map(|_| rng.range(0..20u8)).collect())
+                .collect();
+            index_codes(&seqs)
+        };
+        let m = blosum62();
+        let p = Step2Params {
+            n_ctx: 28,
+            ..params(m, 45)
+        };
+        let (span, n_ctx) = (p.span, p.n_ctx);
+        for (name, (f0, i0), (f1, i1)) in [
+            ("3 x 350 against 6 x 667 k", bank(3, 350), bank(6, 667_000)),
+            (
+                "12 x 350 against 6 x 2.67 M",
+                bank(12, 350),
+                bank(6, 2_670_000),
+            ),
+            (
+                "1000 x 350 against 6 x 333 k",
+                bank(1000, 350),
+                bank(6, 333_000),
+            ),
+        ] {
+            let filter = LaneFilter::new(p.resolved_backend(), p.kernel, m, p.threshold);
+            let Some(filter) = filter else {
+                return println!("no lane backend on this host");
+            };
+            let mut scratch = KeyScratch::default();
+            let mut out = Vec::new();
+            let (mut rows, mut lanes, mut scan) = ((f64::MAX, 0), (f64::MAX, 0), f64::MAX);
+            for _ in 0..3 {
+                let mut pass = [(0.0, 0usize); 3];
+                for key in 0..i0.key_count() as u32 {
+                    let (list0, list1) = (i0.list(key), i1.list(key));
+                    if list0.is_empty() || list1.is_empty() {
+                        continue;
+                    }
+                    let t0 = Instant::now();
+                    gather_windows(&f0, list0, span, n_ctx, &mut scratch.w0);
+                    let t1 = Instant::now();
+                    gather_lanes(&f1, list1, span, n_ctx, &mut scratch.lanes);
+                    let t2 = Instant::now();
+                    lanes_rectangle(&p, &filter, false, list0, list1, &mut scratch, &mut out);
+                    let t3 = Instant::now();
+                    for (sum, (t, n)) in pass.iter_mut().zip([
+                        (t1 - t0, list0.len()),
+                        (t2 - t1, list1.len()),
+                        (t3 - t2, 0),
+                    ]) {
+                        *sum = (sum.0 + t.as_secs_f64(), sum.1 + n);
+                    }
+                }
+                // The best of three passes, each part by itself.
+                rows = if pass[0].0 < rows.0 { pass[0] } else { rows };
+                lanes = if pass[1].0 < lanes.0 { pass[1] } else { lanes };
+                scan = scan.min(pass[2].0);
+            }
+            println!(
+                "{name}: gather_lanes {:.1} ns per window ({} windows, {:.4} s), \
+                 gather_windows {:.1} ns per window ({} windows, {:.4} s), scan {:.4} s",
+                lanes.0 * 1e9 / lanes.1 as f64,
+                lanes.1,
+                lanes.0,
+                rows.0 * 1e9 / rows.1 as f64,
+                rows.1,
+                rows.0,
+                scan
+            );
         }
     }
 

@@ -20,7 +20,15 @@ pub struct FlatBank {
     residues: Vec<u8>,
     /// `starts[i]` = global position of sequence `i`; `starts[len]` = total.
     starts: Vec<u32>,
+    /// `block_seq[b]` = the sequence holding residue `b << BLOCK_SHIFT`:
+    /// where the lookup of a position's sequence starts.
+    block_seq: Vec<u32>,
 }
+
+/// Residues per entry of [`FlatBank::block_seq`], as a shift: 4 bytes of
+/// table per 256 of bank, and under two steps from the entry to the
+/// sequence for sequences of a hundred residues and up.
+const BLOCK_SHIFT: u32 = 8;
 
 impl FlatBank {
     /// Flatten a bank (sequence order preserved).
@@ -37,7 +45,14 @@ impl FlatBank {
             residues.extend_from_slice(&seq.residues);
         }
         starts.push(residues.len() as u32);
-        FlatBank { residues, starts }
+        let block_seq = (0..total.div_ceil(1 << BLOCK_SHIFT))
+            .map(|b| starts.partition_point(|&s| s <= (b << BLOCK_SHIFT) as u32) as u32 - 1)
+            .collect();
+        FlatBank {
+            residues,
+            starts,
+            block_seq,
+        }
     }
 
     /// Total residues.
@@ -64,21 +79,29 @@ impl FlatBank {
         &self.residues
     }
 
+    /// Index of the sequence containing global position `pos`: the one
+    /// the position's block starts in, or one of the next few.
+    #[inline]
+    fn seq_of(&self, pos: u32) -> usize {
+        let mut seq = self.block_seq[(pos >> BLOCK_SHIFT) as usize] as usize;
+        while self.starts[seq + 1] <= pos {
+            seq += 1;
+        }
+        seq
+    }
+
     /// Which sequence contains global position `pos`, and the offset
     /// within it.
     pub fn locate(&self, pos: u32) -> (usize, usize) {
         debug_assert!((pos as usize) < self.len());
-        // partition_point returns the first start > pos; its predecessor
-        // is the containing sequence.
-        let seq = self.starts.partition_point(|&s| s <= pos) - 1;
+        let seq = self.seq_of(pos);
         (seq, (pos - self.starts[seq]) as usize)
     }
 
     /// Global bounds `[start, end)` of the sequence containing `pos`.
     #[inline]
     pub fn seq_bounds(&self, pos: u32) -> (u32, u32) {
-        let seq = self.starts.partition_point(|&s| s <= pos) - 1;
-        (self.starts[seq], self.starts[seq + 1])
+        self.bounds_of(self.seq_of(pos))
     }
 
     /// Global bounds of sequence `i`.
@@ -95,43 +118,16 @@ impl FlatBank {
     /// `span + 2*n_ctx`).
     pub fn window_into(&self, pos: u32, span: usize, n_ctx: usize, out: &mut [u8]) {
         debug_assert_eq!(out.len(), span + 2 * n_ctx);
-        let (lo, hi) = self.seq_bounds(pos);
-        let want_start = pos as i64 - n_ctx as i64;
-        let want_end = pos as i64 + (span + n_ctx) as i64;
-        let take_start = want_start.max(lo as i64) as usize;
-        let take_end = want_end.min(hi as i64) as usize;
-        let left_pad = (take_start as i64 - want_start) as usize;
-        out[..left_pad].fill(PAD);
-        let copied = take_end - take_start;
-        out[left_pad..left_pad + copied].copy_from_slice(&self.residues[take_start..take_end]);
-        out[left_pad + copied..].fill(PAD);
+        self.window_cursor(span, n_ctx).copy_into(pos, out);
     }
 
-    /// Hint the cache hierarchy that the window at `pos` is about to be
-    /// read by [`FlatBank::window_into`]. An index list is a random
-    /// address stream into the bank, but it is known in advance: issuing
-    /// this a few windows ahead lets the misses overlap instead of
-    /// serialising behind each copy. Touches both cache lines a window
-    /// can straddle; a no-op on targets without a prefetch instruction.
-    #[inline]
-    pub fn prefetch_window(&self, pos: u32, span: usize, n_ctx: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let first = (pos as usize).saturating_sub(n_ctx);
-            let last = (pos as usize + span + n_ctx).saturating_sub(1);
-            let base = self.residues.as_ptr();
-            for at in [first, last] {
-                // SAFETY: a prefetch is a hint that never faults and
-                // reads or writes nothing, whatever the address; the
-                // pointer is formed with `wrapping_add`, so no in-bounds
-                // requirement is attached to it either.
-                unsafe { _mm_prefetch::<_MM_HINT_T0>(base.wrapping_add(at) as *const i8) };
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = (pos, span, n_ctx);
+    /// A cursor over the windows of an index list (see [`WindowCursor`]).
+    pub fn window_cursor(&self, span: usize, n_ctx: usize) -> WindowCursor<'_> {
+        WindowCursor {
+            flat: self,
+            span,
+            n_ctx,
+            bounds: (0, 0),
         }
     }
 
@@ -140,6 +136,117 @@ impl FlatBank {
         let mut out = vec![0u8; span + 2 * n_ctx];
         self.window_into(pos, span, n_ctx, &mut out);
         out
+    }
+}
+
+/// Bytes an interior window is copied in: whole blocks are fixed-size
+/// moves, where a copy of the exact window length is a call.
+const COPY_BLOCK: usize = 32;
+
+/// Walks the extension windows of an index list out of a [`FlatBank`].
+///
+/// The cursor keeps the bounds of the sequence its last position fell
+/// in. Index lists ascend, so the next position is usually inside them
+/// still — two comparisons, the whole cost on a six-frame genome — and
+/// one that has left them, in either direction, is placed by the bank's
+/// block table: there is no search per window, and a list in any order
+/// (a hostile bundle's) gathers the same bytes as a sorted one.
+#[derive(Clone, Debug)]
+pub struct WindowCursor<'b> {
+    flat: &'b FlatBank,
+    span: usize,
+    n_ctx: usize,
+    /// `[lo, hi)` of the sequence holding the last position; empty
+    /// before the first one.
+    bounds: (u32, u32),
+}
+
+impl<'b> WindowCursor<'b> {
+    /// Move the bounds to the sequence holding `pos`; the start of the
+    /// window at `pos` if it lies wholly inside that sequence.
+    #[inline]
+    fn interior(&mut self, pos: u32) -> Option<usize> {
+        let (mut lo, mut hi) = self.bounds;
+        if pos < lo || pos >= hi {
+            (lo, hi) = self.flat.seq_bounds(pos);
+            self.bounds = (lo, hi);
+        }
+        let start = (pos as usize).checked_sub(self.n_ctx)?;
+        let end = pos as usize + self.span + self.n_ctx;
+        (start >= lo as usize && end <= hi as usize).then_some(start)
+    }
+
+    /// The window at `pos` as `psc_align::InterleavedWindows::fill` takes
+    /// its sources: lent where it lies — `row.len()` bytes of the bank
+    /// from the window's first residue, the window and then whatever
+    /// follows it — when the window is interior to its sequence and the
+    /// bank extends that far; otherwise `None`, with the window written
+    /// to the front of `row` as by [`copy_into`](WindowCursor::copy_into).
+    #[inline]
+    pub fn source(&mut self, pos: u32, row: &mut [u8]) -> Option<&'b [u8]> {
+        let start = self.interior(pos);
+        let run = start.and_then(|start| self.flat.residues.get(start..start + row.len()));
+        if run.is_none() {
+            self.copy_into(pos, row);
+        }
+        run
+    }
+
+    /// Write the window at `pos` to the front of `row`, clamped to its
+    /// sequence and padded with [`PAD`]. Bytes of `row` past the window
+    /// may be overwritten: an interior window is copied in whole
+    /// [`COPY_BLOCK`]s when the bank and `row` both have the room — rows
+    /// gathered back to back in list order cover each other's overhang,
+    /// and the last ones are copied exactly.
+    #[inline]
+    pub fn copy_into(&mut self, pos: u32, row: &mut [u8]) {
+        let (len, residues) = (self.span + 2 * self.n_ctx, &self.flat.residues);
+        let Some(start) = self.interior(pos) else {
+            let (lo, hi) = self.bounds;
+            let want_start = pos as i64 - self.n_ctx as i64;
+            let take_start = want_start.max(lo as i64) as usize;
+            let take_end = (want_start + len as i64).min(hi as i64) as usize;
+            let left_pad = (take_start as i64 - want_start) as usize;
+            let copied = take_end - take_start;
+            row[..left_pad].fill(PAD);
+            row[left_pad..left_pad + copied].copy_from_slice(&residues[take_start..take_end]);
+            row[left_pad + copied..len].fill(PAD);
+            return;
+        };
+        let blocks = len.next_multiple_of(COPY_BLOCK);
+        match (residues.get(start..start + blocks), row.get_mut(..blocks)) {
+            (Some(src), Some(dst)) => {
+                for (d, s) in (dst.chunks_exact_mut(COPY_BLOCK)).zip(src.chunks_exact(COPY_BLOCK)) {
+                    d.copy_from_slice(s);
+                }
+            }
+            _ => row[..len].copy_from_slice(&residues[start..start + len]),
+        }
+    }
+
+    /// Hint the cache hierarchy that `reach` bytes from the start of the
+    /// window at `pos` are about to be read. An index list is a random
+    /// address stream into the bank, but it is known in advance: issuing
+    /// this some windows ahead lets the misses overlap instead of
+    /// serialising behind each read. Touches both cache lines the bytes
+    /// can straddle; a no-op on targets without a prefetch instruction.
+    #[inline]
+    pub fn prefetch(&self, pos: u32, reach: usize) {
+        let first = (pos as usize).saturating_sub(self.n_ctx);
+        for at in [first, (first + reach).saturating_sub(1)] {
+            let at = self.flat.residues.as_ptr().wrapping_add(at);
+            // SAFETY: a prefetch is a hint that never faults and reads
+            // or writes nothing, whatever the address; the pointer is
+            // formed with `wrapping_add`, so no in-bounds requirement is
+            // attached to it either.
+            #[cfg(target_arch = "x86_64")]
+            unsafe {
+                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+                _mm_prefetch::<_MM_HINT_T0>(at as *const i8)
+            };
+            #[cfg(not(target_arch = "x86_64"))]
+            let _ = at;
+        }
     }
 }
 
@@ -207,6 +314,122 @@ mod tests {
         let f = FlatBank::from_bank(&b);
         let w = f.window(0, 4, 3); // span 4 > sequence
         assert_eq!(w, psc_seqio::alphabet::encode_protein(b"XXXMKXXXXX"));
+    }
+
+    /// Banks of residue codes `seed, seed + 1, …` cut into sequences of
+    /// the given lengths.
+    fn coded(lens: &[usize]) -> FlatBank {
+        let mut next = 0u32;
+        let bank: Bank = (lens.iter().enumerate())
+            .map(|(i, &len)| {
+                let codes = (0..len).map(|_| {
+                    next += 1;
+                    (next * 7 + next / 13) as u8 % 20
+                });
+                Seq::from_codes(
+                    format!("s{i}"),
+                    codes.collect(),
+                    psc_seqio::SeqKind::Protein,
+                )
+            })
+            .collect();
+        FlatBank::from_bank(&bank)
+    }
+
+    #[test]
+    fn block_table_agrees_with_a_search_of_the_starts() {
+        // Sequences longer and shorter than a table block, empty ones at
+        // the front, in the middle and at the end.
+        for lens in [
+            vec![0, 0, 700, 3, 0, 0, 256, 1, 255, 513, 0],
+            vec![1; 600],
+            vec![2700, 30, 30, 2700],
+        ] {
+            let f = coded(&lens);
+            for pos in 0..f.len() as u32 {
+                let seq = f.starts.partition_point(|&s| s <= pos) - 1;
+                assert_eq!(f.locate(pos), (seq, (pos - f.starts[seq]) as usize));
+                assert_eq!(f.seq_bounds(pos), f.bounds_of(seq));
+            }
+        }
+    }
+
+    /// The window at `pos` by definition, a residue at a time.
+    fn naive_window(f: &FlatBank, pos: u32, span: usize, n_ctx: usize) -> Vec<u8> {
+        let seq = f.starts.partition_point(|&s| s <= pos) - 1;
+        let inside = f.starts[seq] as i64..f.starts[seq + 1] as i64;
+        (pos as i64 - n_ctx as i64..pos as i64 + (span + n_ctx) as i64)
+            .map(|at| match inside.contains(&at) {
+                true => f.residues[at as usize],
+                false => PAD,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cursor_equals_window_into_in_any_order() {
+        use psc_seqio::prng::SplitMix64;
+        let mut rng = SplitMix64::new(0x5eed_0019);
+        for (span, n_ctx) in [(4, 6), (3, 28), (4, 28)] {
+            let l = span + 2 * n_ctx;
+            for lens in [
+                // Long and short neighbours, a sequence of exactly `span`
+                // residues, an empty one; the bank ends in a long
+                // sequence, so its last windows are interior ones.
+                vec![2700, 30, span, 0, 30, 2700],
+                // Every sequence shorter than the window.
+                vec![l - 1; 40],
+                vec![span; 70],
+            ] {
+                let f = coded(&lens);
+                let ascending: Vec<u32> = (0..f.seq_count())
+                    .flat_map(|s| {
+                        let (lo, hi) = f.bounds_of(s);
+                        lo..(hi + 1).saturating_sub(span as u32).max(lo)
+                    })
+                    .collect();
+                let mut shuffled = ascending.clone();
+                for i in (1..shuffled.len()).rev() {
+                    shuffled.swap(i, rng.range(0..=i));
+                }
+                let descending: Vec<u32> = ascending.iter().rev().copied().collect();
+                let doubled: Vec<u32> = ascending.iter().flat_map(|&p| [p, p]).collect();
+                let tail: Vec<u32> = (ascending.iter().copied())
+                    .filter(|&p| p as usize + 64 >= f.len())
+                    .collect();
+                assert!(tail.len() >= 10, "lens={lens:?}");
+                for list in [&ascending, &shuffled, &descending, &doubled, &tail] {
+                    // Row-major, back to back, as `gather_windows` does.
+                    let mut rows = vec![0xee; list.len() * l];
+                    let mut cursor = f.window_cursor(span, n_ctx);
+                    for (i, &pos) in list.iter().enumerate() {
+                        cursor.copy_into(pos, &mut rows[i * l..]);
+                    }
+                    let mut lent = 0;
+                    for (&pos, row) in list.iter().zip(rows.chunks_exact(l)) {
+                        let want = naive_window(&f, pos, span, n_ctx);
+                        assert_eq!(row, want, "pos={pos} span={span} n_ctx={n_ctx}");
+                        assert_eq!(f.window(pos, span, n_ctx), want, "pos={pos}");
+                        // In place: exactly the interior windows the bank
+                        // still holds `reach` bytes of, never a shorter
+                        // run.
+                        for reach in [l, 64, 128] {
+                            let (lo, hi) = f.seq_bounds(pos);
+                            let interior = pos as usize >= lo as usize + n_ctx
+                                && pos as usize + span + n_ctx <= hi as usize;
+                            let fits = pos as usize - n_ctx.min(pos as usize) + reach <= f.len();
+                            let mut staged = vec![0xee; reach];
+                            let run = cursor.source(pos, &mut staged);
+                            assert_eq!(run.is_some(), interior && fits, "pos={pos} reach={reach}");
+                            lent += usize::from(run.is_some());
+                            let source = run.unwrap_or(&staged);
+                            assert_eq!((source.len(), &source[..l]), (reach, &want[..]));
+                        }
+                    }
+                    assert_eq!(lent > 0, lens[0] > l, "lens={lens:?}");
+                }
+            }
+        }
     }
 
     #[test]
