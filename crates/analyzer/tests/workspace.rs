@@ -144,7 +144,12 @@ fn real_workspace_is_clean() {
     let config_text =
         std::fs::read_to_string(root.join("analyzer.toml")).expect("read analyzer.toml");
     let config = Config::parse(&config_text).expect("parse analyzer.toml");
+    let t0 = std::time::Instant::now();
     let report = analyze_workspace(&root, &config).expect("analyze workspace");
+    // The lint gate stays a pre-merge step, not a build phase (0.02 s
+    // in release on the PR 20 tree).
+    let wall = t0.elapsed().as_secs_f64();
+    assert!(wall < 5.0, "workspace analysis took {wall:.2} s");
     assert!(report.files_checked > 50, "found {}", report.files_checked);
     // The call graph must actually cover the workspace — a resolution
     // regression that silently dropped all edges would otherwise keep

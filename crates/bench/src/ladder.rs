@@ -67,7 +67,7 @@ pub struct LadderRow {
 }
 
 /// Which measurements to take (each costs a full step-2 pass).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Components {
     pub baseline: bool,
     pub scalar: bool,
@@ -76,12 +76,20 @@ pub struct Components {
 }
 
 impl Components {
-    pub fn all() -> Components {
+    pub const NONE: Components = Components {
+        baseline: false,
+        scalar: false,
+        rasc: false,
+        dual: false,
+    };
+
+    /// Everything either side asks for.
+    pub fn or(self, other: Components) -> Components {
         Components {
-            baseline: true,
-            scalar: true,
-            rasc: true,
-            dual: true,
+            baseline: self.baseline || other.baseline,
+            scalar: self.scalar || other.scalar,
+            rasc: self.rasc || other.rasc,
+            dual: self.dual || other.dual,
         }
     }
 }

@@ -80,11 +80,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // A kernel name that does not exist is a usage error like an unknown
-    // flag: reported before any file is read.
-    if let Err(e) = step2_kernel(&flags) {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
+    // A mis-set pipeline flag (kernel name, board or fleet shape) is a
+    // usage error like an unknown flag: reported before any file is read
+    // or any socket bound.
+    if matches!(command.as_str(), "search" | "serve") {
+        if let Err(e) = pipeline_config(&flags) {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
     }
     let result = match command.as_str() {
         "generate-bank" => generate_bank(&flags),
@@ -489,7 +492,7 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, String> {
         Some(s) => psc_core::Step2Schedule::parse(s)
             .ok_or_else(|| format!("bad --step2-schedule value {s:?} (contiguous|bucketed)"))?,
     };
-    Ok(PipelineConfig {
+    let config = PipelineConfig {
         seed: seed_choice(flags)?,
         backend,
         step2_kernel,
@@ -503,7 +506,24 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, String> {
         recovery: recovery_policy(flags)?,
         fleet,
         ..PipelineConfig::default()
-    })
+    };
+    // What `RascBoard::new` would assert or refuse on the first query.
+    if let Step2Backend::Rasc {
+        pe_count,
+        fpga_count,
+        ..
+    } = config.backend
+    {
+        if !(1..=2).contains(&fpga_count) {
+            return Err(format!("--fpgas must be 1 or 2 (got {fpga_count})"));
+        }
+        if pe_count == 0 {
+            return Err("--pes must be at least 1".into());
+        }
+        psc_rasc::ResourceModel::check(&config.operator_config(pe_count))
+            .map_err(|e| format!("--pes {pe_count}: operator does not fit the FPGA: {e}"))?;
+    }
+    Ok(config)
 }
 
 /// Header of the tab output format, shared with `psc serve` so a

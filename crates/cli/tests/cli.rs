@@ -61,6 +61,42 @@ fn removed_split_kernel_is_rejected() {
     }
 }
 
+/// A board flag `RascBoard::new` would assert on is a usage error at
+/// startup: exit 2, one line, no panic backtrace.
+fn assert_board_flag_rejected(cmd: &[&str], flag: [&str; 2], message: &str) {
+    let out = psc()
+        .args(cmd)
+        .args(["--backend", "rasc"])
+        .args(flag)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{flag:?}: {out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.trim_end(), format!("error: {message}"), "{flag:?}");
+    assert!(out.stdout.is_empty(), "{flag:?}: {out:?}");
+}
+
+#[test]
+fn search_rejects_an_fpga_count_the_board_does_not_have() {
+    let search = ["search", "--proteins", "p.fa", "--genome", "g.fa"];
+    for n in ["0", "3"] {
+        let message = format!("--fpgas must be 1 or 2 (got {n})");
+        assert_board_flag_rejected(&search, ["--fpgas", n], &message);
+    }
+}
+
+#[test]
+fn search_rejects_a_pe_array_that_is_empty_or_does_not_fit() {
+    let search = ["search", "--proteins", "p.fa", "--genome", "g.fa"];
+    assert_board_flag_rejected(&search, ["--pes", "0"], "--pes must be at least 1");
+    assert_board_flag_rejected(
+        &search,
+        ["--pes", "100000"],
+        "--pes 100000: operator does not fit the FPGA: \
+         design needs 19086300 slices, LX200 has 89088",
+    );
+}
+
 #[test]
 fn matrix_prints_blosum62() {
     let out = psc().arg("matrix").output().unwrap();

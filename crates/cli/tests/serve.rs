@@ -385,6 +385,39 @@ fn protocol_answers_ping_info_and_rejects_junk() {
 }
 
 #[test]
+fn serve_refuses_bad_board_flags_before_listening() {
+    // Found on the parent build: the server printed `listening on …`
+    // and then panicked a worker on every query.
+    let dir = tmpdir("board-flags");
+    let (_bank, _genome, bundle) = build_workload(&dir);
+    for flag in [["--fpgas", "3"], ["--pes", "0"], ["--pes", "100000"]] {
+        let mut child = psc()
+            .args(["serve", "--index", bundle.to_str().unwrap()])
+            .args(["--listen", "127.0.0.1:0", "--backend", "rasc"])
+            .args(flag)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        // A server that started anyway never exits: bound the wait.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while child.try_wait().unwrap().is_none() && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        child.kill().ok();
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{flag:?} reached: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("error: --") && err.lines().count() == 1,
+            "{err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn search_index_rejects_model_mismatch_cleanly() {
     let dir = tmpdir("mismatch");
     let (bank, _genome, bundle) = build_workload(&dir);

@@ -42,17 +42,6 @@ pub enum Step2Backend {
         fpga_count: usize,
         host_threads: usize,
     },
-    /// CPU cores and one simulated FPGA working concurrently — the
-    /// dispatch question the paper's conclusion raises for multi-core
-    /// hosts. Seed keys carrying `fpga_share` of the pair mass go to the
-    /// board; the rest run on `cpu_threads` software workers. Reported
-    /// step-2 time is `max(fpga, cpu)` (they overlap).
-    Hybrid {
-        pe_count: usize,
-        cpu_threads: usize,
-        /// Fraction of the pair mass dispatched to the FPGA (0..=1).
-        fpga_share: f64,
-    },
 }
 
 impl Step2Backend {
@@ -62,7 +51,6 @@ impl Step2Backend {
             Step2Backend::SoftwareScalar => "software-scalar",
             Step2Backend::SoftwareParallel { .. } => "software-parallel",
             Step2Backend::Rasc { .. } => "rasc",
-            Step2Backend::Hybrid { .. } => "hybrid",
         }
     }
 }
@@ -141,9 +129,9 @@ pub struct PipelineConfig {
     /// Override the board's DMA/transfer model (bandwidth, dispatch
     /// latency, bitstream-load time). `None` keeps the physical
     /// RASC-100 defaults; scaled-down experiments scale the one-time
-    /// setup cost along with the workload (see psc-bench).
+    /// setup cost along with the workload (`psc_bench::ladder`).
     pub dma_override: Option<psc_rasc::DmaModel>,
-    /// Deterministic fault plan for the RASC/Hybrid backends; `None`
+    /// Deterministic fault plan for the RASC backend; `None`
     /// (the default) runs fault-free. Candidates are bit-identical
     /// either way — recovery restores every faulted entry.
     pub fault_plan: Option<psc_rasc::FaultPlan>,

@@ -63,8 +63,6 @@ pub enum PipelineError {
     OperatorDoesNotFit(psc_rasc::ResourceError),
     /// The gapped operator (step 3) exceeds the FPGA resource budget.
     GappedOperatorDoesNotFit(psc_rasc::ResourceError),
-    /// `fpga_share` of the hybrid backend is outside `0..=1`.
-    InvalidFpgaShare(f64),
     /// The substitution matrix has no valid Karlin–Altschul parameters
     /// (its expected score is non-negative, so local alignment
     /// statistics are undefined).
@@ -82,9 +80,6 @@ impl std::fmt::Display for PipelineError {
             }
             PipelineError::GappedOperatorDoesNotFit(e) => {
                 write!(f, "step-3 gapped operator does not fit the FPGA: {e}")
-            }
-            PipelineError::InvalidFpgaShare(s) => {
-                write!(f, "fpga_share must be in 0..=1, got {s}")
             }
             PipelineError::UnsupportedMatrix => {
                 write!(f, "matrix does not support local alignment statistics")
@@ -227,16 +222,14 @@ impl Pipeline {
             kernel_backend: cfg.step2_kernel,
             schedule: cfg.step2_schedule,
         };
-        let key_count = idx0.key_count() as u32;
         let mut dedup = AnchorDedup::new(flat0, flat1, cfg.min_anchor_sep);
         // Virtual-clock traces model step 2 as its deterministic work
         // items, independent of backend, schedule and thread count.
         if tracer.enabled() && tracer.clock() == TraceClock::Virtual {
-            commit_virtual_step2(tracer, idx0, idx1, key_count);
+            commit_virtual_step2(tracer, idx0, idx1);
         }
-        let (mut s2stats, board, fleet, step2_accel_override) = run_step2(
-            cfg, &params, flat0, idx0, flat1, idx1, key_count, &mut dedup, tracer,
-        )?;
+        let (mut s2stats, board, fleet) =
+            run_step2(cfg, &params, flat0, idx0, flat1, idx1, &mut dedup, tracer)?;
         // A fleet run reports through the same single-board shape: the
         // aggregate sums every board. Its timeline lives on the fleet
         // report (per-board lanes), so `commit_board_timeline` below is
@@ -252,8 +245,7 @@ impl Pipeline {
         // count is the one `candidates` counter.
         s2stats.candidates = dedup.pushed();
         let step2_wall = t1.elapsed().as_secs_f64();
-        let step2_accelerated =
-            step2_accel_override.or_else(|| board.as_ref().map(|r| r.accelerated_seconds));
+        let step2_accelerated = board.as_ref().map(|r| r.accelerated_seconds);
         // Which software kernel scored step 2 (the pure-board backend
         // never touches the software kernels), plus why `resolve` had to
         // back off the requested choice, if it did.
@@ -321,7 +313,7 @@ impl Pipeline {
             let mut lane_tiles = 0u64;
             let mut gather_bytes = 0u64;
             let (mut slots_useful, mut slots_total) = (0u64, 0u64);
-            for key in 0..key_count {
+            for key in 0..idx0.key_count() as u32 {
                 let (n0, n1) = (idx0.list(key).len(), idx1.list(key).len());
                 if n0 == 0 || n1 == 0 {
                     continue;
@@ -869,8 +861,8 @@ fn commit_step2_timings(tracer: &dyn Tracer, base: f64, times: &[ItemTiming]) {
 /// Deterministic step-2 work model for virtual-clock traces: one
 /// scheduled unit per bucketed work item, weighted by pair mass —
 /// independent of backend, schedule and thread count.
-fn commit_virtual_step2(tracer: &dyn Tracer, idx0: &SeedIndex, idx1: &SeedIndex, key_count: u32) {
-    let items = step2::bucketed_items(idx0, idx1, 0..key_count);
+fn commit_virtual_step2(tracer: &dyn Tracer, idx0: &SeedIndex, idx1: &SeedIndex) {
+    let items = step2::bucketed_items(idx0, idx1);
     for (i, item) in items.iter().enumerate() {
         tracer.commit(UnitTrace {
             stage: keys::STAGE_STEP2.to_string(),
@@ -1043,14 +1035,9 @@ fn commit_fleet_timeline(tracer: &dyn Tracer, report: &FleetReport) {
 
 /// What [`run_step2`] hands back besides the candidates it pushed into
 /// the dedup: counters (`candidates` left for the caller to fill from
-/// [`AnchorDedup::pushed`]), the board or fleet report (at most one is
-/// `Some`), and the hybrid backend's effective accelerated seconds.
-type Step2Output = (
-    Step2Stats,
-    Option<BoardReport>,
-    Option<FleetReport>,
-    Option<f64>,
-);
+/// [`AnchorDedup::pushed`]) and the board or fleet report (at most one
+/// is `Some`).
+type Step2Output = (Step2Stats, Option<BoardReport>, Option<FleetReport>);
 
 /// Step 2 on the configured backend, feeding `dedup` directly: the
 /// board and fleet push each entry's candidates from the draining
@@ -1066,255 +1053,65 @@ fn run_step2(
     idx0: &SeedIndex,
     flat1: &FlatBank,
     idx1: &SeedIndex,
-    key_count: u32,
     dedup: &mut AnchorDedup<'_>,
     tracer: &dyn Tracer,
 ) -> Result<Step2Output, PipelineError> {
     let trace_wall = tracer.enabled() && tracer.clock() == TraceClock::Wall;
-    // Software kernels over `keys` on `threads` workers, timed when a
-    // wall-clock tracer is attached (timing changes no output).
-    let software = |dedup: &mut AnchorDedup<'_>, keys: std::ops::Range<u32>, threads: usize| {
+    // Software kernels on `threads` workers, timed when a wall-clock
+    // tracer is attached (timing changes no output).
+    let software = |dedup: &mut AnchorDedup<'_>, threads: usize| {
         let (candidates, stats) = if trace_wall {
             let base = tracer.epoch_seconds();
             // analyzer: allow(determinism) -- flight-recorder stage epoch, never results
             let epoch = Instant::now();
-            let (c, s, times) = step2::run_software_keys_timed(
-                flat0, idx0, flat1, idx1, params, keys, threads, &epoch,
-            );
+            let (c, s, times) =
+                step2::run_software_timed(flat0, idx0, flat1, idx1, params, threads, &epoch);
             commit_step2_timings(tracer, base, &times);
             (c, s)
         } else {
-            step2::run_software_keys(flat0, idx0, flat1, idx1, params, keys, threads)
+            step2::run_software(flat0, idx0, flat1, idx1, params, threads)
         };
         for c in &candidates {
             dedup.push(c);
         }
         stats
     };
-    let board_config = |pe_count: usize, fpga_count: usize| {
-        let mut board_cfg = cfg.board_config(pe_count, fpga_count);
-        board_cfg.record_timeline = tracer.enabled();
-        board_cfg
-    };
     Ok(match &cfg.backend {
-        Step2Backend::SoftwareScalar => (software(dedup, 0..key_count, 1), None, None, None),
-        Step2Backend::SoftwareParallel { threads } => {
-            (software(dedup, 0..key_count, *threads), None, None, None)
-        }
+        Step2Backend::SoftwareScalar => (software(dedup, 1), None, None),
+        Step2Backend::SoftwareParallel { threads } => (software(dedup, *threads), None, None),
         Step2Backend::Rasc {
             pe_count,
             fpga_count,
             host_threads,
         } => {
-            let board_cfg = board_config(*pe_count, *fpga_count);
+            let mut board_cfg = cfg.board_config(*pe_count, *fpga_count);
+            board_cfg.record_timeline = tracer.enabled();
             if cfg.fleet.boards >= 2 {
                 // Multi-board fleet: same entries, work-stealing
                 // dispatch, bit-identical hit stream (the fleet emits
                 // fault-free results by construction).
                 let fleet = RascFleet::new(board_cfg, cfg.fleet, params.matrix)
                     .map_err(PipelineError::OperatorDoesNotFit)?;
-                let (stats, report) = run_board_entries(
-                    params,
-                    flat0,
-                    idx0,
-                    flat1,
-                    idx1,
-                    0..key_count,
-                    dedup,
-                    |entries, sink| fleet.run_stream(entries, *host_threads, sink),
-                )?;
-                (stats, None, Some(report), None)
+                let (stats, report) =
+                    run_board_entries(params, flat0, idx0, flat1, idx1, dedup, |entries, sink| {
+                        fleet.run_stream(entries, *host_threads, sink)
+                    })?;
+                (stats, None, Some(report))
             } else {
                 let board = RascBoard::new(board_cfg, params.matrix)
                     .map_err(PipelineError::OperatorDoesNotFit)?;
-                let (stats, report) = run_board_entries(
-                    params,
-                    flat0,
-                    idx0,
-                    flat1,
-                    idx1,
-                    0..key_count,
-                    dedup,
-                    |entries, sink| board.run_stream(entries, *host_threads, sink),
-                )?;
-                (stats, Some(report), None, None)
+                let (stats, report) =
+                    run_board_entries(params, flat0, idx0, flat1, idx1, dedup, |entries, sink| {
+                        board.run_stream(entries, *host_threads, sink)
+                    })?;
+                (stats, Some(report), None)
             }
-        }
-        Step2Backend::Hybrid {
-            pe_count,
-            cpu_threads,
-            fpga_share,
-        } => {
-            if !(0.0..=1.0).contains(fpga_share) {
-                return Err(PipelineError::InvalidFpgaShare(*fpga_share));
-            }
-            let cut = split_keys_by_pair_mass(idx0, idx1, *fpga_share);
-            let board = RascBoard::new(board_config(*pe_count, 1), params.matrix)
-                .map_err(PipelineError::OperatorDoesNotFit)?;
-            // FPGA takes the dense low keys; CPU workers the rest.
-            let (mut stats, mut report) = run_board_entries(
-                params,
-                flat0,
-                idx0,
-                flat1,
-                idx1,
-                0..cut,
-                dedup,
-                |entries, sink| board.run_stream(entries, 1, sink),
-            )?;
-            // analyzer: allow(determinism) -- wall-clock step profile is the audited exception
-            let t_cpu = Instant::now();
-            let cpu = software(dedup, cut..key_count, *cpu_threads);
-            let cpu_wall = t_cpu.elapsed().as_secs_f64();
-            stats.pairs += cpu.pairs;
-            stats.active_keys += cpu.active_keys;
-            // The host share sees the same fault plan as the board
-            // (its own fault domain); recovery restores every faulted
-            // block, so candidates stay bit-identical.
-            if let Some(plan) = &cfg.fault_plan {
-                let injector = psc_rasc::FaultInjector::new(plan.clone());
-                let host = host_share_faults(
-                    flat0,
-                    idx0,
-                    flat1,
-                    idx1,
-                    params,
-                    cut..key_count,
-                    &injector,
-                    &cfg.recovery,
-                )?;
-                report.faults.merge(&host);
-            }
-            // CPU and FPGA run concurrently: the slower side bounds
-            // the effective step-2 time.
-            let effective = report.accelerated_seconds.max(cpu_wall);
-            (stats, Some(report), None, Some(effective))
         }
     })
 }
 
-/// Virtual fault domain of the hybrid backend's host (CPU) share —
-/// disjoint from real FPGA indices so one seeded [`FaultPlan`] draws
-/// independent fault streams for the board and the host kernel.
-const HOST_FAULT_DOMAIN: usize = 0xFF;
-
-/// Checksum over a candidate list with the same Fletcher accumulator
-/// the board commits per entry ([`psc_rasc::fault::hits_checksum`]) —
-/// positions and scores both covered, so any PeFlip-style score
-/// corruption is caught.
-fn candidates_checksum(cands: &[Candidate]) -> u64 {
-    // Reuse the board's checksum by viewing each candidate as a hit.
-    let hits: Vec<psc_rasc::Hit> = cands
-        .iter()
-        .map(|c| psc_rasc::Hit {
-            i0: c.pos0,
-            i1: c.pos1,
-            score: c.score,
-        })
-        .collect();
-    psc_rasc::fault::hits_checksum(&hits)
-}
-
-/// Seeded fault injection over the host (CPU) share of a hybrid run.
-///
-/// The host share is exposed to the same [`FaultPlan`] as the board:
-/// each bucketed work item of the CPU key range is one fault "entry"
-/// (domain [`HOST_FAULT_DOMAIN`]), and a fired fault behaves like a PE
-/// score flip — one bit of one candidate's score is corrupted in the
-/// item's result block. Detection is the board's own mechanism: the
-/// per-item result checksum mismatches and the item is recomputed,
-/// backing off per [`psc_rasc::RecoveryPolicy`] until the fault clears
-/// or the retry budget degrades (host degradation *is* the software
-/// kernel, so recovery always restores the clean block). A corruption
-/// with nothing to corrupt (empty result block) is harmless and
-/// accepted, mirroring the board. Candidates are bit-identical with and
-/// without a plan; only the returned [`FaultSummary`] differs, and it
-/// is a pure function of workload + plan (thread-count independent).
-#[allow(clippy::too_many_arguments)]
-fn host_share_faults(
-    flat0: &FlatBank,
-    idx0: &SeedIndex,
-    flat1: &FlatBank,
-    idx1: &SeedIndex,
-    params: &Step2Params<'_>,
-    keys: std::ops::Range<u32>,
-    injector: &psc_rasc::FaultInjector,
-    recovery: &psc_rasc::RecoveryPolicy,
-) -> Result<psc_rasc::FaultSummary, PipelineError> {
-    let mut summary = psc_rasc::FaultSummary::default();
-    let items = step2::bucketed_items(idx0, idx1, keys);
-    for (i, item) in items.iter().enumerate() {
-        let entry = i as u64;
-        // Cheap probe: most items never fault, and the clean block is
-        // only needed once a fault actually fires.
-        if injector.fire(entry, HOST_FAULT_DOMAIN, 0).is_none() {
-            continue;
-        }
-        let (clean, _) =
-            step2::run_software_keys(flat0, idx0, flat1, idx1, params, item.keys.clone(), 1);
-        let clean_sum = candidates_checksum(&clean);
-        let mut attempt = 0u32;
-        // Loop until an attempt draws no fault: that recomputation is
-        // the clean block and its checksum matches the reference.
-        while let Some(kind) = injector.fire(entry, HOST_FAULT_DOMAIN, attempt) {
-            summary.faults_injected += 1;
-            if clean.is_empty() {
-                // Nothing to corrupt: the flip lands outside the result
-                // block, the checksum matches, the attempt is accepted.
-                break;
-            }
-            let mut corrupted = clean.clone();
-            let victim =
-                injector.roll(entry, HOST_FAULT_DOMAIN, attempt, corrupted.len() as u64) as usize;
-            let bit = injector.roll(entry, HOST_FAULT_DOMAIN, attempt.wrapping_add(97), 31);
-            corrupted[victim].score ^= 1i32 << bit;
-            if candidates_checksum(&corrupted) == clean_sum {
-                // Undetectable corruption (cannot happen with a bit
-                // flip under this checksum, but keep the board's
-                // accept-if-clean contract explicit).
-                break;
-            }
-            summary.faults_detected += 1;
-            summary.checksum_mismatches += 1;
-            if attempt >= recovery.max_retries {
-                if recovery.degrade {
-                    // "Degrading" the host share recomputes with the
-                    // same software kernel — the clean block stands.
-                    summary.entries_degraded += 1;
-                    break;
-                }
-                return Err(PipelineError::BoardFault(psc_rasc::BoardFault {
-                    entry,
-                    fpga: HOST_FAULT_DOMAIN,
-                    kind,
-                    attempts: attempt + 1,
-                }));
-            }
-            summary.retries += 1;
-            summary.backoff_cycles += recovery.backoff(attempt);
-            attempt += 1;
-        }
-    }
-    Ok(summary)
-}
-
-/// Prefix key cut such that keys `0..cut` carry ≈ `share` of the total
-/// pair mass.
-fn split_keys_by_pair_mass(idx0: &SeedIndex, idx1: &SeedIndex, share: f64) -> u32 {
-    let total = idx0.pair_count(idx1);
-    let want = (total as f64 * share) as u64;
-    let mut acc = 0u64;
-    for key in 0..idx0.key_count() as u32 {
-        if acc >= want {
-            return key;
-        }
-        acc += idx0.list(key).len() as u64 * idx1.list(key).len() as u64;
-    }
-    idx0.key_count() as u32
-}
-
 /// Step 2 on simulated hardware: gather one [`Entry`] per active key
-/// of `keys` (in key order), hand the entry stream to `run` — a
+/// (in key order), hand the entry stream to `run` — a
 /// board's or a fleet's `run_stream` — and push each entry's surviving
 /// hits into `dedup` as the entry completes (entry *completion* order;
 /// the dedup is order-invariant). Errors only when an entry exhausts
@@ -1327,7 +1124,6 @@ fn run_board_entries<R>(
     idx0: &SeedIndex,
     flat1: &FlatBank,
     idx1: &SeedIndex,
-    keys: std::ops::Range<u32>,
     dedup: &mut AnchorDedup<'_>,
     run: impl FnOnce(
         Box<dyn Iterator<Item = Entry> + Send + '_>,
@@ -1335,7 +1131,7 @@ fn run_board_entries<R>(
     ) -> Result<R, BoardFault>,
 ) -> Result<(Step2Stats, R), PipelineError> {
     // Keys with work on both sides, in key order.
-    let active: Vec<u32> = keys
+    let active: Vec<u32> = (0..idx0.key_count() as u32)
         .filter(|&k| !idx0.list(k).is_empty() && !idx1.list(k).is_empty())
         .collect();
 
@@ -1618,86 +1414,6 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_backend_agrees_with_scalar() {
-        let seqs: Vec<Vec<u8>> = (0..10)
-            .map(|i| {
-                (0..160u32)
-                    .map(|j| (((i * 17 + j * 5) % 83) % 20) as u8)
-                    .collect()
-            })
-            .collect();
-        let b0: Bank = seqs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Seq::from_codes(format!("q{i}"), s.clone(), psc_seqio::SeqKind::Protein))
-            .collect();
-        let b1 = b0.clone();
-        let scalar = Pipeline::new(small_config()).run(&b0, &b1, blosum62());
-        for share in [0.0, 0.3, 0.7, 1.0] {
-            let cfg = PipelineConfig {
-                backend: Step2Backend::Hybrid {
-                    pe_count: 64,
-                    cpu_threads: 2,
-                    fpga_share: share,
-                },
-                ..small_config()
-            };
-            let hybrid = Pipeline::new(cfg).run(&b0, &b1, blosum62());
-            assert_eq!(scalar.hsps, hybrid.hsps, "share={share}");
-            assert_eq!(scalar.stats.step2, hybrid.stats.step2, "share={share}");
-            assert!(hybrid.profile.step2_accelerated.is_some());
-        }
-    }
-
-    #[test]
-    fn hybrid_host_share_faults_are_deterministic_and_harmless() {
-        let seqs: Vec<Vec<u8>> = (0..14)
-            .map(|i| {
-                (0..160u32)
-                    .map(|j| (((i * 17 + j * 3) % 79) % 20) as u8)
-                    .collect()
-            })
-            .collect();
-        let b0: Bank = seqs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Seq::from_codes(format!("q{i}"), s.clone(), psc_seqio::SeqKind::Protein))
-            .collect();
-        let b1 = b0.clone();
-        // share 0.0 sends every key to the host kernel, so the fault
-        // summary below is purely host-share activity.
-        let mk = |fault_plan| {
-            let cfg = PipelineConfig {
-                backend: Step2Backend::Hybrid {
-                    pe_count: 64,
-                    cpu_threads: 2,
-                    fpga_share: 0.0,
-                },
-                fault_plan,
-                ..small_config()
-            };
-            Pipeline::new(cfg).run(&b0, &b1, blosum62())
-        };
-        let plan = psc_rasc::FaultPlan::Seeded {
-            seed: 7,
-            rate_ppm: 600_000,
-        };
-        let clean = mk(None);
-        let faulted = mk(Some(plan.clone()));
-        // Recovery restores every corrupted block: output identical.
-        assert_eq!(clean.hsps, faulted.hsps);
-        assert_eq!(clean.stats.step2, faulted.stats.step2);
-        let summary = faulted.board.as_ref().expect("hybrid board report").faults;
-        assert!(summary.faults_injected > 0, "plan never fired: {summary:?}");
-        assert_eq!(summary.faults_detected, summary.checksum_mismatches);
-        assert!(summary.retries > 0, "no retry exercised: {summary:?}");
-        // Pure function of workload + plan: a replay reports the exact
-        // same counters.
-        let replay = mk(Some(plan));
-        assert_eq!(summary, replay.board.as_ref().unwrap().faults);
-    }
-
-    #[test]
     fn rasc_gapped_step3_agrees_with_software() {
         use crate::config::Step3Backend;
         let s = b"MKVLAWRNDCQEHFYWMKVLAWRNDCQEHFYW".as_slice();
@@ -1809,11 +1525,6 @@ mod tests {
                 pe_count: 64,
                 fpga_count: 2,
                 host_threads: 2,
-            },
-            Step2Backend::Hybrid {
-                pe_count: 64,
-                cpu_threads: 2,
-                fpga_share: 0.5,
             },
         ];
         for backend in backends {

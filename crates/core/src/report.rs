@@ -19,9 +19,7 @@ use crate::pipeline::PipelineOutput;
 /// pure-software backends).
 fn configured_pe_count(config: &PipelineConfig) -> u64 {
     match config.backend {
-        Step2Backend::Rasc { pe_count, .. } | Step2Backend::Hybrid { pe_count, .. } => {
-            pe_count as u64
-        }
+        Step2Backend::Rasc { pe_count, .. } => pe_count as u64,
         _ => 0,
     }
 }

@@ -74,11 +74,12 @@ pub struct Step2Stats {
 
 /// Wall timing of one step-2 work unit — a bucketed [`WorkItem`], a
 /// contiguous chunk, or the whole key range of a one-thread run —
-/// collected by [`run_software_keys_timed`] for the flight recorder. Kernel modules stay off the telemetry surface, so these
-/// are plain numbers relative to a caller-owned epoch; the pipeline
-/// turns them into trace spans after the stage completes. All offsets
-/// come from `epoch.elapsed()` on the instant the caller passes in —
-/// this module never reads the clock on its own.
+/// collected by [`run_software_timed`] for the flight recorder. Kernel
+/// modules stay off the telemetry surface, so these are plain numbers
+/// relative to a caller-owned epoch; the pipeline turns them into
+/// trace spans after the stage completes. All offsets come from
+/// `epoch.elapsed()` on the instant the caller passes in — this module
+/// never reads the clock on its own.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ItemTiming {
     /// Work-item index (bucketed schedule) or chunk ordinal
@@ -326,21 +327,19 @@ impl WorkItem {
 /// much, so the atomic pull is never contended by near-empty grabs.
 const ITEM_MASS: u64 = 4096;
 
-/// Partition `keys` into bucketed-scheduler work items, in key order.
+/// Partition the key space into bucketed-scheduler work items, in key
+/// order.
 ///
-/// Every key of the range lands in exactly one item (the scheduler
-/// property tests pin the partition): keys of mass >= `ITEM_MASS` get a
+/// Every key lands in exactly one item (the scheduler property tests
+/// pin the partition): keys of mass >= `ITEM_MASS` get a
 /// dedicated item, and runs of lighter keys (including empty ones)
 /// coalesce into shared items of roughly `ITEM_MASS` pairs.
-pub fn bucketed_items(
-    idx0: &SeedIndex,
-    idx1: &SeedIndex,
-    keys: std::ops::Range<u32>,
-) -> Vec<WorkItem> {
+pub fn bucketed_items(idx0: &SeedIndex, idx1: &SeedIndex) -> Vec<WorkItem> {
+    let key_count = idx0.key_count() as u32;
     let mut items = Vec::new();
-    let mut run_start = keys.start;
+    let mut run_start = 0u32;
     let mut run_mass = 0u64;
-    for k in keys.clone() {
+    for k in 0..key_count {
         let mass = idx0.list(k).len() as u64 * idx1.list(k).len() as u64;
         if mass >= ITEM_MASS {
             if k > run_start {
@@ -358,8 +357,8 @@ pub fn bucketed_items(
             }
         }
     }
-    if run_start < keys.end {
-        items.push(WorkItem::new(run_start..keys.end, run_mass));
+    if run_start < key_count {
+        items.push(WorkItem::new(run_start..key_count, run_mass));
     }
     items
 }
@@ -367,7 +366,7 @@ pub fn bucketed_items(
 /// Execution order over `items` for the atomic pull: heaviest mass
 /// first (longest-processing-time heuristic), ties broken by key order
 /// so the order — unlike the completion order — is deterministic.
-pub fn lpt_order(items: &[WorkItem]) -> Vec<usize> {
+fn lpt_order(items: &[WorkItem]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..items.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(items[i].mass), items[i].keys.start));
     order
@@ -665,45 +664,28 @@ pub fn run_software(
     params: &Step2Params<'_>,
     threads: usize,
 ) -> (Vec<Candidate>, Step2Stats) {
-    let key_count = idx0.key_count() as u32;
-    run_software_keys(flat0, idx0, flat1, idx1, params, 0..key_count, threads)
-}
-
-/// Software step 2 restricted to a key range (used standalone by the
-/// hybrid CPU+FPGA backend).
-pub fn run_software_keys(
-    flat0: &FlatBank,
-    idx0: &SeedIndex,
-    flat1: &FlatBank,
-    idx1: &SeedIndex,
-    params: &Step2Params<'_>,
-    keys: std::ops::Range<u32>,
-    threads: usize,
-) -> (Vec<Candidate>, Step2Stats) {
-    let (out, stats, _) = run_units(flat0, idx0, flat1, idx1, params, keys, threads, None);
+    let (out, stats, _) = run_units(flat0, idx0, flat1, idx1, params, threads, None);
     (out, stats)
 }
 
-/// [`run_software_keys`] that also returns per-unit wall timings for
+/// [`run_software`] that also returns per-unit wall timings for
 /// the flight recorder. Candidates and stats are byte-identical to the
 /// untimed driver; the only extra work is two `epoch.elapsed()` reads
 /// per unit, outside the kernels.
-#[allow(clippy::too_many_arguments)]
-pub fn run_software_keys_timed(
+pub fn run_software_timed(
     flat0: &FlatBank,
     idx0: &SeedIndex,
     flat1: &FlatBank,
     idx1: &SeedIndex,
     params: &Step2Params<'_>,
-    keys: std::ops::Range<u32>,
     threads: usize,
     epoch: &std::time::Instant,
 ) -> (Vec<Candidate>, Step2Stats, Vec<ItemTiming>) {
-    run_units(flat0, idx0, flat1, idx1, params, keys, threads, Some(epoch))
+    run_units(flat0, idx0, flat1, idx1, params, threads, Some(epoch))
 }
 
-/// The one step-2 worker loop. `keys` is cut into *units* — the whole
-/// range for one thread (both schedules walk keys in order then; only
+/// The one step-2 worker loop. The key space is cut into *units* — the
+/// whole range for one thread (both schedules walk keys in order then; only
 /// the per-rectangle lane routing differs, and that is a function of
 /// the schedule, not of the partition), one [`balanced_chunks`] range
 /// per worker under `contiguous`, the [`bucketed_items`] in
@@ -712,14 +694,12 @@ pub fn run_software_keys_timed(
 /// (= key) order, so the merged output is independent of which worker
 /// finished which unit when. With `epoch` set each unit also yields an
 /// [`ItemTiming`].
-#[allow(clippy::too_many_arguments)]
 fn run_units(
     flat0: &FlatBank,
     idx0: &SeedIndex,
     flat1: &FlatBank,
     idx1: &SeedIndex,
     params: &Step2Params<'_>,
-    keys: std::ops::Range<u32>,
     threads: usize,
     epoch: Option<&std::time::Instant>,
 ) -> (Vec<Candidate>, Step2Stats, Vec<ItemTiming>) {
@@ -733,16 +713,17 @@ fn run_units(
 
     // Units in key order, and the order workers claim them in.
     let (units, order): (Vec<std::ops::Range<u32>>, Vec<usize>) = if threads == 1 {
-        (vec![keys], vec![0])
+        let all_keys = 0..idx0.key_count() as u32;
+        (vec![all_keys], vec![0])
     } else {
         match params.schedule {
             Step2Schedule::Contiguous => {
-                let chunks = balanced_chunks(idx0, idx1, keys, threads);
+                let chunks = balanced_chunks(idx0, idx1, threads);
                 let order = (0..chunks.len()).collect();
                 (chunks, order)
             }
             Step2Schedule::Bucketed => {
-                let items = bucketed_items(idx0, idx1, keys);
+                let items = bucketed_items(idx0, idx1);
                 let order = lpt_order(&items);
                 (items.into_iter().map(|item| item.keys).collect(), order)
             }
@@ -826,34 +807,33 @@ fn run_units(
     (out, stats, times)
 }
 
-/// Cut `keys` into at most `threads` ranges of roughly equal pair mass
+/// Cut the key space into at most `threads` ranges of roughly equal pair mass
 /// (greedy prefix cuts over the per-key masses), dropping ranges that
 /// carry no pairs so no worker is spawned on a zero-pair range.
 fn balanced_chunks(
     idx0: &SeedIndex,
     idx1: &SeedIndex,
-    keys: std::ops::Range<u32>,
     threads: usize,
 ) -> Vec<std::ops::Range<u32>> {
-    let masses: Vec<u64> = keys
-        .clone()
+    let key_count = idx0.key_count() as u32;
+    let masses: Vec<u64> = (0..key_count)
         .map(|k| idx0.list(k).len() as u64 * idx1.list(k).len() as u64)
         .collect();
     let total_pairs: u64 = masses.iter().sum();
     let per = (total_pairs / threads as u64).max(1);
-    let mut cuts = vec![keys.start];
+    let mut cuts = vec![0u32];
     let mut acc = 0u64;
     for (off, &mass) in masses.iter().enumerate() {
         acc += mass;
         if acc >= per && cuts.len() < threads {
-            cuts.push(keys.start + off as u32 + 1);
+            cuts.push(off as u32 + 1);
             acc = 0;
         }
     }
-    cuts.push(keys.end);
+    cuts.push(key_count);
 
     let has_pairs = |r: &std::ops::Range<u32>| {
-        masses[(r.start - keys.start) as usize..(r.end - keys.start) as usize]
+        masses[r.start as usize..r.end as usize]
             .iter()
             .any(|&m| m > 0)
     };
@@ -996,7 +976,6 @@ mod tests {
         // The timed driver is the same loop: equal candidates and
         // stats, plus one timing per unit (in unit order) whose counts
         // add up to the run's.
-        let keys = 0..i0.key_count() as u32;
         let epoch = std::time::Instant::now();
         for schedule in [Step2Schedule::Contiguous, Step2Schedule::Bucketed] {
             let p = Step2Params {
@@ -1004,17 +983,14 @@ mod tests {
                 ..params(m, 18)
             };
             for threads in [1, 2, 8] {
-                let (c, st, times) =
-                    run_software_keys_timed(&f0, &i0, &f1, &i1, &p, keys.clone(), threads, &epoch);
+                let (c, st, times) = run_software_timed(&f0, &i0, &f1, &i1, &p, threads, &epoch);
                 let tag = format!("{schedule:?} threads={threads}");
                 assert_eq!(seq_c, c, "{tag}");
                 assert_eq!(seq_s, st, "{tag}");
                 let units = match (threads, schedule) {
                     (1, _) => 1,
-                    (_, Step2Schedule::Contiguous) => {
-                        balanced_chunks(&i0, &i1, keys.clone(), threads).len()
-                    }
-                    (_, Step2Schedule::Bucketed) => bucketed_items(&i0, &i1, keys.clone()).len(),
+                    (_, Step2Schedule::Contiguous) => balanced_chunks(&i0, &i1, threads).len(),
+                    (_, Step2Schedule::Bucketed) => bucketed_items(&i0, &i1).len(),
                 };
                 let items: Vec<usize> = times.iter().map(|t| t.item).collect();
                 assert_eq!(items, (0..units).collect::<Vec<_>>(), "{tag}");
@@ -1196,7 +1172,7 @@ mod tests {
         let flat = FlatBank::from_bank(&bank);
         let idx = SeedIndex::build(&flat, &subset_seed_default(), 1);
         let keys = 0..idx.key_count() as u32;
-        let items = bucketed_items(&idx, &idx, keys.clone());
+        let items = bucketed_items(&idx, &idx);
 
         // Item key ranges are non-empty, contiguous and in order: their
         // concatenation is exactly the input key range (a permutation of

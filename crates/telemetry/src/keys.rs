@@ -137,7 +137,7 @@ pub const STEP2_LANE_FILL: &str = "step2.lane_fill";
 
 // --- run metadata (`Recorder::set_meta`) --------------------------
 
-/// Step-2 backend name (`scalar`, `rasc`, `hybrid`, …).
+/// Step-2 backend name (`software-scalar`, `software-parallel`, `rasc`).
 pub const BACKEND: &str = "backend";
 /// Step-3 backend name.
 pub const STEP3_BACKEND: &str = "step3.backend";

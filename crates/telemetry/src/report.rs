@@ -72,7 +72,7 @@ pub struct FpgaTelemetry {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DetectorTelemetry {
     /// Fletcher stream/result checksum mismatches (DMA corruption,
-    /// PE score flips — including the hybrid backend's host share).
+    /// PE score flips).
     pub checksum: u64,
     /// Cycle-watchdog trips (FIFO stalls, hung entries).
     pub watchdog: u64,

@@ -164,11 +164,6 @@ fn step3_threads_match_sequential_on_every_backend() {
         fpga_count: 2,
         host_threads: 2,
     };
-    let hybrid = Step2Backend::Hybrid {
-        pe_count: 64,
-        cpu_threads: 2,
-        fpga_share: 0.5,
-    };
     let seeded = psc_rasc::FaultPlan::Seeded {
         seed: 97,
         rate_ppm: 250_000,
@@ -185,7 +180,6 @@ fn step3_threads_match_sequential_on_every_backend() {
             None,
         ),
         ("rasc", rasc.clone(), None),
-        ("hybrid", hybrid, None),
         ("rasc + seeded faults", rasc.clone(), Some(seeded)),
         ("rasc + heavy-tail faults", rasc, Some(heavy_tail)),
     ];

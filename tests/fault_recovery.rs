@@ -46,20 +46,6 @@ fn rasc_config(host_threads: usize) -> PipelineConfig {
     }
 }
 
-fn hybrid_config() -> PipelineConfig {
-    PipelineConfig {
-        backend: Step2Backend::Hybrid {
-            pe_count: 64,
-            cpu_threads: 2,
-            fpga_share: 0.5,
-        },
-        n_ctx: 8,
-        threshold: 22,
-        max_evalue: 10.0,
-        ..PipelineConfig::default()
-    }
-}
-
 /// The fault-free RASC reference everything is compared against.
 static BASELINE: LazyLock<PipelineOutput> = LazyLock::new(|| {
     let (b0, b1) = banks();
@@ -139,19 +125,6 @@ fn exhausted_recovery_surfaces_as_pipeline_error() {
             other => panic!("expected BoardFault, got {other:?}"),
         }
     }
-}
-
-#[test]
-fn hybrid_backend_recovers_losslessly_too() {
-    let (b0, b1) = banks();
-    let clean = Pipeline::new(hybrid_config()).run(&b0, &b1, blosum62());
-    let faulty = Pipeline::new(PipelineConfig {
-        fault_plan: Some(FaultPlan::seeded(5)),
-        ..hybrid_config()
-    })
-    .run(&b0, &b1, blosum62());
-    assert_eq!(clean.hsps, faulty.hsps);
-    assert_eq!(clean.stats.step2, faulty.stats.step2);
 }
 
 /// Any seeded plan, at any rate up to "every dispatch faults",

@@ -118,14 +118,6 @@ fn tracing_does_not_change_pipeline_output() {
             fault_plan: Some(FaultPlan::seeded(5)),
             ..base_config()
         },
-        PipelineConfig {
-            backend: Step2Backend::Hybrid {
-                pe_count: 64,
-                cpu_threads: 2,
-                fpga_share: 0.5,
-            },
-            ..base_config()
-        },
     ];
     for (i, cfg) in configs.into_iter().enumerate() {
         let plain = Pipeline::new(cfg.clone())
