@@ -51,13 +51,13 @@ fn main() -> ExitCode {
         let run = if command == "report" {
             report_cmd(args)
         } else {
-            trace_cmd(args).map_err(CliFailure::from)
+            trace_cmd(args)
         };
         return match run {
             Ok(()) => ExitCode::SUCCESS,
-            Err(f) => {
-                eprintln!("error: {}", f.message);
-                ExitCode::from(f.code)
+            Err(message) => {
+                eprintln!("error: {message}");
+                ExitCode::FAILURE
             }
         };
     }
@@ -142,9 +142,7 @@ commands:
                                           PE utilization, pair histograms)
   report          --compare OLD NEW [--max-wall-regress PCT]
                   [--max-counter-regress PCT]   (regression diff; exits 1 when
-                                          a gated metric regresses past PCT,
-                                          3 when the two reports use different
-                                          schema versions)
+                                          a gated metric regresses past PCT)
   trace           render FILE [--width N]       (terminal lane timeline)
   trace           analyze FILE [--report FILE]  (critical path, stall classes;
                                           --report reconciles span walls)
@@ -394,6 +392,19 @@ fn load_genome(path: &str) -> Result<psc_seqio::Seq, String> {
     Ok(bank.into_seqs().remove(0))
 }
 
+/// Load the engine behind `--index`. An artifact of another format
+/// version, or no bundle at all, cannot be fixed by another flag: say
+/// what can.
+fn load_engine(path: &str, config: PipelineConfig) -> Result<psc_core::SearchEngine, String> {
+    use psc_core::EngineError::Serial;
+    use psc_index::SerialError::{BadMagic, BadVersion};
+    let data = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
+    psc_core::SearchEngine::from_bundle(&data, blosum62(), config).map_err(|e| match e {
+        Serial(BadMagic | BadVersion(_)) => format!("{path}: {e}; rebuild it with `psc index`"),
+        _ => e.to_string(),
+    })
+}
+
 fn translate(flags: &Flags) -> Result<(), String> {
     let genome = load_genome(flags.required("genome")?)?;
     let translated = translate_six_frames(&genome, GeneticCode::standard());
@@ -589,11 +600,7 @@ fn search(flags: &Flags) -> Result<(), String> {
     // loaded path skips the genome-side index build — its step1 span
     // reports only the query-side prep.
     let engine = match index_path {
-        Some(path) => {
-            let data = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-            psc_core::SearchEngine::from_bundle(&data, blosum62(), config.clone())
-                .map_err(|e| e.to_string())?
-        }
+        Some(path) => load_engine(path, config.clone())?,
         None => psc_core::SearchEngine::for_genome(
             genome.as_ref().expect("--genome checked above"),
             blosum62(),
@@ -735,49 +742,10 @@ fn recovery_policy(flags: &Flags) -> Result<psc_rasc::RecoveryPolicy, String> {
 
 /// Render a saved run report (`psc report FILE`): the paper-style step
 /// breakdown, per-FPGA PE utilization, counters and histograms. With
-/// A `psc report` failure with the exit code the driver maps it to:
-/// 1 for ordinary errors and tripped gates, [`SCHEMA_MISMATCH_EXIT`]
-/// when `--compare` refuses mixed schema versions — scripts can tell
-/// "the numbers regressed" from "the inputs aren't comparable".
-struct CliFailure {
-    code: u8,
-    message: String,
-}
-
-impl From<String> for CliFailure {
-    fn from(message: String) -> Self {
-        CliFailure { code: 1, message }
-    }
-}
-
-impl From<&str> for CliFailure {
-    fn from(message: &str) -> Self {
-        CliFailure {
-            code: 1,
-            message: message.to_string(),
-        }
-    }
-}
-
-/// Exit code for `--compare` across different report schema versions.
-const SCHEMA_MISMATCH_EXIT: u8 = 3;
-
-/// The on-disk `schema_version` of a report file, read raw:
-/// `RunReport::parse` normalizes old versions to the current schema,
-/// but `--compare` must refuse to diff across versions rather than
-/// gate on rows one side cannot even carry.
-fn raw_schema_version(path: &str, text: &str) -> Result<u64, String> {
-    let json = psc_telemetry::Json::parse(text).map_err(|e| format!("{path}: {e}"))?;
-    json.get("schema_version")
-        .and_then(psc_telemetry::Json::as_u64)
-        .ok_or_else(|| format!("{path}: no schema_version field"))
-}
-
 /// `--compare OLD NEW` diff two reports instead, gated by
 /// `--max-wall-regress` / `--max-counter-regress` percent thresholds
-/// (exit 1 when a gate trips — CI's first perf gate; exit 3 when the
-/// two reports use different schema versions).
-fn report_cmd(mut args: impl Iterator<Item = String>) -> Result<(), CliFailure> {
+/// (exit 1 when a gate trips — CI's first perf gate).
+fn report_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let Some(first) = args.next() else {
         return Err("usage: psc report FILE | psc report --compare OLD NEW".into());
     };
@@ -802,39 +770,20 @@ fn report_cmd(mut args: impl Iterator<Item = String>) -> Result<(), CliFailure> 
                 })
                 .transpose()?,
         };
-        let old_text =
-            std::fs::read_to_string(&old_path).map_err(|e| format!("read {old_path}: {e}"))?;
-        let new_text =
-            std::fs::read_to_string(&new_path).map_err(|e| format!("read {new_path}: {e}"))?;
-        let (old_v, new_v) = (
-            raw_schema_version(&old_path, &old_text)?,
-            raw_schema_version(&new_path, &new_text)?,
-        );
-        if old_v != new_v {
-            return Err(CliFailure {
-                code: SCHEMA_MISMATCH_EXIT,
-                message: format!(
-                    "cannot compare reports with different schema versions \
-                     ({old_path} is v{old_v}, {new_path} is v{new_v}); \
-                     regenerate the older report with this build"
-                ),
-            });
-        }
-        let old =
-            psc_telemetry::RunReport::parse(&old_text).map_err(|e| format!("{old_path}: {e}"))?;
-        let new =
-            psc_telemetry::RunReport::parse(&new_text).map_err(|e| format!("{new_path}: {e}"))?;
+        let (old, new) = (load_report(&old_path)?, load_report(&new_path)?);
         let diff = psc_telemetry::diff_reports(&old, &new, config);
         print!("{}", psc_telemetry::render_diff(&diff));
         let tripped = diff.regressions().len();
         if tripped > 0 {
-            return Err(format!("{tripped} metric(s) regressed past the gates").into());
+            return Err(format!("{tripped} metric(s) regressed past the gates"));
         }
         return Ok(());
     }
     let path = first;
     if let Some(extra) = args.next() {
-        return Err(format!("unexpected argument {extra:?} (usage: psc report FILE)").into());
+        return Err(format!(
+            "unexpected argument {extra:?} (usage: psc report FILE)"
+        ));
     }
     let report = load_report(&path)?;
     print!("{}", psc_telemetry::render::render_report(&report));
@@ -954,14 +903,14 @@ fn index_cmd(flags: &Flags) -> Result<(), String> {
     let reread = std::fs::read(out).map_err(|e| e.to_string())?;
     psc_core::SearchEngine::from_bundle(&reread, blosum62(), config)
         .map_err(|e| format!("bundle failed verification after write: {e}"))?;
-    let info = psc_index::peek_bundle(&reread).map_err(|e| e.to_string())?;
+    let config = engine.config();
     eprintln!(
         "indexed genome {} ({} nt) under {} in {build:.2}s; bundle of {} bytes (mask {}, T0 {}) to {out}",
-        info.genome_id,
-        info.genome_len,
-        info.model_name,
+        engine.genome_id(),
+        engine.genome_len(),
+        config.seed.model().name(),
         bytes.len(),
-        if info.masked { "on" } else { "off" },
+        if config.mask.is_some() { "on" } else { "off" },
         match &proteins {
             Some(bank) => format!("{} proteins", bank.len()),
             None => "none".to_string(),

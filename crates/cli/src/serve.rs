@@ -40,11 +40,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use psc_core::{build_run_report, MemRecorder, NullTracer, PipelineConfig, Recorder, SearchEngine};
-use psc_score::blosum62;
 use psc_seqio::{read_fasta, read_fasta_path, write_fasta, SeqKind};
 use psc_telemetry::keys;
 
-use crate::{match_line, pipeline_config, Flags, TAB_HEADER};
+use crate::{load_engine, match_line, pipeline_config, Flags, TAB_HEADER};
 
 /// State shared by all connection threads.
 struct Shared {
@@ -87,10 +86,8 @@ fn try_admit(inflight: &AtomicUsize, cap: usize) -> Option<(Admission<'_>, usize
 
 pub fn serve(flags: &Flags) -> Result<(), String> {
     let path = flags.required("index")?;
-    let data = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
     let config = pipeline_config(flags)?;
-    let engine =
-        SearchEngine::from_bundle(&data, blosum62(), config.clone()).map_err(|e| e.to_string())?;
+    let engine = load_engine(path, config.clone())?;
     let cap = flags.parsed("queue", 4usize)?.max(1);
     let report_dir = flags.get("report-dir").map(PathBuf::from);
     if let Some(dir) = &report_dir {

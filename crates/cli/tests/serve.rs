@@ -432,6 +432,45 @@ fn search_index_rejects_model_mismatch_cleanly() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("was built with seed model"), "{err}");
+
+    // An artifact this build cannot read — the previous format version
+    // (byte 8 is the version's low byte), a file that is no bundle, a
+    // damaged one — is refused by `search` and by `serve` alike, before
+    // the server announces itself, and the first two say what to do.
+    let good = std::fs::read(&bundle).unwrap();
+    let mut stale = good.clone();
+    stale[8] = 1;
+    let mut flipped = good.clone();
+    flipped[good.len() / 2] ^= 0x10;
+    for (bytes, needle) in [
+        (
+            &stale[..],
+            "format version 1, this build reads version 2; rebuild it with `psc index`",
+        ),
+        (
+            &b"\x89PNG\r\n\x1a\n, not a bundle"[..],
+            "not a PSC index bundle; rebuild it with `psc index`",
+        ),
+        (&flipped[..], "corrupt index: checksum mismatch"),
+        (&good[..good.len() - 1], "corrupt index: checksum mismatch"),
+    ] {
+        let path = dir.join("unreadable.psc");
+        std::fs::write(&path, bytes).unwrap();
+        for command in [
+            &["search", "--proteins", bank.to_str().unwrap()][..],
+            &["serve"],
+        ] {
+            let out = psc()
+                .args(command)
+                .args(["--index", path.to_str().unwrap()])
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(1), "{out:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains(needle) && !err.contains("panicked"), "{err}");
+            assert!(out.stdout.is_empty(), "{out:?}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

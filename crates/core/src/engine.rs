@@ -20,8 +20,7 @@
 //! simulated-board state is created per query, so queries never share
 //! mutable state.
 
-use psc_index::bundle::{BundleT0, IndexBundle};
-use psc_index::{deserialize_bundle, serialize_bundle, SeedIndex, SerialError};
+use psc_index::{deserialize_bundle, serialize_bundle, BundleT0, SeedIndex, SerialError};
 use psc_score::SubstitutionMatrix;
 use psc_seqio::{
     translate_six_frames, Bank, Frame, FrameCoord, GeneticCode, MaskConfig, Seq, TranslatedGenome,
@@ -76,8 +75,12 @@ impl From<PipelineError> for EngineError {
 pub struct SearchEngine {
     pipeline: Pipeline,
     matrix: SubstitutionMatrix,
-    translated: TranslatedGenome,
-    /// The six frames as bank 1, original residues (the step-3 view).
+    genome_id: String,
+    /// Genome length in nucleotides: what maps a frame position back
+    /// to the forward strand.
+    genome_len: usize,
+    /// The six frames as bank 1, original residues (the step-3 view),
+    /// in `Frame::ALL` order.
     frames_bank: Bank,
     /// Seeding view + T1 index of the frames.
     prep1: PreparedBank,
@@ -90,8 +93,8 @@ pub struct SearchEngine {
 impl std::fmt::Debug for SearchEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SearchEngine")
-            .field("genome_id", &self.translated.genome_id)
-            .field("genome_len", &self.translated.genome_len)
+            .field("genome_id", &self.genome_id)
+            .field("genome_len", &self.genome_len)
             .field("matrix", &self.matrix.name)
             .field("has_t0", &self.t0.is_some())
             .finish_non_exhaustive()
@@ -121,12 +124,14 @@ impl SearchEngine {
         rec: &dyn Recorder,
     ) -> SearchEngine {
         let pipeline = Pipeline::new(config);
-        let frames_bank = translated.to_bank();
+        let (genome_id, genome_len) = (translated.genome_id.clone(), translated.genome_len);
+        let frames_bank = translated.into_bank();
         let prep1 = pipeline.prepare_bank(1, &frames_bank, rec);
         SearchEngine {
             pipeline,
             matrix: matrix.clone(),
-            translated,
+            genome_id,
+            genome_len,
             frames_bank,
             prep1,
             t0: None,
@@ -137,10 +142,11 @@ impl SearchEngine {
     ///
     /// The bundle's checksum, seed-model fingerprint, matrix and mask
     /// configuration are all verified against `config`/`matrix` before
-    /// anything is used; the T1 index is taken from the artifact (that
-    /// is the amortization) while the cheap seeding-view flattening is
-    /// recomputed from the stored frames, so query results are
-    /// bit-identical to an engine built fresh from the genome.
+    /// anything is used; the frames and the T1 index are moved out of
+    /// the parsed artifact (that is the amortization) while the cheap
+    /// seeding-view flattening is recomputed from the frames, so query
+    /// results are bit-identical to an engine built fresh from the
+    /// genome.
     pub fn from_bundle(
         data: &[u8],
         matrix: &SubstitutionMatrix,
@@ -154,27 +160,20 @@ impl SearchEngine {
                 bundle.matrix.name, matrix.name
             )));
         }
-        if !mask_eq(&bundle.mask, &config.mask) {
+        if bundle.mask != config.mask {
             return Err(EngineError::BundleMismatch(format!(
                 "bundle was built with masking {}, this run uses {}",
                 mask_desc(&bundle.mask),
                 mask_desc(&config.mask)
             )));
         }
-        let frames: [Seq; 6] = bundle
-            .frames
-            .clone()
-            .try_into()
-            .map_err(|_| EngineError::Serial(SerialError::Corrupt("bundle frame count")))?;
-        let translated =
-            TranslatedGenome::from_parts(bundle.genome_id, bundle.genome_len as usize, frames);
-        let frames_bank = translated.to_bank();
-        let flat1 = seeding_flat(&config.mask, &frames_bank);
+        let flat1 = seeding_flat(&config.mask, &bundle.frames);
         Ok(SearchEngine {
             pipeline: Pipeline::new(config),
-            matrix: matrix.clone(),
-            translated,
-            frames_bank,
+            matrix: bundle.matrix,
+            genome_id: bundle.genome_id,
+            genome_len: bundle.genome_len as usize,
+            frames_bank: bundle.frames,
             prep1: PreparedBank::from_parts(flat1, bundle.t1),
             t0: bundle.t0,
         })
@@ -187,25 +186,22 @@ impl SearchEngine {
     pub fn to_bundle_bytes(&self, proteins: Option<&Bank>) -> Vec<u8> {
         let cfg = self.pipeline.config();
         let model = cfg.seed.model();
-        let t0 = proteins.map(|bank| BundleT0 {
-            bank: bank.clone(),
-            index: SeedIndex::build(
+        let t0_index = proteins.map(|bank| {
+            SeedIndex::build(
                 &seeding_flat(&cfg.mask, bank),
                 model.as_ref(),
                 cfg.index_threads,
-            ),
+            )
         });
-        let bundle = IndexBundle {
-            model_name: model.name(),
-            genome_id: self.translated.genome_id.clone(),
-            genome_len: self.translated.genome_len as u64,
-            frames: self.translated.frames().to_vec(),
-            mask: cfg.mask,
-            matrix: self.matrix.clone(),
-            t1: self.prep1.index().clone(),
-            t0,
-        };
-        serialize_bundle(&bundle, model.as_ref())
+        serialize_bundle(
+            model.as_ref(),
+            &self.genome_id,
+            self.genome_len as u64,
+            cfg.mask,
+            &self.matrix,
+            (&self.frames_bank, self.prep1.index()),
+            proteins.zip(t0_index.as_ref()),
+        )
     }
 
     /// The engine's configuration.
@@ -215,12 +211,12 @@ impl SearchEngine {
 
     /// Id of the genome this engine serves.
     pub fn genome_id(&self) -> &str {
-        &self.translated.genome_id
+        &self.genome_id
     }
 
     /// Genome length in nucleotides.
     pub fn genome_len(&self) -> usize {
-        self.translated.genome_len
+        self.genome_len
     }
 
     /// Whether the engine carries a T0 (protein-bank) section.
@@ -265,13 +261,12 @@ impl SearchEngine {
             .map(|h| {
                 let frame = Frame::ALL[h.seq1 as usize];
                 let aa_len = (h.end1 - h.start1) as usize;
-                let (genome_start, genome_end, forward) = self.translated.to_genome_interval(
-                    FrameCoord {
-                        frame,
-                        aa_pos: h.start1 as usize,
-                    },
-                    aa_len,
-                );
+                let coord = FrameCoord {
+                    frame,
+                    aa_pos: h.start1 as usize,
+                };
+                let (genome_start, genome_end, forward) =
+                    coord.to_genome_interval(self.genome_len, aa_len);
                 GenomeMatch {
                     protein_idx: h.seq0 as usize,
                     protein_id: proteins.get(h.seq0 as usize).id.clone(),
@@ -289,21 +284,6 @@ impl SearchEngine {
             .collect();
 
         Ok(GenomeSearchResult { matches, output })
-    }
-}
-
-/// Bit-level mask-config equality (f64 thresholds compared by bits: the
-/// indexes are only reusable under the *exact* masking they were built
-/// with).
-fn mask_eq(a: &Option<MaskConfig>, b: &Option<MaskConfig>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(x), Some(y)) => {
-            x.window == y.window
-                && x.trigger.to_bits() == y.trigger.to_bits()
-                && x.extend.to_bits() == y.extend.to_bits()
-        }
-        _ => false,
     }
 }
 
@@ -331,6 +311,7 @@ mod tests {
     use crate::genome::try_search_genome_traced;
     use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig};
     use psc_score::blosum62;
+    use psc_seqio::prng::for_cases;
     use psc_telemetry::{NullRecorder, NullTracer};
 
     fn workload() -> (Bank, Seq) {
@@ -425,6 +406,59 @@ mod tests {
             .query_traced(&other, &NullRecorder, &NullTracer)
             .unwrap();
         same_matches(&c, &c2);
+    }
+
+    /// A bundle is input from outside the program: one whose tables
+    /// were rewritten and then summed again is refused at load if a
+    /// position left its bank — step 2 would index out of bounds on it
+    /// at the first query — and answers queries if none did.
+    #[test]
+    fn resummed_bundle_with_a_position_outside_its_bank_is_refused() {
+        let (proteins, genome) = workload();
+        let matrix = blosum62();
+        let config = PipelineConfig::default();
+        let engine = SearchEngine::for_genome(&genome, matrix, config.clone(), &NullRecorder);
+        // A table's positions are the last words of its section: of the
+        // file for T1 without a T0 section, and for T0 with one.
+        let t1 = (
+            engine.to_bundle_bytes(None),
+            engine.prep1.index().total_positions(),
+            engine.frames_bank.total_residues() as u32,
+        );
+        let bytes = engine.to_bundle_bytes(Some(&proteins));
+        let loaded = SearchEngine::from_bundle(&bytes, matrix, config.clone()).unwrap();
+        let t0 = (
+            bytes,
+            loaded.t0.expect("T0 section").index.total_positions(),
+            proteins.total_residues() as u32,
+        );
+        for_cases(0xb0d1e, 48, |g| {
+            let (bytes, positions, bank_len) = if g.chance(0.5) { &t1 } else { &t0 };
+            let outside = g.chance(0.8);
+            let mut raw = bytes.clone();
+            for _ in 0..g.range(1usize..=8) {
+                let at = raw.len() - 4 * g.range(1..=*positions);
+                let pos = match outside {
+                    true => g.range(*bank_len..=u32::MAX),
+                    false => g.range(0..*bank_len),
+                };
+                raw[at..at + 4].copy_from_slice(&pos.to_le_bytes());
+            }
+            // The frame: magic, version and flags, the sum of those four
+            // bytes and of everything after it.
+            let sum = psc_index::fletcher64(&[&raw[8..12], &raw[20..]]);
+            raw[12..20].copy_from_slice(&sum.to_le_bytes());
+            match SearchEngine::from_bundle(&raw, matrix, config.clone()) {
+                Err(EngineError::Serial(SerialError::Corrupt(what))) if outside => {
+                    assert_eq!(what, "position outside its bank")
+                }
+                Ok(loaded) if !outside => {
+                    let answer = loaded.query_traced(&proteins, &NullRecorder, &NullTracer);
+                    answer.expect("positions inside the bank answer");
+                }
+                other => panic!("outside = {outside}: {other:?}"),
+            }
+        });
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!   paper uses one subset seed of span 4);
 //! * [`table`]: the CSR-layout index table with a parallel two-pass
 //!   builder;
+//! * [`bundle`]: the one on-disk artifact — frames, tables and scoring
+//!   behind the checksummed frame of [`serial`];
 //! * [`neighborhood`]: BLAST-style neighbourhood word generation (used by
 //!   the `psc-blast` baseline, not by the paper's pipeline).
 
@@ -23,10 +25,8 @@ pub mod seed;
 pub mod serial;
 pub mod table;
 
-pub use bundle::{
-    deserialize_bundle, peek_bundle, serialize_bundle, BundleInfo, BundleT0, IndexBundle,
-};
+pub use bundle::{deserialize_bundle, serialize_bundle, BundleT0, IndexBundle};
 pub use flat::FlatBank;
 pub use seed::{subset_seed_default, subset_seed_span3, ExactSeed, SeedModel, SubsetSeed};
-pub use serial::{deserialize_index, fletcher64, serialize_index, SerialError};
+pub use serial::{fletcher64, SerialError};
 pub use table::SeedIndex;

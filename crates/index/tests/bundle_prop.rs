@@ -3,8 +3,7 @@
 //! detected error — never a wrong answer.
 
 use psc_index::{
-    deserialize_bundle, serialize_bundle, BundleT0, ExactSeed, FlatBank, IndexBundle, SeedModel,
-    SerialError,
+    deserialize_bundle, BundleT0, ExactSeed, FlatBank, IndexBundle, SeedModel, SerialError,
 };
 use psc_score::blosum62;
 use psc_seqio::prng::{for_cases, SplitMix64};
@@ -34,13 +33,12 @@ fn build_bundle(
     mask: Option<MaskConfig>,
     genome_len: u64,
 ) -> IndexBundle {
-    let frames: Vec<Seq> = frame_residues
+    let frames: Bank = frame_residues
         .iter()
         .enumerate()
         .map(|(i, r)| Seq::from_codes(format!("g|frame{i}"), r.clone(), SeqKind::Protein))
         .collect();
-    let frames_bank: Bank = frames.iter().cloned().collect();
-    let t1 = psc_index::SeedIndex::build(&FlatBank::from_bank(&frames_bank), model, 1);
+    let t1 = psc_index::SeedIndex::build(&FlatBank::from_bank(&frames), model, 1);
     let t0 = t0_residues.map(|seqs| {
         let bank: Bank = seqs
             .iter()
@@ -51,7 +49,6 @@ fn build_bundle(
         BundleT0 { bank, index }
     });
     IndexBundle {
-        model_name: model.name(),
         genome_id: "g".to_string(),
         genome_len,
         frames,
@@ -59,36 +56,6 @@ fn build_bundle(
         matrix: blosum62().clone(),
         t1,
         t0,
-    }
-}
-
-fn assert_identity(a: &IndexBundle, b: &IndexBundle) {
-    assert_eq!(a.model_name, b.model_name);
-    assert_eq!(a.genome_id, b.genome_id);
-    assert_eq!(a.genome_len, b.genome_len);
-    assert_eq!(a.frames, b.frames);
-    assert_eq!(a.matrix, b.matrix);
-    assert_eq!(a.t1, b.t1);
-    match (&a.mask, &b.mask) {
-        (None, None) => {}
-        (Some(x), Some(y)) => {
-            assert_eq!(x.window, y.window);
-            assert_eq!(x.trigger.to_bits(), y.trigger.to_bits());
-            assert_eq!(x.extend.to_bits(), y.extend.to_bits());
-        }
-        other => panic!("mask sections differ: {other:?}"),
-    }
-    match (&a.t0, &b.t0) {
-        (None, None) => {}
-        (Some(x), Some(y)) => {
-            assert_eq!(x.index, y.index);
-            assert_eq!(x.bank.len(), y.bank.len());
-            for ((_, p), (_, q)) in x.bank.iter().zip(y.bank.iter()) {
-                assert_eq!(p.id, q.id);
-                assert_eq!(p.residues, q.residues);
-            }
-        }
-        _ => panic!("t0 sections differ in presence"),
     }
 }
 
@@ -103,12 +70,12 @@ fn round_trip_is_identity() {
         let mask = g.chance(0.5).then(MaskConfig::default);
         let genome_len = g.range(0u64..100_000);
         let bundle = build_bundle(&model, &frame_res, t0, mask, genome_len);
-        let bytes = serialize_bundle(&bundle, &model);
+        let bytes = bundle.to_bytes(&model);
         let back = deserialize_bundle(&bytes, &model).expect("round trip");
-        assert_identity(&bundle, &back);
+        assert_eq!(bundle, back);
         // A second serialization is byte-identical (the format is
         // canonical, so artifacts can be content-compared).
-        assert_eq!(serialize_bundle(&back, &model), bytes);
+        assert_eq!(back.to_bytes(&model), bytes);
     });
 }
 
@@ -122,7 +89,7 @@ fn truncation_at_every_boundary_is_detected() {
         let t0_res: Vec<Vec<u8>> = vec![vec![1, 2, 3, 4, 5, 6, 7, 8]];
         let t0 = g.chance(0.5).then_some(&t0_res[..]);
         let bundle = build_bundle(&model, &frame_res, t0, None, 9_000);
-        let bytes = serialize_bundle(&bundle, &model);
+        let bytes = bundle.to_bytes(&model);
         for cut in 0..bytes.len() {
             match deserialize_bundle(&bytes[..cut], &model) {
                 Err(SerialError::BadMagic)

@@ -431,17 +431,10 @@ impl std::fmt::Display for BoardFault {
 impl std::error::Error for BoardFault {}
 
 /// Fletcher-style checksum over a byte stream — the check the board
-/// runs on the DMA'd input before raising "data ready".
+/// runs on the DMA'd input before raising "data ready". The sum that
+/// guards an index bundle on disk.
 pub fn stream_checksum(parts: &[&[u8]]) -> u64 {
-    let mut a: u64 = 0xF1EA;
-    let mut b: u64 = 0x5EED;
-    for part in parts {
-        for &byte in *part {
-            a = (a + byte as u64 + 1) % 0xFFFF_FFFB;
-            b = (b + a) % 0xFFFF_FFFB;
-        }
-    }
-    (b << 32) | a
+    psc_index::fletcher64(parts)
 }
 
 /// Checksum over a result list, covering positions *and* scores — the
@@ -715,27 +708,6 @@ mod tests {
             stream_checksum(&[b"MKVL"]),
             stream_checksum(&[b"MKV"]),
             "truncation detected"
-        );
-    }
-
-    #[test]
-    fn index_serial_checksum_matches_board_discipline() {
-        // The v2 index artifact reuses this module's checksum discipline
-        // (`psc_index::fletcher64` is a dependency-order mirror of
-        // `stream_checksum`). Pin the equivalence so the two copies
-        // cannot drift apart silently.
-        let samples: [&[u8]; 4] = [b"", b"\x07", b"MKVLAWRN\x00\x00", &[0xFF; 300]];
-        for bytes in samples {
-            assert_eq!(
-                psc_index::fletcher64(&[bytes]),
-                stream_checksum(&[bytes]),
-                "fletcher64 diverged from stream_checksum on {bytes:?}"
-            );
-        }
-        assert_eq!(
-            psc_index::fletcher64(&[b"MKVL", b"AWRN"]),
-            stream_checksum(&[b"MKVLAWRN"]),
-            "part boundaries must not affect the sum"
         );
     }
 

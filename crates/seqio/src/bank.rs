@@ -7,7 +7,7 @@
 use crate::seq::{Seq, SeqKind};
 
 /// An ordered set of sequences of one alphabet.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Bank {
     seqs: Vec<Seq>,
     total_residues: usize,

@@ -11,7 +11,7 @@
 use crate::alphabet::{Aa, AA_STANDARD_LEN};
 
 /// Masker parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MaskConfig {
     /// Window length (SEG default: 12).
     pub window: usize,

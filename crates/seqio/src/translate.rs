@@ -78,17 +78,6 @@ pub struct TranslatedGenome {
 }
 
 impl TranslatedGenome {
-    /// Reassemble a translation from persisted parts (an index-bundle
-    /// load). `frames` must be in [`Frame::ALL`] order, as produced by
-    /// [`translate_six_frames`].
-    pub fn from_parts(genome_id: String, genome_len: usize, frames: [Seq; 6]) -> TranslatedGenome {
-        TranslatedGenome {
-            genome_id,
-            genome_len,
-            frames,
-        }
-    }
-
     /// Translated sequence for a frame.
     pub fn frame(&self, frame: Frame) -> &Seq {
         &self.frames[frame.index()]
@@ -105,22 +94,35 @@ impl TranslatedGenome {
         Bank::from_seqs(self.frames.to_vec())
     }
 
-    /// Map an amino-acid interval `[aa_start, aa_end)` of a frame back to
-    /// the genomic nucleotide interval `[start, end)` on the forward
-    /// strand. Returns `(start, end, is_forward_strand)`.
+    /// [`TranslatedGenome::to_bank`] without the copy.
+    pub fn into_bank(self) -> Bank {
+        Bank::from_seqs(self.frames.into())
+    }
+
+    /// [`FrameCoord::to_genome_interval`] on this genome.
     pub fn to_genome_interval(&self, coord: FrameCoord, aa_len: usize) -> (usize, usize, bool) {
+        coord.to_genome_interval(self.genome_len, aa_len)
+    }
+}
+
+impl FrameCoord {
+    /// Map the `aa_len` residues from this position back to the
+    /// nucleotide interval `[start, end)` they were translated from, on
+    /// the forward strand of a genome of `genome_len` nucleotides.
+    /// Returns `(start, end, is_forward_strand)`.
+    pub fn to_genome_interval(self, genome_len: usize, aa_len: usize) -> (usize, usize, bool) {
         let nt_span = aa_len * 3;
-        match coord.frame {
+        match self.frame {
             Frame::Plus(k) => {
-                let start = k as usize + coord.aa_pos * 3;
+                let start = k as usize + self.aa_pos * 3;
                 (start, start + nt_span, true)
             }
             Frame::Minus(k) => {
                 // Position p of the reverse complement maps to genome
                 // position L-1-p; a codon [s, s+3) on the rc therefore maps
                 // to [L-s-3, L-s) on the genome.
-                let rc_start = k as usize + coord.aa_pos * 3;
-                let end = self.genome_len - rc_start;
+                let rc_start = k as usize + self.aa_pos * 3;
+                let end = genome_len - rc_start;
                 (end - nt_span, end, false)
             }
         }

@@ -48,7 +48,7 @@ pub use json::{Json, JsonError};
 pub use recorder::{Histogram, MemRecorder, NullRecorder, Recorder, Snapshot, SpanGuard, SpanStat};
 pub use report::{
     BoardTelemetry, DetectorTelemetry, FaultTelemetry, FpgaTelemetry, RecoveryTelemetry, RunReport,
-    SpanReport, StepReport, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    SpanReport, StepReport, SCHEMA_VERSION,
 };
 pub use trace::{
     stage_of, InstantEvent, Lane, NullTracer, RingTracer, SpanEvent, Trace, TraceClock, Tracer,

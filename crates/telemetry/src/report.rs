@@ -14,14 +14,10 @@
 use crate::json::{Json, JsonError};
 use crate::recorder::{Histogram, Snapshot};
 
-/// Version written to every report. Schema v2 split the board's flat
-/// `faults` object into per-detector (`detectors`) and recovery
-/// (`recovery`) sub-objects; v1 reports still parse (and re-serialize
-/// upgraded to v2).
+/// Version written to every report, and the only one read. (Schema v1
+/// carried the board's `faults` as one flat object; v2 nests them
+/// per detector and per recovery action.)
 pub const SCHEMA_VERSION: u64 = 2;
-
-/// Oldest schema this build still reads.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
 
 /// One pipeline step's timing.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -322,14 +318,11 @@ impl RunReport {
         let version = require(json, "schema_version")?
             .as_u64()
             .ok_or("schema_version must be a non-negative integer")?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
+        if version != SCHEMA_VERSION {
             return Err(format!(
-                "unsupported schema_version {version} \
-                 (this build reads v{MIN_SCHEMA_VERSION}..=v{SCHEMA_VERSION})"
+                "unsupported schema_version {version} (this build reads v{SCHEMA_VERSION})"
             ));
         }
-        // Old reports parse but normalize: re-serializing writes the
-        // current schema.
         let mut report = RunReport {
             schema_version: SCHEMA_VERSION,
             ..RunReport::default()
@@ -548,25 +541,6 @@ fn faults_from_json(json: &Json) -> Result<FaultTelemetry, String> {
     let Some(f) = json.get("faults") else {
         return Ok(FaultTelemetry::default());
     };
-    // Schema v1 wrote one flat object; v2 nests detectors/recovery.
-    // Keyed on shape, not the version header, so hand-edited hybrids
-    // still parse.
-    if f.get("faults_injected").is_some() {
-        return Ok(FaultTelemetry {
-            injected: u64_field(f, "faults_injected")?,
-            detected: u64_field(f, "faults_detected")?,
-            detectors: DetectorTelemetry {
-                checksum: u64_field(f, "checksum_mismatches")?,
-                watchdog: u64_field(f, "watchdog_trips")?,
-                protocol: u64_field(f, "protocol_faults")?,
-            },
-            recovery: RecoveryTelemetry {
-                retries: u64_field(f, "retries")?,
-                entries_degraded: u64_field(f, "entries_degraded")?,
-                backoff_cycles: u64_field(f, "backoff_cycles")?,
-            },
-        });
-    }
     let det = require(f, "detectors")?;
     let rec = require(f, "recovery")?;
     Ok(FaultTelemetry {
@@ -787,57 +761,9 @@ mod tests {
         report.schema_version = SCHEMA_VERSION + 1;
         let err = RunReport::parse(&report.to_json_string()).unwrap_err();
         assert!(err.contains("unsupported schema_version"), "{err}");
-        report.schema_version = MIN_SCHEMA_VERSION - 1;
+        report.schema_version = SCHEMA_VERSION - 1;
         let err = RunReport::parse(&report.to_json_string()).unwrap_err();
         assert!(err.contains("unsupported schema_version"), "{err}");
-    }
-
-    #[test]
-    fn schema_v1_flat_faults_parse_and_upgrade() {
-        // A report as PR 4 wrote it: version 1, one flat faults object.
-        let v1 = r#"{
-          "schema_version": 1,
-          "meta": {"backend": "rasc"},
-          "steps": [{"name": "step2", "wall_seconds": 1.0}],
-          "counters": {},
-          "spans": [],
-          "histograms": [],
-          "board": {
-            "pe_count": 192,
-            "fpga": [],
-            "bytes_in": 1, "bytes_out": 1,
-            "wire_in_seconds": 0.0, "wire_out_seconds": 0.0,
-            "sync_seconds": 0.0, "setup_seconds": 0.0,
-            "accelerated_seconds": 0.5,
-            "entries": 1, "hit_count": 1,
-            "faults": {
-              "faults_injected": 7, "faults_detected": 6,
-              "checksum_mismatches": 3, "watchdog_trips": 1,
-              "protocol_faults": 2, "retries": 5,
-              "entries_degraded": 1, "backoff_cycles": 3840
-            }
-          }
-        }"#;
-        let report = RunReport::parse(v1).expect("v1 parses");
-        // Normalized forward to the current schema.
-        assert_eq!(report.schema_version, SCHEMA_VERSION);
-        let f = report.board.as_ref().unwrap().faults;
-        assert_eq!(f.injected, 7);
-        assert_eq!(f.detected, 6);
-        assert_eq!(f.detectors.checksum, 3);
-        assert_eq!(f.detectors.watchdog, 1);
-        assert_eq!(f.detectors.protocol, 2);
-        assert_eq!(f.detectors.total(), 6);
-        assert_eq!(f.recovery.retries, 5);
-        assert_eq!(f.recovery.entries_degraded, 1);
-        assert_eq!(f.recovery.backoff_cycles, 3840);
-        // Re-serialization writes the nested v2 shape.
-        let text = report.to_json_string();
-        assert!(text.contains("\"detectors\""), "{text}");
-        assert!(text.contains("\"recovery\""), "{text}");
-        assert!(!text.contains("faults_injected"), "{text}");
-        let back = RunReport::parse(&text).unwrap();
-        assert_eq!(back.board.unwrap().faults, f);
     }
 
     #[test]
