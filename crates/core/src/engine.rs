@@ -408,6 +408,25 @@ mod tests {
         same_matches(&c, &c2);
     }
 
+    /// Sum a rewritten bundle again and load it: refused as
+    /// `Corrupt(refused)`, or — `None` — loaded, and answering a query.
+    fn load_resummed(mut raw: Vec<u8>, refused: Option<&str>, proteins: &Bank) {
+        // The frame: magic, version and flags, the sum of those four
+        // bytes and of everything after it.
+        let sum = psc_index::fletcher64(&[&raw[8..12], &raw[20..]]);
+        raw[12..20].copy_from_slice(&sum.to_le_bytes());
+        match SearchEngine::from_bundle(&raw, blosum62(), PipelineConfig::default()) {
+            Err(EngineError::Serial(SerialError::Corrupt(what))) => {
+                assert_eq!(Some(what), refused)
+            }
+            Ok(loaded) if refused.is_none() => {
+                let answer = loaded.query_traced(proteins, &NullRecorder, &NullTracer);
+                answer.expect("a bundle that loads answers");
+            }
+            other => panic!("expected {refused:?}: {other:?}"),
+        }
+    }
+
     /// A bundle is input from outside the program: one whose tables
     /// were rewritten and then summed again is refused at load if a
     /// position left its bank — step 2 would index out of bounds on it
@@ -444,21 +463,72 @@ mod tests {
                 };
                 raw[at..at + 4].copy_from_slice(&pos.to_le_bytes());
             }
-            // The frame: magic, version and flags, the sum of those four
-            // bytes and of everything after it.
-            let sum = psc_index::fletcher64(&[&raw[8..12], &raw[20..]]);
-            raw[12..20].copy_from_slice(&sum.to_le_bytes());
-            match SearchEngine::from_bundle(&raw, matrix, config.clone()) {
-                Err(EngineError::Serial(SerialError::Corrupt(what))) if outside => {
-                    assert_eq!(what, "position outside its bank")
-                }
-                Ok(loaded) if !outside => {
-                    let answer = loaded.query_traced(&proteins, &NullRecorder, &NullTracer);
-                    answer.expect("positions inside the bank answer");
-                }
-                other => panic!("outside = {outside}: {other:?}"),
-            }
+            let refused = outside.then_some("position outside its bank");
+            load_resummed(raw, refused, &proteins);
         });
+    }
+
+    /// Likewise a residue: the score matrix, the key rows and the lane
+    /// tables are indexed by residue code unchecked, so a code outside
+    /// the alphabet — in a frame or in the T0 bank — is refused at load
+    /// (in a release build it panicked in the matrix at the first query,
+    /// or silently read a neighbouring cell), and an in-range rewrite
+    /// still loads and answers.
+    #[test]
+    fn resummed_bundle_with_a_residue_outside_the_alphabet_is_refused() {
+        let (proteins, genome) = workload();
+        let matrix = blosum62();
+        let config = PipelineConfig::default();
+        let engine = SearchEngine::for_genome(&genome, matrix, config.clone(), &NullRecorder);
+        let bytes = engine.to_bundle_bytes(Some(&proteins));
+        // Sequences are stored verbatim — the frames first, the T0 bank
+        // after every copy the frames hold of a planted protein.
+        let stored = |seq: &Seq, found: Option<usize>| {
+            let start = found.expect("stored verbatim");
+            start..start + seq.len()
+        };
+        let hits = |s: &Seq| bytes.windows(s.len());
+        let frames = engine.frames_bank.seqs().iter();
+        let frames = frames.map(|s| stored(s, hits(s).position(|w| w == s.residues)));
+        let t0 = proteins.seqs().iter();
+        let t0 = t0.map(|s| stored(s, hits(s).rposition(|w| w == s.residues)));
+        let runs: Vec<_> = frames.chain(t0).collect();
+        assert!(runs[5].end < runs[6].start, "T0 bank after the frames");
+        for_cases(0xa1fa, 48, |g| {
+            let outside = g.chance(0.7);
+            let mut raw = bytes.clone();
+            let run = g.select(&runs).clone();
+            raw[g.range(run)] = match outside {
+                true => *g.select(&[24, 255]),
+                false => g.range(0..24),
+            };
+            let refused = outside.then_some("residue code out of range");
+            load_resummed(raw, refused, &proteins);
+        });
+    }
+
+    /// And the genome length, which maps a minus-strand hit back to the
+    /// forward strand as `genome_len - …`: understated, that subtraction
+    /// went below zero on the first such hit. The six frame lengths
+    /// determine the length, so any other value is refused.
+    #[test]
+    fn resummed_bundle_misstating_its_genome_length_is_refused() {
+        let (proteins, genome) = workload();
+        let matrix = blosum62();
+        let config = PipelineConfig::default();
+        let engine = SearchEngine::for_genome(&genome, matrix, config.clone(), &NullRecorder);
+        let bytes = engine.to_bundle_bytes(None);
+        // After the frame: the model name and the genome id, each
+        // behind a `u32` length.
+        let at = 20 + 4 + config.seed.model().name().len() + 4 + genome.id.len();
+        let len = genome.len() as u64;
+        assert_eq!(bytes[at..at + 8], len.to_le_bytes());
+        for stated in [len - 3, len - 300, 0, len - 1, len + 3] {
+            let mut raw = bytes.clone();
+            raw[at..at + 8].copy_from_slice(&stated.to_le_bytes());
+            let refused = "frame length does not match genome length";
+            load_resummed(raw, Some(refused), &proteins);
+        }
     }
 
     #[test]

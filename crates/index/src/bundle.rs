@@ -14,12 +14,13 @@
 //! The frame's checksum is verified before any section is parsed, and
 //! each table is then checked against the bank it indexes — offsets a
 //! monotone prefix sum over the positions, every position inside the
-//! bank: a loaded bundle cannot give different results and cannot send
-//! a query out of bounds.
+//! bank — every residue against the alphabet and every frame's length
+//! against the genome's: a loaded bundle cannot give different results
+//! and cannot send a query out of bounds.
 
 use psc_score::SubstitutionMatrix;
 use psc_seqio::alphabet::AA_ALPHABET_LEN;
-use psc_seqio::{Bank, MaskConfig, Seq, SeqKind};
+use psc_seqio::{Bank, Frame, MaskConfig, Seq, SeqKind};
 
 use crate::seed::SeedModel;
 use crate::serial::{begin, open, put_table, put_u64, seal, Reader, SerialError};
@@ -147,8 +148,15 @@ impl Reader<'_> {
         for _ in 0..count {
             let id = self.str(what)?;
             let len = self.u64(what)? as usize;
-            let residues = self.take(len, what)?.to_vec();
-            seqs.push(Seq::from_codes(id, residues, SeqKind::Protein));
+            // The score matrix, the key rows and the lane tables are
+            // indexed by residue code, unchecked. (`max` over copies is
+            // a vector reduction; over references it is 30 × slower.)
+            let residues = self.take(len, what)?;
+            let max = residues.iter().copied().max().unwrap_or(0);
+            if max as usize >= AA_ALPHABET_LEN {
+                return Err(SerialError::Corrupt("residue code out of range"));
+            }
+            seqs.push(Seq::from_codes(id, residues.to_vec(), SeqKind::Protein));
         }
         Ok(Bank::from_seqs(seqs))
     }
@@ -165,6 +173,15 @@ pub fn deserialize_bundle(data: &[u8], model: &dyn SeedModel) -> Result<IndexBun
     let genome_id = r.str("genome id truncated")?;
     let genome_len = r.u64("genome length truncated")?;
     let frames = r.bank(FRAME_COUNT, "frame section truncated")?;
+    // A frame longer than its genome would take the minus-strand
+    // arithmetic of `FrameCoord::to_genome_interval` below zero.
+    for (frame, seq) in Frame::ALL.iter().zip(frames.seqs()) {
+        if seq.len() != frame.translated_len(genome_len as usize) {
+            return Err(SerialError::Corrupt(
+                "frame length does not match genome length",
+            ));
+        }
+    }
     let mask = if flags & FLAG_MASKED != 0 {
         Some(MaskConfig {
             window: r.u64("mask section truncated")? as usize,
@@ -224,8 +241,11 @@ mod tests {
         ExactSeed::new(2)
     }
 
+    const GENOME_LEN: usize = 322;
+
     fn sample_bundle(with_t0: bool, mask: Option<MaskConfig>) -> IndexBundle {
-        let frames: Bank = (0..6).map(|i| frame(i, 90 + i * 7)).collect();
+        let frame_len = |i: usize| Frame::ALL[i].translated_len(GENOME_LEN);
+        let frames: Bank = (0..6).map(|i| frame(i, frame_len(i))).collect();
         let model = sample_model();
         let t1 = SeedIndex::build(&FlatBank::from_bank(&frames), &model, 1);
         let t0 = with_t0.then(|| {
@@ -235,7 +255,7 @@ mod tests {
         });
         IndexBundle {
             genome_id: "g".to_string(),
-            genome_len: 2048,
+            genome_len: GENOME_LEN as u64,
             frames,
             mask,
             matrix: blosum62().clone(),

@@ -10,21 +10,62 @@
 
 use psc_seqio::alphabet::AA_STANDARD_LEN;
 
+/// What a window keys to when a residue in it cannot seed, and above
+/// every real key: see [`key_rows`].
+pub(crate) const NO_KEY: u32 = 1 << 28;
+
+/// One seed position as data: what each residue byte adds to a key.
+pub(crate) type KeyRow = [u32; 256];
+
 /// A seed model: fixed span, finite key space, and a keying function.
+///
+/// A key is a mixed-radix sum — one alphabet partition per position,
+/// the first position most significant (Roytberg et al.'s subset seed) —
+/// so a model is fully described by [`SeedModel::contribution`].
 pub trait SeedModel: Send + Sync {
-    /// Number of residues a seed covers (the paper's `W`).
+    /// Number of residues a seed covers (the paper's `W`), 1 to 6.
     fn span(&self) -> usize;
 
-    /// Size of the key space (number of index-table entries).
+    /// Size of the key space (number of index-table entries), at most
+    /// `1 << 28`.
     fn key_count(&self) -> usize;
+
+    /// What standard residue `residue` (a code under 20) adds to a
+    /// window's key at seed position `pos`: its group there times the
+    /// position's place value.
+    fn contribution(&self, pos: usize, residue: u8) -> u32;
 
     /// Key of a window of `span()` residues, or `None` when the window
     /// contains a residue the model cannot map (non-standard residues —
-    /// `X`, stops, B/Z — never seed, mirroring BLAST's masking).
-    fn key(&self, window: &[u8]) -> Option<u32>;
+    /// `X`, stops, B/Z — never seed, mirroring BLAST's masking). This is
+    /// the definition; the index build sums [`key_rows`] instead.
+    fn key(&self, window: &[u8]) -> Option<u32> {
+        debug_assert_eq!(window.len(), self.span());
+        window.iter().enumerate().try_fold(0, |key, (pos, &c)| {
+            ((c as usize) < AA_STANDARD_LEN).then(|| key + self.contribution(pos, c))
+        })
+    }
 
     /// Human-readable model name for reports.
     fn name(&self) -> String;
+}
+
+/// The model as a table, one row per seed position: a standard
+/// residue's [`SeedModel::contribution`], [`NO_KEY`] for every other
+/// byte. A window's key is then `span` loads and `span − 1` adds, and
+/// is `≥ NO_KEY` iff some residue in it cannot seed — real keys stay
+/// under `key_count ≤ NO_KEY`, and six entries cannot wrap a `u32`. 256
+/// entries, so any byte indexes in bounds.
+pub(crate) fn key_rows(model: &dyn SeedModel) -> Vec<KeyRow> {
+    assert!(model.key_count() <= NO_KEY as usize, "key space too large");
+    (0..model.span())
+        .map(|pos| {
+            std::array::from_fn(|c| match c < AA_STANDARD_LEN {
+                true => model.contribution(pos, c as u8),
+                false => NO_KEY,
+            })
+        })
+        .collect()
 }
 
 /// Exact W-mer seed: two windows share a key iff they are identical.
@@ -51,17 +92,8 @@ impl SeedModel for ExactSeed {
         AA_STANDARD_LEN.pow(self.w as u32)
     }
 
-    #[inline]
-    fn key(&self, window: &[u8]) -> Option<u32> {
-        debug_assert_eq!(window.len(), self.w);
-        let mut key = 0u32;
-        for &c in window {
-            if c as usize >= AA_STANDARD_LEN {
-                return None;
-            }
-            key = key * AA_STANDARD_LEN as u32 + c as u32;
-        }
-        Some(key)
+    fn contribution(&self, pos: usize, residue: u8) -> u32 {
+        residue as u32 * (AA_STANDARD_LEN as u32).pow((self.w - 1 - pos) as u32)
     }
 
     fn name(&self) -> String {
@@ -142,12 +174,15 @@ pub struct SubsetSeed {
 
 impl SubsetSeed {
     pub fn new(positions: Vec<PositionClasses>) -> SubsetSeed {
-        assert!(!positions.is_empty());
+        assert!(
+            (1..=6).contains(&positions.len()),
+            "subset seed span must be 1..=6"
+        );
         let key_count = positions
             .iter()
             .try_fold(1usize, |acc, p| acc.checked_mul(p.groups as usize))
             .expect("key space overflow");
-        assert!(key_count <= 1 << 28, "key space too large to tabulate");
+        assert!(key_count <= NO_KEY as usize, "key space too large");
         SubsetSeed {
             positions,
             key_count,
@@ -164,17 +199,10 @@ impl SeedModel for SubsetSeed {
         self.key_count
     }
 
-    #[inline]
-    fn key(&self, window: &[u8]) -> Option<u32> {
-        debug_assert_eq!(window.len(), self.positions.len());
-        let mut key = 0u32;
-        for (pos, &c) in self.positions.iter().zip(window) {
-            if c as usize >= AA_STANDARD_LEN {
-                return None;
-            }
-            key = key * pos.groups as u32 + pos.map[c as usize] as u32;
-        }
-        Some(key)
+    fn contribution(&self, pos: usize, residue: u8) -> u32 {
+        let later = &self.positions[pos + 1..];
+        let place: u32 = later.iter().map(|p| p.groups as u32).product();
+        self.positions[pos].map[residue as usize] as u32 * place
     }
 
     fn name(&self) -> String {
@@ -204,7 +232,7 @@ pub fn subset_seed_span3() -> SubsetSeed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psc_seqio::alphabet::encode_protein;
+    use psc_seqio::alphabet::{encode_protein, AA_ALPHABET_LEN};
 
     #[test]
     fn exact_seed_keys_distinct_windows() {
@@ -288,6 +316,54 @@ mod tests {
             let k = s.key(&w).unwrap();
             assert!((k as usize) < s.key_count());
         }
+    }
+
+    /// Every window over all 24 residue codes (24^span of them, first
+    /// position slowest): the row sum the index build computes and the
+    /// provided `key()` agree, `None` ⇔ `≥ NO_KEY`, and the key stream
+    /// is the one the hand-written `key` bodies of PR 22 produced — the
+    /// digests are `fletcher64` over `key.unwrap_or(u32::MAX)` as
+    /// little-endian words, computed with that build.
+    #[test]
+    fn row_sums_equal_key_on_every_window_and_the_stream_is_pinned() {
+        let models: [(Box<dyn SeedModel>, u64); 5] = [
+            (Box::new(subset_seed_default()), 0x79bd_6771_0c19_8e5a),
+            (Box::new(subset_seed_span3()), 0xaf8e_f71f_006b_06c1),
+            (Box::new(ExactSeed::new(2)), 0x136d_bafd_0004_6072),
+            (Box::new(ExactSeed::new(3)), 0x9671_9deb_006d_c00a),
+            (Box::new(ExactSeed::new(4)), 0xa7e2_b4cd_0cd7_976a),
+        ];
+        for (model, pinned) in &models {
+            let (span, rows) = (model.span(), key_rows(model.as_ref()));
+            assert_eq!(rows.len(), span);
+            let mut stream = Vec::new();
+            for n in 0..AA_ALPHABET_LEN.pow(span as u32) {
+                let digit = |i| (n / AA_ALPHABET_LEN.pow(i as u32) % AA_ALPHABET_LEN) as u8;
+                let window: Vec<u8> = (0..span).rev().map(digit).collect();
+                let sum: u32 = rows.iter().zip(&window).map(|(r, &c)| r[c as usize]).sum();
+                let key = model.key(&window);
+                assert_eq!(key, (sum < NO_KEY).then_some(sum), "{window:?}");
+                assert!(key.is_none_or(|k| (k as usize) < model.key_count()));
+                stream.extend_from_slice(&key.unwrap_or(u32::MAX).to_le_bytes());
+            }
+            let name = model.name();
+            assert_eq!(crate::fletcher64(&[&stream]), *pinned, "{name}");
+        }
+    }
+
+    /// Bytes no encoder emits still index a row in bounds and never seed.
+    #[test]
+    fn rows_refuse_every_byte_past_the_standard_residues() {
+        for row in key_rows(&subset_seed_default()) {
+            assert!(row[..AA_STANDARD_LEN].iter().all(|&k| k < NO_KEY));
+            assert!(row[AA_STANDARD_LEN..].iter().all(|&k| k == NO_KEY));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "span must be 1..=6")]
+    fn subset_seed_span_bounds() {
+        SubsetSeed::new(vec![murphy10(); 7]);
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! counting sort — count keys, prefix-sum, scatter — parallelised over
 //! contiguous ranges of sequences with per-thread histograms, so each
 //! `(thread, key)` pair owns a disjoint output range and pass 2 writes
-//! without synchronisation.
+//! without synchronisation. Both passes key windows through one loop,
+//! [`for_each_key`], over the model as a table ([`key_rows`]): no call
+//! per window.
 
 use std::thread;
 
 use crate::flat::FlatBank;
-use crate::seed::SeedModel;
+use crate::seed::{key_rows, KeyRow, SeedModel, NO_KEY};
 
 /// Summary statistics of an index (used by reports and by the operator's
 /// batch scheduler).
@@ -36,6 +38,19 @@ impl SeedIndex {
     pub fn build(flat: &FlatBank, model: &dyn SeedModel, threads: usize) -> SeedIndex {
         let threads = threads.max(1);
         let key_count = model.key_count();
+        let rows = &key_rows(model);
+        let count = |chunk| {
+            let mut hist = vec![0u32; key_count];
+            keys_of_chunk(flat, rows, chunk, |_, key| hist[key as usize] += 1);
+            hist
+        };
+        let scatter = |chunk, cursor: &mut [u32], out: &mut [u32]| {
+            keys_of_chunk(flat, rows, chunk, |pos, key| {
+                let c = &mut cursor[key as usize];
+                out[*c as usize] = pos;
+                *c += 1;
+            })
+        };
 
         // Partition sequences into contiguous chunks of roughly equal
         // residue mass.
@@ -45,12 +60,12 @@ impl SeedIndex {
         // Pass 1: per-chunk histograms.
         let mut histograms: Vec<Vec<u32>> = Vec::with_capacity(nchunks);
         if nchunks == 1 {
-            histograms.push(count_chunk(flat, model, chunks[0]));
+            histograms.push(count(chunks[0]));
         } else {
             thread::scope(|s| {
                 let handles: Vec<_> = chunks
                     .iter()
-                    .map(|&range| s.spawn(move || count_chunk(flat, model, range)))
+                    .map(|&range| s.spawn(move || count(range)))
                     .collect();
                 for h in handles {
                     histograms.push(h.join().expect("index counter panicked"));
@@ -90,7 +105,7 @@ impl SeedIndex {
         // pointer.
         let mut positions = vec![0u32; total];
         if nchunks == 1 {
-            scatter_chunk(flat, model, chunks[0], &mut cursors[0], &mut positions);
+            scatter(chunks[0], &mut cursors[0], &mut positions);
         } else {
             let writer = DisjointWriter(positions.as_mut_ptr());
             thread::scope(|s| {
@@ -102,7 +117,7 @@ impl SeedIndex {
                         // SAFETY: every write lands inside this chunk's
                         // cursor ranges, disjoint from all other chunks'.
                         let out = unsafe { std::slice::from_raw_parts_mut(writer.0, total) };
-                        scatter_chunk(flat, model, range, cursor, out);
+                        scatter(range, cursor, out);
                     });
                 }
             });
@@ -231,47 +246,43 @@ fn sequence_chunks(flat: &FlatBank, threads: usize) -> Vec<(usize, usize)> {
     chunks
 }
 
-fn count_chunk(flat: &FlatBank, model: &dyn SeedModel, (s0, s1): (usize, usize)) -> Vec<u32> {
-    let span = model.span();
-    let mut hist = vec![0u32; model.key_count()];
-    let residues = flat.residues();
+/// Call `f(position, key)` for every window of sequences `s0..s1` that
+/// seeds, in position order. A key is one load per seed position out of
+/// `rows`, summed, and is `≥ NO_KEY` iff a residue of the window cannot
+/// seed ([`key_rows`]); windows are taken per sequence, so none crosses
+/// a boundary.
+#[inline]
+fn for_each_key<const SPAN: usize>(
+    flat: &FlatBank,
+    rows: &[KeyRow],
+    (s0, s1): (usize, usize),
+    mut f: impl FnMut(u32, u32),
+) {
+    let rows: &[KeyRow; SPAN] = rows.try_into().expect("one row per seed position");
     for seq in s0..s1 {
         let (lo, hi) = flat.bounds_of(seq);
-        let (lo, hi) = (lo as usize, hi as usize);
-        if hi - lo < span {
-            continue;
-        }
-        for pos in lo..=hi - span {
-            if let Some(k) = model.key(&residues[pos..pos + span]) {
-                hist[k as usize] += 1;
+        let r = &flat.residues()[lo as usize..hi as usize];
+        for (window, pos) in r.windows(SPAN).zip(lo..) {
+            let loads = rows.iter().zip(window).map(|(row, &c)| row[c as usize]);
+            let key: u32 = loads.sum();
+            if key < NO_KEY {
+                f(pos, key);
             }
         }
     }
-    hist
 }
 
-fn scatter_chunk(
-    flat: &FlatBank,
-    model: &dyn SeedModel,
-    (s0, s1): (usize, usize),
-    cursor: &mut [u32],
-    out: &mut [u32],
-) {
-    let span = model.span();
-    let residues = flat.residues();
-    for seq in s0..s1 {
-        let (lo, hi) = flat.bounds_of(seq);
-        let (lo, hi) = (lo as usize, hi as usize);
-        if hi - lo < span {
-            continue;
-        }
-        for pos in lo..=hi - span {
-            if let Some(k) = model.key(&residues[pos..pos + span]) {
-                let c = &mut cursor[k as usize];
-                out[*c as usize] = pos as u32;
-                *c += 1;
-            }
-        }
+/// [`for_each_key`] at the span of `rows`: the one place a model's span
+/// becomes a constant of the loop.
+fn keys_of_chunk(flat: &FlatBank, rows: &[KeyRow], chunk: (usize, usize), f: impl FnMut(u32, u32)) {
+    match rows.len() {
+        1 => for_each_key::<1>(flat, rows, chunk, f),
+        2 => for_each_key::<2>(flat, rows, chunk, f),
+        3 => for_each_key::<3>(flat, rows, chunk, f),
+        4 => for_each_key::<4>(flat, rows, chunk, f),
+        5 => for_each_key::<5>(flat, rows, chunk, f),
+        6 => for_each_key::<6>(flat, rows, chunk, f),
+        span => panic!("seed span {span} outside 1..=6"),
     }
 }
 
@@ -291,7 +302,12 @@ unsafe impl Sync for DisjointWriter {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seed::{subset_seed_default, ExactSeed};
+    use crate::seed::{
+        murphy10, murphy15, subset_seed_default, subset_seed_span3, ExactSeed, PositionClasses,
+        SubsetSeed,
+    };
+    use psc_seqio::alphabet::Aa;
+    use psc_seqio::prng::{for_cases, SplitMix64};
     use psc_seqio::{Bank, Seq};
 
     fn small_bank() -> Bank {
@@ -351,6 +367,68 @@ mod tests {
             assert_eq!(par.offsets, seq.offsets, "threads={threads}");
             assert_eq!(par.positions, seq.positions, "threads={threads}");
         }
+    }
+
+    /// The build against its definition, not against itself: every
+    /// window keyed through `SeedModel::key`, stable-sorted by key. Banks
+    /// carry `B`/`X`/`*`, empty sequences and sequences shorter than the
+    /// span; the models cover every span the keying loop is instantiated
+    /// for; every thread count must give the reference's bytes.
+    #[test]
+    fn build_equals_the_naive_reference_at_every_thread_count() {
+        let coarse = || PositionClasses::from_groups("coarse", "LVIMCAG|STPFYW|EDNQKRH");
+        let mut span6 = vec![coarse(); 6];
+        (span6[0], span6[5]) = (murphy10(), murphy15());
+        let models: [Box<dyn SeedModel>; 6] = [
+            Box::new(ExactSeed::new(1)),
+            Box::new(ExactSeed::new(2)),
+            Box::new(subset_seed_span3()),
+            Box::new(subset_seed_default()),
+            Box::new(SubsetSeed::new(vec![coarse(); 5])),
+            Box::new(SubsetSeed::new(span6)),
+        ];
+        for_cases(0x1dc0de, 240, |g| {
+            let model = g.select(&models).as_ref();
+            let span = model.span();
+            let bank: Bank = (0..g.range(1usize..=40))
+                .map(|i| {
+                    let len = match g.range(0u32..4) {
+                        0 => 0,
+                        1 => g.range(0..span),
+                        _ => g.range(span..80),
+                    };
+                    let residue = |g: &mut SplitMix64| match g.chance(0.1) {
+                        true => Aa::from_ascii_lossy(*g.select(b"BX*")).0,
+                        false => g.range(0u8..20),
+                    };
+                    let codes = g.vec(len..=len, residue);
+                    Seq::from_codes(format!("s{i}"), codes, psc_seqio::SeqKind::Protein)
+                })
+                .collect();
+            let flat = FlatBank::from_bank(&bank);
+
+            let mut keyed = Vec::new();
+            for seq in 0..flat.seq_count() {
+                let (lo, hi) = flat.bounds_of(seq);
+                for pos in lo as usize..(hi as usize + 1).saturating_sub(span) {
+                    if let Some(key) = model.key(&flat.residues()[pos..pos + span]) {
+                        keyed.push((key as usize, pos as u32));
+                    }
+                }
+            }
+            keyed.sort_by_key(|&(key, _)| key);
+            let offsets: Vec<u32> = (0..=model.key_count())
+                .map(|k| keyed.partition_point(|&(key, _)| key < k) as u32)
+                .collect();
+            let positions: Vec<u32> = keyed.iter().map(|&(_, pos)| pos).collect();
+
+            for threads in [1, 2, 3, 8] {
+                let idx = SeedIndex::build(&flat, model, threads);
+                let what = format!("{} at {threads} threads", model.name());
+                assert_eq!(idx.offsets, offsets, "{what}");
+                assert_eq!(idx.positions, positions, "{what}");
+            }
+        });
     }
 
     #[test]

@@ -7,7 +7,7 @@ use psc_index::{
 };
 use psc_score::blosum62;
 use psc_seqio::prng::{for_cases, SplitMix64};
-use psc_seqio::{Bank, MaskConfig, Seq, SeqKind};
+use psc_seqio::{Bank, Frame, MaskConfig, Seq, SeqKind};
 
 /// Arbitrary protein residue codes over the full 24-letter alphabet
 /// (ambiguity codes included — they index nothing but must survive the
@@ -16,9 +16,15 @@ fn residues(g: &mut SplitMix64) -> Vec<u8> {
     g.vec(0..60, |g| g.range(0u8..24))
 }
 
-/// Exactly six frames of arbitrary residues.
-fn frames(g: &mut SplitMix64) -> Vec<Vec<u8>> {
-    g.vec(6..=6, residues)
+/// A genome length, and six frames of arbitrary residues as long as
+/// that genome's frames are.
+fn frames(g: &mut SplitMix64) -> (u64, Vec<Vec<u8>>) {
+    let genome_len = g.range(0usize..180);
+    let frame = |f: &Frame| {
+        let len = f.translated_len(genome_len);
+        g.vec(len..=len, |g| g.range(0u8..24))
+    };
+    (genome_len as u64, Frame::ALL.iter().map(frame).collect())
 }
 
 /// 0–3 arbitrary protein sequences for the optional T0 section.
@@ -64,11 +70,10 @@ fn build_bundle(
 #[test]
 fn round_trip_is_identity() {
     for_cases(0x1d01, 256, |g| {
-        let (frame_res, t0_res) = (frames(g), t0_bank(g));
+        let ((genome_len, frame_res), t0_res) = (frames(g), t0_bank(g));
         let model = ExactSeed::new(g.range(2usize..4));
         let t0 = g.chance(0.5).then_some(&t0_res[..]);
         let mask = g.chance(0.5).then(MaskConfig::default);
-        let genome_len = g.range(0u64..100_000);
         let bundle = build_bundle(&model, &frame_res, t0, mask, genome_len);
         let bytes = bundle.to_bytes(&model);
         let back = deserialize_bundle(&bytes, &model).expect("round trip");
@@ -84,11 +89,11 @@ fn round_trip_is_identity() {
 #[test]
 fn truncation_at_every_boundary_is_detected() {
     for_cases(0x1d02, 6, |g| {
-        let frame_res = frames(g);
+        let (genome_len, frame_res) = frames(g);
         let model = ExactSeed::new(2);
         let t0_res: Vec<Vec<u8>> = vec![vec![1, 2, 3, 4, 5, 6, 7, 8]];
         let t0 = g.chance(0.5).then_some(&t0_res[..]);
-        let bundle = build_bundle(&model, &frame_res, t0, None, 9_000);
+        let bundle = build_bundle(&model, &frame_res, t0, None, genome_len);
         let bytes = bundle.to_bytes(&model);
         for cut in 0..bytes.len() {
             match deserialize_bundle(&bytes[..cut], &model) {

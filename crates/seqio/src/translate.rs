@@ -10,7 +10,7 @@
 use crate::alphabet::Nt;
 use crate::bank::Bank;
 use crate::codon::GeneticCode;
-use crate::seq::{reverse_complement_codes, Seq, SeqKind};
+use crate::seq::{Seq, SeqKind};
 
 /// One of the six reading frames.
 ///
@@ -41,6 +41,13 @@ impl Frame {
             Frame::Plus(k) => k as i8 + 1,
             Frame::Minus(k) => -(k as i8 + 1),
         }
+    }
+
+    /// Residues in this frame of a genome of `genome_len` nucleotides:
+    /// the whole codons after the frame's strand offset.
+    pub fn translated_len(self, genome_len: usize) -> usize {
+        let (Frame::Plus(k) | Frame::Minus(k)) = self;
+        genome_len.saturating_sub(k as usize) / 3
     }
 
     /// Index 0..6 in [`Frame::ALL`] order.
@@ -135,35 +142,41 @@ impl FrameCoord {
 /// residues (the indexer refuses to seed across them, mirroring BLAST).
 pub fn translate_six_frames(genome: &Seq, code: &GeneticCode) -> TranslatedGenome {
     assert_eq!(genome.kind, SeqKind::Dna, "six-frame translation needs DNA");
-    let fwd = &genome.residues;
-    let rev = reverse_complement_codes(fwd);
-
-    let translate_strand = |codes: &[u8], offset: usize, label: &str| -> Seq {
-        let n = codes.len().saturating_sub(offset) / 3;
-        let mut residues = Vec::with_capacity(n);
-        let mut i = offset;
-        while i + 3 <= codes.len() {
-            residues.push(
-                code.translate(Nt(codes[i]), Nt(codes[i + 1]), Nt(codes[i + 2]))
-                    .0,
-            );
-            i += 3;
-        }
-        Seq::from_codes(
-            format!("{}|frame{}", genome.id, label),
-            residues,
-            SeqKind::Protein,
-        )
+    // One table per strand over the five nucleotide codes, indexed by
+    // the codon as it lies on the forward strand: the minus table has
+    // the reversal and the complement folded in, so no reverse-
+    // complemented copy of the genome is made.
+    let table = |read: fn([Nt; 3]) -> [Nt; 3]| -> [u8; 125] {
+        std::array::from_fn(|i| {
+            let [a, b, c] = read([i / 25, i / 5 % 5, i % 5].map(|n| Nt(n as u8)));
+            code.translate(a, b, c).0
+        })
+    };
+    let plus = table(|codon| codon);
+    let minus = table(|[a, b, c]| [c, b, a].map(Nt::complement));
+    // Any code past `T` is `N`, as `Nt::complement` and
+    // `GeneticCode::translate` have it.
+    let codon = |c: &[u8]| {
+        let [a, b, c] = [c[0], c[1], c[2]].map(|n| n.min(Nt::N.0) as usize);
+        a * 25 + b * 5 + c
     };
 
-    let frames = [
-        translate_strand(fwd, 0, "+1"),
-        translate_strand(fwd, 1, "+2"),
-        translate_strand(fwd, 2, "+3"),
-        translate_strand(&rev, 0, "-1"),
-        translate_strand(&rev, 1, "-2"),
-        translate_strand(&rev, 2, "-3"),
-    ];
+    let fwd = &genome.residues[..];
+    let frames = Frame::ALL.map(|frame| {
+        // Minus frame `k` starts `k` nucleotides in from the far end.
+        let residues = match frame {
+            Frame::Plus(k) => fwd[fwd.len().min(k as usize)..]
+                .chunks_exact(3)
+                .map(|c| plus[codon(c)])
+                .collect(),
+            Frame::Minus(k) => fwd[..fwd.len().saturating_sub(k as usize)]
+                .rchunks_exact(3)
+                .map(|c| minus[codon(c)])
+                .collect(),
+        };
+        let id = format!("{}|frame{}", genome.id, frame);
+        Seq::from_codes(id, residues, SeqKind::Protein)
+    });
 
     TranslatedGenome {
         genome_id: genome.id.clone(),
@@ -175,6 +188,7 @@ pub fn translate_six_frames(genome: &Seq, code: &GeneticCode) -> TranslatedGenom
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::reverse_complement_codes;
 
     #[test]
     fn frame_numbers_and_indices() {
@@ -275,6 +289,22 @@ mod tests {
                 assert_eq!(code.translate_codes(&codon).0, prot.residues[aa_pos]);
             }
         }
+    }
+
+    /// `Seq::from_codes` checks nothing: a code past `N` reads as `N`
+    /// on both strands, as it does in `GeneticCode::translate`.
+    #[test]
+    fn codes_past_n_translate_as_n() {
+        let code = GeneticCode::standard();
+        let odd = vec![0, 3, 2, 9, 1, 1, 3, 255, 0, 2, 5];
+        let as_n = odd.iter().map(|&c| c.min(Nt::N.0)).collect();
+        let t = translate_six_frames(&Seq::from_codes("g", odd, SeqKind::Dna), code);
+        let n = translate_six_frames(&Seq::from_codes("g", as_n, SeqKind::Dna), code);
+        for f in Frame::ALL {
+            assert_eq!(t.frame(f).residues, n.frame(f).residues, "{f}");
+        }
+        assert_eq!(t.frame(Frame::Plus(0)).to_ascii(), b"MXX");
+        assert_eq!(t.frame(Frame::Minus(2)).to_ascii(), b"XXH");
     }
 
     #[test]

@@ -56,6 +56,7 @@ fn frame_lengths_match_geometry() {
             };
             let expected = ascii.len().saturating_sub(k) / 3;
             assert_eq!(t.frame(frame).len(), expected);
+            assert_eq!(frame.translated_len(ascii.len()), expected);
         }
     });
 }
