@@ -1883,6 +1883,57 @@ mod tests {
         }
     }
 
+    /// A lent source is read for `row.len()` bytes — the window, rounded
+    /// up to the network's sixteen — and not one further: the last
+    /// window's run ends where an unreadable page begins.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn no_pass_reads_past_a_lent_row() {
+        for len in [59, 60, 20] {
+            let count = 70;
+            // Windows back to back, as in a flat bank, and just enough
+            // behind the last one for it to be lent like the others.
+            let rows = windows(len as u64, count, len);
+            let slack = vec![0; len.next_multiple_of(GROUP) - len];
+            let bank = crate::guard::Guarded::before_a_guard(&[&rows[..], &slack].concat());
+            for (name, pass) in passes() {
+                let mut il = InterleavedWindows::new();
+                il.fill_with(pass, count, len, |j, row| {
+                    Some(&bank[j * len..][..row.len()])
+                });
+                assert_eq!(
+                    il.data,
+                    naive_interleave(&rows, count, len),
+                    "{name} len={len}"
+                );
+            }
+        }
+    }
+
+    /// The row-major window of a scan is read for its length and no
+    /// further, in either direction, by every body this host runs.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn no_body_reads_past_the_row_major_window() {
+        use crate::guard::Guarded;
+        let (m, kernel, threshold) = (blosum62(), Kernel::ClampedSum, 12);
+        for len in [59, 60, 20] {
+            let w0 = windows(len as u64 + 7, 1, len);
+            let rows = windows(len as u64, 130, len);
+            let mut il = InterleavedWindows::new();
+            il.build(&rows, len);
+            let want = scalar_filter(kernel, m, &w0, &rows, threshold);
+            assert!(!want.is_empty() && want.len() < 130, "len={len}: {want:?}");
+            for place in [Guarded::before_a_guard, Guarded::after_a_guard] {
+                let window = place(&w0);
+                for (name, f) in bodies(kernel, m, threshold) {
+                    let got = scan(&f, &window, &il, 0..130, &mut Vec::new());
+                    assert_eq!(got, want, "{name} len={len}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn choice_parses() {
         assert_eq!(KernelChoice::parse("auto"), Some(KernelChoice::Auto));

@@ -22,6 +22,8 @@
 
 pub mod batch;
 pub mod gapped;
+#[cfg(all(test, target_os = "linux"))]
+mod guard;
 pub mod hsp;
 pub mod report;
 pub mod ungapped;

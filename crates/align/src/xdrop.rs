@@ -828,6 +828,27 @@ mod tests {
         }
     }
 
+    /// Neither sequence is read past its last residue or before its
+    /// first, by any body in either direction (the lane bodies load the
+    /// subject sixteen or eight cells at a time, masked at the edges):
+    /// both sides lie against an unreadable page, behind them and then
+    /// before them.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn no_body_reads_past_either_sequence() {
+        use crate::guard::Guarded;
+        let mut dirty = poisoned(64, i32::MAX);
+        for_cases(0x5eed_0003_0004, 400, |g| {
+            let (cfg, longest) = gap_model(g);
+            let (n, m) = (side_len(g, longest), side_len(g, longest));
+            let a = noise(g, n);
+            let b = homolog(g, &a, m);
+            for place in [Guarded::before_a_guard, Guarded::after_a_guard] {
+                check(&place(&a), &place(&b), &cfg, &mut dirty);
+            }
+        });
+    }
+
     #[test]
     fn lane_bodies_match_the_scalar_sweep_on_noise() {
         let mut dirty = poisoned(64, i32::MAX);

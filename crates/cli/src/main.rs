@@ -80,14 +80,20 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // A mis-set pipeline flag (kernel name, board or fleet shape) is a
-    // usage error like an unknown flag: reported before any file is read
-    // or any socket bound.
-    if matches!(command.as_str(), "search" | "serve") {
-        if let Err(e) = pipeline_config(&flags) {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+    // A mis-set flag value (kernel name, board or fleet shape, an
+    // E-value that admits nothing, an array or a length range that
+    // cannot exist) is a usage error like an unknown flag: reported
+    // before any file is read or any socket bound.
+    let usage = match command.as_str() {
+        "search" | "serve" => pipeline_config(&flags).map(drop),
+        "blast" => max_evalue(&flags).map(drop),
+        "generate-bank" => bank_config(&flags).map(drop),
+        "resources" => operator_config(&flags).map(drop),
+        _ => Ok(()),
+    };
+    if let Err(e) = usage {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
     }
     let result = match command.as_str() {
         "generate-bank" => generate_bank(&flags),
@@ -320,17 +326,28 @@ impl Flags {
     }
 }
 
-fn generate_bank(flags: &Flags) -> Result<(), String> {
-    let count = flags.parsed("count", 0usize)?;
-    if count == 0 {
-        return Err("--count must be positive".into());
-    }
-    let bank = random_bank(&BankConfig {
-        count,
+/// The bank `generate-bank` is asked for.
+fn bank_config(flags: &Flags) -> Result<BankConfig, String> {
+    let config = BankConfig {
+        count: flags.parsed("count", 0usize)?,
         min_len: flags.parsed("min-len", 100)?,
         max_len: flags.parsed("max-len", 600)?,
         seed: flags.parsed("seed", 0x5eed_u64)?,
-    });
+    };
+    if config.count == 0 {
+        return Err("--count must be positive".into());
+    }
+    if config.min_len > config.max_len {
+        return Err(format!(
+            "--min-len {} exceeds --max-len {}",
+            config.min_len, config.max_len
+        ));
+    }
+    Ok(config)
+}
+
+fn generate_bank(flags: &Flags) -> Result<(), String> {
+    let bank = random_bank(&bank_config(flags)?);
     let out = flags.required("o")?;
     let file = std::fs::File::create(out).map_err(|e| format!("create {out}: {e}"))?;
     write_fasta(file, &bank).map_err(|e| e.to_string())?;
@@ -441,6 +458,18 @@ fn mask_flag(flags: &Flags) -> Result<Option<psc_seqio::MaskConfig>, String> {
     }
 }
 
+/// `--evalue`: the largest E-value reported. NaN or a value at or below
+/// zero admits no alignment at all, so it is refused, not obeyed.
+fn max_evalue(flags: &Flags) -> Result<f64, String> {
+    let evalue = flags.parsed("evalue", 1e-3f64)?;
+    if !(evalue.is_finite() && evalue > 0.0) {
+        return Err(format!(
+            "--evalue must be a positive finite number (got {evalue})"
+        ));
+    }
+    Ok(evalue)
+}
+
 /// The full pipeline configuration from command-line flags (shared by
 /// `psc search` and `psc serve`).
 fn step2_kernel(flags: &Flags) -> Result<psc_core::KernelChoice, String> {
@@ -458,7 +487,7 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, String> {
         "scalar" => Step2Backend::SoftwareScalar,
         "parallel" => Step2Backend::SoftwareParallel { threads },
         "rasc" => Step2Backend::Rasc {
-            pe_count: flags.parsed("pes", 192usize)?,
+            pe_count: at_least_one(flags, "pes", 192)?,
             fpga_count: flags.parsed("fpgas", 1usize)?,
             host_threads: threads,
         },
@@ -508,7 +537,7 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, String> {
         backend,
         step2_kernel,
         step2_schedule,
-        max_evalue: flags.parsed("evalue", 1e-3f64)?,
+        max_evalue: max_evalue(flags)?,
         threshold: flags.parsed("threshold", 45i32)?,
         index_threads: threads,
         mask: mask_flag(flags)?,
@@ -527,9 +556,6 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, String> {
     {
         if !(1..=2).contains(&fpga_count) {
             return Err(format!("--fpgas must be 1 or 2 (got {fpga_count})"));
-        }
-        if pe_count == 0 {
-            return Err("--pes must be at least 1".into());
         }
         psc_rasc::ResourceModel::check(&config.operator_config(pe_count))
             .map_err(|e| format!("--pes {pe_count}: operator does not fit the FPGA: {e}"))?;
@@ -925,7 +951,7 @@ fn blast(flags: &Flags) -> Result<(), String> {
     let genome = load_genome(flags.required("genome")?)?;
     let translated = translate_six_frames(&genome, GeneticCode::standard());
     let config = BlastConfig {
-        max_evalue: flags.parsed("evalue", 1e-3f64)?,
+        max_evalue: max_evalue(flags)?,
         mask: match flags.get("mask") {
             Some("on") => Some(psc_seqio::MaskConfig::default()),
             _ => None,
@@ -974,11 +1000,25 @@ fn blast(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// A count no array can do without: `--NAME N`, `N` at least 1.
+fn at_least_one(flags: &Flags, name: &str, default: usize) -> Result<usize, String> {
+    match flags.parsed(name, default)? {
+        0 => Err(format!("--{name} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+/// The operator `resources` is asked about.
+fn operator_config(flags: &Flags) -> Result<OperatorConfig, String> {
+    let mut cfg = OperatorConfig::new(at_least_one(flags, "pes", 192)?);
+    cfg.window_len = at_least_one(flags, "window", 60)?;
+    cfg.slot_size = at_least_one(flags, "slot", 16)?;
+    Ok(cfg)
+}
+
 fn resources(flags: &Flags) -> Result<(), String> {
-    let pes = flags.parsed("pes", 192usize)?;
-    let mut cfg = OperatorConfig::new(pes);
-    cfg.window_len = flags.parsed("window", 60usize)?;
-    cfg.slot_size = flags.parsed("slot", 16usize)?;
+    let cfg = operator_config(flags)?;
+    let pes = cfg.pe_count;
     match ResourceModel::check(&cfg) {
         Ok(u) => println!(
             "{pes} PEs, window {}, slots of {}: {} slices ({}%), {} BRAMs ({}%) on one Virtex-4 LX200",

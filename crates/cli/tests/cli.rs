@@ -61,19 +61,19 @@ fn removed_split_kernel_is_rejected() {
     }
 }
 
-/// A board flag `RascBoard::new` would assert on is a usage error at
-/// startup: exit 2, one line, no panic backtrace.
-fn assert_board_flag_rejected(cmd: &[&str], flag: [&str; 2], message: &str) {
-    let out = psc()
-        .args(cmd)
-        .args(["--backend", "rasc"])
-        .args(flag)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2), "{flag:?}: {out:?}");
+/// A flag value no run could honour is a usage error at startup: exit
+/// 2, one line naming the flag (so no panic backtrace), no output.
+fn assert_usage_error(args: &[&str], message: &str) {
+    let out = psc().args(args).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(err.trim_end(), format!("error: {message}"), "{flag:?}");
-    assert!(out.stdout.is_empty(), "{flag:?}: {out:?}");
+    assert_eq!(err.trim_end(), format!("error: {message}"), "{args:?}");
+    assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+}
+
+/// A board flag `RascBoard::new` would assert on.
+fn assert_board_flag_rejected(cmd: &[&str], flag: [&str; 2], message: &str) {
+    assert_usage_error(&[cmd, &["--backend", "rasc"], &flag].concat(), message);
 }
 
 #[test]
@@ -95,6 +95,44 @@ fn search_rejects_a_pe_array_that_is_empty_or_does_not_fit() {
         "--pes 100000: operator does not fit the FPGA: \
          design needs 19086300 slices, LX200 has 89088",
     );
+}
+
+/// `resources` divided by `--slot 0` and printed a fit for an array
+/// of no PEs or no window.
+#[test]
+fn resources_rejects_an_array_that_cannot_exist() {
+    for flag in ["--pes", "--window", "--slot"] {
+        let message = format!("{flag} must be at least 1");
+        assert_usage_error(&["resources", flag, "0"], &message);
+    }
+}
+
+/// `generate-bank` panicked drawing a length from an empty range.
+#[test]
+fn generate_bank_rejects_an_empty_length_range() {
+    let args = ["generate-bank", "--count", "3", "-o", "never-written.fa"];
+    let range = ["--min-len", "50", "--max-len", "10"];
+    assert_usage_error(
+        &[&args[..], &range].concat(),
+        "--min-len 50 exceeds --max-len 10",
+    );
+    assert!(!std::path::Path::new("never-written.fa").exists());
+}
+
+/// `--evalue nan` (or `-1`) ran the whole search and printed an empty
+/// table with exit 0; `psc serve` refuses it before `listening on`.
+#[test]
+fn evalue_must_be_positive_and_finite() {
+    for cmd in [
+        ["search", "--proteins", "p.fa", "--genome", "g.fa"].as_slice(),
+        ["blast", "--proteins", "p.fa", "--genome", "g.fa"].as_slice(),
+        ["serve", "--index", "g.psc"].as_slice(),
+    ] {
+        for (given, shown) in [("nan", "NaN"), ("-1", "-1"), ("0", "0"), ("inf", "inf")] {
+            let message = format!("--evalue must be a positive finite number (got {shown})");
+            assert_usage_error(&[cmd, &["--evalue", given]].concat(), &message);
+        }
+    }
 }
 
 #[test]

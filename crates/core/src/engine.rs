@@ -308,7 +308,6 @@ fn banks_identical(a: &Bank, b: &Bank) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::genome::try_search_genome_traced;
     use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig};
     use psc_score::blosum62;
     use psc_seqio::prng::for_cases;
@@ -347,32 +346,18 @@ mod tests {
         }
     }
 
+    /// One configuration, two engines. (`tests/lattice.rs` holds the
+    /// loaded engine to the oracle, report and trace included.)
     #[test]
     fn bundle_round_trip_preserves_query_results() {
         let (proteins, genome) = workload();
-        let matrix = blosum62();
         let config = PipelineConfig::default();
-        let fresh = SearchEngine::for_genome(&genome, matrix, config.clone(), &NullRecorder);
-        let bytes = fresh.to_bundle_bytes(None);
-        let loaded = SearchEngine::from_bundle(&bytes, matrix, config.clone()).unwrap();
-        let a = fresh
-            .query_traced(&proteins, &NullRecorder, &NullTracer)
-            .unwrap();
-        let b = loaded
-            .query_traced(&proteins, &NullRecorder, &NullTracer)
-            .unwrap();
-        let oneshot = try_search_genome_traced(
-            &proteins,
-            &genome,
-            matrix,
-            config,
-            &NullRecorder,
-            &NullTracer,
-        )
-        .unwrap();
+        let fresh = SearchEngine::for_genome(&genome, blosum62(), config.clone(), &NullRecorder);
+        let loaded = SearchEngine::from_bundle(&fresh.to_bundle_bytes(None), blosum62(), config);
+        let query = |e: &SearchEngine| e.query_traced(&proteins, &NullRecorder, &NullTracer);
+        let (a, b) = (query(&fresh).unwrap(), query(&loaded.unwrap()).unwrap());
         assert!(!a.matches.is_empty());
         same_matches(&a, &b);
-        same_matches(&a, &oneshot);
     }
 
     #[test]

@@ -1215,46 +1215,49 @@ mod tests {
         assert_eq!(out.stats.step2.pairs, 0);
     }
 
+    /// Six 150-residue sequences a bank, two of them shared →
+    /// guaranteed hits.
+    fn overlapping_banks() -> (Bank, Bank) {
+        let seq = |i: u32| -> Vec<u8> {
+            (0..150u32)
+                .map(|j| (((i * 13 + j * 11) % 89) % 20) as u8)
+                .collect()
+        };
+        let bank = |ids: std::ops::Range<u32>| -> Bank {
+            ids.map(|i| Seq::from_codes(format!("s{i}"), seq(i), psc_seqio::SeqKind::Protein))
+                .collect()
+        };
+        (bank(0..6), bank(4..10))
+    }
+
+    /// `Pipeline::run` under `edit`, held to the scalar kernel on the
+    /// scalar backend. `tests/lattice.rs` holds every configuration to
+    /// that oracle through the engine; these keep the bank-vs-bank
+    /// entry point on it, and check what each configuration records.
+    fn against_the_oracle(edit: impl Fn(&mut PipelineConfig)) -> PipelineOutput {
+        let (b0, b1) = overlapping_banks();
+        let mut oracle = small_config();
+        oracle.step2_kernel = psc_align::KernelChoice::Scalar;
+        let mut cfg = small_config();
+        edit(&mut cfg);
+        let want = Pipeline::new(oracle).run(&b0, &b1, blosum62());
+        let got = Pipeline::new(cfg).run(&b0, &b1, blosum62());
+        assert!(!want.hsps.is_empty());
+        assert_eq!(want.hsps, got.hsps);
+        assert_eq!(want.stats, got.stats);
+        got
+    }
+
+    const RASC: Step2Backend = Step2Backend::Rasc {
+        pe_count: 64,
+        fpga_count: 2,
+        host_threads: 2,
+    };
+
     #[test]
     fn backends_agree() {
-        let seqs: Vec<Vec<u8>> = (0..12)
-            .map(|i| {
-                (0..150u32)
-                    .map(|j| (((i * 13 + j * 11) % 89) % 20) as u8)
-                    .collect()
-            })
-            .collect();
-        let b0: Bank = seqs[..6]
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Seq::from_codes(format!("q{i}"), s.clone(), psc_seqio::SeqKind::Protein))
-            .collect();
-        // Bank 1 shares two sequences with bank 0 → guaranteed hits.
-        let b1: Bank = seqs[4..]
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Seq::from_codes(format!("t{i}"), s.clone(), psc_seqio::SeqKind::Protein))
-            .collect();
-
-        let mk = |backend| {
-            let cfg = PipelineConfig {
-                backend,
-                ..small_config()
-            };
-            Pipeline::new(cfg).run(&b0, &b1, blosum62())
-        };
-        let scalar = mk(Step2Backend::SoftwareScalar);
-        let parallel = mk(Step2Backend::SoftwareParallel { threads: 4 });
-        let rasc = mk(Step2Backend::Rasc {
-            pe_count: 64,
-            fpga_count: 2,
-            host_threads: 2,
-        });
-        assert!(!scalar.hsps.is_empty());
-        assert_eq!(scalar.hsps, parallel.hsps);
-        assert_eq!(scalar.hsps, rasc.hsps);
-        assert_eq!(scalar.stats.step2, parallel.stats.step2);
-        assert_eq!(scalar.stats.step2, rasc.stats.step2);
+        against_the_oracle(|c| c.backend = Step2Backend::SoftwareParallel { threads: 4 });
+        let rasc = against_the_oracle(|c| c.backend = RASC);
         assert!(rasc.board.is_some());
         assert!(rasc.profile.step2_accelerated.is_some());
     }
@@ -1262,28 +1265,7 @@ mod tests {
     #[test]
     fn kernel_choices_agree_and_are_recorded() {
         use psc_align::{KernelBackend, KernelChoice};
-        let seqs: Vec<Vec<u8>> = (0..10)
-            .map(|i| {
-                (0..140u32)
-                    .map(|j| (((i * 19 + j * 7) % 91) % 20) as u8)
-                    .collect()
-            })
-            .collect();
-        let b0: Bank = seqs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Seq::from_codes(format!("q{i}"), s.clone(), psc_seqio::SeqKind::Protein))
-            .collect();
-        let b1 = b0.clone();
-        let mk = |choice| {
-            let cfg = PipelineConfig {
-                step2_kernel: choice,
-                ..small_config()
-            };
-            Pipeline::new(cfg).run(&b0, &b1, blosum62())
-        };
-        let scalar = mk(KernelChoice::Scalar);
-        assert!(!scalar.hsps.is_empty());
+        let scalar = against_the_oracle(|c| c.step2_kernel = KernelChoice::Scalar);
         assert_eq!(scalar.profile.step2_kernel, Some(KernelBackend::Scalar));
         for choice in [
             KernelChoice::Auto,
@@ -1291,84 +1273,36 @@ mod tests {
             KernelChoice::Simd,
             KernelChoice::Wide,
         ] {
-            let out = mk(choice);
-            assert_eq!(scalar.hsps, out.hsps, "{choice:?}");
-            assert_eq!(scalar.stats.step2, out.stats.step2, "{choice:?}");
+            let out = against_the_oracle(|c| c.step2_kernel = choice);
             let recorded = out.profile.step2_kernel.expect("software kernel recorded");
-            assert_ne!(
-                recorded,
-                KernelBackend::Scalar,
-                "{choice:?} must not fall back to scalar"
-            );
+            assert_ne!(recorded, KernelBackend::Scalar, "{choice:?} fell back");
         }
     }
 
     #[test]
     fn schedules_agree_and_lane_fill_is_recorded() {
         use crate::step2::Step2Schedule;
-        let seqs: Vec<Vec<u8>> = (0..14)
-            .map(|i| {
-                (0..160u32)
-                    .map(|j| (((i * 23 + j * 5) % 83) % 20) as u8)
-                    .collect()
-            })
-            .collect();
-        let b0: Bank = seqs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Seq::from_codes(format!("q{i}"), s.clone(), psc_seqio::SeqKind::Protein))
-            .collect();
-        let b1 = b0.clone();
-        let mk = |schedule, threads| {
-            let cfg = PipelineConfig {
-                step2_schedule: schedule,
-                backend: if threads > 1 {
-                    Step2Backend::SoftwareParallel { threads }
-                } else {
-                    Step2Backend::SoftwareScalar
-                },
-                ..small_config()
-            };
-            let rec = psc_telemetry::MemRecorder::new();
-            let out = Pipeline::new(cfg)
-                .try_run_traced(&b0, &b1, blosum62(), &rec, &NullTracer)
-                .unwrap();
-            (out, rec.snapshot())
-        };
-        let (want, base_snap) = mk(Step2Schedule::Contiguous, 1);
-        assert!(!want.hsps.is_empty());
         for schedule in [Step2Schedule::Contiguous, Step2Schedule::Bucketed] {
             for threads in [1, 4] {
-                let (out, snap) = mk(schedule, threads);
-                assert_eq!(want.hsps, out.hsps, "{schedule:?} threads={threads}");
-                assert_eq!(
-                    want.stats.step2, out.stats.step2,
-                    "{schedule:?} threads={threads}"
-                );
-                // Lane-occupancy diagnostics ride along whenever a lane
-                // kernel resolved (Auto resolves to one on SIMD hosts).
-                if snap
-                    .meta
-                    .get("step2.kernel")
-                    .is_some_and(|k| k != "scalar" && k != "profile")
-                {
-                    let fill = snap
-                        .histograms
-                        .get("step2.lane_fill")
-                        .expect("lane kernel must record step2.lane_fill");
-                    assert!(fill.count > 0, "empty lane_fill histogram");
-                    assert!(
-                        snap.counters.get("step2.lane_slots_total").copied() > Some(0),
-                        "missing lane slot counters"
-                    );
-                }
-                // The pair-mass histogram is schedule-independent.
-                assert_eq!(
-                    base_snap.histograms.get("step2.pairs_per_key"),
-                    snap.histograms.get("step2.pairs_per_key"),
-                    "{schedule:?} threads={threads}"
-                );
+                against_the_oracle(|c| {
+                    c.step2_schedule = schedule;
+                    c.backend = Step2Backend::SoftwareParallel { threads };
+                });
             }
+        }
+        // Lane-occupancy diagnostics ride along whenever a lane kernel
+        // resolved (Auto resolves to one on SIMD hosts).
+        let (b0, b1) = overlapping_banks();
+        let rec = psc_telemetry::MemRecorder::new();
+        Pipeline::new(small_config())
+            .try_run_traced(&b0, &b1, blosum62(), &rec, &NullTracer)
+            .unwrap();
+        let snap = rec.snapshot();
+        let kernel = snap.meta.get("step2.kernel");
+        if kernel.is_some_and(|k| k != "scalar" && k != "profile") {
+            let fill = snap.histograms.get("step2.lane_fill");
+            assert!(fill.is_some_and(|h| h.count > 0), "no step2.lane_fill");
+            assert!(snap.counters.get("step2.lane_slots_total").copied() > Some(0));
         }
     }
 
@@ -1416,19 +1350,10 @@ mod tests {
     #[test]
     fn rasc_gapped_step3_agrees_with_software() {
         use crate::config::Step3Backend;
-        let s = b"MKVLAWRNDCQEHFYWMKVLAWRNDCQEHFYW".as_slice();
-        let b0 = bank(&[s]);
-        let b1 = bank(&[s]);
-        let sw = Pipeline::new(small_config()).run(&b0, &b1, blosum62());
-        let cfg = PipelineConfig {
-            step3_backend: Step3Backend::RascGapped { band: 64 },
-            ..small_config()
-        };
-        let hw = Pipeline::new(cfg).run(&b0, &b1, blosum62());
-        assert_eq!(sw.hsps, hw.hsps);
+        let sw = against_the_oracle(|_| ());
+        let hw = against_the_oracle(|c| c.step3_backend = Step3Backend::RascGapped { band: 64 });
         assert!(sw.profile.step3_accelerated.is_none());
-        let accel = hw.profile.step3_accelerated.expect("gapped operator time");
-        assert!(accel > 0.0);
+        assert!(hw.profile.step3_accelerated.expect("gapped operator time") > 0.0);
         // total_concurrent never exceeds the sequential total.
         assert!(hw.profile.total_concurrent() <= hw.profile.total() + 1e-12);
     }
@@ -1501,49 +1426,15 @@ mod tests {
 
     #[test]
     fn parallel_step3_matches_sequential() {
-        let seqs: Vec<Vec<u8>> = (0..12)
-            .map(|i| {
-                (0..150u32)
-                    .map(|j| (((i * 13 + j * 11) % 89) % 20) as u8)
-                    .collect()
-            })
-            .collect();
-        let b0: Bank = seqs[..6]
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Seq::from_codes(format!("q{i}"), s.clone(), psc_seqio::SeqKind::Protein))
-            .collect();
-        let b1: Bank = seqs[4..]
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Seq::from_codes(format!("t{i}"), s.clone(), psc_seqio::SeqKind::Protein))
-            .collect();
-        let backends = [
+        for backend in [
             Step2Backend::SoftwareScalar,
             Step2Backend::SoftwareParallel { threads: 4 },
-            Step2Backend::Rasc {
-                pe_count: 64,
-                fpga_count: 2,
-                host_threads: 2,
-            },
-        ];
-        for backend in backends {
-            let sequential = Pipeline::new(PipelineConfig {
-                backend: backend.clone(),
-                ..small_config()
-            })
-            .run(&b0, &b1, blosum62());
-            assert!(!sequential.hsps.is_empty());
-            let cfg = PipelineConfig {
-                backend: backend.clone(),
-                step3_threads: 4,
-                ..small_config()
-            };
-            let out = Pipeline::new(cfg).run(&b0, &b1, blosum62());
-            let tag = backend.name();
-            assert_eq!(sequential.hsps, out.hsps, "{tag}");
-            assert_eq!(sequential.stats.step2, out.stats.step2, "{tag}");
-            assert_eq!(sequential.stats.anchors, out.stats.anchors, "{tag}");
+            RASC,
+        ] {
+            against_the_oracle(|c| {
+                c.backend = backend.clone();
+                c.step3_threads = 4;
+            });
         }
     }
 

@@ -66,7 +66,7 @@ pub const MODELED_BOARD_LADDER: [usize; 5] = [1, 2, 4, 8, 16];
 /// Victim selection when a board's queue runs dry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StealPolicy {
-    /// Steal from the reachable board with the longest queue (ties to
+    /// Steal from the board with the longest queue (ties to
     /// the lowest id), taking from the queue tail.
     #[default]
     Richest,
@@ -93,42 +93,9 @@ impl StealPolicy {
     }
 }
 
-/// Which victims a thief may reach.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Topology {
-    /// Any board may steal from any other.
-    #[default]
-    Crossbar,
-    /// Boards form a ring; a board only steals from its two neighbours.
-    Ring,
-}
-
-impl Topology {
-    pub fn name(&self) -> &'static str {
-        match self {
-            Topology::Crossbar => "crossbar",
-            Topology::Ring => "ring",
-        }
-    }
-
-    pub fn parse(s: &str) -> Result<Topology, String> {
-        match s {
-            "crossbar" => Ok(Topology::Crossbar),
-            "ring" => Ok(Topology::Ring),
-            other => Err(format!(
-                "unknown topology {other:?} (expected crossbar or ring)"
-            )),
-        }
-    }
-
-    /// May board `thief` steal from board `victim` in a fleet of `n`?
-    fn allows(&self, thief: usize, victim: usize, n: usize) -> bool {
-        match self {
-            Topology::Crossbar => true,
-            Topology::Ring => victim == (thief + 1) % n || (victim + 1) % n == thief,
-        }
-    }
-}
+/// Bounded per-board entry queue depth (host prefetch window).
+const QUEUE_DEPTH: usize = 4;
+const _: () = assert!(QUEUE_DEPTH >= 1, "queue depth must be at least 1");
 
 /// Fleet-level configuration; rides next to [`BoardConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,10 +103,7 @@ pub struct FleetConfig {
     /// Number of simulated boards. `1` means the fleet dispatcher is
     /// bypassed entirely (the pipeline uses the plain single board).
     pub boards: usize,
-    pub topology: Topology,
     pub steal_policy: StealPolicy,
-    /// Bounded per-board entry queue depth (host prefetch window).
-    pub queue_depth: usize,
     /// Strikes (retry-budget exhaustions) before a board is drained and
     /// quarantined.
     pub quarantine_after: u32,
@@ -149,9 +113,7 @@ impl Default for FleetConfig {
     fn default() -> FleetConfig {
         FleetConfig {
             boards: 1,
-            topology: Topology::Crossbar,
             steal_policy: StealPolicy::Richest,
-            queue_depth: 4,
             quarantine_after: 2,
         }
     }
@@ -335,7 +297,6 @@ impl RascFleet {
             (1..=MAX_BOARDS).contains(&fleet.boards),
             "fleet size must be 1..={MAX_BOARDS}"
         );
-        assert!(fleet.queue_depth >= 1, "queue depth must be at least 1");
         assert!(
             fleet.quarantine_after >= 1,
             "quarantine threshold must be at least 1 strike"
@@ -654,7 +615,6 @@ impl RascFleet {
         let policy = self.config.recovery;
         let clock = self.config.operator.clock_hz as f64;
         let dma = self.config.dma;
-        let depth = self.fleet.queue_depth;
         let injectors: Vec<Option<FaultInjector>> = (0..n_boards)
             .map(|b| {
                 self.config
@@ -709,7 +669,7 @@ impl RascFleet {
                     .iter()
                     .enumerate()
                     .filter(|(i, s)| {
-                        !s.quarantined && s.queue.len() < depth && mask & (1u64 << *i) == 0
+                        !s.quarantined && s.queue.len() < QUEUE_DEPTH && mask & (1u64 << *i) == 0
                     })
                     .min_by_key(|(i, s)| (s.strikes, s.queue.len(), *i))
                     .map(|(i, _)| i);
@@ -742,16 +702,12 @@ impl RascFleet {
             let e = match st[b].queue.pop_front() {
                 Some(e) => e,
                 Option::None => {
-                    // Dry board: steal per policy and topology, from the
-                    // richest reachable queue, taking the tail entry.
+                    // Dry board: steal per policy, from the richest queue
+                    // of any other board, taking the tail entry.
                     let mut victim: Option<(usize, usize)> = None; // (len, id)
                     if self.fleet.steal_policy == StealPolicy::Richest {
                         for (v, s) in st.iter().enumerate() {
-                            if v == b
-                                || s.quarantined
-                                || s.queue.is_empty()
-                                || !self.fleet.topology.allows(b, v, n_boards)
-                            {
+                            if v == b || s.quarantined || s.queue.is_empty() {
                                 continue;
                             }
                             let len = s.queue.len();
@@ -1107,15 +1063,6 @@ mod tests {
         for p in [StealPolicy::Richest, StealPolicy::None] {
             assert_eq!(StealPolicy::parse(p.name()).unwrap(), p);
         }
-        for t in [Topology::Crossbar, Topology::Ring] {
-            assert_eq!(Topology::parse(t.name()).unwrap(), t);
-        }
         assert!(StealPolicy::parse("greedy").is_err());
-        assert!(Topology::parse("torus").is_err());
-        // Ring reachability: neighbours only.
-        assert!(Topology::Ring.allows(0, 1, 4));
-        assert!(Topology::Ring.allows(0, 3, 4));
-        assert!(!Topology::Ring.allows(0, 2, 4));
-        assert!(Topology::Crossbar.allows(0, 2, 4));
     }
 }

@@ -21,7 +21,7 @@
 //!   drain order, and the same cycle count replayed in closed form from
 //!   the per-wave hit counts. Unit and property tests assert both paths
 //!   agree *exactly* (results, order, cycles, stalls, FIFO peak); every
-//!   board, fleet and ADR run takes this path, so a simulator wall
+//!   board and fleet run takes this path, so a simulator wall
 //!   measures the design and not a scalar loop.
 //!
 //! [`board::RascBoard`] wraps one or two simulated FPGAs with the
@@ -32,7 +32,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod adr;
 pub mod board;
 pub mod config;
 pub mod dma;
@@ -45,7 +44,6 @@ pub mod operator;
 pub mod pe;
 pub mod resource;
 
-pub use adr::{run_via_adr, AdrDevice, AdrError};
 pub use board::{BoardConfig, BoardReport, BoardSegment, Entry, RascBoard};
 pub use config::{OperatorConfig, DEFAULT_CLOCK_HZ};
 pub use dma::{DmaModel, NUMALINK_BANDWIDTH};
@@ -54,8 +52,8 @@ pub use fault::{
     DEFAULT_FAULT_RATE_PPM,
 };
 pub use fleet::{
-    FleetConfig, FleetEvent, FleetEventKind, FleetReport, RascFleet, StealPolicy, Topology,
-    MAX_BOARDS, MODELED_BOARD_LADDER,
+    FleetConfig, FleetEvent, FleetEventKind, FleetReport, RascFleet, StealPolicy, MAX_BOARDS,
+    MODELED_BOARD_LADDER,
 };
 pub use functional::FunctionalOperator;
 pub use gapped_op::{

@@ -223,6 +223,32 @@ pub fn board_compute_stage(board: usize) -> String {
     format!("board.compute.b{board:02}")
 }
 
+// --- what follows the configuration, not the inputs ---------------
+
+/// Key prefixes of everything in a run report that may differ between
+/// two runs of the same inputs under configurations that must not
+/// change the output: which backend, kernel and schedule ran; lane-slot
+/// telemetry, which follows the kernel's block width; the fleet's
+/// dispatch; injected faults and what recovery did about them; and the
+/// genome-side index span, which a loaded bundle does not record. With
+/// the board section and the steps' accelerated seconds, this is all
+/// [`crate::RunReport::strip_config_dependent`] removes — and all the
+/// differential lattice (`tests/lattice.rs`) lets such runs differ in.
+pub const CONFIG_DEPENDENT: &[&str] = &[
+    BACKEND,
+    STEP3_BACKEND,
+    STEP2_SCHEDULE,
+    STEP2_KERNEL, // and `.requested`, `.downgrade`
+    RASC_HOST_KERNEL,
+    STEP2_SIMD_TILES,
+    "step2.lane_slots_",
+    STEP2_LANE_FILL,
+    "fleet.",
+    "step2.fault",
+    STEP2_ENTRIES_DEGRADED,
+    STEP1_INDEX_BANK1,
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;

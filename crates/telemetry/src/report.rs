@@ -219,6 +219,28 @@ impl RunReport {
         }
     }
 
+    /// Remove everything that follows the configuration rather than
+    /// the inputs: the keys under [`crate::keys::CONFIG_DEPENDENT`], the
+    /// board section and the steps' accelerated seconds. After this and
+    /// [`RunReport::strip_wall_clock`], two runs of the same inputs
+    /// under any two output-neutral configurations serialize to
+    /// byte-identical JSON.
+    pub fn strip_config_dependent(&mut self) {
+        let keep = |k: &str| {
+            !crate::keys::CONFIG_DEPENDENT
+                .iter()
+                .any(|p| k.starts_with(p))
+        };
+        self.meta.retain(|(k, _)| keep(k));
+        self.counters.retain(|(k, _)| keep(k));
+        self.spans.retain(|s| keep(&s.name));
+        self.histograms.retain(|(k, _)| keep(k));
+        self.board = None;
+        for s in &mut self.steps {
+            s.accelerated_seconds = None;
+        }
+    }
+
     /// Total effective seconds across steps (the paper's accounting).
     pub fn total_seconds(&self) -> f64 {
         self.steps.iter().map(StepReport::effective_seconds).sum()
