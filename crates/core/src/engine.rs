@@ -2,12 +2,13 @@
 //!
 //! A [`SearchEngine`] owns everything about a genome that is invariant
 //! across queries — the six translated frames, the seeding-view flat
-//! bank, the T1 seed index, the scoring matrix and the configuration —
-//! built once by [`SearchEngine::for_genome`] or loaded in one read by
-//! [`SearchEngine::from_bundle`]. Each [`SearchEngine::query_traced`]
-//! call then builds only the cheap per-query state (the protein bank's
-//! flat view and index) and runs steps 2 and 3 through
-//! [`Pipeline::try_run_prepared_traced`].
+//! bank, the scoring matrix and the configuration — built once by
+//! [`SearchEngine::for_genome`] or loaded in one read by
+//! [`SearchEngine::from_bundle`], which also brings the full T1 seed
+//! index. Each [`SearchEngine::query_traced`] call then builds the
+//! per-query state (the protein bank's flat view and index and, unless
+//! T1 was loaded, a T1 holding only the keys that index holds) and runs
+//! steps 2 and 3 through [`Pipeline::try_run_prepared_traced`].
 //!
 //! Because the one-shot [`crate::genome::try_search_genome_traced`]
 //! path is itself engine construction followed by one query, a server
@@ -20,7 +21,10 @@
 //! simulated-board state is created per query, so queries never share
 //! mutable state.
 
-use psc_index::{deserialize_bundle, serialize_bundle, BundleT0, SeedIndex, SerialError};
+use std::borrow::Cow;
+use std::sync::Arc;
+
+use psc_index::{deserialize_bundle, serialize_bundle, BundleT0, FlatBank, SeedIndex, SerialError};
 use psc_score::SubstitutionMatrix;
 use psc_seqio::{
     translate_six_frames, Bank, Frame, FrameCoord, GeneticCode, MaskConfig, Seq, TranslatedGenome,
@@ -82,8 +86,11 @@ pub struct SearchEngine {
     /// The six frames as bank 1, original residues (the step-3 view),
     /// in `Frame::ALL` order.
     frames_bank: Bank,
-    /// Seeding view + T1 index of the frames.
-    prep1: PreparedBank,
+    /// Seeding view of the frames.
+    flat1: Arc<FlatBank>,
+    /// The frames' full T1, when loaded from a bundle. Built from a
+    /// genome, the engine holds none: each query keys its own by its T0.
+    prep1: Option<PreparedBank>,
     /// Optional protein-bank section carried by the bundle: reused
     /// (skipping the per-query index build) when a query bank is
     /// sequence-identical to it.
@@ -102,10 +109,10 @@ impl std::fmt::Debug for SearchEngine {
 }
 
 impl SearchEngine {
-    /// Build the engine from a genome: translate the six frames and run
-    /// step 1 over them. Step-1 telemetry (the bank-1 index span) lands
-    /// in `rec`; the build time is attributed to the first query's
-    /// `step1` span, preserving one-shot accounting.
+    /// Build the engine from a genome: translate the six frames and
+    /// flatten their seeding view. No index is built, so nothing is
+    /// recorded into `rec` (kept for existing callers): each query's T1
+    /// build lands in that query's recorder and `step1` span.
     pub fn for_genome(
         genome: &Seq,
         matrix: &SubstitutionMatrix,
@@ -116,24 +123,24 @@ impl SearchEngine {
         Self::from_translated(translated, matrix, config, rec)
     }
 
-    /// [`SearchEngine::for_genome`] from an existing translation.
+    /// [`SearchEngine::for_genome`] from an existing translation; it
+    /// records nothing into `rec` either.
     pub fn from_translated(
         translated: TranslatedGenome,
         matrix: &SubstitutionMatrix,
         config: PipelineConfig,
-        rec: &dyn Recorder,
+        _rec: &dyn Recorder,
     ) -> SearchEngine {
-        let pipeline = Pipeline::new(config);
         let (genome_id, genome_len) = (translated.genome_id.clone(), translated.genome_len);
         let frames_bank = translated.into_bank();
-        let prep1 = pipeline.prepare_bank(1, &frames_bank, rec);
         SearchEngine {
-            pipeline,
+            flat1: Arc::new(seeding_flat(&config.mask, &frames_bank)),
+            pipeline: Pipeline::new(config),
             matrix: matrix.clone(),
             genome_id,
             genome_len,
             frames_bank,
-            prep1,
+            prep1: None,
             t0: None,
         }
     }
@@ -167,39 +174,42 @@ impl SearchEngine {
                 mask_desc(&config.mask)
             )));
         }
-        let flat1 = seeding_flat(&config.mask, &bundle.frames);
+        let flat1 = Arc::new(seeding_flat(&config.mask, &bundle.frames));
         Ok(SearchEngine {
             pipeline: Pipeline::new(config),
             matrix: bundle.matrix,
             genome_id: bundle.genome_id,
             genome_len: bundle.genome_len as usize,
             frames_bank: bundle.frames,
-            prep1: PreparedBank::from_parts(flat1, bundle.t1),
+            prep1: Some(PreparedBank::from_parts(Arc::clone(&flat1), bundle.t1)),
+            flat1,
             t0: bundle.t0,
         })
     }
 
-    /// Serialize the engine's pipeline state as an index bundle.
+    /// Serialize the engine's pipeline state as an index bundle, with
+    /// the full T1 — built here unless it was loaded, since a T1 keyed
+    /// by one query would lose every other query's hits.
     /// `proteins` adds the optional T0 section: the bank plus its index
     /// under the same model, letting a later `--index` run skip its own
     /// step-1 build when it queries that exact bank.
     pub fn to_bundle_bytes(&self, proteins: Option<&Bank>) -> Vec<u8> {
         let cfg = self.pipeline.config();
         let model = cfg.seed.model();
-        let t0_index = proteins.map(|bank| {
-            SeedIndex::build(
-                &seeding_flat(&cfg.mask, bank),
-                model.as_ref(),
-                cfg.index_threads,
-            )
-        });
+        let build =
+            |flat: &FlatBank| SeedIndex::build(flat, model.as_ref(), cfg.index_threads, None);
+        let t1 = match &self.prep1 {
+            Some(prep1) => Cow::Borrowed(prep1.index()),
+            None => Cow::Owned(build(&self.flat1)),
+        };
+        let t0_index = proteins.map(|bank| build(&seeding_flat(&cfg.mask, bank)));
         serialize_bundle(
             model.as_ref(),
             &self.genome_id,
             self.genome_len as u64,
             cfg.mask,
             &self.matrix,
-            (&self.frames_bank, self.prep1.index()),
+            (&self.frames_bank, &t1),
             proteins.zip(t0_index.as_ref()),
         )
     }
@@ -226,8 +236,9 @@ impl SearchEngine {
 
     /// Run one query: the per-query state (protein-side step 1) is
     /// built here — or reused from the bundle's T0 section when the
-    /// query bank is sequence-identical to it — then steps 2 and 3 run
-    /// over the shared pipeline state.
+    /// query bank is sequence-identical to it — with, unless T1 was
+    /// loaded, a T1 of only the keys that T0 holds (all step 2 reads);
+    /// then steps 2 and 3 run over the shared pipeline state.
     pub fn query_traced(
         &self,
         proteins: &Bank,
@@ -240,16 +251,25 @@ impl SearchEngine {
             .filter(|t0| banks_identical(&t0.bank, proteins))
         {
             Some(t0) => PreparedBank::from_parts(
-                seeding_flat(&self.pipeline.config().mask, proteins),
+                Arc::new(seeding_flat(&self.pipeline.config().mask, proteins)),
                 t0.index.clone(),
             ),
             None => self.pipeline.prepare_bank(0, proteins, rec),
+        };
+        let prep1 = match &self.prep1 {
+            Some(prep1) => Cow::Borrowed(prep1),
+            None => Cow::Owned(self.pipeline.index_bank(
+                1,
+                Arc::clone(&self.flat1),
+                Some(prep0.index()),
+                rec,
+            )),
         };
         let output = self.pipeline.try_run_prepared_traced(
             proteins,
             &prep0,
             &self.frames_bank,
-            &self.prep1,
+            &prep1,
             &self.matrix,
             rec,
             tracer,
@@ -347,17 +367,32 @@ mod tests {
     }
 
     /// One configuration, two engines. (`tests/lattice.rs` holds the
-    /// loaded engine to the oracle, report and trace included.)
+    /// loaded engine to the oracle, report and trace included.) A fresh
+    /// engine keys T1 by each query, so its bundle must not change when
+    /// it has answered one: a bundle holding bank A's keys would answer
+    /// bank B without B's hits.
     #[test]
     fn bundle_round_trip_preserves_query_results() {
         let (proteins, genome) = workload();
+        let (bank_a, bank_b): (Bank, Bank) = {
+            let (a, b) = proteins.seqs().split_at(3);
+            (a.iter().cloned().collect(), b.iter().cloned().collect())
+        };
         let config = PipelineConfig::default();
-        let fresh = SearchEngine::for_genome(&genome, blosum62(), config.clone(), &NullRecorder);
-        let loaded = SearchEngine::from_bundle(&fresh.to_bundle_bytes(None), blosum62(), config);
-        let query = |e: &SearchEngine| e.query_traced(&proteins, &NullRecorder, &NullTracer);
-        let (a, b) = (query(&fresh).unwrap(), query(&loaded.unwrap()).unwrap());
-        assert!(!a.matches.is_empty());
-        same_matches(&a, &b);
+        let fresh = || SearchEngine::for_genome(&genome, blosum62(), config.clone(), &NullRecorder);
+        let query = |e: &SearchEngine, bank| e.query_traced(bank, &NullRecorder, &NullTracer);
+        let engine = fresh();
+        let before = engine.to_bundle_bytes(None);
+        let a = query(&engine, &bank_a).unwrap();
+        let bytes = engine.to_bundle_bytes(None);
+        assert!(before == bytes, "answering bank A changed the bundle");
+        let loaded = SearchEngine::from_bundle(&bytes, blosum62(), config.clone()).unwrap();
+        same_matches(&a, &query(&loaded, &bank_a).unwrap());
+        let (b, fresh_b) = (query(&loaded, &bank_b), query(&fresh(), &bank_b));
+        let (b, fresh_b) = (b.unwrap(), fresh_b.unwrap());
+        assert!(!a.matches.is_empty() && !b.matches.is_empty());
+        same_matches(&b, &fresh_b);
+        assert_eq!(b.output.stats, fresh_b.output.stats);
     }
 
     #[test]
@@ -424,13 +459,13 @@ mod tests {
         let engine = SearchEngine::for_genome(&genome, matrix, config.clone(), &NullRecorder);
         // A table's positions are the last words of its section: of the
         // file for T1 without a T0 section, and for T0 with one.
-        let t1 = (
-            engine.to_bundle_bytes(None),
-            engine.prep1.index().total_positions(),
-            engine.frames_bank.total_residues() as u32,
-        );
         let bytes = engine.to_bundle_bytes(Some(&proteins));
         let loaded = SearchEngine::from_bundle(&bytes, matrix, config.clone()).unwrap();
+        let t1 = (
+            engine.to_bundle_bytes(None),
+            loaded.prep1.expect("T1").index().total_positions(),
+            engine.frames_bank.total_residues() as u32,
+        );
         let t0 = (
             bytes,
             loaded.t0.expect("T0 section").index.total_positions(),

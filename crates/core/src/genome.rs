@@ -70,11 +70,11 @@ pub fn search_genome(
 /// configuration errors.
 ///
 /// This is exactly [`SearchEngine::for_genome`] followed by one
-/// [`SearchEngine::query_traced`] call — frame translation and the
-/// genome-side index build happen here and are attributed to this
-/// query's `step1` span, preserving one-shot accounting. A server
-/// loading the same state from a bundle answers the same query
-/// bit-identically, minus the build time.
+/// [`SearchEngine::query_traced`] call — frame translation happens
+/// here, and the genome-side index build, keyed by this query's T0, is
+/// attributed to this query's `step1` span, preserving one-shot
+/// accounting. A server loading the same state from a bundle answers
+/// the same query bit-identically, minus the build time.
 ///
 /// (Frame translation is genuinely part of step 1 in the paper's
 /// accounting, but it is cheap — <1 % here; the pipeline times indexing

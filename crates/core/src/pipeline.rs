@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use psc_align::{cull_hsps, gapped_extend, ExtendScratch, GapConfig, GappedHit, Hsp};
@@ -24,7 +25,7 @@ use crate::step2::{self, Candidate, ItemTiming, Step2Params, Step2Stats};
 /// Instrumentation of a pipeline run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// Positions indexed in each bank.
+    /// Positions indexed in each bank: windows that seeded, kept or not.
     pub indexed0: usize,
     pub indexed1: usize,
     /// Step-2 counters.
@@ -156,19 +157,30 @@ impl Pipeline {
     /// index bundle) and feed any number of
     /// [`Pipeline::try_run_prepared_traced`] calls.
     pub fn prepare_bank(&self, which: usize, bank: &Bank, rec: &dyn Recorder) -> PreparedBank {
+        let flat = Arc::new(seeding_flat(&self.config.mask, bank));
+        self.index_bank(which, flat, None, rec)
+    }
+
+    /// Step 1's index over an already-flattened bank, keeping only the
+    /// keys `keep` holds (all when `None`; see [`SeedIndex::build`]).
+    pub(crate) fn index_bank(
+        &self,
+        which: usize,
+        flat: Arc<FlatBank>,
+        keep: Option<&SeedIndex>,
+        rec: &dyn Recorder,
+    ) -> PreparedBank {
         let cfg = &self.config;
-        let model = cfg.seed.model();
+        let key = if which == 0 {
+            keys::STEP1_INDEX_BANK0
+        } else {
+            keys::STEP1_INDEX_BANK1
+        };
         // analyzer: allow(determinism) -- wall-clock step profile is the audited exception
         let t0 = Instant::now();
-        let flat = seeding_flat(&cfg.mask, bank);
         let idx = {
-            let key = if which == 0 {
-                keys::STEP1_INDEX_BANK0
-            } else {
-                keys::STEP1_INDEX_BANK1
-            };
             let _g = SpanGuard::enter(rec, key);
-            SeedIndex::build(&flat, model.as_ref(), cfg.index_threads)
+            SeedIndex::build(&flat, cfg.seed.model().as_ref(), cfg.index_threads, keep)
         };
         PreparedBank {
             flat,
@@ -203,10 +215,14 @@ impl Pipeline {
         let step1 = prep0.prep_seconds + prep1.prep_seconds;
         rec.add(
             keys::STEP1_POSITIONS_INDEXED_BANK0,
-            idx0.total_positions() as u64,
+            idx0.seeded_positions() as u64,
         );
         rec.add(
             keys::STEP1_POSITIONS_INDEXED_BANK1,
+            idx1.seeded_positions() as u64,
+        );
+        rec.add(
+            keys::STEP1_POSITIONS_HELD_BANK1,
             idx1.total_positions() as u64,
         );
 
@@ -499,8 +515,8 @@ impl Pipeline {
 
         Ok(PipelineOutput {
             stats: PipelineStats {
-                indexed0: idx0.total_positions(),
-                indexed1: idx1.total_positions(),
+                indexed0: idx0.seeded_positions(),
+                indexed1: idx1.seeded_positions(),
                 step2: s2stats,
                 anchors: anchors.len() as u64,
                 reported: hsps.len(),
@@ -553,9 +569,10 @@ pub(crate) fn seeding_flat(mask: &Option<psc_seqio::MaskConfig>, bank: &Bank) ->
 /// persisted index bundle via [`PreparedBank::from_parts`].
 #[derive(Clone, Debug)]
 pub struct PreparedBank {
-    flat: FlatBank,
+    /// Shared: each T1 an engine keys per query reuses its seeding view.
+    flat: Arc<FlatBank>,
     idx: SeedIndex,
-    /// Wall seconds step 1 spent building this bank's state (zero when
+    /// Wall seconds step 1 spent building this bank's index (zero when
     /// loaded from an artifact — that is the amortization).
     prep_seconds: f64,
 }
@@ -563,7 +580,7 @@ pub struct PreparedBank {
 impl PreparedBank {
     /// Assemble from an already-built flat bank and index (artifact
     /// load). `prep_seconds` is zero: the build was paid elsewhere.
-    pub fn from_parts(flat: FlatBank, idx: SeedIndex) -> PreparedBank {
+    pub fn from_parts(flat: Arc<FlatBank>, idx: SeedIndex) -> PreparedBank {
         PreparedBank {
             flat,
             idx,

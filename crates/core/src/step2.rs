@@ -865,8 +865,8 @@ mod tests {
         let f0 = FlatBank::from_bank(&b0);
         let f1 = FlatBank::from_bank(&b1);
         let model = subset_seed_default();
-        let i0 = SeedIndex::build(&f0, &model, 1);
-        let i1 = SeedIndex::build(&f1, &model, 1);
+        let i0 = SeedIndex::build(&f0, &model, 1, None);
+        let i1 = SeedIndex::build(&f1, &model, 1, None);
         (f0, i0, f1, i1)
     }
 
@@ -894,7 +894,7 @@ mod tests {
             })
             .collect();
         let flat = FlatBank::from_bank(&bank);
-        let idx = SeedIndex::build(&flat, &subset_seed_default(), 1);
+        let idx = SeedIndex::build(&flat, &subset_seed_default(), 1, None);
         (flat, idx)
     }
 
@@ -1170,7 +1170,7 @@ mod tests {
             .map(|(i, s)| Seq::from_codes(format!("s{i}"), s.clone(), psc_seqio::SeqKind::Protein))
             .collect();
         let flat = FlatBank::from_bank(&bank);
-        let idx = SeedIndex::build(&flat, &subset_seed_default(), 1);
+        let idx = SeedIndex::build(&flat, &subset_seed_default(), 1, None);
         let keys = 0..idx.key_count() as u32;
         let items = bucketed_items(&idx, &idx);
 

@@ -247,10 +247,10 @@ mod tests {
         let frame_len = |i: usize| Frame::ALL[i].translated_len(GENOME_LEN);
         let frames: Bank = (0..6).map(|i| frame(i, frame_len(i))).collect();
         let model = sample_model();
-        let t1 = SeedIndex::build(&FlatBank::from_bank(&frames), &model, 1);
+        let t1 = SeedIndex::build(&FlatBank::from_bank(&frames), &model, 1, None);
         let t0 = with_t0.then(|| {
             let bank: Bank = (0..4).map(|i| frame(i + 10, 70)).collect();
-            let index = SeedIndex::build(&FlatBank::from_bank(&bank), &model, 1);
+            let index = SeedIndex::build(&FlatBank::from_bank(&bank), &model, 1, None);
             BundleT0 { bank, index }
         });
         IndexBundle {

@@ -272,7 +272,7 @@ mod tests {
                 Seq::from_codes(format!("s{i}"), res, SeqKind::Protein)
             })
             .collect();
-        let index = SeedIndex::build(&FlatBank::from_bank(&bank), model, 1);
+        let index = SeedIndex::build(&FlatBank::from_bank(&bank), model, 1, None);
         let mut buf = begin(0);
         put_table(&mut buf, &index);
         seal(&mut buf);

@@ -8,8 +8,13 @@
 //! without synchronisation. Both passes key windows through one loop,
 //! [`for_each_key`], over the model as a table ([`key_rows`]): no call
 //! per window.
+//!
+//! A build may keep only the keys a query's T0 holds (step 2 reads
+//! `IL1_k` only where `IL0_k` is non-empty). Every window is still
+//! counted; a dropped key's cursor sits on its chunk's sink slot, past
+//! the kept positions, and advances by 0: the scatter stays branchless.
 
-use std::thread;
+use std::{slice, thread};
 
 use crate::flat::FlatBank;
 use crate::seed::{key_rows, KeyRow, SeedModel, NO_KEY};
@@ -30,15 +35,29 @@ pub struct SeedIndex {
     key_count: usize,
     offsets: Vec<u32>,
     positions: Vec<u32>,
+    /// Windows that seeded, their keys' lists kept or not.
+    seeded: usize,
 }
 
 impl SeedIndex {
     /// Build the index of `flat` under `model` using `threads` worker
-    /// threads (1 = sequential).
-    pub fn build(flat: &FlatBank, model: &dyn SeedModel, threads: usize) -> SeedIndex {
+    /// threads (1 = sequential), keeping the lists of the keys `keep`
+    /// holds, or of all keys. Every window that seeds is counted either
+    /// way ([`SeedIndex::seeded_positions`]).
+    pub fn build(
+        flat: &FlatBank,
+        model: &dyn SeedModel,
+        threads: usize,
+        keep: Option<&SeedIndex>,
+    ) -> SeedIndex {
         let threads = threads.max(1);
         let key_count = model.key_count();
         let rows = &key_rows(model);
+        let kept: Vec<bool> = match keep {
+            Some(t0) => t0.offsets.windows(2).map(|w| w[0] < w[1]).collect(),
+            None => vec![true; key_count],
+        };
+        assert_eq!(kept.len(), key_count, "incompatible seed models");
         let count = |chunk| {
             let mut hist = vec![0u32; key_count];
             keys_of_chunk(flat, rows, chunk, |_, key| hist[key as usize] += 1);
@@ -48,7 +67,7 @@ impl SeedIndex {
             keys_of_chunk(flat, rows, chunk, |pos, key| {
                 let c = &mut cursor[key as usize];
                 out[*c as usize] = pos;
-                *c += 1;
+                *c += kept[key as usize] as u32;
             })
         };
 
@@ -73,37 +92,43 @@ impl SeedIndex {
             });
         }
 
-        // Global offsets: prefix sum over keys of summed chunk counts, and
-        // per-(chunk, key) write cursors.
+        // Global offsets: prefix sum over kept keys of summed chunk
+        // counts, and per-(chunk, key) write cursors.
         let mut offsets = vec![0u32; key_count + 1];
         for hist in &histograms {
             for (k, &c) in hist.iter().enumerate() {
                 offsets[k + 1] += c;
             }
         }
+        let seeded = offsets.iter().map(|&c| c as usize).sum();
         for k in 0..key_count {
-            offsets[k + 1] += offsets[k];
+            offsets[k + 1] = offsets[k] + offsets[k + 1] * kept[k] as u32;
         }
         let total = offsets[key_count] as usize;
 
         // cursors[chunk][key] = where that chunk starts writing key's
         // positions. Chunks are in ascending sequence order, so each
-        // key's list comes out sorted by global position.
+        // key's list comes out sorted by global position. A dropped key
+        // writes to its chunk's sink, slot `total + chunk`.
         let mut cursors: Vec<Vec<u32>> = Vec::with_capacity(nchunks);
         {
             let mut running = offsets[..key_count].to_vec();
-            for hist in &histograms {
-                cursors.push(running.clone());
+            for (sink, hist) in (total as u32..).zip(&histograms) {
+                let at = running.iter().zip(&kept);
+                cursors.push(
+                    at.map(|(&at, &kept)| if kept { at } else { sink })
+                        .collect(),
+                );
                 for (k, &c) in hist.iter().enumerate() {
-                    running[k] += c;
+                    running[k] += c * kept[k] as u32;
                 }
             }
         }
 
-        // Pass 2: scatter. Each (chunk, key) range is disjoint by
-        // construction, so chunks write concurrently through a shared
-        // pointer.
-        let mut positions = vec![0u32; total];
+        // Pass 2: scatter. Each (chunk, key) range and each chunk's sink
+        // is disjoint by construction, so chunks write concurrently
+        // through a shared pointer.
+        let mut positions = vec![0u32; total + nchunks];
         if nchunks == 1 {
             scatter(chunks[0], &mut cursors[0], &mut positions);
         } else {
@@ -115,18 +140,21 @@ impl SeedIndex {
                         // (edition-2021 closures capture fields).
                         let writer: DisjointWriter = writer;
                         // SAFETY: every write lands inside this chunk's
-                        // cursor ranges, disjoint from all other chunks'.
-                        let out = unsafe { std::slice::from_raw_parts_mut(writer.0, total) };
+                        // cursor ranges or on its own sink slot, disjoint
+                        // from all other chunks'.
+                        let out = unsafe { slice::from_raw_parts_mut(writer.0, total + nchunks) };
                         scatter(range, cursor, out);
                     });
                 }
             });
         }
+        positions.truncate(total);
 
         SeedIndex {
             key_count,
             offsets,
             positions,
+            seeded,
         }
     }
 
@@ -144,10 +172,17 @@ impl SeedIndex {
         &self.positions[self.offsets[k] as usize..self.offsets[k + 1] as usize]
     }
 
-    /// Total indexed positions.
+    /// Positions stored.
     #[inline]
     pub fn total_positions(&self) -> usize {
         self.positions.len()
+    }
+
+    /// Windows of the bank that seeded, stored or not: the full
+    /// index's [`SeedIndex::total_positions`].
+    #[inline]
+    pub fn seeded_positions(&self) -> usize {
+        self.seeded
     }
 
     /// Keys with at least one occurrence.
@@ -198,6 +233,7 @@ impl SeedIndex {
         debug_assert_eq!(offsets.len(), key_count + 1);
         SeedIndex {
             key_count,
+            seeded: positions.len(),
             offsets,
             positions,
         }
@@ -290,13 +326,14 @@ fn keys_of_chunk(flat: &FlatBank, rows: &[KeyRow], chunk: (usize, usize), f: imp
 #[derive(Clone, Copy)]
 struct DisjointWriter(*mut u32);
 // SAFETY: the wrapped pointer is only dereferenced through the disjoint
-// pass-2 scatter, where each worker writes its own index range (per-chunk
-// cursor ranges computed in pass 1); moving the wrapper across threads
-// cannot create overlapping writes.
+// pass-2 scatter, where each worker writes its own index ranges (per-chunk
+// cursor ranges computed in pass 1) and its own sink slot; moving the
+// wrapper across threads cannot create overlapping writes.
 unsafe impl Send for DisjointWriter {}
 // SAFETY: shared references to the wrapper only ever write disjoint
-// elements (see `Send` above); no element is written twice and none is
-// read until the scatter's thread scope has joined.
+// elements (see `Send` above); a kept position is written once, a sink
+// slot only by its own chunk, and none is read until the scatter's
+// thread scope has joined.
 unsafe impl Sync for DisjointWriter {}
 
 #[cfg(test)]
@@ -323,7 +360,7 @@ mod tests {
         let bank = small_bank();
         let flat = FlatBank::from_bank(&bank);
         let model = ExactSeed::new(3);
-        let idx = SeedIndex::build(&flat, &model, 1);
+        let idx = SeedIndex::build(&flat, &model, 1, None);
         let key = model
             .key(&psc_seqio::alphabet::encode_protein(b"MKV"))
             .unwrap();
@@ -343,7 +380,7 @@ mod tests {
         let bank = small_bank();
         let flat = FlatBank::from_bank(&bank);
         let model = ExactSeed::new(3);
-        let idx = SeedIndex::build(&flat, &model, 1);
+        let idx = SeedIndex::build(&flat, &model, 1, None);
         // Window at position 6 would be "VL|M" crossing into sequence b:
         // check nothing indexed spans positions 6..9 etc. Verify by
         // asserting total count: seq a (len 8) has 6 windows, seq b
@@ -361,9 +398,9 @@ mod tests {
             .collect();
         let flat = FlatBank::from_bank(&bank);
         let model = subset_seed_default();
-        let seq = SeedIndex::build(&flat, &model, 1);
+        let seq = SeedIndex::build(&flat, &model, 1, None);
         for threads in [2, 3, 8] {
-            let par = SeedIndex::build(&flat, &model, threads);
+            let par = SeedIndex::build(&flat, &model, threads, None);
             assert_eq!(par.offsets, seq.offsets, "threads={threads}");
             assert_eq!(par.positions, seq.positions, "threads={threads}");
         }
@@ -373,7 +410,10 @@ mod tests {
     /// window keyed through `SeedModel::key`, stable-sorted by key. Banks
     /// carry `B`/`X`/`*`, empty sequences and sequences shorter than the
     /// span; the models cover every span the keying loop is instantiated
-    /// for; every thread count must give the reference's bytes.
+    /// for. Each case keeps the keys of a small random bank's index (or
+    /// all keys): at every thread count a kept key's list is the
+    /// reference's, a dropped key's is empty, and every window that
+    /// seeds is counted.
     #[test]
     fn build_equals_the_naive_reference_at_every_thread_count() {
         let coarse = || PositionClasses::from_groups("coarse", "LVIMCAG|STPFYW|EDNQKRH");
@@ -390,43 +430,61 @@ mod tests {
         for_cases(0x1dc0de, 240, |g| {
             let model = g.select(&models).as_ref();
             let span = model.span();
-            let bank: Bank = (0..g.range(1usize..=40))
-                .map(|i| {
-                    let len = match g.range(0u32..4) {
-                        0 => 0,
-                        1 => g.range(0..span),
-                        _ => g.range(span..80),
-                    };
-                    let residue = |g: &mut SplitMix64| match g.chance(0.1) {
-                        true => Aa::from_ascii_lossy(*g.select(b"BX*")).0,
-                        false => g.range(0u8..20),
-                    };
-                    let codes = g.vec(len..=len, residue);
-                    Seq::from_codes(format!("s{i}"), codes, psc_seqio::SeqKind::Protein)
-                })
-                .collect();
-            let flat = FlatBank::from_bank(&bank);
+            let flat_bank = |g: &mut SplitMix64, seqs| {
+                let bank: Bank = (0..seqs)
+                    .map(|i| {
+                        let len = match g.range(0u32..4) {
+                            0 => 0,
+                            1 => g.range(0..span),
+                            _ => g.range(span..80),
+                        };
+                        let residue = |g: &mut SplitMix64| match g.chance(0.1) {
+                            true => Aa::from_ascii_lossy(*g.select(b"BX*")).0,
+                            false => g.range(0u8..20),
+                        };
+                        let codes = g.vec(len..=len, residue);
+                        Seq::from_codes(format!("s{i}"), codes, psc_seqio::SeqKind::Protein)
+                    })
+                    .collect();
+                FlatBank::from_bank(&bank)
+            };
+            let seqs = g.range(1usize..=40);
+            let flat = flat_bank(g, seqs);
+            let keep = match g.chance(0.25) {
+                true => None,
+                false => {
+                    let seqs = g.range(0usize..=4);
+                    Some(SeedIndex::build(&flat_bank(g, seqs), model, 1, None))
+                }
+            };
 
             let mut keyed = Vec::new();
             for seq in 0..flat.seq_count() {
                 let (lo, hi) = flat.bounds_of(seq);
                 for pos in lo as usize..(hi as usize + 1).saturating_sub(span) {
                     if let Some(key) = model.key(&flat.residues()[pos..pos + span]) {
-                        keyed.push((key as usize, pos as u32));
+                        keyed.push((key, pos as u32));
                     }
                 }
             }
             keyed.sort_by_key(|&(key, _)| key);
-            let offsets: Vec<u32> = (0..=model.key_count())
-                .map(|k| keyed.partition_point(|&(key, _)| key < k) as u32)
+            let kept = |k: u32| keep.as_ref().is_none_or(|t0| !t0.list(k).is_empty());
+            let lists: Vec<Vec<u32>> = (0..model.key_count() as u32)
+                .map(|k| {
+                    let run = keyed.partition_point(|&(key, _)| key < k)
+                        ..keyed.partition_point(|&(key, _)| key <= k);
+                    let run = if kept(k) { &keyed[run] } else { &[] };
+                    run.iter().map(|&(_, pos)| pos).collect()
+                })
                 .collect();
-            let positions: Vec<u32> = keyed.iter().map(|&(_, pos)| pos).collect();
 
             for threads in [1, 2, 3, 8] {
-                let idx = SeedIndex::build(&flat, model, threads);
+                let idx = SeedIndex::build(&flat, model, threads, keep.as_ref());
                 let what = format!("{} at {threads} threads", model.name());
-                assert_eq!(idx.offsets, offsets, "{what}");
-                assert_eq!(idx.positions, positions, "{what}");
+                assert_eq!(idx.seeded_positions(), keyed.len(), "{what}");
+                for (k, want) in (0..).zip(&lists) {
+                    assert_eq!(idx.list(k), want, "{what}, key {k}");
+                }
             }
         });
     }
@@ -441,7 +499,7 @@ mod tests {
             .collect();
         let flat = FlatBank::from_bank(&bank);
         let model = subset_seed_default();
-        let idx = SeedIndex::build(&flat, &model, 4);
+        let idx = SeedIndex::build(&flat, &model, 4, None);
         for k in idx.nonempty_keys() {
             let l = idx.list(k);
             assert!(l.windows(2).all(|w| w[0] < w[1]), "key {k} unsorted");
@@ -453,7 +511,7 @@ mod tests {
         let bank = small_bank();
         let flat = FlatBank::from_bank(&bank);
         let model = ExactSeed::new(3);
-        let idx = SeedIndex::build(&flat, &model, 1);
+        let idx = SeedIndex::build(&flat, &model, 1, None);
         let st = idx.stats();
         assert_eq!(st.total_positions, 7);
         assert_eq!(st.max_list_len, 3); // MKV
@@ -465,7 +523,7 @@ mod tests {
     #[test]
     fn empty_bank_index() {
         let flat = FlatBank::from_bank(&Bank::new());
-        let idx = SeedIndex::build(&flat, &ExactSeed::new(3), 4);
+        let idx = SeedIndex::build(&flat, &ExactSeed::new(3), 4, None);
         assert_eq!(idx.total_positions(), 0);
         assert_eq!(idx.stats().nonempty_keys, 0);
         assert_eq!(idx.pair_count(&idx), 0);
@@ -476,7 +534,7 @@ mod tests {
         let mut b = Bank::new();
         b.push(Seq::protein("s", b"MKXVL*AW"));
         let flat = FlatBank::from_bank(&b);
-        let idx = SeedIndex::build(&flat, &ExactSeed::new(2), 1);
+        let idx = SeedIndex::build(&flat, &ExactSeed::new(2), 1, None);
         // Windows: MK ok, KX no, XV no, VL ok, L* no, *A no, AW ok.
         assert_eq!(idx.total_positions(), 3);
     }

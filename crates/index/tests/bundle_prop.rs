@@ -44,14 +44,14 @@ fn build_bundle(
         .enumerate()
         .map(|(i, r)| Seq::from_codes(format!("g|frame{i}"), r.clone(), SeqKind::Protein))
         .collect();
-    let t1 = psc_index::SeedIndex::build(&FlatBank::from_bank(&frames), model, 1);
+    let t1 = psc_index::SeedIndex::build(&FlatBank::from_bank(&frames), model, 1, None);
     let t0 = t0_residues.map(|seqs| {
         let bank: Bank = seqs
             .iter()
             .enumerate()
             .map(|(i, r)| Seq::from_codes(format!("p{i}"), r.clone(), SeqKind::Protein))
             .collect();
-        let index = psc_index::SeedIndex::build(&FlatBank::from_bank(&bank), model, 1);
+        let index = psc_index::SeedIndex::build(&FlatBank::from_bank(&bank), model, 1, None);
         BundleT0 { bank, index }
     });
     IndexBundle {

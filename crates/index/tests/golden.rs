@@ -25,10 +25,10 @@ fn serialized_bytes_are_pinned() {
     let model = ExactSeed::new(2);
     let frame_len = |i: u32| Frame::ALL[i as usize].translated_len(GENOME_LEN) as u32;
     let frames: Bank = (0..6).map(|i| seq("g|frame", i, frame_len(i))).collect();
-    let t1 = SeedIndex::build(&FlatBank::from_bank(&frames), &model, 1);
+    let t1 = SeedIndex::build(&FlatBank::from_bank(&frames), &model, 1, None);
 
     let bank: Bank = (0..3).map(|i| seq("p", i + 10, 40)).collect();
-    let index = SeedIndex::build(&FlatBank::from_bank(&bank), &model, 1);
+    let index = SeedIndex::build(&FlatBank::from_bank(&bank), &model, 1, None);
     let bundle = IndexBundle {
         genome_id: "g".to_string(),
         genome_len: GENOME_LEN as u64,
