@@ -493,9 +493,10 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, String> {
         },
         other => return Err(format!("unknown backend {other:?}")),
     };
-    // Fleet shape: `--boards N` engages the multi-board work-stealing
-    // dispatcher (rasc backend only; HSP output is bit-identical at any
-    // board count). The tuning flags only mean something with a fleet.
+    // Fleet shape: `--boards N` spreads step 2 over N simulated boards
+    // behind the work-stealing dispatcher (rasc backend only; HSP output
+    // is bit-identical at any board count). The tuning flags only mean
+    // something with more than one board.
     let boards = flags.parsed("boards", 1usize)?;
     if !(1..=psc_rasc::MAX_BOARDS).contains(&boards) {
         return Err(format!(
@@ -547,7 +548,7 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, String> {
         fleet,
         ..PipelineConfig::default()
     };
-    // What `RascBoard::new` would assert or refuse on the first query.
+    // What `RascFleet::new` would assert or refuse on the first query.
     if let Step2Backend::Rasc {
         pe_count,
         fpga_count,

@@ -71,7 +71,7 @@ fn assert_usage_error(args: &[&str], message: &str) {
     assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
 }
 
-/// A board flag `RascBoard::new` would assert on.
+/// A board flag `RascFleet::new` would assert on.
 fn assert_board_flag_rejected(cmd: &[&str], flag: [&str; 2], message: &str) {
     assert_usage_error(&[cmd, &["--backend", "rasc"], &flag].concat(), message);
 }

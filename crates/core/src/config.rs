@@ -139,10 +139,9 @@ pub struct PipelineConfig {
     /// faults.
     pub recovery: psc_rasc::RecoveryPolicy,
     /// Fleet shape for the RASC backend: number of simulated boards,
-    /// steal policy, and quarantine threshold. `boards == 1` (the
-    /// default) keeps the classic single-board path; `boards >= 2`
-    /// routes step 2 through the work-stealing fleet dispatcher.
-    /// HSP output is bit-identical at any board count.
+    /// steal policy, and quarantine threshold. Every RASC run goes
+    /// through the fleet dispatcher; the default single board is a
+    /// fleet of one. HSP output is bit-identical at any board count.
     pub fleet: psc_rasc::FleetConfig,
 }
 

@@ -7,9 +7,7 @@ use std::time::Instant;
 
 use psc_align::{cull_hsps, gapped_extend, ExtendScratch, GapConfig, GappedHit, Hsp};
 use psc_index::{FlatBank, SeedIndex};
-use psc_rasc::{
-    BoardFault, BoardReport, BoardSegment, Entry, FleetReport, Hit, RascBoard, RascFleet,
-};
+use psc_rasc::{BoardReport, BoardSegment, Entry, FleetReport, RascFleet};
 use psc_score::karlin::{gapped_params, ungapped_params};
 use psc_score::{SubstitutionMatrix, ROBINSON_FREQS};
 use psc_seqio::Bank;
@@ -44,12 +42,11 @@ pub struct PipelineOutput {
     pub hsps: Vec<Hsp>,
     pub profile: StepProfile,
     pub stats: PipelineStats,
-    /// Present when step 2 ran on the simulated RASC board. For a
-    /// fleet run this is the fleet-wide aggregate
-    /// ([`FleetReport::aggregate`]).
+    /// Present when step 2 ran on the simulated RASC board(s): per-FPGA
+    /// counters board-major, totals summed over the fleet.
     pub board: Option<BoardReport>,
-    /// Present when step 2 ran on a multi-board fleet
-    /// (`PipelineConfig::fleet.boards >= 2` with the RASC backend).
+    /// Present with `board`: how entries were dispatched to the boards
+    /// (one board is a fleet of one).
     pub fleet: Option<FleetReport>,
 }
 
@@ -244,18 +241,11 @@ impl Pipeline {
         if tracer.enabled() && tracer.clock() == TraceClock::Virtual {
             commit_virtual_step2(tracer, idx0, idx1);
         }
-        let (mut s2stats, board, fleet) =
+        let (mut s2stats, simulated) =
             run_step2(cfg, &params, flat0, idx0, flat1, idx1, &mut dedup, tracer)?;
-        // A fleet run reports through the same single-board shape: the
-        // aggregate sums every board. Its timeline lives on the fleet
-        // report (per-board lanes), so `commit_board_timeline` below is
-        // a no-op for it.
-        let board = board.or_else(|| fleet.as_ref().map(|f| f.aggregate.clone()));
-        if let Some(b) = board.as_ref().filter(|_| tracer.enabled()) {
-            commit_board_timeline(tracer, b);
-        }
-        if let Some(f) = fleet.as_ref().filter(|_| tracer.enabled()) {
-            commit_fleet_timeline(tracer, f);
+        let (board, fleet) = simulated.unzip();
+        if let (Some(b), Some(f), true) = (&board, &fleet, tracer.enabled()) {
+            commit_board_timeline(tracer, b, f);
         }
         // Every backend pushes the same candidate multiset; the pushed
         // count is the one `candidates` counter.
@@ -289,7 +279,7 @@ impl Pipeline {
             rec.add(keys::STEP2_FAULT_RETRIES, b.faults.retries);
             rec.add(keys::STEP2_ENTRIES_DEGRADED, b.faults.entries_degraded);
         }
-        if let Some(f) = fleet.as_ref() {
+        if let Some(f) = fleet.as_ref().filter(|f| f.boards >= 2) {
             rec.add(keys::FLEET_BOARDS, f.boards as u64);
             rec.add(keys::FLEET_STEALS, f.steals);
             rec.add(keys::FLEET_QUARANTINED, f.quarantined.len() as u64);
@@ -928,17 +918,11 @@ fn commit_virtual_step3(tracer: &dyn Tracer, anchors: usize) {
 }
 
 /// One `(entry, fpga)` timeline record as two sim-clock units on lane
-/// `seg.fpga`: DMA-in on `dma_stage`, compute on `compute_stage` with
-/// recovery backoff split out and fault marks attached.
-fn commit_segment(
-    tracer: &dyn Tracer,
-    dma_stage: String,
-    compute_stage: String,
-    index: u64,
-    seg: &BoardSegment,
-) {
+/// `seg.fpga`: DMA-in, and compute with recovery backoff split out and
+/// fault marks attached.
+fn commit_segment(tracer: &dyn Tracer, index: u64, seg: &BoardSegment) {
     tracer.commit(UnitTrace {
-        stage: dma_stage,
+        stage: keys::STAGE_BOARD_DMA.to_string(),
         index,
         lane: seg.fpga as u32,
         start_seconds: Some(seg.dma_start),
@@ -964,7 +948,7 @@ fn commit_segment(
         events.push(UnitEvent::mark(keys::EV_FAULT_DEGRADED, 1));
     }
     tracer.commit(UnitTrace {
-        stage: compute_stage,
+        stage: keys::STAGE_BOARD_COMPUTE.to_string(),
         index,
         lane: seg.fpga as u32,
         start_seconds: Some(seg.compute_start),
@@ -974,18 +958,36 @@ fn commit_segment(
 }
 
 /// Board lanes from the cycle-derived [`BoardReport`] timeline: DMA-in
-/// and compute per FPGA ([`commit_segment`]), plus one result-link
-/// drain lane — all on the simulated clock, so they are deterministic
-/// under both trace clocks.
-fn commit_board_timeline(tracer: &dyn Tracer, report: &BoardReport) {
+/// and compute per FPGA ([`commit_segment`]; a fleet's FPGAs are
+/// numbered board-major), each board's steal pulls and quarantine drains
+/// on its first DMA lane (stall classes `fleet-steal` /
+/// `fleet-quarantine-drain`, with victim / drained-count marks), plus
+/// one result-link drain lane — all on the simulated clock, so they are
+/// deterministic under both trace clocks.
+fn commit_board_timeline(tracer: &dyn Tracer, report: &BoardReport, fleet: &FleetReport) {
     for (i, seg) in report.timeline.iter().enumerate() {
-        commit_segment(
-            tracer,
-            keys::STAGE_BOARD_DMA.to_string(),
-            keys::STAGE_BOARD_COMPUTE.to_string(),
-            i as u64,
-            seg,
-        );
+        commit_segment(tracer, i as u64, seg);
+    }
+    let fpgas_per_board = report.fpga_cycles.len() / fleet.boards;
+    for (i, ev) in fleet.events.iter().enumerate() {
+        let events = match ev.kind {
+            psc_rasc::FleetEventKind::Steal { victim } => vec![
+                UnitEvent::span(keys::EV_STEAL_WAIT, ev.seconds, 1),
+                UnitEvent::mark(keys::EV_STEAL_VICTIM, victim as u64),
+            ],
+            psc_rasc::FleetEventKind::QuarantineDrain { drained } => vec![
+                UnitEvent::span(keys::EV_QUARANTINE_DRAIN, ev.seconds, 1),
+                UnitEvent::mark(keys::EV_QUARANTINED, drained),
+            ],
+        };
+        tracer.commit(UnitTrace {
+            stage: keys::STAGE_BOARD_DMA.to_string(),
+            index: (report.timeline.len() + i) as u64,
+            lane: (ev.board * fpgas_per_board) as u32,
+            start_seconds: Some(ev.at),
+            sim_clock: true,
+            events,
+        });
     }
     if !report.timeline.is_empty() {
         let drain_start = report
@@ -1011,57 +1013,17 @@ fn commit_board_timeline(tracer: &dyn Tracer, report: &BoardReport) {
     }
 }
 
-/// Fleet lanes: the same DMA/compute decomposition as
-/// [`commit_board_timeline`], but on per-board stages
-/// (`board.dma.bNN` / `board.compute.bNN`, lane = FPGA) so the trace
-/// shows every board's simulated clock side by side; steal pulls and
-/// quarantine drains land as their own spans (stall classes
-/// `fleet-steal` / `fleet-quarantine-drain`) with victim / drained-count
-/// marks. All sim-clock, so deterministic under both trace clocks.
-fn commit_fleet_timeline(tracer: &dyn Tracer, report: &FleetReport) {
-    for (i, (b, seg)) in report.timeline.iter().enumerate() {
-        commit_segment(
-            tracer,
-            keys::board_dma_stage(*b),
-            keys::board_compute_stage(*b),
-            i as u64,
-            seg,
-        );
-    }
-    for (i, ev) in report.events.iter().enumerate() {
-        let events = match ev.kind {
-            psc_rasc::FleetEventKind::Steal { victim } => vec![
-                UnitEvent::span(keys::EV_STEAL_WAIT, ev.seconds, 1),
-                UnitEvent::mark(keys::EV_STEAL_VICTIM, victim as u64),
-            ],
-            psc_rasc::FleetEventKind::QuarantineDrain { drained } => vec![
-                UnitEvent::span(keys::EV_QUARANTINE_DRAIN, ev.seconds, 1),
-                UnitEvent::mark(keys::EV_QUARANTINED, drained),
-            ],
-        };
-        tracer.commit(UnitTrace {
-            stage: keys::board_dma_stage(ev.board),
-            index: (report.timeline.len() + i) as u64,
-            lane: 0,
-            start_seconds: Some(ev.at),
-            sim_clock: true,
-            events,
-        });
-    }
-}
-
 /// What [`run_step2`] hands back besides the candidates it pushed into
 /// the dedup: counters (`candidates` left for the caller to fill from
-/// [`AnchorDedup::pushed`]) and the board or fleet report (at most one
-/// is `Some`).
-type Step2Output = (Step2Stats, Option<BoardReport>, Option<FleetReport>);
+/// [`AnchorDedup::pushed`]) and, on the simulated boards, their reports.
+type Step2Output = (Step2Stats, Option<(BoardReport, FleetReport)>);
 
 /// Step 2 on the configured backend, feeding `dedup` directly: the
-/// board and fleet push each entry's candidates from the draining
-/// thread as the entry completes, the software kernels push after the
-/// worker join. The dedup is push-order-invariant, so the anchors — and
-/// everything downstream — are bit-identical across backends, thread
-/// counts and fault plans.
+/// boards push each entry's candidates from the draining thread as the
+/// entry completes, the software kernels push after the worker join.
+/// The dedup is push-order-invariant, so the anchors — and everything
+/// downstream — are bit-identical across backends, thread counts and
+/// fault plans.
 #[allow(clippy::too_many_arguments)]
 fn run_step2(
     cfg: &PipelineConfig,
@@ -1094,8 +1056,8 @@ fn run_step2(
         stats
     };
     Ok(match &cfg.backend {
-        Step2Backend::SoftwareScalar => (software(dedup, 1), None, None),
-        Step2Backend::SoftwareParallel { threads } => (software(dedup, *threads), None, None),
+        Step2Backend::SoftwareScalar => (software(dedup, 1), None),
+        Step2Backend::SoftwareParallel { threads } => (software(dedup, *threads), None),
         Step2Backend::Rasc {
             pe_count,
             fpga_count,
@@ -1103,50 +1065,40 @@ fn run_step2(
         } => {
             let mut board_cfg = cfg.board_config(*pe_count, *fpga_count);
             board_cfg.record_timeline = tracer.enabled();
-            if cfg.fleet.boards >= 2 {
-                // Multi-board fleet: same entries, work-stealing
-                // dispatch, bit-identical hit stream (the fleet emits
-                // fault-free results by construction).
-                let fleet = RascFleet::new(board_cfg, cfg.fleet, params.matrix)
-                    .map_err(PipelineError::OperatorDoesNotFit)?;
-                let (stats, report) =
-                    run_board_entries(params, flat0, idx0, flat1, idx1, dedup, |entries, sink| {
-                        fleet.run_stream(entries, *host_threads, sink)
-                    })?;
-                (stats, None, Some(report))
-            } else {
-                let board = RascBoard::new(board_cfg, params.matrix)
-                    .map_err(PipelineError::OperatorDoesNotFit)?;
-                let (stats, report) =
-                    run_board_entries(params, flat0, idx0, flat1, idx1, dedup, |entries, sink| {
-                        board.run_stream(entries, *host_threads, sink)
-                    })?;
-                (stats, Some(report), None)
-            }
+            let fleet = RascFleet::new(board_cfg, cfg.fleet, params.matrix)
+                .map_err(PipelineError::OperatorDoesNotFit)?;
+            let (stats, reports) = run_board_entries(
+                params,
+                flat0,
+                idx0,
+                flat1,
+                idx1,
+                dedup,
+                &fleet,
+                *host_threads,
+            )?;
+            (stats, Some(reports))
         }
     })
 }
 
 /// Step 2 on simulated hardware: gather one [`Entry`] per active key
-/// (in key order), hand the entry stream to `run` — a
-/// board's or a fleet's `run_stream` — and push each entry's surviving
-/// hits into `dedup` as the entry completes (entry *completion* order;
-/// the dedup is order-invariant). Errors only when an entry exhausts
-/// fault recovery with degradation disabled. The returned stats leave
-/// `candidates` at zero for the caller to count.
+/// (in key order), stream the entries through `fleet` and push each
+/// entry's surviving hits into `dedup` as the entry completes (entry
+/// *completion* order; the dedup is order-invariant). Errors only when
+/// an entry exhausts fault recovery with degradation disabled. The
+/// returned stats leave `candidates` at zero for the caller to count.
 #[allow(clippy::too_many_arguments)]
-fn run_board_entries<R>(
+fn run_board_entries(
     params: &Step2Params<'_>,
     flat0: &FlatBank,
     idx0: &SeedIndex,
     flat1: &FlatBank,
     idx1: &SeedIndex,
     dedup: &mut AnchorDedup<'_>,
-    run: impl FnOnce(
-        Box<dyn Iterator<Item = Entry> + Send + '_>,
-        &mut dyn FnMut(u64, Vec<Hit>),
-    ) -> Result<R, BoardFault>,
-) -> Result<(Step2Stats, R), PipelineError> {
+    fleet: &RascFleet,
+    host_threads: usize,
+) -> Result<(Step2Stats, (BoardReport, FleetReport)), PipelineError> {
     // Keys with work on both sides, in key order.
     let active: Vec<u32> = (0..idx0.key_count() as u32)
         .filter(|&k| !idx0.list(k).is_empty() && !idx1.list(k).is_empty())
@@ -1169,20 +1121,21 @@ fn run_board_entries<R>(
         Entry { il0, il1 }
     });
 
-    let report = run(Box::new(entries), &mut |entry_idx, hits| {
-        let key = active[entry_idx as usize];
-        let list0 = idx0.list(key);
-        let list1 = idx1.list(key);
-        for h in hits {
-            dedup.push(&Candidate {
-                pos0: list0[h.i0 as usize],
-                pos1: list1[h.i1 as usize],
-                score: h.score,
-            });
-        }
-    })
-    .map_err(PipelineError::BoardFault)?;
-    Ok((stats, report))
+    let reports = fleet
+        .run_stream(entries, host_threads, |entry_idx, hits| {
+            let key = active[entry_idx as usize];
+            let list0 = idx0.list(key);
+            let list1 = idx1.list(key);
+            for h in hits {
+                dedup.push(&Candidate {
+                    pos0: list0[h.i0 as usize],
+                    pos1: list1[h.i1 as usize],
+                    score: h.score,
+                });
+            }
+        })
+        .map_err(PipelineError::BoardFault)?;
+    Ok((stats, reports))
 }
 
 #[cfg(test)]

@@ -11,10 +11,7 @@
 //!
 //! [`open`] verifies the checksum before a single field is parsed, so a
 //! flipped byte anywhere surfaces as [`SerialError::Corrupt`] (or a more
-//! specific header error), never as different search results. The same
-//! sum guards the simulated board's input streams
-//! (`psc_rasc::fault::stream_checksum` calls [`fletcher64`]): one
-//! discipline is audited in both places.
+//! specific header error), never as different search results.
 
 use crate::seed::SeedModel;
 use crate::table::SeedIndex;
@@ -301,7 +298,7 @@ mod tests {
 
     #[test]
     fn fletcher_matches_rasc_discipline() {
-        // Fixed vectors: the board's stream checksum is this function.
+        // Fixed vectors.
         assert_eq!(fletcher64(&[]), (0x5EEDu64 << 32) | 0xF1EA);
         let one = fletcher64(&[&[0x07]]);
         assert_eq!(one & 0xFFFF_FFFF, 0xF1EA + 7 + 1);

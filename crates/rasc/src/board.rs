@@ -7,10 +7,20 @@
 //! per-dispatch synchronisation cost and a shared result link — the two
 //! effects that cap the measured dual-FPGA speedup at 1.8× instead of 2×.
 //!
-//! Timing is *simulated* (cycles at the configured clock plus the DMA
-//! model); the number of host threads used to crunch the simulation only
-//! affects how fast the simulation itself runs, never the reported
-//! numbers.
+//! ## Two phases
+//!
+//! *Phase A* (`precompute`, parallel): every entry is scored once,
+//! fault-free, on `host_threads` simulation workers. Its hits go to the
+//! caller's sink and each shard's cost — cycles, stalls, bytes, watchdog
+//! budget — is kept. The hits are the fault-free hits by construction.
+//!
+//! *Phase B* (`Board`, sequential): each dispatched entry's attempt
+//! loop is replayed as arithmetic over those costs, and the board's
+//! double-buffered DMA/compute timeline advances one entry at a time.
+//! [`crate::fleet`] decides which board an entry goes to; one board is
+//! a fleet of one. Timing is *simulated* (cycles at the configured
+//! clock plus the DMA model), so the number of host threads only affects
+//! how fast the simulation itself runs, never the reported numbers.
 //!
 //! ## Fault handling
 //!
@@ -20,11 +30,10 @@
 //! [`RecoveryPolicy`] — charging the wasted attempt plus an escalating
 //! simulated backoff to that FPGA's cycle account — and, once retries
 //! are exhausted, either recomputes the shard with the host software
-//! kernel (degraded mode) or fails the run with [`BoardFault`]. Every
-//! decision is a pure function of `(plan, entry, fpga, attempt)`, so
-//! results *and* the report are deterministic regardless of
-//! `host_threads`, and recovered output is bit-identical to the
-//! fault-free run.
+//! kernel (degraded mode) or fails the run with [`BoardFault`]. A wedged
+//! shard leaves its siblings running. Every decision is a pure function
+//! of `(plan, entry, fpga, attempt)`, so the report is deterministic
+//! regardless of `host_threads`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::sync_channel;
@@ -34,16 +43,13 @@ use psc_score::SubstitutionMatrix;
 
 use crate::config::OperatorConfig;
 use crate::dma::DmaModel;
-use crate::fault::{
-    self, BoardFault, FaultInjector, FaultKind, FaultPlan, FaultSummary, RecoveryPolicy,
-};
+use crate::fault::{BoardFault, FaultInjector, FaultKind, FaultPlan, FaultSummary, RecoveryPolicy};
 use crate::functional::FunctionalOperator;
 use crate::operator::{pe_utilization, Hit};
-use crate::resource::{ResourceError, ResourceModel};
 
 /// Simulated cycles an ADR dispatch handshake burns before the
-/// protocol check rejects it (shared with the fleet replay).
-pub(crate) const ADR_HANDSHAKE_CYCLES: u64 = 8;
+/// protocol check rejects it.
+const ADR_HANDSHAKE_CYCLES: u64 = 8;
 
 /// Entry results a simulation worker hands to the draining thread at
 /// once. One channel crossing per entry wakes that thread thousands of
@@ -95,7 +101,8 @@ pub struct Entry {
     pub il1: Vec<u8>,
 }
 
-/// Timing report of a workload run.
+/// Timing report of a workload run. Per-FPGA vectors are board-major:
+/// index `b * fpga_count + f` is board `b`'s FPGA `f`.
 #[derive(Clone, Debug, Default)]
 pub struct BoardReport {
     /// Hardware cycles per FPGA.
@@ -108,34 +115,34 @@ pub struct BoardReport {
     pub busy_pe_cycles: Vec<u64>,
     /// Result-FIFO high-water mark per FPGA (max over entries).
     pub fifo_peak: Vec<u64>,
-    /// Bytes streamed to / from the board (every retry re-streams its
+    /// Bytes streamed to / from the boards (every retry re-streams its
     /// entry over NUMAlink).
     pub bytes_in: u64,
     pub bytes_out: u64,
     /// Pure NUMAlink wire time of the input / output byte streams.
     pub wire_in_seconds: f64,
     pub wire_out_seconds: f64,
-    /// Entries dispatched.
+    /// Entries in the stream.
     pub entries: u64,
-    /// Hits delivered over the board's result link (degraded entries
-    /// are recomputed host-side and do not cross it).
+    /// Hits delivered over the result link (degraded shards are
+    /// recomputed host-side and do not cross it).
     pub hit_count: u64,
-    /// Simulated wall time of the accelerated section: the slowest
-    /// FPGA's double-buffered DMA/compute timeline (input streaming of
-    /// entry *k+1* overlaps compute of entry *k*), plus the shared
-    /// result link, plus host synchronisation and the one-time
-    /// bitstream load.
+    /// Simulated wall time of the accelerated section, on the board
+    /// that finished last: its slowest FPGA's double-buffered DMA/compute
+    /// timeline (input streaming of entry *k+1* overlaps compute of
+    /// entry *k*), plus the shared result link, plus its host
+    /// synchronisation and setup.
     pub accelerated_seconds: f64,
-    /// Seconds of the slowest FPGA's timeline during which its DMA
-    /// engine and its PE array were busy *simultaneously* (the
-    /// double-buffer payoff).
+    /// Seconds of that FPGA's timeline during which its DMA engine and
+    /// its PE array were busy *simultaneously* (the double-buffer
+    /// payoff).
     pub overlap_seconds: f64,
     /// `overlap_seconds` as a fraction of that FPGA's total timeline
     /// (0 when the board did no work).
     pub overlap_occupancy: f64,
     /// Of which: host synchronisation overhead.
     pub sync_seconds: f64,
-    /// Of which: one-time setup and dispatch handshakes.
+    /// Of which: the one-time bitstream load and the dispatch handshakes.
     pub setup_seconds: f64,
     /// Fault injection / recovery counters for the run.
     pub faults: FaultSummary,
@@ -157,6 +164,7 @@ pub struct BoardReport {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BoardSegment {
     pub entry: u64,
+    /// Board-major FPGA index, as in [`BoardReport::fpga_cycles`].
     pub fpga: usize,
     /// Input-stream window on the DMA engine, seconds.
     pub dma_start: f64,
@@ -185,570 +193,531 @@ impl BoardReport {
     }
 }
 
-/// Per-FPGA accumulation while streaming.
-#[derive(Clone, Copy, Debug, Default)]
-struct FpgaTally {
-    cycles: u64,
-    stalls: u64,
-    busy: u64,
-    bytes_in: u64,
-    hits: u64,
-    /// Result-FIFO high-water mark (max over entries).
-    peak: u64,
-}
-
-/// What one entry cost one FPGA (cycles across all attempts plus every
-/// byte re-streamed) — the input of the double-buffered timeline in
-/// [`RascBoard::report_from`]. Collected per worker and merged in
-/// `(entry, fpga)` order, so the timeline fold is independent of
-/// `host_threads`.
-#[derive(Clone, Copy, Debug)]
-struct EntryCost {
-    entry: u64,
-    fpga: usize,
-    cycles: u64,
-    bytes_in: u64,
-    /// Recovery activity of this record, for the timeline.
-    retries: u32,
-    backoff_cycles: u64,
-    degraded: bool,
-}
-
-/// One simulation worker's private state: its operators (one per
-/// FPGA) and everything it accumulates while streaming. Merged across
-/// workers once the stream ends.
-struct Worker {
-    ops: Vec<FunctionalOperator>,
-    tallies: Vec<FpgaTally>,
-    faults: FaultSummary,
-    costs: Vec<EntryCost>,
-}
-
-/// The host-side scaffold shared by [`RascBoard::run_stream`] and the
-/// fleet's Phase-A precompute: `host_threads` workers, each with its own
-/// `init()` state, claim `(index, entry)` in index order straight from
-/// the shared source — gathering an entry (the iterator's `next`) is
-/// short next to scoring it, so the lock is rarely contended and no
-/// feeder thread or entry queue is needed — run `process` on it, and
-/// hand the results to `drain` on the calling thread, in bursts of up
-/// to `RESULT_CHUNK` and possibly out of index order. One thread runs
-/// inline with no channel at all.
-///
-/// The first `Err` stops further claims; the error returned is that of
-/// the earliest failing entry. Entries are claimed in index order and
-/// every claimed entry is processed, so the globally earliest failure
-/// is always among the errors collected — whichever thread won the race
-/// to the abort flag (`drain` may already have seen later entries by
-/// then). On success returns the number of entries streamed and every
-/// worker's final state.
-pub(crate) fn stream_entries<I, S, T>(
+/// `host_threads` workers, each with its own `init()` state, claim
+/// `(index, entry)` in index order straight from the shared source —
+/// gathering an entry (the iterator's `next`) is short next to scoring
+/// it, so the lock is rarely contended and no feeder thread or entry
+/// queue is needed — run `process` on it, and hand the results to
+/// `drain` on the calling thread, in bursts of up to `RESULT_CHUNK` and
+/// possibly out of index order. One thread runs inline with no channel
+/// at all.
+fn stream_entries<I, S, T>(
     entries: I,
     host_threads: usize,
     init: impl Fn() -> S + Sync,
-    process: impl Fn(&mut S, u64, &Entry) -> Result<T, BoardFault> + Sync,
+    process: impl Fn(&mut S, u64, &Entry) -> T + Sync,
     mut drain: impl FnMut(T),
-) -> Result<(u64, Vec<S>), BoardFault>
-where
+) where
     I: Iterator<Item = Entry> + Send,
-    S: Send,
     T: Send,
 {
-    let host_threads = host_threads.max(1);
     let source = Mutex::new((0u64, entries));
-    let abort = AtomicBool::new(false);
+    let stop = AtomicBool::new(false);
     let claim = || {
         let mut src = source
             .lock()
             .expect("a worker panicked inside the entry iterator");
-        if abort.load(Ordering::Relaxed) {
+        if stop.load(Ordering::Relaxed) {
             return None;
         }
         let entry = src.1.next()?;
         src.0 += 1;
         Some((src.0 - 1, entry))
     };
-    let work = |emit: &mut dyn FnMut(Result<T, BoardFault>) -> bool| {
+    let work = |emit: &mut dyn FnMut(T) -> bool| {
         let mut state = init();
         while let Some((idx, entry)) = claim() {
-            let out = process(&mut state, idx, &entry);
-            let failed = out.is_err();
             // `emit` reports false once nobody is receiving any more.
-            if !emit(out) || failed {
-                abort.store(true, Ordering::Relaxed);
-            }
-        }
-        state
-    };
-    let mut first_err: Option<BoardFault> = None;
-    let mut accept = |res: Result<T, BoardFault>| match res {
-        Ok(t) => drain(t),
-        Err(e) => {
-            if first_err.is_none_or(|p| e.entry < p.entry) {
-                first_err = Some(e);
+            if !emit(process(&mut state, idx, &entry)) {
+                stop.store(true, Ordering::Relaxed);
             }
         }
     };
-    let states = if host_threads == 1 {
-        vec![work(&mut |res| {
-            accept(res);
+    if host_threads <= 1 {
+        work(&mut |t| {
+            drain(t);
             true
-        })]
-    } else {
-        std::thread::scope(|s| {
-            // Created in here so a panicking `drain` drops the receiver
-            // before the scope joins: blocked senders wake up and stop.
-            let (tx, rx) = sync_channel::<Vec<Result<T, BoardFault>>>(host_threads * 2);
-            let handles: Vec<_> = (0..host_threads)
-                .map(|_| {
-                    let (tx, work) = (tx.clone(), &work);
-                    s.spawn(move || {
-                        let mut chunk = Vec::new();
-                        let state = work(&mut |res| {
-                            chunk.push(res);
-                            chunk.len() < RESULT_CHUNK
-                                || tx.send(std::mem::take(&mut chunk)).is_ok()
-                        });
-                        // The receiver only goes away with the run.
-                        let _ = tx.send(chunk);
-                        state
-                    })
-                })
-                .collect();
-            drop(tx);
-            rx.iter().flatten().for_each(&mut accept);
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        })
-    };
-    match first_err {
-        Some(e) => Err(e),
-        None => {
-            let claimed = source
-                .into_inner()
-                .expect("a worker panicked inside the entry iterator")
-                .0;
-            Ok((claimed, states))
+        });
+        return;
+    }
+    std::thread::scope(|s| {
+        // Created in here so a panicking `drain` drops the receiver
+        // before the scope joins: blocked senders wake up and stop.
+        let (tx, rx) = sync_channel::<Vec<T>>(host_threads * 2);
+        for _ in 0..host_threads {
+            let (tx, work) = (tx.clone(), &work);
+            s.spawn(move || {
+                let mut chunk = Vec::new();
+                work(&mut |t| {
+                    chunk.push(t);
+                    chunk.len() < RESULT_CHUNK || tx.send(std::mem::take(&mut chunk)).is_ok()
+                });
+                // The receiver only goes away with the run.
+                let _ = tx.send(chunk);
+            });
         }
+        drop(tx);
+        rx.iter().flatten().for_each(&mut drain);
+    });
+}
+
+/// FPGAs a RASC-100 carries.
+pub(crate) const MAX_FPGAS: usize = 2;
+
+/// Fault-free cost of one shard — everything Phase B needs to replay
+/// any fault plan without touching sequence data again.
+#[derive(Clone, Copy, Debug, Default)]
+struct ShardBase {
+    fpga: usize,
+    cycles: u64,
+    stalls: u64,
+    busy: u64,
+    fifo_peak: u64,
+    /// Bytes one dispatch streams (shard + IL1); every retry re-streams.
+    bytes: u64,
+    /// Watchdog budget of this shard (for `FifoStall` cost replay).
+    budget: u64,
+    hits: u64,
+}
+
+/// One entry's Phase A result: the cost of each non-empty shard. Held
+/// inline: Phase A keeps one per entry until Phase B ends, and a small
+/// heap block each, allocated on the workers, fragments their arenas.
+#[derive(Clone, Debug)]
+pub(crate) struct EntryBase {
+    entry: u64,
+    len: usize,
+    shards: [ShardBase; MAX_FPGAS],
+}
+
+impl EntryBase {
+    fn shards(&self) -> &[ShardBase] {
+        &self.shards[..self.len]
     }
 }
 
-/// A simulated RASC-100 board.
-#[derive(Debug)]
-pub struct RascBoard {
-    config: BoardConfig,
-    matrix: SubstitutionMatrix,
-}
-
-impl RascBoard {
-    /// Build a board; every FPGA must fit the configured operator.
-    pub fn new(
-        config: BoardConfig,
-        matrix: &SubstitutionMatrix,
-    ) -> Result<RascBoard, ResourceError> {
-        assert!(
-            (1..=2).contains(&config.fpga_count),
-            "RASC-100 has one or two FPGAs"
-        );
-        config.operator.validate().expect("invalid operator config");
-        ResourceModel::check(&config.operator)?;
-        Ok(RascBoard {
-            config,
-            matrix: matrix.clone(),
-        })
-    }
-
-    pub fn config(&self) -> &BoardConfig {
-        &self.config
-    }
-
-    /// Contiguous IL0 shard `[lo, hi)` (in windows) assigned to FPGA `f`
-    /// for an entry of `k0` windows.
-    fn shard(&self, k0: usize, f: usize) -> (usize, usize) {
-        let per = k0.div_ceil(self.config.fpga_count);
-        ((f * per).min(k0), ((f + 1) * per).min(k0))
-    }
-
-    /// Process one entry on all FPGAs (used by the streaming workers),
-    /// retrying and degrading per the recovery policy. Returns the
-    /// merged hit list (FPGA 0's hits first, `i0` rebased to the full
-    /// entry) and updates the worker's tallies and fault counters.
-    fn process_entry(
-        &self,
-        worker: &mut Worker,
-        entry_idx: u64,
-        entry: &Entry,
-        injector: Option<&FaultInjector>,
-    ) -> Result<Vec<Hit>, BoardFault> {
-        let Worker {
-            ops,
-            tallies,
-            faults,
-            costs,
-        } = worker;
-        let l = self.config.operator.window_len;
+/// Phase A over the whole stream: hands each entry's fault-free hits
+/// to `sink` (FPGA 0's shard first, `i0` rebased to the full entry) and
+/// returns the per-shard costs in entry order.
+pub(crate) fn precompute<I>(
+    config: &BoardConfig,
+    matrix: &SubstitutionMatrix,
+    entries: I,
+    host_threads: usize,
+    sink: &mut impl FnMut(u64, Vec<Hit>),
+) -> Vec<EntryBase>
+where
+    I: Iterator<Item = Entry> + Send,
+{
+    let l = config.operator.window_len;
+    let nf = config.fpga_count;
+    let policy = config.recovery;
+    let score = |ops: &mut Vec<FunctionalOperator>, idx: u64, entry: &Entry| {
         let k0 = entry.il0.len() / l;
         let k1 = entry.il1.len() / l;
-        let policy = self.config.recovery;
-        let mut merged = Vec::new();
+        // Contiguous IL0 shards, one per FPGA.
+        let per = k0.div_ceil(nf);
+        let mut base = EntryBase {
+            entry: idx,
+            len: 0,
+            shards: [ShardBase::default(); MAX_FPGAS],
+        };
+        let mut hits = Vec::new();
         for (f, op) in ops.iter_mut().enumerate() {
-            let (lo, hi) = self.shard(k0, f);
+            let (lo, hi) = ((f * per).min(k0), ((f + 1) * per).min(k0));
             if lo >= hi {
                 continue;
             }
-            // Snapshot the tally so everything this entry charges the
-            // FPGA (all attempts, backoff, re-streamed bytes) lands in
-            // one timeline record.
-            let (cycles_before, bytes_before) = (tallies[f].cycles, tallies[f].bytes_in);
             let shard = &entry.il0[lo * l..hi * l];
-            let budget =
-                policy.watchdog_budget(op.cycles_lower_bound(hi - lo, k1), ((hi - lo) * k1) as u64);
-            let mut attempt = 0u32;
-            let mut record_backoff = 0u64;
-            let mut record_degraded = false;
-            let mut hits = loop {
-                let fault = injector.and_then(|i| i.fire(entry_idx, f, attempt));
-                let ctx = (entry_idx, f, attempt);
-                match self.run_attempt(
-                    op,
-                    shard,
-                    &entry.il1,
-                    fault,
-                    injector,
-                    ctx,
-                    budget,
-                    &mut tallies[f],
-                    faults,
-                ) {
-                    Ok(hits) => break hits,
-                    Err(kind) => {
-                        if attempt >= policy.max_retries {
-                            if policy.degrade {
-                                faults.entries_degraded += 1;
-                                record_degraded = true;
-                                break fault::score_entry_software(
-                                    &self.matrix,
-                                    &self.config.operator,
-                                    shard,
-                                    &entry.il1,
-                                );
-                            }
-                            return Err(BoardFault {
-                                entry: entry_idx,
-                                fpga: f,
-                                kind,
-                                attempts: attempt + 1,
-                            });
+            let r = op.run_entry(shard, &entry.il1);
+            base.shards[base.len] = ShardBase {
+                fpga: f,
+                cycles: r.cycles,
+                stalls: r.stall_cycles,
+                busy: r.busy_pe_cycles,
+                fifo_peak: r.fifo_peak,
+                bytes: (shard.len() + entry.il1.len()) as u64,
+                budget: policy
+                    .watchdog_budget(op.cycles_lower_bound(hi - lo, k1), ((hi - lo) * k1) as u64),
+                hits: r.hits.len() as u64,
+            };
+            base.len += 1;
+            hits.extend(r.hits.into_iter().map(|mut h| {
+                h.i0 += lo as u32;
+                h
+            }));
+        }
+        (base, hits)
+    };
+    let mut bases = Vec::new();
+    stream_entries(
+        entries,
+        host_threads,
+        || {
+            (0..nf)
+                .map(|_| {
+                    FunctionalOperator::new(config.operator.clone(), matrix)
+                        .expect("validated at construction")
+                })
+                .collect()
+        },
+        score,
+        |(base, hits): (EntryBase, Vec<Hit>)| {
+            sink(base.entry, hits);
+            bases.push(base);
+        },
+    );
+    // Workers interleave; Phase B needs index order.
+    bases.sort_unstable_by_key(|b| b.entry);
+    bases
+}
+
+/// One shard's attempt loop, replayed.
+#[derive(Clone, Copy, Debug, Default)]
+struct ShardRun {
+    fpga: usize,
+    cycles: u64,
+    stalls: u64,
+    busy: u64,
+    peak: u64,
+    bytes: u64,
+    backoff: u64,
+    retries: u32,
+    hits: u64,
+    /// The fault of the last attempt when every attempt failed.
+    wedge: Option<FaultKind>,
+}
+
+/// One entry dispatched to one board: every shard's attempt loop under
+/// that board's fault stream.
+#[derive(Clone, Debug)]
+pub(crate) struct Dispatch {
+    entry: u64,
+    len: usize,
+    runs: [ShardRun; MAX_FPGAS],
+    faults: FaultSummary,
+}
+
+impl Dispatch {
+    /// Replay `injector`'s fault stream over `base`. Each shard runs its
+    /// own loop whatever its siblings did.
+    pub(crate) fn replay(
+        policy: &RecoveryPolicy,
+        base: &EntryBase,
+        injector: Option<&FaultInjector>,
+    ) -> Dispatch {
+        let mut d = Dispatch {
+            entry: base.entry,
+            len: base.len,
+            runs: [ShardRun::default(); MAX_FPGAS],
+            faults: FaultSummary::default(),
+        };
+        let faults = &mut d.faults;
+        for (sb, run) in base.shards().iter().zip(&mut d.runs) {
+            run.fpga = sb.fpga;
+            run.hits = sb.hits;
+            // What a dispatch whose compute completed charges.
+            let compute = |run: &mut ShardRun| {
+                run.cycles += sb.cycles;
+                run.stalls += sb.stalls;
+                run.peak = run.peak.max(sb.fifo_peak);
+            };
+            run.wedge = loop {
+                // Every dispatch (re-)streams the entry over NUMAlink.
+                run.bytes += sb.bytes;
+                let Some(kind) = injector.and_then(|i| i.fire(base.entry, sb.fpga, run.retries))
+                else {
+                    compute(run);
+                    run.busy += sb.busy;
+                    break None;
+                };
+                faults.faults_injected += 1;
+                match kind {
+                    FaultKind::DmaCorrupt => {
+                        // The input stream's checksum is checked before
+                        // "data ready": caught after the stream-in cycles,
+                        // before any PE turns over.
+                        run.cycles += sb.bytes;
+                        faults.checksum_mismatches += 1;
+                    }
+                    FaultKind::DmaTruncate | FaultKind::AdrFault => {
+                        // The ADR count registers disagree with what
+                        // arrived, or the command FSM latched
+                        // `Status::Fault`: caught at the handshake.
+                        run.cycles += ADR_HANDSHAKE_CYCLES;
+                        faults.protocol_faults += 1;
+                    }
+                    FaultKind::FifoStall => {
+                        // The output controller wedges; the host watchdog
+                        // kills the dispatch.
+                        run.cycles += sb.budget + 1;
+                        faults.watchdog_trips += 1;
+                    }
+                    FaultKind::FifoOverflow | FaultKind::PeFlip => {
+                        // Compute completes and the corruption rides the
+                        // result stream, where the host's result checksum
+                        // catches it — unless there was nothing to
+                        // damage, and the attempt stands.
+                        compute(run);
+                        if sb.hits == 0 {
+                            run.busy += sb.busy;
+                            break None;
                         }
-                        faults.retries += 1;
-                        let backoff = policy.backoff(attempt);
-                        tallies[f].cycles += backoff;
-                        faults.backoff_cycles += backoff;
-                        record_backoff += backoff;
-                        attempt += 1;
+                        faults.checksum_mismatches += 1;
                     }
                 }
+                faults.faults_detected += 1;
+                if run.retries >= policy.max_retries {
+                    break Some(kind);
+                }
+                faults.retries += 1;
+                let backoff = policy.backoff(run.retries);
+                run.cycles += backoff;
+                run.backoff += backoff;
+                faults.backoff_cycles += backoff;
+                run.retries += 1;
             };
-            for h in &mut hits {
-                h.i0 += lo as u32;
-            }
-            merged.extend(hits);
-            costs.push(EntryCost {
-                entry: entry_idx,
-                fpga: f,
-                cycles: tallies[f].cycles - cycles_before,
-                bytes_in: tallies[f].bytes_in - bytes_before,
-                retries: attempt,
-                backoff_cycles: record_backoff,
-                degraded: record_degraded,
-            });
         }
-        Ok(merged)
+        d
     }
 
-    /// One dispatch attempt of one shard, with `fault` injected.
-    /// `Ok(hits)` charges the successful run to the tally; `Err(kind)`
-    /// charges whatever the failure burned before its detection point.
-    #[allow(clippy::too_many_arguments)]
-    fn run_attempt(
-        &self,
-        op: &mut FunctionalOperator,
-        shard: &[u8],
-        il1: &[u8],
-        fault: Option<FaultKind>,
-        injector: Option<&FaultInjector>,
-        ctx: (u64, usize, u32),
-        budget: u64,
-        t: &mut FpgaTally,
-        fs: &mut FaultSummary,
-    ) -> Result<Vec<Hit>, FaultKind> {
-        // Every dispatch (re-)streams the entry over NUMAlink.
-        t.bytes_in += (shard.len() + il1.len()) as u64;
-        let Some(kind) = fault else {
-            let r = op.run_entry(shard, il1);
-            t.cycles += r.cycles;
-            t.stalls += r.stall_cycles;
-            t.busy += r.busy_pe_cycles;
-            t.hits += r.hits.len() as u64;
-            t.peak = t.peak.max(r.fifo_peak);
-            return Ok(r.hits);
-        };
-        fs.faults_injected += 1;
-        match kind {
-            FaultKind::DmaCorrupt => {
-                // The board checksums the input stream before raising
-                // "data ready": a wire flip is caught after the
-                // stream-in cycles, before any PE turns over.
-                let sent = fault::stream_checksum(&[shard, il1]);
-                let bit = injector.map_or(0, |i| i.roll(ctx.0, ctx.1, ctx.2, 32)) as u32;
-                let received = sent ^ (1u64 << bit);
-                debug_assert_ne!(sent, received);
-                t.cycles += (shard.len() + il1.len()) as u64;
-                fs.checksum_mismatches += 1;
-                fs.faults_detected += 1;
-                Err(kind)
-            }
-            FaultKind::DmaTruncate | FaultKind::AdrFault => {
-                // The ADR count registers disagree with what arrived,
-                // or the command FSM latched `Status::Fault`: caught at
-                // the dispatch handshake before any data streams.
-                t.cycles += ADR_HANDSHAKE_CYCLES;
-                fs.protocol_faults += 1;
-                fs.faults_detected += 1;
-                Err(kind)
-            }
-            FaultKind::FifoStall => {
-                // The output controller wedges mid-entry; the host
-                // watchdog kills the dispatch when its budget expires.
-                t.cycles += budget + 1;
-                fs.watchdog_trips += 1;
-                fs.faults_detected += 1;
-                Err(kind)
-            }
-            FaultKind::FifoOverflow | FaultKind::PeFlip => {
-                // Compute completes; the corruption rides the result
-                // stream and the host checks the received results
-                // against the checksum the operator committed.
-                let r = op.run_entry(shard, il1);
-                t.cycles += r.cycles;
-                t.stalls += r.stall_cycles;
-                t.peak = t.peak.max(r.fifo_peak);
-                let committed = fault::hits_checksum(&r.hits);
-                let mut received = r.hits;
-                if kind == FaultKind::FifoOverflow {
-                    // Overflow sheds the freshest (tail) results.
-                    let keep = received.len() - received.len().min(1 + received.len() / 8);
-                    received.truncate(keep);
-                } else if let (Some(i), false) = (injector, received.is_empty()) {
-                    let idx = i.roll(ctx.0, ctx.1, ctx.2, received.len() as u64) as usize;
-                    received[idx].score ^= 1 << 4;
-                }
-                if fault::hits_checksum(&received) == committed {
-                    // Nothing to damage (empty result set): the fault
-                    // was harmless and the attempt stands.
-                    t.busy += r.busy_pe_cycles;
-                    t.hits += received.len() as u64;
-                    return Ok(received);
-                }
-                fs.checksum_mismatches += 1;
-                fs.faults_detected += 1;
-                Err(kind)
-            }
-        }
+    fn runs(&self) -> &[ShardRun] {
+        &self.runs[..self.len]
     }
 
-    /// Run a streamed workload with `host_threads` simulation workers.
-    ///
-    /// `sink` receives `(entry_index, hits)` — when `host_threads > 1`
-    /// possibly out of entry order, and in bursts (see
-    /// [`stream_entries`]). The returned report is deterministic
-    /// regardless of thread count, and so is the error: when recovery
-    /// is exhausted with degradation disabled, the fault of the
-    /// earliest failing entry is returned (the sink may already have
-    /// seen other entries by then).
-    pub fn run_stream<I>(
-        &self,
-        entries: I,
-        host_threads: usize,
-        mut sink: impl FnMut(u64, Vec<Hit>),
-    ) -> Result<BoardReport, BoardFault>
-    where
-        I: Iterator<Item = Entry> + Send,
-    {
-        let nf = self.config.fpga_count;
-        let injector = self.config.fault_plan.clone().map(FaultInjector::new);
-        let injector = injector.as_ref();
-        let (n_entries, workers) = stream_entries(
-            entries,
-            host_threads,
-            || Worker {
-                ops: self.make_operators(),
-                tallies: vec![FpgaTally::default(); nf],
-                faults: FaultSummary::default(),
-                costs: Vec::new(),
-            },
-            |worker, idx, entry| {
-                self.process_entry(worker, idx, entry, injector)
-                    .map(|hits| (idx, hits))
-            },
-            |(idx, hits)| sink(idx, hits),
-        )?;
-
-        let mut tallies = vec![FpgaTally::default(); nf];
-        let mut faults = FaultSummary::default();
-        let mut costs: Vec<EntryCost> = Vec::new();
-        for w in workers {
-            faults.merge(&w.faults);
-            costs.extend(w.costs);
-            for (t, l) in tallies.iter_mut().zip(w.tallies) {
-                t.cycles += l.cycles;
-                t.stalls += l.stalls;
-                t.busy += l.busy;
-                t.bytes_in += l.bytes_in;
-                t.hits += l.hits;
-                t.peak = t.peak.max(l.peak);
-            }
-        }
-        // Workers interleave entries; the timeline fold must see them
-        // in dispatch order to stay thread-count invariant.
-        costs.sort_unstable_by_key(|c| (c.entry, c.fpga));
-        Ok(self.report_from(&tallies, n_entries, faults, &costs))
-    }
-
-    /// Run a workload held in memory; returns per-entry hits in entry
-    /// order plus the report.
-    pub fn run_workload(
-        &self,
-        entries: &[Entry],
-    ) -> Result<(Vec<Vec<Hit>>, BoardReport), BoardFault> {
-        let mut hits: Vec<Vec<Hit>> = vec![Vec::new(); entries.len()];
-        let report = self.run_stream(entries.iter().cloned(), 1, |idx, h| {
-            hits[idx as usize] = h;
-        })?;
-        Ok((hits, report))
-    }
-
-    fn make_operators(&self) -> Vec<FunctionalOperator> {
-        (0..self.config.fpga_count)
-            .map(|_| {
-                FunctionalOperator::new(self.config.operator.clone(), &self.matrix)
-                    .expect("validated at construction")
+    /// The first shard that exhausted the retry budget, as the error a
+    /// run without degradation fails with.
+    pub(crate) fn wedge(&self) -> Option<BoardFault> {
+        self.runs().iter().find_map(|s| {
+            s.wedge.map(|kind| BoardFault {
+                entry: self.entry,
+                fpga: s.fpga,
+                kind,
+                attempts: s.retries + 1,
             })
-            .collect()
-    }
-
-    fn report_from(
-        &self,
-        tallies: &[FpgaTally],
-        n_entries: u64,
-        faults: FaultSummary,
-        costs: &[EntryCost],
-    ) -> BoardReport {
-        let clock = self.config.operator.clock_hz as f64;
-        let nf = self.config.fpga_count;
-        let mut report = BoardReport {
-            entries: n_entries,
-            faults,
-            host_kernel: FunctionalOperator::host_kernel(&self.config.operator, &self.matrix)
-                .name(),
-            ..BoardReport::default()
-        };
-        let mut total_hits = 0u64;
-        for t in tallies {
-            report.fpga_cycles.push(t.cycles);
-            report.stall_cycles.push(t.stalls);
-            report.busy_pe_cycles.push(t.busy);
-            report.fifo_peak.push(t.peak);
-            report.bytes_in += t.bytes_in;
-            total_hits += t.hits;
-        }
-        // Double-buffered dispatch timeline, per FPGA: the DMA engine
-        // streams entry k+1 into the idle half of the entry buffer while
-        // the PEs chew on entry k. DMA of record k may start once the
-        // engine is free *and* the buffer half last filled two records
-        // ago has been consumed; compute follows its own DMA completion
-        // and the previous compute. `costs` arrives in (entry, fpga)
-        // order, so this f64 fold is identical for every host thread
-        // count.
-        let mut worst_span = 0.0f64;
-        for f in 0..nf {
-            let mut dma_end = 0.0f64;
-            let mut compute_end = 0.0f64;
-            let mut compute_end_prev = 0.0f64; // two records back
-            let mut dma_busy: Vec<(f64, f64)> = Vec::new();
-            let mut compute_busy: Vec<(f64, f64)> = Vec::new();
-            for r in costs.iter().filter(|r| r.fpga == f) {
-                let d = self.config.dma.wire_time(r.bytes_in);
-                let c = r.cycles as f64 / clock;
-                let dma_start = dma_end.max(compute_end_prev);
-                dma_end = dma_start + d;
-                let compute_start = dma_end.max(compute_end);
-                compute_end_prev = compute_end;
-                compute_end = compute_start + c;
-                dma_busy.push((dma_start, dma_end));
-                compute_busy.push((compute_start, compute_end));
-                if self.config.record_timeline {
-                    report.timeline.push(BoardSegment {
-                        entry: r.entry,
-                        fpga: f,
-                        dma_start,
-                        dma_end,
-                        compute_start,
-                        compute_end,
-                        backoff_seconds: r.backoff_cycles as f64 / clock,
-                        retries: r.retries,
-                        degraded: r.degraded,
-                    });
-                }
-            }
-            if compute_end > worst_span {
-                worst_span = compute_end;
-                report.overlap_seconds = busy_intersection(&dma_busy, &compute_busy);
-                report.overlap_occupancy = report.overlap_seconds / compute_end;
-            }
-        }
-        if self.config.record_timeline {
-            // Per-FPGA folds interleave; hand the flight recorder
-            // dispatch order.
-            report.timeline.sort_by_key(|a| (a.entry, a.fpga));
-        }
-        report.hit_count = total_hits;
-        report.bytes_out = total_hits * std::mem::size_of::<(u32, u32)>() as u64;
-        report.wire_in_seconds = self.config.dma.wire_time(report.bytes_in);
-        report.wire_out_seconds = self.config.dma.wire_time(report.bytes_out);
-        report.sync_seconds = self.config.sync_per_entry * n_entries as f64 * (nf as f64 - 1.0);
-        report.setup_seconds =
-            self.config.dma.bitstream_load + self.config.dma.dispatch_latency * n_entries as f64;
-        report.accelerated_seconds =
-            worst_span + report.wire_out_seconds + report.sync_seconds + report.setup_seconds;
-        report
+        })
     }
 }
 
-/// Total time two sets of busy intervals are active simultaneously.
-/// Both sets are ascending and internally disjoint (each engine is
-/// serial), so a two-pointer sweep suffices.
-fn busy_intersection(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
-    let (mut i, mut j, mut total) = (0usize, 0usize, 0.0f64);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
+/// One FPGA of a board in Phase B: its counters and its double-buffered
+/// timeline. The DMA engine streams entry *k+1* into the idle half of
+/// the entry buffer while the PEs chew on entry *k*: a DMA may start
+/// once the engine is free *and* the half it fills — last filled two
+/// records ago — has been consumed; compute follows its own DMA and the
+/// previous compute.
+#[derive(Clone, Copy, Debug, Default)]
+struct Lane {
+    cycles: u64,
+    stalls: u64,
+    busy: u64,
+    peak: u64,
+    dma_end: f64,
+    compute_start: f64,
+    compute_end: f64,
+    /// `compute_end` one record further back.
+    compute_end_prev: f64,
+    /// Seconds the DMA engine and the PE array were busy at once.
+    overlap: f64,
+}
+
+impl Lane {
+    /// Append one record of `dma` wire seconds and `compute` seconds;
+    /// returns its `(dma_start, compute_start)`.
+    fn advance(&mut self, dma: f64, compute: f64) -> (f64, f64) {
+        let dma_start = self.dma_end.max(self.compute_end_prev);
+        let dma_end = dma_start + dma;
+        // The only compute window this DMA can overlap is the previous
+        // record's: the one before ended by `dma_start`, and this
+        // record's own starts after `dma_end`.
+        let lo = dma_start.max(self.compute_start);
+        let hi = dma_end.min(self.compute_end);
         if hi > lo {
-            total += hi - lo;
+            self.overlap += hi - lo;
         }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
+        let compute_start = dma_end.max(self.compute_end);
+        self.dma_end = dma_end;
+        self.compute_start = compute_start;
+        self.compute_end_prev = self.compute_end;
+        self.compute_end = compute_start + compute;
+        (dma_start, compute_start)
+    }
+}
+
+/// One board in Phase B: its FPGA lanes, advanced one dispatched entry
+/// at a time, and what dispatching to it cost the host.
+#[derive(Clone, Debug)]
+pub(crate) struct Board {
+    lanes: Vec<Lane>,
+    /// Entries dispatched here; each pays the host synchronisation.
+    dispatches: u64,
+    /// Dispatch handshakes: one per dispatch, steal pull and drained
+    /// entry.
+    pub(crate) handshakes: u64,
+    bytes_in: u64,
+    hits: u64,
+    faults: FaultSummary,
+}
+
+impl Board {
+    pub(crate) fn new(fpga_count: usize) -> Board {
+        Board {
+            lanes: vec![Lane::default(); fpga_count],
+            dispatches: 0,
+            handshakes: 0,
+            bytes_in: 0,
+            hits: 0,
+            faults: FaultSummary::default(),
         }
     }
-    total
+
+    /// Charge dispatch `d` to this board. `stands` is false when the
+    /// entry is taken elsewhere: its hits are not delivered from here
+    /// and its wedged shards do not degrade here.
+    pub(crate) fn commit(
+        &mut self,
+        config: &BoardConfig,
+        d: &Dispatch,
+        stands: bool,
+        mut timeline: Option<(&mut Vec<BoardSegment>, usize)>,
+    ) {
+        let clock = config.operator.clock_hz as f64;
+        self.dispatches += 1;
+        self.handshakes += 1;
+        self.faults.merge(&d.faults);
+        for s in d.runs() {
+            self.bytes_in += s.bytes;
+            let degraded = stands && s.wedge.is_some();
+            if stands && !degraded {
+                self.hits += s.hits;
+            }
+            self.faults.entries_degraded += degraded as u64;
+            let lane = &mut self.lanes[s.fpga];
+            lane.cycles += s.cycles;
+            lane.stalls += s.stalls;
+            lane.busy += s.busy;
+            lane.peak = lane.peak.max(s.peak);
+            let (dma_start, compute_start) =
+                lane.advance(config.dma.wire_time(s.bytes), s.cycles as f64 / clock);
+            if let Some((segments, first_fpga)) = timeline.as_mut() {
+                segments.push(BoardSegment {
+                    entry: d.entry,
+                    fpga: *first_fpga + s.fpga,
+                    dma_start,
+                    dma_end: lane.dma_end,
+                    compute_start,
+                    compute_end: lane.compute_end,
+                    backoff_seconds: s.backoff as f64 / clock,
+                    retries: s.retries,
+                    degraded,
+                });
+            }
+        }
+    }
+
+    /// When the board could start streaming another entry: every FPGA
+    /// has a free buffer half and an idle DMA engine.
+    fn ready(&self) -> f64 {
+        self.lanes
+            .iter()
+            .map(|l| l.dma_end.max(l.compute_end_prev))
+            .fold(0.0, f64::max)
+    }
+
+    /// The slowest FPGA's timeline span and its overlap.
+    fn slowest(&self) -> (f64, f64) {
+        let (mut span, mut overlap) = (0.0f64, 0.0f64);
+        for l in &self.lanes {
+            if l.compute_end > span {
+                (span, overlap) = (l.compute_end, l.overlap);
+            }
+        }
+        (span, overlap)
+    }
+
+    /// When the board's last compute ends.
+    pub(crate) fn span(&self) -> f64 {
+        self.slowest().0
+    }
+
+    fn sync_seconds(&self, config: &BoardConfig) -> f64 {
+        config.sync_per_entry * self.dispatches as f64 * (config.fpga_count as f64 - 1.0)
+    }
+
+    /// Host time charged so far beside the timeline: synchronisation and
+    /// dispatch handshakes.
+    fn charged(&self, config: &BoardConfig) -> f64 {
+        self.sync_seconds(config) + config.dma.dispatch_latency * self.handshakes as f64
+    }
+
+    /// The board's clock in the dispatch simulation.
+    pub(crate) fn clock(&self, config: &BoardConfig) -> f64 {
+        self.ready() + self.charged(config)
+    }
+
+    /// When the board's last compute and every charge are done.
+    pub(crate) fn finish(&self, config: &BoardConfig) -> f64 {
+        self.span() + self.charged(config)
+    }
+
+    /// Seconds the board spent on its own entries: [`Board::finish`]
+    /// less the handshakes of steals and drains.
+    pub(crate) fn busy(&self, config: &BoardConfig) -> f64 {
+        self.span()
+            + self.sync_seconds(config)
+            + config.dma.dispatch_latency * self.dispatches as f64
+    }
+}
+
+/// The report of a run over `boards`: per-FPGA counters board-major,
+/// totals summed, and the timing of the board that finished last.
+pub(crate) fn report(
+    config: &BoardConfig,
+    matrix: &SubstitutionMatrix,
+    boards: &[Board],
+    entries: u64,
+    timeline: Vec<BoardSegment>,
+) -> BoardReport {
+    let mut r = BoardReport {
+        entries,
+        host_kernel: FunctionalOperator::host_kernel(&config.operator, matrix).name(),
+        timeline,
+        ..BoardReport::default()
+    };
+    let mut last: Option<&Board> = None;
+    for b in boards {
+        for l in &b.lanes {
+            r.fpga_cycles.push(l.cycles);
+            r.stall_cycles.push(l.stalls);
+            r.busy_pe_cycles.push(l.busy);
+            r.fifo_peak.push(l.peak);
+        }
+        r.bytes_in += b.bytes_in;
+        r.hit_count += b.hits;
+        r.faults.merge(&b.faults);
+        if last.is_none_or(|l| b.finish(config) > l.finish(config)) {
+            last = Some(b);
+        }
+    }
+    r.bytes_out = r.hit_count * std::mem::size_of::<(u32, u32)>() as u64;
+    r.wire_in_seconds = config.dma.wire_time(r.bytes_in);
+    r.wire_out_seconds = config.dma.wire_time(r.bytes_out);
+    let last = last.expect("a fleet has at least one board");
+    let (span, overlap) = last.slowest();
+    if span > 0.0 {
+        r.overlap_seconds = overlap;
+        r.overlap_occupancy = overlap / span;
+    }
+    r.sync_seconds = last.sync_seconds(config);
+    r.setup_seconds =
+        config.dma.bitstream_load + config.dma.dispatch_latency * last.handshakes as f64;
+    r.accelerated_seconds = span + r.wire_out_seconds + r.sync_seconds + r.setup_seconds;
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::{FleetConfig, RascFleet};
     use psc_score::blosum62;
     use psc_seqio::alphabet::encode_protein;
 
@@ -768,6 +737,19 @@ mod tests {
         BoardConfig::new(op, fpgas)
     }
 
+    fn fleet(boards: usize, cfg: BoardConfig) -> RascFleet {
+        let f = FleetConfig {
+            boards,
+            ..FleetConfig::default()
+        };
+        RascFleet::new(cfg, f, blosum62()).unwrap()
+    }
+
+    /// A single board: a fleet of one.
+    fn board(cfg: BoardConfig) -> RascFleet {
+        fleet(1, cfg)
+    }
+
     fn entries() -> Vec<Entry> {
         let e1 = Entry {
             il0: windows(&[b"MKVLAW", b"PPPPPP", b"MKVLAV", b"GGGGGG", b"MKVLAW"]),
@@ -782,11 +764,8 @@ mod tests {
 
     #[test]
     fn one_and_two_fpgas_find_same_hits() {
-        let m = blosum62();
-        let b1 = RascBoard::new(test_config(1), m).unwrap();
-        let b2 = RascBoard::new(test_config(2), m).unwrap();
-        let (h1, _) = b1.run_workload(&entries()).unwrap();
-        let (h2, _) = b2.run_workload(&entries()).unwrap();
+        let (h1, _, _) = board(test_config(1)).run_workload(&entries()).unwrap();
+        let (h2, _, _) = board(test_config(2)).run_workload(&entries()).unwrap();
         for (a, b) in h1.iter().zip(&h2) {
             let mut a = a.clone();
             let mut b = b.clone();
@@ -800,15 +779,8 @@ mod tests {
 
     #[test]
     fn two_fpgas_split_the_cycles() {
-        let m = blosum62();
-        let (_, r1) = RascBoard::new(test_config(1), m)
-            .unwrap()
-            .run_workload(&entries())
-            .unwrap();
-        let (_, r2) = RascBoard::new(test_config(2), m)
-            .unwrap()
-            .run_workload(&entries())
-            .unwrap();
+        let (_, r1, _) = board(test_config(1)).run_workload(&entries()).unwrap();
+        let (_, r2, _) = board(test_config(2)).run_workload(&entries()).unwrap();
         assert_eq!(r1.fpga_cycles.len(), 1);
         assert_eq!(r2.fpga_cycles.len(), 2);
         let worst2 = *r2.fpga_cycles.iter().max().unwrap();
@@ -820,8 +792,7 @@ mod tests {
 
     #[test]
     fn multithreaded_stream_matches_sequential() {
-        let m = blosum62();
-        let board = RascBoard::new(test_config(2), m).unwrap();
+        let board = board(test_config(2));
         // A workload big enough that every worker hands over full
         // result chunks and a partial last one.
         let work: Vec<Entry> = (0..5 * RESULT_CHUNK + 7)
@@ -838,9 +809,9 @@ mod tests {
                 }
             })
             .collect();
-        let (seq_hits, seq_rep) = board.run_workload(&work).unwrap();
+        let (seq_hits, seq_rep, _) = board.run_workload(&work).unwrap();
         let mut par_hits: Vec<Vec<Hit>> = vec![Vec::new(); work.len()];
-        let par_rep = board
+        let (par_rep, _) = board
             .run_stream(work.iter().cloned(), 4, |idx, h| {
                 par_hits[idx as usize] = h;
             })
@@ -861,56 +832,62 @@ mod tests {
 
     #[test]
     fn double_buffer_overlaps_dma_with_compute() {
-        let m = blosum62();
         // Many same-shaped entries: in steady state the DMA-in of entry
-        // k+1 hides entirely under compute of entry k.
+        // k+1 hides entirely under compute of entry k — on every board
+        // of a fleet as on one.
         let work: Vec<Entry> = (0..30)
             .map(|i| Entry {
                 il0: (0..20 * 6u32).map(|r| ((r + i) % 20) as u8).collect(),
                 il1: (0..16 * 6u32).map(|r| ((r * 3 + i) % 20) as u8).collect(),
             })
             .collect();
-        let (_, r) = RascBoard::new(test_config(1), m)
-            .unwrap()
-            .run_workload(&work)
-            .unwrap();
-        assert!(r.overlap_seconds > 0.0, "{r:?}");
-        assert!(
-            r.overlap_occupancy > 0.0 && r.overlap_occupancy <= 1.0,
-            "{r:?}"
-        );
-        // The overlapped span can never beat pure compute time or pure
-        // wire time, and never exceeds their sum.
-        let clock = test_config(1).operator.clock_hz as f64;
-        let compute = r.fpga_cycles[0] as f64 / clock;
-        let span = r.accelerated_seconds - r.wire_out_seconds - r.sync_seconds - r.setup_seconds;
-        assert!(span >= compute.max(r.wire_in_seconds) - 1e-15, "{r:?}");
-        assert!(span <= compute + r.wire_in_seconds + 1e-15, "{r:?}");
-        // A single entry has nothing to overlap with.
-        let (_, one) = RascBoard::new(test_config(1), m)
-            .unwrap()
-            .run_workload(&work[..1])
-            .unwrap();
-        assert_eq!(one.overlap_seconds, 0.0);
-        assert_eq!(one.overlap_occupancy, 0.0);
+        let cfg = test_config(1);
+        let clock = cfg.operator.clock_hz as f64;
+        for boards in [1, 2, 4] {
+            let (_, r, _) = fleet(boards, cfg.clone()).run_workload(&work).unwrap();
+            assert!(r.overlap_seconds > 0.0, "{boards} boards: {r:?}");
+            assert!(
+                r.overlap_occupancy > 0.0 && r.overlap_occupancy <= 1.0,
+                "{boards} boards: {r:?}"
+            );
+            // Every dispatch handshake is charged, not just the bitstream.
+            assert!(r.setup_seconds > cfg.dma.bitstream_load, "{r:?}");
+            // The slowest board's overlapped span beats neither its pure
+            // compute time nor, on one board, the pure wire time, and
+            // never exceeds their sum.
+            let compute: Vec<f64> = r.fpga_cycles.iter().map(|&c| c as f64 / clock).collect();
+            let least = compute.iter().copied().fold(f64::INFINITY, f64::min);
+            let most = compute.iter().copied().fold(0.0, f64::max);
+            let span =
+                r.accelerated_seconds - r.wire_out_seconds - r.sync_seconds - r.setup_seconds;
+            assert!(span >= least - 1e-15, "{boards} boards: {r:?}");
+            if boards == 1 {
+                assert!(span >= r.wire_in_seconds - 1e-15, "{r:?}");
+            }
+            assert!(
+                span <= most + r.wire_in_seconds + 1e-15,
+                "{boards} boards: {r:?}"
+            );
+            // A single entry has nothing to overlap with.
+            let (_, one, _) = fleet(boards, cfg.clone()).run_workload(&work[..1]).unwrap();
+            assert_eq!(one.overlap_seconds, 0.0);
+            assert_eq!(one.overlap_occupancy, 0.0);
+        }
     }
 
     #[test]
     fn timeline_records_match_the_fold_and_stay_thread_invariant() {
-        let m = blosum62();
         let mut cfg = test_config(2);
         cfg.record_timeline = true;
-        let board = RascBoard::new(cfg, m).unwrap();
+        let sim = board(cfg);
         let work: Vec<Entry> = (0..12)
             .map(|i| Entry {
                 il0: (0..8 * 6u32).map(|r| ((r + i) % 20) as u8).collect(),
                 il1: (0..5 * 6u32).map(|r| ((r * 3 + i) % 20) as u8).collect(),
             })
             .collect();
-        let (_, seq) = board.run_workload(&work).unwrap();
-        let par = board
-            .run_stream(work.iter().cloned(), 4, |_, _| {})
-            .unwrap();
+        let (_, seq, _) = sim.run_workload(&work).unwrap();
+        let (par, _) = sim.run_stream(work.iter().cloned(), 4, |_, _| {}).unwrap();
         assert_eq!(seq.timeline, par.timeline);
         assert_eq!(seq.timeline.len(), work.len() * 2); // two FPGAs
                                                         // Dispatch order, per-lane monotonic, DMA precedes compute.
@@ -937,21 +914,18 @@ mod tests {
             .fold(0.0f64, f64::max);
         assert!((span - worst).abs() < 1e-15, "{span} vs {worst}");
         // Off by default: no segments on a plain config.
-        let plain = RascBoard::new(test_config(2), m).unwrap();
-        let (_, r) = plain.run_workload(&work).unwrap();
+        let (_, r, _) = board(test_config(2)).run_workload(&work).unwrap();
         assert!(r.timeline.is_empty());
     }
 
     #[test]
     fn timeline_exposes_recovery_activity() {
         use crate::fault::FaultPlan;
-        let m = blosum62();
         let mut cfg = test_config(1);
         cfg.record_timeline = true;
         // Entry 1 faults twice then succeeds; entry 0 is clean.
         cfg.fault_plan = Some(FaultPlan::parse("1:pe-flip:2").unwrap());
-        let board = RascBoard::new(cfg, m).unwrap();
-        let (_, r) = board.run_workload(&entries()).unwrap();
+        let (_, r, _) = board(cfg).run_workload(&entries()).unwrap();
         assert_eq!(r.timeline.len(), 2);
         assert_eq!(r.timeline[0].retries, 0);
         assert_eq!(r.timeline[1].retries, 2);
@@ -966,40 +940,27 @@ mod tests {
 
     #[test]
     fn sync_overhead_only_with_two_fpgas() {
-        let m = blosum62();
-        let (_, r1) = RascBoard::new(test_config(1), m)
-            .unwrap()
-            .run_workload(&entries())
-            .unwrap();
-        let (_, r2) = RascBoard::new(test_config(2), m)
-            .unwrap()
-            .run_workload(&entries())
-            .unwrap();
+        let (_, r1, _) = board(test_config(1)).run_workload(&entries()).unwrap();
+        let (_, r2, _) = board(test_config(2)).run_workload(&entries()).unwrap();
         assert_eq!(r1.sync_seconds, 0.0);
         assert!(r2.sync_seconds > 0.0);
     }
 
     #[test]
     fn oversized_operator_rejected() {
-        let m = blosum62();
         let cfg = BoardConfig::new(OperatorConfig::new(4000), 1);
-        assert!(RascBoard::new(cfg, m).is_err());
+        assert!(RascFleet::new(cfg, FleetConfig::default(), blosum62()).is_err());
     }
 
     #[test]
     #[should_panic]
     fn three_fpgas_rejected() {
-        let m = blosum62();
-        let _ = RascBoard::new(test_config(3), m);
+        let _ = board(test_config(3));
     }
 
     #[test]
     fn report_accounts_bytes() {
-        let m = blosum62();
-        let (hits, r) = RascBoard::new(test_config(1), m)
-            .unwrap()
-            .run_workload(&entries())
-            .unwrap();
+        let (hits, r, _) = board(test_config(1)).run_workload(&entries()).unwrap();
         let total_hits: usize = hits.iter().map(Vec::len).sum();
         assert_eq!(r.bytes_out, (total_hits * 8) as u64);
         assert_eq!(r.hit_count, total_hits as u64);
@@ -1037,11 +998,7 @@ mod tests {
 
     #[test]
     fn empty_workload() {
-        let m = blosum62();
-        let (hits, r) = RascBoard::new(test_config(2), m)
-            .unwrap()
-            .run_workload(&[])
-            .unwrap();
+        let (hits, r, _) = board(test_config(2)).run_workload(&[]).unwrap();
         assert!(hits.is_empty());
         assert_eq!(r.bytes_in, 0);
         assert_eq!(r.sync_seconds, 0.0);

@@ -10,9 +10,6 @@
 //!   is a pure function of `(seed, entry, fpga, attempt)`: no wall
 //!   clock, no iteration-order dependence, so a plan replays
 //!   identically across runs and host-thread counts.
-//! * detection helpers — the stream/result checksums the simulated
-//!   board verifies at its DMA commit points, and the software
-//!   reference scorer the degraded path falls back to.
 //! * [`RecoveryPolicy`] — bounded retries with simulated-time backoff,
 //!   a cycle watchdog budget, and the degrade-to-software switch.
 //! * [`FaultSummary`] / [`BoardFault`] — what recovery observed, and
@@ -22,12 +19,7 @@
 //! output is bit-identical to the fault-free run — a fault may cost
 //! simulated cycles, never results.
 
-use psc_score::SubstitutionMatrix;
 use psc_seqio::prng::mix;
-
-use crate::config::OperatorConfig;
-use crate::functional::BatchScorer;
-use crate::operator::Hit;
 
 /// One kind of injectable hardware misbehaviour.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -216,8 +208,8 @@ impl FaultPlan {
     }
 }
 
-/// The hash behind seeded plans and every "which bit / which hit"
-/// choice, so injection is a pure function of its integer inputs.
+/// The hash behind seeded plans, so injection is a pure function of its
+/// integer inputs.
 fn mix4(seed: u64, entry: u64, fpga: u64, salt: u64) -> u64 {
     mix(seed ^ mix(entry ^ mix(fpga ^ mix(salt))))
 }
@@ -297,21 +289,6 @@ impl FaultInjector {
                 Some(kind)
             }
         }
-    }
-
-    /// Deterministic small integer for corruption choices (which hit,
-    /// which bit) — salted separately from the fire decision.
-    pub fn roll(&self, entry: u64, fpga: usize, attempt: u32, bound: u64) -> u64 {
-        let seed = match &self.plan {
-            FaultPlan::Scripted(_) => 0,
-            FaultPlan::Seeded { seed, .. } | FaultPlan::SeededHeavyTail { seed, .. } => *seed,
-        };
-        mix4(
-            seed ^ self.board_salt,
-            entry,
-            fpga as u64,
-            100 + attempt as u64,
-        ) % bound.max(1)
     }
 }
 
@@ -429,44 +406,6 @@ impl std::fmt::Display for BoardFault {
 }
 
 impl std::error::Error for BoardFault {}
-
-/// Fletcher-style checksum over a byte stream — the check the board
-/// runs on the DMA'd input before raising "data ready". The sum that
-/// guards an index bundle on disk.
-pub fn stream_checksum(parts: &[&[u8]]) -> u64 {
-    psc_index::fletcher64(parts)
-}
-
-/// Checksum over a result list, covering positions *and* scores — the
-/// per-entry value the operator commits alongside its FIFO stream and
-/// the host recomputes after the result DMA.
-pub fn hits_checksum(hits: &[Hit]) -> u64 {
-    let mut a: u64 = 0xF1EA;
-    let mut b: u64 = 0x5EED;
-    for h in hits {
-        let w = ((h.i0 as u64) << 40) ^ ((h.i1 as u64) << 16) ^ (h.score as u32 as u64);
-        a = (a + w % 0xFFFF_FFFB + 1) % 0xFFFF_FFFB;
-        b = (b + a) % 0xFFFF_FFFB;
-    }
-    (b << 32) | a
-}
-
-/// Host software reference for one entry shard — the kernel the board
-/// degrades to. Produces exactly the operator's hit *set* (same
-/// windows, same kernel, same threshold) through the same batched
-/// scorer; the order is the scorer's natural software scan order
-/// (`i0`-major within each `IL1` tile) rather than the PE wave order,
-/// which every consumer normalizes by sorting.
-pub fn score_entry_software(
-    matrix: &SubstitutionMatrix,
-    config: &OperatorConfig,
-    il0: &[u8],
-    il1: &[u8],
-) -> Vec<Hit> {
-    let mut hits = Vec::new();
-    BatchScorer::new(config, matrix).scan(il0, il1, &mut hits);
-    hits
-}
 
 #[cfg(test)]
 mod tests {
@@ -650,10 +589,6 @@ mod tests {
         for entry in 0..500u64 {
             for attempt in [0, 1, 3, 7, 63] {
                 assert_eq!(unsalted.fire(entry, 0, attempt), b0.fire(entry, 0, attempt));
-                assert_eq!(
-                    unsalted.roll(entry, 1, attempt, 97),
-                    b0.roll(entry, 1, attempt, 97)
-                );
             }
         }
         // Deterministic per-board fault totals over 2000 entries at the
@@ -682,38 +617,9 @@ mod tests {
     }
 
     #[test]
-    fn checksums_see_single_changes() {
-        let hits = vec![
-            Hit {
-                i0: 1,
-                i1: 2,
-                score: 30,
-            },
-            Hit {
-                i0: 4,
-                i1: 0,
-                score: 55,
-            },
-        ];
-        let base = hits_checksum(&hits);
-        let mut flipped = hits.clone();
-        flipped[1].score ^= 1 << 4;
-        assert_ne!(base, hits_checksum(&flipped));
-        assert_ne!(base, hits_checksum(&hits[..1]), "truncation detected");
-        assert_ne!(
-            stream_checksum(&[b"MKVL", b"AWRN"]),
-            stream_checksum(&[b"MKVL", b"AWRM"])
-        );
-        assert_ne!(
-            stream_checksum(&[b"MKVL"]),
-            stream_checksum(&[b"MKV"]),
-            "truncation detected"
-        );
-    }
-
-    #[test]
     fn software_recompute_finds_the_operator_hit_set() {
-        use crate::functional::FunctionalOperator;
+        use crate::config::OperatorConfig;
+        use crate::functional::{BatchScorer, FunctionalOperator};
         let m = psc_score::blosum62();
         // Two IL1 tiles, three IL0 batches: a flood (threshold 1, every
         // pair of identical windows hits) and a quiet entry (random
@@ -738,7 +644,10 @@ mod tests {
                 .unwrap()
                 .run_entry(&il0, &il1)
                 .hits;
-            let mut got = score_entry_software(m, &cfg, &il0, &il1);
+            // A degraded shard's host recompute is the operator's own
+            // scan, before the operator reorders it into drain order.
+            let mut got = Vec::new();
+            BatchScorer::new(&cfg, m).scan(&il0, &il1, &mut got);
             if threshold == 1 {
                 assert_eq!(got.len(), 20 * 600, "flood: every pair hits");
             } else {

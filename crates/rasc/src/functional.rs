@@ -42,10 +42,9 @@ const TILE_BYTES: usize = 32 << 10;
 const TILE_MAX_WINDOWS: usize = 512;
 
 /// Batched threshold scorer over one entry's window lists: the scoring
-/// half of [`FunctionalOperator::run_entry`], shared with the board's
-/// degraded-mode host recompute
-/// ([`crate::fault::score_entry_software`]). Owns its scratch, which is
-/// bounded by the tile size and reused from call to call.
+/// half of [`FunctionalOperator::run_entry`], and the host software a
+/// degraded shard falls back to. Owns its scratch, which is bounded by
+/// the tile size and reused from call to call.
 #[derive(Debug)]
 pub(crate) struct BatchScorer {
     backend: KernelBackend,
@@ -67,6 +66,7 @@ pub(crate) struct BatchScorer {
 
 impl BatchScorer {
     /// A scorer for `config` under the backend `Auto` resolves to.
+    #[cfg(test)]
     pub(crate) fn new(config: &OperatorConfig, matrix: &SubstitutionMatrix) -> BatchScorer {
         let backend = FunctionalOperator::host_kernel(config, matrix);
         BatchScorer::with_backend(config, matrix, backend)

@@ -24,9 +24,10 @@
 //!   board and fleet run takes this path, so a simulator wall
 //!   measures the design and not a scalar loop.
 //!
-//! [`board::RascBoard`] wraps one or two simulated FPGAs with the
-//! NUMAlink DMA model, host-side dispatch threads, and the result-channel
-//! contention that makes the paper's 2-FPGA speedup saturate at 1.8×.
+//! [`board`] wraps one or two simulated FPGAs with the NUMAlink DMA
+//! model, host-side dispatch threads, and the result-channel contention
+//! that makes the paper's 2-FPGA speedup saturate at 1.8×;
+//! [`fleet::RascFleet`] dispatches entries to one or more such boards.
 //! [`resource::ResourceModel`] checks that a PE configuration fits a
 //! Virtex-4 LX200 (the paper builds 64-, 128- and 192-PE bitstreams).
 
@@ -44,7 +45,7 @@ pub mod operator;
 pub mod pe;
 pub mod resource;
 
-pub use board::{BoardConfig, BoardReport, BoardSegment, Entry, RascBoard};
+pub use board::{BoardConfig, BoardReport, BoardSegment, Entry};
 pub use config::{OperatorConfig, DEFAULT_CLOCK_HZ};
 pub use dma::{DmaModel, NUMALINK_BANDWIDTH};
 pub use fault::{

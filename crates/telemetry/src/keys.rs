@@ -214,18 +214,6 @@ pub const STAGE_BOARD_COMPUTE: &str = "board.compute";
 /// Simulated board link (readback) units.
 pub const STAGE_BOARD_LINK: &str = "board.link";
 
-/// `board.dma.b{board:02}` — per-board DMA lanes of a fleet run (lane
-/// index within the stage is the FPGA).
-pub fn board_dma_stage(board: usize) -> String {
-    format!("board.dma.b{board:02}")
-}
-
-/// `board.compute.b{board:02}` — per-board compute lanes of a fleet
-/// run (lane index within the stage is the FPGA).
-pub fn board_compute_stage(board: usize) -> String {
-    format!("board.compute.b{board:02}")
-}
-
 // --- what follows the configuration, not the inputs ---------------
 
 /// Key prefixes of everything in a run report that may differ between
@@ -271,8 +259,6 @@ mod tests {
         assert_eq!(step3_modeled_workers(4), "step3.modeled_p4");
         assert_eq!(fleet_modeled_boards(16), "fleet.modeled_b16");
         assert_eq!(fleet_board_occupancy(3), "fleet.board_occupancy.b03");
-        assert_eq!(board_dma_stage(7), "board.dma.b07");
-        assert_eq!(board_compute_stage(12), "board.compute.b12");
         let a = step2_lane_slots_useful_bucket(2);
         let b = step2_lane_slots_useful_bucket(10);
         assert!(a < b, "bucket keys must sort numerically: {a} vs {b}");

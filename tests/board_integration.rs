@@ -2,7 +2,7 @@
 //! pathology and its raised-threshold workaround, and resource limits.
 
 use psc_align::Kernel;
-use psc_rasc::{BoardConfig, Entry, OperatorConfig, RascBoard, ResourceModel};
+use psc_rasc::{BoardConfig, Entry, FleetConfig, OperatorConfig, RascFleet, ResourceModel};
 use psc_score::blosum62;
 
 /// A workload in which every pair scores above a low threshold —
@@ -14,6 +14,11 @@ fn flood_entries(n_entries: usize, k0: usize, k1: usize, l: usize) -> Vec<Entry>
             il1: vec![0u8; k1 * l],
         })
         .collect()
+}
+
+/// A single board: a fleet of one.
+fn board(cfg: BoardConfig) -> RascFleet {
+    RascFleet::new(cfg, FleetConfig::default(), blosum62()).unwrap()
 }
 
 fn operator(threshold: i32, fifo_capacity: usize) -> OperatorConfig {
@@ -28,8 +33,8 @@ fn operator(threshold: i32, fifo_capacity: usize) -> OperatorConfig {
 #[test]
 fn result_flood_stalls_the_array() {
     // Identical all-A windows self-score 4×20 = 80 ≫ threshold 10.
-    let board = RascBoard::new(BoardConfig::new(operator(10, 16), 1), blosum62()).unwrap();
-    let (hits, report) = board.run_workload(&flood_entries(4, 64, 32, 20)).unwrap();
+    let board = board(BoardConfig::new(operator(10, 16), 1));
+    let (hits, report, _) = board.run_workload(&flood_entries(4, 64, 32, 20)).unwrap();
     let total: usize = hits.iter().map(Vec::len).sum();
     assert_eq!(total, 4 * 64 * 32, "every pair must be reported");
     assert!(
@@ -42,11 +47,11 @@ fn result_flood_stalls_the_array() {
 fn raising_the_threshold_restores_throughput() {
     // The paper's workaround (§4.1): a higher ungapped threshold lightens
     // host traffic without reducing the computation performed.
-    let flood = RascBoard::new(BoardConfig::new(operator(10, 16), 1), blosum62()).unwrap();
-    let quiet = RascBoard::new(BoardConfig::new(operator(1000, 16), 1), blosum62()).unwrap();
+    let flood = board(BoardConfig::new(operator(10, 16), 1));
+    let quiet = board(BoardConfig::new(operator(1000, 16), 1));
     let work = flood_entries(4, 64, 32, 20);
-    let (_, rf) = flood.run_workload(&work).unwrap();
-    let (hq, rq) = quiet.run_workload(&work).unwrap();
+    let (_, rf, _) = flood.run_workload(&work).unwrap();
+    let (hq, rq, _) = quiet.run_workload(&work).unwrap();
     assert_eq!(rq.stall_cycles[0], 0);
     assert!(hq.iter().all(Vec::is_empty));
     assert!(rf.fpga_cycles[0] > rq.fpga_cycles[0]);
@@ -66,7 +71,7 @@ fn dual_fpga_speedup_grows_with_workload() {
     let board = |fpgas: usize| {
         let mut cfg = BoardConfig::new(operator(1000, 64), fpgas);
         cfg.dma.bitstream_load = 0.02;
-        RascBoard::new(cfg, blosum62()).unwrap()
+        board(cfg)
     };
     let speedup_for = |n_entries: usize| -> f64 {
         let work = flood_entries(n_entries, 128, 64, 20);

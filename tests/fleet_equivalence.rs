@@ -78,6 +78,7 @@ fn permanently_wedged_board_is_quarantined_and_entries_complete_elsewhere() {
     };
     let output = search_genome(&proteins, &genome.genome, blosum62(), cfg).output;
     let f = output.fleet.expect("fleet report at 3 boards");
+    let board = output.board.expect("board report at 3 boards");
     assert!(
         output.stats.step2.active_keys > 11,
         "workload too small to exercise the pinned entries"
@@ -93,7 +94,7 @@ fn permanently_wedged_board_is_quarantined_and_entries_complete_elsewhere() {
         f.redispatched
     );
     assert_eq!(
-        f.aggregate.faults.entries_degraded, 0,
+        board.faults.entries_degraded, 0,
         "re-dispatched entries must complete on boards, not host software"
     );
     let completed: u64 = f.entries_by_board.iter().sum();
