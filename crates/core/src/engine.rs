@@ -1,9 +1,10 @@
 //! The persistent query engine: pipeline state split from query state.
 //!
 //! A [`SearchEngine`] owns everything about a genome that is invariant
-//! across queries — the six translated frames, the seeding-view flat
-//! bank, the scoring matrix and the configuration — built once by
-//! [`SearchEngine::for_genome`] or loaded in one read by
+//! across queries — the six translated frames, flattened into the one
+//! buffer both seeding and step 3 read (two, when masking gives seeding
+//! a view of its own), the scoring matrix and the configuration — built
+//! once by [`SearchEngine::for_genome`] or loaded in one read by
 //! [`SearchEngine::from_bundle`], which also brings the full T1 seed
 //! index. Each [`SearchEngine::query_traced`] call then builds the
 //! per-query state (the protein bank's flat view and index and, unless
@@ -22,18 +23,18 @@
 //! mutable state.
 
 use std::borrow::Cow;
-use std::sync::Arc;
 
 use psc_index::{deserialize_bundle, serialize_bundle, BundleT0, FlatBank, SeedIndex, SerialError};
 use psc_score::SubstitutionMatrix;
 use psc_seqio::{
-    translate_six_frames, Bank, Frame, FrameCoord, GeneticCode, MaskConfig, Seq, TranslatedGenome,
+    translate_six_frames_into, Bank, Frame, FrameCoord, GeneticCode, MaskConfig, Seq,
+    TranslatedGenome,
 };
 use psc_telemetry::{Recorder, Tracer};
 
 use crate::config::PipelineConfig;
 use crate::genome::{GenomeMatch, GenomeSearchResult};
-use crate::pipeline::{seeding_flat, Pipeline, PipelineError, PreparedBank};
+use crate::pipeline::{BankViews, Pipeline, PipelineError, PreparedBank};
 
 /// Why an engine could not be loaded from a bundle, or a query could
 /// not run.
@@ -83,11 +84,11 @@ pub struct SearchEngine {
     /// Genome length in nucleotides: what maps a frame position back
     /// to the forward strand.
     genome_len: usize,
-    /// The six frames as bank 1, original residues (the step-3 view),
-    /// in `Frame::ALL` order.
-    frames_bank: Bank,
-    /// Seeding view of the frames.
-    flat1: Arc<FlatBank>,
+    /// The six frames' ids, in `Frame::ALL` order: what a bundle
+    /// records of them beside their residues.
+    frame_ids: [String; 6],
+    /// The six frames as bank 1, flattened in `Frame::ALL` order.
+    frames: BankViews,
     /// The frames' full T1, when loaded from a bundle. Built from a
     /// genome, the engine holds none: each query keys its own by its T0.
     prep1: Option<PreparedBank>,
@@ -109,37 +110,57 @@ impl std::fmt::Debug for SearchEngine {
 }
 
 impl SearchEngine {
-    /// Build the engine from a genome: translate the six frames and
-    /// flatten their seeding view. No index is built, so nothing is
-    /// recorded into `rec` (kept for existing callers): each query's T1
-    /// build lands in that query's recorder and `step1` span.
+    /// Build the engine from a genome: translate the six frames straight
+    /// into the one buffer seeding and step 3 read. No index is built,
+    /// so nothing is recorded into `rec` (kept for existing callers):
+    /// each query's T1 build lands in that query's recorder and `step1`
+    /// span.
     pub fn for_genome(
         genome: &Seq,
         matrix: &SubstitutionMatrix,
         config: PipelineConfig,
-        rec: &dyn Recorder,
+        _rec: &dyn Recorder,
     ) -> SearchEngine {
-        let translated = translate_six_frames(genome, GeneticCode::standard());
-        Self::from_translated(translated, matrix, config, rec)
+        let mut residues = Vec::new();
+        translate_six_frames_into(genome, GeneticCode::standard(), &mut residues);
+        let lens = Frame::ALL.map(|f| f.translated_len(genome.len()));
+        let frames = FlatBank::from_concatenation(residues, lens);
+        let frame_ids = Frame::ALL.map(|f| f.seq_id(&genome.id));
+        let id = genome.id.clone();
+        Self::new(id, genome.len(), frame_ids, frames, matrix, config)
     }
 
-    /// [`SearchEngine::for_genome`] from an existing translation; it
-    /// records nothing into `rec` either.
+    /// [`SearchEngine::for_genome`] from an existing translation, whose
+    /// frames are copied into the engine's buffer; it records nothing
+    /// into `rec` either.
     pub fn from_translated(
         translated: TranslatedGenome,
         matrix: &SubstitutionMatrix,
         config: PipelineConfig,
         _rec: &dyn Recorder,
     ) -> SearchEngine {
-        let (genome_id, genome_len) = (translated.genome_id.clone(), translated.genome_len);
-        let frames_bank = translated.into_bank();
+        let frame_ids = translated.frames().each_ref().map(|f| f.id.clone());
+        let (id, len) = (translated.genome_id.clone(), translated.genome_len);
+        let frames = FlatBank::from_bank(&translated.into_bank());
+        Self::new(id, len, frame_ids, frames, matrix, config)
+    }
+
+    /// An engine over the six frames of a genome, holding no index yet.
+    fn new(
+        genome_id: String,
+        genome_len: usize,
+        frame_ids: [String; 6],
+        frames: FlatBank,
+        matrix: &SubstitutionMatrix,
+        config: PipelineConfig,
+    ) -> SearchEngine {
         SearchEngine {
-            flat1: Arc::new(seeding_flat(&config.mask, &frames_bank)),
+            frames: BankViews::new(&config.mask, frames),
             pipeline: Pipeline::new(config),
             matrix: matrix.clone(),
             genome_id,
             genome_len,
-            frames_bank,
+            frame_ids,
             prep1: None,
             t0: None,
         }
@@ -149,11 +170,11 @@ impl SearchEngine {
     ///
     /// The bundle's checksum, seed-model fingerprint, matrix and mask
     /// configuration are all verified against `config`/`matrix` before
-    /// anything is used; the frames and the T1 index are moved out of
-    /// the parsed artifact (that is the amortization) while the cheap
-    /// seeding-view flattening is recomputed from the frames, so query
-    /// results are bit-identical to an engine built fresh from the
-    /// genome.
+    /// anything is used; the frames, decoded into one buffer, and the T1
+    /// index are moved out of the parsed artifact (that is the
+    /// amortization) — only a masked seeding view is recomputed — so
+    /// query results are bit-identical to an engine built fresh from
+    /// the genome.
     pub fn from_bundle(
         data: &[u8],
         matrix: &SubstitutionMatrix,
@@ -174,15 +195,15 @@ impl SearchEngine {
                 mask_desc(&config.mask)
             )));
         }
-        let flat1 = Arc::new(seeding_flat(&config.mask, &bundle.frames));
+        let frames = BankViews::new(&config.mask, bundle.frames);
         Ok(SearchEngine {
             pipeline: Pipeline::new(config),
             matrix: bundle.matrix,
             genome_id: bundle.genome_id,
             genome_len: bundle.genome_len as usize,
-            frames_bank: bundle.frames,
-            prep1: Some(PreparedBank::from_parts(Arc::clone(&flat1), bundle.t1)),
-            flat1,
+            frame_ids: bundle.frame_ids,
+            prep1: Some(PreparedBank::from_parts(frames.clone(), bundle.t1)),
+            frames,
             t0: bundle.t0,
         })
     }
@@ -200,18 +221,25 @@ impl SearchEngine {
             |flat: &FlatBank| SeedIndex::build(flat, model.as_ref(), cfg.index_threads, None);
         let t1 = match &self.prep1 {
             Some(prep1) => Cow::Borrowed(prep1.index()),
-            None => Cow::Owned(build(&self.flat1)),
+            None => Cow::Owned(build(&self.frames.seeding)),
         };
-        let t0_index = proteins.map(|bank| build(&seeding_flat(&cfg.mask, bank)));
+        let t0_index = proteins
+            .map(|bank| build(&BankViews::new(&cfg.mask, FlatBank::from_bank(bank)).seeding));
         serialize_bundle(
             model.as_ref(),
             &self.genome_id,
             self.genome_len as u64,
             cfg.mask,
             &self.matrix,
-            (&self.frames_bank, &t1),
+            (&self.frame_ids, &self.frames.original, &t1),
             proteins.zip(t0_index.as_ref()),
         )
+    }
+
+    /// The frames as step 3 reads them, and as seeding does.
+    #[cfg(test)]
+    fn frame_views(&self) -> (&FlatBank, &FlatBank) {
+        (&self.frames.original, &self.frames.seeding)
     }
 
     /// The engine's configuration.
@@ -251,7 +279,7 @@ impl SearchEngine {
             .filter(|t0| banks_identical(&t0.bank, proteins))
         {
             Some(t0) => PreparedBank::from_parts(
-                Arc::new(seeding_flat(&self.pipeline.config().mask, proteins)),
+                BankViews::new(&self.pipeline.config().mask, FlatBank::from_bank(proteins)),
                 t0.index.clone(),
             ),
             None => self.pipeline.prepare_bank(0, proteins, rec),
@@ -260,20 +288,14 @@ impl SearchEngine {
             Some(prep1) => Cow::Borrowed(prep1),
             None => Cow::Owned(self.pipeline.index_bank(
                 1,
-                Arc::clone(&self.flat1),
+                self.frames.clone(),
                 Some(prep0.index()),
                 rec,
             )),
         };
-        let output = self.pipeline.try_run_prepared_traced(
-            proteins,
-            &prep0,
-            &self.frames_bank,
-            &prep1,
-            &self.matrix,
-            rec,
-            tracer,
-        )?;
+        let output =
+            self.pipeline
+                .try_run_prepared_traced(&prep0, &prep1, &self.matrix, rec, tracer)?;
 
         let matches = output
             .hsps
@@ -330,6 +352,7 @@ mod tests {
     use super::*;
     use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig};
     use psc_score::blosum62;
+    use psc_seqio::mask_low_complexity;
     use psc_seqio::prng::for_cases;
     use psc_telemetry::{NullRecorder, NullTracer};
 
@@ -464,7 +487,7 @@ mod tests {
         let t1 = (
             engine.to_bundle_bytes(None),
             loaded.prep1.expect("T1").index().total_positions(),
-            engine.frames_bank.total_residues() as u32,
+            engine.frame_views().0.len() as u32,
         );
         let t0 = (
             bytes,
@@ -503,15 +526,16 @@ mod tests {
         let bytes = engine.to_bundle_bytes(Some(&proteins));
         // Sequences are stored verbatim — the frames first, the T0 bank
         // after every copy the frames hold of a planted protein.
-        let stored = |seq: &Seq, found: Option<usize>| {
+        let stored = |seq: &[u8], found: Option<usize>| {
             let start = found.expect("stored verbatim");
             start..start + seq.len()
         };
-        let hits = |s: &Seq| bytes.windows(s.len());
-        let frames = engine.frames_bank.seqs().iter();
-        let frames = frames.map(|s| stored(s, hits(s).position(|w| w == s.residues)));
-        let t0 = proteins.seqs().iter();
-        let t0 = t0.map(|s| stored(s, hits(s).rposition(|w| w == s.residues)));
+        let hits = |s: &[u8]| bytes.windows(s.len());
+        let (original, _) = engine.frame_views();
+        let frames = (0..6).map(|i| original.seq(i));
+        let frames = frames.map(|s| stored(s, hits(s).position(|w| w == s)));
+        let t0 = proteins.seqs().iter().map(|s| &s.residues[..]);
+        let t0 = t0.map(|s| stored(s, hits(s).rposition(|w| w == s)));
         let runs: Vec<_> = frames.chain(t0).collect();
         assert!(runs[5].end < runs[6].start, "T0 bank after the frames");
         for_cases(0xa1fa, 48, |g| {
@@ -543,11 +567,59 @@ mod tests {
         let at = 20 + 4 + config.seed.model().name().len() + 4 + genome.id.len();
         let len = genome.len() as u64;
         assert_eq!(bytes[at..at + 8], len.to_le_bytes());
-        for stated in [len - 3, len - 300, 0, len - 1, len + 3] {
+        // 2^40 nucleotides would be 0.7 TB of frames: the loader sizes
+        // its buffer from the stored frames, so this too is refused
+        // before anything that size is allocated.
+        for stated in [len - 3, len - 300, 0, len - 1, len + 3, 1 << 40] {
             let mut raw = bytes.clone();
             raw[at..at + 8].copy_from_slice(&stated.to_le_bytes());
             let refused = "frame length does not match genome length";
             load_resummed(raw, Some(refused), &proteins);
+        }
+    }
+
+    /// The frames are held once. Unmasked, the view step 3 extends over
+    /// is the seeding view itself, built from a genome or loaded from a
+    /// bundle. Masked, the seeding view is a copy of its own that
+    /// differs from the original residues exactly where the mask wrote
+    /// `X`.
+    #[test]
+    fn the_engine_holds_the_frames_once() {
+        let (proteins, genome) = workload();
+        // A CAG run reads as a single repeated residue in every frame.
+        let mut ascii = genome.to_ascii();
+        ascii[9_000..9_300].copy_from_slice(&b"CAG".repeat(100));
+        let genome = Seq::dna(genome.id.clone(), &ascii);
+        let matrix = blosum62();
+        let mask = MaskConfig::default();
+        let engines = |config: PipelineConfig| {
+            let built = SearchEngine::for_genome(&genome, matrix, config.clone(), &NullRecorder);
+            let bytes = built.to_bundle_bytes(None);
+            let loaded = SearchEngine::from_bundle(&bytes, matrix, config).unwrap();
+            loaded
+                .query_traced(&proteins, &NullRecorder, &NullTracer)
+                .unwrap();
+            [built, loaded]
+        };
+        let plain = engines(PipelineConfig::default());
+        for engine in &plain {
+            let (original, seeding) = engine.frame_views();
+            assert!(std::ptr::eq(original, seeding), "two copies of the frames");
+        }
+        let masked = engines(PipelineConfig {
+            mask: Some(mask),
+            ..PipelineConfig::default()
+        });
+        for engine in &masked {
+            let (original, seeding) = engine.frame_views();
+            assert_eq!(original, plain[0].frame_views().0);
+            for i in 0..6 {
+                assert_eq!(seeding.seq(i), mask_low_complexity(original.seq(i), &mask));
+            }
+            let pairs = original.residues().iter().zip(seeding.residues());
+            let differ: Vec<u8> = pairs.filter(|(o, s)| o != s).map(|(_, &s)| s).collect();
+            assert!(differ.len() >= 6 * 90, "{} residues masked", differ.len());
+            assert!(differ.iter().all(|&s| s == psc_seqio::Aa::X.0));
         }
     }
 

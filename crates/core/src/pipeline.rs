@@ -10,7 +10,7 @@ use psc_index::{FlatBank, SeedIndex};
 use psc_rasc::{BoardReport, BoardSegment, Entry, FleetReport, RascFleet};
 use psc_score::karlin::{gapped_params, ungapped_params};
 use psc_score::{SubstitutionMatrix, ROBINSON_FREQS};
-use psc_seqio::Bank;
+use psc_seqio::{mask_low_complexity, Bank, MaskConfig};
 
 use psc_telemetry::{
     keys, NullRecorder, NullTracer, Recorder, SpanGuard, TraceClock, Tracer, UnitEvent, UnitTrace,
@@ -145,17 +145,17 @@ impl Pipeline {
     ) -> Result<PipelineOutput, PipelineError> {
         let prep0 = self.prepare_bank(0, bank0, rec);
         let prep1 = self.prepare_bank(1, bank1, rec);
-        self.try_run_prepared_traced(bank0, &prep0, bank1, &prep1, matrix, rec, tracer)
+        self.try_run_prepared_traced(&prep0, &prep1, matrix, rec, tracer)
     }
 
-    /// Step 1 for one bank (`which` = 0 or 1): apply the soft mask,
-    /// flatten, and build the seed index. The result is the immutable,
+    /// Step 1 for one bank (`which` = 0 or 1): flatten, apply the soft
+    /// mask, and build the seed index. The result is the immutable,
     /// shareable half of a run — build it once (or load it from an
     /// index bundle) and feed any number of
     /// [`Pipeline::try_run_prepared_traced`] calls.
     pub fn prepare_bank(&self, which: usize, bank: &Bank, rec: &dyn Recorder) -> PreparedBank {
-        let flat = Arc::new(seeding_flat(&self.config.mask, bank));
-        self.index_bank(which, flat, None, rec)
+        let views = BankViews::new(&self.config.mask, FlatBank::from_bank(bank));
+        self.index_bank(which, views, None, rec)
     }
 
     /// Step 1's index over an already-flattened bank, keeping only the
@@ -163,11 +163,11 @@ impl Pipeline {
     pub(crate) fn index_bank(
         &self,
         which: usize,
-        flat: Arc<FlatBank>,
+        views: BankViews,
         keep: Option<&SeedIndex>,
         rec: &dyn Recorder,
     ) -> PreparedBank {
-        let cfg = &self.config;
+        let (model, threads) = (self.config.seed.model(), self.config.index_threads);
         let key = if which == 0 {
             keys::STEP1_INDEX_BANK0
         } else {
@@ -177,10 +177,10 @@ impl Pipeline {
         let t0 = Instant::now();
         let idx = {
             let _g = SpanGuard::enter(rec, key);
-            SeedIndex::build(&flat, cfg.seed.model().as_ref(), cfg.index_threads, keep)
+            SeedIndex::build(&views.seeding, model.as_ref(), threads, keep)
         };
         PreparedBank {
-            flat,
+            views,
             idx,
             prep_seconds: t0.elapsed().as_secs_f64(),
         }
@@ -188,18 +188,15 @@ impl Pipeline {
 
     /// Steps 2 and 3 over banks prepared by [`Pipeline::prepare_bank`]
     /// (or loaded from an index bundle) — the per-query half of a run.
-    /// `bank0`/`bank1` must be the *original* (unmasked) banks the
-    /// prepared state was built from; step 3 extends over them.
+    /// Step 2 reads each bank's seeding view, step 3 extends over its
+    /// original residues: the same buffer unless masking is on.
     ///
     /// [`Pipeline::try_run_traced`] is exactly `prepare_bank` twice
     /// followed by this, so a query against persisted pipeline state is
     /// bit-identical to a one-shot run by construction.
-    #[allow(clippy::too_many_arguments)]
     pub fn try_run_prepared_traced(
         &self,
-        bank0: &Bank,
         prep0: &PreparedBank,
-        bank1: &Bank,
         prep1: &PreparedBank,
         matrix: &SubstitutionMatrix,
         rec: &dyn Recorder,
@@ -207,8 +204,9 @@ impl Pipeline {
     ) -> Result<PipelineOutput, PipelineError> {
         let cfg = &self.config;
         let span = cfg.seed.model().span();
-        let (flat0, idx0) = (&prep0.flat, &prep0.idx);
-        let (flat1, idx1) = (&prep1.flat, &prep1.idx);
+        let (flat0, idx0) = (prep0.flat(), &prep0.idx);
+        let (flat1, idx1) = (prep1.flat(), &prep1.idx);
+        let (bank0, bank1) = (prep0.original(), prep1.original());
         let step1 = prep0.prep_seconds + prep1.prep_seconds;
         rec.add(
             keys::STEP1_POSITIONS_INDEXED_BANK0,
@@ -358,7 +356,7 @@ impl Pipeline {
         let ungapped_stats =
             ungapped_params(matrix, &ROBINSON_FREQS).ok_or(PipelineError::UnsupportedMatrix)?;
         let stats = gapped_params(matrix, cfg.gap.open, cfg.gap.extend).unwrap_or(ungapped_stats);
-        let (m, n) = (bank0.total_residues(), bank1.total_residues());
+        let (m, n) = (bank0.len(), bank1.len());
 
         let anchors = dedup.finish();
         // Optional step-3 accelerator (the paper's proposed second-FPGA
@@ -432,8 +430,7 @@ impl Pipeline {
         let mut evalue_rejected = 0u64;
         let mut dp_cells = 0u64;
         for (a, &(hit, cycles)) in anchors.iter().zip(&extensions) {
-            let s0 = &bank0.get(a.seq0 as usize).residues;
-            let s1 = &bank1.get(a.seq1 as usize).residues;
+            let (s0, s1) = (bank0.seq(a.seq0 as usize), bank1.seq(a.seq1 as usize));
             step3_cycles += cycles;
             dp_cells += hit.cells;
             if hit.start0 > 0 && hit.start1 > 0 {
@@ -528,39 +525,48 @@ impl Pipeline {
     }
 }
 
-/// The seeding/step-2 view of a bank: entropy soft-masked when masking
-/// is configured (step 3 extends over the original residues),
-/// flattened to global `u32` coordinates.
-pub(crate) fn seeding_flat(mask: &Option<psc_seqio::MaskConfig>, bank: &Bank) -> FlatBank {
-    match mask {
-        None => FlatBank::from_bank(bank),
-        Some(mask_cfg) => {
-            let masked: Bank = bank
-                .seqs()
-                .iter()
-                .map(|s| {
-                    psc_seqio::Seq::from_codes(
-                        s.id.clone(),
-                        psc_seqio::mask_low_complexity(&s.residues, mask_cfg),
-                        s.kind,
-                    )
-                })
-                .collect();
-            FlatBank::from_bank(&masked)
-        }
+/// A bank as the pipeline reads it, flattened to global `u32`
+/// coordinates: the seeding view steps 1 and 2 index and gather from,
+/// and the original residues step 3 extends over. They are one buffer
+/// unless masking rewrote the seeding view.
+#[derive(Clone, Debug)]
+pub(crate) struct BankViews {
+    pub(crate) seeding: Arc<FlatBank>,
+    pub(crate) original: Arc<FlatBank>,
+}
+
+impl BankViews {
+    /// The views of `original`: its seeding view is entropy soft-masked
+    /// when masking is configured, and `original` itself otherwise.
+    pub(crate) fn new(mask: &Option<MaskConfig>, original: FlatBank) -> BankViews {
+        let original = Arc::new(original);
+        let seeding = match mask {
+            None => Arc::clone(&original),
+            Some(mask_cfg) => {
+                let seqs = (0..original.seq_count()).map(|i| original.seq(i));
+                let mut masked = Vec::with_capacity(original.len());
+                for seq in seqs.clone() {
+                    masked.extend(mask_low_complexity(seq, mask_cfg));
+                }
+                let lens = seqs.map(<[u8]>::len);
+                Arc::new(FlatBank::from_concatenation(masked, lens))
+            }
+        };
+        BankViews { seeding, original }
     }
 }
 
-/// Step-1 output for one bank: the seeding-view flat bank plus its
-/// seed index — the pipeline state a server shares across queries,
-/// as opposed to the per-query state steps 2 and 3 build and discard.
+/// Step-1 output for one bank: its flat views plus the seed index of
+/// the seeding view — the pipeline state a server shares across
+/// queries, as opposed to the per-query state steps 2 and 3 build and
+/// discard.
 ///
 /// Produced by [`Pipeline::prepare_bank`], or assembled from a
-/// persisted index bundle via [`PreparedBank::from_parts`].
+/// persisted index bundle.
 #[derive(Clone, Debug)]
 pub struct PreparedBank {
-    /// Shared: each T1 an engine keys per query reuses its seeding view.
-    flat: Arc<FlatBank>,
+    /// Shared: each T1 an engine keys per query reuses its views.
+    views: BankViews,
     idx: SeedIndex,
     /// Wall seconds step 1 spent building this bank's index (zero when
     /// loaded from an artifact — that is the amortization).
@@ -568,11 +574,11 @@ pub struct PreparedBank {
 }
 
 impl PreparedBank {
-    /// Assemble from an already-built flat bank and index (artifact
-    /// load). `prep_seconds` is zero: the build was paid elsewhere.
-    pub fn from_parts(flat: Arc<FlatBank>, idx: SeedIndex) -> PreparedBank {
+    /// Assemble from already-built views and index (artifact load).
+    /// `prep_seconds` is zero: the build was paid elsewhere.
+    pub(crate) fn from_parts(views: BankViews, idx: SeedIndex) -> PreparedBank {
         PreparedBank {
-            flat,
+            views,
             idx,
             prep_seconds: 0.0,
         }
@@ -580,7 +586,13 @@ impl PreparedBank {
 
     /// The seeding-view flat bank.
     pub fn flat(&self) -> &FlatBank {
-        &self.flat
+        &self.views.seeding
+    }
+
+    /// The original residues, flattened: what step 3 extends over. The
+    /// same bank as [`PreparedBank::flat`] unless masking is on.
+    pub(crate) fn original(&self) -> &FlatBank {
+        &self.views.original
     }
 
     /// The seed index over [`PreparedBank::flat`].
@@ -731,8 +743,8 @@ const STEP3_SHARD: usize = 64;
 #[allow(clippy::too_many_arguments)]
 fn extend_anchors(
     matrix: &SubstitutionMatrix,
-    bank0: &Bank,
-    bank1: &Bank,
+    bank0: &FlatBank,
+    bank1: &FlatBank,
     gap: &GapConfig,
     gapped_op: Option<&psc_rasc::GappedOperator>,
     anchors: &[Anchor],
@@ -746,8 +758,7 @@ fn extend_anchors(
     let work = |worker: u32| -> (Vec<ShardResult>, Vec<ShardLane>) {
         let mut scratch = ExtendScratch::new();
         let mut extend_one = |a: &Anchor| -> (GappedHit, u64) {
-            let s0 = &bank0.get(a.seq0 as usize).residues;
-            let s1 = &bank1.get(a.seq1 as usize).residues;
+            let (s0, s1) = (bank0.seq(a.seq0 as usize), bank1.seq(a.seq1 as usize));
             let (a0, a1) = (a.local0 as usize, a.local1 as usize);
             match gapped_op {
                 None => (gapped_extend(matrix, s0, s1, a0, a1, gap, &mut scratch), 0),

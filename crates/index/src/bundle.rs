@@ -22,6 +22,7 @@ use psc_score::SubstitutionMatrix;
 use psc_seqio::alphabet::AA_ALPHABET_LEN;
 use psc_seqio::{Bank, Frame, MaskConfig, Seq, SeqKind};
 
+use crate::flat::FlatBank;
 use crate::seed::SeedModel;
 use crate::serial::{begin, open, put_table, put_u64, seal, Reader, SerialError};
 use crate::table::SeedIndex;
@@ -50,9 +51,11 @@ pub struct IndexBundle {
     /// Its length in nucleotides: what maps a frame position back to
     /// the forward strand.
     pub genome_len: u64,
-    /// The six translated frames, in `Frame::ALL` order, original
-    /// (unmasked) residues.
-    pub frames: Bank,
+    /// The six frames' ids, in `Frame::ALL` order.
+    pub frame_ids: [String; FRAME_COUNT],
+    /// The six translated frames in one buffer, in `Frame::ALL` order,
+    /// original (unmasked) residues.
+    pub frames: FlatBank,
     /// Soft-masking applied to the *seeding view* the indexes were
     /// built over (`None` = unmasked).
     pub mask: Option<MaskConfig>,
@@ -74,7 +77,7 @@ impl IndexBundle {
             self.genome_len,
             self.mask,
             &self.matrix,
-            (&self.frames, &self.t1),
+            (&self.frame_ids, &self.frames, &self.t1),
             self.t0.as_ref().map(|t0| (&t0.bank, &t0.index)),
         )
     }
@@ -85,33 +88,33 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_seq(buf: &mut Vec<u8>, seq: &Seq) {
-    put_str(buf, &seq.id);
-    put_u64(buf, seq.residues.len() as u64);
-    buf.extend_from_slice(&seq.residues);
+fn put_seq(buf: &mut Vec<u8>, id: &str, residues: &[u8]) {
+    put_str(buf, id);
+    put_u64(buf, residues.len() as u64);
+    buf.extend_from_slice(residues);
 }
 
 /// Serialize a bundle from where its parts already live. `t1` is the
-/// six frames and the index of their seeding view, `t0` a protein bank
-/// and its index; `model` must be the model both were built under, and
-/// its fingerprint is embedded.
+/// six frames — their ids, their residues flattened — and the index of
+/// their seeding view, `t0` a protein bank and its index; `model` must
+/// be the model both were built under, and its fingerprint is embedded.
 pub fn serialize_bundle(
     model: &dyn SeedModel,
     genome_id: &str,
     genome_len: u64,
     mask: Option<MaskConfig>,
     matrix: &SubstitutionMatrix,
-    (frames, t1): (&Bank, &SeedIndex),
+    (frame_ids, frames, t1): (&[String; FRAME_COUNT], &FlatBank, &SeedIndex),
     t0: Option<(&Bank, &SeedIndex)>,
 ) -> Vec<u8> {
-    assert_eq!(frames.len(), FRAME_COUNT, "a bundle holds six frames");
+    assert_eq!(frames.seq_count(), FRAME_COUNT, "a bundle holds six frames");
     let flag = |on: bool, bit: u16| if on { bit } else { 0 };
     let mut buf = begin(flag(mask.is_some(), FLAG_MASKED) | flag(t0.is_some(), FLAG_T0));
     put_str(&mut buf, &model.name());
     put_str(&mut buf, genome_id);
     put_u64(&mut buf, genome_len);
-    for frame in frames.seqs() {
-        put_seq(&mut buf, frame);
+    for (i, id) in frame_ids.iter().enumerate() {
+        put_seq(&mut buf, id, frames.seq(i));
     }
     if let Some(mask) = mask {
         put_u64(&mut buf, mask.window as u64);
@@ -124,7 +127,7 @@ pub fn serialize_bundle(
     if let Some((bank, index)) = t0 {
         buf.extend_from_slice(&(bank.len() as u32).to_le_bytes());
         for seq in bank.seqs() {
-            put_seq(&mut buf, seq);
+            put_seq(&mut buf, &seq.id, &seq.residues);
         }
         put_table(&mut buf, index);
     }
@@ -140,25 +143,73 @@ impl Reader<'_> {
         String::from_utf8(bytes.to_vec()).map_err(|_| SerialError::Corrupt(what))
     }
 
+    /// One sequence: its id and its residues, lent from the input.
+    fn seq(&mut self, what: &'static str) -> Result<(String, &[u8]), SerialError> {
+        let id = self.str(what)?;
+        let len = self.u64(what)? as usize;
+        // The score matrix, the key rows and the lane tables are indexed
+        // by residue code, unchecked. (`max` over copies is a vector
+        // reduction; over references it is 30 × slower.)
+        let residues = self.take(len, what)?;
+        let max = residues.iter().copied().max().unwrap_or(0);
+        if max as usize >= AA_ALPHABET_LEN {
+            return Err(SerialError::Corrupt("residue code out of range"));
+        }
+        Ok((id, residues))
+    }
+
     /// `count` sequences, and a bank of them.
     fn bank(&mut self, count: usize, what: &'static str) -> Result<Bank, SerialError> {
         // A sequence is at least 12 bytes: bound the allocation by the
         // input, not by a count field.
         let mut seqs = Vec::with_capacity(count.min(self.data.len() / 12));
         for _ in 0..count {
-            let id = self.str(what)?;
-            let len = self.u64(what)? as usize;
-            // The score matrix, the key rows and the lane tables are
-            // indexed by residue code, unchecked. (`max` over copies is
-            // a vector reduction; over references it is 30 × slower.)
-            let residues = self.take(len, what)?;
-            let max = residues.iter().copied().max().unwrap_or(0);
-            if max as usize >= AA_ALPHABET_LEN {
-                return Err(SerialError::Corrupt("residue code out of range"));
-            }
+            let (id, residues) = self.seq(what)?;
             seqs.push(Seq::from_codes(id, residues.to_vec(), SeqKind::Protein));
         }
         Ok(Bank::from_seqs(seqs))
+    }
+
+    /// The six frames of a `genome_len`-nucleotide genome, decoded into
+    /// one buffer. A first pass over a copy of the cursor reads the
+    /// stored lengths — each bounded by the bytes left — and holds each
+    /// to its frame's length under `genome_len`; only then is the buffer
+    /// allocated, at their sum. It is never sized from `genome_len`
+    /// itself, which is only a field of the input.
+    fn frames(
+        &mut self,
+        genome_len: u64,
+    ) -> Result<([String; FRAME_COUNT], FlatBank), SerialError> {
+        const WHAT: &str = "frame section truncated";
+        let mut ahead = Reader { data: self.data };
+        let mut lens = [0; FRAME_COUNT];
+        for (len, frame) in lens.iter_mut().zip(Frame::ALL) {
+            let id_len = ahead.u32(WHAT)? as usize;
+            ahead.take(id_len, WHAT)?;
+            *len = ahead.u64(WHAT)? as usize;
+            ahead.take(*len, WHAT)?;
+            // A frame longer than its genome would take the
+            // minus-strand arithmetic of `FrameCoord::to_genome_interval`
+            // below zero.
+            if *len != frame.translated_len(genome_len as usize) {
+                return Err(SerialError::Corrupt(
+                    "frame length does not match genome length",
+                ));
+            }
+        }
+        let total: usize = lens.iter().sum();
+        if total > u32::MAX as usize {
+            return Err(SerialError::Corrupt("frames exceed u32 addressing"));
+        }
+        let mut residues = Vec::with_capacity(total);
+        let mut ids = Vec::with_capacity(FRAME_COUNT);
+        for _ in Frame::ALL {
+            let (id, frame) = self.seq(WHAT)?;
+            residues.extend_from_slice(frame);
+            ids.push(id);
+        }
+        let ids = ids.try_into().expect("six frames read");
+        Ok((ids, FlatBank::from_concatenation(residues, lens)))
     }
 }
 
@@ -172,16 +223,7 @@ pub fn deserialize_bundle(data: &[u8], model: &dyn SeedModel) -> Result<IndexBun
     }
     let genome_id = r.str("genome id truncated")?;
     let genome_len = r.u64("genome length truncated")?;
-    let frames = r.bank(FRAME_COUNT, "frame section truncated")?;
-    // A frame longer than its genome would take the minus-strand
-    // arithmetic of `FrameCoord::to_genome_interval` below zero.
-    for (frame, seq) in Frame::ALL.iter().zip(frames.seqs()) {
-        if seq.len() != frame.translated_len(genome_len as usize) {
-            return Err(SerialError::Corrupt(
-                "frame length does not match genome length",
-            ));
-        }
-    }
+    let (frame_ids, frames) = r.frames(genome_len)?;
     let mask = if flags & FLAG_MASKED != 0 {
         Some(MaskConfig {
             window: r.u64("mask section truncated")? as usize,
@@ -197,7 +239,7 @@ pub fn deserialize_bundle(data: &[u8], model: &dyn SeedModel) -> Result<IndexBun
         SubstitutionMatrix::from_flat(matrix_name, std::array::from_fn(|i| table[i] as i8));
     // Masking replaces residues one for one: the seeding view a table
     // addresses is as long as the bank stored here.
-    let t1 = r.table(model, frames.total_residues())?;
+    let t1 = r.table(model, frames.len())?;
     let t0 = if flags & FLAG_T0 != 0 {
         let count = r.u32("t0 bank truncated")? as usize;
         let bank = r.bank(count, "t0 bank truncated")?;
@@ -212,6 +254,7 @@ pub fn deserialize_bundle(data: &[u8], model: &dyn SeedModel) -> Result<IndexBun
     Ok(IndexBundle {
         genome_id,
         genome_len,
+        frame_ids,
         frames,
         mask,
         matrix,
@@ -223,7 +266,6 @@ pub fn deserialize_bundle(data: &[u8], model: &dyn SeedModel) -> Result<IndexBun
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flat::FlatBank;
     use crate::seed::ExactSeed;
     use crate::serial::{MAGIC, VERSION};
     use psc_score::blosum62;
@@ -245,9 +287,11 @@ mod tests {
 
     fn sample_bundle(with_t0: bool, mask: Option<MaskConfig>) -> IndexBundle {
         let frame_len = |i: usize| Frame::ALL[i].translated_len(GENOME_LEN);
-        let frames: Bank = (0..6).map(|i| frame(i, frame_len(i))).collect();
+        let frames = std::array::from_fn(|i| frame(i, frame_len(i)));
         let model = sample_model();
-        let t1 = SeedIndex::build(&FlatBank::from_bank(&frames), &model, 1, None);
+        let frame_ids = frames.clone().map(|seq| seq.id);
+        let frames = FlatBank::from_bank(&Bank::from_seqs(frames.into()));
+        let t1 = SeedIndex::build(&frames, &model, 1, None);
         let t0 = with_t0.then(|| {
             let bank: Bank = (0..4).map(|i| frame(i + 10, 70)).collect();
             let index = SeedIndex::build(&FlatBank::from_bank(&bank), &model, 1, None);
@@ -256,6 +300,7 @@ mod tests {
         IndexBundle {
             genome_id: "g".to_string(),
             genome_len: GENOME_LEN as u64,
+            frame_ids,
             frames,
             mask,
             matrix: blosum62().clone(),

@@ -15,7 +15,7 @@ use psc_seqio::Bank;
 pub const PAD: u8 = Aa::X.0;
 
 /// A bank flattened into one residue array.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlatBank {
     residues: Vec<u8>,
     /// `starts[i]` = global position of sequence `i`; `starts[len]` = total.
@@ -33,18 +33,36 @@ const BLOCK_SHIFT: u32 = 8;
 impl FlatBank {
     /// Flatten a bank (sequence order preserved).
     pub fn from_bank(bank: &Bank) -> FlatBank {
-        let total = bank.total_residues();
+        let mut residues = Vec::with_capacity(bank.total_residues());
+        for (_, seq) in bank.iter() {
+            residues.extend_from_slice(&seq.residues);
+        }
+        FlatBank::from_concatenation(residues, bank.iter().map(|(_, seq)| seq.len()))
+    }
+
+    /// A bank that is already one buffer: `residues` holds its sequences
+    /// back to back, of lengths `lens` in order — the buffer
+    /// `psc_seqio::translate_six_frames_into` fills, say. The buffer
+    /// becomes the bank's own; nothing is copied.
+    pub fn from_concatenation(
+        residues: Vec<u8>,
+        lens: impl IntoIterator<Item = usize>,
+    ) -> FlatBank {
+        let total = residues.len();
         assert!(
             total <= u32::MAX as usize,
             "flat bank exceeds u32 addressing ({total} residues)"
         );
-        let mut residues = Vec::with_capacity(total);
-        let mut starts = Vec::with_capacity(bank.len() + 1);
-        for (_, seq) in bank.iter() {
-            starts.push(residues.len() as u32);
-            residues.extend_from_slice(&seq.residues);
+        let lens = lens.into_iter();
+        let mut starts = Vec::with_capacity(lens.size_hint().0 + 1);
+        starts.push(0u32);
+        let mut end = 0usize;
+        for len in lens {
+            end = end.saturating_add(len);
+            assert!(end <= total, "sequences longer than the buffer ({total})");
+            starts.push(end as u32);
         }
-        starts.push(residues.len() as u32);
+        assert_eq!(end, total, "sequences shorter than the buffer");
         let block_seq = (0..total.div_ceil(1 << BLOCK_SHIFT))
             .map(|b| starts.partition_point(|&s| s <= (b << BLOCK_SHIFT) as u32) as u32 - 1)
             .collect();
@@ -77,6 +95,13 @@ impl FlatBank {
     #[inline]
     pub fn residues(&self) -> &[u8] {
         &self.residues
+    }
+
+    /// The residues of sequence `i`.
+    #[inline]
+    pub fn seq(&self, i: usize) -> &[u8] {
+        let (lo, hi) = self.bounds_of(i);
+        &self.residues[lo as usize..hi as usize]
     }
 
     /// Index of the sequence containing global position `pos`: the one
@@ -429,6 +454,40 @@ mod tests {
                     assert_eq!(lent > 0, lens[0] > l, "lens={lens:?}");
                 }
             }
+        }
+    }
+
+    /// Two routes to the six frames' flat bank over one translation: in
+    /// place, the frames appended to one buffer that becomes the bank,
+    /// and frame by frame through a `Bank`.
+    #[test]
+    fn six_frames_flattened_in_place_equal_the_bank_route() {
+        use psc_seqio::prng::for_cases;
+        use psc_seqio::{translate_six_frames, translate_six_frames_into};
+        use psc_seqio::{Frame, GeneticCode, SeqKind};
+        let code = GeneticCode::standard();
+        for len in (0..=40).chain([2_999, 3_000, 4_097]) {
+            for_cases(0xf1a7 ^ len as u64, 4, |g| {
+                // A, C, G, T, mostly; then `N` and codes past it.
+                let nt = |g: &mut psc_seqio::prng::SplitMix64| match g.chance(0.9) {
+                    true => g.range(0u8..4),
+                    false => *g.select(&[4, 5, 9, 255]),
+                };
+                let genome = Seq::from_codes("g", g.vec(len..=len, nt), SeqKind::Dna);
+                let mut residues = Vec::new();
+                translate_six_frames_into(&genome, code, &mut residues);
+                let lens = Frame::ALL.map(|f| f.translated_len(len));
+                let in_place = FlatBank::from_concatenation(residues, lens);
+                let translated = translate_six_frames(&genome, code);
+                let via_bank = FlatBank::from_bank(&translated.to_bank());
+                assert_eq!(in_place.residues, via_bank.residues);
+                assert_eq!(in_place.starts, via_bank.starts);
+                assert_eq!(in_place.block_seq, via_bank.block_seq);
+                for (i, &frame) in Frame::ALL.iter().enumerate() {
+                    assert_eq!(in_place.seq(i), via_bank.seq(i), "{frame}");
+                    assert_eq!(in_place.seq(i), translated.frame(frame).residues);
+                }
+            });
         }
     }
 

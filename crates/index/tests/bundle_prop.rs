@@ -39,12 +39,10 @@ fn build_bundle(
     mask: Option<MaskConfig>,
     genome_len: u64,
 ) -> IndexBundle {
-    let frames: Bank = frame_residues
-        .iter()
-        .enumerate()
-        .map(|(i, r)| Seq::from_codes(format!("g|frame{i}"), r.clone(), SeqKind::Protein))
-        .collect();
-    let t1 = psc_index::SeedIndex::build(&FlatBank::from_bank(&frames), model, 1, None);
+    let frame_ids = std::array::from_fn(|i| format!("g|frame{i}"));
+    let lens = frame_residues.iter().map(Vec::len);
+    let frames = FlatBank::from_concatenation(frame_residues.concat(), lens);
+    let t1 = psc_index::SeedIndex::build(&frames, model, 1, None);
     let t0 = t0_residues.map(|seqs| {
         let bank: Bank = seqs
             .iter()
@@ -57,6 +55,7 @@ fn build_bundle(
     IndexBundle {
         genome_id: "g".to_string(),
         genome_len,
+        frame_ids,
         frames,
         mask,
         matrix: blosum62().clone(),

@@ -24,14 +24,17 @@ fn seq(tag: &str, i: u32, len: u32) -> Seq {
 fn serialized_bytes_are_pinned() {
     let model = ExactSeed::new(2);
     let frame_len = |i: u32| Frame::ALL[i as usize].translated_len(GENOME_LEN) as u32;
-    let frames: Bank = (0..6).map(|i| seq("g|frame", i, frame_len(i))).collect();
-    let t1 = SeedIndex::build(&FlatBank::from_bank(&frames), &model, 1, None);
+    let frames: [Seq; 6] = std::array::from_fn(|i| seq("g|frame", i as u32, frame_len(i as u32)));
+    let frame_ids = frames.clone().map(|frame| frame.id);
+    let frames = FlatBank::from_bank(&Bank::from_seqs(frames.into()));
+    let t1 = SeedIndex::build(&frames, &model, 1, None);
 
     let bank: Bank = (0..3).map(|i| seq("p", i + 10, 40)).collect();
     let index = SeedIndex::build(&FlatBank::from_bank(&bank), &model, 1, None);
     let bundle = IndexBundle {
         genome_id: "g".to_string(),
         genome_len: GENOME_LEN as u64,
+        frame_ids,
         frames,
         mask: Some(MaskConfig::default()),
         matrix: blosum62().clone(),

@@ -32,4 +32,6 @@ pub use complexity::{mask_low_complexity, MaskConfig};
 pub use error::SeqError;
 pub use fasta::{read_fasta, read_fasta_path, write_fasta};
 pub use seq::{Seq, SeqKind};
-pub use translate::{translate_six_frames, Frame, FrameCoord, TranslatedGenome};
+pub use translate::{
+    translate_six_frames, translate_six_frames_into, Frame, FrameCoord, TranslatedGenome,
+};

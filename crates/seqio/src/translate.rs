@@ -50,6 +50,11 @@ impl Frame {
         genome_len.saturating_sub(k as usize) / 3
     }
 
+    /// The id of this frame's translation of genome `genome_id`.
+    pub fn seq_id(self, genome_id: &str) -> String {
+        format!("{genome_id}|frame{self}")
+    }
+
     /// Index 0..6 in [`Frame::ALL`] order.
     pub fn index(self) -> usize {
         match self {
@@ -141,6 +146,28 @@ impl FrameCoord {
 /// Codons containing `N` translate to `X`; stop codons are kept as `*`
 /// residues (the indexer refuses to seed across them, mirroring BLAST).
 pub fn translate_six_frames(genome: &Seq, code: &GeneticCode) -> TranslatedGenome {
+    let mut all = Vec::new();
+    translate_six_frames_into(genome, code, &mut all);
+    let mut rest = &all[..];
+    let frames = Frame::ALL.map(|frame| {
+        let (residues, tail) = rest.split_at(frame.translated_len(genome.len()));
+        rest = tail;
+        let id = frame.seq_id(&genome.id);
+        Seq::from_codes(id, residues.to_vec(), SeqKind::Protein)
+    });
+    TranslatedGenome {
+        genome_id: genome.id.clone(),
+        genome_len: genome.len(),
+        frames,
+    }
+}
+
+/// [`translate_six_frames`] appended to `out`: the six frames back to
+/// back in [`Frame::ALL`] order, frame `f` taking
+/// `f.translated_len(genome.len())` residues. `out` grows once, by
+/// exactly their sum, so a caller that hands in an empty buffer gets the
+/// whole translation in one allocation.
+pub fn translate_six_frames_into(genome: &Seq, code: &GeneticCode, out: &mut Vec<u8>) {
     assert_eq!(genome.kind, SeqKind::Dna, "six-frame translation needs DNA");
     // One table per strand over the five nucleotide codes, indexed by
     // the codon as it lies on the forward strand: the minus table has
@@ -162,26 +189,21 @@ pub fn translate_six_frames(genome: &Seq, code: &GeneticCode) -> TranslatedGenom
     };
 
     let fwd = &genome.residues[..];
-    let frames = Frame::ALL.map(|frame| {
+    out.reserve_exact(Frame::ALL.iter().map(|f| f.translated_len(fwd.len())).sum());
+    for frame in Frame::ALL {
         // Minus frame `k` starts `k` nucleotides in from the far end.
-        let residues = match frame {
-            Frame::Plus(k) => fwd[fwd.len().min(k as usize)..]
-                .chunks_exact(3)
-                .map(|c| plus[codon(c)])
-                .collect(),
-            Frame::Minus(k) => fwd[..fwd.len().saturating_sub(k as usize)]
-                .rchunks_exact(3)
-                .map(|c| minus[codon(c)])
-                .collect(),
-        };
-        let id = format!("{}|frame{}", genome.id, frame);
-        Seq::from_codes(id, residues, SeqKind::Protein)
-    });
-
-    TranslatedGenome {
-        genome_id: genome.id.clone(),
-        genome_len: genome.len(),
-        frames,
+        match frame {
+            Frame::Plus(k) => out.extend(
+                fwd[fwd.len().min(k as usize)..]
+                    .chunks_exact(3)
+                    .map(|c| plus[codon(c)]),
+            ),
+            Frame::Minus(k) => out.extend(
+                fwd[..fwd.len().saturating_sub(k as usize)]
+                    .rchunks_exact(3)
+                    .map(|c| minus[codon(c)]),
+            ),
+        }
     }
 }
 
