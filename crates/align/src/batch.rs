@@ -19,7 +19,7 @@
 //!   both step-2 callers run on: for one row-major window and a run of
 //!   lane blocks it reports every lane whose score reaches the
 //!   threshold. It *classifies* in saturating byte lanes — 64 window
-//!   pairs per recurrence step on AVX-512BW, 32 on AVX2, plain arrays
+//!   pairs per recurrence step on AVX-512 VBMI, 32 on AVX2, plain arrays
 //!   elsewhere — and *rescores* only the flagged lanes, with
 //!   [`ungapped_score`] itself. Substitution rows come from a
 //!   per-matrix table built once; nothing is built per window;
@@ -38,7 +38,10 @@
 //! scores `threshold`, and the rescoring — which compares the exact
 //! `i32` score against the threshold itself — drops the few flagged
 //! below a threshold past 127. (A threshold of zero or less flags every
-//! lane: every pair is a hit.)
+//! lane: every pair is a hit.) The vector bodies run `ClampedSum` on
+//! `127 - score` and flag its least value at `127 - threshold` or below:
+//! the saturating subtract's ceiling is the clamp at 0, and its floor
+//! caps the score at 255, past every flag threshold — the same flags.
 //!
 //! Every path reports scores **bit-identical** to [`ungapped_score`]
 //! for both [`Kernel`] variants; the unit tests below and the property
@@ -61,8 +64,9 @@ pub const LANES: usize = 32;
 pub const WIDE_LANES: usize = 64;
 
 /// Bytes per substitution row ([`ScoreProfile`] position or
-/// [`LaneFilter`] table row): two 16-byte shuffle tables (codes 0–15
-/// and 16–23; the upper 8 slots of the second table stay zero).
+/// [`LaneFilter`] table row), indexed by `code & 0x1f` (slots 24–31
+/// stay zero): one `vpermb` table broadcast to both halves of a 512-bit
+/// register, or two 16-byte `pshufb` tables (codes 0–15 and 16–31).
 const ROW_BYTES: usize = 32;
 
 /// A concrete step-2 kernel implementation.
@@ -76,9 +80,9 @@ pub enum KernelBackend {
     /// The AVX2 lane path: [`LaneFilter`] over [`LANES`]-wide blocks
     /// (a portable lane array on hosts without AVX2).
     Simd,
-    /// The AVX-512BW lane path: [`LaneFilter`] over
+    /// The AVX-512 VBMI lane path: [`LaneFilter`] over
     /// [`WIDE_LANES`]-wide blocks (a portable lane array on hosts
-    /// without AVX-512BW).
+    /// without AVX-512BW and VBMI).
     Wide,
 }
 
@@ -194,13 +198,15 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// Does this host have the AVX-512BW instructions the `wide` lane path
-/// wants? Same contract as [`simd_available`]: the wide fallback is
-/// portable, this only informs `Auto` and the recorded profile.
+/// Does this host have the AVX-512BW and VBMI instructions the `wide`
+/// lane path wants (`vpermb` is VBMI)? Same contract as
+/// [`simd_available`]: the wide fallback is portable, this only informs
+/// `Auto` (BW without VBMI resolves to `simd`) and the recorded profile.
 pub fn wide_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vbmi")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -597,7 +603,7 @@ impl InterleavedWindows {
 /// The instruction set a lane body runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Isa {
-    /// AVX-512BW, [`WIDE_LANES`]-wide blocks.
+    /// AVX-512BW and VBMI, [`WIDE_LANES`]-wide blocks.
     Avx512,
     /// AVX2, [`LANES`]-wide blocks.
     Avx2,
@@ -751,11 +757,11 @@ impl LaneFilter {
         let threshold = self.threshold.clamp(0, i8::MAX as i32) as i8;
         match self.isa {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Isa::of` saw AVX-512BW; `scan` checked that the
-            // window is as long as the layout's and that `left` blocks
-            // from `j0` lie inside its stride.
+            // SAFETY: `Isa::of` saw AVX-512BW and VBMI; `scan` checked
+            // that the window is as long as the layout's and that `left`
+            // blocks from `j0` lie inside its stride.
             Isa::Avx512 => unsafe {
-                x86::classify_avx512bw(self, window, lanes, j0, left, threshold, masks)
+                x86::classify_avx512(self, window, lanes, j0, left, threshold, masks)
             },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as above, with AVX2.
@@ -840,7 +846,7 @@ const WIDE_WORDS: usize = WIDE_LANES / 2;
 
 /// Best scores of lanes `j0 .. j0 + best.len()` of `il1` against
 /// `profile` in 16-bit lanes: `best.len()` is [`SIMD_WORDS`] (AVX2 when
-/// the host has it) or [`WIDE_WORDS`] (AVX-512BW likewise).
+/// the host has it) or [`WIDE_WORDS`] (AVX-512BW under [`wide_available`]).
 fn score_words(
     kernel: Kernel,
     profile: &ScoreProfile,
@@ -854,9 +860,9 @@ fn score_words(
     {
         let codes = il1.data[j0..].as_ptr();
         if best.len() == WIDE_WORDS && wide_available() {
-            // SAFETY: AVX-512BW is present, and the asserts above keep
-            // every 32-byte load of `profile.len()` positions at `j0`
-            // inside the layout.
+            // SAFETY: `wide_available` saw AVX-512BW, and the asserts
+            // above keep every 32-byte load of `profile.len()` positions
+            // at `j0` inside the layout.
             unsafe { x86::words_avx512(kernel, profile, codes, il1.stride, best) };
             return;
         }
@@ -931,22 +937,20 @@ mod x86 {
     /// Half of a [`SubRow`]: one 16-byte shuffle table.
     const HALF: usize = ROW_BYTES / 2;
 
-    /// AVX-512BW byte-lane body: `N` blocks of 64 window pairs; one
-    /// recurrence step per block is a 64-byte load of residue codes, a
-    /// substitution lookup, a saturating add and the max gates of the
-    /// PE datapath. The lookup: the two 16-byte tables of the row
-    /// broadcast to every 128-bit lane; a test of the codes' bit 4
-    /// (codes 16–23) picks, per byte, the shuffle against the high
-    /// table over the one against the low table (`pshufb` indexes by
-    /// the low 4 bits, which for codes 16–23 is `code - 16`). Six µops
-    /// per block and position.
+    /// AVX-512 VBMI byte-lane body: `N` blocks of 64 window pairs; one
+    /// recurrence step per block is a 64-byte load of residue codes, one
+    /// `vpermb` of the table row (its 32 bytes broadcast to both halves,
+    /// so the index is `code & 0x1f`, as in the portable body) and the
+    /// PE's gates. `ClampedSum` keeps `t = 127 - score` and its least
+    /// value: a `vpsubsb` and a `vpminsb`, two port-0 µops where the
+    /// direct form's add, clamp and max take three (DESIGN.md §4.2b).
     ///
     /// # Safety
-    /// AVX-512F/BW must be available, and `codes + p * stride` must be
-    /// readable for `64 * N` bytes at every `p < window.len()`.
-    #[target_feature(enable = "avx512f,avx512bw")]
+    /// AVX-512F/BW/VBMI must be available, and `codes + p * stride` must
+    /// be readable for `64 * N` bytes at every `p < window.len()`.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
     #[inline]
-    unsafe fn bytes_avx512bw<const N: usize>(
+    unsafe fn bytes_avx512<const N: usize>(
         f: &LaneFilter,
         window: &[u8],
         codes: *const u8,
@@ -954,27 +958,19 @@ mod x86 {
         threshold: i8,
         masks: &mut [u64],
     ) {
-        let zero = _mm512_setzero_si512();
-        let bit4 = _mm512_set1_epi8(0x10);
-        let mut score = [zero; N];
-        let mut best = [zero; N];
+        let (zero, top) = (_mm512_setzero_si512(), _mm512_set1_epi8(i8::MAX));
+        let (mut t, mut least, mut score) = ([top; N], [top; N], [zero; N]);
         for (p, &a) in window.iter().enumerate() {
-            let row = f.table.0[a as usize].as_ptr();
-            let lo = _mm512_broadcast_i32x4(_mm_loadu_si128(row as *const __m128i));
-            let hi = _mm512_broadcast_i32x4(_mm_loadu_si128(row.add(HALF) as *const __m128i));
+            let row = f.table.0[a as usize].as_ptr() as *const __m256i;
+            let row = _mm512_broadcast_i64x4(_mm256_loadu_si256(row));
             let at = codes.add(p * stride);
             for b in 0..N {
                 let c = _mm512_loadu_si512(at.add(b * WIDE_LANES) as *const _);
-                let sub = _mm512_mask_shuffle_epi8(
-                    _mm512_shuffle_epi8(lo, c),
-                    _mm512_test_epi8_mask(c, bit4),
-                    hi,
-                    c,
-                );
+                let sub = _mm512_permutexvar_epi8(c, row);
                 match f.kernel {
                     Kernel::ClampedSum => {
-                        score[b] = _mm512_max_epi8(_mm512_adds_epi8(score[b], sub), zero);
-                        best[b] = _mm512_max_epi8(best[b], score[b]);
+                        t[b] = _mm512_subs_epi8(t[b], sub);
+                        least[b] = _mm512_min_epi8(least[b], t[b]);
                     }
                     Kernel::PaperLiteral => {
                         score[b] = _mm512_adds_epi8(score[b], _mm512_max_epi8(sub, zero));
@@ -982,23 +978,23 @@ mod x86 {
                 }
             }
         }
-        let threshold = _mm512_set1_epi8(threshold);
+        let at_most = _mm512_set1_epi8(i8::MAX - threshold);
+        let at_least = _mm512_set1_epi8(threshold);
         for b in 0..N {
-            let v = match f.kernel {
-                Kernel::ClampedSum => best[b],
-                Kernel::PaperLiteral => score[b],
+            masks[b] = match f.kernel {
+                Kernel::ClampedSum => _mm512_cmple_epi8_mask(least[b], at_most),
+                Kernel::PaperLiteral => _mm512_cmpge_epi8_mask(score[b], at_least),
             };
-            masks[b] = _mm512_cmpge_epi8_mask(v, threshold);
         }
     }
 
-    /// [`bytes_avx512bw`] over the next 1, 2 or 4 of `left` blocks.
+    /// [`bytes_avx512`] over the next 1, 2 or 4 of `left` blocks.
     ///
     /// # Safety
-    /// AVX-512F/BW must be available, `window.len() == lanes.len()` and
-    /// `j0 + left * 64 <= lanes.stride`.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub(super) unsafe fn classify_avx512bw(
+    /// AVX-512F/BW/VBMI must be available, `window.len() == lanes.len()`
+    /// and `j0 + left * 64 <= lanes.stride`.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    pub(super) unsafe fn classify_avx512(
         f: &LaneFilter,
         window: &[u8],
         lanes: &InterleavedWindows,
@@ -1010,23 +1006,24 @@ mod x86 {
         let (codes, stride) = (lanes.data.as_ptr().add(j0), lanes.stride);
         match left {
             1 => {
-                bytes_avx512bw::<1>(f, window, codes, stride, threshold, masks);
+                bytes_avx512::<1>(f, window, codes, stride, threshold, masks);
                 1
             }
             2 | 3 => {
-                bytes_avx512bw::<2>(f, window, codes, stride, threshold, masks);
+                bytes_avx512::<2>(f, window, codes, stride, threshold, masks);
                 2
             }
             _ => {
-                bytes_avx512bw::<4>(f, window, codes, stride, threshold, masks);
+                bytes_avx512::<4>(f, window, codes, stride, threshold, masks);
                 4
             }
         }
     }
 
     /// AVX2 byte-lane body: `N` blocks of 32 window pairs, the
-    /// recurrence of the AVX-512BW body with a compare-and-blend in
-    /// place of the mask registers.
+    /// recurrence of the 512-bit body with the two-table byte shuffle
+    /// and a compare-and-blend in place of `vpermb` and the mask
+    /// registers.
     ///
     /// # Safety
     /// AVX2 must be available, and `codes + p * stride` must be
@@ -1041,10 +1038,9 @@ mod x86 {
         threshold: i8,
         masks: &mut [u64],
     ) {
-        let zero = _mm256_setzero_si256();
+        let (zero, top) = (_mm256_setzero_si256(), _mm256_set1_epi8(i8::MAX));
         let fifteen = _mm256_set1_epi8(15);
-        let mut score = [zero; N];
-        let mut best = [zero; N];
+        let (mut t, mut least, mut score) = ([top; N], [top; N], [zero; N]);
         for (p, &a) in window.iter().enumerate() {
             let row = f.table.0[a as usize].as_ptr();
             let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(row as *const __m128i));
@@ -1059,8 +1055,8 @@ mod x86 {
                 );
                 match f.kernel {
                     Kernel::ClampedSum => {
-                        score[b] = _mm256_max_epi8(_mm256_adds_epi8(score[b], sub), zero);
-                        best[b] = _mm256_max_epi8(best[b], score[b]);
+                        t[b] = _mm256_subs_epi8(t[b], sub);
+                        least[b] = _mm256_min_epi8(least[b], t[b]);
                     }
                     Kernel::PaperLiteral => {
                         score[b] = _mm256_adds_epi8(score[b], _mm256_max_epi8(sub, zero));
@@ -1068,14 +1064,16 @@ mod x86 {
                 }
             }
         }
-        // `threshold >= 0`, so `v >= threshold` is `v > threshold - 1`.
+        // AVX2 compares bytes by `>` only: `least <= 127 - threshold` is
+        // the complement of `least > 127 - threshold`, and as
+        // `threshold >= 0`, `score >= threshold` is `score > threshold - 1`.
+        let at_most = _mm256_set1_epi8(i8::MAX - threshold);
         let below = _mm256_set1_epi8(threshold - 1);
         for b in 0..N {
-            let v = match f.kernel {
-                Kernel::ClampedSum => best[b],
-                Kernel::PaperLiteral => score[b],
-            };
-            masks[b] = _mm256_movemask_epi8(_mm256_cmpgt_epi8(v, below)) as u32 as u64;
+            masks[b] = match f.kernel {
+                Kernel::ClampedSum => !_mm256_movemask_epi8(_mm256_cmpgt_epi8(least[b], at_most)),
+                Kernel::PaperLiteral => _mm256_movemask_epi8(_mm256_cmpgt_epi8(score[b], below)),
+            } as u32 as u64;
         }
     }
 
@@ -1342,7 +1340,7 @@ mod tests {
         let (wide, simd) = (KernelBackend::Wide, KernelBackend::Simd);
         let mut out = Vec::new();
         for (backend, isa, name, available) in [
-            (wide, Isa::Avx512, "avx512bw", wide_available()),
+            (wide, Isa::Avx512, "avx512vbmi", wide_available()),
             (wide, Isa::Portable, "portable64", true),
             (simd, Isa::Avx2, "avx2", simd_available()),
             (simd, Isa::Portable, "portable32", true),
@@ -1392,6 +1390,33 @@ mod tests {
         let mut got = Vec::new();
         f.scan(w0, il, range, lane_window, |j, s| got.push((j, s)));
         got
+    }
+
+    /// [`scan`] of the lanes of `scores` (the scalar kernel's), after
+    /// checking that `f` flags exactly the lanes whose score reaches its
+    /// threshold clamped to the byte range: a flag too many is dropped
+    /// by the rescoring, so only the masks show it.
+    fn scan_flags_checked(
+        tag: &str,
+        f: &LaneFilter,
+        (w0, il): (&[u8], &InterleavedWindows),
+        scores: &[i32],
+        lane_window: &mut Vec<u8>,
+    ) -> Vec<(usize, i32)> {
+        let (count, mut j0, mut flags) = (scores.len(), 0, Vec::new());
+        while j0 < count {
+            let mut masks = [0u64; MAX_BLOCKS];
+            let blocks = f.classify(w0, il, j0, count, &mut masks);
+            for (b, mask) in masks.into_iter().take(blocks).enumerate() {
+                let lanes = (0..f.width).filter(|t| mask >> t & 1 == 1);
+                flags.extend(lanes.map(|t| j0 + b * f.width + t).filter(|&j| j < count));
+            }
+            j0 += blocks * f.width;
+        }
+        let flag_at = f.threshold.clamp(0, i8::MAX as i32);
+        let want: Vec<usize> = at_least(scores, flag_at).iter().map(|h| h.0).collect();
+        assert_eq!(flags, want, "{tag}: flags at {flag_at}");
+        scan(f, w0, il, 0..count, lane_window)
     }
 
     #[test]
@@ -1487,6 +1512,7 @@ mod tests {
         let rows = [lane(13), lane(11), lane(0)].concat();
         let m = blosum62();
         il.build(&rows, len);
+        let scores = all_scores(Kernel::ClampedSum, m, &w0, &rows);
         for threshold in [1, 45, 121, 122, 127, 128, 143, 144] {
             let want: Vec<(usize, i32)> = [(0, 143), (1, 121)]
                 .into_iter()
@@ -1497,8 +1523,9 @@ mod tests {
                 want
             );
             for (name, f) in bodies(Kernel::ClampedSum, m, threshold) {
-                let got = scan(&f, &w0, &il, 0..3, &mut lane_window);
-                assert_eq!(got, want, "{name} t={threshold}");
+                let tag = format!("{name} t={threshold}");
+                let got = scan_flags_checked(&tag, &f, (&w0, &il), &scores, &mut lane_window);
+                assert_eq!(got, want, "{tag}");
             }
         }
 
@@ -1516,6 +1543,7 @@ mod tests {
             .collect();
         il.build(&rows, len);
         for kernel in KERNELS {
+            let scores = all_scores(kernel, &pm1, &w0, &rows);
             for (threshold, want) in [
                 (126, vec![(0, 126), (1, 127), (2, 128)]),
                 (127, vec![(1, 127), (2, 128)]),
@@ -1523,8 +1551,9 @@ mod tests {
                 (129, vec![]),
             ] {
                 for (name, f) in bodies(kernel, &pm1, threshold) {
-                    let got = scan(&f, &w0, &il, 0..3, &mut lane_window);
-                    assert_eq!(got, want, "{name} {kernel:?} t={threshold}");
+                    let tag = format!("{name} {kernel:?} t={threshold}");
+                    let got = scan_flags_checked(&tag, &f, (&w0, &il), &scores, &mut lane_window);
+                    assert_eq!(got, want, "{tag}");
                 }
             }
         }
@@ -1533,26 +1562,32 @@ mod tests {
         // this shape to `profile`), yet driven directly the byte lanes
         // still classify exactly, at thresholds on either side of their
         // ceiling, and the reported scores are the i32 truth. Lane 1
-        // copies the window; lane 2 matches 3 residues (381), collapses
-        // to 0 and never recovers.
+        // copies the window. Lanes 2 and 3 pass 255, where the vector
+        // bodies' `127 - score` floors: lane 2 matches 3 residues (381),
+        // collapses to 0 and never recovers; lane 3 does the same from
+        // position 100 and scores one more match at 200. Lane 4 matches
+        // nothing: its first -127 is one a wrapping subtract would flag.
         let hot = match_mismatch("PM127", 127, -127);
         assert!(!simd_window_fits(len, &hot));
         let w0 = windows(71, 1, len);
         let mut rows = windows(72, 70, len);
         rows[len..2 * len].copy_from_slice(&w0);
-        for (r, &c) in rows[2 * len..3 * len].iter_mut().zip(&w0) {
+        for (r, &c) in rows[2 * len..5 * len].iter_mut().zip(w0.iter().cycle()) {
             *r = (c + 1) % AA_ALPHABET_LEN as u8;
         }
         rows[2 * len..2 * len + 3].copy_from_slice(&w0[..3]);
+        rows[3 * len + 100..3 * len + 103].copy_from_slice(&w0[100..103]);
+        rows[3 * len + 200] = w0[200];
         il.build(&rows, len);
-        for kernel in KERNELS {
+        for (kernel, lane3) in [(Kernel::ClampedSum, 381), (Kernel::PaperLiteral, 508)] {
             let scores = all_scores(kernel, &hot, &w0, &rows);
-            assert_eq!((scores[1], scores[2]), (38_100, 381));
-            for threshold in [1, 127, 128, 381, 382, 38_100, 38_101] {
+            assert_eq!(scores[1..5], [38_100, 381, lane3, 0]);
+            for threshold in [1, 127, 128, 381, 382, 10_000, 38_100, 38_101] {
                 let want = at_least(&scores, threshold);
                 for (name, f) in bodies(kernel, &hot, threshold) {
-                    let got = scan(&f, &w0, &il, 0..70, &mut lane_window);
-                    assert_eq!(got, want, "{name} {kernel:?} t={threshold}");
+                    let tag = format!("{name} {kernel:?} t={threshold}");
+                    let got = scan_flags_checked(&tag, &f, (&w0, &il), &scores, &mut lane_window);
+                    assert_eq!(got, want, "{tag}");
                 }
             }
         }
@@ -1795,6 +1830,61 @@ mod tests {
                 ns.sort_by(f64::total_cmp);
                 println!(
                     "{megabytes} MB bank, {name}: {:.1} ns per window at best, {:.1} in the median",
+                    ns[0], ns[2]
+                );
+            }
+        }
+    }
+
+    /// Each lane body's speed through `scan`, forced as in [`bodies`]:
+    /// `n0` row-major windows against a layout of `n1` lanes, for a
+    /// key's `IL0 × IL1` of 15 × 70, 32 × 512 and 4 × 3000; window 60,
+    /// BLOSUM62, threshold 45, random windows (no survivors: the cost of
+    /// classifying). Each body's round is sized to ≥ 50 ms; five rounds,
+    /// every body in each. Prints the lowest and the median ns per
+    /// window pair (pad lanes are work done, not pairs); run
+    /// `cargo test --release -p psc-align --lib -- --ignored --nocapture scan_ns_per_pair`.
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn scan_ns_per_pair() {
+        const LEN: usize = 60;
+        let m = blosum62();
+        let mut il = InterleavedWindows::new();
+        let mut lane_window = Vec::new();
+        for (n0, n1) in [(15, 70), (32, 512), (4, 3000)] {
+            let w0s = windows(n0 as u64, n0, LEN);
+            il.build(&windows(n1 as u64 ^ 0xff, n1, LEN), LEN);
+            let pairs = |reps: usize| (reps * n0 * n1) as f64;
+            let mut round = |f: &LaneFilter, reps: usize| {
+                let t0 = std::time::Instant::now();
+                for w0 in w0s.chunks_exact(LEN).cycle().take(reps * n0) {
+                    let w0 = std::hint::black_box(w0);
+                    f.scan(w0, &il, 0..n1, &mut lane_window, |_, _| {
+                        panic!("a survivor")
+                    });
+                }
+                t0.elapsed().as_secs_f64() * 1e9 / pairs(reps)
+            };
+            let bodies = bodies(Kernel::ClampedSum, m, 45);
+            // Each body's repeats: the first power of two taking 50 ms.
+            let reps: Vec<usize> = (bodies.iter())
+                .map(|(_, f)| {
+                    (0..)
+                        .map(|k| 1 << k)
+                        .find(|&r| round(f, r) * pairs(r) >= 5e7)
+                })
+                .map(|r| r.expect("some round takes 50 ms"))
+                .collect();
+            let mut ns = vec![Vec::new(); bodies.len()];
+            for _ in 0..5 {
+                for (((_, f), &r), ns) in bodies.iter().zip(&reps).zip(&mut ns) {
+                    ns.push(round(f, r));
+                }
+            }
+            for ((name, _), mut ns) in bodies.into_iter().zip(ns) {
+                ns.sort_by(f64::total_cmp);
+                println!(
+                    "{n0} x {n1}, {name}: {:.3} ns per pair at best, {:.3} in the median",
                     ns[0], ns[2]
                 );
             }

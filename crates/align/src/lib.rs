@@ -10,7 +10,7 @@
 //!   layout and the threshold filter that classifies 32/64 window pairs
 //!   at once in saturating byte lanes and rescores the survivors (the
 //!   software analogue of the PE array's data flow), with runtime
-//!   dispatch over AVX2 / AVX-512BW / portable lane arrays; score
+//!   dispatch over AVX2 / AVX-512 VBMI / portable lane arrays; score
 //!   profiles for the scalar kernel;
 //! * [`gapped`]: gapped extension (step 3) — affine-gap X-drop extension
 //!   to find high-scoring ranges, banded global alignment for traceback;

@@ -19,6 +19,9 @@ use std::{slice, thread};
 use crate::flat::FlatBank;
 use crate::seed::{key_rows, KeyRow, SeedModel, NO_KEY};
 
+/// Positions between two chunks' sink slots: 64 bytes, a cache line.
+const SINK_PITCH: usize = 16;
+
 /// Summary statistics of an index (used by reports and by the operator's
 /// batch scheduler).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -109,11 +112,14 @@ impl SeedIndex {
         // cursors[chunk][key] = where that chunk starts writing key's
         // positions. Chunks are in ascending sequence order, so each
         // key's list comes out sorted by global position. A dropped key
-        // writes to its chunk's sink, slot `total + chunk`.
+        // writes to its chunk's sink, slot `total + SINK_PITCH * chunk`:
+        // every dropped window is a store there, and sinks a cache line
+        // apart keep concurrent chunks from contending for one line.
         let mut cursors: Vec<Vec<u32>> = Vec::with_capacity(nchunks);
         {
             let mut running = offsets[..key_count].to_vec();
-            for (sink, hist) in (total as u32..).zip(&histograms) {
+            let sinks = (total as u32..).step_by(SINK_PITCH);
+            for (sink, hist) in sinks.zip(&histograms) {
                 let at = running.iter().zip(&kept);
                 cursors.push(
                     at.map(|(&at, &kept)| if kept { at } else { sink })
@@ -128,7 +134,8 @@ impl SeedIndex {
         // Pass 2: scatter. Each (chunk, key) range and each chunk's sink
         // is disjoint by construction, so chunks write concurrently
         // through a shared pointer.
-        let mut positions = vec![0u32; total + nchunks];
+        let len = total + SINK_PITCH * nchunks;
+        let mut positions = vec![0u32; len];
         if nchunks == 1 {
             scatter(chunks[0], &mut cursors[0], &mut positions);
         } else {
@@ -142,7 +149,7 @@ impl SeedIndex {
                         // SAFETY: every write lands inside this chunk's
                         // cursor ranges or on its own sink slot, disjoint
                         // from all other chunks'.
-                        let out = unsafe { slice::from_raw_parts_mut(writer.0, total + nchunks) };
+                        let out = unsafe { slice::from_raw_parts_mut(writer.0, len) };
                         scatter(range, cursor, out);
                     });
                 }
