@@ -20,6 +20,8 @@
 //! * [`hsp`]: high-scoring segment pair bookkeeping — scores, E-values,
 //!   deduplication and culling.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod batch;
 pub mod gapped;
 #[cfg(all(test, target_os = "linux"))]

@@ -21,14 +21,15 @@
 //!
 //! Anything that resolves to nothing — std calls, closures, excluded
 //! method names, over-ambiguous names (> [`AMBIG_CAP`] candidates) —
-//! is **assumed safe and counted**: the driver surfaces the unresolved
-//! total in its summary so the blind spot is visible, not silent.
+//! is **assumed safe and counted**: the driver prints the resolved
+//! share of all call sites in its summary so the blind spot is
+//! visible, not silent.
 //!
 //! ## Transitive lints
 //!
 //! From every fn of a configured hot/kernel module, a bounded-depth,
-//! cycle-safe BFS marks reachable fns; their panic/clock/telemetry
-//! facts inherit the root's constraints and are reported with the full
+//! cycle-safe BFS marks reachable fns; their panic/telemetry facts
+//! inherit the root's constraints and are reported with the full
 //! call chain. Allocation uses a two-level taint: a helper reached
 //! from inside a kernel loop may not allocate at all, a helper reached
 //! from straight-line kernel code may not allocate in *its own* loops.
@@ -38,14 +39,13 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::diag::Diagnostic;
-use crate::lints::{
-    LintSelection, DETERMINISM, HOT_PATH_NO_ALLOC, HOT_PATH_NO_PANIC, RECORDER_OFF_HOT_LOOP,
-};
+use crate::lints::{LintSelection, HOT_PATH_NO_ALLOC, HOT_PATH_NO_PANIC, RECORDER_OFF_HOT_LOOP};
 use crate::source::SourceFile;
 use crate::symbols::{CallKind, FileSymbols, FnDef};
 
-/// Default reachability bound (`[workspace] max_call_depth` overrides).
-pub const DEFAULT_MAX_DEPTH: usize = 8;
+/// Reachability bound for the transitive lints: call chains longer than
+/// this are not followed (8 covers the deepest real chain with slack).
+pub const MAX_CALL_DEPTH: usize = 8;
 
 /// A name with more workspace candidates than this resolves to nothing
 /// (counted as unresolved): past that point the edges are noise that
@@ -95,6 +95,8 @@ pub struct CallGraph {
     pub edges: Vec<Vec<Edge>>,
     /// Total resolved edges (including multi-candidate fan-out).
     pub n_edges: usize,
+    /// Call sites resolved to at least one fn.
+    pub resolved: usize,
     /// Call sites resolved to nothing — assumed safe, counted.
     pub unresolved: usize,
 }
@@ -143,6 +145,7 @@ pub fn build(files: &[FileSymbols]) -> CallGraph {
     };
     let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); n];
     let mut n_edges = 0usize;
+    let mut resolved = 0usize;
     let mut unresolved = 0usize;
 
     // Name indexes over linkable fns, in node order (deterministic).
@@ -273,6 +276,7 @@ pub fn build(files: &[FileSymbols]) -> CallGraph {
                     unresolved += 1;
                     continue;
                 }
+                resolved += 1;
                 for to in cands {
                     if to == from {
                         continue; // direct recursion adds no reach
@@ -297,6 +301,7 @@ pub fn build(files: &[FileSymbols]) -> CallGraph {
         file_of,
         edges,
         n_edges,
+        resolved,
         unresolved,
     }
 }
@@ -309,7 +314,7 @@ pub struct Workspace<'a> {
     pub syms: &'a [FileSymbols],
 }
 
-/// Run all four transitive lints; diagnostics carry full call chains.
+/// Run the three transitive lints; diagnostics carry full call chains.
 pub fn transitive_check(ws: &Workspace, g: &CallGraph, max_depth: usize) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let roots = |pick: &dyn Fn(&LintSelection) -> bool| -> Vec<usize> {
@@ -335,16 +340,6 @@ pub fn transitive_check(ws: &Workspace, g: &CallGraph, max_depth: usize) -> Vec<
         |s| s.hot_module,
         HOT_PATH_NO_PANIC,
         |f| &f.facts.panics,
-        "reachable from the hot path",
-    ));
-    out.extend(simple_reach(
-        ws,
-        g,
-        max_depth,
-        &roots(&|s| s.hot_module),
-        |s| s.ban_wall_clock,
-        DETERMINISM,
-        |f| &f.facts.clocks,
         "reachable from the hot path",
     ));
     out.extend(simple_reach(
@@ -422,7 +417,7 @@ fn chain_string(
     hops.join(" → ")
 }
 
-/// The shared shape of the panic / clock / telemetry transitive lints:
+/// The shared shape of the panic / telemetry transitive lints:
 /// flag `facts(fn)` on every fn reachable from `roots`, skipping files
 /// where `covered_locally` says the file-local lint already polices
 /// the same fact, honoring waivers at the fact's line.
@@ -587,7 +582,7 @@ mod tests {
     fn ws_check(sources: &[(&str, &str, &str)]) -> (Vec<Diagnostic>, CallGraph) {
         let files: Vec<SourceFile> = sources
             .iter()
-            .map(|(p, c, s)| SourceFile::new(p, c, false, s))
+            .map(|(p, c, s)| SourceFile::new(p, c, s))
             .collect();
         let syms: Vec<FileSymbols> = files.iter().map(scan).collect();
         let sels: Vec<LintSelection> = sources
@@ -597,8 +592,6 @@ mod tests {
                 hot_module: i == 0,
                 kernel_module: i == 0,
                 no_alloc_module: i == 0,
-                ban_wall_clock: false,
-                ..LintSelection::default()
             })
             .collect();
         let g = build(&syms);
@@ -607,7 +600,7 @@ mod tests {
             sels: &sels,
             syms: &syms,
         };
-        let diags = transitive_check(&ws, &g, DEFAULT_MAX_DEPTH);
+        let diags = transitive_check(&ws, &g, MAX_CALL_DEPTH);
         (diags, g)
     }
 
@@ -676,7 +669,7 @@ mod tests {
         ];
         let files: Vec<SourceFile> = sources
             .iter()
-            .map(|(p, c, s)| SourceFile::new(p, c, false, s))
+            .map(|(p, c, s)| SourceFile::new(p, c, s))
             .collect();
         let syms: Vec<FileSymbols> = files.iter().map(scan).collect();
         let sels = vec![

@@ -27,13 +27,8 @@ pub struct Config {
 
 /// Section/key names the analyzer understands, used to reject typos.
 const KNOWN: &[(&str, &[&str])] = &[
-    ("workspace", &["crate_dirs", "max_call_depth"]),
     ("lint.unsafe-scope", &["allow_unsafe_crates"]),
     ("lint.hot-path-no-panic", &["hot_modules"]),
-    (
-        "lint.determinism",
-        &["time_allowed_crates", "ordered_modules"],
-    ),
     ("lint.recorder-off-hot-loop", &["kernel_modules"]),
     ("lint.hot-path-no-alloc", &["kernel_modules"]),
     ("lint.telemetry-key-registry", &["registry"]),
@@ -210,16 +205,21 @@ hot_modules = [
             cfg.list("lint.hot-path-no-panic", "hot_modules"),
             ["crates/core/src/step2.rs", "crates/align/src/batch.rs"]
         );
-        assert!(cfg.list("lint.determinism", "ordered_modules").is_empty());
+        assert!(cfg
+            .list("lint.telemetry-key-registry", "registry")
+            .is_empty());
     }
 
     #[test]
     fn items_carry_their_config_lines() {
         let cfg = Config::parse(
-            "[workspace]\ncrate_dirs = \"crates\"\n[lint.hot-path-no-panic]\nhot_modules = [\n    \"a.rs\",\n    \"b.rs\", \"c.rs\",\n]\n",
+            "[lint.telemetry-key-registry]\nregistry = \"keys.rs\"\n[lint.hot-path-no-panic]\nhot_modules = [\n    \"a.rs\",\n    \"b.rs\", \"c.rs\",\n]\n",
         )
         .unwrap();
-        assert_eq!(cfg.items("workspace", "crate_dirs"), [("crates", 2)]);
+        assert_eq!(
+            cfg.items("lint.telemetry-key-registry", "registry"),
+            [("keys.rs", 2)]
+        );
         assert_eq!(
             cfg.items("lint.hot-path-no-panic", "hot_modules"),
             [("a.rs", 5), ("b.rs", 6), ("c.rs", 6)]
@@ -229,18 +229,25 @@ hot_modules = [
     #[test]
     fn rejects_unknown_sections_and_keys() {
         assert!(Config::parse("[lint.nonsense]\n").is_err());
-        assert!(Config::parse("[lint.determinism]\ntypo = [\"x\"]\n").is_err());
+        assert!(Config::parse("[lint.hot-path-no-panic]\ntypo = [\"x\"]\n").is_err());
+        // Sections of rules that moved into the compiler's lint tables.
+        assert!(Config::parse("[lint.determinism]\n").is_err());
+        assert!(Config::parse("[workspace]\nmax_call_depth = \"8\"\n").is_err());
         assert!(Config::parse("orphan = \"x\"\n").is_err());
     }
 
     #[test]
     fn rejects_unquoted_values() {
-        assert!(Config::parse("[workspace]\ncrate_dirs = crates\n").is_err());
+        assert!(Config::parse("[lint.telemetry-key-registry]\nregistry = keys.rs\n").is_err());
     }
 
     #[test]
     fn hash_inside_string_is_not_a_comment() {
-        let cfg = Config::parse("[workspace]\ncrate_dirs = \"cra#tes\"\n").unwrap();
-        assert_eq!(cfg.list("workspace", "crate_dirs"), ["cra#tes"]);
+        let cfg =
+            Config::parse("[lint.telemetry-key-registry]\nregistry = \"ke#ys.rs\"\n").unwrap();
+        assert_eq!(
+            cfg.list("lint.telemetry-key-registry", "registry"),
+            ["ke#ys.rs"]
+        );
     }
 }

@@ -1,19 +1,19 @@
 //! A small hand-rolled Rust tokenizer.
 //!
 //! The lints only need a faithful separation of *code* from *comments
-//! and literals* — `unsafe` inside a string must not trip the
-//! safety-comment lint, a `// SAFETY:` inside a string must not satisfy
-//! it. So the lexer handles exactly the lexical features that matter
-//! for that separation: line and (nested) block comments, string /
+//! and literals* — `.unwrap()` inside a string must not trip the
+//! hot-path lint, a `// analyzer: allow(…)` inside a string must not
+//! waive it. So the lexer handles exactly the lexical features that
+//! matter for that separation: line and (nested) block comments, string /
 //! raw-string / byte-string / char literals, lifetimes vs char
 //! literals, identifiers and single-character punctuation. Everything
 //! else (numeric literal forms, multi-character operators) degrades to
 //! a benign token stream without affecting any lint.
 
-/// What a token is. Comment *text* is kept — the safety-comment lint
-/// and the waiver scanner read it. String-literal *content* is kept
-/// too (escapes unprocessed) — the telemetry-key-registry lint reads
-/// the key names passed to the Recorder/Tracer surface.
+/// What a token is. Comment *text* is kept — the waiver scanner reads
+/// it. String-literal *content* is kept too (escapes unprocessed) — the
+/// telemetry-key-registry lint reads the key names passed to the
+/// Recorder/Tracer surface.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TokKind {
     /// Identifier or keyword (raw identifiers `r#ident` normalize to

@@ -1,21 +1,17 @@
-//! The lint suite. Each lint walks the token stream of one
+//! The lint suite. Each source lint walks the token stream of one
 //! [`SourceFile`] and reports [`Diagnostic`]s; inline waivers
 //! (`// analyzer: allow(<lint>) -- reason`) and `#[cfg(test)]` regions
-//! are honored where documented.
+//! are honored where documented. `unsafe-scope` reads crate manifests.
 
 use std::collections::BTreeSet;
 
 use crate::diag::Diagnostic;
-use crate::source::{LineKind, SourceFile};
+use crate::source::SourceFile;
 
-pub const SAFETY_COMMENT: &str = "safety-comment";
 pub const UNSAFE_SCOPE: &str = "unsafe-scope";
 pub const HOT_PATH_NO_PANIC: &str = "hot-path-no-panic";
 pub const HOT_PATH_NO_ALLOC: &str = "hot-path-no-alloc";
-pub const DETERMINISM: &str = "determinism";
 pub const RECORDER_OFF_HOT_LOOP: &str = "recorder-off-hot-loop";
-pub const PLACEHOLDER_URL: &str = "placeholder-url";
-pub const MANIFEST_STUB: &str = "manifest-stub";
 pub const TELEMETRY_KEY_REGISTRY: &str = "telemetry-key-registry";
 pub const WAIVER_HYGIENE: &str = "waiver-hygiene";
 pub const CONFIG_INTEGRITY: &str = "config-integrity";
@@ -24,15 +20,8 @@ pub const CONFIG_INTEGRITY: &str = "config-integrity";
 /// `analyzer.toml` by the driver (or built directly by fixture tests).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LintSelection {
-    /// `unsafe-scope`: this crate may use `unsafe` (skips the
-    /// `#![forbid(unsafe_code)]` requirement on its roots).
-    pub allow_unsafe: bool,
     /// `hot-path-no-panic` applies (file is a designated hot module).
     pub hot_module: bool,
-    /// `determinism` clock ban applies (crate is not telemetry/bench/cli).
-    pub ban_wall_clock: bool,
-    /// `determinism` HashMap ban applies (file produces reports/JSON).
-    pub ordered_module: bool,
     /// `recorder-off-hot-loop` applies (file is a kernel module).
     pub kernel_module: bool,
     /// `hot-path-no-alloc` applies (file holds kernel inner loops).
@@ -42,14 +31,9 @@ pub struct LintSelection {
 /// Run every applicable lint over `file`.
 pub fn check_file(file: &SourceFile, sel: &LintSelection) -> Vec<Diagnostic> {
     let mut out = file.waiver_problems();
-    out.extend(safety_comment(file));
-    if !sel.allow_unsafe && file.is_crate_root {
-        out.extend(unsafe_scope(file));
-    }
     if sel.hot_module {
         out.extend(hot_path_no_panic(file));
     }
-    out.extend(determinism(file, sel));
     if sel.kernel_module {
         out.extend(recorder_off_hot_loop(file));
     }
@@ -60,79 +44,27 @@ pub fn check_file(file: &SourceFile, sel: &LintSelection) -> Vec<Diagnostic> {
     out
 }
 
-/// `safety-comment`: every `unsafe` keyword must be justified by a
-/// `// SAFETY:` comment on the same line or in the contiguous
-/// comment/attribute block directly above (a `# Safety` doc section
-/// also counts, matching rustdoc convention for `unsafe fn`).
-fn safety_comment(file: &SourceFile) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for t in &file.toks {
-        if t.ident() != Some("unsafe") {
-            continue;
-        }
-        if file.waived(SAFETY_COMMENT, t.line) {
-            continue;
-        }
-        if has_safety_comment(file, t.line) {
-            continue;
-        }
-        out.push(Diagnostic::new(
-            &file.path,
-            t.line,
-            SAFETY_COMMENT,
-            "`unsafe` without a `// SAFETY:` comment directly above",
-        ));
-    }
-    out
-}
-
-fn is_safety_text(text: &str) -> bool {
-    text.contains("SAFETY:") || text.contains("# Safety")
-}
-
-fn has_safety_comment(file: &SourceFile, line: u32) -> bool {
-    if file.comments_on(line).iter().any(|c| is_safety_text(c)) {
-        return true;
-    }
-    let mut l = line.saturating_sub(1);
-    while l >= 1 {
-        match file.line_kind(l) {
-            LineKind::CommentOnly | LineKind::Attr => {
-                if file.comments_on(l).iter().any(|c| is_safety_text(c)) {
-                    return true;
-                }
-                l -= 1;
-            }
-            _ => break,
-        }
-    }
-    false
-}
-
-/// `unsafe-scope`: crate roots outside the unsafe allow-list must
-/// declare `#![forbid(unsafe_code)]`.
-fn unsafe_scope(file: &SourceFile) -> Vec<Diagnostic> {
-    let toks = &file.toks;
-    let mut i = 0;
-    while i + 7 < toks.len() {
-        if toks[i].is_punct('#')
-            && toks[i + 1].is_punct('!')
-            && toks[i + 2].is_punct('[')
-            && toks[i + 3].ident() == Some("forbid")
-            && toks[i + 4].is_punct('(')
-            && toks[i + 5].ident() == Some("unsafe_code")
-            && toks[i + 6].is_punct(')')
-            && toks[i + 7].is_punct(']')
-        {
+/// `unsafe-scope`: a crate manifest must inherit the workspace lints
+/// (`[lints]` with `workspace = true`), whose `unsafe_code = "forbid"`
+/// then holds in every target of the crate. The driver skips the crates
+/// on the unsafe allow-list, which carry `[lints]` tables of their own.
+/// Checked line by line on the raw manifest text; no waivers.
+pub fn unsafe_scope(rel: &str, manifest: &str) -> Vec<Diagnostic> {
+    let mut section = "";
+    for line in manifest.lines() {
+        let line = line.split('#').next().unwrap_or("").trim();
+        if line.starts_with('[') {
+            section = line;
+        } else if section == "[lints]" && line.replace(' ', "") == "workspace=true" {
             return Vec::new();
         }
-        i += 1;
     }
     vec![Diagnostic::new(
-        &file.path,
+        rel,
         1,
         UNSAFE_SCOPE,
-        "crate root must declare #![forbid(unsafe_code)] (crate is not on the unsafe allow-list)",
+        "crate manifest must inherit the workspace lints (`[lints]` with `workspace = true`), \
+         which forbid unsafe code (crate is not on the unsafe allow-list)",
     )]
 }
 
@@ -278,95 +210,6 @@ fn hot_path_no_alloc(file: &SourceFile) -> Vec<Diagnostic> {
     out
 }
 
-/// `determinism`: wall-clock reads outside the crates whose job is
-/// timing, and `HashMap`/`HashSet` (unstable iteration order) in
-/// modules that produce reports or JSON.
-fn determinism(file: &SourceFile, sel: &LintSelection) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let toks = &file.toks;
-    for (i, t) in toks.iter().enumerate() {
-        match t.ident() {
-            Some(ty @ ("Instant" | "SystemTime")) if sel.ban_wall_clock => {
-                let is_now = toks.get(i + 1).is_some_and(|a| a.is_punct(':'))
-                    && toks.get(i + 2).is_some_and(|a| a.is_punct(':'))
-                    && toks.get(i + 3).and_then(|a| a.ident()) == Some("now");
-                if !is_now || file.in_test_code(t.line) || file.waived(DETERMINISM, t.line) {
-                    continue;
-                }
-                out.push(Diagnostic::new(
-                    &file.path,
-                    t.line,
-                    DETERMINISM,
-                    format!("{ty}::now() outside the timing crates (telemetry/bench/cli)"),
-                ));
-            }
-            Some(map @ ("HashMap" | "HashSet")) if sel.ordered_module => {
-                if file.in_test_code(t.line) || file.waived(DETERMINISM, t.line) {
-                    continue;
-                }
-                out.push(Diagnostic::new(
-                    &file.path,
-                    t.line,
-                    DETERMINISM,
-                    format!(
-                        "{map} in a report/JSON-producing module (use BTreeMap/BTreeSet for stable order)"
-                    ),
-                ));
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Hosts that mark a manifest URL as an unedited template leftover.
-const PLACEHOLDER_HOSTS: &[&str] = &["example.org", "example.com", "example.net"];
-
-/// `placeholder-url` / `manifest-stub`: Cargo manifests must not ship
-/// template leftovers. RFC 2606 example hosts in a `repository`/
-/// `homepage` URL, a `version = "0.0.0"` never bumped off the stub
-/// value, and an empty `description = ""` all mean the field was
-/// scaffolded and forgotten. Checked line-by-line on the raw manifest
-/// text (no waivers; fill in the field instead).
-pub fn check_manifest(rel: &str, text: &str) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if let Some(host) = PLACEHOLDER_HOSTS.iter().find(|h| line.contains(*h)) {
-            out.push(Diagnostic::new(
-                rel,
-                i as u32 + 1,
-                PLACEHOLDER_URL,
-                format!("placeholder host `{host}` in a Cargo manifest"),
-            ));
-        }
-        let trimmed = line.trim();
-        let value_is = |key: &str, value: &str| -> bool {
-            trimmed
-                .strip_prefix(key)
-                .map(str::trim_start)
-                .and_then(|rest| rest.strip_prefix('='))
-                .is_some_and(|rest| rest.trim() == value)
-        };
-        if value_is("version", "\"0.0.0\"") {
-            out.push(Diagnostic::new(
-                rel,
-                i as u32 + 1,
-                MANIFEST_STUB,
-                "stub version `0.0.0` in a Cargo manifest".to_string(),
-            ));
-        }
-        if value_is("description", "\"\"") {
-            out.push(Diagnostic::new(
-                rel,
-                i as u32 + 1,
-                MANIFEST_STUB,
-                "empty `description` in a Cargo manifest".to_string(),
-            ));
-        }
-    }
-    out
-}
-
 /// Identifiers that mean telemetry crossed into a kernel module.
 pub(crate) const RECORDER_IDENTS: &[&str] = &[
     "Recorder",
@@ -507,43 +350,26 @@ mod tests {
     use super::*;
 
     fn file(src: &str) -> SourceFile {
-        SourceFile::new("crates/x/src/lib.rs", "x", true, src)
-    }
-
-    fn lints(d: &[Diagnostic]) -> Vec<&str> {
-        d.iter().map(|d| d.lint).collect()
-    }
-
-    #[test]
-    fn safety_comment_accepts_preceding_and_doc_forms() {
-        let ok = file(
-            "// SAFETY: pointer is valid\nlet x = unsafe { *p };\n\n/// # Safety\n/// Caller checks AVX2.\n#[target_feature(enable = \"avx2\")]\npub unsafe fn k() {}\n",
-        );
-        assert!(safety_comment(&ok).is_empty());
-        let bad = file("let x = unsafe { *p };\n");
-        assert_eq!(lints(&safety_comment(&bad)), [SAFETY_COMMENT]);
-    }
-
-    #[test]
-    fn safety_comment_not_satisfied_across_code() {
-        let f = file("// SAFETY: stale comment\nlet y = 1;\nlet x = unsafe { *p };\n");
-        assert_eq!(safety_comment(&f).len(), 1);
+        SourceFile::new("crates/x/src/lib.rs", "x", src)
     }
 
     #[test]
     fn unsafe_scope_requires_forbid() {
-        let missing = file("//! docs\npub fn f() {}\n");
+        let bad = |manifest: &str| unsafe_scope("crates/x/Cargo.toml", manifest).len();
+        let missing = unsafe_scope("crates/x/Cargo.toml", "[package]\nname = \"x\"\n");
+        assert_eq!(missing.len(), 1);
+        assert_eq!((missing[0].lint, missing[0].line), (UNSAFE_SCOPE, 1));
         assert_eq!(
-            lints(&check_file(&missing, &LintSelection::default())),
-            [UNSAFE_SCOPE]
+            bad("[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n"),
+            0
         );
-        let ok = file("//! docs\n#![forbid(unsafe_code)]\npub fn f() {}\n");
-        assert!(check_file(&ok, &LintSelection::default()).is_empty());
-        let allowed = LintSelection {
-            allow_unsafe: true,
-            ..LintSelection::default()
-        };
-        assert!(check_file(&missing, &allowed).is_empty());
+        assert_eq!(bad("[lints] # inherited\nworkspace=true\n"), 0);
+        // An own table, a `false`, or the key under another section
+        // does not inherit the forbid.
+        assert_eq!(bad("[lints.rust]\nunsafe_code = \"allow\"\n"), 1);
+        assert_eq!(bad("[lints]\nworkspace = false\n"), 1);
+        assert_eq!(bad("[dependencies]\nworkspace = true\n[lints]\n"), 1);
+        assert_eq!(bad("[lints]\n# workspace = true\n"), 1);
     }
 
     #[test]
@@ -568,61 +394,6 @@ mod tests {
         );
         assert!(hot_path_no_panic(&f).is_empty());
         assert!(f.waiver_problems().is_empty());
-    }
-
-    #[test]
-    fn determinism_clock_and_hashmap() {
-        let sel = LintSelection {
-            ban_wall_clock: true,
-            ordered_module: true,
-            ..LintSelection::default()
-        };
-        let f = file(
-            "use std::collections::HashMap;\nfn f() -> std::time::Instant { std::time::Instant::now() }\n",
-        );
-        let found = determinism(&f, &sel);
-        assert_eq!(lints(&found), [DETERMINISM, DETERMINISM]);
-        // `Instant` alone (no ::now) is fine: storing one is harmless.
-        let store = file("struct S { t0: std::time::Instant }\n");
-        assert!(determinism(&store, &sel).is_empty());
-    }
-
-    #[test]
-    fn manifest_placeholder_hosts_flagged() {
-        let bad = "[package]\nname = \"x\"\nrepository = \"https://example.org/x\"\n";
-        let found = check_manifest("crates/x/Cargo.toml", bad);
-        assert_eq!(lints(&found), [PLACEHOLDER_URL]);
-        assert_eq!(found[0].line, 3);
-        let ok = "[package]\nname = \"x\"\nrepository = \"https://github.com/org/x\"\n";
-        assert!(check_manifest("crates/x/Cargo.toml", ok).is_empty());
-    }
-
-    #[test]
-    fn manifest_stub_fields_flagged() {
-        let bad = "[package]\nname = \"x\"\nversion = \"0.0.0\"\ndescription = \"\"\n";
-        let found = check_manifest("crates/x/Cargo.toml", bad);
-        assert_eq!(lints(&found), [MANIFEST_STUB, MANIFEST_STUB]);
-        assert_eq!(found[0].line, 3);
-        assert!(found[0].message.contains("0.0.0"));
-        assert_eq!(found[1].line, 4);
-        assert!(found[1].message.contains("description"));
-        // Real values, workspace inheritance, spacing variants, and
-        // unrelated keys that merely end in the watched names all pass.
-        for ok in [
-            "version = \"0.1.0\"\ndescription = \"a crate\"\n",
-            "version.workspace = true\n",
-            "version=\"0.0.0-alpha\"\n",
-            "api-version = \"0.0.0\"\n",
-            "# version = \"0.0.0\"\n",
-        ] {
-            assert!(check_manifest("crates/x/Cargo.toml", ok).is_empty(), "{ok}");
-        }
-        // Spacing does not dodge the lint.
-        let spaced = "version   =   \"0.0.0\"\n";
-        assert_eq!(
-            lints(&check_manifest("c/Cargo.toml", spaced)),
-            [MANIFEST_STUB]
-        );
     }
 
     #[test]

@@ -2,30 +2,15 @@
 //!
 //! ```text
 //! cargo run -p psc-analyzer [-- --root DIR] [--config FILE]
-//!                           [--format text|json|sarif] [--output FILE]
 //! ```
 //!
 //! Exits 0 when the workspace is clean, 1 with `file:line` diagnostics
 //! when any lint fires, 2 on usage or configuration errors.
-//!
-//! `--format json|sarif` replaces the text diagnostics on stdout with
-//! the machine-readable form; with `--output FILE` the machine form
-//! goes to the file and the text diagnostics stay on stdout (what CI
-//! does: humans read the log, code scanning reads the SARIF artifact).
-
-#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use psc_analyzer::{analyze_workspace, sarif, Config};
-
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+use psc_analyzer::{analyze_workspace, Config};
 
 fn main() -> ExitCode {
     match run() {
@@ -46,8 +31,6 @@ fn main() -> ExitCode {
 fn run() -> Result<bool, String> {
     let mut root = PathBuf::from(".");
     let mut config_path: Option<PathBuf> = None;
-    let mut format = Format::Text;
-    let mut output: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -55,32 +38,12 @@ fn run() -> Result<bool, String> {
             "--config" => {
                 config_path = Some(PathBuf::from(args.next().ok_or("--config needs a value")?));
             }
-            "--format" => {
-                format = match args.next().as_deref() {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    Some("sarif") => Format::Sarif,
-                    other => {
-                        return Err(format!(
-                            "--format must be text, json or sarif (got {other:?})"
-                        ))
-                    }
-                };
-            }
-            "--output" => {
-                output = Some(PathBuf::from(args.next().ok_or("--output needs a value")?));
-            }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: psc-analyzer [--root DIR] [--config FILE] [--format text|json|sarif] [--output FILE]"
-                );
+                eprintln!("usage: psc-analyzer [--root DIR] [--config FILE]");
                 return Ok(true);
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
-    }
-    if output.is_some() && format == Format::Text {
-        return Err("--output requires --format json or --format sarif".into());
     }
     let config_path = config_path.unwrap_or_else(|| root.join("analyzer.toml"));
     let text = std::fs::read_to_string(&config_path)
@@ -96,31 +59,17 @@ fn run() -> Result<bool, String> {
             root.display()
         ));
     }
-    let rendered = match format {
-        Format::Text => None,
-        Format::Json => Some(sarif::to_json(&report)),
-        Format::Sarif => Some(sarif::to_sarif(&report)),
-    };
-    match (&rendered, &output) {
-        (Some(body), Some(path)) => {
-            std::fs::write(path, body).map_err(|e| format!("write {}: {e}", path.display()))?;
-            for d in &report.diagnostics {
-                println!("{d}");
-            }
-        }
-        (Some(body), None) => print!("{body}"),
-        (None, _) => {
-            for d in &report.diagnostics {
-                println!("{d}");
-            }
-        }
+    for d in &report.diagnostics {
+        println!("{d}");
     }
     eprintln!(
-        "psc-analyzer: {} file(s) checked, {} fn(s), {} call edge(s), {} unresolved call(s) assumed safe, {} violation(s)",
+        "psc-analyzer: {} file(s) checked, {} fn(s), {} call edge(s); {} of {} call sites resolved ({:.1} %), the rest assumed safe; {} violation(s)",
         report.files_checked,
         report.functions,
         report.call_edges,
-        report.unresolved_calls,
+        report.resolved_calls,
+        report.resolved_calls + report.unresolved_calls,
+        100.0 * report.resolved_fraction(),
         report.diagnostics.len()
     );
     Ok(report.is_clean())

@@ -1,23 +1,11 @@
-//! Per-file source model shared by every lint: the token stream, a
-//! per-line classification, `#[cfg(test)]` region tracking, and inline
-//! waivers.
+//! Per-file source model shared by every lint: the token stream,
+//! `#[cfg(test)]` region tracking, and inline waivers.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::diag::Diagnostic;
 use crate::lexer::{lex, Tok, TokKind};
-
-/// How a line reads to someone scanning upward for a justification.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LineKind {
-    Blank,
-    /// Only comments (line or block) on this line.
-    CommentOnly,
-    /// First code token is `#` — an attribute such as `#[inline]`.
-    Attr,
-    Code,
-}
 
 /// An inline waiver: `// analyzer: allow(<lint>) -- <reason>`.
 #[derive(Clone, Debug)]
@@ -33,12 +21,7 @@ pub struct SourceFile {
     pub path: String,
     /// Crate directory name under `crates/` (e.g. `core`).
     pub crate_name: String,
-    /// True for `src/lib.rs`, `src/main.rs`, and `src/bin/*.rs`.
-    pub is_crate_root: bool,
     pub toks: Vec<Tok>,
-    line_kinds: Vec<LineKind>,
-    /// Comment texts per line (a line can hold several).
-    comments: BTreeMap<u32, Vec<String>>,
     /// Lines covered by a `#[cfg(test)]` / `#[test]` item.
     test_lines: Vec<bool>,
     waivers: BTreeMap<u32, Vec<Waiver>>,
@@ -48,41 +31,19 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
-    pub fn new(path: &str, crate_name: &str, is_crate_root: bool, src: &str) -> SourceFile {
+    pub fn new(path: &str, crate_name: &str, src: &str) -> SourceFile {
         let toks = lex(src);
         let n_lines = src.lines().count().max(1);
-        let line_kinds = classify_lines(&toks, n_lines);
-        let mut comments: BTreeMap<u32, Vec<String>> = BTreeMap::new();
-        for t in &toks {
-            if let Some(c) = t.comment() {
-                comments.entry(t.line).or_default().push(c.to_string());
-            }
-        }
         let test_lines = mark_test_regions(&toks, n_lines);
-        let waivers = collect_waivers(&comments);
+        let waivers = collect_waivers(&toks);
         SourceFile {
             path: path.to_string(),
             crate_name: crate_name.to_string(),
-            is_crate_root,
             toks,
-            line_kinds,
-            comments,
             test_lines,
             waivers,
             used_waivers: RefCell::new(BTreeSet::new()),
         }
-    }
-
-    pub fn line_kind(&self, line: u32) -> LineKind {
-        self.line_kinds
-            .get(line.saturating_sub(1) as usize)
-            .copied()
-            .unwrap_or(LineKind::Blank)
-    }
-
-    /// Comments sitting on `line`.
-    pub fn comments_on(&self, line: u32) -> &[String] {
-        self.comments.get(&line).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Is `line` inside a `#[cfg(test)]`-gated item or `#[test]` fn?
@@ -161,43 +122,6 @@ impl SourceFile {
         }
         out
     }
-}
-
-fn classify_lines(toks: &[Tok], n_lines: usize) -> Vec<LineKind> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Seen {
-        Nothing,
-        Comment,
-        AttrFirst,
-        Code,
-    }
-    let mut seen = vec![Seen::Nothing; n_lines];
-    for t in toks {
-        let i = (t.line as usize - 1).min(n_lines - 1);
-        match &t.kind {
-            TokKind::LineComment(_) | TokKind::BlockComment(_) => {
-                if seen[i] == Seen::Nothing {
-                    seen[i] = Seen::Comment;
-                }
-            }
-            TokKind::Punct('#') if matches!(seen[i], Seen::Nothing | Seen::Comment) => {
-                seen[i] = Seen::AttrFirst;
-            }
-            _ => {
-                if matches!(seen[i], Seen::Nothing | Seen::Comment) {
-                    seen[i] = Seen::Code;
-                }
-            }
-        }
-    }
-    seen.into_iter()
-        .map(|s| match s {
-            Seen::Nothing => LineKind::Blank,
-            Seen::Comment => LineKind::CommentOnly,
-            Seen::AttrFirst => LineKind::Attr,
-            Seen::Code => LineKind::Code,
-        })
-        .collect()
 }
 
 /// Mark every line covered by an item annotated `#[cfg(test)]` (any
@@ -279,26 +203,27 @@ fn mark_test_regions(toks: &[Tok], n_lines: usize) -> Vec<bool> {
     test
 }
 
-fn collect_waivers(comments: &BTreeMap<u32, Vec<String>>) -> BTreeMap<u32, Vec<Waiver>> {
+fn collect_waivers(toks: &[Tok]) -> BTreeMap<u32, Vec<Waiver>> {
     let mut out: BTreeMap<u32, Vec<Waiver>> = BTreeMap::new();
-    for (&line, texts) in comments {
-        for text in texts {
-            let Some(rest) = text.trim().strip_prefix("analyzer: allow(") else {
-                continue;
-            };
-            let Some((lint, tail)) = rest.split_once(')') else {
-                continue;
-            };
-            let reason = tail
-                .trim()
-                .strip_prefix("--")
-                .map(|r| r.trim().to_string())
-                .unwrap_or_default();
-            out.entry(line).or_default().push(Waiver {
-                lint: lint.trim().to_string(),
-                reason,
-            });
-        }
+    for t in toks {
+        let Some(rest) = t
+            .comment()
+            .and_then(|text| text.trim().strip_prefix("analyzer: allow("))
+        else {
+            continue;
+        };
+        let Some((lint, tail)) = rest.split_once(')') else {
+            continue;
+        };
+        let reason = tail
+            .trim()
+            .strip_prefix("--")
+            .map(|r| r.trim().to_string())
+            .unwrap_or_default();
+        out.entry(t.line).or_default().push(Waiver {
+            lint: lint.trim().to_string(),
+            reason,
+        });
     }
     out
 }
@@ -308,16 +233,7 @@ mod tests {
     use super::*;
 
     fn file(src: &str) -> SourceFile {
-        SourceFile::new("crates/x/src/lib.rs", "x", true, src)
-    }
-
-    #[test]
-    fn line_classification() {
-        let f = file("// only a comment\n#[inline]\nfn f() {}\n\n");
-        assert_eq!(f.line_kind(1), LineKind::CommentOnly);
-        assert_eq!(f.line_kind(2), LineKind::Attr);
-        assert_eq!(f.line_kind(3), LineKind::Code);
-        assert_eq!(f.line_kind(4), LineKind::Blank);
+        SourceFile::new("crates/x/src/lib.rs", "x", src)
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Pass 1 of the workspace analysis: extract every `fn` definition
 //! from a file's token stream, together with the *facts* the transitive
 //! lints care about (panic sites, allocation sites with loop context,
-//! wall-clock reads, telemetry-surface touches) and every call site.
+//! telemetry-surface touches) and every call site.
 //!
 //! This is a scanner, not a parser: it tracks just enough structure —
 //! a brace stack distinguishing fn bodies, loop bodies and `impl`
@@ -54,7 +54,7 @@ impl FnDef {
 pub struct Fact {
     pub line: u32,
     /// What was seen, as the diagnostic prints it (`.unwrap()`,
-    /// `Instant::now()`, `Vec::new`, `Recorder`, …).
+    /// `Vec::new`, `Recorder`, …).
     pub what: String,
 }
 
@@ -75,8 +75,6 @@ pub struct Facts {
     pub panics: Vec<Fact>,
     /// Heap-allocating idioms, with loop context.
     pub allocs: Vec<AllocFact>,
-    /// `Instant::now()` / `SystemTime::now()`.
-    pub clocks: Vec<Fact>,
     /// Recorder/Tracer identifiers and method calls.
     pub telemetry: Vec<Fact>,
 }
@@ -387,18 +385,6 @@ impl Scanner<'_> {
                 });
                 return;
             }
-            "Instant" | "SystemTime" => {
-                let is_now = toks.get(i + 1).is_some_and(|a| a.is_punct(':'))
-                    && toks.get(i + 2).is_some_and(|a| a.is_punct(':'))
-                    && toks.get(i + 3).and_then(|a| a.ident()) == Some("now");
-                if is_now {
-                    self.cur_fn()
-                        .facts
-                        .clocks
-                        .push(fact(format!("{name}::now()")));
-                    return;
-                }
-            }
             m if crate::lints::RECORDER_IDENTS.contains(&m) => {
                 self.cur_fn()
                     .facts
@@ -429,13 +415,12 @@ impl Scanner<'_> {
         } else if i >= 2 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':') {
             let qual = i.checked_sub(3).and_then(|p| toks[p].ident());
             // The qualifier token already became a fact (`Vec::new`,
-            // `Instant::now`, `SpanGuard::enter`): don't double-count
-            // the path as a call edge on top of it.
+            // `SpanGuard::enter`): don't double-count the path as a
+            // call edge on top of it.
             if let Some(q) = qual {
                 let alloc_ctor = matches!(q, "Vec" | "String" | "Box")
                     && crate::lints::ALLOC_CTORS.contains(&name);
-                let clock = matches!(q, "Instant" | "SystemTime") && name == "now";
-                if alloc_ctor || clock || crate::lints::RECORDER_IDENTS.contains(&q) {
+                if alloc_ctor || crate::lints::RECORDER_IDENTS.contains(&q) {
                     return;
                 }
             }
@@ -495,7 +480,7 @@ mod tests {
     use crate::source::SourceFile;
 
     fn syms(src: &str) -> FileSymbols {
-        scan(&SourceFile::new("crates/x/src/util.rs", "x", false, src))
+        scan(&SourceFile::new("crates/x/src/util.rs", "x", src))
     }
 
     fn by_name<'a>(s: &'a FileSymbols, name: &str) -> &'a FnDef {
@@ -518,7 +503,7 @@ mod tests {
     #[test]
     fn facts_attach_to_the_innermost_fn_with_loop_context() {
         let s = syms(
-            "fn outer() {\n    let a = Vec::new();\n    for _ in 0..3 {\n        let b = vec![1];\n        helper();\n    }\n    x.unwrap();\n}\nfn helper() {\n    let t = std::time::Instant::now();\n}\n",
+            "fn outer() {\n    let a = Vec::new();\n    for _ in 0..3 {\n        let b = vec![1];\n        helper();\n    }\n    x.unwrap();\n}\nfn helper() {\n    y.expect(\"m\");\n}\n",
         );
         let outer = by_name(&s, "outer");
         assert_eq!(outer.facts.panics.len(), 1);
@@ -528,8 +513,8 @@ mod tests {
         assert_eq!(outer.calls.len(), 1);
         assert!(outer.calls[0].in_loop);
         let helper = by_name(&s, "helper");
-        assert_eq!(helper.facts.clocks.len(), 1);
-        assert!(outer.facts.clocks.is_empty());
+        assert_eq!(helper.facts.panics.len(), 1);
+        assert!(helper.facts.allocs.is_empty());
     }
 
     #[test]

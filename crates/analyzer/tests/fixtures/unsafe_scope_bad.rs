@@ -1,5 +1,8 @@
-//! A crate root missing `#![forbid(unsafe_code)]`.
+//! A documented `unsafe` block. rustc and clippy pass it unless the
+//! crate's manifest inherits the workspace's `unsafe_code = "forbid"`.
 
-pub fn f() -> u32 {
-    7
+pub fn first(xs: &[u8]) -> u8 {
+    assert!(!xs.is_empty());
+    // SAFETY: the assert above makes index 0 in bounds.
+    unsafe { *xs.get_unchecked(0) }
 }

@@ -17,15 +17,12 @@ fn synthetic_workspace_reports_expected_diagnostics() {
     let _ = std::fs::remove_dir_all(&root);
     write(
         &root.join("crates/good/Cargo.toml"),
-        "[package]\nname = \"good\"\n",
+        "[package]\nname = \"good\"\n\n[lints]\nworkspace = true\n",
     );
-    write(
-        &root.join("crates/good/src/lib.rs"),
-        "#![forbid(unsafe_code)]\npub fn ok() {}\n",
-    );
+    write(&root.join("crates/good/src/lib.rs"), "pub fn ok() {}\n");
     write(
         &root.join("crates/evil/Cargo.toml"),
-        "[package]\nname = \"evil\"\nrepository = \"https://example.org/evil\"\n",
+        "[package]\nname = \"evil\"\n",
     );
     write(
         &root.join("crates/evil/src/lib.rs"),
@@ -40,16 +37,13 @@ fn synthetic_workspace_reports_expected_diagnostics() {
             .expect("config");
 
     let report = analyze_workspace(&root, &config).expect("analyze");
-    // Three .rs sources plus the two crate manifests (there is no
-    // workspace-root Cargo.toml in this fixture).
+    // Three .rs sources plus the two crate manifests.
     assert_eq!(report.files_checked, 5);
     let rendered: Vec<String> = report.diagnostics.iter().map(|d| d.to_string()).collect();
-    assert_eq!(rendered.len(), 4, "{rendered:?}");
+    assert_eq!(rendered.len(), 2, "{rendered:?}");
     // Sorted by file, then line; paths are workspace-relative.
-    assert!(rendered[0].starts_with("crates/evil/Cargo.toml:3: [placeholder-url]"));
+    assert!(rendered[0].starts_with("crates/evil/Cargo.toml:1: [unsafe-scope]"));
     assert!(rendered[1].starts_with("crates/evil/src/hot.rs:2: [hot-path-no-panic]"));
-    assert!(rendered[2].starts_with("crates/evil/src/lib.rs:1: [unsafe-scope]"));
-    assert!(rendered[3].starts_with("crates/evil/src/lib.rs:3: [safety-comment]"));
 }
 
 /// The transitive pass end-to-end: a planted `.unwrap()` two hops from
@@ -64,7 +58,7 @@ fn transitive_lints_walk_a_synthetic_workspace() {
     for name in ["core", "util"] {
         write(
             &root.join(format!("crates/{name}/Cargo.toml")),
-            &format!("[package]\nname = \"{name}\"\n"),
+            &format!("[package]\nname = \"{name}\"\n\n[lints]\nworkspace = true\n"),
         );
     }
     // Hot module: calls a same-crate helper (inside a loop) and a
@@ -144,6 +138,7 @@ fn real_workspace_is_clean() {
     let config_text =
         std::fs::read_to_string(root.join("analyzer.toml")).expect("read analyzer.toml");
     let config = Config::parse(&config_text).expect("parse analyzer.toml");
+    #[expect(clippy::disallowed_methods, reason = "times the pass itself")]
     let t0 = std::time::Instant::now();
     let report = analyze_workspace(&root, &config).expect("analyze workspace");
     // The lint gate stays a pre-merge step, not a build phase (0.02 s
@@ -156,7 +151,13 @@ fn real_workspace_is_clean() {
     // this test green while gutting the transitive lints.
     assert!(report.functions > 300, "found {}", report.functions);
     assert!(report.call_edges > 500, "found {}", report.call_edges);
-    assert!(report.unresolved_calls > 0, "conservatism counter empty");
+    // Some call sites resolve and some are assumed safe; the summary
+    // line prints the share, and DESIGN.md quotes it.
+    let resolved = report.resolved_fraction();
+    assert!(
+        resolved > 0.0 && resolved < 1.0,
+        "resolved share {resolved}"
+    );
     assert!(
         report.is_clean(),
         "workspace violations:\n{}",

@@ -7,8 +7,6 @@
 //! The names are [`psc_bench::exps::EXPERIMENTS`]; run with no argument
 //! to print them. An unknown name exits 2 before anything is built.
 
-#![forbid(unsafe_code)]
-
 use psc_bench::data::build_workload;
 use psc_bench::exps::{select, Inputs, EXPERIMENTS};
 use psc_bench::ladder::{run_ladder, Components};

@@ -12,8 +12,6 @@
 //! index-list lengths land in the same PE-array-utilization regime as
 //! the paper's runs (see `psc_index::seed::subset_seed_span3`).
 
-#![forbid(unsafe_code)]
-
 pub mod data;
 pub mod exps;
 pub mod ladder;

@@ -19,8 +19,6 @@
 //! so the quality harness (paper Table 6) can score both tools on one
 //! benchmark.
 
-#![forbid(unsafe_code)]
-
 pub mod lookup;
 pub mod search;
 pub mod twohit;

@@ -85,7 +85,10 @@ pub fn tblastn(
     matrix: &SubstitutionMatrix,
     config: &BlastConfig,
 ) -> BlastReport {
-    // analyzer: allow(determinism) -- baseline phase profile is wall-clock by definition
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "baseline phase profile is wall-clock by definition"
+    )]
     let t0 = Instant::now();
     // Soft masking applies to the lookup dictionary only; extensions see
     // the original residues.
@@ -119,7 +122,10 @@ pub fn tblastn(
     let n: usize = subjects.total_residues();
 
     // Scan phase: word hits → two-hit rule → ungapped extensions.
-    // analyzer: allow(determinism) -- baseline phase profile is wall-clock by definition
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "baseline phase profile is wall-clock by definition"
+    )]
     let t1 = Instant::now();
     let mut word_hits = 0u64;
     let mut ungapped_extensions = 0u64;
@@ -182,7 +188,10 @@ pub fn tblastn(
     let scan_seconds = t1.elapsed().as_secs_f64();
 
     // Gapped phase.
-    // analyzer: allow(determinism) -- baseline phase profile is wall-clock by definition
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "baseline phase profile is wall-clock by definition"
+    )]
     let t2 = Instant::now();
     let mut gapped_extensions = 0u64;
     let mut hsps = Vec::new();

@@ -22,7 +22,8 @@
 //! psc matrix
 //! ```
 
-#![forbid(unsafe_code)]
+// A timing crate: it times runs and served queries on the wall clock.
+#![allow(clippy::disallowed_methods)]
 
 mod serve;
 

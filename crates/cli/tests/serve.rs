@@ -2,6 +2,9 @@
 //! answer concurrent queries byte-identically to one-shot `psc search`
 //! runs, bound its in-flight work, and reject overload gracefully.
 
+// Like the crate it tests, this file may read the wall clock.
+#![allow(clippy::disallowed_methods)]
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};

@@ -11,8 +11,8 @@
 //! T1 was loaded, a T1 holding only the keys that index holds) and runs
 //! steps 2 and 3 through [`Pipeline::try_run_prepared_traced`].
 //!
-//! Because the one-shot [`crate::genome::try_search_genome_traced`]
-//! path is itself engine construction followed by one query, a server
+//! Because the one-shot [`crate::genome::search_genome`] path is
+//! itself engine construction followed by one query, a server
 //! answering from a loaded bundle produces output bit-identical to a
 //! fresh `psc search` by construction — the equivalence the serve-mode
 //! tests pin.

@@ -9,7 +9,7 @@ use psc_seqio::{Bank, Frame, Seq};
 
 use crate::config::PipelineConfig;
 use crate::engine::SearchEngine;
-use crate::pipeline::{PipelineError, PipelineOutput};
+use crate::pipeline::PipelineOutput;
 
 /// One reported protein-to-genome match.
 #[derive(Clone, Debug)]
@@ -46,29 +46,6 @@ pub struct GenomeSearchResult {
 /// Compare a protein bank against a genome (the paper's tblastn-style
 /// workload), reporting genomic coordinates.
 ///
-/// Panics on configuration errors; use [`try_search_genome_traced`] to
-/// handle them.
-pub fn search_genome(
-    proteins: &Bank,
-    genome: &Seq,
-    matrix: &SubstitutionMatrix,
-    config: PipelineConfig,
-) -> GenomeSearchResult {
-    try_search_genome_traced(
-        proteins,
-        genome,
-        matrix,
-        config,
-        &psc_telemetry::NullRecorder,
-        &psc_telemetry::NullTracer,
-    )
-    .unwrap_or_else(|e| panic!("pipeline configuration error: {e}"))
-}
-
-/// [`search_genome`] with telemetry recording and a flight recorder
-/// attached (see [`crate::Pipeline::try_run_traced`]), surfacing
-/// configuration errors.
-///
 /// This is exactly [`SearchEngine::for_genome`] followed by one
 /// [`SearchEngine::query_traced`] call — frame translation happens
 /// here, and the genome-side index build, keyed by this query's T0, is
@@ -79,15 +56,19 @@ pub fn search_genome(
 /// (Frame translation is genuinely part of step 1 in the paper's
 /// accounting, but it is cheap — <1 % here; the pipeline times indexing
 /// separately either way.)
-pub fn try_search_genome_traced(
+///
+/// Panics on configuration errors; call the engine directly to handle
+/// them.
+pub fn search_genome(
     proteins: &Bank,
     genome: &Seq,
     matrix: &SubstitutionMatrix,
     config: PipelineConfig,
-    rec: &dyn psc_telemetry::Recorder,
-    tracer: &dyn psc_telemetry::Tracer,
-) -> Result<GenomeSearchResult, PipelineError> {
-    SearchEngine::for_genome(genome, matrix, config, rec).query_traced(proteins, rec, tracer)
+) -> GenomeSearchResult {
+    let rec = &psc_telemetry::NullRecorder;
+    SearchEngine::for_genome(genome, matrix, config, rec)
+        .query_traced(proteins, rec, &psc_telemetry::NullTracer)
+        .unwrap_or_else(|e| panic!("pipeline configuration error: {e}"))
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! a protein bank against the six-frame translation of a genome, with
 //! results mapped back to genomic coordinates.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod config;
 pub mod engine;
@@ -36,7 +36,7 @@ pub mod step2;
 
 pub use config::{PipelineConfig, SeedChoice, Step2Backend};
 pub use engine::{EngineError, SearchEngine};
-pub use genome::{search_genome, try_search_genome_traced, GenomeMatch, GenomeSearchResult};
+pub use genome::{search_genome, GenomeMatch, GenomeSearchResult};
 pub use gff::to_gff3;
 pub use pipeline::{
     shard_critical_path, Pipeline, PipelineError, PipelineOutput, PipelineStats, PreparedBank,

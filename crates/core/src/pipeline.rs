@@ -173,7 +173,10 @@ impl Pipeline {
         } else {
             keys::STEP1_INDEX_BANK1
         };
-        // analyzer: allow(determinism) -- wall-clock step profile is the audited exception
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock step profile is the audited exception"
+        )]
         let t0 = Instant::now();
         let idx = {
             let _g = SpanGuard::enter(rec, key);
@@ -222,7 +225,10 @@ impl Pipeline {
         );
 
         // ---- Step 2: ungapped extension ----------------------------
-        // analyzer: allow(determinism) -- wall-clock step profile is the audited exception
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock step profile is the audited exception"
+        )]
         let t1 = Instant::now();
         let params = Step2Params {
             matrix,
@@ -351,7 +357,10 @@ impl Pipeline {
         }
 
         // ---- Step 3: gapped extension ------------------------------
-        // analyzer: allow(determinism) -- wall-clock step profile is the audited exception
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock step profile is the audited exception"
+        )]
         let t2 = Instant::now();
         let ungapped_stats =
             ungapped_params(matrix, &ROBINSON_FREQS).ok_or(PipelineError::UnsupportedMatrix)?;
@@ -419,7 +428,10 @@ impl Pipeline {
             commit_virtual_step3(tracer, anchors.len());
         }
         let merge_start = tracer.epoch_seconds();
-        // analyzer: allow(determinism) -- wall-clock step profile is the audited exception
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock step profile is the audited exception"
+        )]
         let t_merge = Instant::now();
         let mut step3_cycles = 0u64;
         let mut hsps = Vec::new();
@@ -784,7 +796,10 @@ fn extend_anchors(
                     start_seconds: tr.epoch_seconds(),
                 });
             }
-            // analyzer: allow(determinism) -- span telemetry only, never results
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "span telemetry only, never results"
+            )]
             let t0 = Instant::now();
             let hits: Vec<_> = anchors[lo..hi].iter().map(&mut extend_one).collect();
             shards.push((shard, hits, t0.elapsed().as_secs_f64()));
@@ -1052,7 +1067,10 @@ fn run_step2(
     let software = |dedup: &mut AnchorDedup<'_>, threads: usize| {
         let (candidates, stats) = if trace_wall {
             let base = tracer.epoch_seconds();
-            // analyzer: allow(determinism) -- flight-recorder stage epoch, never results
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "flight-recorder stage epoch, never results"
+            )]
             let epoch = Instant::now();
             let (c, s, times) =
                 step2::run_software_timed(flat0, idx0, flat1, idx1, params, threads, &epoch);

@@ -16,8 +16,6 @@
 //!   with membership as ground truth for the ROC50 / AP-Mean benchmark
 //!   (paper Table 6).
 
-#![forbid(unsafe_code)]
-
 pub mod family;
 pub mod genome;
 pub mod mutate;

@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn exact_seed_keys_are_bijective_for_w2() {
         let s = ExactSeed::new(2);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for a in 0..20u8 {
             for b in 0..20u8 {
                 let k = s.key(&[a, b]).unwrap();

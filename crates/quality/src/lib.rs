@@ -12,8 +12,6 @@
 //! * [`benchmark`]: benchmark construction and the tool-agnostic
 //!   evaluation driver.
 
-#![forbid(unsafe_code)]
-
 pub mod benchmark;
 pub mod metrics;
 

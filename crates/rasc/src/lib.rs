@@ -31,8 +31,6 @@
 //! [`resource::ResourceModel`] checks that a PE configuration fits a
 //! Virtex-4 LX200 (the paper builds 64-, 128- and 192-PE bitstreams).
 
-#![forbid(unsafe_code)]
-
 pub mod board;
 pub mod config;
 pub mod dma;

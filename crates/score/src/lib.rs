@@ -14,8 +14,6 @@
 //! * [`builder`]: the BLOSUM construction algorithm itself (Henikoff &
 //!   Henikoff 1992), so matrices can be derived from alignment blocks.
 
-#![forbid(unsafe_code)]
-
 pub mod builder;
 pub mod freqs;
 pub mod karlin;

@@ -13,8 +13,6 @@
 //! As the crate every other one depends on, it also carries [`prng`]:
 //! the workspace's one seeded random source and property-case runner.
 
-#![forbid(unsafe_code)]
-
 pub mod alphabet;
 pub mod bank;
 pub mod codon;

@@ -32,7 +32,8 @@
 //! The crate is std-only and dependency-free by design; it sits below
 //! `psc-core` in the workspace graph so any crate can record into it.
 
-#![forbid(unsafe_code)]
+// The timing crate: its stopwatches and trace clock read the wall clock.
+#![allow(clippy::disallowed_methods)]
 
 pub mod compare;
 pub mod json;
