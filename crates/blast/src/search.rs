@@ -3,8 +3,8 @@
 use std::time::Instant;
 
 use psc_align::{cull_hsps, gapped_extend, xdrop_ungapped, ExtendScratch, GapConfig, Hsp};
-use psc_score::karlin::{gapped_params, ungapped_params};
-use psc_score::{KarlinParams, SubstitutionMatrix, ROBINSON_FREQS};
+use psc_score::karlin::search_params;
+use psc_score::{KarlinParams, SubstitutionMatrix};
 use psc_seqio::Bank;
 
 use crate::lookup::QueryLookup;
@@ -115,9 +115,8 @@ pub fn tblastn(
     };
     let build_seconds = t0.elapsed().as_secs_f64();
 
-    let ungapped_stats = ungapped_params(matrix, &ROBINSON_FREQS)
+    let stats = search_params(matrix, config.gap.open, config.gap.extend)
         .expect("scoring system must have negative expected score");
-    let stats = gapped_params(matrix, config.gap.open, config.gap.extend).unwrap_or(ungapped_stats);
     let m: usize = queries.total_residues();
     let n: usize = subjects.total_residues();
 

@@ -3,13 +3,14 @@
 //! A [`SearchEngine`] owns everything about a genome that is invariant
 //! across queries — the six translated frames, flattened into the one
 //! buffer both seeding and step 3 read (two, when masking gives seeding
-//! a view of its own), the scoring matrix and the configuration — built
-//! once by [`SearchEngine::for_genome`] or loaded in one read by
-//! [`SearchEngine::from_bundle`], which also brings the full T1 seed
-//! index. Each [`SearchEngine::query_traced`] call then builds the
-//! per-query state (the protein bank's flat view and index and, unless
-//! T1 was loaded, a T1 holding only the keys that index holds) and runs
-//! steps 2 and 3 through [`Pipeline::try_run_prepared_traced`].
+//! a view of its own), the matrix and its search statistics, and the
+//! configuration — built once by [`SearchEngine::for_genome`] or loaded
+//! in one read by [`SearchEngine::from_bundle`], which also brings the
+//! full T1 seed index. Each [`SearchEngine::query_traced`] call then
+//! builds the per-query state (the protein bank's flat view and index
+//! and, unless T1 was loaded, a T1 holding only the keys that index
+//! holds) and runs steps 2 and 3 through
+//! [`Pipeline::try_run_prepared_traced`].
 //!
 //! Because the one-shot [`crate::genome::search_genome`] path is
 //! itself engine construction followed by one query, a server
@@ -25,7 +26,7 @@
 use std::borrow::Cow;
 
 use psc_index::{deserialize_bundle, serialize_bundle, BundleT0, FlatBank, SeedIndex, SerialError};
-use psc_score::SubstitutionMatrix;
+use psc_score::{KarlinParams, SubstitutionMatrix};
 use psc_seqio::{
     translate_six_frames_into, Bank, Frame, FrameCoord, GeneticCode, MaskConfig, Seq,
     TranslatedGenome,
@@ -80,6 +81,8 @@ impl From<PipelineError> for EngineError {
 pub struct SearchEngine {
     pipeline: Pipeline,
     matrix: SubstitutionMatrix,
+    /// [`Pipeline::search_stats`] of `matrix`, resolved once for every query.
+    stats: Result<KarlinParams, PipelineError>,
     genome_id: String,
     /// Genome length in nucleotides: what maps a frame position back
     /// to the forward strand.
@@ -154,9 +157,11 @@ impl SearchEngine {
         matrix: &SubstitutionMatrix,
         config: PipelineConfig,
     ) -> SearchEngine {
+        let pipeline = Pipeline::new(config);
         SearchEngine {
-            frames: BankViews::new(&config.mask, frames),
-            pipeline: Pipeline::new(config),
+            frames: BankViews::new(&pipeline.config().mask, frames),
+            stats: pipeline.search_stats(matrix),
+            pipeline,
             matrix: matrix.clone(),
             genome_id,
             genome_len,
@@ -195,17 +200,11 @@ impl SearchEngine {
                 mask_desc(&config.mask)
             )));
         }
-        let frames = BankViews::new(&config.mask, bundle.frames);
-        Ok(SearchEngine {
-            pipeline: Pipeline::new(config),
-            matrix: bundle.matrix,
-            genome_id: bundle.genome_id,
-            genome_len: bundle.genome_len as usize,
-            frame_ids: bundle.frame_ids,
-            prep1: Some(PreparedBank::from_parts(frames.clone(), bundle.t1)),
-            frames,
-            t0: bundle.t0,
-        })
+        let (len, ids, frames) = (bundle.genome_len as usize, bundle.frame_ids, bundle.frames);
+        let mut engine = Self::new(bundle.genome_id, len, ids, frames, matrix, config);
+        engine.prep1 = Some(PreparedBank::from_parts(engine.frames.clone(), bundle.t1));
+        engine.t0 = bundle.t0;
+        Ok(engine)
     }
 
     /// Serialize the engine's pipeline state as an index bundle, with
@@ -273,6 +272,7 @@ impl SearchEngine {
         rec: &dyn Recorder,
         tracer: &dyn Tracer,
     ) -> Result<GenomeSearchResult, PipelineError> {
+        let stats = self.stats.clone()?;
         let prep0 = match self
             .t0
             .as_ref()
@@ -293,9 +293,14 @@ impl SearchEngine {
                 rec,
             )),
         };
-        let output =
-            self.pipeline
-                .try_run_prepared_traced(&prep0, &prep1, &self.matrix, rec, tracer)?;
+        let output = self.pipeline.try_run_prepared_traced(
+            &prep0,
+            &prep1,
+            &self.matrix,
+            stats,
+            rec,
+            tracer,
+        )?;
 
         let matches = output
             .hsps
@@ -621,6 +626,122 @@ mod tests {
             assert!(differ.len() >= 6 * 90, "{} residues masked", differ.len());
             assert!(differ.iter().all(|&s| s == psc_seqio::Aa::X.0));
         }
+    }
+
+    /// A matrix with a non-negative expected score has no statistics:
+    /// every query fails with `UnsupportedMatrix`, from a built engine
+    /// and from a loaded one, before any step runs.
+    #[test]
+    fn a_matrix_without_statistics_is_unsupported() {
+        let (proteins, genome) = workload();
+        let always_win = psc_score::matrix::match_mismatch("always-win", 1, 1);
+        let config = PipelineConfig::default();
+        let built = SearchEngine::for_genome(&genome, &always_win, config.clone(), &NullRecorder);
+        let bytes = built.to_bundle_bytes(None);
+        let loaded = SearchEngine::from_bundle(&bytes, &always_win, config).unwrap();
+        for engine in [built, loaded] {
+            let answer = engine.query_traced(&proteins, &NullRecorder, &NullTracer);
+            assert_eq!(answer.unwrap_err(), PipelineError::UnsupportedMatrix);
+        }
+    }
+
+    /// BLOSUM62 at gap costs 9/2 has no table entry: its E-values are
+    /// the ungapped λ and K's, bit for bit as pinned before the
+    /// statistics were resolved once per engine.
+    #[test]
+    fn gap_costs_without_a_table_entry_get_ungapped_statistics() {
+        let (proteins, genome) = workload();
+        let config = PipelineConfig {
+            gap: psc_align::GapConfig {
+                open: 9,
+                extend: 2,
+                ..psc_align::GapConfig::default()
+            },
+            ..PipelineConfig::default()
+        };
+        let engine = SearchEngine::for_genome(&genome, blosum62(), config, &NullRecorder);
+        let answer = engine
+            .query_traced(&proteins, &NullRecorder, &NullTracer)
+            .unwrap();
+        let bits: Vec<u64> = answer.matches.iter().map(|m| m.evalue.to_bits()).collect();
+        let pinned = [
+            0x3395507703c8f68f,
+            0x343ef6ef2422baeb,
+            0x360c3d86985b27ee,
+            0x3637bc20c242a721,
+            0x375dccffdaad9221,
+            0x390636b0a8300ce0,
+        ];
+        assert_eq!(bits, pinned);
+        let ungapped = psc_score::karlin::ungapped_params(blosum62(), &psc_score::ROBINSON_FREQS);
+        let (m, n) = (proteins.total_residues(), engine.frame_views().0.len());
+        for (hit, hsp) in answer.matches.iter().zip(&answer.output.hsps) {
+            let evalue = ungapped.unwrap().evalue(hsp.score, m, n);
+            assert_eq!(hit.evalue.to_bits(), evalue.to_bits());
+        }
+    }
+
+    /// Median step-1, step-2 and step-3 milliseconds of a served query:
+    /// an engine of the served workload's shape (a 2 Mnt genome holding
+    /// 200 planted proteins of 100–600 aa, loaded from a bundle, one
+    /// thread) answering three-protein queries, so a per-query fixed
+    /// cost shows without running the benchmark. Run
+    /// `cargo test --release -p psc-core --lib -- --ignored --nocapture served_step_ms`.
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn served_step_ms_per_query() {
+        let proteins = random_bank(&BankConfig {
+            count: 200,
+            min_len: 100,
+            max_len: 600,
+            seed: 0x5e4e,
+        });
+        let genome = GenomeConfig {
+            len: 2_000_000,
+            gene_count: 200,
+            max_plant_aa: 300,
+            seed: 0x5e4f,
+            ..GenomeConfig::default()
+        };
+        let genome = generate_genome(&genome, &proteins).genome;
+        let config = PipelineConfig {
+            backend: crate::config::Step2Backend::SoftwareScalar,
+            index_threads: 1,
+            step3_threads: 1,
+            ..PipelineConfig::default()
+        };
+        let bytes = SearchEngine::for_genome(&genome, blosum62(), config.clone(), &NullRecorder)
+            .to_bundle_bytes(None);
+        let engine = SearchEngine::from_bundle(&bytes, blosum62(), config).unwrap();
+        let queries: Vec<Bank> = proteins
+            .seqs()
+            .chunks(3)
+            .map(|q| q.iter().cloned().collect())
+            .collect();
+        let mut ms: [Vec<f64>; 4] = Default::default();
+        for query in queries.iter().cycle().take(3 * queries.len()) {
+            let profile = engine
+                .query_traced(query, &NullRecorder, &NullTracer)
+                .unwrap()
+                .output
+                .profile;
+            let steps = [profile.step1, profile.step2_wall, profile.step3];
+            for (ms, s) in ms
+                .iter_mut()
+                .zip(steps.into_iter().chain([steps.iter().sum()]))
+            {
+                ms.push(s * 1e3);
+            }
+        }
+        let [step1, step2, step3, sum] = ms.map(|mut v| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        });
+        println!(
+            "{} three-protein queries: median step1 {step1:.3} ms, step2 {step2:.3} ms, \
+             step3 {step3:.3} ms (steps summed {sum:.3} ms)",
+            3 * queries.len()
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@ use std::time::Instant;
 use psc_align::{cull_hsps, gapped_extend, ExtendScratch, GapConfig, GappedHit, Hsp};
 use psc_index::{FlatBank, SeedIndex};
 use psc_rasc::{BoardReport, BoardSegment, Entry, FleetReport, RascFleet};
-use psc_score::karlin::{gapped_params, ungapped_params};
-use psc_score::{SubstitutionMatrix, ROBINSON_FREQS};
+use psc_score::karlin::search_params;
+use psc_score::{KarlinParams, SubstitutionMatrix};
 use psc_seqio::{mask_low_complexity, Bank, MaskConfig};
 
 use psc_telemetry::{
@@ -143,9 +143,17 @@ impl Pipeline {
         rec: &dyn Recorder,
         tracer: &dyn Tracer,
     ) -> Result<PipelineOutput, PipelineError> {
+        let stats = self.search_stats(matrix)?;
         let prep0 = self.prepare_bank(0, bank0, rec);
         let prep1 = self.prepare_bank(1, bank1, rec);
-        self.try_run_prepared_traced(&prep0, &prep1, matrix, rec, tracer)
+        self.try_run_prepared_traced(&prep0, &prep1, matrix, stats, rec, tracer)
+    }
+
+    /// The statistics E-values are reported with: [`search_params`] of
+    /// `matrix` at this configuration's gap costs.
+    pub fn search_stats(&self, matrix: &SubstitutionMatrix) -> Result<KarlinParams, PipelineError> {
+        let gap = &self.config.gap;
+        search_params(matrix, gap.open, gap.extend).ok_or(PipelineError::UnsupportedMatrix)
     }
 
     /// Step 1 for one bank (`which` = 0 or 1): flatten, apply the soft
@@ -192,16 +200,18 @@ impl Pipeline {
     /// Steps 2 and 3 over banks prepared by [`Pipeline::prepare_bank`]
     /// (or loaded from an index bundle) — the per-query half of a run.
     /// Step 2 reads each bank's seeding view, step 3 extends over its
-    /// original residues: the same buffer unless masking is on.
+    /// original residues: the same buffer unless masking is on. E-values
+    /// come from `stats`, [`Pipeline::search_stats`] of `matrix`.
     ///
-    /// [`Pipeline::try_run_traced`] is exactly `prepare_bank` twice
-    /// followed by this, so a query against persisted pipeline state is
-    /// bit-identical to a one-shot run by construction.
+    /// [`Pipeline::try_run_traced`] is `search_stats` and `prepare_bank`
+    /// twice followed by this, so a query against persisted pipeline
+    /// state is bit-identical to a one-shot run by construction.
     pub fn try_run_prepared_traced(
         &self,
         prep0: &PreparedBank,
         prep1: &PreparedBank,
         matrix: &SubstitutionMatrix,
+        stats: KarlinParams,
         rec: &dyn Recorder,
         tracer: &dyn Tracer,
     ) -> Result<PipelineOutput, PipelineError> {
@@ -362,9 +372,6 @@ impl Pipeline {
             reason = "wall-clock step profile is the audited exception"
         )]
         let t2 = Instant::now();
-        let ungapped_stats =
-            ungapped_params(matrix, &ROBINSON_FREQS).ok_or(PipelineError::UnsupportedMatrix)?;
-        let stats = gapped_params(matrix, cfg.gap.open, cfg.gap.extend).unwrap_or(ungapped_stats);
         let (m, n) = (bank0.len(), bank1.len());
 
         let anchors = dedup.finish();

@@ -153,6 +153,8 @@ impl FlatBank {
             span,
             n_ctx,
             bounds: (0, 0),
+            lend: (0, 0),
+            reach: 0,
         }
     }
 
@@ -171,11 +173,13 @@ const COPY_BLOCK: usize = 32;
 /// Walks the extension windows of an index list out of a [`FlatBank`].
 ///
 /// The cursor keeps the bounds of the sequence its last position fell
-/// in. Index lists ascend, so the next position is usually inside them
-/// still — two comparisons, the whole cost on a six-frame genome — and
-/// one that has left them, in either direction, is placed by the bank's
-/// block table: there is no search per window, and a list in any order
-/// (a hostile bundle's) gathers the same bytes as a sorted one.
+/// in and its lend range: the positions whose window is interior with
+/// `reach` bytes of bank from its first residue. Index lists ascend, so
+/// the next position is usually in that range still — one comparison,
+/// the whole cost on a six-frame genome — and one that has left the
+/// sequence is placed by the bank's block table: there is no search per
+/// window, and a list in any order (a hostile bundle's) gathers the
+/// same bytes as a sorted one.
 #[derive(Clone, Debug)]
 pub struct WindowCursor<'b> {
     flat: &'b FlatBank,
@@ -184,21 +188,34 @@ pub struct WindowCursor<'b> {
     /// `[lo, hi)` of the sequence holding the last position; empty
     /// before the first one.
     bounds: (u32, u32),
+    /// Its lend range at `reach`, as (first position, count).
+    lend: (usize, usize),
+    reach: usize,
 }
 
 impl<'b> WindowCursor<'b> {
-    /// Move the bounds to the sequence holding `pos`; the start of the
-    /// window at `pos` if it lies wholly inside that sequence.
+    /// The start of the window at `pos` if it is in the lend range.
     #[inline]
-    fn interior(&mut self, pos: u32) -> Option<usize> {
-        let (mut lo, mut hi) = self.bounds;
-        if pos < lo || pos >= hi {
-            (lo, hi) = self.flat.seq_bounds(pos);
-            self.bounds = (lo, hi);
+    fn lent(&self, pos: u32, reach: usize) -> Option<usize> {
+        let at = pos as usize;
+        (reach == self.reach && at.wrapping_sub(self.lend.0) < self.lend.1).then(|| at - self.n_ctx)
+    }
+
+    /// [`lent`](WindowCursor::lent)'s cold path: move the bounds to `pos`'s
+    /// sequence and recompute its lend range, unless it is held already.
+    #[inline]
+    fn relend(&mut self, pos: u32, reach: usize) -> Option<usize> {
+        if !(self.bounds.0..self.bounds.1).contains(&pos) {
+            self.bounds = self.flat.seq_bounds(pos);
+        } else if reach == self.reach {
+            return None;
         }
-        let start = (pos as usize).checked_sub(self.n_ctx)?;
-        let end = pos as usize + self.span + self.n_ctx;
-        (start >= lo as usize && end <= hi as usize).then_some(start)
+        let (lo, hi) = (self.bounds.0 as usize, self.bounds.1 as usize);
+        let end = (hi + 1).saturating_sub(self.span + self.n_ctx);
+        let end = end.min((self.flat.len() + self.n_ctx + 1).saturating_sub(reach));
+        self.lend = (lo + self.n_ctx, end.saturating_sub(lo + self.n_ctx));
+        self.reach = reach;
+        self.lent(pos, reach)
     }
 
     /// The window at `pos` as `psc_align::InterleavedWindows::fill` takes
@@ -209,12 +226,12 @@ impl<'b> WindowCursor<'b> {
     /// to the front of `row` as by [`copy_into`](WindowCursor::copy_into).
     #[inline]
     pub fn source(&mut self, pos: u32, row: &mut [u8]) -> Option<&'b [u8]> {
-        let start = self.interior(pos);
-        let run = start.and_then(|start| self.flat.residues.get(start..start + row.len()));
-        if run.is_none() {
-            self.copy_into(pos, row);
-        }
-        run
+        let reach = row.len();
+        let Some(start) = self.lent(pos, reach).or_else(|| self.relend(pos, reach)) else {
+            self.clamp_into(pos, row);
+            return None;
+        };
+        Some(&self.flat.residues[start..start + reach])
     }
 
     /// Write the window at `pos` to the front of `row`, clamped to its
@@ -225,28 +242,31 @@ impl<'b> WindowCursor<'b> {
     /// and the last ones are copied exactly.
     #[inline]
     pub fn copy_into(&mut self, pos: u32, row: &mut [u8]) {
-        let (len, residues) = (self.span + 2 * self.n_ctx, &self.flat.residues);
-        let Some(start) = self.interior(pos) else {
-            let (lo, hi) = self.bounds;
-            let want_start = pos as i64 - self.n_ctx as i64;
-            let take_start = want_start.max(lo as i64) as usize;
-            let take_end = (want_start + len as i64).min(hi as i64) as usize;
-            let left_pad = (take_start as i64 - want_start) as usize;
-            let copied = take_end - take_start;
-            row[..left_pad].fill(PAD);
-            row[left_pad..left_pad + copied].copy_from_slice(&residues[take_start..take_end]);
-            row[left_pad + copied..len].fill(PAD);
-            return;
-        };
-        let blocks = len.next_multiple_of(COPY_BLOCK);
-        match (residues.get(start..start + blocks), row.get_mut(..blocks)) {
-            (Some(src), Some(dst)) => {
+        let blocks = (self.span + 2 * self.n_ctx).next_multiple_of(COPY_BLOCK);
+        let start = self.lent(pos, blocks).or_else(|| self.relend(pos, blocks));
+        match (start, row.get_mut(..blocks)) {
+            (Some(start), Some(dst)) => {
+                let src = &self.flat.residues[start..start + blocks];
                 for (d, s) in (dst.chunks_exact_mut(COPY_BLOCK)).zip(src.chunks_exact(COPY_BLOCK)) {
                     d.copy_from_slice(s);
                 }
             }
-            _ => row[..len].copy_from_slice(&residues[start..start + len]),
+            _ => self.clamp_into(pos, row),
         }
+    }
+
+    /// Write the window at `pos`, clamped to the bounds and padded.
+    fn clamp_into(&self, pos: u32, row: &mut [u8]) {
+        let len = self.span + 2 * self.n_ctx;
+        let (lo, hi) = self.bounds;
+        let want_start = pos as i64 - self.n_ctx as i64;
+        let take_start = want_start.max(lo as i64) as usize;
+        let take_end = (want_start + len as i64).min(hi as i64) as usize;
+        let left_pad = (take_start as i64 - want_start) as usize;
+        let copied = take_end - take_start;
+        row[..left_pad].fill(PAD);
+        row[left_pad..left_pad + copied].copy_from_slice(&self.flat.residues[take_start..take_end]);
+        row[left_pad + copied..len].fill(PAD);
     }
 
     /// Hint the cache hierarchy that `reach` bytes from the start of the
@@ -455,6 +475,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// On random banks, every window the cursor lends or copies is the
+    /// window by definition, and it lends exactly the interior windows
+    /// with a row's worth of bank behind them: rows of 16, 64 and 80
+    /// bytes (windows up to that long), lists sorted, reversed and
+    /// shuffled, sequences shorter than a window and windows at both
+    /// edges and at the end of the bank.
+    #[test]
+    fn cursor_lends_and_copies_the_window_on_random_banks() {
+        use psc_seqio::prng::for_cases;
+        // Lent, copied at an edge, and copied interior at the bank's end.
+        let mut seen = [0usize; 3];
+        for_cases(0x1e4d_5eed, 96, |g| {
+            let reach = *g.select(&[16usize, 64, 80]);
+            let span = g.range(1..=4);
+            let n_ctx = g.range(0..=(reach - span) / 2);
+            let l = span + 2 * n_ctx;
+            let lens = g.vec(1..=10, |g| match g.range(0..4) {
+                0 => g.range(0..l),
+                1 => g.range(l.saturating_sub(2)..=l + 2),
+                _ => g.range(l..=4 * reach),
+            });
+            let f = coded(&lens);
+            let sorted: Vec<u32> = (0..f.len() as u32).collect();
+            let reversed: Vec<u32> = sorted.iter().rev().copied().collect();
+            let mut shuffled = sorted.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, g.range(0..=i));
+            }
+            for list in [&sorted, &reversed, &shuffled] {
+                let (mut lender, mut copier) =
+                    (f.window_cursor(span, n_ctx), f.window_cursor(span, n_ctx));
+                let mut rows = vec![0xee; list.len() * l];
+                for (i, &pos) in list.iter().enumerate() {
+                    copier.copy_into(pos, &mut rows[i * l..]);
+                }
+                for (&pos, copied) in list.iter().zip(rows.chunks_exact(l)) {
+                    let want = naive_window(&f, pos, span, n_ctx);
+                    assert_eq!(copied, want, "copied pos={pos}");
+                    assert_eq!(f.window(pos, span, n_ctx), want, "window_into pos={pos}");
+                    let (lo, hi) = f.seq_bounds(pos);
+                    let interior =
+                        pos >= lo + n_ctx as u32 && pos as usize + span + n_ctx <= hi as usize;
+                    let fits = (pos as usize + reach).saturating_sub(n_ctx) <= f.len();
+                    let mut row = vec![0xee; reach];
+                    let run = lender.source(pos, &mut row);
+                    assert_eq!(run.is_some(), interior && fits, "lent pos={pos}");
+                    let source = run.unwrap_or(&row);
+                    assert_eq!(
+                        (source.len(), &source[..l]),
+                        (reach, &want[..]),
+                        "pos={pos}"
+                    );
+                    seen[usize::from(run.is_none()) + usize::from(interior && !fits)] += 1;
+                }
+            }
+        });
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "lent, edge, bank end: {seen:?}"
+        );
     }
 
     /// Two routes to the six frames' flat bank over one translation: in

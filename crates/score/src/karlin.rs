@@ -12,7 +12,8 @@
 //! open/extend penalties) and fall back to the computed ungapped values —
 //! a conservative choice (it overestimates E-values of gapped alignments).
 
-use crate::matrix::SubstitutionMatrix;
+use crate::freqs::ROBINSON_FREQS;
+use crate::matrix::{blosum62, SubstitutionMatrix};
 
 /// Karlin–Altschul parameter set.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -128,10 +129,11 @@ pub const BLOSUM62_GAPPED: &[GappedParams] = &[
     },
 ];
 
-/// Look up published gapped parameters for a matrix/penalty combination;
+/// Look up published gapped parameters for a matrix/penalty combination,
+/// by the matrix's scores (its name is whatever its builder chose);
 /// `None` means the caller should fall back to ungapped parameters.
 pub fn gapped_params(matrix: &SubstitutionMatrix, open: i32, extend: i32) -> Option<KarlinParams> {
-    if matrix.name == "BLOSUM62" {
+    if matrix.flat() == blosum62().flat() {
         BLOSUM62_GAPPED
             .iter()
             .find(|g| g.gap_open == open && g.gap_extend == extend)
@@ -139,6 +141,13 @@ pub fn gapped_params(matrix: &SubstitutionMatrix, open: i32, extend: i32) -> Opt
     } else {
         None
     }
+}
+
+/// The statistics a search reports E-values with: the published gapped
+/// parameters if the table has them, else the ungapped ones under
+/// Robinson frequencies; `None` if those do not exist either.
+pub fn search_params(matrix: &SubstitutionMatrix, open: i32, extend: i32) -> Option<KarlinParams> {
+    gapped_params(matrix, open, extend).or_else(|| ungapped_params(matrix, &ROBINSON_FREQS))
 }
 
 /// The one-step score distribution `P(S = s)` for independent residue
@@ -296,8 +305,7 @@ pub fn ungapped_params(matrix: &SubstitutionMatrix, freqs: &[f64; 20]) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::freqs::ROBINSON_FREQS;
-    use crate::matrix::{blosum62, match_mismatch};
+    use crate::matrix::match_mismatch;
 
     #[test]
     fn blosum62_lambda_matches_published() {
@@ -373,6 +381,36 @@ mod tests {
         assert!(gapped_params(blosum62(), 99, 9).is_none());
         let mm = match_mismatch("MM", 5, -4);
         assert!(gapped_params(&mm, 11, 1).is_none());
+    }
+
+    /// The table answers for BLOSUM62's scores under any name, and for
+    /// nothing else under BLOSUM62's name: a decoy gets its own
+    /// ungapped statistics.
+    #[test]
+    fn gapped_table_is_keyed_by_scores_not_name() {
+        let mut renamed = blosum62().clone();
+        renamed.name = "blosum62.ncbi".to_string();
+        assert_eq!(
+            search_params(&renamed, 11, 1),
+            gapped_params(blosum62(), 11, 1)
+        );
+        let mut scores = *blosum62().flat();
+        scores[0] += 1; // A↔A 4 → 5
+        let decoy = SubstitutionMatrix::from_flat("BLOSUM62", scores);
+        assert!(gapped_params(&decoy, 11, 1).is_none());
+        let own = ungapped_params(&decoy, &ROBINSON_FREQS).unwrap();
+        assert_eq!(search_params(&decoy, 11, 1), Some(own));
+        assert_ne!(own, ungapped_params(blosum62(), &ROBINSON_FREQS).unwrap());
+    }
+
+    /// Gap costs the table has no entry for fall back to the ungapped
+    /// statistics, and a scoring system without them has none.
+    #[test]
+    fn search_params_fall_back_to_ungapped() {
+        let ungapped = ungapped_params(blosum62(), &ROBINSON_FREQS);
+        assert_eq!(search_params(blosum62(), 9, 2), ungapped);
+        let always_win = match_mismatch("always-win", 1, 1);
+        assert_eq!(search_params(&always_win, 11, 1), None);
     }
 
     #[test]
