@@ -372,22 +372,29 @@ pub struct InterleavedWindows {
     stride: usize,
 }
 
-/// Windows the network transposes together, and window positions one
-/// pass of it covers: a 16 × 16 byte tile, sixteen bytes loaded from
-/// each source and one 16-byte run of lanes stored per position.
+/// Windows the network transposes together, and window positions the
+/// narrowest pass of it covers: a 16 × 16 byte tile, sixteen bytes
+/// loaded from each source and one 16-byte run of lanes stored per
+/// position.
 const GROUP: usize = 16;
 
 /// The sources of one group of windows.
 type Sources<'a> = [&'a [u8]; GROUP];
 
-/// One pass of the byte-transpose network: `pass(rows, p0, cols, out,
-/// stride)` writes residue `p0 + c` of `rows[r]` to `out[c * stride + r]`
-/// for every `c < cols`.
+/// One pass of the byte-transpose network: `(pass.run)(rows, p0, cols,
+/// out, stride)` writes residue `p0 + c` of `rows[r]` to `out[c * stride
+/// + r]` for every `c < cols`, `cols <= pass.width`.
 ///
 /// # Safety
-/// Every row must be readable for [`GROUP`] bytes from `p0`, and `out`
-/// must hold [`GROUP`] bytes at `c * stride` for every `c < cols`.
-type Pass = unsafe fn(&Sources, usize, usize, &mut [u8], usize);
+/// The host must have the pass's instructions, every row must be
+/// readable for `width` bytes from `p0`, and `out` must hold [`GROUP`]
+/// bytes at `c * stride` for every `c < cols`.
+#[derive(Clone, Copy)]
+struct Pass {
+    /// Positions one call covers: [`GROUP`] or a multiple of it.
+    width: usize,
+    run: unsafe fn(&Sources, usize, usize, &mut [u8], usize),
+}
 
 /// Transpose an 8×8 byte matrix held as eight little-endian `u64` rows
 /// (`rows[r]` byte `c` is element `(r, c)`): three rounds of masked
@@ -412,9 +419,16 @@ fn transpose_8x8(mut rows: [u64; 8]) -> [u64; 8] {
     rows
 }
 
-/// The portable pass — the definition the vector one is tested against,
-/// and the one every target without it runs: the tile as four 8×8
-/// register transposes.
+/// The portable pass — the definition the vector ones are tested
+/// against, and the one every target without them runs: the tile as
+/// four 8×8 register transposes.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+const PORTABLE: Pass = Pass {
+    width: GROUP,
+    run: pass_portable,
+};
+
+/// See [`PORTABLE`].
 #[cfg(any(test, not(target_arch = "x86_64")))]
 fn pass_portable(rows: &Sources, p0: usize, cols: usize, out: &mut [u8], stride: usize) {
     for (half, rows) in rows.chunks_exact(8).enumerate() {
@@ -432,21 +446,32 @@ fn pass_portable(rows: &Sources, p0: usize, cols: usize, out: &mut [u8], stride:
     }
 }
 
-/// The pass [`InterleavedWindows::fill`] runs. SSE2 is part of the
-/// x86-64 baseline, so nothing is detected at run time; the same rounds
-/// on 256- and 512-bit registers were measured and bought nothing (the
-/// gather waits on the bank, not on the unpacks — EXPERIMENTS.md,
-/// "Step-2 gather in place").
-#[cfg(target_arch = "x86_64")]
-const HOST_PASS: Pass = x86::pass_sse2;
-#[cfg(not(target_arch = "x86_64"))]
-const HOST_PASS: Pass = pass_portable;
+/// The passes [`InterleavedWindows::fill`] runs, widest first. On
+/// x86-64 that is the 512-bit pass where the host has AVX-512BW, with
+/// SSE2 (part of the baseline) for the positions short of a 64-wide
+/// pass and for hosts without it; everywhere else the portable pass.
+fn host_passes() -> &'static [Pass] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512bw") {
+            &[x86::AVX512, x86::SSE2]
+        } else {
+            &[x86::SSE2]
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        &[PORTABLE]
+    }
+}
 
 /// Write residue `p` of `rows[r]` to `data[p * stride + j0 + r]` for
-/// every `p < len`, a pass per [`GROUP`] positions; the columns the last
-/// pass loads past `len` are not stored.
+/// every `p < len`: from `passes`, widest first, each pass for as long
+/// as it reads no further than the window rounded up to [`GROUP`] (the
+/// last must be [`GROUP`] wide); the columns a pass loads past `len` are
+/// not stored.
 fn transpose_group(
-    pass: Pass,
+    passes: &[Pass],
     rows: &Sources,
     len: usize,
     data: &mut [u8],
@@ -465,13 +490,19 @@ fn transpose_group(
         j0 + GROUP <= stride && len * stride <= data.len(),
         "lanes {j0}.. of {len} positions lie outside the layout"
     );
-    for p0 in (0..len).step_by(GROUP) {
-        let out = &mut data[p0 * stride + j0..len * stride];
-        // SAFETY: the first assert keeps `GROUP` bytes from `p0` inside
-        // every source, the second the lane run of every position
-        // inside `out`.
-        unsafe { pass(rows, p0, GROUP.min(len - p0), out, stride) };
+    let mut p0 = 0;
+    for pass in passes {
+        while p0 + pass.width <= need {
+            let out = &mut data[p0 * stride + j0..len * stride];
+            // SAFETY: the first assert and the loop's bound keep `width`
+            // bytes from `p0` inside every source, the second the lane
+            // run of every position inside `out`; `passes` are the
+            // host's.
+            unsafe { (pass.run)(rows, p0, pass.width.min(len - p0), out, stride) };
+            p0 += pass.width;
+        }
     }
+    debug_assert_eq!(p0, need, "the narrowest pass is not {GROUP} wide");
 }
 
 impl InterleavedWindows {
@@ -496,13 +527,14 @@ impl InterleavedWindows {
         len: usize,
         source: impl FnMut(usize, &mut [u8]) -> Option<&'w [u8]>,
     ) {
-        self.fill_with(HOST_PASS, count, len, source);
+        self.fill_with(host_passes(), count, len, source);
     }
 
-    /// [`fill`](InterleavedWindows::fill) through a named pass.
+    /// [`fill`](InterleavedWindows::fill) through named passes, widest
+    /// first.
     fn fill_with<'w>(
         &mut self,
-        pass: Pass,
+        passes: &[Pass],
         count: usize,
         len: usize,
         mut source: impl FnMut(usize, &mut [u8]) -> Option<&'w [u8]>,
@@ -531,7 +563,7 @@ impl InterleavedWindows {
                 let row = &mut row[..need];
                 *slot = source(j, row).unwrap_or(row);
             }
-            transpose_group(pass, &rows, len, &mut self.data, stride, j0);
+            transpose_group(passes, &rows, len, &mut self.data, stride, j0);
         }
         // The pad lanes past the last group, a run of [`GROUP`] at a time.
         let grouped = count.next_multiple_of(GROUP);
@@ -880,58 +912,93 @@ mod x86 {
     use super::*;
     use core::arch::x86_64::*;
 
-    /// `f(0); … f(15);` — a loop over the sixteen rows that cannot stay
-    /// rolled, so every index is a constant and the register array the
-    /// closure names is never an array in memory.
-    #[rustfmt::skip]
+    /// `body` sixteen times over, with `$i` bound to 0, 1, … 15 — a loop
+    /// over the sixteen rows that cannot stay rolled, so every index is a
+    /// constant and the register arrays the body names are never arrays
+    /// in memory.
     macro_rules! unrolled {
-        ($f:expr) => {{
-            #[allow(unused_mut)] // the stores' closure mutates nothing it names
-            let mut f = $f;
-            f(0); f(1); f(2); f(3); f(4); f(5); f(6); f(7);
-            f(8); f(9); f(10); f(11); f(12); f(13); f(14); f(15);
-        }};
+        (|$i:ident| $body:expr) => {
+            unrolled!(@ $i $body; 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
+        };
+        (@ $i:ident $body:expr; $($n:literal)*) => {
+            $({
+                let $i: usize = $n;
+                $body;
+            })*
+        };
+    }
+
+    /// Four times over, interleave the bytes of registers `i` and `i + 8`
+    /// of `x` into registers `2i` (`punpcklbw`) and `2i + 1`
+    /// (`punpckhbw`) — a perfect shuffle of the register file, which
+    /// rotates the 8-bit (row, column) index of every byte of each
+    /// 128-bit lane by one place, so four of them swap its halves.
+    macro_rules! perfect_shuffles {
+        ($x:ident, $lo:ident, $hi:ident) => {
+            for _ in 0..4 {
+                let mut y = $x;
+                unrolled!(|i| {
+                    let (a, b) = ($x[i / 2], $x[i / 2 + GROUP / 2]);
+                    y[i] = if i & 1 == 0 { $lo(a, b) } else { $hi(a, b) };
+                });
+                $x = y;
+            }
+        };
     }
 
     /// The pass on the sixteen SSE2 registers: load one from each row,
-    /// then four times over interleave the bytes of registers `i` and
-    /// `i + 8` into registers `2i` (`punpcklbw`) and `2i + 1`
-    /// (`punpckhbw`) — a perfect shuffle of the register file, which
-    /// rotates the 8-bit (row, column) index of every byte by one place,
-    /// so four of them swap its halves: register `c` ends up holding
+    /// shuffle the register file four times over, and register `c` holds
     /// column `c`, rows 0–15 in byte order — one run of lanes, stored
     /// whole.
+    pub(super) const SSE2: Pass = Pass {
+        width: GROUP,
+        run: pass_sse2,
+    };
+
+    /// See [`SSE2`].
     ///
     /// # Safety
     /// See [`Pass`].
-    pub(super) unsafe fn pass_sse2(
-        rows: &Sources,
-        p0: usize,
-        cols: usize,
-        out: &mut [u8],
-        stride: usize,
-    ) {
-        let load = |r: usize| _mm_loadu_si128(rows[r].as_ptr().add(p0) as *const __m128i);
-        let mut x = [load(0); GROUP];
-        unrolled!(|r: usize| x[r] = load(r));
-        for _ in 0..4 {
-            let mut y = x;
-            unrolled!(|i: usize| {
-                let (a, b) = (x[i / 2], x[i / 2 + GROUP / 2]);
-                y[i] = if i & 1 == 0 {
-                    _mm_unpacklo_epi8(a, b)
-                } else {
-                    _mm_unpackhi_epi8(a, b)
-                };
-            });
-            x = y;
-        }
+    unsafe fn pass_sse2(rows: &Sources, p0: usize, cols: usize, out: &mut [u8], stride: usize) {
+        let mut x = [_mm_setzero_si128(); GROUP];
+        unrolled!(|r| x[r] = _mm_loadu_si128(rows[r].as_ptr().add(p0) as *const __m128i));
+        perfect_shuffles!(x, _mm_unpacklo_epi8, _mm_unpackhi_epi8);
         let out = out.as_mut_ptr();
-        unrolled!(|c: usize| {
-            if c < cols {
-                _mm_storeu_si128(out.add(c * stride) as *mut __m128i, x[c]);
-            }
+        unrolled!(|c| if c < cols {
+            _mm_storeu_si128(out.add(c * stride) as *mut __m128i, x[c]);
         });
+    }
+
+    /// [`SSE2`] on sixteen of the 32 AVX-512 registers (their shuffled
+    /// copy is the other sixteen): a 64-byte load from each row, the same
+    /// shuffles, which work within 128-bit lanes, and lane `k` of
+    /// register `c` holds column `16k + c` — four groups of positions a
+    /// pass. Each column's run of lanes is stored by a 128-bit extract,
+    /// lane by lane, so the stores walk the layout in position order.
+    pub(super) const AVX512: Pass = Pass {
+        width: 4 * GROUP,
+        run: pass_avx512,
+    };
+
+    /// See [`AVX512`].
+    ///
+    /// # Safety
+    /// AVX-512F/BW must be available; see [`Pass`].
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn pass_avx512(rows: &Sources, p0: usize, cols: usize, out: &mut [u8], stride: usize) {
+        let mut x = [_mm512_setzero_si512(); GROUP];
+        unrolled!(|r| x[r] = _mm512_loadu_si512(rows[r].as_ptr().add(p0) as *const _));
+        perfect_shuffles!(x, _mm512_unpacklo_epi8, _mm512_unpackhi_epi8);
+        let out = out.as_mut_ptr();
+        let store = |col: usize, run: __m128i| {
+            if col < cols {
+                _mm_storeu_si128(out.add(col * stride) as *mut __m128i, run);
+            }
+        };
+        unrolled!(|c| store(c, _mm512_castsi512_si128(x[c])));
+        unrolled!(|c| store(GROUP + c, _mm512_extracti32x4_epi32::<1>(x[c])));
+        unrolled!(|c| store(2 * GROUP + c, _mm512_extracti32x4_epi32::<2>(x[c])));
+        unrolled!(|c| store(3 * GROUP + c, _mm512_extracti32x4_epi32::<3>(x[c])));
     }
 
     /// Half of a [`SubRow`]: one 16-byte shuffle table.
@@ -1619,11 +1686,20 @@ mod tests {
         data
     }
 
-    /// The portable pass, and the vector one where there is one.
-    fn passes() -> Vec<(&'static str, Pass)> {
-        let mut out: Vec<(&'static str, Pass)> = vec![("portable", pass_portable)];
+    /// Every network of passes `fill` may run: the portable pass, and
+    /// each vector one whose instruction set this host has, finished by
+    /// the baseline SSE2 one as [`host_passes`] does.
+    fn passes() -> Vec<(&'static str, &'static [Pass])> {
+        let mut out: Vec<(&'static str, &'static [Pass])> = vec![("portable", &[PORTABLE])];
         #[cfg(target_arch = "x86_64")]
-        out.push(("sse2", x86::pass_sse2));
+        {
+            out.push(("sse2", &[x86::SSE2]));
+            if std::arch::is_x86_feature_detected!("avx512bw") {
+                out.push(("512-bit", &[x86::AVX512, x86::SSE2]));
+            } else {
+                eprintln!("note: this CPU lacks avx512bw; the 512-bit pass is not exercised");
+            }
+        }
         out
     }
 
@@ -1634,7 +1710,7 @@ mod tests {
     /// how many windows were lent.
     fn fill_mixed(
         il: &mut InterleavedWindows,
-        (name, pass): (&str, Pass),
+        (name, passes): (&str, &[Pass]),
         rows: &[u8],
         len: usize,
     ) -> usize {
@@ -1645,7 +1721,7 @@ mod tests {
         // a last pass stores no column past the window.
         let stride = count.div_ceil(WIDE_LANES) * WIDE_LANES;
         let behind = il.data.get(len * stride..).map(<[u8]>::to_vec);
-        il.fill_with(pass, count, len, |j, row| {
+        il.fill_with(passes, count, len, |j, row| {
             assert_eq!(j, calls, "windows are requested once, in order");
             assert_eq!(row.len(), len.next_multiple_of(GROUP));
             calls += 1;
@@ -1672,15 +1748,19 @@ mod tests {
         // again, so every shape is filled over the leftovers of both a
         // larger and a smaller one: nothing stale may show through, in
         // the real lanes or in the pad lanes of the last block. The
-        // lengths sit on and around the tile's width and its multiples.
+        // lengths sit on and around the tile's width and its multiples:
+        // too short for a 64-wide pass, one of them and 16-wide tails,
+        // two of them.
         const COUNTS: [usize; 9] = [0, 1, 15, 16, 17, 63, 64, 65, 1000];
-        const LENS: [usize; 14] = [1, 15, 16, 17, 24, 31, 32, 33, 59, 60, 63, 64, 65, 130];
+        const LENS: [usize; 20] = [
+            1, 15, 16, 17, 24, 31, 32, 33, 48, 49, 59, 60, 63, 64, 65, 127, 128, 129, 130, 192,
+        ];
         let mut shapes: Vec<(usize, usize)> = COUNTS
             .iter()
             .flat_map(|&c| LENS.iter().map(move |&l| (c, l)))
             .collect();
         shapes.extend(shapes.clone().into_iter().rev());
-        for (name, pass) in passes() {
+        for (name, passes) in passes() {
             let mut il = InterleavedWindows::new();
             let (mut lent, mut total) = (0, 0);
             for (n, &(count, len)) in shapes.iter().enumerate() {
@@ -1691,7 +1771,7 @@ mod tests {
                     .map(|c| c + 1)
                     .collect();
                 let tag = format!("{name} count={count} len={len}");
-                lent += fill_mixed(&mut il, (name, pass), &rows, len);
+                lent += fill_mixed(&mut il, (name, passes), &rows, len);
                 total += count;
                 assert_eq!((il.count(), il.len()), (count, len), "{tag}");
                 let want = naive_interleave(&rows, count, len);
@@ -1718,7 +1798,7 @@ mod tests {
                 il.edge.len(),
             );
             for (count, len) in [(17, 24), (1000, 130), (0, 60), (1000, 130)] {
-                fill_mixed(&mut il, (name, pass), &windows(7, count, len), len);
+                fill_mixed(&mut il, (name, passes), &windows(7, count, len), len);
                 let after = (
                     il.data.as_ptr(),
                     il.data.len(),
@@ -1728,7 +1808,7 @@ mod tests {
                 assert_eq!(after, before, "{name} count={count} len={len}");
             }
             // Zero-length windows hold nothing, whatever count is claimed.
-            il.fill_with(pass, 5, 0, |_, _| panic!("no window to write"));
+            il.fill_with(passes, 5, 0, |_, _| panic!("no window to write"));
             assert_eq!((il.count(), il.len(), il.stride), (0, 0, 0));
         }
     }
@@ -1746,7 +1826,8 @@ mod tests {
     fn transpose_tiles_match_naive() {
         // The 8×8 register transpose the portable pass is made of
         // equals the definition, out[c] byte r = rows[r][c], over the
-        // whole byte range; so does one group through every pass.
+        // whole byte range; so does one group of 64 positions — one
+        // 512-bit pass, four of the others — through every network.
         for seed in 0..50u64 {
             let bytes: Vec<u8> = windows(seed + 100, GROUP, 64)
                 .into_iter()
@@ -1759,22 +1840,23 @@ mod tests {
                 u64::from_le_bytes(std::array::from_fn(|r| bytes[r * 64 + c]))
             });
             assert_eq!(transpose_8x8(block), want, "seed={seed}");
-            for (name, pass) in passes() {
+            for (name, passes) in passes() {
                 let mut il = InterleavedWindows::new();
-                fill_mixed(&mut il, (name, pass), &bytes, 64);
+                fill_mixed(&mut il, (name, passes), &bytes, 64);
                 let want = naive_interleave(&bytes, GROUP, 64);
                 assert_eq!(il.data, want, "{name} seed={seed}");
             }
         }
     }
 
-    /// Each pass's speed, called directly over the same address
+    /// Each network's speed, called directly over the same address
     /// stream: 200 k 60-residue windows in 50 ascending lists across a
-    /// 16 MB bank and across a 2 MB one, every window lent in place and
-    /// prefetched 8 ahead as `core::step2::gather_lanes` does. Five
-    /// rounds on fresh lists, every pass in each, one walk with the
-    /// bank out of L2. Prints the lowest and the median ns per window;
-    /// run
+    /// 16 MB bank, a 2 MB one and an L1-resident 32 KB one (the
+    /// network's own cost, without the bank's memory traffic), every
+    /// window lent in place and prefetched 8 ahead as
+    /// `core::step2::gather_lanes` does. Nine rounds on fresh lists,
+    /// every network in each, one walk with the bank out of L2. Prints
+    /// the lowest and the median ns per window; run
     /// `cargo test --release -p psc-align --lib -- --ignored --nocapture gather_ns_per_window`.
     #[test]
     #[ignore = "a measurement, not a check"]
@@ -1791,10 +1873,10 @@ mod tests {
         }
         let sum = |bytes: &[u8]| bytes.iter().map(|&b| b as u64).sum::<u64>();
         let mut rng = SplitMix64::new(0x5eed_0019);
-        for megabytes in [16, 2] {
-            let bank = windows(megabytes as u64, megabytes << 20, 1);
+        for (bank_name, bytes) in [("16 MB", 16 << 20), ("2 MB", 2 << 20), ("32 KB", 32 << 10)] {
+            let bank = windows(bytes as u64, bytes, 1);
             let mut ns = vec![Vec::new(); passes().len()];
-            for _ in 0..5 {
+            for _ in 0..9 {
                 let lists: Vec<Vec<usize>> = (0..50)
                     .map(|_| {
                         let mut list: Vec<usize> =
@@ -1804,15 +1886,15 @@ mod tests {
                     })
                     .collect();
                 let mut sums = Vec::new();
-                for ((_, pass), ns) in passes().into_iter().zip(&mut ns) {
+                for ((_, passes), ns) in passes().into_iter().zip(&mut ns) {
                     let mut il = InterleavedWindows::new();
-                    il.fill_with(pass, 4000, LEN, |_, _| Some(&bank[..64]));
+                    il.fill_with(passes, 4000, LEN, |_, _| Some(&bank[..64]));
                     // Walk 16 MB of something else: the bank leaves L2.
                     let mut checksum = sum(&windows(9, 16 << 20, 1)) & 1;
                     let mut seconds = 0.0;
                     for list in &lists {
                         let t0 = std::time::Instant::now();
-                        il.fill_with(pass, list.len(), LEN, |j, row| {
+                        il.fill_with(passes, list.len(), LEN, |j, row| {
                             if let Some(&ahead) = list.get(j + AHEAD) {
                                 prefetch(&bank, ahead, row.len());
                             }
@@ -1829,8 +1911,8 @@ mod tests {
             for ((name, _), mut ns) in passes().into_iter().zip(ns) {
                 ns.sort_by(f64::total_cmp);
                 println!(
-                    "{megabytes} MB bank, {name}: {:.1} ns per window at best, {:.1} in the median",
-                    ns[0], ns[2]
+                    "{bank_name} bank, {name}: {:.1} ns per window at best, {:.1} in the median",
+                    ns[0], ns[4]
                 );
             }
         }
@@ -1975,20 +2057,23 @@ mod tests {
 
     /// A lent source is read for `row.len()` bytes — the window, rounded
     /// up to the network's sixteen — and not one further: the last
-    /// window's run ends where an unreadable page begins.
+    /// window's run ends where an unreadable page begins. A 64-wide pass
+    /// runs only where it reads no further: the lengths end the row 16
+    /// (40), 32 (20) or 48 (65, 80) bytes short of where one more would
+    /// read to, or exactly there (49, 59, 60, 64, 128).
     #[cfg(target_os = "linux")]
     #[test]
     fn no_pass_reads_past_a_lent_row() {
-        for len in [59, 60, 20] {
+        for len in [59, 60, 20, 40, 49, 64, 65, 80, 128] {
             let count = 70;
             // Windows back to back, as in a flat bank, and just enough
             // behind the last one for it to be lent like the others.
             let rows = windows(len as u64, count, len);
             let slack = vec![0; len.next_multiple_of(GROUP) - len];
             let bank = crate::guard::Guarded::before_a_guard(&[&rows[..], &slack].concat());
-            for (name, pass) in passes() {
+            for (name, passes) in passes() {
                 let mut il = InterleavedWindows::new();
-                il.fill_with(pass, count, len, |j, row| {
+                il.fill_with(passes, count, len, |j, row| {
                     Some(&bank[j * len..][..row.len()])
                 });
                 assert_eq!(
