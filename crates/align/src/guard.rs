@@ -1,8 +1,9 @@
 //! Test-only: inputs placed against unreadable pages.
 //!
-//! The vector bodies of this crate read their inputs through raw
-//! pointers, a register at a time, and their contracts say how far past
-//! a window or a sequence such a load may reach. There is no Miri or
+//! The vector bodies of this crate, and of `psc-index` (which includes
+//! this file by path), read their inputs through raw pointers, a
+//! register at a time, and their contracts say how far past a window or
+//! a sequence such a load may reach. There is no Miri or
 //! sanitizer on this toolchain, so [`Guarded`] makes the contracts
 //! faults: a copy of the input whose last byte is the last readable one
 //! before a `PROT_NONE` page (or whose first byte is the first readable

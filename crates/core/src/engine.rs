@@ -27,10 +27,7 @@ use std::borrow::Cow;
 
 use psc_index::{deserialize_bundle, serialize_bundle, BundleT0, FlatBank, SeedIndex, SerialError};
 use psc_score::{KarlinParams, SubstitutionMatrix};
-use psc_seqio::{
-    translate_six_frames_into, Bank, Frame, FrameCoord, GeneticCode, MaskConfig, Seq,
-    TranslatedGenome,
-};
+use psc_seqio::{Bank, Frame, FrameCoord, GeneticCode, MaskConfig, Seq, TranslatedGenome};
 use psc_telemetry::{Recorder, Tracer};
 
 use crate::config::PipelineConfig;
@@ -124,10 +121,7 @@ impl SearchEngine {
         config: PipelineConfig,
         _rec: &dyn Recorder,
     ) -> SearchEngine {
-        let mut residues = Vec::new();
-        translate_six_frames_into(genome, GeneticCode::standard(), &mut residues);
-        let lens = Frame::ALL.map(|f| f.translated_len(genome.len()));
-        let frames = FlatBank::from_concatenation(residues, lens);
+        let frames = FlatBank::six_frames(genome, GeneticCode::standard());
         let frame_ids = Frame::ALL.map(|f| f.seq_id(&genome.id));
         let id = genome.id.clone();
         Self::new(id, genome.len(), frame_ids, frames, matrix, config)

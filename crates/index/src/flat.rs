@@ -7,7 +7,7 @@
 //! consumes (clamped at sequence boundaries, padded with `X`).
 
 use psc_seqio::alphabet::Aa;
-use psc_seqio::Bank;
+use psc_seqio::{translate_six_frames_into, Bank, Frame, GeneticCode, Seq};
 
 /// Padding residue for windows that overhang a sequence boundary. `X`
 /// scores ≤ 0 against everything under BLOSUM62, so padding can only
@@ -71,6 +71,28 @@ impl FlatBank {
             starts,
             block_seq,
         }
+    }
+
+    /// The six frames of `genome` under `code`, in `Frame::ALL` order:
+    /// the bank `psc_seqio::translate_six_frames_into` fills, translated
+    /// 42 codons a step where the CPU has AVX-512 VBMI.
+    pub fn six_frames(genome: &Seq, code: &GeneticCode) -> FlatBank {
+        let lens = Frame::ALL.map(|f| f.translated_len(genome.len()));
+        let residues = match vbmi() {
+            #[cfg(target_arch = "x86_64")]
+            true if genome.kind == psc_seqio::SeqKind::Dna => {
+                let mut residues = vec![0; lens.iter().sum()];
+                // SAFETY: `vbmi` found the flags the body takes.
+                unsafe { crate::avx512::six_frames(&genome.residues, code, &mut residues) };
+                residues
+            }
+            _ => {
+                let mut residues = Vec::new();
+                translate_six_frames_into(genome, code, &mut residues);
+                residues
+            }
+        };
+        FlatBank::from_concatenation(residues, lens)
     }
 
     /// Total residues.
@@ -164,6 +186,16 @@ impl FlatBank {
         self.window_into(pos, span, n_ctx, &mut out);
         out
     }
+}
+
+/// Does the CPU have the AVX-512BW (and so F) and VBMI the 512-bit
+/// translation takes?
+pub(crate) fn vbmi() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx512bw")
+        && std::arch::is_x86_feature_detected!("avx512vbmi");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// Bytes an interior window is copied in: whole blocks are fixed-size
@@ -539,16 +571,22 @@ mod tests {
         );
     }
 
-    /// Two routes to the six frames' flat bank over one translation: in
-    /// place, the frames appended to one buffer that becomes the bank,
-    /// and frame by frame through a `Bank`.
+    /// Three routes to the six frames' flat bank: in place, the frames
+    /// appended to one buffer that becomes the bank; frame by frame
+    /// through a `Bank`; and [`FlatBank::six_frames`], 42 codons a step
+    /// where the CPU has AVX-512 VBMI. Lengths around one and two steps
+    /// and past thousands; codes past `N` read as `N`.
     #[test]
     fn six_frames_flattened_in_place_equal_the_bank_route() {
         use psc_seqio::prng::for_cases;
         use psc_seqio::{translate_six_frames, translate_six_frames_into};
         use psc_seqio::{Frame, GeneticCode, SeqKind};
+        if !vbmi() {
+            eprintln!("note: this CPU lacks avx512vbmi; the 512-bit translation is not exercised");
+        }
         let code = GeneticCode::standard();
-        for len in (0..=40).chain([2_999, 3_000, 4_097]) {
+        let lens = (0..=40).chain(125..=130).chain(251..=257);
+        for len in lens.chain([2_999, 3_000, 4_097, 8_001]) {
             for_cases(0xf1a7 ^ len as u64, 4, |g| {
                 // A, C, G, T, mostly; then `N` and codes past it.
                 let nt = |g: &mut psc_seqio::prng::SplitMix64| match g.chance(0.9) {
@@ -562,11 +600,9 @@ mod tests {
                 let in_place = FlatBank::from_concatenation(residues, lens);
                 let translated = translate_six_frames(&genome, code);
                 let via_bank = FlatBank::from_bank(&translated.to_bank());
-                assert_eq!(in_place.residues, via_bank.residues);
-                assert_eq!(in_place.starts, via_bank.starts);
-                assert_eq!(in_place.block_seq, via_bank.block_seq);
+                assert_eq!(in_place, via_bank);
+                assert_eq!(FlatBank::six_frames(&genome, code), in_place, "len={len}");
                 for (i, &frame) in Frame::ALL.iter().enumerate() {
-                    assert_eq!(in_place.seq(i), via_bank.seq(i), "{frame}");
                     assert_eq!(in_place.seq(i), translated.frame(frame).residues);
                 }
             });

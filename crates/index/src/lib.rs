@@ -18,8 +18,15 @@
 //! * [`neighborhood`]: BLAST-style neighbourhood word generation (used by
 //!   the `psc-blast` baseline, not by the paper's pipeline).
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 pub mod bundle;
 pub mod flat;
+#[cfg(all(test, target_os = "linux"))]
+#[path = "../../align/src/guard.rs"]
+mod guard;
 pub mod neighborhood;
 pub mod seed;
 pub mod serial;

@@ -5,14 +5,16 @@
 //! counting sort — count keys, prefix-sum, scatter — parallelised over
 //! contiguous ranges of sequences with per-thread histograms, so each
 //! `(thread, key)` pair owns a disjoint output range and pass 2 writes
-//! without synchronisation. Both passes key windows through one loop,
-//! [`for_each_key`], over the model as a table ([`key_rows`]): no call
-//! per window.
+//! without synchronisation. Both passes key windows through one body
+//! ([`Walk`]) over the model as a table ([`key_rows`]): no call per
+//! window.
 //!
 //! A build may keep only the keys a query's T0 holds (step 2 reads
 //! `IL1_k` only where `IL0_k` is non-empty). Every window is still
-//! counted; a dropped key's cursor sits on its chunk's sink slot, past
-//! the kept positions, and advances by 0: the scatter stays branchless.
+//! counted. The 512-bit body passes on only kept keys; under the
+//! portable one a dropped key's cursor sits on its chunk's sink slot,
+//! past the kept positions, and advances by 0: the scatter stays
+//! branchless.
 
 use std::{slice, thread};
 
@@ -53,25 +55,42 @@ impl SeedIndex {
         threads: usize,
         keep: Option<&SeedIndex>,
     ) -> SeedIndex {
+        SeedIndex::build_with(flat, model, threads, keep, Walk::host())
+    }
+
+    /// [`SeedIndex::build`] through the keying body `walk`.
+    pub(crate) fn build_with(
+        flat: &FlatBank,
+        model: &dyn SeedModel,
+        threads: usize,
+        keep: Option<&SeedIndex>,
+        walk: Walk,
+    ) -> SeedIndex {
         let threads = threads.max(1);
         let key_count = model.key_count();
         let rows = &key_rows(model);
-        let kept: Vec<bool> = match keep {
-            Some(t0) => t0.offsets.windows(2).map(|w| w[0] < w[1]).collect(),
-            None => vec![true; key_count],
+        // 1 where a key is kept, and 3 bytes of padding: the 512-bit
+        // body reads a key's entry as the low byte of a dword.
+        let mut kept: Vec<u8> = match keep {
+            Some(t0) => (t0.offsets.windows(2))
+                .map(|w| u8::from(w[0] < w[1]))
+                .collect(),
+            None => vec![1; key_count],
         };
         assert_eq!(kept.len(), key_count, "incompatible seed models");
+        kept.extend([0; 3]);
+        let kept = &kept[..];
         let count = |chunk| {
             let mut hist = vec![0u32; key_count];
-            keys_of_chunk(flat, rows, chunk, |_, key| hist[key as usize] += 1);
-            hist
+            let seeded = walk.keys(flat, rows, kept, chunk, |_, key| hist[key as usize] += 1);
+            (hist, seeded)
         };
         let scatter = |chunk, cursor: &mut [u32], out: &mut [u32]| {
-            keys_of_chunk(flat, rows, chunk, |pos, key| {
+            walk.keys(flat, rows, kept, chunk, |pos, key| {
                 let c = &mut cursor[key as usize];
                 out[*c as usize] = pos;
                 *c += kept[key as usize] as u32;
-            })
+            });
         };
 
         // Partition sequences into contiguous chunks of roughly equal
@@ -79,10 +98,15 @@ impl SeedIndex {
         let chunks = sequence_chunks(flat, threads);
         let nchunks = chunks.len();
 
-        // Pass 1: per-chunk histograms.
+        // Pass 1: per-chunk histograms, and the windows that seeded.
         let mut histograms: Vec<Vec<u32>> = Vec::with_capacity(nchunks);
+        let mut seeded = 0;
+        let mut add = |(hist, n)| {
+            histograms.push(hist);
+            seeded += n;
+        };
         if nchunks == 1 {
-            histograms.push(count(chunks[0]));
+            add(count(chunks[0]));
         } else {
             thread::scope(|s| {
                 let handles: Vec<_> = chunks
@@ -90,7 +114,7 @@ impl SeedIndex {
                     .map(|&range| s.spawn(move || count(range)))
                     .collect();
                 for h in handles {
-                    histograms.push(h.join().expect("index counter panicked"));
+                    add(h.join().expect("index counter panicked"));
                 }
             });
         }
@@ -103,7 +127,6 @@ impl SeedIndex {
                 offsets[k + 1] += c;
             }
         }
-        let seeded = offsets.iter().map(|&c| c as usize).sum();
         for k in 0..key_count {
             offsets[k + 1] = offsets[k] + offsets[k + 1] * kept[k] as u32;
         }
@@ -120,9 +143,9 @@ impl SeedIndex {
             let mut running = offsets[..key_count].to_vec();
             let sinks = (total as u32..).step_by(SINK_PITCH);
             for (sink, hist) in sinks.zip(&histograms) {
-                let at = running.iter().zip(&kept);
+                let at = running.iter().zip(kept);
                 cursors.push(
-                    at.map(|(&at, &kept)| if kept { at } else { sink })
+                    at.map(|(&at, &kept)| if kept != 0 { at } else { sink })
                         .collect(),
                 );
                 for (k, &c) in hist.iter().enumerate() {
@@ -289,44 +312,83 @@ fn sequence_chunks(flat: &FlatBank, threads: usize) -> Vec<(usize, usize)> {
     chunks
 }
 
-/// Call `f(position, key)` for every window of sequences `s0..s1` that
-/// seeds, in position order. A key is one load per seed position out of
-/// `rows`, summed, and is `≥ NO_KEY` iff a residue of the window cannot
-/// seed ([`key_rows`]); windows are taken per sequence, so none crosses
-/// a boundary.
-#[inline]
-fn for_each_key<const SPAN: usize>(
-    flat: &FlatBank,
-    rows: &[KeyRow],
-    (s0, s1): (usize, usize),
-    mut f: impl FnMut(u32, u32),
-) {
-    let rows: &[KeyRow; SPAN] = rows.try_into().expect("one row per seed position");
-    for seq in s0..s1 {
-        let (lo, hi) = flat.bounds_of(seq);
-        let r = &flat.residues()[lo as usize..hi as usize];
-        for (window, pos) in r.windows(SPAN).zip(lo..) {
-            let loads = rows.iter().zip(window).map(|(row, &c)| row[c as usize]);
-            let key: u32 = loads.sum();
-            if key < NO_KEY {
-                f(pos, key);
-            }
+/// The body a build keys its windows with, picked once per build.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Walk {
+    /// [`for_each_key`]: every window that seeds.
+    Portable,
+    /// [`crate::avx512::keys`]: sixteen windows a step, kept keys only.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Walk {
+    /// The 512-bit body where the CPU has AVX-512BW (and so F).
+    pub(crate) fn host() -> Walk {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512bw") {
+            return Walk::Avx512;
+        }
+        Walk::Portable
+    }
+
+    /// Call `f(position, key)` in position order for the windows of
+    /// sequences `s0..s1` that seed — at least those whose `kept` byte
+    /// is set — and return how many seeded. The one place a model's
+    /// span becomes a constant of the portable loop.
+    fn keys(
+        self,
+        flat: &FlatBank,
+        rows: &[KeyRow],
+        kept: &[u8],
+        (s0, s1): (usize, usize),
+        f: impl FnMut(u32, u32),
+    ) -> usize {
+        let (r, seqs) = (flat.residues(), (s0..s1).map(|seq| flat.bounds_of(seq)));
+        match (self, rows.len()) {
+            // SAFETY: `host` picks this body only where the CPU has
+            // AVX-512BW; `kept` holds a byte per key and 3 of padding,
+            // and `seqs` are the bank's own sequences.
+            #[cfg(target_arch = "x86_64")]
+            (Walk::Avx512, _) => unsafe { crate::avx512::keys(r, seqs, rows, kept, f) },
+            (_, 1) => for_each_key::<1>(r, seqs, rows, f),
+            (_, 2) => for_each_key::<2>(r, seqs, rows, f),
+            (_, 3) => for_each_key::<3>(r, seqs, rows, f),
+            (_, 4) => for_each_key::<4>(r, seqs, rows, f),
+            (_, 5) => for_each_key::<5>(r, seqs, rows, f),
+            (_, 6) => for_each_key::<6>(r, seqs, rows, f),
+            (_, span) => panic!("seed span {span} outside 1..=6"),
         }
     }
 }
 
-/// [`for_each_key`] at the span of `rows`: the one place a model's span
-/// becomes a constant of the loop.
-fn keys_of_chunk(flat: &FlatBank, rows: &[KeyRow], chunk: (usize, usize), f: impl FnMut(u32, u32)) {
-    match rows.len() {
-        1 => for_each_key::<1>(flat, rows, chunk, f),
-        2 => for_each_key::<2>(flat, rows, chunk, f),
-        3 => for_each_key::<3>(flat, rows, chunk, f),
-        4 => for_each_key::<4>(flat, rows, chunk, f),
-        5 => for_each_key::<5>(flat, rows, chunk, f),
-        6 => for_each_key::<6>(flat, rows, chunk, f),
-        span => panic!("seed span {span} outside 1..=6"),
+/// Call `f(position, key)` for every window of the sequences `seqs`
+/// (bounds in `residues`) that seeds, in position order, and return how
+/// many did. A key is one load per seed position out of `rows`, summed,
+/// and is `≥ NO_KEY` iff a residue of the window cannot seed
+/// ([`key_rows`]); windows are taken per sequence, so none crosses a
+/// boundary.
+#[inline]
+fn for_each_key<const SPAN: usize>(
+    residues: &[u8],
+    seqs: impl Iterator<Item = (u32, u32)>,
+    rows: &[KeyRow],
+    mut f: impl FnMut(u32, u32),
+) -> usize {
+    let rows: &[KeyRow; SPAN] = rows.try_into().expect("one row per seed position");
+    let mut seeded = 0;
+    for (lo, hi) in seqs {
+        let r = &residues[lo as usize..hi as usize];
+        for (window, pos) in r.windows(SPAN).zip(lo..) {
+            let loads = rows.iter().zip(window).map(|(row, &c)| row[c as usize]);
+            let key: u32 = loads.sum();
+            if key < NO_KEY {
+                seeded += 1;
+                f(pos, key);
+            }
+        }
     }
+    seeded
 }
 
 /// Shared mutable pointer for the disjoint pass-2 scatter.
@@ -413,14 +475,64 @@ mod tests {
         }
     }
 
+    /// The bodies [`SeedIndex::build`] can take on this host: the
+    /// portable one, and the 512-bit one where the CPU has it.
+    fn walks() -> Vec<Walk> {
+        if Walk::host() == Walk::Portable {
+            eprintln!("note: this CPU lacks avx512bw; the 512-bit keying body is not exercised");
+        }
+        let mut walks = vec![Walk::Portable, Walk::host()];
+        walks.dedup();
+        walks
+    }
+
+    /// `flat`'s windows keyed through `SeedModel::key`, stable-sorted by
+    /// key: the definition of an index.
+    fn naive_keys(flat: &FlatBank, model: &dyn SeedModel) -> Vec<(u32, u32)> {
+        let span = model.span();
+        let mut keyed = Vec::new();
+        for seq in 0..flat.seq_count() {
+            let (lo, hi) = flat.bounds_of(seq);
+            for pos in lo as usize..(hi as usize + 1).saturating_sub(span) {
+                if let Some(key) = model.key(&flat.residues()[pos..pos + span]) {
+                    keyed.push((key, pos as u32));
+                }
+            }
+        }
+        keyed.sort_by_key(|&(key, _)| key);
+        keyed
+    }
+
+    /// `idx` is the index of the windows `keyed` ([`naive_keys`]) whose
+    /// key `keep` holds (all, without one): each kept key's list is its
+    /// run of `keyed`, the lists hold nothing else, and every window
+    /// that seeds is counted.
+    fn assert_indexes(idx: &SeedIndex, keyed: &[(u32, u32)], keep: Option<&SeedIndex>, what: &str) {
+        let kept = |k: u32| keep.is_none_or(|t0| !t0.list(k).is_empty());
+        assert_eq!(idx.seeded_positions(), keyed.len(), "{what}");
+        let mut held = 0;
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            let k = run[0].0;
+            let want: Vec<u32> = match kept(k) {
+                true => run.iter().map(|&(_, pos)| pos).collect(),
+                false => Vec::new(),
+            };
+            assert_eq!(idx.list(k), want, "{what}, key {k}");
+            held += want.len();
+        }
+        assert_eq!(idx.total_positions(), held, "{what}");
+    }
+
     /// The build against its definition, not against itself: every
     /// window keyed through `SeedModel::key`, stable-sorted by key. Banks
-    /// carry `B`/`X`/`*`, empty sequences and sequences shorter than the
-    /// span; the models cover every span the keying loop is instantiated
-    /// for. Each case keeps the keys of a small random bank's index (or
-    /// all keys): at every thread count a kept key's list is the
-    /// reference's, a dropped key's is empty, and every window that
-    /// seeds is counted.
+    /// carry `B`/`X`/`*`, codes past the alphabet (`Seq::from_codes`
+    /// checks nothing), empty sequences, sequences shorter than the span
+    /// and sequences long enough that the 512-bit body hands its held
+    /// windows on mid-sequence; the models cover every span the keying
+    /// loop is instantiated for. Each case keeps the keys of a small
+    /// random bank's index (or all keys): through each body, at every
+    /// thread count, a kept key's list is the reference's, a dropped
+    /// key's is empty, and every window that seeds is counted.
     #[test]
     fn build_equals_the_naive_reference_at_every_thread_count() {
         let coarse = || PositionClasses::from_groups("coarse", "LVIMCAG|STPFYW|EDNQKRH");
@@ -434,20 +546,23 @@ mod tests {
             Box::new(SubsetSeed::new(vec![coarse(); 5])),
             Box::new(SubsetSeed::new(span6)),
         ];
+        let walks = walks();
         for_cases(0x1dc0de, 240, |g| {
             let model = g.select(&models).as_ref();
             let span = model.span();
             let flat_bank = |g: &mut SplitMix64, seqs| {
                 let bank: Bank = (0..seqs)
                     .map(|i| {
-                        let len = match g.range(0u32..4) {
+                        let len = match g.range(0u32..12) {
                             0 => 0,
                             1 => g.range(0..span),
+                            2 => *g.select(&[4_100, 8_300]),
                             _ => g.range(span..80),
                         };
-                        let residue = |g: &mut SplitMix64| match g.chance(0.1) {
-                            true => Aa::from_ascii_lossy(*g.select(b"BX*")).0,
-                            false => g.range(0u8..20),
+                        let residue = |g: &mut SplitMix64| match g.range(0u32..20) {
+                            0 => Aa::from_ascii_lossy(*g.select(b"BX*")).0,
+                            1 => *g.select(&[25, 31, 32, 200]),
+                            _ => g.range(0u8..20),
                         };
                         let codes = g.vec(len..=len, residue);
                         Seq::from_codes(format!("s{i}"), codes, psc_seqio::SeqKind::Protein)
@@ -464,36 +579,61 @@ mod tests {
                     Some(SeedIndex::build(&flat_bank(g, seqs), model, 1, None))
                 }
             };
-
-            let mut keyed = Vec::new();
-            for seq in 0..flat.seq_count() {
-                let (lo, hi) = flat.bounds_of(seq);
-                for pos in lo as usize..(hi as usize + 1).saturating_sub(span) {
-                    if let Some(key) = model.key(&flat.residues()[pos..pos + span]) {
-                        keyed.push((key, pos as u32));
-                    }
-                }
-            }
-            keyed.sort_by_key(|&(key, _)| key);
-            let kept = |k: u32| keep.as_ref().is_none_or(|t0| !t0.list(k).is_empty());
-            let lists: Vec<Vec<u32>> = (0..model.key_count() as u32)
-                .map(|k| {
-                    let run = keyed.partition_point(|&(key, _)| key < k)
-                        ..keyed.partition_point(|&(key, _)| key <= k);
-                    let run = if kept(k) { &keyed[run] } else { &[] };
-                    run.iter().map(|&(_, pos)| pos).collect()
-                })
-                .collect();
-
-            for threads in [1, 2, 3, 8] {
-                let idx = SeedIndex::build(&flat, model, threads, keep.as_ref());
-                let what = format!("{} at {threads} threads", model.name());
-                assert_eq!(idx.seeded_positions(), keyed.len(), "{what}");
-                for (k, want) in (0..).zip(&lists) {
-                    assert_eq!(idx.list(k), want, "{what}, key {k}");
+            let keyed = naive_keys(&flat, model);
+            for &walk in &walks {
+                for threads in [1, 2, 3, 8] {
+                    let idx = SeedIndex::build_with(&flat, model, threads, keep.as_ref(), walk);
+                    let what = format!("{} by {walk:?} at {threads} threads", model.name());
+                    assert_indexes(&idx, &keyed, keep.as_ref(), &what);
                 }
             }
         });
+
+        // Exact 6-mers: keys up to `20^6 − 1`, next to the compare with
+        // `key_count` (runs of `V`, code 19, key there), beside windows
+        // holding codes 20–31, whose rows sum to `NO_KEY` or more. Each
+        // body keys the bank directly against a T0's kept bytes: a build's
+        // tables would be 64 M entries each.
+        let model = ExactSeed::new(6);
+        let mut g = SplitMix64::new(0xe6);
+        let bank = |g: &mut SplitMix64, lens: &[usize]| {
+            let residue = |g: &mut SplitMix64| match g.range(0u32..10) {
+                0..=5 => 19,
+                6 => g.range(20u8..32),
+                7 => 200,
+                _ => g.range(15u8..20),
+            };
+            let seqs = lens.iter().map(|&len| {
+                let codes = g.vec(len..=len, residue);
+                Seq::from_codes("s", codes, psc_seqio::SeqKind::Protein)
+            });
+            FlatBank::from_bank(&seqs.collect())
+        };
+        let (flat, t0) = (bank(&mut g, &[5, 300, 4_100]), bank(&mut g, &[200]));
+        let mut kept = vec![0u8; model.key_count() + 3];
+        for (key, _) in naive_keys(&t0, &model) {
+            kept[key as usize] = 1;
+        }
+        let mut keyed = naive_keys(&flat, &model);
+        keyed.sort_by_key(|&(_, pos)| pos);
+        let top = (model.key_count() - 1) as u32;
+        assert!(keyed.iter().any(|&(key, _)| key == top) && kept[top as usize] == 1);
+        assert!(keyed.iter().any(|&(key, _)| kept[key as usize] == 0));
+        for walk in walks {
+            let mut got = Vec::new();
+            let rows = &key_rows(&model);
+            let chunk = (0, flat.seq_count());
+            let seeded = walk.keys(&flat, rows, &kept, chunk, |pos, key| got.push((key, pos)));
+            let held = keyed
+                .iter()
+                .filter(|&&(key, _)| walk == Walk::Portable || kept[key as usize] == 1);
+            assert_eq!(seeded, keyed.len(), "exact-6 by {walk:?}");
+            assert_eq!(
+                got,
+                held.copied().collect::<Vec<_>>(),
+                "exact-6 by {walk:?}"
+            );
+        }
     }
 
     #[test]

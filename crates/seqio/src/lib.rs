@@ -31,5 +31,6 @@ pub use error::SeqError;
 pub use fasta::{read_fasta, read_fasta_path, write_fasta};
 pub use seq::{Seq, SeqKind};
 pub use translate::{
-    translate_six_frames, translate_six_frames_into, Frame, FrameCoord, TranslatedGenome,
+    strand_tables, translate_six_frames, translate_six_frames_into, Frame, FrameCoord,
+    TranslatedGenome,
 };

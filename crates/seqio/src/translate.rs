@@ -169,18 +169,7 @@ pub fn translate_six_frames(genome: &Seq, code: &GeneticCode) -> TranslatedGenom
 /// whole translation in one allocation.
 pub fn translate_six_frames_into(genome: &Seq, code: &GeneticCode, out: &mut Vec<u8>) {
     assert_eq!(genome.kind, SeqKind::Dna, "six-frame translation needs DNA");
-    // One table per strand over the five nucleotide codes, indexed by
-    // the codon as it lies on the forward strand: the minus table has
-    // the reversal and the complement folded in, so no reverse-
-    // complemented copy of the genome is made.
-    let table = |read: fn([Nt; 3]) -> [Nt; 3]| -> [u8; 125] {
-        std::array::from_fn(|i| {
-            let [a, b, c] = read([i / 25, i / 5 % 5, i % 5].map(|n| Nt(n as u8)));
-            code.translate(a, b, c).0
-        })
-    };
-    let plus = table(|codon| codon);
-    let minus = table(|[a, b, c]| [c, b, a].map(Nt::complement));
+    let [plus, minus] = strand_tables(code);
     // Any code past `T` is `N`, as `Nt::complement` and
     // `GeneticCode::translate` have it.
     let codon = |c: &[u8]| {
@@ -205,6 +194,24 @@ pub fn translate_six_frames_into(genome: &Seq, code: &GeneticCode, out: &mut Vec
             ),
         }
     }
+}
+
+/// One table per strand over the five nucleotide codes, plus then
+/// minus, indexed by a codon as it lies on the forward strand —
+/// `a * 25 + b * 5 + c` — and holding its residue code: the minus table
+/// has the reversal and the complement folded in, so no reverse-
+/// complemented copy of a genome is made.
+pub fn strand_tables(code: &GeneticCode) -> [[u8; 125]; 2] {
+    let table = |read: fn([Nt; 3]) -> [Nt; 3]| -> [u8; 125] {
+        std::array::from_fn(|i| {
+            let [a, b, c] = read([i / 25, i / 5 % 5, i % 5].map(|n| Nt(n as u8)));
+            code.translate(a, b, c).0
+        })
+    };
+    [
+        table(|codon| codon),
+        table(|[a, b, c]| [c, b, a].map(Nt::complement)),
+    ]
 }
 
 #[cfg(test)]
