@@ -656,7 +656,7 @@ impl Isa {
 
 /// Most lane blocks one body call scores: they share each substitution
 /// row load, and their add→max dependency chains overlap.
-const MAX_BLOCKS: usize = 4;
+pub const MAX_BLOCKS: usize = 4;
 
 /// A matrix's 24 substitution rows in shuffle-table form — the lane
 /// path's ROM, indexed by the profile-side residue at score time.

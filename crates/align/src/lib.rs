@@ -33,7 +33,7 @@ pub mod xdrop;
 
 pub use batch::{
     profile_score, profile_score2, score_batch, simd_available, wide_available, InterleavedWindows,
-    KernelBackend, KernelChoice, LaneFilter, ScoreProfile, LANES, WIDE_LANES,
+    KernelBackend, KernelChoice, LaneFilter, ScoreProfile, LANES, MAX_BLOCKS, WIDE_LANES,
 };
 pub use gapped::{
     banded_global, gapped_extend, AlignOp, Alignment, ExtendScratch, GapConfig, GappedHit,

@@ -9,8 +9,10 @@
 //! full T1 seed index. Each [`SearchEngine::query_traced`] call then
 //! builds the per-query state (the protein bank's flat view and index
 //! and, unless T1 was loaded, a T1 holding only the keys that index
-//! holds) and runs steps 2 and 3 through
-//! [`Pipeline::try_run_prepared_traced`].
+//! holds, built a chunk of frames at a time on the software backends)
+//! and runs steps 2 and 3 through
+//! [`Pipeline::try_run_prepared_traced`] or, on a T1 it keys,
+//! `Pipeline::try_run_keyed_traced`.
 //!
 //! Because the one-shot [`crate::genome::search_genome`] path is
 //! itself engine construction followed by one query, a server
@@ -32,7 +34,7 @@ use psc_telemetry::{Recorder, Tracer};
 
 use crate::config::PipelineConfig;
 use crate::genome::{GenomeMatch, GenomeSearchResult};
-use crate::pipeline::{BankViews, Pipeline, PipelineError, PreparedBank};
+use crate::pipeline::{BankViews, Pipeline, PipelineError, PreparedBank, CHUNK_GROUP};
 
 /// Why an engine could not be loaded from a bundle, or a query could
 /// not run.
@@ -92,6 +94,8 @@ pub struct SearchEngine {
     /// The frames' full T1, when loaded from a bundle. Built from a
     /// genome, the engine holds none: each query keys its own by its T0.
     prep1: Option<PreparedBank>,
+    /// Kept positions per active key a chunk of that T1 holds at least.
+    group: usize,
     /// Optional protein-bank section carried by the bundle: reused
     /// (skipping the per-query index build) when a query bank is
     /// sequence-identical to it.
@@ -161,6 +165,7 @@ impl SearchEngine {
             genome_len,
             frame_ids,
             prep1: None,
+            group: CHUNK_GROUP,
             t0: None,
         }
     }
@@ -259,7 +264,10 @@ impl SearchEngine {
     /// built here — or reused from the bundle's T0 section when the
     /// query bank is sequence-identical to it — with, unless T1 was
     /// loaded, a T1 of only the keys that T0 holds (all step 2 reads);
-    /// then steps 2 and 3 run over the shared pipeline state.
+    /// then steps 2 and 3 run over the shared pipeline state. On the
+    /// software backends that T1 is built a chunk of frames at a time,
+    /// each chunk extended and dropped before the next
+    /// (`Pipeline::try_run_keyed_traced`).
     pub fn query_traced(
         &self,
         proteins: &Bank,
@@ -278,23 +286,16 @@ impl SearchEngine {
             ),
             None => self.pipeline.prepare_bank(0, proteins, rec),
         };
-        let prep1 = match &self.prep1 {
-            Some(prep1) => Cow::Borrowed(prep1),
-            None => Cow::Owned(self.pipeline.index_bank(
-                1,
-                self.frames.clone(),
-                Some(prep0.index()),
-                rec,
-            )),
+        let (pipeline, matrix) = (&self.pipeline, &self.matrix);
+        let (frames, group) = (&self.frames, self.group);
+        let output = match &self.prep1 {
+            Some(prep1) => {
+                pipeline.try_run_prepared_traced(&prep0, prep1, matrix, stats, rec, tracer)?
+            }
+            None => {
+                pipeline.try_run_keyed_traced(&prep0, frames, group, matrix, stats, rec, tracer)?
+            }
         };
-        let output = self.pipeline.try_run_prepared_traced(
-            &prep0,
-            &prep1,
-            &self.matrix,
-            stats,
-            rec,
-            tracer,
-        )?;
 
         let matches = output
             .hsps
@@ -675,6 +676,143 @@ mod tests {
         }
     }
 
+    /// Today's whole keyed T1, as the board and the one-chunk case build
+    /// it: step 1 over every frame, then steps 2 and 3.
+    fn whole_t1_query(
+        engine: &SearchEngine,
+        proteins: &Bank,
+        rec: &dyn Recorder,
+        tracer: &dyn Tracer,
+    ) -> crate::PipelineOutput {
+        let (pipeline, stats) = (&engine.pipeline, engine.stats.clone().unwrap());
+        let prep0 = pipeline.prepare_bank(0, proteins, rec);
+        let prep1 = pipeline.index_bank(1, engine.frames.clone(), Some(prep0.index()), rec);
+        let output =
+            pipeline.try_run_prepared_traced(&prep0, &prep1, &engine.matrix, stats, rec, tracer);
+        output.unwrap()
+    }
+
+    /// A fresh engine's genome side in chunks of frames answers as the
+    /// whole keyed T1 does: matches, HSPs, `PipelineStats`, the
+    /// wall-stripped report and the virtual trace — every frame a chunk
+    /// (group 0), a grouping that merges some frames and not others,
+    /// and one chunk (`usize::MAX`), at 1, 2, 3 and 7 step-2 workers,
+    /// masked or not, on a genome that has a frame holding no kept
+    /// position. Only the chunk count and the lane-slot and tile keys,
+    /// which describe the rectangles walked, may differ, and at one
+    /// chunk they do not.
+    #[test]
+    fn frame_chunks_answer_as_the_whole_t1() {
+        use crate::config::Step2Backend;
+        use crate::pipeline::chunk_groups;
+        use psc_index::KeyCounts;
+        use psc_telemetry::{keys, MemRecorder, RingTracer, TraceClock};
+        let (proteins, genome) = workload();
+        // Copies of the proteins coded in frame 0 ahead of the genome
+        // weigh that frame down: it is a chunk alone where its
+        // neighbours merge.
+        let mut rng = psc_seqio::prng::SplitMix64::new(3);
+        let mut codes = Vec::new();
+        for protein in proteins.seqs().iter().cycle().take(12) {
+            let code = GeneticCode::standard();
+            codes.extend(psc_datagen::genome::back_translate(
+                &mut rng,
+                &protein.residues,
+                code,
+            ));
+        }
+        codes.extend_from_slice(&genome.residues);
+        let genome = Seq::from_codes(genome.id.clone(), codes, psc_seqio::SeqKind::Dna);
+        // One short protein keys a 600 nt genome: a frame holds none
+        // of its keys.
+        let short = random_bank(&BankConfig {
+            count: 1,
+            min_len: 14,
+            max_len: 14,
+            seed: 4,
+        });
+        let small = generate_genome(
+            &GenomeConfig {
+                len: 600,
+                gene_count: 1,
+                seed: 5,
+                ..GenomeConfig::default()
+            },
+            &short,
+        );
+        let strip = |mut report: psc_telemetry::RunReport| {
+            report.strip_wall_clock();
+            let walked = [
+                keys::STEP1_CHUNKS_BANK1,
+                keys::STEP2_SIMD_TILES,
+                "step2.lane_",
+            ];
+            let keep = |k: &str| !walked.iter().any(|w| k.starts_with(w));
+            let whole = report.to_json_string();
+            report.counters.retain(|(k, _)| keep(k));
+            report.histograms.retain(|(k, _)| keep(k));
+            (report.to_json_string(), whole)
+        };
+        let (mut merged, mut empty_frame) = (false, false);
+        for (proteins, genome) in [(&proteins, &genome), (&short, &small.genome)] {
+            for (threads, mask) in [(1, false), (2, true), (3, false), (7, true), (1, true)] {
+                let config = PipelineConfig {
+                    backend: Step2Backend::SoftwareParallel { threads },
+                    index_threads: threads,
+                    mask: mask.then(MaskConfig::default),
+                    ..PipelineConfig::default()
+                };
+                let mut engine =
+                    SearchEngine::for_genome(genome, blosum62(), config.clone(), &NullRecorder);
+                let run = |engine: &SearchEngine, whole: bool| {
+                    let (rec, ring) = (MemRecorder::new(), RingTracer::new(TraceClock::Virtual));
+                    let output = match whole {
+                        false => {
+                            let answer = engine.query_traced(proteins, &rec, &ring).unwrap();
+                            let matches = format!("{:#?}", answer.matches);
+                            (answer.output, Some(matches))
+                        }
+                        true => (whole_t1_query(engine, proteins, &rec, &ring), None),
+                    };
+                    let report = crate::build_run_report(&output.0, &config, &rec.snapshot());
+                    let trace = ring.finish(&[]).to_chrome_string();
+                    (output, strip(report), trace)
+                };
+                let ((want, _), want_report, want_trace) = run(&engine, true);
+                engine.group = usize::MAX;
+                let ((_, want_matches), ..) = run(&engine, false);
+                // Groupings of these frames: each a chunk, as they fall
+                // at 1–256 positions a key, one.
+                let prep0 = engine.pipeline.prepare_bank(0, proteins, &NullRecorder);
+                let (model, flat1) = (config.seed.model(), engine.frames.seeding.clone());
+                let seqs = (0..6).map(|s| (s, s + 1)).collect();
+                let counts = KeyCounts::count(&flat1, model.as_ref(), seqs, 1, Some(prep0.index()));
+                empty_frame |= (0..6).any(|f| counts.held(f..f + 1) == 0);
+                let groups = [0, 1, 2, 3, 4, 16, 256, usize::MAX];
+                for group in groups {
+                    let chunks = chunk_groups(&counts, prep0.index(), group);
+                    merged |=
+                        chunks.iter().any(|c| c.len() == 1) && chunks.iter().any(|c| c.len() > 1);
+                    let what = format!("threads {threads}, mask {mask}, group {group}: {chunks:?}");
+                    engine.group = group;
+                    let ((got, matches), got_report, got_trace) = run(&engine, false);
+                    assert_eq!(got.hsps, want.hsps, "{what}");
+                    assert_eq!(got.stats, want.stats, "{what}");
+                    assert_eq!(got_report.0, want_report.0, "{what}");
+                    assert_eq!(got_trace, want_trace, "{what}");
+                    if chunks.len() == 1 {
+                        assert_eq!(got_report.1, want_report.1, "{what}");
+                    }
+                    assert_eq!(matches, want_matches, "{what}");
+                    assert!(group > 0 || chunks.len() == 6, "{what}");
+                }
+                assert!(!want.hsps.is_empty() || proteins.len() == 1);
+            }
+        }
+        assert!(merged, "no grouping merged some frames and not others");
+        assert!(empty_frame, "no frame without a kept position");
+    }
+
     /// Median step-1, step-2 and step-3 milliseconds of a served query:
     /// an engine of the served workload's shape (a 2 Mnt genome holding
     /// 200 planted proteins of 100–600 aa, loaded from a bundle, one
@@ -736,6 +874,106 @@ mod tests {
              step3 {step3:.3} ms (steps summed {sum:.3} ms)",
             3 * queries.len()
         );
+    }
+
+    /// Steps 1 + 2 of a `genome_heavy`-shaped one-shot query in ms,
+    /// the genome side whole against in frame chunks, at one and two
+    /// workers (medians of eleven alternating rounds), and the
+    /// high-water mark (`VmHWM` in `/proc/self/status`) each raises above
+    /// the resident set of its engine, read in a child process of its own
+    /// since the mark never falls: a datagen 8 Mnt genome keyed by a
+    /// 12-protein T0. Run
+    /// `cargo test --release -p psc-core --lib -- --ignored --nocapture genome_side_chunks`.
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn genome_side_chunks() {
+        use crate::config::Step2Backend;
+        const CHILD: &str = "GENOME_SIDE_CHUNKS_CHILD";
+        let child = std::env::var(CHILD).ok();
+        let proteins = random_bank(&BankConfig {
+            count: 12,
+            seed: 17,
+            ..BankConfig::default()
+        });
+        let genome = GenomeConfig {
+            len: 8_000_000,
+            gene_count: 12,
+            seed: 18,
+            ..GenomeConfig::default()
+        };
+        let genome = generate_genome(&genome, &proteins).genome;
+        let engine = |threads| {
+            let backend = match threads {
+                1 => Step2Backend::SoftwareScalar,
+                _ => Step2Backend::SoftwareParallel { threads },
+            };
+            let config = PipelineConfig {
+                backend,
+                index_threads: threads,
+                step3_threads: threads,
+                ..PipelineConfig::default()
+            };
+            SearchEngine::for_genome(&genome, blosum62(), config, &NullRecorder)
+        };
+        let steps_1_2 = |engine: &SearchEngine, whole: bool| {
+            let profile = match whole {
+                true => whole_t1_query(engine, &proteins, &NullRecorder, &NullTracer).profile,
+                false => {
+                    let answer = engine.query_traced(&proteins, &NullRecorder, &NullTracer);
+                    answer.unwrap().output.profile
+                }
+            };
+            (profile.step1 + profile.step2_wall) * 1e3
+        };
+        let status_mb = |field: &str| {
+            let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+            let line = status.lines().find(|l| l.starts_with(field));
+            let kb = line.and_then(|l| l.split_whitespace().nth(1)?.parse::<f64>().ok());
+            kb.unwrap_or(f64::NAN) / 1024.0
+        };
+        // `threads whole`: one query, and its mark on stdout.
+        if let Some((threads, whole)) = child.as_deref().and_then(|c| c.split_once(' ')) {
+            let engine = engine(threads.parse().unwrap());
+            let held = status_mb("VmRSS:");
+            steps_1_2(&engine, whole == "true");
+            return println!("mark {}", status_mb("VmHWM:") - held);
+        }
+        let mark = |threads: usize, whole: bool| {
+            let exe = std::env::current_exe().unwrap();
+            let test = ["--ignored", "--exact", "engine::tests::genome_side_chunks"];
+            let mut run = std::process::Command::new(exe);
+            run.args(test).arg("--nocapture");
+            let out = run
+                .env(CHILD, format!("{threads} {whole}"))
+                .output()
+                .unwrap();
+            let out = String::from_utf8_lossy(&out.stdout).into_owned();
+            let line = out.lines().find_map(|l| l.strip_prefix("mark "));
+            line.and_then(|mb| mb.parse::<f64>().ok())
+                .unwrap_or(f64::NAN)
+        };
+        let engines = [engine(1), engine(2)];
+        let mut ms: [[Vec<f64>; 2]; 2] = Default::default();
+        for round in 0..11 {
+            for whole in [round % 2 == 0, round % 2 == 1] {
+                for (w, engine) in engines.iter().enumerate() {
+                    ms[w][usize::from(whole)].push(steps_1_2(engine, whole));
+                }
+            }
+        }
+        for (w, ms) in ms.iter_mut().enumerate() {
+            let [chunks, whole] = [0, 1].map(|i| {
+                ms[i].sort_by(f64::total_cmp);
+                ms[i][ms[i].len() / 2]
+            });
+            println!(
+                "{} worker(s): steps 1 + 2 whole T1 {whole:.1} ms, frame chunks {chunks:.1} ms; \
+                 high-water above the engine whole {:.1} MB, chunks {:.1} MB",
+                w + 1,
+                mark(w + 1, true),
+                mark(w + 1, false)
+            );
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! The three-step pipeline driver.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use psc_align::{cull_hsps, gapped_extend, ExtendScratch, GapConfig, GappedHit, Hsp};
-use psc_index::{FlatBank, SeedIndex};
+use psc_align::{
+    cull_hsps, gapped_extend, ExtendScratch, GapConfig, GappedHit, Hsp, MAX_BLOCKS, WIDE_LANES,
+};
+use psc_index::{FlatBank, KeyCounts, SeedIndex};
 use psc_rasc::{BoardReport, BoardSegment, Entry, FleetReport, RascFleet};
 use psc_score::karlin::search_params;
 use psc_score::{KarlinParams, SubstitutionMatrix};
@@ -181,20 +184,47 @@ impl Pipeline {
         } else {
             keys::STEP1_INDEX_BANK1
         };
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "wall-clock step profile is the audited exception"
-        )]
-        let t0 = Instant::now();
-        let idx = {
+        let (idx, prep_seconds) = timed(|| {
             let _g = SpanGuard::enter(rec, key);
             SeedIndex::build(&views.seeding, model.as_ref(), threads, keep)
-        };
+        });
         PreparedBank {
             views,
             idx,
-            prep_seconds: t0.elapsed().as_secs_f64(),
+            prep_seconds,
         }
+    }
+
+    /// Steps 2 and 3 against bank 1's `views` keyed by `prep0`'s T0 —
+    /// the one-shot query. The board builds one T1 over the whole bank.
+    /// The software backends count its sequences once and then index
+    /// and extend them a chunk at a time ([`chunk_groups`] with `group`
+    /// kept positions per active key), so only a chunk's T1 is ever
+    /// held. Output is that of [`Pipeline::try_run_prepared_traced`]
+    /// over the whole T1.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn try_run_keyed_traced(
+        &self,
+        prep0: &PreparedBank,
+        views1: &BankViews,
+        group: usize,
+        matrix: &SubstitutionMatrix,
+        stats: KarlinParams,
+        rec: &dyn Recorder,
+        tracer: &dyn Tracer,
+    ) -> Result<PipelineOutput, PipelineError> {
+        let keep = Some(prep0.index());
+        if let Step2Backend::Rasc { .. } = self.config.backend {
+            let prep1 = self.index_bank(1, views1.clone(), keep, rec);
+            return self.try_run_prepared_traced(prep0, &prep1, matrix, stats, rec, tracer);
+        }
+        let (model, flat1) = (self.config.seed.model(), &*views1.seeding);
+        let seqs = (0..flat1.seq_count()).map(|s| (s, s + 1)).collect();
+        let threads = self.config.index_threads;
+        let (counts, secs) = timed(|| KeyCounts::count(flat1, model.as_ref(), seqs, threads, keep));
+        let chunks = chunk_groups(&counts, prep0.index(), group);
+        let t1 = T1::Chunks(&counts, &chunks);
+        self.run_steps(prep0, views1, &t1, secs, matrix, stats, rec, tracer)
     }
 
     /// Steps 2 and 3 over banks prepared by [`Pipeline::prepare_bank`]
@@ -215,31 +245,47 @@ impl Pipeline {
         rec: &dyn Recorder,
         tracer: &dyn Tracer,
     ) -> Result<PipelineOutput, PipelineError> {
+        let (t1, step1) = (T1::Whole(&prep1.idx), prep1.prep_seconds);
+        self.run_steps(prep0, &prep1.views, &t1, step1, matrix, stats, rec, tracer)
+    }
+
+    /// Steps 2 and 3 over bank 1's views and its T1, whose step 1 took
+    /// `step1_bank1` seconds before this call.
+    #[allow(clippy::too_many_arguments)]
+    fn run_steps(
+        &self,
+        prep0: &PreparedBank,
+        views1: &BankViews,
+        t1: &T1<'_>,
+        step1_bank1: f64,
+        matrix: &SubstitutionMatrix,
+        stats: KarlinParams,
+        rec: &dyn Recorder,
+        tracer: &dyn Tracer,
+    ) -> Result<PipelineOutput, PipelineError> {
         let cfg = &self.config;
         let span = cfg.seed.model().span();
         let (flat0, idx0) = (prep0.flat(), &prep0.idx);
-        let (flat1, idx1) = (prep1.flat(), &prep1.idx);
-        let (bank0, bank1) = (prep0.original(), prep1.original());
-        let step1 = prep0.prep_seconds + prep1.prep_seconds;
+        let (flat1, bank0, bank1) = (&*views1.seeding, prep0.original(), &*views1.original);
         rec.add(
             keys::STEP1_POSITIONS_INDEXED_BANK0,
             idx0.seeded_positions() as u64,
         );
-        rec.add(
-            keys::STEP1_POSITIONS_INDEXED_BANK1,
-            idx1.seeded_positions() as u64,
-        );
-        rec.add(
-            keys::STEP1_POSITIONS_HELD_BANK1,
-            idx1.total_positions() as u64,
-        );
+        let (seeded1, held1) = match t1 {
+            T1::Whole(idx1) => (idx1.seeded_positions(), idx1.total_positions()),
+            T1::Chunks(counts, _) => (counts.seeded(), counts.held(0..counts.parts())),
+        };
+        rec.add(keys::STEP1_POSITIONS_INDEXED_BANK1, seeded1 as u64);
+        rec.add(keys::STEP1_POSITIONS_HELD_BANK1, held1 as u64);
+        // Step 2 walks each key once a chunk.
+        rec.add(keys::STEP1_CHUNKS_BANK1, t1.walked(0).len() as u64);
 
         // ---- Step 2: ungapped extension ----------------------------
         #[expect(
             clippy::disallowed_methods,
             reason = "wall-clock step profile is the audited exception"
         )]
-        let t1 = Instant::now();
+        let t1_clock = Instant::now();
         let params = Step2Params {
             matrix,
             kernel: cfg.kernel,
@@ -253,10 +299,11 @@ impl Pipeline {
         // Virtual-clock traces model step 2 as its deterministic work
         // items, independent of backend, schedule and thread count.
         if tracer.enabled() && tracer.clock() == TraceClock::Virtual {
-            commit_virtual_step2(tracer, idx0, idx1);
+            commit_virtual_step2(tracer, step2::key_masses(idx0, |k| t1.list_len(k)));
         }
-        let (mut s2stats, simulated) =
-            run_step2(cfg, &params, flat0, idx0, flat1, idx1, &mut dedup, tracer)?;
+        let (mut s2stats, simulated, scatter) = run_step2(
+            cfg, &params, flat0, idx0, flat1, t1, &mut dedup, tracer, &t1_clock,
+        )?;
         let (board, fleet) = simulated.unzip();
         if let (Some(b), Some(f), true) = (&board, &fleet, tracer.enabled()) {
             commit_board_timeline(tracer, b, f);
@@ -264,7 +311,12 @@ impl Pipeline {
         // Every backend pushes the same candidate multiset; the pushed
         // count is the one `candidates` counter.
         s2stats.candidates = dedup.pushed();
-        let step2_wall = t1.elapsed().as_secs_f64();
+        // A chunk's scatter is step 1's, whichever step's loop ran it.
+        let step2_wall = t1_clock.elapsed().as_secs_f64() - scatter;
+        let step1 = prep0.prep_seconds + step1_bank1 + scatter;
+        if let T1::Chunks(..) = t1 {
+            rec.record_span(keys::STEP1_INDEX_BANK1, step1_bank1 + scatter);
+        }
         let step2_accelerated = board.as_ref().map(|r| r.accelerated_seconds);
         // Which software kernel scored step 2 (the pure-board backend
         // never touches the software kernels), plus why `resolve` had to
@@ -334,28 +386,31 @@ impl Pipeline {
             let mut gather_bytes = 0u64;
             let (mut slots_useful, mut slots_total) = (0u64, 0u64);
             for key in 0..idx0.key_count() as u32 {
-                let (n0, n1) = (idx0.list(key).len(), idx1.list(key).len());
+                let (n0, n1) = (idx0.list(key).len(), t1.list_len(key));
                 if n0 == 0 || n1 == 0 {
                     continue;
                 }
-                let mass = n0 as u64 * n1 as u64;
-                rec.observe(keys::STEP2_PAIRS_PER_KEY, mass);
+                rec.observe(keys::STEP2_PAIRS_PER_KEY, n0 as u64 * n1 as u64);
                 gather_bytes += (n0 + n1) as u64 * params.window_len() as u64;
                 let Some(kb) = step2_kernel else { continue };
-                lane_tiles +=
-                    step2::rectangle_tile_count(n0, n1, params.window_len(), kb, params.schedule);
-                let (useful, total) = step2::rectangle_lane_slots(n0, n1, kb, params.schedule);
-                if kb.lane_width() > 1 && total > 0 {
-                    // Percent of vector slots doing useful work for this
-                    // key, and the same accounting split by log2 pair-mass
-                    // bucket — the heavy-tail keys the bucketed schedule
-                    // exists to balance are the high buckets.
-                    rec.observe(keys::STEP2_LANE_FILL, useful * 100 / total);
-                    slots_useful += useful;
-                    slots_total += total;
-                    let b = step2::bucket_of_mass(mass);
-                    rec.add(&keys::step2_lane_slots_useful_bucket(b), useful);
-                    rec.add(&keys::step2_lane_slots_total_bucket(b), total);
+                // The rectangles step 2 walked: one a chunk.
+                for n1 in t1.walked(key).into_iter().filter(|&n1| n1 > 0) {
+                    let (mass, l) = (n0 as u64 * n1 as u64, params.window_len());
+                    lane_tiles += step2::rectangle_tile_count(n0, n1, l, kb, params.schedule);
+                    let (useful, total) = step2::rectangle_lane_slots(n0, n1, kb, params.schedule);
+                    if kb.lane_width() > 1 && total > 0 {
+                        // Percent of vector slots doing useful work for
+                        // this rectangle, and the same accounting split
+                        // by log2 pair-mass bucket — the heavy-tail keys
+                        // the bucketed schedule exists to balance are the
+                        // high buckets.
+                        rec.observe(keys::STEP2_LANE_FILL, useful * 100 / total);
+                        slots_useful += useful;
+                        slots_total += total;
+                        let b = step2::bucket_of_mass(mass);
+                        rec.add(&keys::step2_lane_slots_useful_bucket(b), useful);
+                        rec.add(&keys::step2_lane_slots_total_bucket(b), total);
+                    }
                 }
             }
             rec.add(keys::STEP2_GATHER_BYTES, gather_bytes);
@@ -522,7 +577,7 @@ impl Pipeline {
         Ok(PipelineOutput {
             stats: PipelineStats {
                 indexed0: idx0.seeded_positions(),
-                indexed1: idx1.seeded_positions(),
+                indexed1: seeded1,
                 step2: s2stats,
                 anchors: anchors.len() as u64,
                 reported: hsps.len(),
@@ -623,6 +678,78 @@ impl PreparedBank {
     pub fn prep_seconds(&self) -> f64 {
         self.prep_seconds
     }
+}
+
+/// Kept positions a chunk of bank 1 holds per active key, at least:
+/// one classify group of the widest lane path, [`MAX_BLOCKS`] blocks of
+/// [`WIDE_LANES`] lanes. Thinner chunks leave lanes empty.
+pub(crate) const CHUNK_GROUP: usize = MAX_BLOCKS * WIDE_LANES;
+
+/// Bank 1's T1 as step 2 reads it.
+pub(crate) enum T1<'a> {
+    /// One index over the whole bank: built by step 1, or loaded.
+    Whole(&'a SeedIndex),
+    /// The bank's count pass, and the runs of its sequences step 2
+    /// scatters and extends one at a time.
+    Chunks(&'a KeyCounts<'a>, &'a [Range<usize>]),
+}
+
+impl T1<'_> {
+    /// `|IL1_key|` over the whole bank.
+    fn list_len(&self, key: u32) -> usize {
+        match self {
+            T1::Whole(idx) => idx.list(key).len(),
+            T1::Chunks(counts, _) => counts.list_len(0..counts.parts(), key),
+        }
+    }
+
+    /// `|IL1_key|` in each chunk step 2 walks.
+    fn walked(&self, key: u32) -> Vec<usize> {
+        match self {
+            T1::Whole(idx) => vec![idx.list(key).len()],
+            T1::Chunks(n, chunks) => chunks.iter().map(|c| n.list_len(c.clone(), key)).collect(),
+        }
+    }
+}
+
+/// Bank 1's sequences in chunks for [`T1::Chunks`]: consecutive
+/// sequences merged until a chunk holds `group` kept positions per
+/// active key (a key with a T0 list and a kept position). At `group` 0
+/// each sequence is a chunk; at `usize::MAX` the bank is one.
+pub(crate) fn chunk_groups(
+    counts: &KeyCounts<'_>,
+    idx0: &SeedIndex,
+    group: usize,
+) -> Vec<Range<usize>> {
+    let active = active_keys(idx0, |k| counts.list_len(0..counts.parts(), k));
+    let per_chunk = group.saturating_mul(active);
+    let mut chunks: Vec<Range<usize>> = Vec::new();
+    for part in 0..counts.parts() {
+        match chunks.last_mut() {
+            Some(last) if counts.held(last.clone()) < per_chunk => last.end += 1,
+            _ => chunks.push(part..part + 1),
+        }
+    }
+    chunks
+}
+
+/// Keys with an `idx0` list and `len1(key)` positions on the other side:
+/// those step 2 reads.
+fn active_keys(idx0: &SeedIndex, len1: impl Fn(u32) -> usize) -> usize {
+    let keys = 0..idx0.key_count() as u32;
+    keys.filter(|&k| !idx0.list(k).is_empty() && len1(k) > 0)
+        .count()
+}
+
+/// `f`'s result and the wall seconds it took.
+fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock step profile is the audited exception"
+    )]
+    let t0 = Instant::now();
+    let r = f();
+    (r, t0.elapsed().as_secs_f64())
 }
 
 /// An anchor for gapped extension, in sequence-local coordinates.
@@ -901,8 +1028,8 @@ fn commit_step2_timings(tracer: &dyn Tracer, base: f64, times: &[ItemTiming]) {
 /// Deterministic step-2 work model for virtual-clock traces: one
 /// scheduled unit per bucketed work item, weighted by pair mass —
 /// independent of backend, schedule and thread count.
-fn commit_virtual_step2(tracer: &dyn Tracer, idx0: &SeedIndex, idx1: &SeedIndex) {
-    let items = step2::bucketed_items(idx0, idx1);
+fn commit_virtual_step2(tracer: &dyn Tracer, masses: impl ExactSizeIterator<Item = u64>) {
+    let items = step2::bucketed_items(masses);
     for (i, item) in items.iter().enumerate() {
         tracer.commit(UnitTrace {
             stage: keys::STAGE_STEP2.to_string(),
@@ -1048,15 +1175,17 @@ fn commit_board_timeline(tracer: &dyn Tracer, report: &BoardReport, fleet: &Flee
 
 /// What [`run_step2`] hands back besides the candidates it pushed into
 /// the dedup: counters (`candidates` left for the caller to fill from
-/// [`AnchorDedup::pushed`]) and, on the simulated boards, their reports.
-type Step2Output = (Step2Stats, Option<(BoardReport, FleetReport)>);
+/// [`AnchorDedup::pushed`]), on the simulated boards their reports, and
+/// step 1's share of its wall: chunk scatters.
+type Step2Output = (Step2Stats, Option<(BoardReport, FleetReport)>, f64);
 
 /// Step 2 on the configured backend, feeding `dedup` directly: the
 /// boards push each entry's candidates from the draining thread as the
-/// entry completes, the software kernels push after the worker join.
-/// The dedup is push-order-invariant, so the anchors — and everything
-/// downstream — are bit-identical across backends, thread counts and
-/// fault plans.
+/// entry completes, the software kernels push after the worker join,
+/// chunk after chunk of a chunked T1. The dedup is push-order
+/// invariant, so the anchors — and everything downstream — are
+/// bit-identical across backends, thread counts, chunkings and fault
+/// plans. `clock` started with step 2.
 #[allow(clippy::too_many_arguments)]
 fn run_step2(
     cfg: &PipelineConfig,
@@ -1064,41 +1193,22 @@ fn run_step2(
     flat0: &FlatBank,
     idx0: &SeedIndex,
     flat1: &FlatBank,
-    idx1: &SeedIndex,
+    t1: &T1<'_>,
     dedup: &mut AnchorDedup<'_>,
     tracer: &dyn Tracer,
+    clock: &Instant,
 ) -> Result<Step2Output, PipelineError> {
-    let trace_wall = tracer.enabled() && tracer.clock() == TraceClock::Wall;
-    // Software kernels on `threads` workers, timed when a wall-clock
-    // tracer is attached (timing changes no output).
-    let software = |dedup: &mut AnchorDedup<'_>, threads: usize| {
-        let (candidates, stats) = if trace_wall {
-            let base = tracer.epoch_seconds();
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "flight-recorder stage epoch, never results"
-            )]
-            let epoch = Instant::now();
-            let (c, s, times) =
-                step2::run_software_timed(flat0, idx0, flat1, idx1, params, threads, &epoch);
-            commit_step2_timings(tracer, base, &times);
-            (c, s)
-        } else {
-            step2::run_software(flat0, idx0, flat1, idx1, params, threads)
-        };
-        for c in &candidates {
-            dedup.push(c);
-        }
-        stats
-    };
-    Ok(match &cfg.backend {
-        Step2Backend::SoftwareScalar => (software(dedup, 1), None),
-        Step2Backend::SoftwareParallel { threads } => (software(dedup, *threads), None),
+    let threads = match &cfg.backend {
+        Step2Backend::SoftwareScalar => 1,
+        Step2Backend::SoftwareParallel { threads } => (*threads).max(1),
         Step2Backend::Rasc {
             pe_count,
             fpga_count,
             host_threads,
         } => {
+            let T1::Whole(idx1) = t1 else {
+                unreachable!("the board reads a whole T1")
+            };
             let mut board_cfg = cfg.board_config(*pe_count, *fpga_count);
             board_cfg.record_timeline = tracer.enabled();
             let fleet = RascFleet::new(board_cfg, cfg.fleet, params.matrix)
@@ -1113,9 +1223,99 @@ fn run_step2(
                 &fleet,
                 *host_threads,
             )?;
-            (stats, Some(reports))
+            return Ok((stats, Some(reports), 0.0));
         }
-    })
+    };
+    // Units are timed, and their timings become trace spans, only under
+    // a wall-clock tracer.
+    let trace_wall = tracer.enabled() && tracer.clock() == TraceClock::Wall;
+    let banks = (flat0, idx0, flat1);
+    let runs = run_chunks(cfg, params, banks, t1, threads, (clock, trace_wall));
+    let base = tracer.epoch_seconds() - clock.elapsed().as_secs_f64();
+    let (mut stats, mut scatter, mut units) = (Step2Stats::default(), 0.0, 0);
+    for ((candidates, st, mut times), seconds) in runs {
+        candidates.iter().for_each(|c| dedup.push(c));
+        stats.pairs += st.pairs;
+        stats.active_keys += st.active_keys;
+        scatter += seconds;
+        times.iter_mut().for_each(|t| t.item += units);
+        units += times.len();
+        commit_step2_timings(tracer, base, &times);
+    }
+    if let T1::Chunks(..) = t1 {
+        // A key active in several chunks is one active key.
+        stats.active_keys = active_keys(idx0, |k| t1.list_len(k)) as u64;
+    }
+    Ok((stats, None, scatter))
+}
+
+/// One software step-2 run — candidates, stats and unit timings — and
+/// the seconds of step 1 it took (a chunk's scatter).
+type Step2Run = ((Vec<Candidate>, Step2Stats, Vec<ItemTiming>), f64);
+
+/// Software step 2 over `t1`, one run a chunk (a whole T1 is one
+/// chunk); scatters are timed on `clock`, step 2's, and so are its units
+/// when `timed`. Each chunk's T1 is scattered, extended and dropped
+/// before its worker takes the next. With at least as many chunks as
+/// `threads`, that many workers pull whole chunks, largest first, each
+/// scattering and extending on its own thread into one reused index,
+/// and a scatter's seconds are divided among them; with fewer, the
+/// chunks take turns at the configured parallelism.
+fn run_chunks(
+    cfg: &PipelineConfig,
+    params: &Step2Params<'_>,
+    (flat0, idx0, flat1): (&FlatBank, &SeedIndex, &FlatBank),
+    t1: &T1<'_>,
+    threads: usize,
+    (clock, timed): (&Instant, bool),
+) -> Vec<Step2Run> {
+    let whole = 0..1;
+    let chunks: Vec<&Range<usize>> = match t1 {
+        T1::Whole(_) => vec![&whole],
+        T1::Chunks(counts, chunks) => {
+            // Largest first: a worker's index never grows past its first.
+            let mut by_size: Vec<_> = chunks.iter().collect();
+            by_size.sort_by_key(|c| std::cmp::Reverse(counts.held((*c).clone())));
+            by_size
+        }
+    };
+    let (workers, inner) = match chunks.len() >= threads {
+        true => (threads, 1),
+        false => (1, threads),
+    };
+    let index_threads = if workers > 1 { 1 } else { cfg.index_threads };
+    let (next, epoch) = (AtomicUsize::new(0), timed.then_some(clock));
+    let work = |worker: u32| {
+        let (mut own, mut runs) = (SeedIndex::default(), Vec::new());
+        while let Some(&chunk) = chunks.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let (idx1, scatter) = match t1 {
+                T1::Whole(idx1) => (*idx1, 0.0),
+                T1::Chunks(counts, _) => {
+                    let start = clock.elapsed();
+                    counts.scatter(chunk.clone(), index_threads, &mut own);
+                    let seconds = (clock.elapsed() - start).as_secs_f64();
+                    (&own, seconds / workers as f64)
+                }
+            };
+            let mut run = step2::run_software_timed(flat0, idx0, flat1, idx1, params, inner, epoch);
+            run.2.iter_mut().for_each(|t| t.worker += worker);
+            runs.push((run, scatter));
+        }
+        runs
+    };
+    match workers {
+        1 => work(0),
+        _ => std::thread::scope(|s| {
+            let work = &work;
+            let handles: Vec<_> = (0..workers as u32)
+                .map(|w| s.spawn(move || work(w)))
+                .collect();
+            let joined = handles.into_iter().map(|h| h.join());
+            joined
+                .flat_map(|r| r.expect("step-2 chunk worker panicked"))
+                .collect()
+        }),
+    }
 }
 
 /// Step 2 on simulated hardware: gather one [`Entry`] per active key

@@ -327,20 +327,29 @@ impl WorkItem {
 /// much, so the atomic pull is never contended by near-empty grabs.
 const ITEM_MASS: u64 = 4096;
 
+/// Each key's pair mass `|IL0_k| · |IL1_k|`, in key order, with
+/// `len1(k)` for `|IL1_k|`.
+pub fn key_masses<'a>(
+    idx0: &'a SeedIndex,
+    len1: impl Fn(u32) -> usize + 'a,
+) -> impl ExactSizeIterator<Item = u64> + 'a {
+    let keys = 0..idx0.key_count() as u32;
+    keys.map(move |k| idx0.list(k).len() as u64 * len1(k) as u64)
+}
+
 /// Partition the key space into bucketed-scheduler work items, in key
-/// order.
+/// order, from each key's pair mass ([`key_masses`]).
 ///
 /// Every key lands in exactly one item (the scheduler property tests
 /// pin the partition): keys of mass >= `ITEM_MASS` get a
 /// dedicated item, and runs of lighter keys (including empty ones)
 /// coalesce into shared items of roughly `ITEM_MASS` pairs.
-pub fn bucketed_items(idx0: &SeedIndex, idx1: &SeedIndex) -> Vec<WorkItem> {
-    let key_count = idx0.key_count() as u32;
+pub fn bucketed_items(masses: impl ExactSizeIterator<Item = u64>) -> Vec<WorkItem> {
+    let key_count = masses.len() as u32;
     let mut items = Vec::new();
     let mut run_start = 0u32;
     let mut run_mass = 0u64;
-    for k in 0..key_count {
-        let mass = idx0.list(k).len() as u64 * idx1.list(k).len() as u64;
+    for (k, mass) in (0..key_count).zip(masses) {
         if mass >= ITEM_MASS {
             if k > run_start {
                 items.push(WorkItem::new(run_start..k, run_mass));
@@ -668,10 +677,10 @@ pub fn run_software(
     (out, stats)
 }
 
-/// [`run_software`] that also returns per-unit wall timings for
-/// the flight recorder. Candidates and stats are byte-identical to the
-/// untimed driver; the only extra work is two `epoch.elapsed()` reads
-/// per unit, outside the kernels.
+/// [`run_software`] that also returns, with `epoch`, per-unit wall
+/// timings for the flight recorder (none without). Candidates and stats
+/// are byte-identical to the untimed driver; the only extra work is two
+/// `epoch.elapsed()` reads per unit, outside the kernels.
 pub fn run_software_timed(
     flat0: &FlatBank,
     idx0: &SeedIndex,
@@ -679,9 +688,9 @@ pub fn run_software_timed(
     idx1: &SeedIndex,
     params: &Step2Params<'_>,
     threads: usize,
-    epoch: &std::time::Instant,
+    epoch: Option<&std::time::Instant>,
 ) -> (Vec<Candidate>, Step2Stats, Vec<ItemTiming>) {
-    run_units(flat0, idx0, flat1, idx1, params, threads, Some(epoch))
+    run_units(flat0, idx0, flat1, idx1, params, threads, epoch)
 }
 
 /// The one step-2 worker loop. The key space is cut into *units* — the
@@ -723,7 +732,7 @@ fn run_units(
                 (chunks, order)
             }
             Step2Schedule::Bucketed => {
-                let items = bucketed_items(idx0, idx1);
+                let items = bucketed_items(key_masses(idx0, |k| idx1.list(k).len()));
                 let order = lpt_order(&items);
                 (items.into_iter().map(|item| item.keys).collect(), order)
             }
@@ -816,9 +825,7 @@ fn balanced_chunks(
     threads: usize,
 ) -> Vec<std::ops::Range<u32>> {
     let key_count = idx0.key_count() as u32;
-    let masses: Vec<u64> = (0..key_count)
-        .map(|k| idx0.list(k).len() as u64 * idx1.list(k).len() as u64)
-        .collect();
+    let masses: Vec<u64> = key_masses(idx0, |k| idx1.list(k).len()).collect();
     let total_pairs: u64 = masses.iter().sum();
     let per = (total_pairs / threads as u64).max(1);
     let mut cuts = vec![0u32];
@@ -983,14 +990,17 @@ mod tests {
                 ..params(m, 18)
             };
             for threads in [1, 2, 8] {
-                let (c, st, times) = run_software_timed(&f0, &i0, &f1, &i1, &p, threads, &epoch);
+                let (c, st, times) =
+                    run_software_timed(&f0, &i0, &f1, &i1, &p, threads, Some(&epoch));
                 let tag = format!("{schedule:?} threads={threads}");
                 assert_eq!(seq_c, c, "{tag}");
                 assert_eq!(seq_s, st, "{tag}");
                 let units = match (threads, schedule) {
                     (1, _) => 1,
                     (_, Step2Schedule::Contiguous) => balanced_chunks(&i0, &i1, threads).len(),
-                    (_, Step2Schedule::Bucketed) => bucketed_items(&i0, &i1).len(),
+                    (_, Step2Schedule::Bucketed) => {
+                        bucketed_items(key_masses(&i0, |k| i1.list(k).len())).len()
+                    }
                 };
                 let items: Vec<usize> = times.iter().map(|t| t.item).collect();
                 assert_eq!(items, (0..units).collect::<Vec<_>>(), "{tag}");
@@ -1172,7 +1182,7 @@ mod tests {
         let flat = FlatBank::from_bank(&bank);
         let idx = SeedIndex::build(&flat, &subset_seed_default(), 1, None);
         let keys = 0..idx.key_count() as u32;
-        let items = bucketed_items(&idx, &idx);
+        let items = bucketed_items(key_masses(&idx, |k| idx.list(k).len()));
 
         // Item key ranges are non-empty, contiguous and in order: their
         // concatenation is exactly the input key range (a permutation of

@@ -12,7 +12,7 @@
 //!   Peterlongo et al. \[11\] over reduced amino-acid alphabets (the
 //!   paper uses one subset seed of span 4);
 //! * [`table`]: the CSR-layout index table with a parallel two-pass
-//!   builder;
+//!   builder, whose scatter can index a bank a few sequences at a time;
 //! * [`bundle`]: the one on-disk artifact — frames, tables and scoring
 //!   behind the checksummed frame of [`serial`];
 //! * [`neighborhood`]: BLAST-style neighbourhood word generation (used by
@@ -36,4 +36,4 @@ pub use bundle::{deserialize_bundle, serialize_bundle, BundleT0, IndexBundle};
 pub use flat::FlatBank;
 pub use seed::{subset_seed_default, subset_seed_span3, ExactSeed, SeedModel, SubsetSeed};
 pub use serial::{fletcher64, SerialError};
-pub use table::SeedIndex;
+pub use table::{KeyCounts, SeedIndex};

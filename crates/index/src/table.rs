@@ -2,20 +2,23 @@
 //!
 //! Layout is CSR: one flat `positions` array grouped by key, sliced by a
 //! `key_count + 1` offset table. Construction is the classic two-pass
-//! counting sort — count keys, prefix-sum, scatter — parallelised over
-//! contiguous ranges of sequences with per-thread histograms, so each
-//! `(thread, key)` pair owns a disjoint output range and pass 2 writes
-//! without synchronisation. Both passes key windows through one body
-//! ([`Walk`]) over the model as a table ([`key_rows`]): no call per
-//! window.
+//! counting sort — count keys, prefix-sum, scatter — over *parts*,
+//! contiguous ranges of sequences each with its own histogram
+//! ([`KeyCounts`]), so each `(part, key)` pair owns a disjoint output
+//! range and parts scatter in parallel without synchronisation. A build
+//! takes one part a thread; a scatter over some parts alone indexes
+//! those sequences, so a bank can be indexed a piece at a time against
+//! one count pass. Both passes key windows through one body ([`Walk`])
+//! over the model as a table ([`key_rows`]): no call per window.
 //!
 //! A build may keep only the keys a query's T0 holds (step 2 reads
 //! `IL1_k` only where `IL0_k` is non-empty). Every window is still
 //! counted. The 512-bit body passes on only kept keys; under the
-//! portable one a dropped key's cursor sits on its chunk's sink slot,
+//! portable one a dropped key's cursor sits on its part's sink slot,
 //! past the kept positions, and advances by 0: the scatter stays
 //! branchless.
 
+use std::ops::Range;
 use std::{slice, thread};
 
 use crate::flat::FlatBank;
@@ -35,7 +38,7 @@ pub struct IndexStats {
 }
 
 /// A seed index over one flattened bank.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SeedIndex {
     key_count: usize,
     offsets: Vec<u32>,
@@ -58,7 +61,9 @@ impl SeedIndex {
         SeedIndex::build_with(flat, model, threads, keep, Walk::host())
     }
 
-    /// [`SeedIndex::build`] through the keying body `walk`.
+    /// [`SeedIndex::build`] through the keying body `walk`: both passes
+    /// of [`KeyCounts`] over sequence ranges of roughly equal residue
+    /// mass, one a thread.
     pub(crate) fn build_with(
         flat: &FlatBank,
         model: &dyn SeedModel,
@@ -66,126 +71,11 @@ impl SeedIndex {
         keep: Option<&SeedIndex>,
         walk: Walk,
     ) -> SeedIndex {
-        let threads = threads.max(1);
-        let key_count = model.key_count();
-        let rows = &key_rows(model);
-        // 1 where a key is kept, and 3 bytes of padding: the 512-bit
-        // body reads a key's entry as the low byte of a dword.
-        let mut kept: Vec<u8> = match keep {
-            Some(t0) => (t0.offsets.windows(2))
-                .map(|w| u8::from(w[0] < w[1]))
-                .collect(),
-            None => vec![1; key_count],
-        };
-        assert_eq!(kept.len(), key_count, "incompatible seed models");
-        kept.extend([0; 3]);
-        let kept = &kept[..];
-        let count = |chunk| {
-            let mut hist = vec![0u32; key_count];
-            let seeded = walk.keys(flat, rows, kept, chunk, |_, key| hist[key as usize] += 1);
-            (hist, seeded)
-        };
-        let scatter = |chunk, cursor: &mut [u32], out: &mut [u32]| {
-            walk.keys(flat, rows, kept, chunk, |pos, key| {
-                let c = &mut cursor[key as usize];
-                out[*c as usize] = pos;
-                *c += kept[key as usize] as u32;
-            });
-        };
-
-        // Partition sequences into contiguous chunks of roughly equal
-        // residue mass.
-        let chunks = sequence_chunks(flat, threads);
-        let nchunks = chunks.len();
-
-        // Pass 1: per-chunk histograms, and the windows that seeded.
-        let mut histograms: Vec<Vec<u32>> = Vec::with_capacity(nchunks);
-        let mut seeded = 0;
-        let mut add = |(hist, n)| {
-            histograms.push(hist);
-            seeded += n;
-        };
-        if nchunks == 1 {
-            add(count(chunks[0]));
-        } else {
-            thread::scope(|s| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|&range| s.spawn(move || count(range)))
-                    .collect();
-                for h in handles {
-                    add(h.join().expect("index counter panicked"));
-                }
-            });
-        }
-
-        // Global offsets: prefix sum over kept keys of summed chunk
-        // counts, and per-(chunk, key) write cursors.
-        let mut offsets = vec![0u32; key_count + 1];
-        for hist in &histograms {
-            for (k, &c) in hist.iter().enumerate() {
-                offsets[k + 1] += c;
-            }
-        }
-        for k in 0..key_count {
-            offsets[k + 1] = offsets[k] + offsets[k + 1] * kept[k] as u32;
-        }
-        let total = offsets[key_count] as usize;
-
-        // cursors[chunk][key] = where that chunk starts writing key's
-        // positions. Chunks are in ascending sequence order, so each
-        // key's list comes out sorted by global position. A dropped key
-        // writes to its chunk's sink, slot `total + SINK_PITCH * chunk`:
-        // every dropped window is a store there, and sinks a cache line
-        // apart keep concurrent chunks from contending for one line.
-        let mut cursors: Vec<Vec<u32>> = Vec::with_capacity(nchunks);
-        {
-            let mut running = offsets[..key_count].to_vec();
-            let sinks = (total as u32..).step_by(SINK_PITCH);
-            for (sink, hist) in sinks.zip(&histograms) {
-                let at = running.iter().zip(kept);
-                cursors.push(
-                    at.map(|(&at, &kept)| if kept != 0 { at } else { sink })
-                        .collect(),
-                );
-                for (k, &c) in hist.iter().enumerate() {
-                    running[k] += c * kept[k] as u32;
-                }
-            }
-        }
-
-        // Pass 2: scatter. Each (chunk, key) range and each chunk's sink
-        // is disjoint by construction, so chunks write concurrently
-        // through a shared pointer.
-        let len = total + SINK_PITCH * nchunks;
-        let mut positions = vec![0u32; len];
-        if nchunks == 1 {
-            scatter(chunks[0], &mut cursors[0], &mut positions);
-        } else {
-            let writer = DisjointWriter(positions.as_mut_ptr());
-            thread::scope(|s| {
-                for (&range, cursor) in chunks.iter().zip(cursors.iter_mut()) {
-                    s.spawn(move || {
-                        // Capture the wrapper, not its raw-pointer field
-                        // (edition-2021 closures capture fields).
-                        let writer: DisjointWriter = writer;
-                        // SAFETY: every write lands inside this chunk's
-                        // cursor ranges or on its own sink slot, disjoint
-                        // from all other chunks'.
-                        let out = unsafe { slice::from_raw_parts_mut(writer.0, len) };
-                        scatter(range, cursor, out);
-                    });
-                }
-            });
-        }
-        positions.truncate(total);
-
-        SeedIndex {
-            key_count,
-            offsets,
-            positions,
-            seeded,
-        }
+        let parts = sequence_chunks(flat, threads.max(1));
+        let counts = KeyCounts::count_with(flat, model, parts, threads, keep, walk);
+        let mut idx = SeedIndex::default();
+        counts.scatter(0..counts.parts(), threads, &mut idx);
+        idx
     }
 
     /// Number of possible keys.
@@ -281,6 +171,201 @@ impl SeedIndex {
             })
             .sum()
     }
+}
+
+/// Pass 1 of a build: the kept-key histogram of each *part* of a bank —
+/// a run of consecutive sequences — and the windows of each that
+/// seeded. [`KeyCounts::scatter`] is pass 2 over any run of parts: the
+/// index of those sequences alone, so a bank can be indexed a few parts
+/// at a time against one count pass.
+#[derive(Debug)]
+pub struct KeyCounts<'a> {
+    flat: &'a FlatBank,
+    rows: Vec<KeyRow>,
+    /// 1 where a key is kept, and 3 bytes of padding: the 512-bit body
+    /// reads a key's entry as the low byte of a dword.
+    kept: Vec<u8>,
+    walk: Walk,
+    /// `(first_seq, last_seq_exclusive)` of each part, in bank order.
+    parts: Vec<(usize, usize)>,
+    /// Each part's positions per key; 0 for a dropped key.
+    hists: Vec<Vec<u32>>,
+    /// Each part's windows that seeded, kept or not.
+    seeded: Vec<usize>,
+}
+
+impl<'a> KeyCounts<'a> {
+    /// Count the windows of each of `parts` of `flat` under `model` on
+    /// `threads` threads, keeping the keys `keep` holds, or all keys.
+    /// Each part starts where the one before it ends.
+    pub fn count(
+        flat: &'a FlatBank,
+        model: &dyn SeedModel,
+        parts: Vec<(usize, usize)>,
+        threads: usize,
+        keep: Option<&SeedIndex>,
+    ) -> KeyCounts<'a> {
+        KeyCounts::count_with(flat, model, parts, threads, keep, Walk::host())
+    }
+
+    /// [`KeyCounts::count`] through the keying body `walk`.
+    fn count_with(
+        flat: &'a FlatBank,
+        model: &dyn SeedModel,
+        parts: Vec<(usize, usize)>,
+        threads: usize,
+        keep: Option<&SeedIndex>,
+        walk: Walk,
+    ) -> KeyCounts<'a> {
+        let key_count = model.key_count();
+        let mut kept: Vec<u8> = match keep {
+            Some(t0) => (t0.offsets.windows(2))
+                .map(|w| u8::from(w[0] < w[1]))
+                .collect(),
+            None => vec![1; key_count],
+        };
+        assert_eq!(kept.len(), key_count, "incompatible seed models");
+        // A scatter walks a run of parts as one run of sequences: a gap
+        // would write windows no cursor range was counted for.
+        let tiled = parts.windows(2).all(|w| w[0].1 == w[1].0);
+        assert!(tiled, "parts must be consecutive");
+        kept.extend([0; 3]);
+        let rows = key_rows(model);
+        let (r, k) = (&rows[..], &kept[..]);
+        let counted = batched(&mut parts.clone(), threads, |&mut part| {
+            let mut hist = vec![0u32; key_count];
+            let seeded = walk.keys(flat, r, k, part, |_, key| hist[key as usize] += 1);
+            // The portable body counts dropped keys too.
+            for (h, &kept) in hist.iter_mut().zip(k) {
+                *h *= u32::from(kept);
+            }
+            (hist, seeded)
+        });
+        let (hists, seeded) = counted.into_iter().unzip();
+        KeyCounts {
+            flat,
+            rows,
+            kept,
+            walk,
+            parts,
+            hists,
+            seeded,
+        }
+    }
+
+    /// Number of parts.
+    pub fn parts(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// Positions of `key` the parts `parts` hold.
+    pub fn list_len(&self, parts: Range<usize>, key: u32) -> usize {
+        let hists = self.hists[parts].iter();
+        hists.map(|hist| hist[key as usize] as usize).sum()
+    }
+
+    /// Positions the parts `parts` hold.
+    pub fn held(&self, parts: Range<usize>) -> usize {
+        let counts = self.hists[parts].iter().flatten();
+        counts.map(|&c| c as usize).sum()
+    }
+
+    /// Windows of the bank that seeded, held or not.
+    pub fn seeded(&self) -> usize {
+        self.seeded.iter().sum()
+    }
+
+    /// Pass 2: the index of the sequences of `parts` into `into`, whose
+    /// buffers are reused, on `threads` threads. Positions stay global
+    /// and each list sorted: over every part this is
+    /// [`SeedIndex::build`], and the parts' indexes one by one hold each
+    /// key's list in consecutive pieces.
+    pub fn scatter(&self, parts: Range<usize>, threads: usize, into: &mut SeedIndex) {
+        let (kept, hists) = (&self.kept[..], &self.hists[parts.clone()]);
+        let key_count = kept.len() - 3;
+        let offsets = &mut into.offsets;
+        offsets.clear();
+        offsets.push(0);
+        for k in 0..key_count {
+            offsets.push(offsets[k] + hists.iter().map(|hist| hist[k]).sum::<u32>());
+        }
+        let total = offsets[key_count] as usize;
+
+        // One job a thread: a run of consecutive parts, so of sequences,
+        // and its cursors — where it starts writing each key's
+        // positions. Jobs are in ascending sequence order, so each key's
+        // list comes out sorted by global position. A dropped key writes
+        // to its job's sink, slot `total + SINK_PITCH * job`: every
+        // dropped window is a store there, and sinks a cache line apart
+        // keep concurrent jobs from contending for one line.
+        let per = parts.len().div_ceil(threads.max(1)).max(1);
+        let mut running = offsets[..key_count].to_vec();
+        let runs = self.parts[parts.clone()].chunks(per).zip(hists.chunks(per));
+        let mut jobs: Vec<_> = (runs.zip((total as u32..).step_by(SINK_PITCH)))
+            .map(|((seqs, hists), sink)| {
+                let at = running.iter().zip(kept);
+                let cursor = at.map(|(&at, &k)| if k != 0 { at } else { sink });
+                let cursor: Vec<u32> = cursor.collect();
+                for hist in hists {
+                    running.iter_mut().zip(hist).for_each(|(r, &c)| *r += c);
+                }
+                ((seqs[0].0, seqs[seqs.len() - 1].1), cursor)
+            })
+            .collect();
+
+        // Each (job, key) range and each job's sink is disjoint by
+        // construction, so jobs write concurrently through a shared
+        // pointer.
+        let len = total + SINK_PITCH * jobs.len();
+        let positions = &mut into.positions;
+        positions.clear();
+        // Exactly: a reused index grows to its largest piece, not twice.
+        positions.reserve_exact(len);
+        positions.resize(len, 0);
+        let writer = DisjointWriter(positions.as_mut_ptr());
+        batched(&mut jobs, threads, |(seqs, cursor)| {
+            // Capture the wrapper, not its raw-pointer field (edition-2021
+            // closures capture fields).
+            let writer: DisjointWriter = writer;
+            // SAFETY: every write lands inside this job's cursor ranges
+            // or on its own sink slot, disjoint from all other jobs'.
+            let out = unsafe { slice::from_raw_parts_mut(writer.0, len) };
+            self.walk
+                .keys(self.flat, &self.rows, kept, *seqs, |pos, key| {
+                    let c = &mut cursor[key as usize];
+                    out[*c as usize] = pos;
+                    *c += u32::from(kept[key as usize]);
+                });
+        });
+        positions.truncate(total);
+        into.key_count = key_count;
+        into.seeded = self.seeded[parts].iter().sum();
+    }
+}
+
+/// `f` over every job on up to `threads` scoped threads, each taking a
+/// contiguous batch (this thread alone for one thread or one job);
+/// results in job order.
+fn batched<J: Send, R: Send>(
+    jobs: &mut [J],
+    threads: usize,
+    f: impl Fn(&mut J) -> R + Sync,
+) -> Vec<R> {
+    if threads <= 1 || jobs.len() <= 1 {
+        return jobs.iter_mut().map(f).collect();
+    }
+    let per = jobs.len().div_ceil(threads);
+    thread::scope(|s| {
+        let f = &f;
+        let batches = jobs.chunks_mut(per);
+        let handles: Vec<_> = batches
+            .map(|batch| s.spawn(move || batch.iter_mut().map(f).collect::<Vec<_>>()))
+            .collect();
+        let joined = handles.into_iter().map(|h| h.join());
+        joined
+            .flat_map(|r| r.expect("index worker panicked"))
+            .collect()
+    })
 }
 
 /// Split sequences into ≤ `threads` contiguous ranges of roughly equal
@@ -395,14 +480,14 @@ fn for_each_key<const SPAN: usize>(
 #[derive(Clone, Copy)]
 struct DisjointWriter(*mut u32);
 // SAFETY: the wrapped pointer is only dereferenced through the disjoint
-// pass-2 scatter, where each worker writes its own index ranges (per-chunk
-// cursor ranges computed in pass 1) and its own sink slot; moving the
+// pass-2 scatter, where each job writes its own index ranges (per-job
+// cursor ranges computed from pass 1) and its own sink slot; moving the
 // wrapper across threads cannot create overlapping writes.
 unsafe impl Send for DisjointWriter {}
 // SAFETY: shared references to the wrapper only ever write disjoint
 // elements (see `Send` above); a kept position is written once, a sink
-// slot only by its own chunk, and none is read until the scatter's
-// thread scope has joined.
+// slot only by its own job, and none is read until the scatter has
+// returned.
 unsafe impl Sync for DisjointWriter {}
 
 #[cfg(test)]
@@ -634,6 +719,84 @@ mod tests {
                 "exact-6 by {walk:?}"
             );
         }
+    }
+
+    /// The second pass over some parts alone. Over every part of a
+    /// count with one part a sequence it is [`SeedIndex::build`]; the
+    /// parts' indexes one by one, or split at a random part, hold each
+    /// key's list in consecutive pieces and the windows that seeded
+    /// between them — through each body, at 1–3 threads, keyed by a
+    /// small T0 or not, with empty sequences and sequences of which no
+    /// window is kept.
+    #[test]
+    fn scatters_of_parts_concatenate_to_the_build() {
+        let model = subset_seed_default();
+        let walks = walks();
+        let bank = |g: &mut SplitMix64, seqs: usize| {
+            let bank: Bank = (0..seqs)
+                .map(|i| {
+                    let len = *g.select(&[0, 3, 40, 300, 2_000]);
+                    let residue = |g: &mut SplitMix64| match g.range(0u32..20) {
+                        0 => Aa::X.0,
+                        _ => g.range(0u8..20),
+                    };
+                    let codes = g.vec(len..=len, residue);
+                    Seq::from_codes(format!("s{i}"), codes, psc_seqio::SeqKind::Protein)
+                })
+                .collect();
+            FlatBank::from_bank(&bank)
+        };
+        for_cases(0x5ca7, 16, |g| {
+            let seqs = g.range(1usize..=8);
+            let flat = bank(g, seqs);
+            let keep = g.chance(0.7).then(|| {
+                let seqs = g.range(0usize..=3);
+                SeedIndex::build(&bank(g, seqs), &model, 1, None)
+            });
+            let parts: Vec<_> = (0..seqs).map(|s| (s, s + 1)).collect();
+            let split = g.range(0..=seqs);
+            for &walk in &walks {
+                for threads in [1, 2, 3] {
+                    let what = format!("{walk:?} at {threads} threads");
+                    let whole = SeedIndex::build_with(&flat, &model, threads, keep.as_ref(), walk);
+                    let counts = KeyCounts::count_with(
+                        &flat,
+                        &model,
+                        parts.clone(),
+                        threads,
+                        keep.as_ref(),
+                        walk,
+                    );
+                    assert_eq!(counts.seeded(), whole.seeded_positions(), "{what}");
+                    assert_eq!(counts.held(0..seqs), whole.total_positions(), "{what}");
+                    let mut all = SeedIndex::default();
+                    counts.scatter(0..seqs, threads, &mut all);
+                    assert_eq!(all, whole, "{what}");
+                    for pieces in [
+                        (0..seqs).map(|p| p..p + 1).collect(),
+                        vec![0..split, split..seqs],
+                    ] {
+                        // One index reused piece after piece, as a worker does.
+                        let mut idx = SeedIndex::default();
+                        let (mut lists, mut seeded) = (vec![Vec::new(); whole.key_count()], 0);
+                        for piece in pieces {
+                            counts.scatter(piece.clone(), threads, &mut idx);
+                            assert_eq!(idx.total_positions(), counts.held(piece.clone()), "{what}");
+                            seeded += idx.seeded_positions();
+                            for (k, list) in lists.iter_mut().enumerate() {
+                                let k = k as u32;
+                                assert_eq!(idx.list(k).len(), counts.list_len(piece.clone(), k));
+                                list.extend_from_slice(idx.list(k));
+                            }
+                        }
+                        assert_eq!(seeded, whole.seeded_positions(), "{what}");
+                        for (k, list) in lists.iter().enumerate() {
+                            assert_eq!(list[..], *whole.list(k as u32), "{what}, key {k}");
+                        }
+                    }
+                }
+            }
+        });
     }
 
     #[test]

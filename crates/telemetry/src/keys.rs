@@ -62,6 +62,9 @@ pub const STEP1_POSITIONS_INDEXED_BANK1: &str = "step1.positions_indexed.bank1";
 /// Positions bank 1's seed table holds: only the query's keys' when T1
 /// was keyed by the query, all of them when it was loaded from a bundle.
 pub const STEP1_POSITIONS_HELD_BANK1: &str = "step1.positions_held.bank1";
+/// Chunks of bank 1 step 2 read a T1 of in turn: 1 for a T1 built
+/// over the whole bank or loaded from a bundle.
+pub const STEP1_CHUNKS_BANK1: &str = "step1.chunks.bank1";
 /// Seed pairs enumerated by step 2.
 pub const STEP2_PAIRS: &str = "step2.pairs";
 /// Step-2 candidates above threshold, post-dedup.
@@ -221,8 +224,8 @@ pub const STAGE_BOARD_LINK: &str = "board.link";
 /// change the output: which backend, kernel and schedule ran; lane-slot
 /// telemetry, which follows the kernel's block width; the fleet's
 /// dispatch; injected faults and what recovery did about them; and the
-/// genome-side index span and positions held, which follow whether T1
-/// was loaded from a bundle or keyed by the query. With
+/// genome-side index span, positions held and chunk count, which follow
+/// whether T1 was loaded from a bundle or keyed by the query. With
 /// the board section and the steps' accelerated seconds, this is all
 /// [`crate::RunReport::strip_config_dependent`] removes — and all the
 /// differential lattice (`tests/lattice.rs`) lets such runs differ in.
@@ -240,6 +243,7 @@ pub const CONFIG_DEPENDENT: &[&str] = &[
     STEP2_ENTRIES_DEGRADED,
     STEP1_INDEX_BANK1,
     STEP1_POSITIONS_HELD_BANK1,
+    STEP1_CHUNKS_BANK1,
 ];
 
 #[cfg(test)]
