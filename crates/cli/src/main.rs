@@ -87,6 +87,7 @@ fn main() -> ExitCode {
     // before any file is read or any socket bound.
     let usage = match command.as_str() {
         "search" | "serve" => pipeline_config(&flags).map(drop),
+        "index" => index_config(&flags).map(drop),
         "blast" => max_evalue(&flags).map(drop),
         "generate-bank" => bank_config(&flags).map(drop),
         "resources" => operator_config(&flags).map(drop),
@@ -483,7 +484,7 @@ fn step2_kernel(flags: &Flags) -> Result<psc_core::KernelChoice, String> {
 }
 
 fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, String> {
-    let threads = flags.parsed("threads", 1usize)?;
+    let threads = at_least_one(flags, "threads", 1)?;
     let backend = match flags.get("backend").unwrap_or("scalar") {
         "scalar" => Step2Backend::SoftwareScalar,
         "parallel" => Step2Backend::SoftwareParallel { threads },
@@ -900,21 +901,26 @@ fn print_pairwise(
     Ok(())
 }
 
+/// The configuration `psc index` builds its engine with.
+fn index_config(flags: &Flags) -> Result<PipelineConfig, String> {
+    Ok(PipelineConfig {
+        seed: seed_choice(flags)?,
+        index_threads: at_least_one(flags, "threads", 1)?,
+        mask: mask_flag(flags)?,
+        ..PipelineConfig::default()
+    })
+}
+
 /// Build an index bundle — translated frames, T1 seed index, score
 /// profile, seed-model fingerprint, optionally a protein-bank T0
 /// section — and save it for `psc search --index` / `psc serve`.
 fn index_cmd(flags: &Flags) -> Result<(), String> {
+    let config = index_config(flags)?;
     let genome = load_genome(flags.required("genome")?)?;
     let out = flags.required("o")?;
     let proteins = match flags.get("proteins") {
         Some(path) => Some(read_fasta_path(path, SeqKind::Protein).map_err(|e| e.to_string())?),
         None => None,
-    };
-    let config = PipelineConfig {
-        seed: seed_choice(flags)?,
-        index_threads: flags.parsed("threads", 1usize)?,
-        mask: mask_flag(flags)?,
-        ..PipelineConfig::default()
     };
     let t0 = std::time::Instant::now();
     let engine = psc_core::SearchEngine::for_genome(

@@ -97,6 +97,23 @@ fn search_rejects_a_pe_array_that_is_empty_or_does_not_fit() {
     );
 }
 
+/// `--threads 0` reached the pipeline as zero workers, and every
+/// consumer had to clamp it on its own.
+#[test]
+fn threads_must_be_at_least_one() {
+    for cmd in [
+        ["search", "--proteins", "p.fa", "--genome", "g.fa"].as_slice(),
+        ["serve", "--index", "g.psc"].as_slice(),
+        ["index", "--genome", "g.fa", "-o", "never-written.psc"].as_slice(),
+    ] {
+        assert_usage_error(
+            &[cmd, &["--threads", "0"]].concat(),
+            "--threads must be at least 1",
+        );
+    }
+    assert!(!std::path::Path::new("never-written.psc").exists());
+}
+
 /// `resources` divided by `--slot 0` and printed a fit for an array
 /// of no PEs or no window.
 #[test]

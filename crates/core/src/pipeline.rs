@@ -398,7 +398,7 @@ impl Pipeline {
                     let (mass, l) = (n0 as u64 * n1 as u64, params.window_len());
                     lane_tiles += step2::rectangle_tile_count(n0, n1, l, kb, params.schedule);
                     let (useful, total) = step2::rectangle_lane_slots(n0, n1, kb, params.schedule);
-                    if kb.lane_width() > 1 && total > 0 {
+                    if kb.lane_width() > 1 {
                         // Percent of vector slots doing useful work for
                         // this rectangle, and the same accounting split
                         // by log2 pair-mass bucket — the heavy-tail keys

@@ -17,8 +17,10 @@
 //! tiles and run step 2 as what the paper's PE is — a threshold filter
 //! ([`psc_align::LaneFilter`]): [`psc_align::LANES`] or
 //! [`psc_align::WIDE_LANES`] window pairs are classified per step in
-//! saturating byte lanes, and only the survivors are rescored. All emit
-//! bit-identical candidates in identical order.
+//! saturating byte lanes, and only the survivors are rescored. A lane
+//! backend sends every rectangle through its filter, whatever its
+//! shape, as the PE array streams every key. All emit bit-identical
+//! candidates in identical order.
 //!
 //! The data plane is one pass per side per key, both sides walking one
 //! [`psc_index::flat::WindowCursor`] down the index list. The side whose
@@ -35,10 +37,9 @@
 //! `contiguous` cuts the key range into one balanced chunk per worker,
 //! while the default `bucketed` schedule builds mass-bucketed work
 //! items (heavy keys alone, light keys coalesced), executes them
-//! heaviest-first off an atomic pull counter, and routes each rectangle
+//! heaviest-first off an atomic pull counter, and orients each rectangle
 //! so the lane axis is the larger index list (transposing the
-//! orientation when `|IL1| < |IL0|`, falling back to the profile kernel
-//! when both sides are shorter than a lane block). Both schedules merge
+//! orientation when `|IL1| < |IL0|`). Both schedules merge
 //! per-item results back into key order, so candidates, stats and
 //! report JSON are byte-identical at any thread count.
 
@@ -266,8 +267,7 @@ pub fn simd_tile_count(n0: usize, n1: usize, window_len: usize) -> u64 {
 }
 
 /// Cache tiles the resolved lane kernel walks for one key's `n0 × n1`
-/// rectangle under `schedule` — 0 for scalar-width backends and for
-/// rectangles [`lane_orientation`] routes to the profile path. Consults
+/// rectangle under `schedule` — 0 for scalar-width backends. Consults
 /// the same orientation the hot loop does, so the telemetry count
 /// cannot drift from the real walk.
 pub fn rectangle_tile_count(
@@ -281,10 +281,10 @@ pub fn rectangle_tile_count(
     if width == 1 {
         return 0;
     }
-    match lane_orientation(n0, n1, schedule) {
-        None => 0,
-        Some(false) => tile_count(n0, n1, window_len, width),
-        Some(true) => tile_count(n1, n0, window_len, width),
+    if lane_orientation(n0, n1, schedule) {
+        tile_count(n1, n0, window_len, width)
+    } else {
+        tile_count(n0, n1, window_len, width)
     }
 }
 
@@ -381,26 +381,15 @@ fn lpt_order(items: &[WorkItem]) -> Vec<usize> {
     order
 }
 
-/// Longer side below which the bucketed schedule keeps a rectangle off
-/// the lane path: so few lanes of a block would be live that the scalar
-/// profile kernel is the better fit.
-const MIN_LANE_SIDE: usize = 16;
-
-/// How a lane path covers one `n0 × n1` rectangle under `schedule`:
-/// `None` routes it to the scalar profile kernel (both sides shorter
-/// than [`MIN_LANE_SIDE`], so lanes would mostly idle),
-/// `Some(transposed)` keeps it on the lane path with the lane axis on
-/// `IL1` (`false`) or transposed onto the larger `IL0` (`true`).
+/// Whether a lane path transposes one `n0 × n1` rectangle under
+/// `schedule`: the lane axis stays on `IL1` (`false`, always under
+/// `contiguous`) or moves onto the larger `IL0` (`true`).
 ///
-/// This is the single routing decision both the hot loop and the
+/// This is the single orientation decision both the hot loop and the
 /// analytic lane-occupancy accounting consult, so the recorded
 /// `step2.lane_fill` numbers cannot drift from the real walk.
-pub fn lane_orientation(n0: usize, n1: usize, schedule: Step2Schedule) -> Option<bool> {
-    match schedule {
-        Step2Schedule::Contiguous => Some(false),
-        Step2Schedule::Bucketed if n0.max(n1) < MIN_LANE_SIDE => None,
-        Step2Schedule::Bucketed => Some(n1 < n0),
-    }
+pub fn lane_orientation(n0: usize, n1: usize, schedule: Step2Schedule) -> bool {
+    schedule == Step2Schedule::Bucketed && n1 < n0
 }
 
 /// Lane-slot accounting for one key's `n0 × n1` rectangle: `(useful,
@@ -423,10 +412,10 @@ pub fn rectangle_lane_slots(
     if width == 1 {
         return (useful, useful);
     }
-    let (rows, cols) = match lane_orientation(n0, n1, schedule) {
-        None => return (useful, useful),
-        Some(false) => (n0, n1),
-        Some(true) => (n1, n0),
+    let (rows, cols) = if lane_orientation(n0, n1, schedule) {
+        (n1, n0)
+    } else {
+        (n0, n1)
     };
     let total = rows as u64 * cols.div_ceil(width) as u64 * width as u64;
     (useful, total)
@@ -499,23 +488,21 @@ fn run_key_range(
         stats.active_keys += 1;
         stats.pairs += list0.len() as u64 * list1.len() as u64;
         let (span, n_ctx) = (params.span, params.n_ctx);
-        let lane_path = filters.as_ref().and_then(|filters| {
-            let transposed = lane_orientation(list0.len(), list1.len(), params.schedule)?;
-            Some((transposed, &filters[transposed as usize]))
-        });
-        match lane_path {
+        match filters {
             // Only the side scanned window by window is gathered
             // row-major; the lane side goes from the bank into lane
             // order.
-            Some((false, filter)) => {
-                gather_windows(flat0, list0, span, n_ctx, &mut scratch.w0);
-                gather_lanes(flat1, list1, span, n_ctx, &mut scratch.lanes);
-                lanes_rectangle(params, filter, false, list0, list1, scratch, out);
-            }
-            Some((true, filter)) => {
-                gather_windows(flat1, list1, span, n_ctx, &mut scratch.w1);
-                gather_lanes(flat0, list0, span, n_ctx, &mut scratch.lanes);
-                lanes_rectangle(params, filter, true, list0, list1, scratch, out);
+            Some(filters) => {
+                let transposed = lane_orientation(list0.len(), list1.len(), params.schedule);
+                if transposed {
+                    gather_windows(flat1, list1, span, n_ctx, &mut scratch.w1);
+                    gather_lanes(flat0, list0, span, n_ctx, &mut scratch.lanes);
+                } else {
+                    gather_windows(flat0, list0, span, n_ctx, &mut scratch.w0);
+                    gather_lanes(flat1, list1, span, n_ctx, &mut scratch.lanes);
+                }
+                let filter = &filters[transposed as usize];
+                lanes_rectangle(params, filter, transposed, list0, list1, scratch, out);
             }
             None => {
                 gather_windows(flat0, list0, span, n_ctx, &mut scratch.w0);
@@ -695,7 +682,7 @@ pub fn run_software_timed(
 
 /// The one step-2 worker loop. The key space is cut into *units* — the
 /// whole range for one thread (both schedules walk keys in order then; only
-/// the per-rectangle lane routing differs, and that is a function of
+/// the per-rectangle lane orientation differs, and that is a function of
 /// the schedule, not of the partition), one [`balanced_chunks`] range
 /// per worker under `contiguous`, the [`bucketed_items`] in
 /// [`lpt_order`] under `bucketed` — and workers claim units off an
@@ -854,7 +841,7 @@ fn balanced_chunks(
 mod tests {
     use super::*;
     use psc_align::{LANES, WIDE_LANES};
-    use psc_index::seed::subset_seed_default;
+    use psc_index::seed::{subset_seed_default, SeedModel};
     use psc_score::blosum62;
     use psc_seqio::{Bank, Seq};
 
@@ -1043,6 +1030,36 @@ mod tests {
         let (f1, i1) = index_codes(&with_motif(23, 45));
         assert!(longest_ragged_list(&i0) > WIDE_LANES);
         assert!(longest_ragged_list(&i1) > LANES);
+        // A second pair of thin rectangles: each motif over A and G (a
+        // group of its own at every seed position) is carried by `n0`
+        // sequences of one bank and `n1` of the other, between flanks
+        // with neither residue, so its key's rectangle is `n0 × n1`.
+        const THIN: [(usize, usize, [u8; 4]); 5] = [
+            (1, 1, [0, 0, 0, 0]),
+            (1, 15, [0, 0, 0, 7]),
+            (15, 1, [0, 0, 7, 0]),
+            (7, 9, [0, 7, 0, 0]),
+            (15, 15, [7, 0, 0, 0]),
+        ];
+        let pool: Vec<u8> = (0..20).filter(|&r| r != 0 && r != 7).collect();
+        let thin_bank = |side: usize| -> (FlatBank, SeedIndex) {
+            let mut seqs = Vec::new();
+            for (s, (n0, n1, motif)) in THIN.into_iter().enumerate() {
+                for i in 0..[n0, n1][side] {
+                    let left = (0..6).map(|j| pool[(s * 5 + i * 7 + j * 3) % pool.len()]);
+                    let right = (0..6).map(|j| pool[(s * 3 + i * 5 + j * 7 + side) % pool.len()]);
+                    seqs.push(left.chain(motif).chain(right).collect::<Vec<u8>>());
+                }
+            }
+            index_codes(&seqs)
+        };
+        let ((g0, j0), (g1, j1)) = (thin_bank(0), thin_bank(1));
+        for (n0, n1, motif) in THIN {
+            let key = subset_seed_default()
+                .key(&motif)
+                .expect("standard residues");
+            assert_eq!((j0.list(key).len(), j1.list(key).len()), (n0, n1));
+        }
         let m = blosum62();
         // 127 and 128 sit on either side of the byte lanes' ceiling
         // (past it the rescored comparison decides, not the flag); a
@@ -1060,27 +1077,38 @@ mod tests {
                 kernel_backend: KernelChoice::Scalar,
                 ..params(m, threshold)
             };
-            let (want_c, want_s) = run_software(&f0, &i0, &f1, &i1, &base, 1);
-            assert!(!want_c.is_empty(), "{kernel:?} t={threshold}");
-            for choice in [
-                KernelChoice::Auto,
-                KernelChoice::Profile,
-                KernelChoice::Simd,
-                KernelChoice::Wide,
-            ] {
-                for schedule in [Step2Schedule::Contiguous, Step2Schedule::Bucketed] {
-                    for threads in [1, 3] {
-                        let p = Step2Params {
-                            kernel_backend: choice,
-                            schedule,
-                            ..base
-                        };
-                        let (c, s) = run_software(&f0, &i0, &f1, &i1, &p, threads);
-                        let tag = format!(
-                            "{kernel:?} t={threshold} {choice:?} {schedule:?} threads={threads}"
-                        );
-                        assert_eq!(want_c, c, "{tag}");
-                        assert_eq!(want_s, s, "{tag}");
+            for (name, f0, i0, f1, i1) in
+                [("ragged", &f0, &i0, &f1, &i1), ("thin", &g0, &j0, &g1, &j1)]
+            {
+                let (want_c, want_s) = run_software(f0, i0, f1, i1, &base, 1);
+                // The thin pair's motifs score far below the ceiling.
+                let want_hits = name == "ragged" || threshold == 18;
+                assert_eq!(
+                    !want_c.is_empty(),
+                    want_hits,
+                    "{name} {kernel:?} t={threshold}"
+                );
+                for choice in [
+                    KernelChoice::Auto,
+                    KernelChoice::Profile,
+                    KernelChoice::Simd,
+                    KernelChoice::Wide,
+                ] {
+                    for schedule in [Step2Schedule::Contiguous, Step2Schedule::Bucketed] {
+                        for threads in [1, 3] {
+                            let p = Step2Params {
+                                kernel_backend: choice,
+                                schedule,
+                                ..base
+                            };
+                            let (c, s) = run_software(f0, i0, f1, i1, &p, threads);
+                            let tag = format!(
+                                "{name} {kernel:?} t={threshold} {choice:?} {schedule:?} \
+                                 threads={threads}"
+                            );
+                            assert_eq!(want_c, c, "{tag}");
+                            assert_eq!(want_s, s, "{tag}");
+                        }
                     }
                 }
             }
@@ -1238,17 +1266,18 @@ mod tests {
     #[test]
     fn lane_orientation_and_slots_are_consistent() {
         // Contiguous never transposes (it reproduces the historical
-        // walk); bucketed picks the larger side as the lane axis and
-        // falls back to the profile path when both sides are narrow.
+        // walk); bucketed picks the larger side as the lane axis, however
+        // narrow both sides are.
         let c = Step2Schedule::Contiguous;
         let b = Step2Schedule::Bucketed;
-        assert_eq!(lane_orientation(3, 500, c), Some(false));
+        assert!(!lane_orientation(3, 500, c));
         // Lanes already run over the larger il1 side: no transpose.
-        assert_eq!(lane_orientation(3, 500, b), Some(false));
+        assert!(!lane_orientation(3, 500, b));
         // il0 is the larger side: transpose so lanes run over it.
-        assert_eq!(lane_orientation(500, 3, b), Some(true));
-        assert_eq!(lane_orientation(5, 7, b), None);
-        assert_eq!(lane_orientation(5, 7, c), Some(false));
+        assert!(lane_orientation(500, 3, b));
+        assert!(!lane_orientation(5, 7, b));
+        assert!(lane_orientation(7, 5, b));
+        assert!(!lane_orientation(5, 7, c));
 
         // Slot accounting mirrors orientation: scalar-width backends
         // waste nothing; contiguous pads the il1 axis to whole blocks
@@ -1275,8 +1304,20 @@ mod tests {
             rectangle_tile_count(500, 3, 60, wide, b),
             tile_walk(3, 500, 60, 64).count() as u64
         );
-        // Narrow-both rectangles route to the profile path: no padding.
-        assert_eq!(rectangle_lane_slots(5, 7, wide, b), (35, 35));
+        // Narrow-both rectangles take the lane path too: each of the
+        // five rows pads its seven lanes to a whole block, and a single
+        // pair takes one whole block.
+        assert_eq!(rectangle_lane_slots(5, 7, wide, b), (35, 64 * 5));
+        assert_eq!(
+            rectangle_tile_count(5, 7, 60, wide, b),
+            tile_walk(5, 7, 60, 64).count() as u64
+        );
+        for schedule in [c, b] {
+            assert_eq!(rectangle_lane_slots(1, 1, wide, schedule), (1, 64));
+            let simd = KernelBackend::Simd;
+            assert_eq!(rectangle_lane_slots(1, 1, simd, schedule), (1, 32));
+            assert_eq!(rectangle_tile_count(1, 1, 60, simd, schedule), 1);
+        }
         // Contiguous on a lane-starved rectangle: 500×1 pads each row
         // to a full block.
         let (u, t) = rectangle_lane_slots(500, 1, KernelBackend::Simd, c);
@@ -1458,6 +1499,90 @@ mod tests {
                 rows.1,
                 rows.0,
                 scan
+            );
+        }
+    }
+
+    /// Step 2 by rectangle class on the bank-shaped stand-in of
+    /// [`gather_vs_scan_per_key`] (1 000 proteins against six frames of
+    /// 333 k): per class, the keys' gather seconds and their whole time
+    /// (gathers and scan, oriented as the bucketed schedule orients
+    /// them) in ms and ns a pair — best of three passes. The classes are
+    /// both sides under 16, under 4 096 pairs, under 262 144, and larger.
+    /// Run `cargo test --release -p psc-core --lib -- --ignored --nocapture step2_per_class`.
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn step2_per_class() {
+        use psc_seqio::prng::SplitMix64;
+        use std::time::Instant;
+        let mut rng = SplitMix64::new(0x5eed_0039);
+        let mut bank = |count: usize, len: usize| -> (FlatBank, SeedIndex) {
+            let seqs: Vec<Vec<u8>> = (0..count)
+                .map(|_| (0..len).map(|_| rng.range(0..20u8)).collect())
+                .collect();
+            index_codes(&seqs)
+        };
+        let ((f0, i0), (f1, i1)) = (bank(1000, 350), bank(6, 333_000));
+        let m = blosum62();
+        let p = Step2Params {
+            n_ctx: 28,
+            ..params(m, 45)
+        };
+        let (span, n_ctx) = (p.span, p.n_ctx);
+        let filter = |matrix| LaneFilter::new(p.resolved_backend(), p.kernel, matrix, p.threshold);
+        let Some(filters) = filter(m).zip(filter(&transposed_matrix(m))) else {
+            return println!("no lane backend on this host");
+        };
+        let filters = [filters.0, filters.1];
+        const CLASSES: [&str; 4] = ["thin", "< 4096", "< 262144", "larger"];
+        let class = |n0: usize, n1: usize| match n0 * n1 {
+            _ if n0.max(n1) < 16 => 0,
+            pairs if pairs < 4096 => 1,
+            pairs if pairs < 262_144 => 2,
+            _ => 3,
+        };
+        let mut scratch = KeyScratch::default();
+        let mut out = Vec::new();
+        // (keys, pairs, gather s, total s) per class, best total of three.
+        let mut best = [(0usize, 0u64, f64::MAX, f64::MAX); 4];
+        for _ in 0..3 {
+            let mut pass = [(0usize, 0u64, 0.0, 0.0); 4];
+            out.clear();
+            for key in 0..i0.key_count() as u32 {
+                let (list0, list1) = (i0.list(key), i1.list(key));
+                if list0.is_empty() || list1.is_empty() {
+                    continue;
+                }
+                let transposed = lane_orientation(list0.len(), list1.len(), p.schedule);
+                let t0 = Instant::now();
+                if transposed {
+                    gather_windows(&f1, list1, span, n_ctx, &mut scratch.w1);
+                    gather_lanes(&f0, list0, span, n_ctx, &mut scratch.lanes);
+                } else {
+                    gather_windows(&f0, list0, span, n_ctx, &mut scratch.w0);
+                    gather_lanes(&f1, list1, span, n_ctx, &mut scratch.lanes);
+                }
+                let t1 = Instant::now();
+                let filter = &filters[transposed as usize];
+                lanes_rectangle(&p, filter, transposed, list0, list1, &mut scratch, &mut out);
+                let t2 = Instant::now();
+                let c = &mut pass[class(list0.len(), list1.len())];
+                c.0 += 1;
+                c.1 += (list0.len() * list1.len()) as u64;
+                c.2 += (t1 - t0).as_secs_f64();
+                c.3 += (t2 - t0).as_secs_f64();
+            }
+            for (b, c) in best.iter_mut().zip(pass) {
+                *b = if c.3 < b.3 { c } else { *b };
+            }
+        }
+        for (name, (keys, pairs, gather, total)) in CLASSES.into_iter().zip(best) {
+            println!(
+                "{name:>9}: {keys} keys, {pairs} pairs, gather {:.1} ms, total {:.1} ms, \
+                 {:.2} ns a pair",
+                gather * 1e3,
+                total * 1e3,
+                total * 1e9 / pairs.max(1) as f64
             );
         }
     }
