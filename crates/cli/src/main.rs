@@ -81,7 +81,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // A mis-set flag value (kernel name, board or fleet shape, an
+    // A mis-set flag value (kernel name, board shape, retry budget, an
     // E-value that admits nothing, an array or a length range that
     // cannot exist) is a usage error like an unknown flag: reported
     // before any file is read or any socket bound.
@@ -132,17 +132,14 @@ commands:
   translate       --genome FILE [-o FILE]
   search          --proteins FILE --genome FILE [--backend scalar|parallel|rasc]
                   [--pes N] [--fpgas N] [--threads N] [--evalue E]
-                  [--boards N]           (simulated multi-board fleet; rasc only)
-                  [--steal-policy richest|none] [--quarantine-after K]
                   [--seed-model subset4|subset3|exact4] [--threshold T]
                   [--step2-kernel auto|scalar|profile|simd|wide]
                   [--step2-schedule contiguous|bucketed]   (step-2 work distribution)
                   [--step3-threads N]    (parallel gapped extension workers)
                   [--format tab|pairwise|gff] [--mask on]
                   [--fault-seed S] [--fault-rate PPM]   (seeded fault injection)
-                  [--fault-tail uniform|heavy]   (stuck-board persistence model)
                   [--fault-plan ENTRY:KIND[:ATTEMPTS][@FPGA],...]
-                  [--fault-retries N] [--fault-degrade on|off]
+                  [--fault-retries N] [--fault-degrade on|off]   (N at most 64)
                   [--report-json FILE]   (write a telemetry run report)
                   [--trace FILE]         (write a flight-recorder Chrome trace)
                   [--trace-clock wall|virtual]   (virtual = byte-deterministic)
@@ -189,9 +186,6 @@ const KNOWN_SEARCH: &[&str] = &[
     "backend",
     "pes",
     "fpgas",
-    "boards",
-    "steal-policy",
-    "quarantine-after",
     "threads",
     "evalue",
     "seed-model",
@@ -203,7 +197,6 @@ const KNOWN_SEARCH: &[&str] = &[
     "mask",
     "fault-seed",
     "fault-rate",
-    "fault-tail",
     "fault-plan",
     "fault-retries",
     "fault-degrade",
@@ -221,9 +214,6 @@ const KNOWN_SERVE: &[&str] = &[
     "backend",
     "pes",
     "fpgas",
-    "boards",
-    "steal-policy",
-    "quarantine-after",
     "threads",
     "evalue",
     "seed-model",
@@ -234,7 +224,6 @@ const KNOWN_SERVE: &[&str] = &[
     "mask",
     "fault-seed",
     "fault-rate",
-    "fault-tail",
     "fault-plan",
     "fault-retries",
     "fault-degrade",
@@ -495,40 +484,6 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, String> {
         },
         other => return Err(format!("unknown backend {other:?}")),
     };
-    // Fleet shape: `--boards N` spreads step 2 over N simulated boards
-    // behind the work-stealing dispatcher (rasc backend only; HSP output
-    // is bit-identical at any board count). The tuning flags only mean
-    // something with more than one board.
-    let boards = flags.parsed("boards", 1usize)?;
-    if !(1..=psc_rasc::MAX_BOARDS).contains(&boards) {
-        return Err(format!(
-            "--boards must be 1..={} (got {boards})",
-            psc_rasc::MAX_BOARDS
-        ));
-    }
-    if boards > 1 && !matches!(backend, Step2Backend::Rasc { .. }) {
-        return Err("--boards N > 1 needs --backend rasc".into());
-    }
-    let mut fleet = psc_rasc::FleetConfig {
-        boards,
-        ..psc_rasc::FleetConfig::default()
-    };
-    if let Some(s) = flags.get("steal-policy") {
-        if boards < 2 {
-            return Err("--steal-policy needs --boards N >= 2".into());
-        }
-        fleet.steal_policy = psc_rasc::StealPolicy::parse(s)?;
-    }
-    if flags.get("quarantine-after").is_some() {
-        if boards < 2 {
-            return Err("--quarantine-after needs --boards N >= 2".into());
-        }
-        let k = flags.parsed("quarantine-after", 2u32)?;
-        if k == 0 {
-            return Err("--quarantine-after must be at least 1".into());
-        }
-        fleet.quarantine_after = k;
-    }
     let step2_kernel = step2_kernel(flags)?;
     let step2_schedule = match flags.get("step2-schedule") {
         None => psc_core::Step2Schedule::default(),
@@ -544,13 +499,12 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, String> {
         threshold: flags.parsed("threshold", 45i32)?,
         index_threads: threads,
         mask: mask_flag(flags)?,
-        step3_threads: flags.parsed("step3-threads", 1usize)?.max(1),
+        step3_threads: at_least_one(flags, "step3-threads", 1)?,
         fault_plan: fault_plan(flags)?,
         recovery: recovery_policy(flags)?,
-        fleet,
         ..PipelineConfig::default()
     };
-    // What `RascFleet::new` would assert or refuse on the first query.
+    // What `RascBoard::new` would assert or refuse on the first query.
     if let Step2Backend::Rasc {
         pe_count,
         fpga_count,
@@ -716,18 +670,14 @@ fn config_pes(flags: &Flags) -> Result<usize, String> {
 }
 
 /// Fault plan from `--fault-plan` (scripted) or `--fault-seed`
-/// (seeded, rate adjustable with `--fault-rate` in ppm, persistence
-/// distribution selectable with `--fault-tail`). The two are mutually
-/// exclusive; neither means a fault-free run.
+/// (seeded, rate adjustable with `--fault-rate` in ppm). The two are
+/// mutually exclusive; neither means a fault-free run.
 fn fault_plan(flags: &Flags) -> Result<Option<psc_rasc::FaultPlan>, String> {
     match (flags.get("fault-plan"), flags.get("fault-seed")) {
         (Some(_), Some(_)) => Err("--fault-plan and --fault-seed are mutually exclusive".into()),
         (Some(spec), None) => {
             if flags.get("fault-rate").is_some() {
                 return Err("--fault-rate only applies to --fault-seed plans".into());
-            }
-            if flags.get("fault-tail").is_some() {
-                return Err("--fault-tail only applies to --fault-seed plans".into());
             }
             psc_rasc::FaultPlan::parse(spec).map(Some)
         }
@@ -737,18 +687,11 @@ fn fault_plan(flags: &Flags) -> Result<Option<psc_rasc::FaultPlan>, String> {
             if rate_ppm > 1_000_000 {
                 return Err(format!("--fault-rate {rate_ppm} exceeds 1000000 ppm"));
             }
-            Ok(Some(match flags.get("fault-tail").unwrap_or("uniform") {
-                "uniform" => psc_rasc::FaultPlan::Seeded { seed, rate_ppm },
-                "heavy" => psc_rasc::FaultPlan::SeededHeavyTail { seed, rate_ppm },
-                other => return Err(format!("bad --fault-tail value {other:?} (uniform|heavy)")),
-            }))
+            Ok(Some(psc_rasc::FaultPlan::Seeded { seed, rate_ppm }))
         }
         (None, None) => {
             if flags.get("fault-rate").is_some() {
                 return Err("--fault-rate needs --fault-seed".into());
-            }
-            if flags.get("fault-tail").is_some() {
-                return Err("--fault-tail needs --fault-seed".into());
             }
             Ok(None)
         }
@@ -758,8 +701,15 @@ fn fault_plan(flags: &Flags) -> Result<Option<psc_rasc::FaultPlan>, String> {
 /// Recovery policy overrides (`--fault-retries`, `--fault-degrade`).
 fn recovery_policy(flags: &Flags) -> Result<psc_rasc::RecoveryPolicy, String> {
     let default = psc_rasc::RecoveryPolicy::default();
+    let max_retries = flags.parsed("fault-retries", default.max_retries)?;
+    if max_retries > psc_rasc::MAX_RETRIES {
+        return Err(format!(
+            "--fault-retries must be at most {} (got {max_retries})",
+            psc_rasc::MAX_RETRIES
+        ));
+    }
     Ok(psc_rasc::RecoveryPolicy {
-        max_retries: flags.parsed("fault-retries", default.max_retries)?,
+        max_retries,
         degrade: match flags.get("fault-degrade") {
             Some("on") | None => true,
             Some("off") => false,

@@ -226,12 +226,6 @@ fn run_query(sh: &Shared, fasta: &str, depth: usize) -> Result<(Vec<String>, Str
     let rec = MemRecorder::new();
     rec.set_meta(keys::SERVE_QUERY_SEQ, &seq_no.to_string());
     rec.add(keys::SERVE_QUEUE_DEPTH, depth as u64);
-    // Fleet size serving this query (1 = classic single board), so a
-    // served report is attributable to its board count.
-    rec.add(
-        keys::SERVE_FLEET_BOARDS,
-        sh.config.fleet.boards.max(1) as u64,
-    );
     let result = sh
         .engine
         .query_traced(&bank, &rec, &NullTracer)

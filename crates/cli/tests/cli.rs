@@ -71,7 +71,7 @@ fn assert_usage_error(args: &[&str], message: &str) {
     assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
 }
 
-/// A board flag `RascFleet::new` would assert on.
+/// A board flag `RascBoard::new` would assert on.
 fn assert_board_flag_rejected(cmd: &[&str], flag: [&str; 2], message: &str) {
     assert_usage_error(&[cmd, &["--backend", "rasc"], &flag].concat(), message);
 }
@@ -98,12 +98,15 @@ fn search_rejects_a_pe_array_that_is_empty_or_does_not_fit() {
 }
 
 /// `--threads 0` reached the pipeline as zero workers, and every
-/// consumer had to clamp it on its own.
+/// consumer had to clamp it on its own; `--step3-threads 0` was
+/// silently run as one.
 #[test]
 fn threads_must_be_at_least_one() {
+    let search = ["search", "--proteins", "p.fa", "--genome", "g.fa"];
+    let serve = ["serve", "--index", "g.psc"];
     for cmd in [
-        ["search", "--proteins", "p.fa", "--genome", "g.fa"].as_slice(),
-        ["serve", "--index", "g.psc"].as_slice(),
+        search.as_slice(),
+        serve.as_slice(),
         ["index", "--genome", "g.fa", "-o", "never-written.psc"].as_slice(),
     ] {
         assert_usage_error(
@@ -112,6 +115,87 @@ fn threads_must_be_at_least_one() {
         );
     }
     assert!(!std::path::Path::new("never-written.psc").exists());
+    for cmd in [search.as_slice(), serve.as_slice()] {
+        assert_usage_error(
+            &[cmd, &["--step3-threads", "0"]].concat(),
+            "--step3-threads must be at least 1",
+        );
+    }
+}
+
+/// A retry budget of `u32::MAX` against a persistent scripted fault
+/// replayed four billion attempts per shard: the search never ended.
+#[test]
+fn fault_retries_are_capped() {
+    let stuck = [
+        "--backend",
+        "rasc",
+        "--fault-plan",
+        "0:fifo-stall:4294967295",
+    ];
+    for cmd in [
+        ["search", "--proteins", "p.fa", "--genome", "g.fa"].as_slice(),
+        ["serve", "--index", "g.psc"].as_slice(),
+    ] {
+        for n in ["65", "4294967295"] {
+            assert_usage_error(
+                &[cmd, &stuck, &["--fault-retries", n]].concat(),
+                &format!("--fault-retries must be at most 64 (got {n})"),
+            );
+        }
+    }
+    // The cap itself is a budget: the search gets as far as its input.
+    let out = psc()
+        .args([
+            "search",
+            "--proteins",
+            "missing.fa",
+            "--genome",
+            "missing.fa",
+        ])
+        .args(stuck)
+        .args(["--fault-retries", "64"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+}
+
+/// The multi-board fleet is gone: its flags and the `#BOARD` pin of a
+/// fault-plan item are usage errors, not silently ignored.
+#[test]
+fn removed_fleet_flags_are_usage_errors() {
+    let search = [
+        "search",
+        "--proteins",
+        "p.fa",
+        "--genome",
+        "g.fa",
+        "--backend",
+        "rasc",
+    ];
+    for flag in [
+        ["--boards", "2"],
+        ["--steal-policy", "richest"],
+        ["--quarantine-after", "1"],
+        ["--fault-tail", "heavy"],
+    ] {
+        let out = psc().args(search).args(flag).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{flag:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {}", flag[0])), "{err}");
+    }
+    for item in ["3:fifo-stall:9#1", "0:pe-flip#1", "2:adr-fault:2@1#1"] {
+        let out = psc()
+            .args(search)
+            .args(["--fault-plan", item])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{item}: {out:?}");
+        assert!(out.stdout.is_empty(), "{item}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("in fault spec {item:?}")), "{err}");
+    }
 }
 
 /// `resources` divided by `--slot 0` and printed a fit for an array

@@ -208,103 +208,6 @@ fn served_queries_match_search_under_seeded_faults() {
 }
 
 #[test]
-fn fleet_served_queries_match_search_under_heavy_tail_faults() {
-    let dir = tmpdir("fleet");
-    let (bank, _genome, bundle) = build_workload(&dir);
-    // A 4-board fleet under a heavy-tailed fault plan aggressive enough
-    // to quarantine: served answers must still be byte-identical to the
-    // one-shot search on the same bundle with the same fleet shape.
-    let fleet_args = [
-        "--backend",
-        "rasc",
-        "--pes",
-        "64",
-        "--boards",
-        "4",
-        "--steal-policy",
-        "richest",
-        "--quarantine-after",
-        "1",
-        "--fault-seed",
-        "1",
-        "--fault-tail",
-        "heavy",
-    ];
-
-    let reference = psc()
-        .args(["search", "--proteins", bank.to_str().unwrap()])
-        .args(["--index", bundle.to_str().unwrap()])
-        .args(fleet_args)
-        .output()
-        .unwrap();
-    assert!(
-        reference.status.success(),
-        "{}",
-        String::from_utf8_lossy(&reference.stderr)
-    );
-    assert!(
-        !String::from_utf8_lossy(&reference.stdout)
-            .lines()
-            .all(|l| l.starts_with('#')),
-        "reference fleet search found nothing"
-    );
-
-    let report_dir = dir.join("reports");
-    std::fs::create_dir_all(&report_dir).unwrap();
-    let mut serve_args = vec!["--index", bundle.to_str().unwrap(), "--queue", "8"];
-    serve_args.extend_from_slice(&fleet_args);
-    serve_args.push("--report-dir");
-    serve_args.push(report_dir.to_str().unwrap());
-    let server = Server::spawn(&serve_args);
-    let handles: Vec<_> = (0..4)
-        .map(|_| {
-            let addr = server.addr.clone();
-            let bank = bank.clone();
-            std::thread::spawn(move || {
-                psc()
-                    .args(["query", "--connect", &addr])
-                    .args(["--proteins", bank.to_str().unwrap()])
-                    .output()
-                    .unwrap()
-            })
-        })
-        .collect();
-    for h in handles {
-        let out = h.join().unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert_eq!(
-            out.stdout, reference.stdout,
-            "fleet-served query differs from one-shot fleet search"
-        );
-    }
-
-    // Every served report attributes its answer to the 4-board fleet.
-    let reports: Vec<_> = std::fs::read_dir(&report_dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .collect();
-    assert_eq!(reports.len(), 4, "expected one report per query");
-    for path in reports {
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            json.contains("\"serve.fleet_boards\""),
-            "{} lacks serve.fleet_boards",
-            path.display()
-        );
-        assert!(
-            json.contains("\"fleet.boards\""),
-            "{} lacks fleet.boards",
-            path.display()
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn admission_queue_rejects_overload_then_recovers() {
     let dir = tmpdir("busy");
     let (bank, _genome, bundle) = build_workload(&dir);

@@ -138,11 +138,6 @@ pub struct PipelineConfig {
     /// Retry / degradation policy the board applies when a dispatch
     /// faults.
     pub recovery: psc_rasc::RecoveryPolicy,
-    /// Fleet shape for the RASC backend: number of simulated boards,
-    /// steal policy, and quarantine threshold. Every RASC run goes
-    /// through the fleet dispatcher; the default single board is a
-    /// fleet of one. HSP output is bit-identical at any board count.
-    pub fleet: psc_rasc::FleetConfig,
 }
 
 impl Default for PipelineConfig {
@@ -167,7 +162,6 @@ impl Default for PipelineConfig {
             dma_override: None,
             fault_plan: None,
             recovery: psc_rasc::RecoveryPolicy::default(),
-            fleet: psc_rasc::FleetConfig::default(),
         }
     }
 }

@@ -10,7 +10,7 @@ use psc_align::{
     cull_hsps, gapped_extend, ExtendScratch, GapConfig, GappedHit, Hsp, MAX_BLOCKS, WIDE_LANES,
 };
 use psc_index::{FlatBank, KeyCounts, SeedIndex};
-use psc_rasc::{BoardReport, BoardSegment, Entry, FleetReport, RascFleet};
+use psc_rasc::{BoardReport, BoardSegment, Entry, RascBoard};
 use psc_score::karlin::search_params;
 use psc_score::{KarlinParams, SubstitutionMatrix};
 use psc_seqio::{mask_low_complexity, Bank, MaskConfig};
@@ -45,12 +45,8 @@ pub struct PipelineOutput {
     pub hsps: Vec<Hsp>,
     pub profile: StepProfile,
     pub stats: PipelineStats,
-    /// Present when step 2 ran on the simulated RASC board(s): per-FPGA
-    /// counters board-major, totals summed over the fleet.
+    /// Present when step 2 ran on the simulated RASC board.
     pub board: Option<BoardReport>,
-    /// Present with `board`: how entries were dispatched to the boards
-    /// (one board is a fleet of one).
-    pub fleet: Option<FleetReport>,
 }
 
 /// Why a pipeline run could not start or complete. All variants but
@@ -301,12 +297,11 @@ impl Pipeline {
         if tracer.enabled() && tracer.clock() == TraceClock::Virtual {
             commit_virtual_step2(tracer, step2::key_masses(idx0, |k| t1.list_len(k)));
         }
-        let (mut s2stats, simulated, scatter) = run_step2(
+        let (mut s2stats, board, scatter) = run_step2(
             cfg, &params, flat0, idx0, flat1, t1, &mut dedup, tracer, &t1_clock,
         )?;
-        let (board, fleet) = simulated.unzip();
-        if let (Some(b), Some(f), true) = (&board, &fleet, tracer.enabled()) {
-            commit_board_timeline(tracer, b, f);
+        if let Some(b) = board.as_ref().filter(|_| tracer.enabled()) {
+            commit_board_timeline(tracer, b);
         }
         // Every backend pushes the same candidate multiset; the pushed
         // count is the one `candidates` counter.
@@ -344,24 +339,6 @@ impl Pipeline {
             rec.add(keys::STEP2_FAULTS_DETECTED, b.faults.faults_detected);
             rec.add(keys::STEP2_FAULT_RETRIES, b.faults.retries);
             rec.add(keys::STEP2_ENTRIES_DEGRADED, b.faults.entries_degraded);
-        }
-        if let Some(f) = fleet.as_ref().filter(|f| f.boards >= 2) {
-            rec.add(keys::FLEET_BOARDS, f.boards as u64);
-            rec.add(keys::FLEET_STEALS, f.steals);
-            rec.add(keys::FLEET_QUARANTINED, f.quarantined.len() as u64);
-            rec.add(keys::FLEET_REDISPATCHED, f.redispatched);
-            for b in 0..f.boards {
-                rec.add(
-                    &keys::fleet_board_occupancy(b),
-                    (f.occupancy(b) * 100.0).round() as u64,
-                );
-            }
-            // The modeled cluster-speedup ladder: the same dispatch
-            // schedule replayed at each fleet size; the entry at the
-            // actual board count equals the run's makespan.
-            for &(n, makespan) in &f.modeled {
-                rec.record_span(&keys::fleet_modeled_boards(n), makespan);
-            }
         }
         if rec.enabled() {
             rec.set_meta(keys::BACKEND, cfg.backend.name());
@@ -594,7 +571,6 @@ impl Pipeline {
                     .map(|op| step3_cycles as f64 / op.config().clock_hz as f64),
             },
             board,
-            fleet,
         })
     }
 }
@@ -1118,36 +1094,12 @@ fn commit_segment(tracer: &dyn Tracer, index: u64, seg: &BoardSegment) {
 }
 
 /// Board lanes from the cycle-derived [`BoardReport`] timeline: DMA-in
-/// and compute per FPGA ([`commit_segment`]; a fleet's FPGAs are
-/// numbered board-major), each board's steal pulls and quarantine drains
-/// on its first DMA lane (stall classes `fleet-steal` /
-/// `fleet-quarantine-drain`, with victim / drained-count marks), plus
-/// one result-link drain lane — all on the simulated clock, so they are
-/// deterministic under both trace clocks.
-fn commit_board_timeline(tracer: &dyn Tracer, report: &BoardReport, fleet: &FleetReport) {
+/// and compute per FPGA ([`commit_segment`]), plus one result-link drain
+/// lane — all on the simulated clock, so they are deterministic under
+/// both trace clocks.
+fn commit_board_timeline(tracer: &dyn Tracer, report: &BoardReport) {
     for (i, seg) in report.timeline.iter().enumerate() {
         commit_segment(tracer, i as u64, seg);
-    }
-    let fpgas_per_board = report.fpga_cycles.len() / fleet.boards;
-    for (i, ev) in fleet.events.iter().enumerate() {
-        let events = match ev.kind {
-            psc_rasc::FleetEventKind::Steal { victim } => vec![
-                UnitEvent::span(keys::EV_STEAL_WAIT, ev.seconds, 1),
-                UnitEvent::mark(keys::EV_STEAL_VICTIM, victim as u64),
-            ],
-            psc_rasc::FleetEventKind::QuarantineDrain { drained } => vec![
-                UnitEvent::span(keys::EV_QUARANTINE_DRAIN, ev.seconds, 1),
-                UnitEvent::mark(keys::EV_QUARANTINED, drained),
-            ],
-        };
-        tracer.commit(UnitTrace {
-            stage: keys::STAGE_BOARD_DMA.to_string(),
-            index: (report.timeline.len() + i) as u64,
-            lane: (ev.board * fpgas_per_board) as u32,
-            start_seconds: Some(ev.at),
-            sim_clock: true,
-            events,
-        });
     }
     if !report.timeline.is_empty() {
         let drain_start = report
@@ -1175,12 +1127,12 @@ fn commit_board_timeline(tracer: &dyn Tracer, report: &BoardReport, fleet: &Flee
 
 /// What [`run_step2`] hands back besides the candidates it pushed into
 /// the dedup: counters (`candidates` left for the caller to fill from
-/// [`AnchorDedup::pushed`]), on the simulated boards their reports, and
+/// [`AnchorDedup::pushed`]), on the simulated board its report, and
 /// step 1's share of its wall: chunk scatters.
-type Step2Output = (Step2Stats, Option<(BoardReport, FleetReport)>, f64);
+type Step2Output = (Step2Stats, Option<BoardReport>, f64);
 
 /// Step 2 on the configured backend, feeding `dedup` directly: the
-/// boards push each entry's candidates from the draining thread as the
+/// board pushes each entry's candidates from the draining thread as the
 /// entry completes, the software kernels push after the worker join,
 /// chunk after chunk of a chunked T1. The dedup is push-order
 /// invariant, so the anchors — and everything downstream — are
@@ -1211,19 +1163,19 @@ fn run_step2(
             };
             let mut board_cfg = cfg.board_config(*pe_count, *fpga_count);
             board_cfg.record_timeline = tracer.enabled();
-            let fleet = RascFleet::new(board_cfg, cfg.fleet, params.matrix)
+            let board = RascBoard::new(board_cfg, params.matrix)
                 .map_err(PipelineError::OperatorDoesNotFit)?;
-            let (stats, reports) = run_board_entries(
+            let (stats, report) = run_board_entries(
                 params,
                 flat0,
                 idx0,
                 flat1,
                 idx1,
                 dedup,
-                &fleet,
+                &board,
                 *host_threads,
             )?;
-            return Ok((stats, Some(reports), 0.0));
+            return Ok((stats, Some(report), 0.0));
         }
     };
     // Units are timed, and their timings become trace spans, only under
@@ -1319,7 +1271,7 @@ fn run_chunks(
 }
 
 /// Step 2 on simulated hardware: gather one [`Entry`] per active key
-/// (in key order), stream the entries through `fleet` and push each
+/// (in key order), stream the entries through `board` and push each
 /// entry's surviving hits into `dedup` as the entry completes (entry
 /// *completion* order; the dedup is order-invariant). Errors only when
 /// an entry exhausts fault recovery with degradation disabled. The
@@ -1332,9 +1284,9 @@ fn run_board_entries(
     flat1: &FlatBank,
     idx1: &SeedIndex,
     dedup: &mut AnchorDedup<'_>,
-    fleet: &RascFleet,
+    board: &RascBoard,
     host_threads: usize,
-) -> Result<(Step2Stats, (BoardReport, FleetReport)), PipelineError> {
+) -> Result<(Step2Stats, BoardReport), PipelineError> {
     // Keys with work on both sides, in key order.
     let active: Vec<u32> = (0..idx0.key_count() as u32)
         .filter(|&k| !idx0.list(k).is_empty() && !idx1.list(k).is_empty())
@@ -1357,7 +1309,7 @@ fn run_board_entries(
         Entry { il0, il1 }
     });
 
-    let reports = fleet
+    let report = board
         .run_stream(entries, host_threads, |entry_idx, hits| {
             let key = active[entry_idx as usize];
             let list0 = idx0.list(key);
@@ -1371,7 +1323,7 @@ fn run_board_entries(
             }
         })
         .map_err(PipelineError::BoardFault)?;
-    Ok((stats, reports))
+    Ok((stats, report))
 }
 
 #[cfg(test)]

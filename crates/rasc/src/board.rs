@@ -14,13 +14,12 @@
 //! caller's sink and each shard's cost — cycles, stalls, bytes, watchdog
 //! budget — is kept. The hits are the fault-free hits by construction.
 //!
-//! *Phase B* (`Board`, sequential): each dispatched entry's attempt
-//! loop is replayed as arithmetic over those costs, and the board's
+//! *Phase B* (sequential, in entry order): each entry's attempt loop is
+//! replayed as arithmetic over those costs, and the board's
 //! double-buffered DMA/compute timeline advances one entry at a time.
-//! [`crate::fleet`] decides which board an entry goes to; one board is
-//! a fleet of one. Timing is *simulated* (cycles at the configured
-//! clock plus the DMA model), so the number of host threads only affects
-//! how fast the simulation itself runs, never the reported numbers.
+//! Timing is *simulated* (cycles at the configured clock plus the DMA
+//! model), so the number of host threads only affects how fast the
+//! simulation itself runs, never the reported numbers.
 //!
 //! ## Fault handling
 //!
@@ -46,6 +45,7 @@ use crate::dma::DmaModel;
 use crate::fault::{BoardFault, FaultInjector, FaultKind, FaultPlan, FaultSummary, RecoveryPolicy};
 use crate::functional::FunctionalOperator;
 use crate::operator::{pe_utilization, Hit};
+use crate::resource::{ResourceError, ResourceModel};
 
 /// Simulated cycles an ADR dispatch handshake burns before the
 /// protocol check rejects it.
@@ -101,8 +101,8 @@ pub struct Entry {
     pub il1: Vec<u8>,
 }
 
-/// Timing report of a workload run. Per-FPGA vectors are board-major:
-/// index `b * fpga_count + f` is board `b`'s FPGA `f`.
+/// Timing report of a workload run. Per-FPGA vectors are indexed by
+/// FPGA.
 #[derive(Clone, Debug, Default)]
 pub struct BoardReport {
     /// Hardware cycles per FPGA.
@@ -115,7 +115,7 @@ pub struct BoardReport {
     pub busy_pe_cycles: Vec<u64>,
     /// Result-FIFO high-water mark per FPGA (max over entries).
     pub fifo_peak: Vec<u64>,
-    /// Bytes streamed to / from the boards (every retry re-streams its
+    /// Bytes streamed to / from the board (every retry re-streams its
     /// entry over NUMAlink).
     pub bytes_in: u64,
     pub bytes_out: u64,
@@ -127,11 +127,10 @@ pub struct BoardReport {
     /// Hits delivered over the result link (degraded shards are
     /// recomputed host-side and do not cross it).
     pub hit_count: u64,
-    /// Simulated wall time of the accelerated section, on the board
-    /// that finished last: its slowest FPGA's double-buffered DMA/compute
-    /// timeline (input streaming of entry *k+1* overlaps compute of
-    /// entry *k*), plus the shared result link, plus its host
-    /// synchronisation and setup.
+    /// Simulated wall time of the accelerated section: the slowest
+    /// FPGA's double-buffered DMA/compute timeline (input streaming of
+    /// entry *k+1* overlaps compute of entry *k*), plus the shared
+    /// result link, plus host synchronisation and setup.
     pub accelerated_seconds: f64,
     /// Seconds of that FPGA's timeline during which its DMA engine and
     /// its PE array were busy *simultaneously* (the double-buffer
@@ -164,7 +163,7 @@ pub struct BoardReport {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BoardSegment {
     pub entry: u64,
-    /// Board-major FPGA index, as in [`BoardReport::fpga_cycles`].
+    /// FPGA index, as in [`BoardReport::fpga_cycles`].
     pub fpga: usize,
     /// Input-stream window on the DMA engine, seconds.
     pub dma_start: f64,
@@ -262,7 +261,7 @@ fn stream_entries<I, S, T>(
 }
 
 /// FPGAs a RASC-100 carries.
-pub(crate) const MAX_FPGAS: usize = 2;
+const MAX_FPGAS: usize = 2;
 
 /// Fault-free cost of one shard — everything Phase B needs to replay
 /// any fault plan without touching sequence data again.
@@ -284,7 +283,7 @@ struct ShardBase {
 /// inline: Phase A keeps one per entry until Phase B ends, and a small
 /// heap block each, allocated on the workers, fragments their arenas.
 #[derive(Clone, Debug)]
-pub(crate) struct EntryBase {
+struct EntryBase {
     entry: u64,
     len: usize,
     shards: [ShardBase; MAX_FPGAS],
@@ -299,7 +298,7 @@ impl EntryBase {
 /// Phase A over the whole stream: hands each entry's fault-free hits
 /// to `sink` (FPGA 0's shard first, `i0` rebased to the full entry) and
 /// returns the per-shard costs in entry order.
-pub(crate) fn precompute<I>(
+fn precompute<I>(
     config: &BoardConfig,
     matrix: &SubstitutionMatrix,
     entries: I,
@@ -388,10 +387,10 @@ struct ShardRun {
     wedge: Option<FaultKind>,
 }
 
-/// One entry dispatched to one board: every shard's attempt loop under
-/// that board's fault stream.
+/// One entry dispatched to the board: every shard's attempt loop under
+/// the plan's fault stream.
 #[derive(Clone, Debug)]
-pub(crate) struct Dispatch {
+struct Dispatch {
     entry: u64,
     len: usize,
     runs: [ShardRun; MAX_FPGAS],
@@ -401,7 +400,7 @@ pub(crate) struct Dispatch {
 impl Dispatch {
     /// Replay `injector`'s fault stream over `base`. Each shard runs its
     /// own loop whatever its siblings did.
-    pub(crate) fn replay(
+    fn replay(
         policy: &RecoveryPolicy,
         base: &EntryBase,
         injector: Option<&FaultInjector>,
@@ -487,7 +486,7 @@ impl Dispatch {
 
     /// The first shard that exhausted the retry budget, as the error a
     /// run without degradation fails with.
-    pub(crate) fn wedge(&self) -> Option<BoardFault> {
+    fn wedge(&self) -> Option<BoardFault> {
         self.runs().iter().find_map(|s| {
             s.wedge.map(|kind| BoardFault {
                 entry: self.entry,
@@ -543,51 +542,45 @@ impl Lane {
     }
 }
 
-/// One board in Phase B: its FPGA lanes, advanced one dispatched entry
+/// The board in Phase B: its FPGA lanes, advanced one dispatched entry
 /// at a time, and what dispatching to it cost the host.
 #[derive(Clone, Debug)]
-pub(crate) struct Board {
+struct Board {
     lanes: Vec<Lane>,
-    /// Entries dispatched here; each pays the host synchronisation.
+    /// Entries dispatched; each pays the host synchronisation and a
+    /// dispatch handshake.
     dispatches: u64,
-    /// Dispatch handshakes: one per dispatch, steal pull and drained
-    /// entry.
-    pub(crate) handshakes: u64,
     bytes_in: u64,
     hits: u64,
     faults: FaultSummary,
 }
 
 impl Board {
-    pub(crate) fn new(fpga_count: usize) -> Board {
+    fn new(fpga_count: usize) -> Board {
         Board {
             lanes: vec![Lane::default(); fpga_count],
             dispatches: 0,
-            handshakes: 0,
             bytes_in: 0,
             hits: 0,
             faults: FaultSummary::default(),
         }
     }
 
-    /// Charge dispatch `d` to this board. `stands` is false when the
-    /// entry is taken elsewhere: its hits are not delivered from here
-    /// and its wedged shards do not degrade here.
-    pub(crate) fn commit(
+    /// Charge dispatch `d` to the board. A wedged shard degrades: its
+    /// hits are recomputed on the host, not delivered over the link.
+    fn commit(
         &mut self,
         config: &BoardConfig,
         d: &Dispatch,
-        stands: bool,
-        mut timeline: Option<(&mut Vec<BoardSegment>, usize)>,
+        mut timeline: Option<&mut Vec<BoardSegment>>,
     ) {
         let clock = config.operator.clock_hz as f64;
         self.dispatches += 1;
-        self.handshakes += 1;
         self.faults.merge(&d.faults);
         for s in d.runs() {
             self.bytes_in += s.bytes;
-            let degraded = stands && s.wedge.is_some();
-            if stands && !degraded {
+            let degraded = s.wedge.is_some();
+            if !degraded {
                 self.hits += s.hits;
             }
             self.faults.entries_degraded += degraded as u64;
@@ -598,10 +591,10 @@ impl Board {
             lane.peak = lane.peak.max(s.peak);
             let (dma_start, compute_start) =
                 lane.advance(config.dma.wire_time(s.bytes), s.cycles as f64 / clock);
-            if let Some((segments, first_fpga)) = timeline.as_mut() {
+            if let Some(segments) = timeline.as_mut() {
                 segments.push(BoardSegment {
                     entry: d.entry,
-                    fpga: *first_fpga + s.fpga,
+                    fpga: s.fpga,
                     dma_start,
                     dma_end: lane.dma_end,
                     compute_start,
@@ -614,110 +607,121 @@ impl Board {
         }
     }
 
-    /// When the board could start streaming another entry: every FPGA
-    /// has a free buffer half and an idle DMA engine.
-    fn ready(&self) -> f64 {
-        self.lanes
-            .iter()
-            .map(|l| l.dma_end.max(l.compute_end_prev))
-            .fold(0.0, f64::max)
-    }
-
-    /// The slowest FPGA's timeline span and its overlap.
-    fn slowest(&self) -> (f64, f64) {
+    /// The report of the run: per-FPGA counters, totals, and the timing
+    /// of the slowest FPGA.
+    fn report(
+        self,
+        config: &BoardConfig,
+        matrix: &SubstitutionMatrix,
+        entries: u64,
+        timeline: Vec<BoardSegment>,
+    ) -> BoardReport {
+        let mut r = BoardReport {
+            entries,
+            host_kernel: FunctionalOperator::host_kernel(&config.operator, matrix).name(),
+            timeline,
+            bytes_in: self.bytes_in,
+            hit_count: self.hits,
+            faults: self.faults,
+            ..BoardReport::default()
+        };
         let (mut span, mut overlap) = (0.0f64, 0.0f64);
         for l in &self.lanes {
-            if l.compute_end > span {
-                (span, overlap) = (l.compute_end, l.overlap);
-            }
-        }
-        (span, overlap)
-    }
-
-    /// When the board's last compute ends.
-    pub(crate) fn span(&self) -> f64 {
-        self.slowest().0
-    }
-
-    fn sync_seconds(&self, config: &BoardConfig) -> f64 {
-        config.sync_per_entry * self.dispatches as f64 * (config.fpga_count as f64 - 1.0)
-    }
-
-    /// Host time charged so far beside the timeline: synchronisation and
-    /// dispatch handshakes.
-    fn charged(&self, config: &BoardConfig) -> f64 {
-        self.sync_seconds(config) + config.dma.dispatch_latency * self.handshakes as f64
-    }
-
-    /// The board's clock in the dispatch simulation.
-    pub(crate) fn clock(&self, config: &BoardConfig) -> f64 {
-        self.ready() + self.charged(config)
-    }
-
-    /// When the board's last compute and every charge are done.
-    pub(crate) fn finish(&self, config: &BoardConfig) -> f64 {
-        self.span() + self.charged(config)
-    }
-
-    /// Seconds the board spent on its own entries: [`Board::finish`]
-    /// less the handshakes of steals and drains.
-    pub(crate) fn busy(&self, config: &BoardConfig) -> f64 {
-        self.span()
-            + self.sync_seconds(config)
-            + config.dma.dispatch_latency * self.dispatches as f64
-    }
-}
-
-/// The report of a run over `boards`: per-FPGA counters board-major,
-/// totals summed, and the timing of the board that finished last.
-pub(crate) fn report(
-    config: &BoardConfig,
-    matrix: &SubstitutionMatrix,
-    boards: &[Board],
-    entries: u64,
-    timeline: Vec<BoardSegment>,
-) -> BoardReport {
-    let mut r = BoardReport {
-        entries,
-        host_kernel: FunctionalOperator::host_kernel(&config.operator, matrix).name(),
-        timeline,
-        ..BoardReport::default()
-    };
-    let mut last: Option<&Board> = None;
-    for b in boards {
-        for l in &b.lanes {
             r.fpga_cycles.push(l.cycles);
             r.stall_cycles.push(l.stalls);
             r.busy_pe_cycles.push(l.busy);
             r.fifo_peak.push(l.peak);
+            if l.compute_end > span {
+                (span, overlap) = (l.compute_end, l.overlap);
+            }
         }
-        r.bytes_in += b.bytes_in;
-        r.hit_count += b.hits;
-        r.faults.merge(&b.faults);
-        if last.is_none_or(|l| b.finish(config) > l.finish(config)) {
-            last = Some(b);
+        r.bytes_out = r.hit_count * std::mem::size_of::<(u32, u32)>() as u64;
+        r.wire_in_seconds = config.dma.wire_time(r.bytes_in);
+        r.wire_out_seconds = config.dma.wire_time(r.bytes_out);
+        if span > 0.0 {
+            r.overlap_seconds = overlap;
+            r.overlap_occupancy = overlap / span;
         }
+        let dispatches = self.dispatches as f64;
+        r.sync_seconds = config.sync_per_entry * dispatches * (config.fpga_count as f64 - 1.0);
+        r.setup_seconds = config.dma.bitstream_load + config.dma.dispatch_latency * dispatches;
+        r.accelerated_seconds = span + r.wire_out_seconds + r.sync_seconds + r.setup_seconds;
+        r
     }
-    r.bytes_out = r.hit_count * std::mem::size_of::<(u32, u32)>() as u64;
-    r.wire_in_seconds = config.dma.wire_time(r.bytes_in);
-    r.wire_out_seconds = config.dma.wire_time(r.bytes_out);
-    let last = last.expect("a fleet has at least one board");
-    let (span, overlap) = last.slowest();
-    if span > 0.0 {
-        r.overlap_seconds = overlap;
-        r.overlap_occupancy = overlap / span;
+}
+
+/// One simulated RASC-100 board of one or two FPGAs.
+#[derive(Debug)]
+pub struct RascBoard {
+    config: BoardConfig,
+    matrix: SubstitutionMatrix,
+}
+
+impl RascBoard {
+    /// Build a board; every FPGA must fit the configured operator.
+    pub fn new(
+        config: BoardConfig,
+        matrix: &SubstitutionMatrix,
+    ) -> Result<RascBoard, ResourceError> {
+        assert!(
+            (1..=MAX_FPGAS).contains(&config.fpga_count),
+            "RASC-100 has one or two FPGAs"
+        );
+        config.operator.validate().expect("invalid operator config");
+        ResourceModel::check(&config.operator)?;
+        Ok(RascBoard {
+            config,
+            matrix: matrix.clone(),
+        })
     }
-    r.sync_seconds = last.sync_seconds(config);
-    r.setup_seconds =
-        config.dma.bitstream_load + config.dma.dispatch_latency * last.handshakes as f64;
-    r.accelerated_seconds = span + r.wire_out_seconds + r.sync_seconds + r.setup_seconds;
-    r
+
+    /// Run a streamed workload with `host_threads` simulation workers.
+    ///
+    /// `sink` receives `(entry_index, hits)` — possibly out of entry
+    /// order, and in bursts — with exactly the fault-free hit stream
+    /// (Phase A is its only source). The report is `host_threads`-
+    /// invariant. With degradation disabled, the first entry, in entry
+    /// order, that exhausts the retry budget fails the run.
+    pub fn run_stream<I>(
+        &self,
+        entries: I,
+        host_threads: usize,
+        mut sink: impl FnMut(u64, Vec<Hit>),
+    ) -> Result<BoardReport, BoardFault>
+    where
+        I: Iterator<Item = Entry> + Send,
+    {
+        let cfg = &self.config;
+        let bases = precompute(cfg, &self.matrix, entries, host_threads, &mut sink);
+        let injector = cfg.fault_plan.clone().map(FaultInjector::new);
+        let mut board = Board::new(cfg.fpga_count);
+        let mut timeline = Vec::new();
+        for base in &bases {
+            let d = Dispatch::replay(&cfg.recovery, base, injector.as_ref());
+            if let Some(fault) = d.wedge().filter(|_| !cfg.recovery.degrade) {
+                return Err(fault);
+            }
+            board.commit(cfg, &d, cfg.record_timeline.then_some(&mut timeline));
+        }
+        Ok(board.report(cfg, &self.matrix, bases.len() as u64, timeline))
+    }
+
+    /// Run a workload held in memory; per-entry hits in entry order.
+    pub fn run_workload(
+        &self,
+        entries: &[Entry],
+    ) -> Result<(Vec<Vec<Hit>>, BoardReport), BoardFault> {
+        let mut hits: Vec<Vec<Hit>> = vec![Vec::new(); entries.len()];
+        let report = self.run_stream(entries.iter().cloned(), 1, |idx, h| {
+            hits[idx as usize] = h;
+        })?;
+        Ok((hits, report))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{FleetConfig, RascFleet};
     use psc_score::blosum62;
     use psc_seqio::alphabet::encode_protein;
 
@@ -737,17 +741,8 @@ mod tests {
         BoardConfig::new(op, fpgas)
     }
 
-    fn fleet(boards: usize, cfg: BoardConfig) -> RascFleet {
-        let f = FleetConfig {
-            boards,
-            ..FleetConfig::default()
-        };
-        RascFleet::new(cfg, f, blosum62()).unwrap()
-    }
-
-    /// A single board: a fleet of one.
-    fn board(cfg: BoardConfig) -> RascFleet {
-        fleet(1, cfg)
+    fn board(cfg: BoardConfig) -> RascBoard {
+        RascBoard::new(cfg, blosum62()).unwrap()
     }
 
     fn entries() -> Vec<Entry> {
@@ -764,8 +759,8 @@ mod tests {
 
     #[test]
     fn one_and_two_fpgas_find_same_hits() {
-        let (h1, _, _) = board(test_config(1)).run_workload(&entries()).unwrap();
-        let (h2, _, _) = board(test_config(2)).run_workload(&entries()).unwrap();
+        let (h1, _) = board(test_config(1)).run_workload(&entries()).unwrap();
+        let (h2, _) = board(test_config(2)).run_workload(&entries()).unwrap();
         for (a, b) in h1.iter().zip(&h2) {
             let mut a = a.clone();
             let mut b = b.clone();
@@ -779,8 +774,8 @@ mod tests {
 
     #[test]
     fn two_fpgas_split_the_cycles() {
-        let (_, r1, _) = board(test_config(1)).run_workload(&entries()).unwrap();
-        let (_, r2, _) = board(test_config(2)).run_workload(&entries()).unwrap();
+        let (_, r1) = board(test_config(1)).run_workload(&entries()).unwrap();
+        let (_, r2) = board(test_config(2)).run_workload(&entries()).unwrap();
         assert_eq!(r1.fpga_cycles.len(), 1);
         assert_eq!(r2.fpga_cycles.len(), 2);
         let worst2 = *r2.fpga_cycles.iter().max().unwrap();
@@ -809,9 +804,9 @@ mod tests {
                 }
             })
             .collect();
-        let (seq_hits, seq_rep, _) = board.run_workload(&work).unwrap();
+        let (seq_hits, seq_rep) = board.run_workload(&work).unwrap();
         let mut par_hits: Vec<Vec<Hit>> = vec![Vec::new(); work.len()];
-        let (par_rep, _) = board
+        let par_rep = board
             .run_stream(work.iter().cloned(), 4, |idx, h| {
                 par_hits[idx as usize] = h;
             })
@@ -833,8 +828,7 @@ mod tests {
     #[test]
     fn double_buffer_overlaps_dma_with_compute() {
         // Many same-shaped entries: in steady state the DMA-in of entry
-        // k+1 hides entirely under compute of entry k — on every board
-        // of a fleet as on one.
+        // k+1 hides entirely under compute of entry k.
         let work: Vec<Entry> = (0..30)
             .map(|i| Entry {
                 il0: (0..20 * 6u32).map(|r| ((r + i) % 20) as u8).collect(),
@@ -843,36 +837,25 @@ mod tests {
             .collect();
         let cfg = test_config(1);
         let clock = cfg.operator.clock_hz as f64;
-        for boards in [1, 2, 4] {
-            let (_, r, _) = fleet(boards, cfg.clone()).run_workload(&work).unwrap();
-            assert!(r.overlap_seconds > 0.0, "{boards} boards: {r:?}");
-            assert!(
-                r.overlap_occupancy > 0.0 && r.overlap_occupancy <= 1.0,
-                "{boards} boards: {r:?}"
-            );
-            // Every dispatch handshake is charged, not just the bitstream.
-            assert!(r.setup_seconds > cfg.dma.bitstream_load, "{r:?}");
-            // The slowest board's overlapped span beats neither its pure
-            // compute time nor, on one board, the pure wire time, and
-            // never exceeds their sum.
-            let compute: Vec<f64> = r.fpga_cycles.iter().map(|&c| c as f64 / clock).collect();
-            let least = compute.iter().copied().fold(f64::INFINITY, f64::min);
-            let most = compute.iter().copied().fold(0.0, f64::max);
-            let span =
-                r.accelerated_seconds - r.wire_out_seconds - r.sync_seconds - r.setup_seconds;
-            assert!(span >= least - 1e-15, "{boards} boards: {r:?}");
-            if boards == 1 {
-                assert!(span >= r.wire_in_seconds - 1e-15, "{r:?}");
-            }
-            assert!(
-                span <= most + r.wire_in_seconds + 1e-15,
-                "{boards} boards: {r:?}"
-            );
-            // A single entry has nothing to overlap with.
-            let (_, one, _) = fleet(boards, cfg.clone()).run_workload(&work[..1]).unwrap();
-            assert_eq!(one.overlap_seconds, 0.0);
-            assert_eq!(one.overlap_occupancy, 0.0);
-        }
+        let (_, r) = board(cfg.clone()).run_workload(&work).unwrap();
+        assert!(r.overlap_seconds > 0.0, "{r:?}");
+        assert!(
+            r.overlap_occupancy > 0.0 && r.overlap_occupancy <= 1.0,
+            "{r:?}"
+        );
+        // Every dispatch handshake is charged, not just the bitstream.
+        assert!(r.setup_seconds > cfg.dma.bitstream_load, "{r:?}");
+        // The overlapped span beats neither the pure compute time nor
+        // the pure wire time, and never exceeds their sum.
+        let compute = r.fpga_cycles[0] as f64 / clock;
+        let span = r.accelerated_seconds - r.wire_out_seconds - r.sync_seconds - r.setup_seconds;
+        assert!(span >= compute - 1e-15, "{r:?}");
+        assert!(span >= r.wire_in_seconds - 1e-15, "{r:?}");
+        assert!(span <= compute + r.wire_in_seconds + 1e-15, "{r:?}");
+        // A single entry has nothing to overlap with.
+        let (_, one) = board(cfg).run_workload(&work[..1]).unwrap();
+        assert_eq!(one.overlap_seconds, 0.0);
+        assert_eq!(one.overlap_occupancy, 0.0);
     }
 
     #[test]
@@ -886,8 +869,8 @@ mod tests {
                 il1: (0..5 * 6u32).map(|r| ((r * 3 + i) % 20) as u8).collect(),
             })
             .collect();
-        let (_, seq, _) = sim.run_workload(&work).unwrap();
-        let (par, _) = sim.run_stream(work.iter().cloned(), 4, |_, _| {}).unwrap();
+        let (_, seq) = sim.run_workload(&work).unwrap();
+        let par = sim.run_stream(work.iter().cloned(), 4, |_, _| {}).unwrap();
         assert_eq!(seq.timeline, par.timeline);
         assert_eq!(seq.timeline.len(), work.len() * 2); // two FPGAs
                                                         // Dispatch order, per-lane monotonic, DMA precedes compute.
@@ -914,7 +897,7 @@ mod tests {
             .fold(0.0f64, f64::max);
         assert!((span - worst).abs() < 1e-15, "{span} vs {worst}");
         // Off by default: no segments on a plain config.
-        let (_, r, _) = board(test_config(2)).run_workload(&work).unwrap();
+        let (_, r) = board(test_config(2)).run_workload(&work).unwrap();
         assert!(r.timeline.is_empty());
     }
 
@@ -925,7 +908,7 @@ mod tests {
         cfg.record_timeline = true;
         // Entry 1 faults twice then succeeds; entry 0 is clean.
         cfg.fault_plan = Some(FaultPlan::parse("1:pe-flip:2").unwrap());
-        let (_, r, _) = board(cfg).run_workload(&entries()).unwrap();
+        let (_, r) = board(cfg).run_workload(&entries()).unwrap();
         assert_eq!(r.timeline.len(), 2);
         assert_eq!(r.timeline[0].retries, 0);
         assert_eq!(r.timeline[1].retries, 2);
@@ -940,8 +923,8 @@ mod tests {
 
     #[test]
     fn sync_overhead_only_with_two_fpgas() {
-        let (_, r1, _) = board(test_config(1)).run_workload(&entries()).unwrap();
-        let (_, r2, _) = board(test_config(2)).run_workload(&entries()).unwrap();
+        let (_, r1) = board(test_config(1)).run_workload(&entries()).unwrap();
+        let (_, r2) = board(test_config(2)).run_workload(&entries()).unwrap();
         assert_eq!(r1.sync_seconds, 0.0);
         assert!(r2.sync_seconds > 0.0);
     }
@@ -949,7 +932,7 @@ mod tests {
     #[test]
     fn oversized_operator_rejected() {
         let cfg = BoardConfig::new(OperatorConfig::new(4000), 1);
-        assert!(RascFleet::new(cfg, FleetConfig::default(), blosum62()).is_err());
+        assert!(RascBoard::new(cfg, blosum62()).is_err());
     }
 
     #[test]
@@ -960,7 +943,7 @@ mod tests {
 
     #[test]
     fn report_accounts_bytes() {
-        let (hits, r, _) = board(test_config(1)).run_workload(&entries()).unwrap();
+        let (hits, r) = board(test_config(1)).run_workload(&entries()).unwrap();
         let total_hits: usize = hits.iter().map(Vec::len).sum();
         assert_eq!(r.bytes_out, (total_hits * 8) as u64);
         assert_eq!(r.hit_count, total_hits as u64);
@@ -998,7 +981,7 @@ mod tests {
 
     #[test]
     fn empty_workload() {
-        let (hits, r, _) = board(test_config(2)).run_workload(&[]).unwrap();
+        let (hits, r) = board(test_config(2)).run_workload(&[]).unwrap();
         assert!(hits.is_empty());
         assert_eq!(r.bytes_in, 0);
         assert_eq!(r.sync_seconds, 0.0);

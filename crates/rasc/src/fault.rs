@@ -89,19 +89,13 @@ impl std::fmt::Display for FaultKind {
 }
 
 /// One scripted fault: fires on the first `attempts` attempts of one
-/// entry, on one FPGA or on all of them, on one fleet board or on
-/// whichever board the entry lands on.
+/// entry, on one FPGA or on both.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Stream index of the entry to hit.
     pub entry: u64,
     /// Restrict to one FPGA of the board (`None` = every FPGA).
     pub fpga: Option<usize>,
-    /// Restrict to one board of a fleet (`None` = any board). A spec
-    /// pinned to board `b` follows its entry only while the fleet
-    /// dispatcher places it there — the lever the quarantine tests use
-    /// to wedge exactly one board.
-    pub board: Option<usize>,
     pub kind: FaultKind,
     /// How many consecutive attempts fail before the fault clears; a
     /// value above the retry budget makes the fault persistent.
@@ -117,21 +111,10 @@ pub enum FaultPlan {
     /// faults with probability `rate_ppm / 1e6`, with a persistence of
     /// 1–6 attempts drawn from the same hash (CLI `--fault-seed`).
     Seeded { seed: u64, rate_ppm: u32 },
-    /// Like [`FaultPlan::Seeded`] but with heavy-tailed (Pareto-ish)
-    /// persistence: `P(persistence ≥ 2^k) = 2^-k`, capped at
-    /// [`MAX_STUCK_ATTEMPTS`]. Most faults clear within a retry or two,
-    /// while a seeded few outlast any sane retry budget — the "stuck
-    /// board" regime field deployments see (CLI `--fault-tail heavy`).
-    SeededHeavyTail { seed: u64, rate_ppm: u32 },
 }
 
 /// Default fault probability of seeded plans, parts per million.
 pub const DEFAULT_FAULT_RATE_PPM: u32 = 250_000;
-
-/// Persistence ceiling of the heavy-tailed mode: a stuck `(entry,
-/// fpga)` pair fails at most this many consecutive attempts
-/// (`2^6`; drawn with probability `2^-6` among faulty pairs).
-pub const MAX_STUCK_ATTEMPTS: u32 = 64;
 
 impl FaultPlan {
     /// A seeded plan at the default rate.
@@ -142,38 +125,21 @@ impl FaultPlan {
         }
     }
 
-    /// A heavy-tailed seeded plan at the default rate.
-    pub fn seeded_heavy(seed: u64) -> FaultPlan {
-        FaultPlan::SeededHeavyTail {
-            seed,
-            rate_ppm: DEFAULT_FAULT_RATE_PPM,
-        }
-    }
-
     /// Parse the CLI plan syntax: comma-separated
-    /// `ENTRY:KIND[:ATTEMPTS][@FPGA][#BOARD]` items, e.g.
-    /// `0:pe-flip,3:fifo-stall:9@1,5:fifo-stall:99#2`.
+    /// `ENTRY:KIND[:ATTEMPTS][@FPGA]` items, e.g.
+    /// `0:pe-flip,3:fifo-stall:9@1`.
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut specs = Vec::new();
         for item in text.split(',').filter(|s| !s.trim().is_empty()) {
             let item = item.trim();
-            let (item_body, board) = match item.split_once('#') {
-                Some((body, b)) => {
-                    let b = b
-                        .parse::<usize>()
-                        .map_err(|_| format!("bad board index in fault spec {item:?}"))?;
-                    (body, Some(b))
-                }
-                None => (item, None),
-            };
-            let (body, fpga) = match item_body.split_once('@') {
+            let (body, fpga) = match item.split_once('@') {
                 Some((body, f)) => {
                     let f = f
                         .parse::<usize>()
                         .map_err(|_| format!("bad FPGA index in fault spec {item:?}"))?;
                     (body, Some(f))
                 }
-                None => (item_body, None),
+                None => (item, None),
             };
             let mut parts = body.split(':');
             let entry = parts
@@ -183,7 +149,8 @@ impl FaultPlan {
                 .map_err(|_| format!("bad entry index in fault spec {item:?}"))?;
             let kind = FaultKind::parse(parts.next().ok_or_else(|| {
                 format!("fault spec {item:?} is missing a kind (ENTRY:KIND[:ATTEMPTS][@FPGA])")
-            })?)?;
+            })?)
+            .map_err(|e| format!("{e} in fault spec {item:?}"))?;
             let attempts = match parts.next() {
                 None => 1,
                 Some(n) => n
@@ -196,7 +163,6 @@ impl FaultPlan {
             specs.push(FaultSpec {
                 entry,
                 fpga,
-                board,
                 kind,
                 attempts,
             });
@@ -215,36 +181,14 @@ fn mix4(seed: u64, entry: u64, fpga: u64, salt: u64) -> u64 {
 }
 
 /// Evaluates a [`FaultPlan`] at each dispatch attempt.
-///
-/// An injector is bound to one board of a fleet: seeded draws salt the
-/// plan seed with the board id so two boards never share a fault
-/// stream (a stuck `(entry, fpga)` pair on board 3 says nothing about
-/// the same pair on board 5), and scripted specs pinned with `#BOARD`
-/// only fire on that board. [`FaultInjector::new`] binds board 0 with
-/// a zero salt, so single-board behaviour — and every pinned seeded
-/// count in the test suite — is unchanged.
 #[derive(Clone, Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    /// Fleet board this injector evaluates the plan for.
-    board: usize,
-    /// `board * φ64`, XORed into the plan seed of seeded draws.
-    /// Zero for board 0, so the unsalted stream is preserved exactly.
-    board_salt: u64,
 }
 
 impl FaultInjector {
     pub fn new(plan: FaultPlan) -> FaultInjector {
-        FaultInjector::for_board(plan, 0)
-    }
-
-    /// Bind the plan to fleet board `board`.
-    pub fn for_board(plan: FaultPlan, board: usize) -> FaultInjector {
-        FaultInjector {
-            plan,
-            board,
-            board_salt: (board as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        }
+        FaultInjector { plan }
     }
 
     /// Does attempt `attempt` (0-based) of `entry` on FPGA `fpga`
@@ -254,33 +198,18 @@ impl FaultInjector {
             FaultPlan::Scripted(specs) => specs
                 .iter()
                 .find(|s| {
-                    s.entry == entry
-                        && s.fpga.is_none_or(|f| f == fpga)
-                        && s.board.is_none_or(|b| b == self.board)
-                        && attempt < s.attempts
+                    s.entry == entry && s.fpga.is_none_or(|f| f == fpga) && attempt < s.attempts
                 })
                 .map(|s| s.kind),
-            FaultPlan::Seeded { seed, rate_ppm }
-            | FaultPlan::SeededHeavyTail { seed, rate_ppm } => {
-                let heavy = matches!(&self.plan, FaultPlan::SeededHeavyTail { .. });
-                let seed = *seed ^ self.board_salt;
-                let faulty = mix4(seed, entry, fpga as u64, 1) % 1_000_000 < *rate_ppm as u64;
+            &FaultPlan::Seeded { seed, rate_ppm } => {
+                let faulty = mix4(seed, entry, fpga as u64, 1) % 1_000_000 < rate_ppm as u64;
                 if !faulty {
                     return None;
                 }
-                let draw = mix4(seed, entry, fpga as u64, 3);
-                let persistence = if heavy {
-                    // Pareto-ish: the number of trailing zero bits of a
-                    // uniform word is geometric, so `2^tz` has
-                    // `P(persistence ≥ 2^k) = 2^-k` — a power-law tail
-                    // whose rare long draws are the "stuck" boards.
-                    1u32 << draw.trailing_zeros().min(MAX_STUCK_ATTEMPTS.ilog2())
-                } else {
-                    // Uniform 1–6 attempts: short faults exercise the
-                    // retry path, long ones the degrade path (the
-                    // default retry budget is 3).
-                    1 + (draw % 6) as u32
-                };
+                // Uniform 1–6 attempts: short faults exercise the retry
+                // path, long ones the degrade path (the default retry
+                // budget is 3).
+                let persistence = 1 + (mix4(seed, entry, fpga as u64, 3) % 6) as u32;
                 if attempt >= persistence {
                     return None;
                 }
@@ -292,10 +221,18 @@ impl FaultInjector {
     }
 }
 
+/// Ceiling on [`RecoveryPolicy::max_retries`] that the CLI accepts. A
+/// fault whose persistence outlasts the budget is replayed attempt by
+/// attempt, so an unbounded budget against a persistent scripted fault
+/// spins for `u32::MAX` attempts; 64 is far past the point where the
+/// backoff stops growing (attempt 16).
+pub const MAX_RETRIES: u32 = 64;
+
 /// Retry / degradation policy of the board's dispatch loop.
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryPolicy {
-    /// Redispatches after the first failed attempt.
+    /// Redispatches after the first failed attempt (the CLI caps it at
+    /// [`MAX_RETRIES`]).
     pub max_retries: u32,
     /// Simulated backoff before retry `n` is `backoff_cycles << n`.
     pub backoff_cycles: u64,
@@ -422,7 +359,6 @@ mod tests {
             FaultSpec {
                 entry: 0,
                 fpga: None,
-                board: None,
                 kind: FaultKind::PeFlip,
                 attempts: 1
             }
@@ -432,43 +368,12 @@ mod tests {
             FaultSpec {
                 entry: 3,
                 fpga: Some(1),
-                board: None,
                 kind: FaultKind::FifoStall,
                 attempts: 9
             }
         );
         assert_eq!(specs[2].entry, 7);
         assert_eq!(specs[2].attempts, 2);
-    }
-
-    #[test]
-    fn plan_parse_accepts_board_pin() {
-        let plan = FaultPlan::parse("5:fifo-stall:99@1#2").unwrap();
-        let FaultPlan::Scripted(specs) = &plan else {
-            panic!("scripted expected")
-        };
-        assert_eq!(
-            specs[0],
-            FaultSpec {
-                entry: 5,
-                fpga: Some(1),
-                board: Some(2),
-                kind: FaultKind::FifoStall,
-                attempts: 99
-            }
-        );
-        assert!(FaultPlan::parse("5:fifo-stall#x").is_err());
-    }
-
-    #[test]
-    fn scripted_board_pin_fires_only_on_that_board() {
-        let plan = FaultPlan::parse("2:fifo-stall:99#1").unwrap();
-        let b0 = FaultInjector::for_board(plan.clone(), 0);
-        let b1 = FaultInjector::for_board(plan, 1);
-        assert_eq!(b0.fire(2, 0, 0), None, "pinned to board 1, not 0");
-        assert_eq!(b1.fire(2, 0, 0), Some(FaultKind::FifoStall));
-        assert_eq!(b1.fire(2, 0, 98), Some(FaultKind::FifoStall));
-        assert_eq!(b1.fire(2, 0, 99), None);
     }
 
     #[test]
@@ -536,84 +441,6 @@ mod tests {
         }
         assert!(cleared > 0);
         assert!(persistent > 0);
-    }
-
-    #[test]
-    fn heavy_tail_persistence_is_pareto_ish_and_capped() {
-        let inj = FaultInjector::new(FaultPlan::seeded_heavy(11));
-        // Probe each faulty pair's persistence: the smallest attempt
-        // index that no longer fires.
-        let probe = |entry: u64| -> Option<u32> {
-            inj.fire(entry, 0, 0)?;
-            let mut p = 1u32;
-            while p < 2 * MAX_STUCK_ATTEMPTS && inj.fire(entry, 0, p).is_some() {
-                p += 1;
-            }
-            Some(p)
-        };
-        let (mut faulty, mut ge2, mut ge8, mut stuck) = (0u64, 0u64, 0u64, 0u64);
-        for entry in 0..4000u64 {
-            let Some(p) = probe(entry) else { continue };
-            faulty += 1;
-            assert!(p.is_power_of_two(), "persistence {p} not a power of two");
-            assert!(p <= MAX_STUCK_ATTEMPTS, "persistence {p} above the cap");
-            ge2 += (p >= 2) as u64;
-            ge8 += (p >= 8) as u64;
-            stuck += (p == MAX_STUCK_ATTEMPTS) as u64;
-        }
-        // ~25% nominal fault rate over 4000 entries.
-        assert!((400..1600).contains(&faulty), "faulty {faulty}");
-        // Power-law shape: each tail is a strict subset, and the
-        // MAX_STUCK_ATTEMPTS bucket (P = 2^-6 of faults) is occupied.
-        assert!(ge2 < faulty, "some faults must clear after one attempt");
-        assert!(ge8 < ge2, "ge8 {ge8} vs ge2 {ge2}");
-        assert!(stuck > 0, "no stuck boards drawn");
-        assert!(stuck < ge8, "stuck {stuck} vs ge8 {ge8}");
-        // The uniform mode never draws past 6 attempts; the heavy tail
-        // must (that is the point).
-        let uniform = FaultInjector::new(FaultPlan::seeded(11));
-        assert!((0..4000u64).all(|e| uniform.fire(e, 0, 6).is_none()));
-        assert!((0..4000u64).any(|e| inj.fire(e, 0, 6).is_some()));
-    }
-
-    #[test]
-    fn board_salt_decorrelates_seeded_streams() {
-        // Board 0 must reproduce the unsalted stream bit-for-bit (every
-        // pinned seeded count in the suite depends on it), and distinct
-        // boards must draw independent fault/persistence streams — in
-        // particular the heavy tail's stuck pairs must not recur on
-        // every board of a fleet.
-        let plan = FaultPlan::seeded_heavy(11);
-        let unsalted = FaultInjector::new(plan.clone());
-        let b0 = FaultInjector::for_board(plan.clone(), 0);
-        for entry in 0..500u64 {
-            for attempt in [0, 1, 3, 7, 63] {
-                assert_eq!(unsalted.fire(entry, 0, attempt), b0.fire(entry, 0, attempt));
-            }
-        }
-        // Deterministic per-board fault totals over 2000 entries at the
-        // default 25% rate: pinned so a hash regression is loud.
-        let totals: Vec<u64> = (0..4)
-            .map(|board| {
-                let inj = FaultInjector::for_board(plan.clone(), board);
-                (0..2000u64)
-                    .filter(|&e| inj.fire(e, 0, 0).is_some())
-                    .count() as u64
-            })
-            .collect();
-        assert_eq!(totals, vec![505, 483, 506, 467], "per-board totals moved");
-        // Stuck pairs (persistence = MAX_STUCK_ATTEMPTS) on board 0 must
-        // not all be stuck on board 1: correlated streams would wedge a
-        // whole fleet at once.
-        let b1 = FaultInjector::for_board(plan, 1);
-        let stuck_on =
-            |inj: &FaultInjector, e: u64| inj.fire(e, 0, MAX_STUCK_ATTEMPTS / 2).is_some();
-        let stuck0: Vec<u64> = (0..4000u64).filter(|&e| stuck_on(&b0, e)).collect();
-        assert!(!stuck0.is_empty(), "no stuck pairs drawn on board 0");
-        assert!(
-            stuck0.iter().any(|&e| !stuck_on(&b1, e)),
-            "every board-0 stuck pair is also stuck on board 1: streams correlated"
-        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!
 //! The equivalence with the cycle-accurate operator is enforced by the
 //! unit tests here and the property tests in `tests/equivalence.rs`;
-//! every board and fleet run takes this path.
+//! every board run takes this path.
 
 use psc_align::{
     score_batch, InterleavedWindows, Kernel, KernelBackend, KernelChoice, LaneFilter, ScoreProfile,

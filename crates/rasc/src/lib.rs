@@ -21,13 +21,13 @@
 //!   drain order, and the same cycle count replayed in closed form from
 //!   the per-wave hit counts. Unit and property tests assert both paths
 //!   agree *exactly* (results, order, cycles, stalls, FIFO peak); every
-//!   board and fleet run takes this path, so a simulator wall
-//!   measures the design and not a scalar loop.
+//!   board run takes this path, so a simulator wall measures the
+//!   design and not a scalar loop.
 //!
-//! [`board`] wraps one or two simulated FPGAs with the NUMAlink DMA
-//! model, host-side dispatch threads, and the result-channel contention
-//! that makes the paper's 2-FPGA speedup saturate at 1.8×;
-//! [`fleet::RascFleet`] dispatches entries to one or more such boards.
+//! [`board::RascBoard`] wraps one or two simulated FPGAs with the
+//! NUMAlink DMA model, host-side dispatch threads, and the
+//! result-channel contention that makes the paper's 2-FPGA speedup
+//! saturate at 1.8×.
 //! [`resource::ResourceModel`] checks that a PE configuration fits a
 //! Virtex-4 LX200 (the paper builds 64-, 128- and 192-PE bitstreams).
 
@@ -36,23 +36,18 @@ pub mod config;
 pub mod dma;
 pub mod fault;
 pub mod fifo;
-pub mod fleet;
 pub mod functional;
 pub mod gapped_op;
 pub mod operator;
 pub mod pe;
 pub mod resource;
 
-pub use board::{BoardConfig, BoardReport, BoardSegment, Entry};
+pub use board::{BoardConfig, BoardReport, BoardSegment, Entry, RascBoard};
 pub use config::{OperatorConfig, DEFAULT_CLOCK_HZ};
 pub use dma::{DmaModel, NUMALINK_BANDWIDTH};
 pub use fault::{
     BoardFault, FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultSummary, RecoveryPolicy,
-    DEFAULT_FAULT_RATE_PPM,
-};
-pub use fleet::{
-    FleetConfig, FleetEvent, FleetEventKind, FleetReport, RascFleet, StealPolicy, MAX_BOARDS,
-    MODELED_BOARD_LADDER,
+    DEFAULT_FAULT_RATE_PPM, MAX_RETRIES,
 };
 pub use functional::FunctionalOperator;
 pub use gapped_op::{

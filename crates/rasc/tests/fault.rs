@@ -9,8 +9,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use psc_rasc::fault::ALL_FAULT_KINDS;
 use psc_rasc::{
-    BoardConfig, BoardReport, Entry, FaultKind, FaultPlan, FaultSpec, FleetConfig, Hit,
-    OperatorConfig, RascFleet, RecoveryPolicy,
+    BoardConfig, BoardReport, Entry, FaultKind, FaultPlan, FaultSpec, Hit, OperatorConfig,
+    RascBoard, RecoveryPolicy,
 };
 use psc_score::blosum62;
 use psc_seqio::alphabet::encode_protein;
@@ -50,9 +50,8 @@ fn workload(n: usize) -> Vec<Entry> {
         .collect()
 }
 
-/// A single board: a fleet of one.
-fn board(cfg: BoardConfig) -> RascFleet {
-    RascFleet::new(cfg, FleetConfig::default(), blosum62()).unwrap()
+fn board(cfg: BoardConfig) -> RascBoard {
+    RascBoard::new(cfg, blosum62()).unwrap()
 }
 
 fn sorted(mut hits: Vec<Vec<Hit>>) -> Vec<Vec<Hit>> {
@@ -65,18 +64,17 @@ fn sorted(mut hits: Vec<Vec<Hit>>) -> Vec<Vec<Hit>> {
 #[test]
 fn every_fault_kind_recovers_bit_identical() {
     let work = workload(6);
-    let (base_hits, base_rep, _) = board(test_config(2)).run_workload(&work).unwrap();
+    let (base_hits, base_rep) = board(test_config(2)).run_workload(&work).unwrap();
     let base_hits = sorted(base_hits);
     for kind in ALL_FAULT_KINDS {
         let mut cfg = test_config(2);
         cfg.fault_plan = Some(FaultPlan::Scripted(vec![FaultSpec {
             entry: 1,
             fpga: None,
-            board: None,
             kind,
             attempts: 2,
         }]));
-        let (hits, rep, _) = board(cfg).run_workload(&work).unwrap();
+        let (hits, rep) = board(cfg).run_workload(&work).unwrap();
         assert_eq!(sorted(hits), base_hits, "{kind}: results must not change");
         // Two FPGAs, two failing attempts each.
         assert_eq!(rep.faults.faults_injected, 4, "{kind}");
@@ -110,11 +108,10 @@ fn backoff_escalates_deterministically() {
     cfg.fault_plan = Some(FaultPlan::Scripted(vec![FaultSpec {
         entry: 2,
         fpga: None,
-        board: None,
         kind: FaultKind::AdrFault,
         attempts: 3,
     }]));
-    let (_, rep, _) = board(cfg).run_workload(&work).unwrap();
+    let (_, rep) = board(cfg).run_workload(&work).unwrap();
     // Three retries per FPGA: 256 + 512 + 1024 cycles of backoff each.
     assert_eq!(rep.faults.retries, 6);
     assert_eq!(rep.faults.backoff_cycles, 2 * (256 + 512 + 1024));
@@ -123,16 +120,15 @@ fn backoff_escalates_deterministically() {
 #[test]
 fn watchdog_trip_costs_simulated_time() {
     let work = workload(4);
-    let (_, base, _) = board(test_config(1)).run_workload(&work).unwrap();
+    let (_, base) = board(test_config(1)).run_workload(&work).unwrap();
     let mut cfg = test_config(1);
     cfg.fault_plan = Some(FaultPlan::Scripted(vec![FaultSpec {
         entry: 0,
         fpga: Some(0),
-        board: None,
         kind: FaultKind::FifoStall,
         attempts: 1,
     }]));
-    let (_, rep, _) = board(cfg).run_workload(&work).unwrap();
+    let (_, rep) = board(cfg).run_workload(&work).unwrap();
     assert_eq!(rep.faults.watchdog_trips, 1);
     // The wedged dispatch burned its whole watchdog budget, so the
     // simulated accelerated section is strictly longer.
@@ -143,17 +139,16 @@ fn watchdog_trip_costs_simulated_time() {
 #[test]
 fn persistent_fault_degrades_to_software_with_identical_results() {
     let work = workload(6);
-    let (base_hits, _, _) = board(test_config(2)).run_workload(&work).unwrap();
+    let (base_hits, _) = board(test_config(2)).run_workload(&work).unwrap();
     let mut cfg = test_config(2);
     // Outlasts the default 3-retry budget on FPGA 1 only.
     cfg.fault_plan = Some(FaultPlan::Scripted(vec![FaultSpec {
         entry: 4,
         fpga: Some(1),
-        board: None,
         kind: FaultKind::PeFlip,
         attempts: 100,
     }]));
-    let (hits, rep, _) = board(cfg).run_workload(&work).unwrap();
+    let (hits, rep) = board(cfg).run_workload(&work).unwrap();
     assert_eq!(sorted(hits), sorted(base_hits));
     assert_eq!(rep.faults.entries_degraded, 1);
     assert_eq!(rep.faults.retries, 3);
@@ -173,14 +168,12 @@ fn exhausted_recovery_without_degradation_is_an_error() {
         FaultSpec {
             entry: 5,
             fpga: None,
-            board: None,
             kind: FaultKind::DmaCorrupt,
             attempts: 100,
         },
         FaultSpec {
             entry: 3,
             fpga: Some(1),
-            board: None,
             kind: FaultKind::AdrFault,
             attempts: 100,
         },
@@ -201,11 +194,11 @@ fn exhausted_recovery_without_degradation_is_an_error() {
 #[test]
 fn seeded_plan_is_thread_count_invariant_and_lossless() {
     let work = workload(20);
-    let (base_hits, _, _) = board(test_config(2)).run_workload(&work).unwrap();
+    let (base_hits, _) = board(test_config(2)).run_workload(&work).unwrap();
     let mut cfg = test_config(2);
     cfg.fault_plan = Some(FaultPlan::seeded(42));
     let board = board(cfg);
-    let (seq_hits, seq_rep, _) = board.run_workload(&work).unwrap();
+    let (seq_hits, seq_rep) = board.run_workload(&work).unwrap();
     // The seeded plan actually does something on this workload…
     assert!(seq_rep.faults.faults_injected > 0);
     assert!(seq_rep.faults.retries > 0);
@@ -213,7 +206,7 @@ fn seeded_plan_is_thread_count_invariant_and_lossless() {
     assert_eq!(sorted(seq_hits.clone()), sorted(base_hits));
     for threads in [2, 4] {
         let mut par_hits: Vec<Vec<Hit>> = vec![Vec::new(); work.len()];
-        let (par_rep, _) = board
+        let par_rep = board
             .run_stream(work.iter().cloned(), threads, |idx, h| {
                 par_hits[idx as usize] = h;
             })
@@ -232,70 +225,15 @@ fn seeded_plan_is_thread_count_invariant_and_lossless() {
 #[test]
 fn seeded_plan_exercises_degradation() {
     let work = workload(40);
-    let (base_hits, _, _) = board(test_config(2)).run_workload(&work).unwrap();
+    let (base_hits, _) = board(test_config(2)).run_workload(&work).unwrap();
     let mut cfg = test_config(2);
     cfg.fault_plan = Some(FaultPlan::seeded(7));
-    let (hits, rep, _) = board(cfg).run_workload(&work).unwrap();
+    let (hits, rep) = board(cfg).run_workload(&work).unwrap();
     // Seeded persistence spans 1–6 attempts, so a 40-entry run sees
     // both recovered retries and software-degraded shards.
     assert!(rep.faults.entries_degraded > 0);
     assert!(rep.faults.retries > rep.faults.entries_degraded * 3);
     assert_eq!(sorted(hits), sorted(base_hits));
-}
-
-#[test]
-fn heavy_tail_plan_counts_match_injector_and_stay_lossless() {
-    let work = workload(40);
-    let (base_hits, _, _) = board(test_config(2)).run_workload(&work).unwrap();
-    let mut cfg = test_config(2);
-    cfg.fault_plan = Some(FaultPlan::seeded_heavy(42));
-    let board = board(cfg);
-    let (hits, rep, _) = board.run_workload(&work).unwrap();
-    // Lossless under stuck boards too.
-    assert_eq!(sorted(hits.clone()), sorted(base_hits));
-
-    // The exact counters are derivable from the plan alone: every entry
-    // dispatches one shard per FPGA, this workload damages something on
-    // every fired fault, and a shard degrades after the initial attempt
-    // plus 3 retries all fail.
-    let inj = psc_rasc::FaultInjector::new(FaultPlan::seeded_heavy(42));
-    let (mut injected, mut retries, mut degraded) = (0u64, 0u64, 0u64);
-    for entry in 0..work.len() as u64 {
-        for fpga in 0..2usize {
-            let mut failed = 0u32;
-            while failed < 4 && inj.fire(entry, fpga, failed).is_some() {
-                failed += 1;
-            }
-            injected += failed as u64;
-            retries += failed.min(3) as u64;
-            degraded += (failed == 4) as u64;
-        }
-    }
-    assert!(injected > 0, "seed 42 must fault this workload");
-    assert!(degraded > 0, "heavy tail must outlast the retry budget");
-    assert_eq!(rep.faults.faults_injected, injected);
-    assert_eq!(rep.faults.faults_detected, injected);
-    assert_eq!(rep.faults.retries, retries);
-    assert_eq!(rep.faults.entries_degraded, degraded);
-    // Persistence above the uniform mode's 1–6 ceiling is drawn — the
-    // regime this plan exists for.
-    assert!(
-        (0..work.len() as u64).any(|e| (0..2).any(|f| inj.fire(e, f, 6).is_some())),
-        "no stuck pair drawn for seed 42"
-    );
-
-    // And the whole thing is host-thread invariant.
-    for threads in [2, 4] {
-        let mut par_hits: Vec<Vec<Hit>> = vec![Vec::new(); work.len()];
-        let (par_rep, _) = board
-            .run_stream(work.iter().cloned(), threads, |idx, h| {
-                par_hits[idx as usize] = h;
-            })
-            .unwrap();
-        assert_eq!(hits, par_hits, "threads={threads}");
-        assert_eq!(rep.faults, par_rep.faults, "threads={threads}");
-        assert_eq!(rep.fpga_cycles, par_rep.fpga_cycles, "threads={threads}");
-    }
 }
 
 /// One line per report: every counter vector, every `f64` by its bits,
@@ -362,7 +300,6 @@ fn one_board_report_is_pinned() {
     let plans = [
         ("none", None),
         ("seeded(7)", Some(FaultPlan::seeded(7))),
-        ("seeded_heavy(42)", Some(FaultPlan::seeded_heavy(42))),
         (
             "4:pe-flip:100@1",
             Some(FaultPlan::parse("4:pe-flip:100@1").unwrap()),
@@ -373,16 +310,12 @@ fn one_board_report_is_pinned() {
         "cycles [2080] stalls [0] busy [3600] peak [2] in 1920 out 1600 entries 40 hits 200 faults [0, 0, 0, 0, 0, 0, 0, 0] seconds 3ea421f5f40d8376 3ea0c6f7a0b5ed8d 3fe99a6e12ad2bc8 3ea3a11c9ac0602e 3f9cc77ca608bb76 0000000000000000 3fe99a415f45e0b5 timeline 19552844000395c4",
         // 1 FPGA, seeded(7)
         "cycles [22800] stalls [0] busy [2970] peak [2] in 3648 out 1320 entries 40 hits 165 faults [43, 43, 12, 0, 31, 36, 7, 20224] seconds 3eb3204341733ce4 3e9baeb22f9294c3 3fe99c206b5a6c07 3eb2dfd694cca9bd 3f74358deb4919b9 0000000000000000 3fe99a415f45e0b5 timeline 187b8f6b00036198",
-        // 1 FPGA, seeded_heavy(42)
-        "cycles [9568] stalls [0] busy [3510] peak [2] in 2544 out 1560 entries 40 hits 195 faults [14, 14, 7, 2, 5, 13, 1, 4864] seconds 3eaaacff7cf84e30 3ea05b97d64afad0 3fe99b0b14dc0524 3eaa2c2623ab2eaf 3f80b16ac0a383f9 0000000000000000 3fe99a415f45e0b5 timeline 17b2a30800033545",
         // 1 FPGA, 4:pe-flip:100@1
         "cycles [2080] stalls [0] busy [3600] peak [2] in 1920 out 1600 entries 40 hits 200 faults [0, 0, 0, 0, 0, 0, 0, 0] seconds 3ea421f5f40d8376 3ea0c6f7a0b5ed8d 3fe99a6e12ad2bc8 3ea3a11c9ac0602e 3f9cc77ca608bb76 0000000000000000 3fe99a415f45e0b5 timeline 19552844000395c4",
         // 2 FPGA, none
         "cycles [1560, 1360] stalls [0, 0] busy [2160, 1440] peak [2, 1] in 2640 out 1600 entries 40 hits 200 faults [0, 0, 0, 0, 0, 0, 0, 0] seconds 3eabaeb22f9294c3 3ea0c6f7a0b5ed8d 3fe99ae0fd306cda 3e9d71aae8208f5a 3f9cc77ca608ba90 3f0f75104d551d69 3fe99a415f45e0b5 timeline 4d294cf60006063e",
         // 2 FPGA, seeded(7)
         "cycles [22218, 16175] stalls [0, 0] busy [1782, 1296] peak [2, 1] in 4686 out 1368 entries 40 hits 171 faults [72, 72, 25, 1, 46, 61, 11, 33536] seconds 3eb8917157054a6d 3e9cb064e22cdb55 3fe99c92110f1bfd 3eac4fc1df32fd89 3f6f1bbbe3d8ce7c 3f0f75104d551d69 3fe99a415f45e0b5 timeline 4b067b8b0005b87c",
-        // 2 FPGA, seeded_heavy(42)
-        "cycles [8913, 18563] stalls [0, 0] busy [2106, 1332] peak [2, 1] in 3558 out 1528 entries 40 hits 191 faults [32, 32, 15, 11, 6, 28, 4, 12032] seconds 3eb2a7777dbaebcf 3ea005b19ac2389f 3fe99c4584439c0c 3ea0fca785eb6525 3f6657100434ba5e 3f0f75104d551d69 3fe99a415f45e0b5 timeline 4d748d010005c608",
         // 2 FPGA, 4:pe-flip:100@1
         "cycles [1560, 3254] stalls [0, 0] busy [2160, 1404] peak [2, 1] in 2730 out 1584 entries 40 hits 198 faults [4, 4, 4, 0, 0, 3, 1, 1792] seconds 3eaca049b70336ec 3ea09c0482f18c75 3fe99b048017677b 3e9a6c92d051b8e0 3f88c650b9609cd9 3f0f75104d551d69 3fe99a415f45e0b5 timeline 4f10024300061a8a",
     ];
@@ -392,7 +325,7 @@ fn one_board_report_is_pinned() {
             let mut cfg = test_config(fpgas);
             cfg.fault_plan = plan.clone();
             cfg.record_timeline = true;
-            let (_, r, _) = board(cfg).run_workload(&work).unwrap();
+            let (_, r) = board(cfg).run_workload(&work).unwrap();
             got.push((format!("{fpgas} FPGA, {name}"), pin_line(&r)));
         }
     }

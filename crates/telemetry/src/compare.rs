@@ -98,37 +98,6 @@ fn push_row(
     });
 }
 
-/// Counter families keyed by a run-shape parameter (a board id): the
-/// per-key rows exist in one run exactly when that board exists, so a
-/// plain name-union diff of two runs at different board counts would
-/// report every extra board as an `added`/`removed` row. Each family
-/// collapses to one informational row carrying the per-key mean; the
-/// family row never gates (occupancy is a shape metric, not a cost).
-const KEYED_COUNTER_FAMILIES: &[&str] = &["fleet.board_occupancy."];
-
-fn family_of(name: &str) -> Option<&'static str> {
-    KEYED_COUNTER_FAMILIES
-        .iter()
-        .copied()
-        .find(|p| name.starts_with(p))
-}
-
-/// Mean over the family's member counters, `None` when the report has
-/// no member (that run was not a fleet run).
-fn family_mean(r: &RunReport, prefix: &str) -> Option<f64> {
-    let vals: Vec<u64> = r
-        .counters
-        .iter()
-        .filter(|(k, _)| k.starts_with(prefix))
-        .map(|&(_, v)| v)
-        .collect();
-    if vals.is_empty() {
-        None
-    } else {
-        Some(vals.iter().sum::<u64>() as f64 / vals.len() as f64)
-    }
-}
-
 /// Sorted union of the names two metric lists cover.
 fn name_union<'a>(
     old: impl Iterator<Item = &'a str>,
@@ -194,9 +163,6 @@ pub fn diff_reports(old: &RunReport, new: &RunReport, config: CompareConfig) -> 
         old.counters.iter().map(|(k, _)| k.as_str()),
         new.counters.iter().map(|(k, _)| k.as_str()),
     ) {
-        if family_of(&name).is_some() {
-            continue; // collapsed below
-        }
         let find = |r: &RunReport| {
             r.counters
                 .iter()
@@ -210,20 +176,6 @@ pub fn diff_reports(old: &RunReport, new: &RunReport, config: CompareConfig) -> 
             find(old),
             find(new),
             counter_gate,
-        );
-    }
-    for prefix in KEYED_COUNTER_FAMILIES {
-        let (o, n) = (family_mean(old, prefix), family_mean(new, prefix));
-        if o.is_none() && n.is_none() {
-            continue;
-        }
-        push_row(
-            &mut rows,
-            &format!("counter:{prefix}*"),
-            DeltaKind::Counter,
-            o,
-            n,
-            None,
         );
     }
     ReportDiff { rows, config }
@@ -432,64 +384,6 @@ mod tests {
         let text = render_diff(&diff);
         assert!(text.contains("added"), "{text}");
         assert!(text.contains("removed"), "{text}");
-    }
-
-    #[test]
-    fn board_occupancy_family_collapses_across_board_counts() {
-        // Old run: 4 boards; new run: 2 boards. The per-board keys
-        // must not surface as removed rows (and must never gate) —
-        // they collapse to one mean row.
-        let mut old = report(2.0, 100);
-        for (b, occ) in [(0usize, 90u64), (1, 70), (2, 80), (3, 60)] {
-            old.counters
-                .push((format!("fleet.board_occupancy.b{b:02}"), occ));
-        }
-        let mut new = report(2.0, 100);
-        for (b, occ) in [(0usize, 95u64), (1, 85)] {
-            new.counters
-                .push((format!("fleet.board_occupancy.b{b:02}"), occ));
-        }
-        let diff = diff_reports(
-            &old,
-            &new,
-            CompareConfig {
-                max_wall_regress_pct: Some(0.0),
-                max_counter_regress_pct: Some(0.0),
-            },
-        );
-        assert!(diff.regressions().is_empty(), "{diff:#?}");
-        assert!(
-            !diff
-                .rows
-                .iter()
-                .any(|r| r.name.contains("b02") || r.removed),
-            "{diff:#?}"
-        );
-        let fam = diff
-            .rows
-            .iter()
-            .find(|r| r.name == "counter:fleet.board_occupancy.*")
-            .expect("family row");
-        assert_eq!(fam.old, 75.0);
-        assert_eq!(fam.new, 90.0);
-        assert!(!fam.regression);
-        // One-sided family (old run was single-board) reports as a
-        // single added row, still never gating.
-        let single = report(2.0, 100);
-        let diff2 = diff_reports(
-            &single,
-            &new,
-            CompareConfig {
-                max_wall_regress_pct: Some(0.0),
-                max_counter_regress_pct: Some(0.0),
-            },
-        );
-        let fam2 = diff2
-            .rows
-            .iter()
-            .find(|r| r.name == "counter:fleet.board_occupancy.*")
-            .expect("family row");
-        assert!(fam2.added && !fam2.regression, "{diff2:#?}");
     }
 
     #[test]

@@ -39,13 +39,6 @@ pub fn step3_modeled_workers(workers: usize) -> String {
     format!("step3.modeled_p{workers}")
 }
 
-/// `fleet.modeled_b{boards}` — the modeled cluster-speedup ladder:
-/// makespan of the same dispatch schedule replayed at `boards` boards
-/// (`fleet.modeled_b1`, `fleet.modeled_b2`, …).
-pub fn fleet_modeled_boards(boards: usize) -> String {
-    format!("fleet.modeled_b{boards}")
-}
-
 // --- scoped spans (`SpanGuard::enter`) ----------------------------
 
 /// Seed-index build for bank 0, under step 1.
@@ -104,23 +97,6 @@ pub const STEP3_XDROP_TERMINATIONS: &str = "step3.xdrop_terminations";
 pub const STEP3_EVALUE_REJECTED: &str = "step3.evalue_rejected";
 /// HSPs surviving to the final report.
 pub const STEP3_HSPS_REPORTED: &str = "step3.hsps_reported";
-/// Simulated boards in the step-2 fleet (recorded when ≥ 2).
-pub const FLEET_BOARDS: &str = "fleet.boards";
-/// Work-steal pulls the fleet dispatcher performed.
-pub const FLEET_STEALS: &str = "fleet.steals";
-/// Boards drained and quarantined during the run.
-pub const FLEET_QUARANTINED: &str = "fleet.quarantined";
-/// Entries re-dispatched after a board exhausted its retry budget.
-pub const FLEET_REDISPATCHED: &str = "fleet.redispatched";
-/// Simulated boards serving the query's fleet (`psc serve`).
-pub const SERVE_FLEET_BOARDS: &str = "serve.fleet_boards";
-
-/// `fleet.board_occupancy.b{board:02}` — percent of the fleet makespan
-/// board `board` spent processing entries (a keyed family: `--compare`
-/// collapses it so runs at different board counts stay comparable).
-pub fn fleet_board_occupancy(board: usize) -> String {
-    format!("fleet.board_occupancy.b{board:02}")
-}
 
 /// `step2.lane_slots_useful.b{bucket:02}` — per-bucket useful-slot
 /// counts behind [`STEP2_LANE_SLOTS_USEFUL`].
@@ -193,14 +169,6 @@ pub const EV_FAULT_RETRY: &str = "fault.retry";
 pub const EV_FAULT_DEGRADED: &str = "fault.degraded";
 /// Hits the unit reported.
 pub const EV_HITS: &str = "hits";
-/// A dry fleet board waiting on a work-steal pull (span).
-pub const EV_STEAL_WAIT: &str = "steal_wait";
-/// A quarantined fleet board draining its queue (span).
-pub const EV_QUARANTINE_DRAIN: &str = "quarantine_drain";
-/// Victim board id of a steal (mark).
-pub const EV_STEAL_VICTIM: &str = "steal.victim";
-/// Entries drained when the board was quarantined (mark).
-pub const EV_QUARANTINED: &str = "quarantined";
 
 // --- trace-lane (stage) names (`UnitTrace::stage`) ----------------
 
@@ -222,8 +190,8 @@ pub const STAGE_BOARD_LINK: &str = "board.link";
 /// Key prefixes of everything in a run report that may differ between
 /// two runs of the same inputs under configurations that must not
 /// change the output: which backend, kernel and schedule ran; lane-slot
-/// telemetry, which follows the kernel's block width; the fleet's
-/// dispatch; injected faults and what recovery did about them; and the
+/// telemetry, which follows the kernel's block width; injected faults
+/// and what recovery did about them; and the
 /// genome-side index span, positions held and chunk count, which follow
 /// whether T1 was loaded from a bundle or keyed by the query. With
 /// the board section and the steps' accelerated seconds, this is all
@@ -238,7 +206,6 @@ pub const CONFIG_DEPENDENT: &[&str] = &[
     STEP2_SIMD_TILES,
     "step2.lane_slots_",
     STEP2_LANE_FILL,
-    "fleet.",
     "step2.fault",
     STEP2_ENTRIES_DEGRADED,
     STEP1_INDEX_BANK1,
@@ -261,13 +228,8 @@ mod tests {
             "step2.lane_slots_total.b12"
         );
         assert_eq!(step3_modeled_workers(4), "step3.modeled_p4");
-        assert_eq!(fleet_modeled_boards(16), "fleet.modeled_b16");
-        assert_eq!(fleet_board_occupancy(3), "fleet.board_occupancy.b03");
         let a = step2_lane_slots_useful_bucket(2);
         let b = step2_lane_slots_useful_bucket(10);
         assert!(a < b, "bucket keys must sort numerically: {a} vs {b}");
-        let a = fleet_board_occupancy(2);
-        let b = fleet_board_occupancy(10);
-        assert!(a < b, "board keys must sort numerically: {a} vs {b}");
     }
 }

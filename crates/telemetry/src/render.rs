@@ -141,65 +141,6 @@ pub fn render_utilization(report: &RunReport) -> String {
     out
 }
 
-/// Fleet section: board count, per-board occupancy spread, steal and
-/// quarantine activity, and the modeled cluster-speedup ladder. Empty
-/// for software and single-board runs (they record no fleet keys).
-pub fn render_fleet(report: &RunReport) -> String {
-    let Some(boards) = report.counter("fleet.boards") else {
-        return String::new();
-    };
-    let mut out = String::new();
-    out.push_str(&format!("Fleet ({boards} boards, work-stealing)\n"));
-    let occ: Vec<u64> = report
-        .counters
-        .iter()
-        .filter(|(k, _)| k.starts_with("fleet.board_occupancy."))
-        .map(|&(_, v)| v)
-        .collect();
-    if !occ.is_empty() {
-        let min = occ.iter().copied().min().unwrap_or(0);
-        let max = occ.iter().copied().max().unwrap_or(0);
-        let mean = occ.iter().sum::<u64>() as f64 / occ.len() as f64;
-        out.push_str(&format!(
-            "  occupancy: min {min}% mean {mean:.1}% max {max}%\n"
-        ));
-    }
-    out.push_str(&format!(
-        "  steals {}, boards quarantined {}, entries re-dispatched {}\n",
-        report.counter("fleet.steals").unwrap_or(0),
-        report.counter("fleet.quarantined").unwrap_or(0),
-        report.counter("fleet.redispatched").unwrap_or(0),
-    ));
-    // Modeled ladder: speedup of each fleet size over the 1-board
-    // replay of the same dispatch schedule.
-    let base = report
-        .spans
-        .iter()
-        .find(|s| s.name == "fleet.modeled_b1")
-        .map(|s| s.seconds)
-        .filter(|&s| s > 0.0);
-    if let Some(base) = base {
-        // Span order is lexicographic (b1, b16, b2, ...); sort the
-        // ladder numerically for display.
-        let mut rungs: Vec<(u64, f64)> = report
-            .spans
-            .iter()
-            .filter(|s| s.seconds > 0.0)
-            .filter_map(|s| {
-                let n = s.name.strip_prefix("fleet.modeled_b")?;
-                Some((n.parse().ok()?, s.seconds))
-            })
-            .collect();
-        rungs.sort_unstable_by_key(|&(n, _)| n);
-        out.push_str("  modeled speedup:");
-        for (n, seconds) in rungs {
-            out.push_str(&format!(" b{n} {:.2}x", base / seconds));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Step-2 section: the pair rectangle next to the window bytes read to
 /// fill it. Windows gathered per pair is what separates a score-bound
 /// run (long lists on both sides, near 0) from a gather-bound one
@@ -317,11 +258,7 @@ pub fn render_report(report: &RunReport) -> String {
     }
     out.push('\n');
     out.push_str(&render_utilization(report));
-    for section in [
-        render_step2(report),
-        render_step3(report),
-        render_fleet(report),
-    ] {
+    for section in [render_step2(report), render_step3(report)] {
         if !section.is_empty() {
             out.push('\n');
             out.push_str(&section);
@@ -525,45 +462,6 @@ mod tests {
                 "note: step-2 kernel downgraded wide -> profile \
                  (window overflows the i16 lane accumulator)"
             ),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn fleet_section_renders_only_for_fleet_runs() {
-        let clean = render_report(&report_with_board());
-        assert!(!clean.contains("Fleet ("), "{clean}");
-        let mut r = report_with_board();
-        r.counters.push(("fleet.boards".into(), 4));
-        r.counters.push(("fleet.steals".into(), 7));
-        r.counters.push(("fleet.quarantined".into(), 1));
-        r.counters.push(("fleet.redispatched".into(), 3));
-        for (b, occ) in [(0usize, 90u64), (1, 40), (2, 80), (3, 70)] {
-            r.counters
-                .push((format!("fleet.board_occupancy.b{b:02}"), occ));
-        }
-        r.spans.push(SpanReport {
-            name: "fleet.modeled_b1".into(),
-            seconds: 8.0,
-            count: 1,
-        });
-        r.spans.push(SpanReport {
-            name: "fleet.modeled_b4".into(),
-            seconds: 2.0,
-            count: 1,
-        });
-        let text = render_report(&r);
-        assert!(text.contains("Fleet (4 boards, work-stealing)"), "{text}");
-        assert!(
-            text.contains("occupancy: min 40% mean 70.0% max 90%"),
-            "{text}"
-        );
-        assert!(
-            text.contains("steals 7, boards quarantined 1, entries re-dispatched 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("modeled speedup: b1 1.00x b4 4.00x"),
             "{text}"
         );
     }

@@ -13,8 +13,6 @@
 //! |-----------------------|--------------------------------------------|
 //! | `merge-wait`          | `merge_wait` spans (in-order merge holds)  |
 //! | `board-retry-backoff` | `retry_backoff` spans (fault recovery)     |
-//! | `fleet-steal`         | `steal_wait` spans (dry board stealing)    |
-//! | `fleet-quarantine-drain` | `quarantine_drain` spans (board drained)|
 //! | `scheduler-tail`      | residual idle on host lanes                |
 //! | `board-idle`          | residual idle on simulated-board lanes     |
 //!
@@ -31,10 +29,6 @@ use crate::trace::{Lane, SpanEvent, Trace, TraceClock};
 pub const STALL_MERGE_WAIT: &str = "merge-wait";
 /// Simulated board burning backoff cycles between fault retries.
 pub const STALL_RETRY_BACKOFF: &str = "board-retry-backoff";
-/// Dry fleet board paying the dispatch cost of a work-steal pull.
-pub const STALL_FLEET_STEAL: &str = "fleet-steal";
-/// Quarantined fleet board draining its queue for re-dispatch.
-pub const STALL_FLEET_QUARANTINE_DRAIN: &str = "fleet-quarantine-drain";
 /// Residual host-lane idle inside the stage window (LPT imbalance,
 /// pull-counter tail).
 pub const STALL_SCHEDULER_TAIL: &str = "scheduler-tail";
@@ -47,8 +41,6 @@ pub fn stall_class(span_name: &str) -> Option<&'static str> {
     match span_name {
         "merge_wait" => Some(STALL_MERGE_WAIT),
         "retry_backoff" => Some(STALL_RETRY_BACKOFF),
-        "steal_wait" => Some(STALL_FLEET_STEAL),
-        "quarantine_drain" => Some(STALL_FLEET_QUARANTINE_DRAIN),
         _ => None,
     }
 }

@@ -39,8 +39,8 @@ fn workload() -> (psc_seqio::Bank, psc_seqio::Seq) {
 #[test]
 fn rasc_backend_matches_software_at_all_array_sizes() {
     let runs = check_where(|w, p| {
-        let one_clean_board = p.cfg.fleet.0 == 1 && p.cfg.faults == Faults::None;
-        w.name == "genome" && matches!(p.cfg.backend, Backend::Board(..)) && one_clean_board
+        let clean = p.cfg.faults == Faults::None;
+        w.name == "genome" && matches!(p.cfg.backend, Backend::Board(..)) && clean
     });
     for pes in [64, 128, 192] {
         assert!(runs

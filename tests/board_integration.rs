@@ -2,7 +2,7 @@
 //! pathology and its raised-threshold workaround, and resource limits.
 
 use psc_align::Kernel;
-use psc_rasc::{BoardConfig, Entry, FleetConfig, OperatorConfig, RascFleet, ResourceModel};
+use psc_rasc::{BoardConfig, Entry, OperatorConfig, RascBoard, ResourceModel};
 use psc_score::blosum62;
 
 /// A workload in which every pair scores above a low threshold —
@@ -16,9 +16,8 @@ fn flood_entries(n_entries: usize, k0: usize, k1: usize, l: usize) -> Vec<Entry>
         .collect()
 }
 
-/// A single board: a fleet of one.
-fn board(cfg: BoardConfig) -> RascFleet {
-    RascFleet::new(cfg, FleetConfig::default(), blosum62()).unwrap()
+fn board(cfg: BoardConfig) -> RascBoard {
+    RascBoard::new(cfg, blosum62()).unwrap()
 }
 
 fn operator(threshold: i32, fifo_capacity: usize) -> OperatorConfig {
@@ -34,7 +33,7 @@ fn operator(threshold: i32, fifo_capacity: usize) -> OperatorConfig {
 fn result_flood_stalls_the_array() {
     // Identical all-A windows self-score 4×20 = 80 ≫ threshold 10.
     let board = board(BoardConfig::new(operator(10, 16), 1));
-    let (hits, report, _) = board.run_workload(&flood_entries(4, 64, 32, 20)).unwrap();
+    let (hits, report) = board.run_workload(&flood_entries(4, 64, 32, 20)).unwrap();
     let total: usize = hits.iter().map(Vec::len).sum();
     assert_eq!(total, 4 * 64 * 32, "every pair must be reported");
     assert!(
@@ -50,8 +49,8 @@ fn raising_the_threshold_restores_throughput() {
     let flood = board(BoardConfig::new(operator(10, 16), 1));
     let quiet = board(BoardConfig::new(operator(1000, 16), 1));
     let work = flood_entries(4, 64, 32, 20);
-    let (_, rf, _) = flood.run_workload(&work).unwrap();
-    let (hq, rq, _) = quiet.run_workload(&work).unwrap();
+    let (_, rf) = flood.run_workload(&work).unwrap();
+    let (hq, rq) = quiet.run_workload(&work).unwrap();
     assert_eq!(rq.stall_cycles[0], 0);
     assert!(hq.iter().all(Vec::is_empty));
     assert!(rf.fpga_cycles[0] > rq.fpga_cycles[0]);

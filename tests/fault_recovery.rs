@@ -68,8 +68,7 @@ fn baseline_has_work_to_corrupt() {
 /// unchanged (the lattice's check), and the report says what happened.
 #[test]
 fn degraded_run_is_bit_identical_and_reported() {
-    let one_board = |p: &lattice::Point| p.cfg.fleet.0 == 1 && p.obs.recorder;
-    for (_, run) in check_where(|_, p| p.cfg.faults == Faults::Degrade && one_board(p)) {
+    for (_, run) in check_where(|_, p| p.cfg.faults == Faults::Degrade && p.obs.recorder) {
         let report = run.report.expect("recorded");
         assert_eq!(report.counter("step2.entries_degraded"), Some(1));
         assert_eq!(report.counter("step2.fault_retries"), Some(3));
@@ -97,7 +96,6 @@ fn exhausted_recovery_surfaces_as_pipeline_error() {
             fault_plan: Some(FaultPlan::Scripted(vec![FaultSpec {
                 entry: 0,
                 fpga: None,
-                board: None,
                 kind: FaultKind::DmaCorrupt,
                 attempts: u32::MAX,
             }])),

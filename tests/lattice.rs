@@ -1,8 +1,8 @@
 //! The differential lattice: "this must not change the output",
 //! asserted once.
 //!
-//! Every backend, kernel, schedule, thread count, fault plan and board
-//! count in this tree is a reschedule of one computation, so one
+//! Every backend, kernel, schedule, thread count and fault plan in this
+//! tree is a reschedule of one computation, so one
 //! [`check`] runs a [`Point`] of the configuration lattice on a
 //! [`Workload`] — through `SearchEngine::{for_genome | from_bundle}` +
 //! `query_traced`, the only way in that the CLI, `psc serve` and
@@ -40,7 +40,7 @@ use psc_core::{
     Step2Schedule, TraceClock, Tracer,
 };
 use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig};
-use psc_rasc::{FaultKind, FaultPlan, FaultSpec, FleetConfig, StealPolicy};
+use psc_rasc::{FaultKind, FaultPlan, FaultSpec};
 use psc_score::blosum62;
 use psc_seqio::prng::for_cases;
 use psc_seqio::{Bank, MaskConfig, Seq};
@@ -122,11 +122,8 @@ pub enum Faults {
     None,
     /// Seed, rate in ppm.
     Seeded(u64, u32),
-    HeavyTail(u64, u32),
     /// Entry 1 never recovers on FPGA 0 and degrades to host software.
     Degrade,
-    /// Entries 1, 4, 7 and 10 wedge on board 1, and only there.
-    WedgeBoard1,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -144,8 +141,6 @@ pub struct Neutral {
     pub kernel: KernelChoice,
     pub schedule: Step2Schedule,
     pub faults: Faults,
-    /// Boards, steal policy, strikes before quarantine.
-    pub fleet: (usize, StealPolicy, u32),
     /// Step 3 on the simulated gapped operator.
     pub gapped_operator: bool,
     /// Query an engine loaded from the bundle of a fresh one.
@@ -177,7 +172,6 @@ pub const ORACLE: Point = Point {
         kernel: KernelChoice::Scalar,
         schedule: Step2Schedule::Bucketed,
         faults: Faults::None,
-        fleet: (1, StealPolicy::Richest, 2),
         gapped_operator: false,
         bundle: false,
     },
@@ -237,19 +231,7 @@ pub const AXES: &[Axis] = &[
             |p| p.cfg.faults = Faults::Seeded(7, psc_rasc::DEFAULT_FAULT_RATE_PPM),
             |p| p.cfg.faults = Faults::Seeded(97, 250_000),
             |p| p.cfg.faults = Faults::Seeded(5, 1_000_000),
-            |p| p.cfg.faults = Faults::HeavyTail(97, 250_000),
             |p| p.cfg.faults = Faults::Degrade,
-        ],
-    ),
-    (
-        "fleet",
-        true,
-        &[
-            |p| p.cfg.fleet = (2, StealPolicy::Richest, 2),
-            |p| p.cfg.fleet = (3, StealPolicy::None, 3),
-            |p| p.cfg.fleet = (4, StealPolicy::Richest, 1),
-            |p| p.cfg.fleet = (8, StealPolicy::None, 1),
-            |p| (p.cfg.fleet, p.cfg.faults) = ((3, StealPolicy::Richest, 2), Faults::WedgeBoard1),
         ],
     ),
     ("step-3 backend", false, &[|p| p.cfg.gapped_operator = true]),
@@ -314,7 +296,6 @@ pub fn points(w: usize) -> Vec<(String, Point)> {
 }
 
 fn config(w: &Workload, p: &Point) -> PipelineConfig {
-    let (boards, steal_policy, quarantine_after) = p.cfg.fleet;
     PipelineConfig {
         seed: match w.span3 {
             true => SeedChoice::Custom(psc_index::seed::subset_seed_span3()),
@@ -342,34 +323,17 @@ fn config(w: &Workload, p: &Point) -> PipelineConfig {
         fault_plan: match p.cfg.faults {
             Faults::None => None,
             Faults::Seeded(seed, rate_ppm) => Some(FaultPlan::Seeded { seed, rate_ppm }),
-            Faults::HeavyTail(seed, rate_ppm) => {
-                Some(FaultPlan::SeededHeavyTail { seed, rate_ppm })
-            }
             Faults::Degrade => Some(FaultPlan::Scripted(vec![FaultSpec {
                 entry: 1,
                 fpga: Some(0),
-                board: None,
                 kind: FaultKind::DmaCorrupt,
                 attempts: u32::MAX,
             }])),
-            Faults::WedgeBoard1 => Some(wedge_board_1()),
-        },
-        fleet: FleetConfig {
-            boards,
-            steal_policy,
-            quarantine_after,
         },
         step3_threads: p.obs.step3_threads,
         index_threads: p.obs.index_threads,
         ..PipelineConfig::default()
     }
-}
-
-/// The plan `fleet_equivalence.rs` quarantines a board with: entries
-/// that round-robin onto board 1 of 3 wedge there on every attempt.
-pub fn wedge_board_1() -> FaultPlan {
-    let wedge = |entry| format!("{entry}:adr-fault:1000000#1");
-    FaultPlan::parse(&[1, 4, 7, 10].map(wedge).join(",")).expect("a valid plan")
 }
 
 // ---- running and comparing -----------------------------------------
