@@ -20,7 +20,8 @@
 //! and the host lanes of the virtual trace must equal the oracle's.
 //!
 //! The lattice is every single-[`AXES`]-value deviation from the oracle
-//! plus a seeded sample of the full product, on every workload. To add
+//! plus a seeded sample of the full product, on every workload, each
+//! axis of a sample drawn from its own stream ([`axis_draw`]). To add
 //! an axis value, add one line to [`AXES`]; to add an axis, add a field
 //! to the class it belongs to and its line.
 //!
@@ -42,7 +43,7 @@ use psc_core::{
 use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig};
 use psc_rasc::{FaultKind, FaultPlan, FaultSpec};
 use psc_score::blosum62;
-use psc_seqio::prng::for_cases;
+use psc_seqio::prng::{mix, SplitMix64};
 use psc_seqio::{Bank, MaskConfig, Seq};
 
 // ---- workloads -----------------------------------------------------
@@ -281,18 +282,32 @@ pub fn points(w: usize) -> Vec<(String, Point)> {
             out.push((format!("{name} #{i}"), p));
         }
     }
-    for_cases(0x1a77_1ce0 + w as u64, SAMPLED, |g| {
+    for s in 0..SAMPLED {
         let mut p = ORACLE;
-        for (_, on_board, values) in AXES {
-            let drawn = g.range(0..=values.len()).checked_sub(1);
+        for (name, on_board, values) in AXES {
+            let drawn = axis_draw(w, s, name).range(0..=values.len()).checked_sub(1);
             let applies = !on_board || matches!(p.cfg.backend, Backend::Board(..));
             if let Some(set) = drawn.filter(|_| applies) {
                 values[set](&mut p);
             }
         }
         out.push((format!("sample #{}", out.len()), p));
-    });
+    }
     out
+}
+
+/// The stream an axis of sample `s` on workload `w` draws from, its own
+/// per axis: adding or removing a value of one axis moves no other
+/// axis's draw.
+fn axis_draw(w: usize, s: usize, axis: &str) -> SplitMix64 {
+    // FNV-1a of the axis name.
+    let name = axis.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    });
+    let seed = [w as u64, s as u64, name]
+        .into_iter()
+        .fold(0x1a77_1ce0, |h, x| mix(h ^ x));
+    SplitMix64::new(seed)
 }
 
 fn config(w: &Workload, p: &Point) -> PipelineConfig {
