@@ -63,7 +63,6 @@ experiments! {
     "ablation-seed", NONE, |i| ablation_seed(i.workload);
     "ablation-twohit", NONE, |i| ablation_twohit(i.workload);
     "ablation-masking", NONE, |_| ablation_masking();
-    "extension-step3", NONE, |i| extension_step3(i.workload);
 }
 
 /// The experiments `wants` names, in table order; `all` is the whole
@@ -596,56 +595,6 @@ pub fn ablation_seed(workload: &Workload) {
     println!();
 }
 
-/// Extension — the paper's proposed second-FPGA gapped operator
-/// (conclusion: "another reconfigurable operator dedicated to the
-/// computation of similarities including gap penalty" running
-/// concurrently with the PSC operator).
-pub fn extension_step3(workload: &Workload) {
-    use psc_core::config::Step3Backend;
-    println!("## Extension — step-3 gapped operator on the second FPGA (192 PEs, largest bank)");
-    println!("   (the paper's conclusion; Table 7 shows step 3 becoming the bottleneck.");
-    println!("    To land in that regime at our scale, this run lowers the ungapped");
-    println!("    threshold by 8, multiplying the gapped-extension load)\n");
-    let mut cfg = experiment_config();
-    cfg.threshold -= 8;
-    cfg.backend = Step2Backend::Rasc {
-        pe_count: 192,
-        fpga_count: 1,
-        host_threads: 1,
-    };
-    cfg.step3_backend = Step3Backend::RascGapped { band: 128 };
-    let r = search_genome(&workload.banks[3], &workload.genome.genome, blosum62(), cfg);
-    let p = &r.output.profile;
-    let mut t = Table::new(&["deployment", "step 1", "step 2", "step 3", "total (s)"]);
-    t.row(vec![
-        "PSC op + host step 3".into(),
-        secs(p.step1),
-        secs(p.step2()),
-        secs(p.step3),
-        secs(p.step1 + p.step2() + p.step3),
-    ]);
-    t.row(vec![
-        "PSC op + gapped op (sequential)".into(),
-        secs(p.step1),
-        secs(p.step2()),
-        secs(p.step3()),
-        secs(p.total()),
-    ]);
-    t.row(vec![
-        "PSC op + gapped op (both FPGAs, concurrent)".into(),
-        secs(p.step1),
-        secs(p.step2().max(p.step3())),
-        "-".into(),
-        secs(p.total_concurrent()),
-    ]);
-    t.print();
-    println!(
-        "\n   gapped operator simulated time: {:.4} s for {} anchors\n",
-        p.step3_accelerated.unwrap_or(0.0),
-        r.output.stats.anchors
-    );
-}
-
 /// Ablation — soft low-complexity masking on a repeat-laden genome.
 pub fn ablation_masking() {
     use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig, MutationConfig};
@@ -775,6 +724,7 @@ mod tests {
             "fleet-scaling",
             "analyzer-bench",
             "ablation-hybrid",
+            "extension-step3",
         ] {
             assert_eq!(select(&["table1", removed]).err(), Some(removed));
         }

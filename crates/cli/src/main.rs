@@ -81,10 +81,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // A mis-set flag value (kernel name, board shape, retry budget, an
-    // E-value that admits nothing, an array or a length range that
-    // cannot exist) is a usage error like an unknown flag: reported
-    // before any file is read or any socket bound.
+    // A mis-set flag value (kernel name, board shape, an E-value that
+    // admits nothing, an array or a length range that cannot exist) is
+    // a usage error like an unknown flag: reported before any file is
+    // read or any socket bound.
     let usage = match command.as_str() {
         "search" | "serve" => pipeline_config(&flags).map(drop),
         "index" => index_config(&flags).map(drop),
@@ -137,9 +137,6 @@ commands:
                   [--step2-schedule contiguous|bucketed]   (step-2 work distribution)
                   [--step3-threads N]    (parallel gapped extension workers)
                   [--format tab|pairwise|gff] [--mask on]
-                  [--fault-seed S] [--fault-rate PPM]   (seeded fault injection)
-                  [--fault-plan ENTRY:KIND[:ATTEMPTS][@FPGA],...]
-                  [--fault-retries N] [--fault-degrade on|off]   (N at most 64)
                   [--report-json FILE]   (write a telemetry run report)
                   [--trace FILE]         (write a flight-recorder Chrome trace)
                   [--trace-clock wall|virtual]   (virtual = byte-deterministic)
@@ -195,11 +192,6 @@ const KNOWN_SEARCH: &[&str] = &[
     "step3-threads",
     "format",
     "mask",
-    "fault-seed",
-    "fault-rate",
-    "fault-plan",
-    "fault-retries",
-    "fault-degrade",
     "report-json",
     "trace",
     "trace-clock",
@@ -222,11 +214,6 @@ const KNOWN_SERVE: &[&str] = &[
     "step2-schedule",
     "step3-threads",
     "mask",
-    "fault-seed",
-    "fault-rate",
-    "fault-plan",
-    "fault-retries",
-    "fault-degrade",
 ];
 const KNOWN_QUERY: &[&str] = &["connect", "proteins"];
 const KNOWN_RESOURCES: &[&str] = &["pes", "window", "slot"];
@@ -500,8 +487,6 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, String> {
         index_threads: threads,
         mask: mask_flag(flags)?,
         step3_threads: at_least_one(flags, "step3-threads", 1)?,
-        fault_plan: fault_plan(flags)?,
-        recovery: recovery_policy(flags)?,
         ..PipelineConfig::default()
     };
     // What `RascBoard::new` would assert or refuse on the first query.
@@ -667,56 +652,6 @@ fn search(flags: &Flags) -> Result<(), String> {
 
 fn config_pes(flags: &Flags) -> Result<usize, String> {
     flags.parsed("pes", 192usize)
-}
-
-/// Fault plan from `--fault-plan` (scripted) or `--fault-seed`
-/// (seeded, rate adjustable with `--fault-rate` in ppm). The two are
-/// mutually exclusive; neither means a fault-free run.
-fn fault_plan(flags: &Flags) -> Result<Option<psc_rasc::FaultPlan>, String> {
-    match (flags.get("fault-plan"), flags.get("fault-seed")) {
-        (Some(_), Some(_)) => Err("--fault-plan and --fault-seed are mutually exclusive".into()),
-        (Some(spec), None) => {
-            if flags.get("fault-rate").is_some() {
-                return Err("--fault-rate only applies to --fault-seed plans".into());
-            }
-            psc_rasc::FaultPlan::parse(spec).map(Some)
-        }
-        (None, Some(_)) => {
-            let seed = flags.parsed("fault-seed", 0u64)?;
-            let rate_ppm = flags.parsed("fault-rate", psc_rasc::DEFAULT_FAULT_RATE_PPM)?;
-            if rate_ppm > 1_000_000 {
-                return Err(format!("--fault-rate {rate_ppm} exceeds 1000000 ppm"));
-            }
-            Ok(Some(psc_rasc::FaultPlan::Seeded { seed, rate_ppm }))
-        }
-        (None, None) => {
-            if flags.get("fault-rate").is_some() {
-                return Err("--fault-rate needs --fault-seed".into());
-            }
-            Ok(None)
-        }
-    }
-}
-
-/// Recovery policy overrides (`--fault-retries`, `--fault-degrade`).
-fn recovery_policy(flags: &Flags) -> Result<psc_rasc::RecoveryPolicy, String> {
-    let default = psc_rasc::RecoveryPolicy::default();
-    let max_retries = flags.parsed("fault-retries", default.max_retries)?;
-    if max_retries > psc_rasc::MAX_RETRIES {
-        return Err(format!(
-            "--fault-retries must be at most {} (got {max_retries})",
-            psc_rasc::MAX_RETRIES
-        ));
-    }
-    Ok(psc_rasc::RecoveryPolicy {
-        max_retries,
-        degrade: match flags.get("fault-degrade") {
-            Some("on") | None => true,
-            Some("off") => false,
-            Some(other) => return Err(format!("bad --fault-degrade value {other:?} (on|off)")),
-        },
-        ..default
-    })
 }
 
 /// Render a saved run report (`psc report FILE`): the paper-style step

@@ -214,8 +214,8 @@ fn write_busy(w: &mut impl Write, sh: &Shared) -> std::io::Result<()> {
 
 /// Parse the FASTA payload, run the query against the shared engine,
 /// and render the tab match lines plus a profile summary. Per-query
-/// telemetry goes to a fresh recorder; faults degrade the query (per
-/// the engine's recovery policy), they do not take the server down.
+/// telemetry goes to a fresh recorder; a failed query is answered
+/// with its error and does not take the server down.
 fn run_query(sh: &Shared, fasta: &str, depth: usize) -> Result<(Vec<String>, String), String> {
     let bank = read_fasta(fasta.as_bytes(), SeqKind::Protein).map_err(|e| e.to_string())?;
     if bank.is_empty() {

@@ -123,45 +123,38 @@ fn threads_must_be_at_least_one() {
     }
 }
 
-/// A retry budget of `u32::MAX` against a persistent scripted fault
-/// replayed four billion attempts per shard: the search never ended.
+/// The simulated board no longer models faults: each of its five fault
+/// flags is an unknown flag to `search` and `serve` alike.
 #[test]
-fn fault_retries_are_capped() {
-    let stuck = [
-        "--backend",
-        "rasc",
-        "--fault-plan",
-        "0:fifo-stall:4294967295",
-    ];
+fn removed_fault_flags_are_usage_errors() {
     for cmd in [
         ["search", "--proteins", "p.fa", "--genome", "g.fa"].as_slice(),
         ["serve", "--index", "g.psc"].as_slice(),
     ] {
-        for n in ["65", "4294967295"] {
-            assert_usage_error(
-                &[cmd, &stuck, &["--fault-retries", n]].concat(),
-                &format!("--fault-retries must be at most 64 (got {n})"),
-            );
+        for flag in [
+            ["--fault-seed", "7"],
+            ["--fault-rate", "1000"],
+            ["--fault-plan", "0:pe-flip:2"],
+            ["--fault-retries", "3"],
+            ["--fault-degrade", "off"],
+        ] {
+            let out = psc()
+                .args(cmd)
+                .args(["--backend", "rasc"])
+                .args(flag)
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(2), "{cmd:?} {flag:?}: {out:?}");
+            assert!(out.stdout.is_empty(), "{cmd:?} {flag:?}: {out:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains(&format!("unknown flag {}", flag[0])), "{err}");
         }
     }
-    // The cap itself is a budget: the search gets as far as its input.
-    let out = psc()
-        .args([
-            "search",
-            "--proteins",
-            "missing.fa",
-            "--genome",
-            "missing.fa",
-        ])
-        .args(stuck)
-        .args(["--fault-retries", "64"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
 }
 
 /// The multi-board fleet is gone: its flags and the `#BOARD` pin of a
-/// fault-plan item are usage errors, not silently ignored.
+/// fault-plan item (now an unknown flag with the rest of the fault
+/// model) are usage errors, not silently ignored.
 #[test]
 fn removed_fleet_flags_are_usage_errors() {
     let search = [
@@ -194,7 +187,7 @@ fn removed_fleet_flags_are_usage_errors() {
         assert_eq!(out.status.code(), Some(2), "{item}: {out:?}");
         assert!(out.stdout.is_empty(), "{item}: {out:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(&format!("in fault spec {item:?}")), "{err}");
+        assert!(err.contains("unknown flag --fault-plan"), "{err}");
     }
 }
 

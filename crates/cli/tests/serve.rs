@@ -150,64 +150,6 @@ fn concurrent_queries_are_byte_identical_to_search() {
 }
 
 #[test]
-fn served_queries_match_search_under_seeded_faults() {
-    let dir = tmpdir("faults");
-    let (bank, _genome, bundle) = build_workload(&dir);
-    let fault_args = [
-        "--backend",
-        "rasc",
-        "--pes",
-        "64",
-        "--fault-seed",
-        "5",
-        "--fault-rate",
-        "200000",
-    ];
-
-    let reference = psc()
-        .args(["search", "--proteins", bank.to_str().unwrap()])
-        .args(["--index", bundle.to_str().unwrap()])
-        .args(fault_args)
-        .output()
-        .unwrap();
-    assert!(
-        reference.status.success(),
-        "{}",
-        String::from_utf8_lossy(&reference.stderr)
-    );
-
-    let mut serve_args = vec!["--index", bundle.to_str().unwrap(), "--queue", "4"];
-    serve_args.extend_from_slice(&fault_args);
-    let server = Server::spawn(&serve_args);
-    let handles: Vec<_> = (0..3)
-        .map(|_| {
-            let addr = server.addr.clone();
-            let bank = bank.clone();
-            std::thread::spawn(move || {
-                psc()
-                    .args(["query", "--connect", &addr])
-                    .args(["--proteins", bank.to_str().unwrap()])
-                    .output()
-                    .unwrap()
-            })
-        })
-        .collect();
-    for h in handles {
-        let out = h.join().unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert_eq!(
-            out.stdout, reference.stdout,
-            "fault-degraded served query differs from one-shot search"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn admission_queue_rejects_overload_then_recovers() {
     let dir = tmpdir("busy");
     let (bank, _genome, bundle) = build_workload(&dir);

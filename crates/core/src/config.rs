@@ -55,29 +55,6 @@ impl Step2Backend {
     }
 }
 
-/// Where step 3 (gapped extension) runs.
-#[derive(Clone, Debug, Default)]
-pub enum Step3Backend {
-    /// Host-side X-drop DP (the paper's deployment).
-    #[default]
-    Software,
-    /// The simulated systolic gapped-extension operator the paper's
-    /// conclusion proposes for the second FPGA (see
-    /// `psc_rasc::gapped_op`). Results are identical to software;
-    /// the profile additionally reports the simulated hardware time.
-    RascGapped { band: usize },
-}
-
-impl Step3Backend {
-    /// Stable name for run reports and logs.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Step3Backend::Software => "software",
-            Step3Backend::RascGapped { .. } => "rasc-gapped",
-        }
-    }
-}
-
 /// Full pipeline configuration.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
@@ -102,8 +79,6 @@ pub struct PipelineConfig {
     pub step2_schedule: crate::step2::Step2Schedule,
     /// Step-2 backend.
     pub backend: Step2Backend,
-    /// Step-3 backend.
-    pub step3_backend: Step3Backend,
     /// Gapped extension parameters (step 3).
     pub gap: GapConfig,
     /// Report alignments with E-value at most this (paper: 1e-3).
@@ -131,13 +106,6 @@ pub struct PipelineConfig {
     /// RASC-100 defaults; scaled-down experiments scale the one-time
     /// setup cost along with the workload (`psc_bench::ladder`).
     pub dma_override: Option<psc_rasc::DmaModel>,
-    /// Deterministic fault plan for the RASC backend; `None`
-    /// (the default) runs fault-free. Candidates are bit-identical
-    /// either way — recovery restores every faulted entry.
-    pub fault_plan: Option<psc_rasc::FaultPlan>,
-    /// Retry / degradation policy the board applies when a dispatch
-    /// faults.
-    pub recovery: psc_rasc::RecoveryPolicy,
 }
 
 impl Default for PipelineConfig {
@@ -150,7 +118,6 @@ impl Default for PipelineConfig {
             step2_kernel: KernelChoice::Auto,
             step2_schedule: crate::step2::Step2Schedule::default(),
             backend: Step2Backend::SoftwareScalar,
-            step3_backend: Step3Backend::default(),
             gap: GapConfig::default(),
             max_evalue: 1e-3,
             index_threads: 1,
@@ -160,8 +127,6 @@ impl Default for PipelineConfig {
             slot_size: 16,
             mask: None,
             dma_override: None,
-            fault_plan: None,
-            recovery: psc_rasc::RecoveryPolicy::default(),
         }
     }
 }
@@ -189,8 +154,6 @@ impl PipelineConfig {
         if let Some(dma) = self.dma_override {
             cfg.dma = dma;
         }
-        cfg.fault_plan = self.fault_plan.clone();
-        cfg.recovery = self.recovery;
         cfg
     }
 }
@@ -228,25 +191,5 @@ mod tests {
         let b = c.board_config(64, 2);
         assert_eq!(b.fpga_count, 2);
         assert_eq!(b.operator.pe_count, 64);
-    }
-
-    #[test]
-    fn board_config_carries_fault_plan_and_recovery() {
-        let c = PipelineConfig {
-            fault_plan: Some(psc_rasc::FaultPlan::seeded(9)),
-            recovery: psc_rasc::RecoveryPolicy {
-                max_retries: 7,
-                ..psc_rasc::RecoveryPolicy::default()
-            },
-            ..PipelineConfig::default()
-        };
-        let b = c.board_config(64, 1);
-        assert_eq!(b.fault_plan, Some(psc_rasc::FaultPlan::seeded(9)));
-        assert_eq!(b.recovery.max_retries, 7);
-        // The default stays fault-free.
-        assert!(PipelineConfig::default()
-            .board_config(64, 1)
-            .fault_plan
-            .is_none());
     }
 }

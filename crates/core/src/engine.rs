@@ -46,7 +46,7 @@ pub enum EngineError {
     /// The artifact parsed but does not match the run configuration
     /// (different matrix or masking than the indexes were built under).
     BundleMismatch(String),
-    /// The underlying pipeline rejected the configuration or faulted.
+    /// The underlying pipeline rejected the configuration.
     Pipeline(PipelineError),
 }
 

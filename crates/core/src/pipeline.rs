@@ -19,7 +19,7 @@ use psc_telemetry::{
     keys, NullRecorder, NullTracer, Recorder, SpanGuard, TraceClock, Tracer, UnitEvent, UnitTrace,
 };
 
-use crate::config::{PipelineConfig, Step2Backend, Step3Backend};
+use crate::config::{PipelineConfig, Step2Backend};
 use crate::profile::StepProfile;
 use crate::step2::{self, Candidate, ItemTiming, Step2Params, Step2Stats};
 
@@ -49,24 +49,16 @@ pub struct PipelineOutput {
     pub board: Option<BoardReport>,
 }
 
-/// Why a pipeline run could not start or complete. All variants but
-/// [`PipelineError::BoardFault`] are configuration problems detectable
-/// before any sequence is touched; `BoardFault` is the one runtime
-/// failure, surfaced only after the board's own retry/degradation
-/// recovery is exhausted.
+/// Why a pipeline run could not start: a configuration problem
+/// detectable before any sequence is touched.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PipelineError {
     /// The PSC operator (step 2) exceeds the FPGA resource budget.
     OperatorDoesNotFit(psc_rasc::ResourceError),
-    /// The gapped operator (step 3) exceeds the FPGA resource budget.
-    GappedOperatorDoesNotFit(psc_rasc::ResourceError),
     /// The substitution matrix has no valid Karlin–Altschul parameters
     /// (its expected score is non-negative, so local alignment
     /// statistics are undefined).
     UnsupportedMatrix,
-    /// A board entry kept faulting past the retry budget with
-    /// degradation disabled (see [`psc_rasc::RecoveryPolicy`]).
-    BoardFault(psc_rasc::BoardFault),
 }
 
 impl std::fmt::Display for PipelineError {
@@ -75,14 +67,8 @@ impl std::fmt::Display for PipelineError {
             PipelineError::OperatorDoesNotFit(e) => {
                 write!(f, "step-2 operator does not fit the FPGA: {e}")
             }
-            PipelineError::GappedOperatorDoesNotFit(e) => {
-                write!(f, "step-3 gapped operator does not fit the FPGA: {e}")
-            }
             PipelineError::UnsupportedMatrix => {
                 write!(f, "matrix does not support local alignment statistics")
-            }
-            PipelineError::BoardFault(e) => {
-                write!(f, "step-2 board fault exhausted recovery: {e}")
             }
         }
     }
@@ -126,7 +112,7 @@ impl Pipeline {
     /// (and only when the tracer is enabled); every [`UnitTrace`] is
     /// committed from the driver after the unit completes. Candidate,
     /// HSP, stats and report output are bit-identical with recording or
-    /// tracing on or off, under any fault plan.
+    /// tracing on or off.
     ///
     /// Under [`TraceClock::Wall`] host lanes carry measured timings;
     /// under [`TraceClock::Virtual`] host units are emitted as
@@ -335,14 +321,8 @@ impl Pipeline {
             s2stats.pairs - s2stats.candidates,
         );
         rec.add(keys::STEP2_ACTIVE_KEYS, s2stats.active_keys);
-        if let Some(b) = board.as_ref().filter(|b| b.faults.any()) {
-            rec.add(keys::STEP2_FAULTS_DETECTED, b.faults.faults_detected);
-            rec.add(keys::STEP2_FAULT_RETRIES, b.faults.retries);
-            rec.add(keys::STEP2_ENTRIES_DEGRADED, b.faults.entries_degraded);
-        }
         if rec.enabled() {
             rec.set_meta(keys::BACKEND, cfg.backend.name());
-            rec.set_meta(keys::STEP3_BACKEND, cfg.step3_backend.name());
             rec.set_meta(keys::STEP2_SCHEDULE, params.schedule.name());
             if let Some(k) = step2_kernel {
                 rec.set_meta(keys::STEP2_KERNEL, k.name());
@@ -407,23 +387,6 @@ impl Pipeline {
         let (m, n) = (bank0.len(), bank1.len());
 
         let anchors = dedup.finish();
-        // Optional step-3 accelerator (the paper's proposed second-FPGA
-        // gapped operator). Results are identical either way; the
-        // operator additionally accounts simulated cycles.
-        let gapped_op = match cfg.step3_backend {
-            Step3Backend::Software => None,
-            Step3Backend::RascGapped { band } => {
-                let op_cfg = psc_rasc::GappedOperatorConfig {
-                    band,
-                    gap: cfg.gap,
-                    ..psc_rasc::GappedOperatorConfig::default()
-                };
-                Some(
-                    psc_rasc::GappedOperator::new(op_cfg, matrix)
-                        .map_err(PipelineError::GappedOperatorDoesNotFit)?,
-                )
-            }
-        };
         // Extension runs on `step3_threads` workers over fixed-size
         // shards; the merge below walks anchors in order, so counters
         // and HSP output cannot depend on the thread count.
@@ -433,7 +396,6 @@ impl Pipeline {
             bank0,
             bank1,
             &cfg.gap,
-            gapped_op.as_ref(),
             &anchors,
             cfg.step3_threads,
             if trace_wall { Some(tracer) } else { None },
@@ -472,7 +434,6 @@ impl Pipeline {
             reason = "wall-clock step profile is the audited exception"
         )]
         let t_merge = Instant::now();
-        let mut step3_cycles = 0u64;
         let mut hsps = Vec::new();
         // Step-3 accounting: an extension flank "X-drop terminated" when
         // the DP gave up strictly inside both sequences (as opposed to
@@ -480,9 +441,8 @@ impl Pipeline {
         let mut xdrop_terminations = 0u64;
         let mut evalue_rejected = 0u64;
         let mut dp_cells = 0u64;
-        for (a, &(hit, cycles)) in anchors.iter().zip(&extensions) {
+        for (a, hit) in anchors.iter().zip(&extensions) {
             let (s0, s1) = (bank0.seq(a.seq0 as usize), bank1.seq(a.seq1 as usize));
-            step3_cycles += cycles;
             dp_cells += hit.cells;
             if hit.start0 > 0 && hit.start1 > 0 {
                 xdrop_terminations += 1;
@@ -566,9 +526,6 @@ impl Pipeline {
                 step2_kernel,
                 step2_accelerated,
                 step3,
-                step3_accelerated: gapped_op
-                    .as_ref()
-                    .map(|op| step3_cycles as f64 / op.config().clock_hz as f64),
             },
             board,
         })
@@ -848,12 +805,9 @@ const STEP3_SHARD: usize = 64;
 /// [`STEP3_SHARD`]-sized shards pulled by workers off a shared counter
 /// — `threads` of them, or this thread alone when there is one worker
 /// or one shard; results are reassembled by shard index, so the
-/// returned `(hit, simulated_cycles)` vector is bit-identical at any
-/// thread count. Each worker extends on DP rows of its own
-/// ([`ExtendScratch`]), so an anchor costs no allocation. The gapped
-/// operator has no interior mutability, so one instance serves all
-/// workers and the per-anchor cycle counts sum to the same total in any
-/// order.
+/// returned hits are bit-identical at any thread count. Each worker
+/// extends on DP rows of its own ([`ExtendScratch`]), so an anchor
+/// costs no allocation.
 ///
 /// The second return value is the wall seconds each shard spent in
 /// extension, indexed by shard. It feeds the `step3.extension` /
@@ -862,33 +816,25 @@ const STEP3_SHARD: usize = 64;
 /// When a wall-clock `tracer` is attached, the third return value maps
 /// each shard to the worker that ran it and its start offset on the
 /// tracer's epoch (empty otherwise); the caller commits the spans.
-#[allow(clippy::too_many_arguments)]
 fn extend_anchors(
     matrix: &SubstitutionMatrix,
     bank0: &FlatBank,
     bank1: &FlatBank,
     gap: &GapConfig,
-    gapped_op: Option<&psc_rasc::GappedOperator>,
     anchors: &[Anchor],
     threads: usize,
     tracer: Option<&dyn Tracer>,
-) -> (Vec<(GappedHit, u64)>, Vec<f64>, Vec<ShardLane>) {
+) -> (Vec<GappedHit>, Vec<f64>, Vec<ShardLane>) {
     // (shard index, extended hits, shard wall seconds) from one worker.
-    type ShardResult = (usize, Vec<(GappedHit, u64)>, f64);
+    type ShardResult = (usize, Vec<GappedHit>, f64);
     let shard_count = anchors.len().div_ceil(STEP3_SHARD);
     let next = AtomicUsize::new(0);
     let work = |worker: u32| -> (Vec<ShardResult>, Vec<ShardLane>) {
         let mut scratch = ExtendScratch::new();
-        let mut extend_one = |a: &Anchor| -> (GappedHit, u64) {
+        let mut extend_one = |a: &Anchor| {
             let (s0, s1) = (bank0.seq(a.seq0 as usize), bank1.seq(a.seq1 as usize));
             let (a0, a1) = (a.local0 as usize, a.local1 as usize);
-            match gapped_op {
-                None => (gapped_extend(matrix, s0, s1, a0, a1, gap, &mut scratch), 0),
-                Some(op) => {
-                    let (hit, cycles, _overflow) = op.extend(s0, s1, a0, a1, &mut scratch);
-                    (hit, cycles)
-                }
-            }
+            gapped_extend(matrix, s0, s1, a0, a1, gap, &mut scratch)
         };
         let mut shards: Vec<ShardResult> = Vec::new();
         let mut lanes: Vec<ShardLane> = Vec::new();
@@ -1054,8 +1000,7 @@ fn commit_virtual_step3(tracer: &dyn Tracer, anchors: usize) {
 }
 
 /// One `(entry, fpga)` timeline record as two sim-clock units on lane
-/// `seg.fpga`: DMA-in, and compute with recovery backoff split out and
-/// fault marks attached.
+/// `seg.fpga`: DMA-in, and compute.
 fn commit_segment(tracer: &dyn Tracer, index: u64, seg: &BoardSegment) {
     tracer.commit(UnitTrace {
         stage: keys::STAGE_BOARD_DMA.to_string(),
@@ -1068,28 +1013,17 @@ fn commit_segment(tracer: &dyn Tracer, index: u64, seg: &BoardSegment) {
             UnitEvent::mark(keys::EV_ENTRY, seg.entry),
         ],
     });
-    let busy = (seg.compute_end - seg.compute_start - seg.backoff_seconds).max(0.0);
-    let mut events = vec![UnitEvent::span(keys::EV_COMPUTE, busy, 1)];
-    if seg.backoff_seconds > 0.0 {
-        events.push(UnitEvent::span(
-            keys::EV_RETRY_BACKOFF,
-            seg.backoff_seconds,
-            1,
-        ));
-    }
-    if seg.retries > 0 {
-        events.push(UnitEvent::mark(keys::EV_FAULT_RETRY, seg.retries as u64));
-    }
-    if seg.degraded {
-        events.push(UnitEvent::mark(keys::EV_FAULT_DEGRADED, 1));
-    }
     tracer.commit(UnitTrace {
         stage: keys::STAGE_BOARD_COMPUTE.to_string(),
         index,
         lane: seg.fpga as u32,
         start_seconds: Some(seg.compute_start),
         sim_clock: true,
-        events,
+        events: vec![UnitEvent::span(
+            keys::EV_COMPUTE,
+            seg.compute_end - seg.compute_start,
+            1,
+        )],
     });
 }
 
@@ -1136,8 +1070,8 @@ type Step2Output = (Step2Stats, Option<BoardReport>, f64);
 /// entry completes, the software kernels push after the worker join,
 /// chunk after chunk of a chunked T1. The dedup is push-order
 /// invariant, so the anchors — and everything downstream — are
-/// bit-identical across backends, thread counts, chunkings and fault
-/// plans. `clock` started with step 2.
+/// bit-identical across backends, thread counts and chunkings. `clock`
+/// started with step 2.
 #[allow(clippy::too_many_arguments)]
 fn run_step2(
     cfg: &PipelineConfig,
@@ -1174,7 +1108,7 @@ fn run_step2(
                 dedup,
                 &board,
                 *host_threads,
-            )?;
+            );
             return Ok((stats, Some(report), 0.0));
         }
     };
@@ -1273,9 +1207,8 @@ fn run_chunks(
 /// Step 2 on simulated hardware: gather one [`Entry`] per active key
 /// (in key order), stream the entries through `board` and push each
 /// entry's surviving hits into `dedup` as the entry completes (entry
-/// *completion* order; the dedup is order-invariant). Errors only when
-/// an entry exhausts fault recovery with degradation disabled. The
-/// returned stats leave `candidates` at zero for the caller to count.
+/// *completion* order; the dedup is order-invariant). The returned
+/// stats leave `candidates` at zero for the caller to count.
 #[allow(clippy::too_many_arguments)]
 fn run_board_entries(
     params: &Step2Params<'_>,
@@ -1286,7 +1219,7 @@ fn run_board_entries(
     dedup: &mut AnchorDedup<'_>,
     board: &RascBoard,
     host_threads: usize,
-) -> Result<(Step2Stats, BoardReport), PipelineError> {
+) -> (Step2Stats, BoardReport) {
     // Keys with work on both sides, in key order.
     let active: Vec<u32> = (0..idx0.key_count() as u32)
         .filter(|&k| !idx0.list(k).is_empty() && !idx1.list(k).is_empty())
@@ -1309,21 +1242,19 @@ fn run_board_entries(
         Entry { il0, il1 }
     });
 
-    let report = board
-        .run_stream(entries, host_threads, |entry_idx, hits| {
-            let key = active[entry_idx as usize];
-            let list0 = idx0.list(key);
-            let list1 = idx1.list(key);
-            for h in hits {
-                dedup.push(&Candidate {
-                    pos0: list0[h.i0 as usize],
-                    pos1: list1[h.i1 as usize],
-                    score: h.score,
-                });
-            }
-        })
-        .map_err(PipelineError::BoardFault)?;
-    Ok((stats, report))
+    let report = board.run_stream(entries, host_threads, |entry_idx, hits| {
+        let key = active[entry_idx as usize];
+        let list0 = idx0.list(key);
+        let list1 = idx1.list(key);
+        for h in hits {
+            dedup.push(&Candidate {
+                pos0: list0[h.i0 as usize],
+                pos1: list1[h.i1 as usize],
+                score: h.score,
+            });
+        }
+    });
+    (stats, report)
 }
 
 #[cfg(test)]
@@ -1503,17 +1434,6 @@ mod tests {
             .hsps
             .iter()
             .any(|h| h.seq0 == 0 && h.seq1 == 0 && h.end0 - h.start0 == 32));
-    }
-
-    #[test]
-    fn rasc_gapped_step3_agrees_with_software() {
-        use crate::config::Step3Backend;
-        let sw = against_the_oracle(|_| ());
-        let hw = against_the_oracle(|c| c.step3_backend = Step3Backend::RascGapped { band: 64 });
-        assert!(sw.profile.step3_accelerated.is_none());
-        assert!(hw.profile.step3_accelerated.expect("gapped operator time") > 0.0);
-        // total_concurrent never exceeds the sequential total.
-        assert!(hw.profile.total_concurrent() <= hw.profile.total() + 1e-12);
     }
 
     #[test]

@@ -19,9 +19,6 @@ pub struct StepProfile {
     pub step2_accelerated: Option<f64>,
     /// Step 3 (gapped extension + reporting), wall seconds.
     pub step3: f64,
-    /// Step 3 simulated accelerator seconds (the proposed gapped
-    /// operator), present only for the `RascGapped` backend.
-    pub step3_accelerated: Option<f64>,
 }
 
 impl StepProfile {
@@ -31,23 +28,10 @@ impl StepProfile {
         self.step2_accelerated.unwrap_or(self.step2_wall)
     }
 
-    /// Effective step-3 cost (same convention).
-    pub fn step3(&self) -> f64 {
-        self.step3_accelerated.unwrap_or(self.step3)
-    }
-
     /// Total pipeline time under the same accounting the paper uses
     /// (host steps measured, accelerated steps simulated).
     pub fn total(&self) -> f64 {
-        self.step1 + self.step2() + self.step3()
-    }
-
-    /// Total when the PSC operator and the gapped operator run
-    /// concurrently on the two FPGAs — the "double activity" deployment
-    /// of the paper's conclusion. Steps 2 and 3 overlap in steady state,
-    /// so the slower of the two bounds the accelerated section.
-    pub fn total_concurrent(&self) -> f64 {
-        self.step1 + self.step2().max(self.step3())
+        self.step1 + self.step2() + self.step3
     }
 
     /// The three steps as `(name, wall seconds, accelerated seconds)`
@@ -56,7 +40,7 @@ impl StepProfile {
         [
             ("step1", self.step1, None),
             ("step2", self.step2_wall, self.step2_accelerated),
-            ("step3", self.step3, self.step3_accelerated),
+            ("step3", self.step3, None),
         ]
     }
 
@@ -70,7 +54,7 @@ impl StepProfile {
         (
             self.step1 / t * 100.0,
             self.step2() / t * 100.0,
-            self.step3() / t * 100.0,
+            self.step3 / t * 100.0,
         )
     }
 }
@@ -105,14 +89,6 @@ mod tests {
         };
         assert!((p.total() - 3.5).abs() < 1e-12);
         assert!((p.step2() - 0.5).abs() < 1e-12);
-        // With an accelerated step 3 too, total uses both accelerated
-        // figures and the concurrent deployment takes the max.
-        let p = StepProfile {
-            step3_accelerated: Some(0.2),
-            ..p
-        };
-        assert!((p.total() - 1.7).abs() < 1e-12);
-        assert!((p.total_concurrent() - 1.5).abs() < 1e-12);
     }
 
     #[test]

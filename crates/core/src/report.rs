@@ -7,10 +7,7 @@
 //! the RASC board report (with utilization precomputed through the
 //! shared [`psc_rasc::pe_utilization`] helper).
 
-use psc_telemetry::{
-    BoardTelemetry, DetectorTelemetry, FaultTelemetry, FpgaTelemetry, RecoveryTelemetry, RunReport,
-    Snapshot, StepReport,
-};
+use psc_telemetry::{BoardTelemetry, FpgaTelemetry, RunReport, Snapshot, StepReport};
 
 use crate::config::{PipelineConfig, Step2Backend};
 use crate::pipeline::PipelineOutput;
@@ -75,20 +72,6 @@ pub fn build_run_report(
             overlap_occupancy: board.overlap_occupancy,
             entries: board.entries,
             hit_count: board.hit_count,
-            faults: FaultTelemetry {
-                injected: board.faults.faults_injected,
-                detected: board.faults.faults_detected,
-                detectors: DetectorTelemetry {
-                    checksum: board.faults.checksum_mismatches,
-                    watchdog: board.faults.watchdog_trips,
-                    protocol: board.faults.protocol_faults,
-                },
-                recovery: RecoveryTelemetry {
-                    retries: board.faults.retries,
-                    entries_degraded: board.faults.entries_degraded,
-                    backoff_cycles: board.faults.backoff_cycles,
-                },
-            },
         });
     }
     report

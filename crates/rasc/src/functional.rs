@@ -42,9 +42,8 @@ const TILE_BYTES: usize = 32 << 10;
 const TILE_MAX_WINDOWS: usize = 512;
 
 /// Batched threshold scorer over one entry's window lists: the scoring
-/// half of [`FunctionalOperator::run_entry`], and the host software a
-/// degraded shard falls back to. Owns its scratch, which is bounded by
-/// the tile size and reused from call to call.
+/// half of [`FunctionalOperator::run_entry`]. Owns its scratch, which
+/// is bounded by the tile size and reused from call to call.
 #[derive(Debug)]
 pub(crate) struct BatchScorer {
     backend: KernelBackend,

@@ -34,10 +34,8 @@
 pub mod board;
 pub mod config;
 pub mod dma;
-pub mod fault;
 pub mod fifo;
 pub mod functional;
-pub mod gapped_op;
 pub mod operator;
 pub mod pe;
 pub mod resource;
@@ -45,13 +43,6 @@ pub mod resource;
 pub use board::{BoardConfig, BoardReport, BoardSegment, Entry, RascBoard};
 pub use config::{OperatorConfig, DEFAULT_CLOCK_HZ};
 pub use dma::{DmaModel, NUMALINK_BANDWIDTH};
-pub use fault::{
-    BoardFault, FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultSummary, RecoveryPolicy,
-    DEFAULT_FAULT_RATE_PPM, MAX_RETRIES,
-};
 pub use functional::FunctionalOperator;
-pub use gapped_op::{
-    systolic_banded_sw, GappedOperator, GappedOperatorConfig, GappedOperatorResult,
-};
 pub use operator::{pe_utilization, EntryResult, Hit, PscOperator};
 pub use resource::{ResourceError, ResourceModel, Utilization};

@@ -11,16 +11,12 @@
 //!   E-values, computed numerically from the matrix and background
 //!   residue frequencies (with published gapped parameter sets for the
 //!   common matrices).
-//! * [`builder`]: the BLOSUM construction algorithm itself (Henikoff &
-//!   Henikoff 1992), so matrices can be derived from alignment blocks.
 
-pub mod builder;
 pub mod freqs;
 pub mod karlin;
 pub mod matrix;
 pub mod parser;
 
-pub use builder::{build_blosum, Block};
 pub use freqs::ROBINSON_FREQS;
 pub use karlin::{effective_search_space, length_adjustment, GappedParams, KarlinParams};
 pub use matrix::{blosum62, SubstitutionMatrix};

@@ -1,5 +1,5 @@
 //! The workspace's one seeded pseudo-random source: synthetic data
-//! (`psc-datagen`), fault plans (`psc_rasc::fault`), randomized unit
+//! (`psc-datagen`), the differential lattice's sample, randomized unit
 //! tests and the property-test case runner all draw from it. It lives
 //! here because every crate that needs it already depends on this one.
 //! Nothing in it is for cryptography.

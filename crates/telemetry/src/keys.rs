@@ -73,12 +73,6 @@ pub const STEP2_GATHER_BYTES: &str = "step2.gather_bytes";
 /// In-flight queries observed when a served query was admitted
 /// (admission-queue depth, this query included).
 pub const SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
-/// Simulated board faults detected during step 2.
-pub const STEP2_FAULTS_DETECTED: &str = "step2.faults_detected";
-/// Step-2 entries retried after a fault.
-pub const STEP2_FAULT_RETRIES: &str = "step2.fault_retries";
-/// Step-2 entries that completed degraded after retry exhaustion.
-pub const STEP2_ENTRIES_DEGRADED: &str = "step2.entries_degraded";
 /// SIMD tiles executed by the wide step-2 kernels.
 pub const STEP2_SIMD_TILES: &str = "step2.simd_tiles";
 /// Useful (non-padding) lane slots across all SIMD tiles.
@@ -121,8 +115,6 @@ pub const STEP2_LANE_FILL: &str = "step2.lane_fill";
 
 /// Step-2 backend name (`software-scalar`, `software-parallel`, `rasc`).
 pub const BACKEND: &str = "backend";
-/// Step-3 backend name.
-pub const STEP3_BACKEND: &str = "step3.backend";
 /// Step-2 scheduling policy name.
 pub const STEP2_SCHEDULE: &str = "step2.schedule";
 /// Step-2 kernel flavor actually selected at run time.
@@ -155,18 +147,12 @@ pub const EV_DMA_IN: &str = "dma_in";
 pub const EV_DMA_OUT: &str = "dma_out";
 /// Board compute busy time.
 pub const EV_COMPUTE: &str = "compute";
-/// Backoff delay before a fault retry.
-pub const EV_RETRY_BACKOFF: &str = "retry_backoff";
 /// Anchor count produced by the unit.
 pub const EV_ANCHORS: &str = "anchors";
 /// Candidate count carried by the unit.
 pub const EV_CANDIDATES: &str = "candidates";
 /// Board entry index the unit processed.
 pub const EV_ENTRY: &str = "entry";
-/// Retries the unit needed.
-pub const EV_FAULT_RETRY: &str = "fault.retry";
-/// The unit completed degraded.
-pub const EV_FAULT_DEGRADED: &str = "fault.degraded";
 /// Hits the unit reported.
 pub const EV_HITS: &str = "hits";
 
@@ -190,8 +176,7 @@ pub const STAGE_BOARD_LINK: &str = "board.link";
 /// Key prefixes of everything in a run report that may differ between
 /// two runs of the same inputs under configurations that must not
 /// change the output: which backend, kernel and schedule ran; lane-slot
-/// telemetry, which follows the kernel's block width; injected faults
-/// and what recovery did about them; and the
+/// telemetry, which follows the kernel's block width; and the
 /// genome-side index span, positions held and chunk count, which follow
 /// whether T1 was loaded from a bundle or keyed by the query. With
 /// the board section and the steps' accelerated seconds, this is all
@@ -199,15 +184,12 @@ pub const STAGE_BOARD_LINK: &str = "board.link";
 /// differential lattice (`tests/lattice.rs`) lets such runs differ in.
 pub const CONFIG_DEPENDENT: &[&str] = &[
     BACKEND,
-    STEP3_BACKEND,
     STEP2_SCHEDULE,
     STEP2_KERNEL, // and `.requested`, `.downgrade`
     RASC_HOST_KERNEL,
     STEP2_SIMD_TILES,
     "step2.lane_slots_",
     STEP2_LANE_FILL,
-    "step2.fault",
-    STEP2_ENTRIES_DEGRADED,
     STEP1_INDEX_BANK1,
     STEP1_POSITIONS_HELD_BANK1,
     STEP1_CHUNKS_BANK1,

@@ -48,8 +48,7 @@ pub use compare::{diff_reports, render_diff, CompareConfig, DeltaKind, DeltaRow,
 pub use json::{Json, JsonError};
 pub use recorder::{Histogram, MemRecorder, NullRecorder, Recorder, Snapshot, SpanGuard, SpanStat};
 pub use report::{
-    BoardTelemetry, DetectorTelemetry, FaultTelemetry, FpgaTelemetry, RecoveryTelemetry, RunReport,
-    SpanReport, StepReport, SCHEMA_VERSION,
+    BoardTelemetry, FpgaTelemetry, RunReport, SpanReport, StepReport, SCHEMA_VERSION,
 };
 pub use trace::{
     stage_of, InstantEvent, Lane, NullTracer, RingTracer, SpanEvent, Trace, TraceClock, Tracer,

@@ -68,9 +68,8 @@ pub fn render_breakdown(report: &RunReport) -> String {
     out
 }
 
-/// Table 5-style per-FPGA utilization, plus stall share, FIFO peaks,
-/// the DMA/sync/setup split from the board model, and — when the run
-/// saw any — the fault/recovery counters.
+/// Table 5-style per-FPGA utilization, plus stall share, FIFO peaks
+/// and the DMA/sync/setup split from the board model.
 pub fn render_utilization(report: &RunReport) -> String {
     let Some(board) = &report.board else {
         return "No board telemetry (software backend run).\n".to_string();
@@ -123,21 +122,6 @@ pub fn render_utilization(report: &RunReport) -> String {
         fmt_seconds(board.overlap_seconds),
         board.overlap_occupancy * 100.0
     ));
-    let f = &board.faults;
-    if f.any() {
-        out.push_str(&format!(
-            "  Faults: {} injected, {} detected ({} checksum, {} watchdog, {} protocol)\n",
-            f.injected,
-            f.detected,
-            f.detectors.checksum,
-            f.detectors.watchdog,
-            f.detectors.protocol
-        ));
-        out.push_str(&format!(
-            "  Recovery: {} retries ({} backoff cycles), {} entries degraded to software\n",
-            f.recovery.retries, f.recovery.backoff_cycles, f.recovery.entries_degraded
-        ));
-    }
     out
 }
 
@@ -291,10 +275,7 @@ pub fn render_report(report: &RunReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{
-        BoardTelemetry, DetectorTelemetry, FaultTelemetry, FpgaTelemetry, RecoveryTelemetry,
-        SpanReport, StepReport,
-    };
+    use crate::report::{BoardTelemetry, FpgaTelemetry, SpanReport, StepReport};
 
     fn report_with_board() -> RunReport {
         let mut r = RunReport::new();
@@ -337,7 +318,6 @@ mod tests {
             overlap_occupancy: 0.625,
             entries: 10,
             hit_count: 8,
-            faults: FaultTelemetry::default(),
         });
         r
     }
@@ -365,36 +345,6 @@ mod tests {
         r.meta.push((keys::RASC_HOST_KERNEL.into(), "wide".into()));
         let text = render_utilization(&r);
         assert!(text.contains("simulator host kernel: wide"), "{text}");
-    }
-
-    #[test]
-    fn fault_lines_render_only_when_faults_occurred() {
-        let clean = render_utilization(&report_with_board());
-        assert!(!clean.contains("Faults:"), "{clean}");
-        let mut r = report_with_board();
-        r.board.as_mut().unwrap().faults = FaultTelemetry {
-            injected: 5,
-            detected: 4,
-            detectors: DetectorTelemetry {
-                checksum: 2,
-                watchdog: 1,
-                protocol: 1,
-            },
-            recovery: RecoveryTelemetry {
-                retries: 3,
-                entries_degraded: 1,
-                backoff_cycles: 1792,
-            },
-        };
-        let text = render_utilization(&r);
-        assert!(
-            text.contains("Faults: 5 injected, 4 detected (2 checksum, 1 watchdog, 1 protocol)"),
-            "{text}"
-        );
-        assert!(
-            text.contains("Recovery: 3 retries (1792 backoff cycles), 1 entries degraded"),
-            "{text}"
-        );
     }
 
     #[test]

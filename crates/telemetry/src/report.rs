@@ -14,9 +14,10 @@
 use crate::json::{Json, JsonError};
 use crate::recorder::{Histogram, Snapshot};
 
-/// Version written to every report, and the only one read. (Schema v1
-/// carried the board's `faults` as one flat object; v2 nests them
-/// per detector and per recovery action.)
+/// Version written to every report, and the only one read. v2 reports
+/// written while the simulated board modelled faults also carry a
+/// board `faults` object, which readers skip, and `step2.fault*`
+/// counters, which read as any other counter.
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// One pipeline step's timing.
@@ -62,53 +63,6 @@ pub struct FpgaTelemetry {
     pub utilization: f64,
 }
 
-/// Per-detector fault detection counts (schema v2): one field per
-/// detection mechanism the board model runs, so each detector's hit
-/// rate is individually diffable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DetectorTelemetry {
-    /// Fletcher stream/result checksum mismatches (DMA corruption,
-    /// PE score flips).
-    pub checksum: u64,
-    /// Cycle-watchdog trips (FIFO stalls, hung entries).
-    pub watchdog: u64,
-    /// ADR protocol violations (truncated or malformed transfers).
-    pub protocol: u64,
-}
-
-impl DetectorTelemetry {
-    /// Total detections across all detectors.
-    pub fn total(&self) -> u64 {
-        self.checksum + self.watchdog + self.protocol
-    }
-}
-
-/// Recovery-path counters (schema v2).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryTelemetry {
-    pub retries: u64,
-    pub entries_degraded: u64,
-    pub backoff_cycles: u64,
-}
-
-/// Fault injection / recovery counters from the simulated board. All
-/// zeros on a fault-free run; a missing `faults` object in older
-/// reports parses to zeros.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultTelemetry {
-    pub injected: u64,
-    pub detected: u64,
-    pub detectors: DetectorTelemetry,
-    pub recovery: RecoveryTelemetry,
-}
-
-impl FaultTelemetry {
-    /// Anything to report?
-    pub fn any(&self) -> bool {
-        *self != FaultTelemetry::default()
-    }
-}
-
 /// Board-level accounting from the simulated RASC backend.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BoardTelemetry {
@@ -132,8 +86,6 @@ pub struct BoardTelemetry {
     pub overlap_occupancy: f64,
     pub entries: u64,
     pub hit_count: u64,
-    /// Fault injection / recovery counters.
-    pub faults: FaultTelemetry,
 }
 
 /// A complete, schema-versioned run report.
@@ -513,72 +465,7 @@ fn board_to_json(b: &BoardTelemetry) -> Json {
         ("overlap_occupancy".into(), Json::Num(b.overlap_occupancy)),
         ("entries".into(), Json::Num(b.entries as f64)),
         ("hit_count".into(), Json::Num(b.hit_count as f64)),
-        (
-            "faults".into(),
-            Json::Obj(vec![
-                ("injected".into(), Json::Num(b.faults.injected as f64)),
-                ("detected".into(), Json::Num(b.faults.detected as f64)),
-                (
-                    "detectors".into(),
-                    Json::Obj(vec![
-                        (
-                            "checksum".into(),
-                            Json::Num(b.faults.detectors.checksum as f64),
-                        ),
-                        (
-                            "watchdog".into(),
-                            Json::Num(b.faults.detectors.watchdog as f64),
-                        ),
-                        (
-                            "protocol".into(),
-                            Json::Num(b.faults.detectors.protocol as f64),
-                        ),
-                    ]),
-                ),
-                (
-                    "recovery".into(),
-                    Json::Obj(vec![
-                        (
-                            "retries".into(),
-                            Json::Num(b.faults.recovery.retries as f64),
-                        ),
-                        (
-                            "entries_degraded".into(),
-                            Json::Num(b.faults.recovery.entries_degraded as f64),
-                        ),
-                        (
-                            "backoff_cycles".into(),
-                            Json::Num(b.faults.recovery.backoff_cycles as f64),
-                        ),
-                    ]),
-                ),
-            ]),
-        ),
     ])
-}
-
-fn faults_from_json(json: &Json) -> Result<FaultTelemetry, String> {
-    // Absent in reports written before the fault model existed: that is
-    // a fault-free run, not a schema error.
-    let Some(f) = json.get("faults") else {
-        return Ok(FaultTelemetry::default());
-    };
-    let det = require(f, "detectors")?;
-    let rec = require(f, "recovery")?;
-    Ok(FaultTelemetry {
-        injected: u64_field(f, "injected")?,
-        detected: u64_field(f, "detected")?,
-        detectors: DetectorTelemetry {
-            checksum: u64_field(det, "checksum")?,
-            watchdog: u64_field(det, "watchdog")?,
-            protocol: u64_field(det, "protocol")?,
-        },
-        recovery: RecoveryTelemetry {
-            retries: u64_field(rec, "retries")?,
-            entries_degraded: u64_field(rec, "entries_degraded")?,
-            backoff_cycles: u64_field(rec, "backoff_cycles")?,
-        },
-    })
 }
 
 fn board_from_json(json: &Json) -> Result<BoardTelemetry, String> {
@@ -617,7 +504,6 @@ fn board_from_json(json: &Json) -> Result<BoardTelemetry, String> {
             .unwrap_or(0.0),
         entries: u64_field(json, "entries")?,
         hit_count: u64_field(json, "hit_count")?,
-        faults: faults_from_json(json)?,
     })
 }
 
@@ -685,20 +571,6 @@ mod tests {
             overlap_occupancy: 0.42,
             entries: 42,
             hit_count: 99,
-            faults: FaultTelemetry {
-                injected: 7,
-                detected: 6,
-                detectors: DetectorTelemetry {
-                    checksum: 3,
-                    watchdog: 1,
-                    protocol: 2,
-                },
-                recovery: RecoveryTelemetry {
-                    retries: 5,
-                    entries_degraded: 1,
-                    backoff_cycles: 3840,
-                },
-            },
         });
         report
     }
@@ -736,24 +608,48 @@ mod tests {
     }
 
     #[test]
-    fn report_without_faults_object_parses_to_zeros() {
-        // Reports written before the fault model existed lack the
-        // board's "faults" object; they must still parse (same schema
-        // version) with all counters at zero.
-        let report = sample_report();
-        let Json::Obj(mut members) = report.to_json() else {
+    fn report_with_retired_faults_object_still_parses() {
+        // A v2 report written while the board modelled faults: a board
+        // `faults` object and three `step2.fault*` counters.
+        let new = sample_report();
+        let faults = r#"{"injected":7,"detected":6,"detectors":{"checksum":3,"watchdog":1,"protocol":2},"recovery":{"retries":5,"entries_degraded":1,"backoff_cycles":3840}}"#;
+        let mut old = new.clone();
+        for (key, value) in [
+            ("step2.faults_detected", 6),
+            ("step2.fault_retries", 5),
+            ("step2.entries_degraded", 1),
+        ] {
+            old.counters.push((key.into(), value));
+        }
+        let Json::Obj(mut members) = old.to_json() else {
             unreachable!()
         };
         for (k, v) in &mut members {
             if k == "board" {
                 let Json::Obj(board) = v else { unreachable!() };
-                board.retain(|(k, _)| k != "faults");
+                board.push(("faults".into(), Json::parse(faults).unwrap()));
             }
         }
-        let back = RunReport::from_json(&Json::Obj(members)).unwrap();
-        let faults = back.board.as_ref().unwrap().faults;
-        assert!(!faults.any());
-        assert_eq!(faults, FaultTelemetry::default());
+        let text = Json::Obj(members).to_string_pretty();
+        assert!(text.contains("\"backoff_cycles\""), "{text}");
+        let old = RunReport::parse(&text).expect("a retired faults object parses");
+        assert_eq!(old.board, new.board);
+        assert_eq!(old.counter("step2.fault_retries"), Some(5));
+        // `psc report --compare OLD NEW`: the retired counters show as
+        // removed rows, which never gate.
+        let gates = crate::compare::CompareConfig {
+            max_wall_regress_pct: Some(0.0),
+            max_counter_regress_pct: Some(0.0),
+        };
+        let diff = crate::compare::diff_reports(&old, &new, gates);
+        assert!(diff.regressions().is_empty(), "{diff:?}");
+        let removed: Vec<_> = diff
+            .rows
+            .iter()
+            .filter(|r| r.removed)
+            .map(|r| &r.name)
+            .collect();
+        assert_eq!(removed.len(), 3, "{removed:?}");
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub enum UnitEvent {
         seconds: f64,
         weight: u64,
     },
-    /// An instant event (queue-depth sample, fault mark) attached at
+    /// An instant event (queue-depth sample, hit count) attached at
     /// the unit's current position, carrying one value.
     Mark { name: String, value: u64 },
 }
@@ -772,7 +772,7 @@ mod tests {
             sim_clock: true,
             events: vec![
                 UnitEvent::span("compute", 0.25, 0),
-                UnitEvent::mark("fault.retry", 2),
+                UnitEvent::mark("hits", 2),
             ],
         });
         let trace = t.finish(&[]);

@@ -12,7 +12,6 @@
 //! | class                 | source                                     |
 //! |-----------------------|--------------------------------------------|
 //! | `merge-wait`          | `merge_wait` spans (in-order merge holds)  |
-//! | `board-retry-backoff` | `retry_backoff` spans (fault recovery)     |
 //! | `scheduler-tail`      | residual idle on host lanes                |
 //! | `board-idle`          | residual idle on simulated-board lanes     |
 //!
@@ -27,8 +26,6 @@ use crate::trace::{Lane, SpanEvent, Trace, TraceClock};
 
 /// Merge thread holding for in-order shard results.
 pub const STALL_MERGE_WAIT: &str = "merge-wait";
-/// Simulated board burning backoff cycles between fault retries.
-pub const STALL_RETRY_BACKOFF: &str = "board-retry-backoff";
 /// Residual host-lane idle inside the stage window (LPT imbalance,
 /// pull-counter tail).
 pub const STALL_SCHEDULER_TAIL: &str = "scheduler-tail";
@@ -40,7 +37,6 @@ pub const STALL_BOARD_IDLE: &str = "board-idle";
 pub fn stall_class(span_name: &str) -> Option<&'static str> {
     match span_name {
         "merge_wait" => Some(STALL_MERGE_WAIT),
-        "retry_backoff" => Some(STALL_RETRY_BACKOFF),
         _ => None,
     }
 }
@@ -625,34 +621,22 @@ mod tests {
     }
 
     #[test]
-    fn board_lanes_get_board_idle_and_backoff() {
+    fn board_lanes_get_board_idle() {
         let trace = Trace {
             clock: TraceClock::Wall,
             dropped: 0,
             meta: Vec::new(),
             lanes: vec![
-                lane(
-                    "board.compute.fpga0",
-                    true,
-                    vec![("compute", 0.0, 70.0), ("retry_backoff", 70.0, 10.0)],
-                ),
+                lane("board.compute.fpga0", true, vec![("compute", 0.0, 80.0)]),
                 lane("board.compute.fpga1", true, vec![("compute", 0.0, 40.0)]),
             ],
         };
         let analysis = analyze(&trace);
         let f0 = &analysis.lanes[0];
-        assert_eq!(f0.stalls.get(STALL_RETRY_BACKOFF), Some(&10.0));
         assert_eq!(f0.stalls.get(STALL_BOARD_IDLE), Some(&0.0));
         let f1 = &analysis.lanes[1];
         assert_eq!(f1.stalls.get(STALL_BOARD_IDLE), Some(&40.0));
-        assert!(
-            analysis
-                .stall_totals
-                .get(STALL_RETRY_BACKOFF)
-                .copied()
-                .unwrap_or(0.0)
-                > 0.0
-        );
+        assert_eq!(analysis.stall_totals.get(STALL_BOARD_IDLE), Some(&40.0));
     }
 
     #[test]

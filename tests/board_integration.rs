@@ -33,7 +33,7 @@ fn operator(threshold: i32, fifo_capacity: usize) -> OperatorConfig {
 fn result_flood_stalls_the_array() {
     // Identical all-A windows self-score 4×20 = 80 ≫ threshold 10.
     let board = board(BoardConfig::new(operator(10, 16), 1));
-    let (hits, report) = board.run_workload(&flood_entries(4, 64, 32, 20)).unwrap();
+    let (hits, report) = board.run_workload(&flood_entries(4, 64, 32, 20));
     let total: usize = hits.iter().map(Vec::len).sum();
     assert_eq!(total, 4 * 64 * 32, "every pair must be reported");
     assert!(
@@ -49,8 +49,8 @@ fn raising_the_threshold_restores_throughput() {
     let flood = board(BoardConfig::new(operator(10, 16), 1));
     let quiet = board(BoardConfig::new(operator(1000, 16), 1));
     let work = flood_entries(4, 64, 32, 20);
-    let (_, rf) = flood.run_workload(&work).unwrap();
-    let (hq, rq) = quiet.run_workload(&work).unwrap();
+    let (_, rf) = flood.run_workload(&work);
+    let (hq, rq) = quiet.run_workload(&work);
     assert_eq!(rq.stall_cycles[0], 0);
     assert!(hq.iter().all(Vec::is_empty));
     assert!(rf.fpga_cycles[0] > rq.fpga_cycles[0]);
@@ -74,8 +74,8 @@ fn dual_fpga_speedup_grows_with_workload() {
     };
     let speedup_for = |n_entries: usize| -> f64 {
         let work = flood_entries(n_entries, 128, 64, 20);
-        let t1 = board(1).run_workload(&work).unwrap().1.accelerated_seconds;
-        let t2 = board(2).run_workload(&work).unwrap().1.accelerated_seconds;
+        let t1 = board(1).run_workload(&work).1.accelerated_seconds;
+        let t2 = board(2).run_workload(&work).1.accelerated_seconds;
         t1 / t2
     };
     let small = speedup_for(20);

@@ -40,7 +40,7 @@ fn stripped_run_reports_are_byte_identical() {
 }
 
 /// Parallel step 3 is an optimisation, never a semantic change — on
-/// every step-2 backend, with and without faults upstream of it.
+/// every step-2 backend.
 #[test]
 fn step3_threads_match_sequential_on_every_backend() {
     let runs =

@@ -1,8 +1,8 @@
 //! The differential lattice: "this must not change the output",
 //! asserted once.
 //!
-//! Every backend, kernel, schedule, thread count and fault plan in this
-//! tree is a reschedule of one computation, so one
+//! Every backend, kernel, schedule and thread count in this tree is a
+//! reschedule of one computation, so one
 //! [`check`] runs a [`Point`] of the configuration lattice on a
 //! [`Workload`] — through `SearchEngine::{for_genome | from_bundle}` +
 //! `query_traced`, the only way in that the CLI, `psc serve` and
@@ -34,14 +34,12 @@
 use std::sync::OnceLock;
 
 use psc_align::Hsp;
-use psc_core::config::Step3Backend;
 use psc_core::{
     build_run_report, KernelChoice, MemRecorder, NullRecorder, NullTracer, PipelineConfig,
     PipelineStats, Recorder, RingTracer, RunReport, SearchEngine, SeedChoice, Step2Backend,
     Step2Schedule, TraceClock, Tracer,
 };
 use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig};
-use psc_rasc::{FaultKind, FaultPlan, FaultSpec};
 use psc_score::blosum62;
 use psc_seqio::prng::{mix, SplitMix64};
 use psc_seqio::{Bank, MaskConfig, Seq};
@@ -119,15 +117,6 @@ pub enum Backend {
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Faults {
-    None,
-    /// Seed, rate in ppm.
-    Seeded(u64, u32),
-    /// Entry 1 never recovers on FPGA 0 and degrades to host software.
-    Degrade,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Trace {
     Virtual,
     Wall,
@@ -141,9 +130,6 @@ pub struct Neutral {
     pub backend: Backend,
     pub kernel: KernelChoice,
     pub schedule: Step2Schedule,
-    pub faults: Faults,
-    /// Step 3 on the simulated gapped operator.
-    pub gapped_operator: bool,
     /// Query an engine loaded from the bundle of a fresh one.
     pub bundle: bool,
 }
@@ -172,8 +158,6 @@ pub const ORACLE: Point = Point {
         backend: Backend::Scalar,
         kernel: KernelChoice::Scalar,
         schedule: Step2Schedule::Bucketed,
-        faults: Faults::None,
-        gapped_operator: false,
         bundle: false,
     },
     obs: Observed {
@@ -225,17 +209,6 @@ pub const AXES: &[Axis] = &[
         false,
         &[|p| p.cfg.schedule = Step2Schedule::Contiguous],
     ),
-    (
-        "fault plan",
-        true,
-        &[
-            |p| p.cfg.faults = Faults::Seeded(7, psc_rasc::DEFAULT_FAULT_RATE_PPM),
-            |p| p.cfg.faults = Faults::Seeded(97, 250_000),
-            |p| p.cfg.faults = Faults::Seeded(5, 1_000_000),
-            |p| p.cfg.faults = Faults::Degrade,
-        ],
-    ),
-    ("step-3 backend", false, &[|p| p.cfg.gapped_operator = true]),
     ("engine", false, &[|p| p.cfg.bundle = true]),
     (
         "host threads",
@@ -331,20 +304,6 @@ fn config(w: &Workload, p: &Point) -> PipelineConfig {
         },
         step2_kernel: p.cfg.kernel,
         step2_schedule: p.cfg.schedule,
-        step3_backend: match p.cfg.gapped_operator {
-            true => Step3Backend::RascGapped { band: 64 },
-            false => Step3Backend::Software,
-        },
-        fault_plan: match p.cfg.faults {
-            Faults::None => None,
-            Faults::Seeded(seed, rate_ppm) => Some(FaultPlan::Seeded { seed, rate_ppm }),
-            Faults::Degrade => Some(FaultPlan::Scripted(vec![FaultSpec {
-                entry: 1,
-                fpga: Some(0),
-                kind: FaultKind::DmaCorrupt,
-                attempts: u32::MAX,
-            }])),
-        },
         step3_threads: p.obs.step3_threads,
         index_threads: p.obs.index_threads,
         ..PipelineConfig::default()

@@ -1,20 +1,19 @@
 //! Flight-recorder guarantees at pipeline level: virtual-clock traces
 //! are byte-deterministic across thread counts and backends and tracing
-//! never changes pipeline output, fault plans included (slices of the
-//! differential lattice, `tests/lattice.rs`); wall-clock traces
+//! never changes pipeline output (slices of the differential lattice,
+//! `tests/lattice.rs`); wall-clock traces
 //! reconcile against the run report, and every lane's time is
 //! exhaustively attributed (`busy + stalls == lane wall`).
 
 #[path = "lattice.rs"]
 mod lattice;
 
-use lattice::{check_where, Backend, Faults};
+use lattice::{check_where, Backend};
 use psc_core::{
     build_run_report, MemRecorder, NullRecorder, Pipeline, PipelineConfig, PipelineOutput,
     RingTracer, Step2Backend, TraceClock,
 };
 use psc_datagen::{random_bank, BankConfig};
-use psc_rasc::FaultPlan;
 use psc_score::blosum62;
 use psc_seqio::Bank;
 use psc_telemetry::{analyze, reconcile, Trace};
@@ -65,22 +64,26 @@ fn virtual_trace_is_byte_deterministic_across_thread_counts() {
 }
 
 /// The simulated board runs on its own deterministic clock, so its
-/// lanes are byte-stable even under a fault plan, whatever drives it.
+/// lanes are byte-stable whatever drives it.
 #[test]
 fn virtual_board_lanes_are_deterministic() {
     let runs = check_where(|_, p| p.obs.host_threads > 1 && p.obs.trace == lattice::Trace::Virtual);
-    assert!(runs.iter().any(|(p, _)| p.cfg.faults != Faults::None));
+    assert!(runs
+        .iter()
+        .any(|(p, _)| matches!(p.cfg.backend, Backend::Board(..))));
 }
 
 /// Tracing only observes: with the flight recorder off, or on the wall
 /// clock, everything else a run leaves is what the virtual-clock run
-/// left — for every backend and with faults.
+/// left — for every backend.
 #[test]
 fn tracing_does_not_change_pipeline_output() {
     let runs = check_where(|w, p| {
         ["genome", "window-20"].contains(&w.name) && p.obs.trace != lattice::Trace::Virtual
     });
-    assert!(runs.iter().any(|(p, _)| p.cfg.faults != Faults::None));
+    assert!(runs
+        .iter()
+        .any(|(p, _)| matches!(p.cfg.backend, Backend::Board(..))));
 }
 
 /// Wall-clock traces must reconcile with the run report: the step-3
@@ -109,8 +112,8 @@ fn wall_trace_reconciles_with_run_report() {
 }
 
 /// Every non-busy second of every lane lands in a named stall class:
-/// `busy + stalls == lane wall`, enforced on a real traced run with
-/// faults and parallel step 3 (the richest stall mix).
+/// `busy + stalls == lane wall`, enforced on a real traced run on the
+/// board with parallel step 3 (the richest stall mix).
 #[test]
 fn stall_attribution_is_exhaustive() {
     let tracer = RingTracer::new(TraceClock::Wall);
@@ -121,7 +124,6 @@ fn stall_attribution_is_exhaustive() {
             host_threads: 2,
         },
         step3_threads: 2,
-        fault_plan: Some(FaultPlan::seeded(5)),
         ..base_config()
     };
     let (_, trace) = run_traced(cfg, &tracer);
