@@ -47,6 +47,15 @@
 //! for both [`Kernel`] variants; the unit tests below and the property
 //! tests in `tests/batch_prop.rs` pin that down.
 
+// A hot module: no panic path outside test code (DESIGN §9).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::ops::Range;
 
 use psc_score::SubstitutionMatrix;

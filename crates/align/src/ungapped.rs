@@ -26,6 +26,15 @@
 //! configured, and `experiments ablation-kernel` measures the
 //! sensitivity difference.
 
+// A hot module: no panic path outside test code (DESIGN §9).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use psc_score::SubstitutionMatrix;
 
 /// Which recurrence the ungapped window score uses.

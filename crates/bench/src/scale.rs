@@ -42,7 +42,8 @@ impl Scale {
     pub fn labels(&self) -> [String; 4] {
         let f = |n: usize| {
             if n >= 1000 {
-                format!("{}K protein", n / 1000)
+                // Shortest decimal: 1500 is "1.5K", 3000 is "3K".
+                format!("{}K protein", n as f64 / 1000.0)
             } else {
                 format!("{n} protein")
             }
@@ -73,7 +74,15 @@ mod tests {
     #[test]
     fn labels_format() {
         let s = Scale::full();
-        assert_eq!(s.labels()[3], "1K protein");
+        assert_eq!(s.labels()[3], "1.5K protein");
         assert_eq!(s.labels()[0], "50 protein");
+        let paper = Scale {
+            bank_counts: [1000, 3000, 10_000, 30_000],
+            ..s
+        };
+        assert_eq!(
+            paper.labels(),
+            ["1K protein", "3K protein", "10K protein", "30K protein"]
+        );
     }
 }

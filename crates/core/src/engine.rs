@@ -743,8 +743,8 @@ mod tests {
         let strip = |mut report: psc_telemetry::RunReport| {
             report.strip_wall_clock();
             let walked = [
-                keys::STEP1_CHUNKS_BANK1,
-                keys::STEP2_SIMD_TILES,
+                keys::STEP1_CHUNKS_BANK1.as_str(),
+                keys::STEP2_SIMD_TILES.as_str(),
                 "step2.lane_",
             ];
             let keep = |k: &str| !walked.iter().any(|w| k.starts_with(w));

@@ -414,7 +414,7 @@ impl Pipeline {
             for sl in &shard_lanes {
                 let size = STEP3_SHARD.min(anchors.len() - sl.shard * STEP3_SHARD) as u64;
                 tracer.commit(UnitTrace {
-                    stage: keys::STAGE_STEP3.to_string(),
+                    stage: keys::STAGE_STEP3,
                     index: sl.shard as u64,
                     lane: sl.worker,
                     start_seconds: Some(sl.start_seconds),
@@ -471,7 +471,7 @@ impl Pipeline {
         let merge_wait = t_merge.elapsed().as_secs_f64();
         if trace_wall {
             tracer.commit(UnitTrace {
-                stage: keys::STAGE_STEP3_MERGE.to_string(),
+                stage: keys::STAGE_STEP3_MERGE,
                 index: 0,
                 lane: 0,
                 start_seconds: Some(merge_start),
@@ -934,7 +934,7 @@ fn step2_weight(pairs: u64) -> u64 {
 fn commit_step2_timings(tracer: &dyn Tracer, base: f64, times: &[ItemTiming]) {
     for t in times {
         tracer.commit(UnitTrace {
-            stage: keys::STAGE_STEP2.to_string(),
+            stage: keys::STAGE_STEP2,
             index: t.item as u64,
             lane: t.worker,
             start_seconds: Some(base + t.start_seconds),
@@ -954,7 +954,7 @@ fn commit_virtual_step2(tracer: &dyn Tracer, masses: impl ExactSizeIterator<Item
     let items = step2::bucketed_items(masses);
     for (i, item) in items.iter().enumerate() {
         tracer.commit(UnitTrace {
-            stage: keys::STAGE_STEP2.to_string(),
+            stage: keys::STAGE_STEP2,
             index: i as u64,
             lane: 0,
             start_seconds: None,
@@ -975,7 +975,7 @@ fn commit_virtual_step3(tracer: &dyn Tracer, anchors: usize) {
     for shard in 0..shard_count {
         let size = (STEP3_SHARD.min(anchors - shard * STEP3_SHARD)) as u64;
         tracer.commit(UnitTrace {
-            stage: keys::STAGE_STEP3.to_string(),
+            stage: keys::STAGE_STEP3,
             index: shard as u64,
             lane: 0,
             start_seconds: None,
@@ -985,7 +985,7 @@ fn commit_virtual_step3(tracer: &dyn Tracer, anchors: usize) {
     }
     if anchors > 0 {
         tracer.commit(UnitTrace {
-            stage: keys::STAGE_STEP3_MERGE.to_string(),
+            stage: keys::STAGE_STEP3_MERGE,
             index: 0,
             lane: 0,
             start_seconds: None,
@@ -1003,7 +1003,7 @@ fn commit_virtual_step3(tracer: &dyn Tracer, anchors: usize) {
 /// `seg.fpga`: DMA-in, and compute.
 fn commit_segment(tracer: &dyn Tracer, index: u64, seg: &BoardSegment) {
     tracer.commit(UnitTrace {
-        stage: keys::STAGE_BOARD_DMA.to_string(),
+        stage: keys::STAGE_BOARD_DMA,
         index,
         lane: seg.fpga as u32,
         start_seconds: Some(seg.dma_start),
@@ -1014,7 +1014,7 @@ fn commit_segment(tracer: &dyn Tracer, index: u64, seg: &BoardSegment) {
         ],
     });
     tracer.commit(UnitTrace {
-        stage: keys::STAGE_BOARD_COMPUTE.to_string(),
+        stage: keys::STAGE_BOARD_COMPUTE,
         index,
         lane: seg.fpga as u32,
         start_seconds: Some(seg.compute_start),
@@ -1042,7 +1042,7 @@ fn commit_board_timeline(tracer: &dyn Tracer, report: &BoardReport) {
             .map(|s| s.compute_end)
             .fold(0.0, f64::max);
         tracer.commit(UnitTrace {
-            stage: keys::STAGE_BOARD_LINK.to_string(),
+            stage: keys::STAGE_BOARD_LINK,
             index: 0,
             lane: 0,
             start_seconds: Some(drain_start),

@@ -43,6 +43,15 @@
 //! per-item results back into key order, so candidates, stats and
 //! report JSON are byte-identical at any thread count.
 
+// A hot module: no panic path outside test code (DESIGN §9).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use psc_align::{
@@ -734,7 +743,7 @@ fn run_units(
         let mut my_times = Vec::new();
         while let Some(&unit) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
             let t0 = epoch.map(|e| e.elapsed().as_secs_f64());
-            // analyzer: allow(hot-path-no-alloc) -- per-unit result vector, moved into the key-order merge
+            // The unit's own result vector, moved into the key-order merge.
             let mut out = Vec::new();
             let mut st = Step2Stats::default();
             run_key_range(
@@ -763,6 +772,10 @@ fn run_units(
         (mine, my_times)
     };
     let workers = threads.min(units.len());
+    #[expect(
+        clippy::expect_used,
+        reason = "join only fails if a worker already panicked"
+    )]
     let per_worker = if workers <= 1 {
         vec![worker(0)]
     } else {
@@ -773,7 +786,6 @@ fn run_units(
                 .collect();
             handles
                 .into_iter()
-                // analyzer: allow(hot-path-no-panic) -- join only fails if a worker already panicked
                 .map(|h| h.join().expect("step-2 worker panicked"))
                 .collect()
         })
@@ -1129,6 +1141,21 @@ mod tests {
         let tile_j = simd_tile_j(l);
         assert_eq!(simd_tile_count(1, tile_j, l), 1);
         assert_eq!(simd_tile_count(1, tile_j + 1, l), 2);
+    }
+
+    /// The closed form equals the length of the tile walk the hot loop
+    /// performs, over random shapes.
+    #[test]
+    fn simd_tile_count_matches_walk() {
+        psc_seqio::prng::for_cases(0xfa02, 8, |g| {
+            let (n0, n1, l) = (
+                g.range(0usize..3000),
+                g.range(0usize..30_000),
+                g.range(1usize..4096),
+            );
+            let walked = simd_tile_walk(n0, n1, l).count() as u64;
+            assert_eq!(simd_tile_count(n0, n1, l), walked);
+        });
     }
 
     #[test]

@@ -24,6 +24,15 @@
 //! unit tests here and the property tests in `tests/equivalence.rs`;
 //! every board run takes this path.
 
+// A hot module: no panic path outside test code (DESIGN §9).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use psc_align::{
     score_batch, InterleavedWindows, Kernel, KernelBackend, KernelChoice, LaneFilter, ScoreProfile,
     WIDE_LANES,
@@ -249,8 +258,10 @@ impl FunctionalOperator {
         out
     }
 
-    /// Closed-form cycle cost of an entry assuming **no hits** (the
-    /// traffic-free lower bound; useful for capacity planning).
+    /// Closed-form cycle cost of an entry assuming **no hits**: the
+    /// traffic-free lower bound, the reference the cycle-accurate
+    /// equivalence tests compare [`FunctionalOperator::run_entry`]'s
+    /// cycles against (equal without hits, never below it with).
     pub fn cycles_lower_bound(&self, k0: usize, k1: usize) -> u64 {
         if k0 == 0 || k1 == 0 {
             return 0;

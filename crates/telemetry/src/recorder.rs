@@ -11,6 +11,8 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::keys::Key;
+
 /// A log2-bucketed histogram of `u64` observations.
 ///
 /// Bucket 0 holds the value 0; bucket `b ≥ 1` holds values in
@@ -112,13 +114,13 @@ pub trait Recorder: Sync {
     /// cost (loops) must check this before doing per-item work.
     fn enabled(&self) -> bool;
     /// Add `delta` to the named counter.
-    fn add(&self, name: &str, delta: u64);
+    fn add(&self, name: &Key, delta: u64);
     /// Record one observation into the named histogram.
-    fn observe(&self, name: &str, value: u64);
+    fn observe(&self, name: &Key, value: u64);
     /// Credit `seconds` to the named span (called by [`SpanGuard`]).
-    fn record_span(&self, name: &str, seconds: f64);
+    fn record_span(&self, name: &Key, seconds: f64);
     /// Attach free-form metadata (backend names, kernel choices, …).
-    fn set_meta(&self, name: &str, value: &str);
+    fn set_meta(&self, name: &Key, value: &str);
 }
 
 /// The disabled recorder: every operation is a no-op.
@@ -129,21 +131,21 @@ impl Recorder for NullRecorder {
     fn enabled(&self) -> bool {
         false
     }
-    fn add(&self, _name: &str, _delta: u64) {}
-    fn observe(&self, _name: &str, _value: u64) {}
-    fn record_span(&self, _name: &str, _seconds: f64) {}
-    fn set_meta(&self, _name: &str, _value: &str) {}
+    fn add(&self, _name: &Key, _delta: u64) {}
+    fn observe(&self, _name: &Key, _value: u64) {}
+    fn record_span(&self, _name: &Key, _seconds: f64) {}
+    fn set_meta(&self, _name: &Key, _value: &str) {}
 }
 
 /// RAII span timer: reads the monotonic clock on enter and credits the
 /// elapsed seconds on drop. Against a disabled recorder it never
 /// touches the clock.
 pub struct SpanGuard<'a> {
-    active: Option<(&'a dyn Recorder, &'a str, Instant)>,
+    active: Option<(&'a dyn Recorder, &'a Key, Instant)>,
 }
 
 impl<'a> SpanGuard<'a> {
-    pub fn enter(recorder: &'a dyn Recorder, name: &'a str) -> SpanGuard<'a> {
+    pub fn enter(recorder: &'a dyn Recorder, name: &'a Key) -> SpanGuard<'a> {
         SpanGuard {
             active: recorder.enabled().then(|| (recorder, name, Instant::now())),
         }
@@ -161,7 +163,10 @@ impl Drop for SpanGuard<'_> {
 impl std::fmt::Debug for SpanGuard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpanGuard")
-            .field("span", &self.active.as_ref().map(|(_, name, _)| *name))
+            .field(
+                "span",
+                &self.active.as_ref().map(|(_, name, _)| name.as_str()),
+            )
             .finish()
     }
 }
@@ -188,36 +193,39 @@ impl Recorder for MemRecorder {
         true
     }
 
-    fn add(&self, name: &str, delta: u64) {
+    fn add(&self, name: &Key, delta: u64) {
         let mut inner = self.inner.lock().expect("recorder poisoned");
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        *inner.counters.entry(name.as_str().to_string()).or_insert(0) += delta;
     }
 
-    fn observe(&self, name: &str, value: u64) {
+    fn observe(&self, name: &Key, value: u64) {
         let mut inner = self.inner.lock().expect("recorder poisoned");
         inner
             .histograms
-            .entry(name.to_string())
+            .entry(name.as_str().to_string())
             .or_default()
             .observe(value);
     }
 
-    fn record_span(&self, name: &str, seconds: f64) {
+    fn record_span(&self, name: &Key, seconds: f64) {
         let mut inner = self.inner.lock().expect("recorder poisoned");
-        let stat = inner.spans.entry(name.to_string()).or_default();
+        let stat = inner.spans.entry(name.as_str().to_string()).or_default();
         stat.count += 1;
         stat.seconds += seconds;
     }
 
-    fn set_meta(&self, name: &str, value: &str) {
+    fn set_meta(&self, name: &Key, value: &str) {
         let mut inner = self.inner.lock().expect("recorder poisoned");
-        inner.meta.insert(name.to_string(), value.to_string());
+        inner
+            .meta
+            .insert(name.as_str().to_string(), value.to_string());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys;
 
     #[test]
     fn histogram_buckets_are_log2() {
@@ -265,18 +273,18 @@ mod tests {
     #[test]
     fn mem_recorder_accumulates() {
         let rec = MemRecorder::new();
-        rec.add("pairs", 10);
-        rec.add("pairs", 5);
-        rec.observe("per_key", 4);
-        rec.observe("per_key", 9);
-        rec.record_span("step2", 0.5);
-        rec.record_span("step2", 0.25);
-        rec.set_meta("backend", "rasc");
-        rec.set_meta("backend", "scalar"); // last write wins
+        rec.add(keys::STEP2_PAIRS, 10);
+        rec.add(keys::STEP2_PAIRS, 5);
+        rec.observe(keys::STEP2_PAIRS_PER_KEY, 4);
+        rec.observe(keys::STEP2_PAIRS_PER_KEY, 9);
+        rec.record_span(keys::STEP1, 0.5);
+        rec.record_span(keys::STEP1, 0.25);
+        rec.set_meta(keys::BACKEND, "rasc");
+        rec.set_meta(keys::BACKEND, "scalar"); // last write wins
         let snap = rec.snapshot();
-        assert_eq!(snap.counters["pairs"], 15);
-        assert_eq!(snap.histograms["per_key"].count, 2);
-        let span = snap.spans["step2"];
+        assert_eq!(snap.counters["step2.pairs"], 15);
+        assert_eq!(snap.histograms["step2.pairs_per_key"].count, 2);
+        let span = snap.spans["step1"];
         assert_eq!(span.count, 2);
         assert!((span.seconds - 0.75).abs() < 1e-12);
         assert_eq!(snap.meta["backend"], "scalar");
@@ -286,13 +294,13 @@ mod tests {
     fn span_guard_times_enabled_recorder_only() {
         let rec = MemRecorder::new();
         {
-            let _g = SpanGuard::enter(&rec, "work");
+            let _g = SpanGuard::enter(&rec, keys::STEP3);
         }
-        assert_eq!(rec.snapshot().spans["work"].count, 1);
+        assert_eq!(rec.snapshot().spans["step3"].count, 1);
 
         let null = NullRecorder;
         {
-            let _g = SpanGuard::enter(&null, "work");
+            let _g = SpanGuard::enter(&null, keys::STEP3);
         }
         // Nothing observable — NullRecorder discards everything.
         assert!(!null.enabled());

@@ -79,7 +79,7 @@ pub fn render_utilization(report: &RunReport) -> String {
         "Simulated RASC board ({} PEs per FPGA, {} entries, {} hits)\n",
         board.pe_count, board.entries, board.hit_count
     ));
-    if let Some(kernel) = report.meta_value(keys::RASC_HOST_KERNEL) {
+    if let Some(kernel) = report.meta_value(keys::RASC_HOST_KERNEL.as_str()) {
         out.push_str(&format!(
             "  simulator host kernel: {kernel} (host time only; simulated numbers do not depend on it)\n"
         ));
@@ -132,17 +132,19 @@ pub fn render_utilization(report: &RunReport) -> String {
 /// predate the gather counter.
 pub fn render_step2(report: &RunReport) -> String {
     let (Some(pairs), Some(bytes)) = (
-        report.counter(keys::STEP2_PAIRS),
-        report.counter(keys::STEP2_GATHER_BYTES),
+        report.counter(keys::STEP2_PAIRS.as_str()),
+        report.counter(keys::STEP2_GATHER_BYTES.as_str()),
     ) else {
         return String::new();
     };
     let mut out = format!(
         "Step 2\n  {pairs} pairs over {} active keys, {bytes} window bytes gathered",
-        report.counter(keys::STEP2_ACTIVE_KEYS).unwrap_or(0),
+        report
+            .counter(keys::STEP2_ACTIVE_KEYS.as_str())
+            .unwrap_or(0),
     );
     let window_len = report
-        .meta_value(keys::WINDOW_LEN)
+        .meta_value(keys::WINDOW_LEN.as_str())
         .and_then(|l| l.parse::<u64>().ok())
         .filter(|&l| l > 0 && pairs > 0);
     if let Some(l) = window_len {
@@ -161,8 +163,10 @@ pub fn render_step2(report: &RunReport) -> String {
 /// predate the cell counter or had nothing to extend.
 pub fn render_step3(report: &RunReport) -> String {
     let (Some(cells), Some(anchors)) = (
-        report.counter(keys::STEP3_DP_CELLS),
-        report.counter(keys::STEP3_ANCHORS).filter(|&a| a > 0),
+        report.counter(keys::STEP3_DP_CELLS.as_str()),
+        report
+            .counter(keys::STEP3_ANCHORS.as_str())
+            .filter(|&a| a > 0),
     ) else {
         return String::new();
     };
@@ -173,7 +177,7 @@ pub fn render_step3(report: &RunReport) -> String {
     let extension = report
         .spans
         .iter()
-        .find(|s| s.name == keys::STEP3_EXTENSION)
+        .find(|s| s.name == keys::STEP3_EXTENSION.as_str())
         .map(|s| s.seconds)
         .filter(|&s| s > 0.0 && cells > 0);
     if let Some(seconds) = extension {
@@ -342,7 +346,8 @@ mod tests {
         assert!(text.contains("62.50% occupancy"), "{text}");
         assert!(!text.contains("host kernel"), "{text}");
         let mut r = report_with_board();
-        r.meta.push((keys::RASC_HOST_KERNEL.into(), "wide".into()));
+        r.meta
+            .push((keys::RASC_HOST_KERNEL.as_str().into(), "wide".into()));
         let text = render_utilization(&r);
         assert!(text.contains("simulator host kernel: wide"), "{text}");
     }

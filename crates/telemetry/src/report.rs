@@ -510,18 +510,19 @@ fn board_from_json(json: &Json) -> Result<BoardTelemetry, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys::{self, Key};
     use crate::recorder::{MemRecorder, Recorder};
 
     fn sample_report() -> RunReport {
         let rec = MemRecorder::new();
-        rec.set_meta("backend", "rasc");
-        rec.set_meta("step2.kernel", "simd");
-        rec.add("step2.pairs", 1_000_000);
-        rec.add("step2.candidates", 1234);
+        rec.set_meta(keys::BACKEND, "rasc");
+        rec.set_meta(keys::STEP2_KERNEL, "simd");
+        rec.add(keys::STEP2_PAIRS, 1_000_000);
+        rec.add(&Key::test("step2.candidates"), 1234);
         for v in [1u64, 3, 3, 90, 4096] {
-            rec.observe("step2.pairs_per_key", v);
+            rec.observe(keys::STEP2_PAIRS_PER_KEY, v);
         }
-        rec.record_span("step2.ungapped", 0.125);
+        rec.record_span(&Key::test("step2.ungapped"), 0.125);
 
         let mut report = RunReport::new();
         report.steps = vec![

@@ -26,14 +26,16 @@
 //!
 //! Like [`crate::recorder::Recorder`], the whole surface is no-op
 //! gated: with [`NullTracer`] (or a disabled tracer) callers must take
-//! no timestamps and allocate nothing — the discipline the analyzer's
-//! `recorder-off-hot-loop` lint enforces inside kernel modules.
+//! no timestamps and allocate nothing. Kernel modules never see it:
+//! `align` and `rasc` do not depend on this crate, and step 2 returns
+//! its unit timings by value for the pipeline to commit.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::Json;
+use crate::keys::Key;
 
 /// Units a stage's ring buffer holds before dropping the oldest.
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
@@ -86,27 +88,27 @@ pub enum UnitEvent {
     /// that becomes the phase's tick duration under the virtual clock
     /// (ignored under wall).
     Span {
-        name: String,
+        name: Key,
         seconds: f64,
         weight: u64,
     },
     /// An instant event (queue-depth sample, hit count) attached at
     /// the unit's current position, carrying one value.
-    Mark { name: String, value: u64 },
+    Mark { name: Key, value: u64 },
 }
 
 impl UnitEvent {
-    pub fn span(name: &str, seconds: f64, weight: u64) -> UnitEvent {
+    pub fn span(name: &Key, seconds: f64, weight: u64) -> UnitEvent {
         UnitEvent::Span {
-            name: name.to_string(),
+            name: name.clone(),
             seconds,
             weight,
         }
     }
 
-    pub fn mark(name: &str, value: u64) -> UnitEvent {
+    pub fn mark(name: &Key, value: u64) -> UnitEvent {
         UnitEvent::Mark {
-            name: name.to_string(),
+            name: name.clone(),
             value,
         }
     }
@@ -115,9 +117,9 @@ impl UnitEvent {
 /// The deferred trace of one logical unit of work.
 #[derive(Clone, Debug, PartialEq)]
 pub struct UnitTrace {
-    /// Lane-group name: `"step2"`, `"step3"`, `"step3.merge"`,
-    /// `"board.dma"`, `"board.compute"`, `"board.link"`, …
-    pub stage: String,
+    /// Lane group: `step2`, `step3`, `step3.merge`, `board.dma`,
+    /// `board.compute`, `board.link` (the `STAGE_*` keys).
+    pub stage: &'static Key,
     /// Deterministic issue order within the stage — the replay order of
     /// scheduled units.
     pub index: u64,
@@ -137,7 +139,8 @@ pub struct UnitTrace {
 /// Mirrors [`crate::recorder::Recorder`]'s discipline: check
 /// [`Tracer::enabled`] before measuring anything, commit whole units
 /// off the hot loop, and never call any of this from inside a kernel
-/// loop (the analyzer lint enforces the last part).
+/// loop (the kernel crates have no edge to this one, and a core test
+/// keeps `step2.rs` from naming it).
 pub trait Tracer: Sync {
     /// `false` must make every call site skip its measurements.
     fn enabled(&self) -> bool;
@@ -250,7 +253,7 @@ impl Tracer for RingTracer {
 
     fn commit(&self, unit: UnitTrace) {
         let mut stages = self.stages.lock().expect("tracer poisoned");
-        let ring = stages.entry(unit.stage.clone()).or_default();
+        let ring = stages.entry(unit.stage.as_str().to_string()).or_default();
         if ring.units.len() >= self.capacity {
             ring.units.pop_front();
             ring.dropped += 1;
@@ -415,11 +418,11 @@ fn lay_unit_events(
                 let d = dur_us(&SpanSource {
                     seconds: *seconds,
                     weight: *weight,
-                    _name: name,
+                    _name: name.as_str(),
                 })
                 .max(0.0);
                 out.0.push(SpanEvent {
-                    name: name.clone(),
+                    name: name.as_str().to_string(),
                     start_us: *cursor,
                     dur_us: d,
                 });
@@ -427,7 +430,7 @@ fn lay_unit_events(
             }
             UnitEvent::Mark { name, value } => {
                 out.1.push(InstantEvent {
-                    name: name.clone(),
+                    name: name.as_str().to_string(),
                     at_us: *cursor,
                     value: *value,
                 });
@@ -655,10 +658,11 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys::{self, Key};
 
-    fn unit(stage: &str, index: u64, events: Vec<UnitEvent>) -> UnitTrace {
+    fn unit(stage: &'static Key, index: u64, events: Vec<UnitEvent>) -> UnitTrace {
         UnitTrace {
-            stage: stage.into(),
+            stage,
             index,
             lane: 0,
             start_seconds: None,
@@ -672,14 +676,18 @@ mod tests {
         let t = NullTracer;
         assert!(!t.enabled());
         assert_eq!(t.epoch_seconds(), 0.0);
-        t.commit(unit("step2", 0, vec![]));
+        t.commit(unit(keys::STAGE_STEP2, 0, vec![]));
     }
 
     #[test]
     fn ring_overflow_drops_oldest_and_counts() {
         let t = RingTracer::with_capacity(TraceClock::Virtual, 3);
         for i in 0..5u64 {
-            t.commit(unit("step2", i, vec![UnitEvent::span("kernel", 0.0, 1)]));
+            t.commit(unit(
+                keys::STAGE_STEP2,
+                i,
+                vec![UnitEvent::span(&Key::test("kernel"), 0.0, 1)],
+            ));
         }
         assert_eq!(t.dropped(), 2);
         let trace = t.finish(&[]);
@@ -696,9 +704,9 @@ mod tests {
             // Commit out of order — replay must sort by index.
             for i in [3u64, 0, 4, 1, 2, 5] {
                 t.commit(unit(
-                    "step2",
+                    keys::STAGE_STEP2,
                     i,
-                    vec![UnitEvent::span("kernel", 123.456, (i + 1) * 10)],
+                    vec![UnitEvent::span(&Key::test("kernel"), 123.456, (i + 1) * 10)],
                 ));
             }
             t.finish(&[("backend".into(), "software".into())])
@@ -734,12 +742,12 @@ mod tests {
         let t = RingTracer::new(TraceClock::Wall);
         for (i, lane, at) in [(0u64, 0u32, 0.10f64), (1, 1, 0.05), (2, 0, 0.30)] {
             t.commit(UnitTrace {
-                stage: "step3".into(),
+                stage: keys::STAGE_STEP3,
                 index: i,
                 lane,
                 start_seconds: Some(at),
                 sim_clock: false,
-                events: vec![UnitEvent::span("extend", 0.01, 0)],
+                events: vec![UnitEvent::span(keys::EV_EXTEND, 0.01, 0)],
             });
         }
         let trace = t.finish(&[]);
@@ -757,22 +765,22 @@ mod tests {
     fn single_lane_stage_keeps_bare_name_and_board_names_fpga() {
         let t = RingTracer::new(TraceClock::Wall);
         t.commit(UnitTrace {
-            stage: "step3.merge".into(),
+            stage: keys::STAGE_STEP3_MERGE,
             index: 0,
             lane: 0,
             start_seconds: Some(1.0),
             sim_clock: false,
-            events: vec![UnitEvent::span("merge_wait", 0.5, 0)],
+            events: vec![UnitEvent::span(keys::EV_MERGE_WAIT, 0.5, 0)],
         });
         t.commit(UnitTrace {
-            stage: "board.compute".into(),
+            stage: keys::STAGE_BOARD_COMPUTE,
             index: 0,
             lane: 1,
             start_seconds: Some(0.0),
             sim_clock: true,
             events: vec![
-                UnitEvent::span("compute", 0.25, 0),
-                UnitEvent::mark("hits", 2),
+                UnitEvent::span(keys::EV_COMPUTE, 0.25, 0),
+                UnitEvent::mark(keys::EV_HITS, 2),
             ],
         });
         let trace = t.finish(&[]);
@@ -798,21 +806,21 @@ mod tests {
         let t = RingTracer::new(TraceClock::Virtual);
         for i in 0..3u64 {
             t.commit(unit(
-                "step2",
+                keys::STAGE_STEP2,
                 i,
                 vec![
-                    UnitEvent::span("kernel", 0.0, 7),
-                    UnitEvent::mark("depth", i),
+                    UnitEvent::span(&Key::test("kernel"), 0.0, 7),
+                    UnitEvent::mark(&Key::test("depth"), i),
                 ],
             ));
         }
         t.commit(UnitTrace {
-            stage: "board.dma".into(),
+            stage: keys::STAGE_BOARD_DMA,
             index: 0,
             lane: 0,
             start_seconds: Some(0.002),
             sim_clock: true,
-            events: vec![UnitEvent::span("dma_in", 0.001, 0)],
+            events: vec![UnitEvent::span(keys::EV_DMA_IN, 0.001, 0)],
         });
         let trace = t.finish(&[("backend".into(), "rasc".into())]);
         let text = trace.to_chrome_string();
@@ -840,20 +848,20 @@ mod tests {
     fn makespans_split_by_clock_domain() {
         let t = RingTracer::new(TraceClock::Wall);
         t.commit(UnitTrace {
-            stage: "step2".into(),
+            stage: keys::STAGE_STEP2,
             index: 0,
             lane: 0,
             start_seconds: Some(0.0),
             sim_clock: false,
-            events: vec![UnitEvent::span("kernel", 1.0, 0)],
+            events: vec![UnitEvent::span(&Key::test("kernel"), 1.0, 0)],
         });
         t.commit(UnitTrace {
-            stage: "board.compute".into(),
+            stage: keys::STAGE_BOARD_COMPUTE,
             index: 0,
             lane: 0,
             start_seconds: Some(0.0),
             sim_clock: true,
-            events: vec![UnitEvent::span("compute", 2.0, 0)],
+            events: vec![UnitEvent::span(keys::EV_COMPUTE, 2.0, 0)],
         });
         let trace = t.finish(&[]);
         assert!((trace.host_makespan_us() - 1.0e6).abs() < 1e-3);

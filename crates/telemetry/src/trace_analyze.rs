@@ -313,7 +313,7 @@ pub fn reconcile(analysis: &TraceAnalysis, report: &RunReport) -> Vec<ReconcileR
         let trace_s = (analysis
             .lanes
             .iter()
-            .filter(|l| l.stage == crate::keys::STAGE_STEP3)
+            .filter(|l| l.stage == crate::keys::STAGE_STEP3.as_str())
             .map(|l| l.busy_us)
             .sum::<f64>()
             + 0.0)
@@ -348,13 +348,13 @@ pub fn reconcile(analysis: &TraceAnalysis, report: &RunReport) -> Vec<ReconcileR
         let threads: f64 = analysis
             .lanes
             .iter()
-            .filter(|l| l.stage == crate::keys::STAGE_STEP2)
+            .filter(|l| l.stage == crate::keys::STAGE_STEP2.as_str())
             .count()
             .max(1) as f64;
         let trace_s = (analysis
             .lanes
             .iter()
-            .filter(|l| l.stage == crate::keys::STAGE_STEP2)
+            .filter(|l| l.stage == crate::keys::STAGE_STEP2.as_str())
             .map(|l| l.busy_us)
             .sum::<f64>()
             + 0.0)
@@ -528,6 +528,7 @@ pub fn render_reconcile(rows: &[ReconcileRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys::{self, Key};
     use crate::trace::{stage_of, InstantEvent, RingTracer, Tracer, UnitEvent, UnitTrace};
 
     fn lane(name: &str, sim: bool, spans: Vec<(&str, f64, f64)>) -> Lane {
@@ -686,12 +687,12 @@ mod tests {
             let t = RingTracer::new(TraceClock::Virtual);
             for i in 0..16u64 {
                 t.commit(UnitTrace {
-                    stage: "step2".into(),
+                    stage: keys::STAGE_STEP2,
                     index: i,
                     lane: 0,
                     start_seconds: None,
                     sim_clock: false,
-                    events: vec![UnitEvent::span("kernel", 0.0, (i % 5) + 1)],
+                    events: vec![UnitEvent::span(&Key::test("kernel"), 0.0, (i % 5) + 1)],
                 });
             }
             render_analysis(&analyze(&t.finish(&[])))
