@@ -1143,21 +1143,6 @@ mod tests {
         assert_eq!(simd_tile_count(1, tile_j + 1, l), 2);
     }
 
-    /// The closed form equals the length of the tile walk the hot loop
-    /// performs, over random shapes.
-    #[test]
-    fn simd_tile_count_matches_walk() {
-        psc_seqio::prng::for_cases(0xfa02, 8, |g| {
-            let (n0, n1, l) = (
-                g.range(0usize..3000),
-                g.range(0usize..30_000),
-                g.range(1usize..4096),
-            );
-            let walked = simd_tile_walk(n0, n1, l).count() as u64;
-            assert_eq!(simd_tile_count(n0, n1, l), walked);
-        });
-    }
-
     #[test]
     fn simd_tile_count_equals_walk_length() {
         // The closed form must agree with the tile sequence the hot

@@ -1,10 +1,7 @@
 //! Board-level behaviours the paper reports: the §4.1 result-traffic
-//! pathology and its raised-threshold workaround, resource limits, and
-//! a pipeline run that goes through the board.
+//! pathology and its raised-threshold workaround, and resource limits.
 
 use psc_align::Kernel;
-use psc_core::{Pipeline, PipelineConfig, Step2Backend};
-use psc_datagen::{random_bank, BankConfig};
 use psc_rasc::{BoardConfig, Entry, OperatorConfig, RascBoard, ResourceModel};
 use psc_score::blosum62;
 
@@ -106,34 +103,4 @@ fn published_arrays_fit_with_headroom() {
     let mut op = OperatorConfig::new(1024);
     op.window_len = 60;
     assert!(ResourceModel::check(&op).is_err());
-}
-
-/// A pipeline run on the board sends entries to it, gets hits back and
-/// reports HSPs — the board section of its output is not empty.
-#[test]
-fn board_run_has_entries_hits_and_hsps() {
-    let bank = |count, seed| {
-        random_bank(&BankConfig {
-            count,
-            min_len: 80,
-            max_len: 150,
-            seed,
-        })
-    };
-    let cfg = PipelineConfig {
-        backend: Step2Backend::Rasc {
-            pe_count: 64,
-            fpga_count: 2,
-            host_threads: 1,
-        },
-        n_ctx: 8,
-        threshold: 22,
-        max_evalue: 10.0,
-        ..PipelineConfig::default()
-    };
-    let out = Pipeline::new(cfg).run(&bank(10, 1101), &bank(8, 1102), blosum62());
-    let board = out.board.as_ref().expect("rasc run has a board");
-    assert!(board.entries > 0);
-    assert!(board.hit_count > 0);
-    assert!(!out.hsps.is_empty());
 }
