@@ -4,14 +4,14 @@
 
 use psc_align::{ungapped_score, Kernel};
 use psc_blast::{tblastn, BlastConfig};
-use psc_core::{search_genome, PipelineConfig, SeedChoice, Step2Backend};
+use psc_core::{PipelineConfig, SeedChoice, Step2Backend};
 use psc_datagen::family::FamilyConfig;
 use psc_quality::{build_benchmark, evaluate_ranked, BenchmarkConfig, QualityScores, RankedHit};
 use psc_score::blosum62;
 use psc_seqio::{translate_six_frames, Frame, FrameCoord, GeneticCode};
 
 use crate::data::Workload;
-use crate::ladder::{experiment_config, Components, LadderRow};
+use crate::ladder::{experiment_config, search, Components, LadderRow};
 use crate::report::{ratio, secs, Table};
 
 /// What an experiment may read: the workload, the ladder rows its
@@ -89,7 +89,7 @@ pub fn table1(workload: &Workload) {
         step2_kernel: psc_core::KernelChoice::Scalar,
         ..experiment_config()
     };
-    let r = search_genome(&workload.banks[3], &workload.genome.genome, blosum62(), cfg);
+    let r = search(&workload.banks[3], &workload.genome.genome, cfg);
     let (p1, p2, p3) = r.output.profile.percentages();
     let mut t = Table::new(&["", "step 1", "step 2", "step 3"]);
     t.row(vec![
@@ -262,12 +262,7 @@ pub fn table6(quick: bool) {
     // speed).
     eprintln!("[table6] pipeline…");
     let pipeline_scores = {
-        let r = search_genome(
-            &bench.queries,
-            &bench.genome,
-            blosum62(),
-            PipelineConfig::default(),
-        );
+        let r = search(&bench.queries, &bench.genome, PipelineConfig::default());
         let hits: Vec<RankedHit> = r
             .matches
             .iter()
@@ -382,7 +377,7 @@ pub fn fig1(workload: &Workload) {
         let mut op_cfg = cfg.operator_config(192);
         op_cfg.slot_size = slot_size;
         let util = psc_rasc::ResourceModel::estimate(&op_cfg);
-        let r = search_genome(&workload.banks[2], &workload.genome.genome, blosum62(), cfg);
+        let r = search(&workload.banks[2], &workload.genome.genome, cfg);
         let board = r.output.board.unwrap();
         let cycles = board.fpga_cycles[0];
         let fmax = 133.0e6 / (1.0 + slot_size as f64 / 64.0);
@@ -516,7 +511,7 @@ pub fn ablation_kernel(workload: &Workload) {
     ] {
         let mut cfg = experiment_config();
         cfg.kernel = kernel;
-        let r = search_genome(&workload.banks[2], &workload.genome.genome, blosum62(), cfg);
+        let r = search(&workload.banks[2], &workload.genome.genome, cfg);
         let recovered = workload
             .genome
             .plants
@@ -568,7 +563,7 @@ pub fn ablation_seed(workload: &Workload) {
         let keys = seed.model().key_count();
         let mut cfg = experiment_config();
         cfg.seed = seed;
-        let r = search_genome(&workload.banks[2], &workload.genome.genome, blosum62(), cfg);
+        let r = search(&workload.banks[2], &workload.genome.genome, cfg);
         let recovered = workload
             .genome
             .plants
@@ -640,7 +635,7 @@ pub fn ablation_masking() {
             mask,
             ..experiment_config()
         };
-        let r = search_genome(&proteins, &synth.genome, blosum62(), cfg);
+        let r = search(&proteins, &synth.genome, cfg);
         let recovered = synth
             .plants
             .iter()

@@ -4,11 +4,14 @@
 
 use psc_blast::{tblastn, BlastConfig};
 use psc_core::pipeline::PipelineStats;
-use psc_core::{search_genome, PipelineConfig, SeedChoice, Step2Backend, StepProfile};
+use psc_core::{
+    GenomeSearchResult, NullRecorder, NullTracer, PipelineConfig, SearchEngine, SeedChoice,
+    Step2Backend, StepProfile,
+};
 use psc_index::subset_seed_span3;
 use psc_rasc::BoardReport;
 use psc_score::blosum62;
-use psc_seqio::{translate_six_frames, GeneticCode};
+use psc_seqio::{translate_six_frames, Bank, GeneticCode, Seq};
 
 use crate::data::Workload;
 use crate::scale::Scale;
@@ -32,6 +35,13 @@ pub fn experiment_config() -> PipelineConfig {
         dma_override: Some(dma),
         ..PipelineConfig::default()
     }
+}
+
+/// One query on a fresh engine over `genome`, as `psc search` runs it.
+pub fn search(proteins: &Bank, genome: &Seq, cfg: PipelineConfig) -> GenomeSearchResult {
+    let engine = SearchEngine::for_genome(genome, blosum62(), cfg, &NullRecorder);
+    let answer = engine.query_traced(proteins, &NullRecorder, &NullTracer);
+    answer.unwrap_or_else(|e| panic!("pipeline configuration error: {e}"))
 }
 
 /// One accelerated run.
@@ -108,12 +118,7 @@ fn rasc_run(
         fpga_count,
         host_threads: 1,
     };
-    let r = search_genome(
-        &workload.banks[bank],
-        &workload.genome.genome,
-        blosum62(),
-        cfg,
-    );
+    let r = search(&workload.banks[bank], &workload.genome.genome, cfg);
     RascRun {
         pe_count,
         fpga_count,
@@ -159,12 +164,7 @@ pub fn run_ladder(scale: &Scale, workload: &Workload, comps: Components) -> Vec<
                 step2_kernel: psc_core::KernelChoice::Scalar,
                 ..experiment_config()
             };
-            let r = search_genome(
-                &workload.banks[bank],
-                &workload.genome.genome,
-                blosum62(),
-                cfg,
-            );
+            let r = search(&workload.banks[bank], &workload.genome.genome, cfg);
             row.scalar = Some((r.output.profile, r.output.stats));
         }
 

@@ -1,24 +1,28 @@
-//! The persistent query engine: pipeline state split from query state.
+//! The persistent query engine: pipeline state split from query state,
+//! and the crate's one way into a search.
 //!
 //! A [`SearchEngine`] owns everything about a genome that is invariant
 //! across queries — the six translated frames, flattened into the one
 //! buffer both seeding and step 3 read (two, when masking gives seeding
 //! a view of its own), the matrix and its search statistics, and the
-//! configuration — built once by [`SearchEngine::for_genome`] or loaded
-//! in one read by [`SearchEngine::from_bundle`], which also brings the
-//! full T1 seed index. Each [`SearchEngine::query_traced`] call then
-//! builds the per-query state (the protein bank's flat view and index
-//! and, unless T1 was loaded, a T1 holding only the keys that index
-//! holds, built a chunk of frames at a time on the software backends)
-//! and runs steps 2 and 3 through
-//! [`Pipeline::try_run_prepared_traced`] or, on a T1 it keys,
-//! `Pipeline::try_run_keyed_traced`.
+//! configuration — built once by [`SearchEngine::for_genome`] (or
+//! [`SearchEngine::from_translated`]) or loaded in one read by
+//! [`SearchEngine::from_bundle`], which also brings the full T1 seed
+//! index. Each [`SearchEngine::query_traced`] call then builds the
+//! per-query state (the protein bank's flat view and index) and runs
+//! steps 2 and 3 by one of two paths:
 //!
-//! Because the one-shot [`crate::genome::search_genome`] path is
-//! itself engine construction followed by one query, a server
-//! answering from a loaded bundle produces output bit-identical to a
-//! fresh `psc search` by construction — the equivalence the serve-mode
-//! tests pin.
+//! - a fresh engine on a software backend keys a T1 by the query's T0
+//!   and builds and extends it a chunk of frames at a time
+//!   (`Pipeline::try_run_keyed_traced`);
+//! - a loaded engine, or the simulated board, runs over one whole T1
+//!   (`Pipeline::try_run_prepared_traced`) — the loaded one, or one
+//!   keyed by the query's T0 over every frame.
+//!
+//! A one-shot `psc search` is engine construction followed by one
+//! query, so a server answering from a loaded bundle produces output
+//! bit-identical to it — the equivalence `tests/lattice.rs` and the
+//! serve-mode tests pin.
 //!
 //! The engine is plain shared data (`Send + Sync`); a server wraps it
 //! in an `Arc` and runs concurrent queries against one instance. Any

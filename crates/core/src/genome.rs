@@ -1,14 +1,10 @@
-//! Protein-bank-vs-genome search: the paper's actual workload.
-//!
-//! Translates the genome into its six reading frames, runs the pipeline
-//! with the frames as bank 1, and maps the resulting HSPs back to
-//! forward-strand genomic coordinates.
+//! What a protein-bank-vs-genome search — the paper's actual workload —
+//! reports: [`crate::SearchEngine::query_traced`] runs the pipeline with
+//! the genome's six reading frames as bank 1 and maps the resulting HSPs
+//! back to forward-strand genomic coordinates.
 
-use psc_score::SubstitutionMatrix;
-use psc_seqio::{Bank, Frame, Seq};
+use psc_seqio::Frame;
 
-use crate::config::PipelineConfig;
-use crate::engine::SearchEngine;
 use crate::pipeline::PipelineOutput;
 
 /// One reported protein-to-genome match.
@@ -43,39 +39,22 @@ pub struct GenomeSearchResult {
     pub output: PipelineOutput,
 }
 
-/// Compare a protein bank against a genome (the paper's tblastn-style
-/// workload), reporting genomic coordinates.
-///
-/// This is exactly [`SearchEngine::for_genome`] followed by one
-/// [`SearchEngine::query_traced`] call — frame translation happens
-/// here, and the genome-side index build, keyed by this query's T0, is
-/// attributed to this query's `step1` span, preserving one-shot
-/// accounting. A server loading the same state from a bundle answers
-/// the same query bit-identically, minus the build time.
-///
-/// (Frame translation is genuinely part of step 1 in the paper's
-/// accounting, but it is cheap — <1 % here; the pipeline times indexing
-/// separately either way.)
-///
-/// Panics on configuration errors; call the engine directly to handle
-/// them.
-pub fn search_genome(
-    proteins: &Bank,
-    genome: &Seq,
-    matrix: &SubstitutionMatrix,
-    config: PipelineConfig,
-) -> GenomeSearchResult {
-    let rec = &psc_telemetry::NullRecorder;
-    SearchEngine::for_genome(genome, matrix, config, rec)
-        .query_traced(proteins, rec, &psc_telemetry::NullTracer)
-        .unwrap_or_else(|e| panic!("pipeline configuration error: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PipelineConfig, SearchEngine};
     use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig, MutationConfig};
     use psc_score::blosum62;
+    use psc_seqio::{Bank, Seq};
+    use psc_telemetry::{NullRecorder, NullTracer};
+
+    /// One query on a fresh default engine over `genome`.
+    fn search(proteins: &Bank, genome: &Seq) -> GenomeSearchResult {
+        let config = PipelineConfig::default();
+        let engine = SearchEngine::for_genome(genome, blosum62(), config, &NullRecorder);
+        let answer = engine.query_traced(proteins, &NullRecorder, &NullTracer);
+        answer.unwrap()
+    }
 
     #[test]
     fn recovers_planted_genes() {
@@ -100,12 +79,7 @@ mod tests {
             &donors,
         );
         assert!(!synth.plants.is_empty());
-        let result = search_genome(
-            &donors,
-            &synth.genome,
-            blosum62(),
-            PipelineConfig::default(),
-        );
+        let result = search(&donors, &synth.genome);
         assert!(!result.matches.is_empty());
         // Every plant should be hit by its donor protein at roughly the
         // planted interval.
@@ -141,12 +115,7 @@ mod tests {
             },
             &psc_seqio::Bank::new(),
         );
-        let result = search_genome(
-            &proteins,
-            &synth.genome,
-            blosum62(),
-            PipelineConfig::default(),
-        );
+        let result = search(&proteins, &synth.genome);
         assert!(
             result.matches.is_empty(),
             "spurious matches: {:?}",
@@ -176,12 +145,7 @@ mod tests {
             },
             &donors,
         );
-        let result = search_genome(
-            &donors,
-            &synth.genome,
-            blosum62(),
-            PipelineConfig::default(),
-        );
+        let result = search(&donors, &synth.genome);
         for m in &result.matches {
             assert!(m.genome_end <= synth.genome.len());
             assert!(m.genome_start < m.genome_end);

@@ -19,9 +19,12 @@
 //!    diagonal and extended with affine-gap X-drop DP (`psc-align`),
 //!    E-value filtered, culled and reported.
 //!
-//! [`search_genome`] wraps the pipeline for the paper's actual workload:
+//! [`SearchEngine`] is the one way in, for the paper's actual workload:
 //! a protein bank against the six-frame translation of a genome, with
-//! results mapped back to genomic coordinates.
+//! results mapped back to genomic coordinates. Build it with
+//! [`SearchEngine::for_genome`], [`SearchEngine::from_translated`] or
+//! [`SearchEngine::from_bundle`], then call
+//! [`SearchEngine::query_traced`] once per query bank.
 
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
@@ -36,7 +39,7 @@ pub mod step2;
 
 pub use config::{PipelineConfig, SeedChoice, Step2Backend};
 pub use engine::{EngineError, SearchEngine};
-pub use genome::{search_genome, GenomeMatch, GenomeSearchResult};
+pub use genome::{GenomeMatch, GenomeSearchResult};
 pub use gff::to_gff3;
 pub use pipeline::{
     shard_critical_path, Pipeline, PipelineError, PipelineOutput, PipelineStats, PreparedBank,

@@ -1,6 +1,5 @@
 //! The three-step pipeline driver.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -15,9 +14,7 @@ use psc_score::karlin::search_params;
 use psc_score::{KarlinParams, SubstitutionMatrix};
 use psc_seqio::{mask_low_complexity, Bank, MaskConfig};
 
-use psc_telemetry::{
-    keys, NullRecorder, NullTracer, Recorder, SpanGuard, TraceClock, Tracer, UnitEvent, UnitTrace,
-};
+use psc_telemetry::{keys, Recorder, SpanGuard, TraceClock, Tracer, UnitEvent, UnitTrace};
 
 use crate::config::{PipelineConfig, Step2Backend};
 use crate::profile::StepProfile;
@@ -76,7 +73,10 @@ impl std::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// The paper's bank-vs-bank comparison pipeline.
+/// The paper's bank-vs-bank comparison pipeline: the steps behind
+/// [`crate::SearchEngine`], which is the way into a search. Outside
+/// this crate only step 1 of one bank, [`Pipeline::prepare_bank`], is
+/// reachable.
 #[derive(Debug)]
 pub struct Pipeline {
     config: PipelineConfig,
@@ -87,65 +87,24 @@ impl Pipeline {
         Pipeline { config }
     }
 
-    pub fn config(&self) -> &PipelineConfig {
+    pub(crate) fn config(&self) -> &PipelineConfig {
         &self.config
-    }
-
-    /// Compare two protein banks.
-    ///
-    /// Panics on configuration errors; use [`Pipeline::try_run_traced`]
-    /// to handle them.
-    pub fn run(&self, bank0: &Bank, bank1: &Bank, matrix: &SubstitutionMatrix) -> PipelineOutput {
-        self.try_run_traced(bank0, bank1, matrix, &NullRecorder, &NullTracer)
-            .unwrap_or_else(|e| panic!("pipeline configuration error: {e}"))
-    }
-
-    /// Compare two protein banks, recording telemetry into `rec` and
-    /// flight-recorder units into `tracer`, surfacing configuration
-    /// errors.
-    ///
-    /// With a [`NullRecorder`] the per-item instrumentation (per-key
-    /// histograms, per-anchor accounting) is gated on
-    /// [`Recorder::enabled`] or computed outside the step-2 hot loop.
-    /// The tracer follows the same off-hot-loop discipline: the
-    /// step-2/step-3 kernels only ever collect plain timing numbers
-    /// (and only when the tracer is enabled); every [`UnitTrace`] is
-    /// committed from the driver after the unit completes. Candidate,
-    /// HSP, stats and report output are bit-identical with recording or
-    /// tracing on or off.
-    ///
-    /// Under [`TraceClock::Wall`] host lanes carry measured timings;
-    /// under [`TraceClock::Virtual`] host units are emitted as
-    /// deterministic scheduled work (weights from pair mass / anchor
-    /// counts) so the whole trace is byte-identical across thread
-    /// counts. Simulated board lanes are cycle-derived and
-    /// deterministic under both clocks.
-    pub fn try_run_traced(
-        &self,
-        bank0: &Bank,
-        bank1: &Bank,
-        matrix: &SubstitutionMatrix,
-        rec: &dyn Recorder,
-        tracer: &dyn Tracer,
-    ) -> Result<PipelineOutput, PipelineError> {
-        let stats = self.search_stats(matrix)?;
-        let prep0 = self.prepare_bank(0, bank0, rec);
-        let prep1 = self.prepare_bank(1, bank1, rec);
-        self.try_run_prepared_traced(&prep0, &prep1, matrix, stats, rec, tracer)
     }
 
     /// The statistics E-values are reported with: [`search_params`] of
     /// `matrix` at this configuration's gap costs.
-    pub fn search_stats(&self, matrix: &SubstitutionMatrix) -> Result<KarlinParams, PipelineError> {
+    pub(crate) fn search_stats(
+        &self,
+        matrix: &SubstitutionMatrix,
+    ) -> Result<KarlinParams, PipelineError> {
         let gap = &self.config.gap;
         search_params(matrix, gap.open, gap.extend).ok_or(PipelineError::UnsupportedMatrix)
     }
 
     /// Step 1 for one bank (`which` = 0 or 1): flatten, apply the soft
     /// mask, and build the seed index. The result is the immutable,
-    /// shareable half of a run — build it once (or load it from an
-    /// index bundle) and feed any number of
-    /// [`Pipeline::try_run_prepared_traced`] calls.
+    /// shareable half of a run — built once (or loaded from an index
+    /// bundle) and read by any number of queries.
     pub fn prepare_bank(&self, which: usize, bank: &Bank, rec: &dyn Recorder) -> PreparedBank {
         let views = BankViews::new(&self.config.mask, FlatBank::from_bank(bank));
         self.index_bank(which, views, None, rec)
@@ -215,10 +174,17 @@ impl Pipeline {
     /// original residues: the same buffer unless masking is on. E-values
     /// come from `stats`, [`Pipeline::search_stats`] of `matrix`.
     ///
-    /// [`Pipeline::try_run_traced`] is `search_stats` and `prepare_bank`
-    /// twice followed by this, so a query against persisted pipeline
-    /// state is bit-identical to a one-shot run by construction.
-    pub fn try_run_prepared_traced(
+    /// Telemetry goes into `rec` and flight-recorder units into
+    /// `tracer`, and neither changes the output: per-item
+    /// instrumentation is gated on [`Recorder::enabled`] or computed
+    /// outside the step-2 hot loop, and every [`UnitTrace`] is committed
+    /// here, on the calling thread, after its unit completes. Under
+    /// [`TraceClock::Wall`] host lanes carry measured timings; under
+    /// [`TraceClock::Virtual`] host units are deterministic scheduled
+    /// work (weights from pair mass and anchor counts), byte-identical
+    /// across thread counts. Simulated board lanes are cycle-derived
+    /// under both clocks.
+    pub(crate) fn try_run_prepared_traced(
         &self,
         prep0: &PreparedBank,
         prep1: &PreparedBank,
@@ -606,11 +572,6 @@ impl PreparedBank {
     pub fn index(&self) -> &SeedIndex {
         &self.idx
     }
-
-    /// Wall seconds step 1 spent on this bank (zero for artifact loads).
-    pub fn prep_seconds(&self) -> f64 {
-        self.prep_seconds
-    }
 }
 
 /// Kept positions a chunk of bank 1 holds per active key, at least:
@@ -694,34 +655,30 @@ struct Anchor {
     local1: u32,
 }
 
-/// A localized step-2 candidate, the bucket payload of [`AnchorDedup`].
-#[derive(Clone, Copy)]
-struct Localized {
-    local0: u32,
-    local1: u32,
-    score: i32,
-}
-
 /// Incremental, order-invariant anchor deduplication.
 ///
-/// Candidates are bucketed by `(seq0, seq1, diagonal)` as they arrive —
-/// in *any* order, because the board backends deliver them in entry
-/// completion order rather than position order. [`AnchorDedup::finish`]
-/// sorts each bucket by `local1` and folds runs closer than `min_sep`
-/// subject residues, keeping the best-scoring member of each fold
-/// group. `(seq0, seq1, diag, local1)` uniquely identifies a candidate
-/// (the diagonal fixes `local0`, the flat position fixes the score), so
-/// the per-bucket sort is a total order and the output is identical to
-/// the historical sort-everything-then-fold pass no matter how pushes
-/// interleave — the property `anchor_dedup_is_push_order_invariant`
-/// pins.
+/// Candidates are localized as they arrive — in *any* order, because
+/// the board backends deliver them in entry completion order rather
+/// than position order — into one vector of `(seq0, seq1, diagonal,
+/// local1, local0, score)`. [`AnchorDedup::finish`] sorts it by the
+/// first four fields and, along each `(seq0, seq1, diagonal)` line,
+/// folds members closer than `min_sep` subject residues to the previous
+/// one, keeping the best-scoring member of each fold group. `(seq0, seq1,
+/// diag, local1)` uniquely identifies a candidate (the diagonal fixes
+/// `local0`, the flat position fixes the score), so the sort is a total
+/// order and the output is identical to the historical
+/// sort-everything-then-fold pass no matter how pushes interleave — the
+/// property `anchor_dedup_is_push_order_invariant` pins.
 struct AnchorDedup<'a> {
     flat0: &'a FlatBank,
     flat1: &'a FlatBank,
     min_sep: u32,
-    pushed: u64,
-    buckets: BTreeMap<(u32, u32, i64), Vec<Localized>>,
+    found: Vec<Found>,
 }
+
+/// A localized candidate: `(seq0, seq1, diagonal, local1, local0,
+/// score)`.
+type Found = (u32, u32, i64, u32, u32, i32);
 
 impl<'a> AnchorDedup<'a> {
     fn new(flat0: &'a FlatBank, flat1: &'a FlatBank, min_sep: u32) -> AnchorDedup<'a> {
@@ -729,68 +686,50 @@ impl<'a> AnchorDedup<'a> {
             flat0,
             flat1,
             min_sep,
-            pushed: 0,
-            buckets: BTreeMap::new(),
+            found: Vec::new(),
         }
     }
 
-    /// Localize one candidate and file it under its diagonal line.
+    /// Localize one candidate onto its diagonal line.
     fn push(&mut self, c: &Candidate) {
         let (s0, l0) = self.flat0.locate(c.pos0);
         let (s1, l1) = self.flat1.locate(c.pos1);
-        self.pushed += 1;
-        self.buckets
-            .entry((s0 as u32, s1 as u32, l1 as i64 - l0 as i64))
-            .or_default()
-            .push(Localized {
-                local0: l0 as u32,
-                local1: l1 as u32,
-                score: c.score,
-            });
+        let diag = l1 as i64 - l0 as i64;
+        let found = (s0 as u32, s1 as u32, diag, l1 as u32, l0 as u32, c.score);
+        self.found.push(found);
     }
 
     /// Number of candidates pushed so far.
     fn pushed(&self) -> u64 {
-        self.pushed
+        self.found.len() as u64
     }
 
-    /// Fold every bucket into anchors, in `(seq0, seq1, diag, local1)`
-    /// order.
-    fn finish(self) -> Vec<Anchor> {
-        let mut anchors: Vec<Anchor> = Vec::new();
-        for ((seq0, seq1, _diag), mut bucket) in self.buckets {
-            bucket.sort_unstable_by_key(|c| c.local1);
-            let mut members = bucket.into_iter();
-            let Some(first) = members.next() else {
-                continue;
-            };
+    /// Fold every diagonal line into anchors, in `(seq0, seq1, diag,
+    /// local1)` order.
+    fn finish(mut self) -> Vec<Anchor> {
+        let found = &mut self.found;
+        found.sort_unstable_by_key(|&(seq0, seq1, diag, local1, ..)| (seq0, seq1, diag, local1));
+        let anchor = |(seq0, seq1, _, local1, local0, _): Found| Anchor {
+            seq0,
+            seq1,
+            local0,
+            local1,
+        };
+        let mut anchors = Vec::new();
+        for line in found.chunk_by(|a, b| (a.0, a.1, a.2) == (b.0, b.1, b.2)) {
             // The fold window chains: each member extends the group when
             // it lands within `min_sep` of the *previous* member.
-            let mut last1 = first.local1;
-            let mut best = first;
-            for c in members {
-                if c.local1 < last1 + self.min_sep {
-                    last1 = c.local1;
-                    if c.score > best.score {
-                        best = c;
-                    }
-                } else {
-                    anchors.push(Anchor {
-                        seq0,
-                        seq1,
-                        local0: best.local0,
-                        local1: best.local1,
-                    });
-                    last1 = c.local1;
+            let mut best = line[0];
+            for pair in line.windows(2) {
+                let (previous, c) = (pair[0], pair[1]);
+                if c.3 >= previous.3 + self.min_sep {
+                    anchors.push(anchor(best));
+                    best = c;
+                } else if c.5 > best.5 {
                     best = c;
                 }
             }
-            anchors.push(Anchor {
-                seq0,
-                seq1,
-                local0: best.local0,
-                local1: best.local1,
-            });
+            anchors.push(anchor(best));
         }
         anchors
     }
@@ -1257,12 +1196,31 @@ fn run_board_entries(
     (stats, report)
 }
 
+/// A protein-bank-vs-protein-bank run for `core`'s unit tests:
+/// [`Pipeline::search_stats`], [`Pipeline::prepare_bank`] for each
+/// bank, then [`Pipeline::try_run_prepared_traced`], untraced.
+#[cfg(test)]
+pub(crate) fn compare_banks(
+    config: PipelineConfig,
+    bank0: &Bank,
+    bank1: &Bank,
+    rec: &dyn Recorder,
+) -> PipelineOutput {
+    let (pipeline, matrix) = (Pipeline::new(config), psc_score::blosum62());
+    let stats = pipeline.search_stats(matrix).unwrap();
+    let prep0 = pipeline.prepare_bank(0, bank0, rec);
+    let prep1 = pipeline.prepare_bank(1, bank1, rec);
+    let tracer = &psc_telemetry::NullTracer;
+    let output = pipeline.try_run_prepared_traced(&prep0, &prep1, matrix, stats, rec, tracer);
+    output.unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{SeedChoice, Step2Backend};
-    use psc_score::blosum62;
     use psc_seqio::Seq;
+    use psc_telemetry::NullRecorder;
 
     fn bank(seqs: &[&[u8]]) -> Bank {
         seqs.iter()
@@ -1285,7 +1243,7 @@ mod tests {
         let s = b"MKVLAWRNDCQEHFYWMKVLAWRNDCQEHFYW".as_slice();
         let b0 = bank(&[s]);
         let b1 = bank(&[s]);
-        let out = Pipeline::new(small_config()).run(&b0, &b1, blosum62());
+        let out = compare_banks(small_config(), &b0, &b1, &NullRecorder);
         assert_eq!(out.stats.reported, out.hsps.len());
         assert!(!out.hsps.is_empty(), "stats: {:?}", out.stats);
         let h = &out.hsps[0];
@@ -1299,7 +1257,7 @@ mod tests {
     fn unrelated_banks_stay_silent() {
         let b0 = bank(&[b"MKVLAWMKVLAWMKVLAWMKVLAW"]);
         let b1 = bank(&[b"GGGGGGGGGGGGGGGGGGGGGGGG"]);
-        let out = Pipeline::new(small_config()).run(&b0, &b1, blosum62());
+        let out = compare_banks(small_config(), &b0, &b1, &NullRecorder);
         assert!(out.hsps.is_empty());
         assert_eq!(out.stats.step2.pairs, 0);
     }
@@ -1319,18 +1277,19 @@ mod tests {
         (bank(0..6), bank(4..10))
     }
 
-    /// `Pipeline::run` under `edit`, held to the scalar kernel on the
-    /// scalar backend. `tests/lattice.rs` holds every configuration to
-    /// that oracle through the engine; these keep the bank-vs-bank
-    /// entry point on it, and check what each configuration records.
+    /// Two protein banks compared under `edit`, held to the scalar
+    /// kernel on the scalar backend. `tests/lattice.rs` holds every
+    /// configuration to that oracle through the engine; these keep the
+    /// bank-vs-bank steps on it, and check what each configuration
+    /// records.
     fn against_the_oracle(edit: impl Fn(&mut PipelineConfig)) -> PipelineOutput {
         let (b0, b1) = overlapping_banks();
         let mut oracle = small_config();
         oracle.step2_kernel = psc_align::KernelChoice::Scalar;
         let mut cfg = small_config();
         edit(&mut cfg);
-        let want = Pipeline::new(oracle).run(&b0, &b1, blosum62());
-        let got = Pipeline::new(cfg).run(&b0, &b1, blosum62());
+        let want = compare_banks(oracle, &b0, &b1, &NullRecorder);
+        let got = compare_banks(cfg, &b0, &b1, &NullRecorder);
         assert!(!want.hsps.is_empty());
         assert_eq!(want.hsps, got.hsps);
         assert_eq!(want.stats, got.stats);
@@ -1383,9 +1342,7 @@ mod tests {
         // resolved (Auto resolves to one on SIMD hosts).
         let (b0, b1) = overlapping_banks();
         let rec = psc_telemetry::MemRecorder::new();
-        Pipeline::new(small_config())
-            .try_run_traced(&b0, &b1, blosum62(), &rec, &NullTracer)
-            .unwrap();
+        compare_banks(small_config(), &b0, &b1, &rec);
         let snap = rec.snapshot();
         let kernel = snap.meta.get("step2.kernel");
         if kernel.is_some_and(|k| k != "scalar" && k != "profile") {
@@ -1404,7 +1361,7 @@ mod tests {
             seed: SeedChoice::Exact(4),
             ..small_config()
         };
-        let out = Pipeline::new(cfg).run(&b0, &b1, blosum62());
+        let out = compare_banks(cfg, &b0, &b1, &NullRecorder);
         assert!(!out.hsps.is_empty());
     }
 
@@ -1417,12 +1374,12 @@ mod tests {
         seqs0.push(Seq::protein("junk", &[b'A'; 80]));
         let b0 = Bank::from_seqs(seqs0.clone());
         let b1 = Bank::from_seqs(seqs0);
-        let plain = Pipeline::new(small_config()).run(&b0, &b1, blosum62());
+        let plain = compare_banks(small_config(), &b0, &b1, &NullRecorder);
         let masked_cfg = PipelineConfig {
             mask: Some(psc_seqio::MaskConfig::default()),
             ..small_config()
         };
-        let masked = Pipeline::new(masked_cfg).run(&b0, &b1, blosum62());
+        let masked = compare_banks(masked_cfg, &b0, &b1, &NullRecorder);
         assert!(
             masked.stats.step2.pairs < plain.stats.step2.pairs / 2,
             "masking should kill homopolymer pairs: {} vs {}",
@@ -1525,7 +1482,7 @@ mod tests {
             std::iter::once(Seq::from_codes("a", s.clone(), psc_seqio::SeqKind::Protein)).collect();
         let b1: Bank =
             std::iter::once(Seq::from_codes("b", s, psc_seqio::SeqKind::Protein)).collect();
-        let out = Pipeline::new(small_config()).run(&b0, &b1, blosum62());
+        let out = compare_banks(small_config(), &b0, &b1, &NullRecorder);
         assert!(out.stats.step2.candidates > 0);
         assert!(
             out.stats.anchors * 3 < out.stats.step2.candidates,

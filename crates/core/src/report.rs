@@ -80,10 +80,10 @@ pub fn build_run_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Pipeline;
+    use crate::pipeline::compare_banks;
     use psc_score::blosum62;
     use psc_seqio::{Bank, Seq};
-    use psc_telemetry::{MemRecorder, NullTracer};
+    use psc_telemetry::MemRecorder;
 
     fn banks() -> (Bank, Bank) {
         let seqs: Vec<Vec<u8>> = (0..8)
@@ -115,9 +115,7 @@ mod tests {
         let (b0, b1) = banks();
         let cfg = small_config();
         let rec = MemRecorder::new();
-        let out = Pipeline::new(cfg.clone())
-            .try_run_traced(&b0, &b1, blosum62(), &rec, &NullTracer)
-            .unwrap();
+        let out = compare_banks(cfg.clone(), &b0, &b1, &rec);
         let report = build_run_report(&out, &cfg, &rec.snapshot());
 
         assert_eq!(report.steps.len(), 3);
@@ -161,9 +159,7 @@ mod tests {
             ..small_config()
         };
         let rec = MemRecorder::new();
-        let out = Pipeline::new(cfg.clone())
-            .try_run_traced(&b0, &b1, blosum62(), &rec, &NullTracer)
-            .unwrap();
+        let out = compare_banks(cfg.clone(), &b0, &b1, &rec);
         let report = build_run_report(&out, &cfg, &rec.snapshot());
 
         let board = report.board.as_ref().expect("board section");

@@ -249,16 +249,6 @@ pub fn tile_walk(
     })
 }
 
-/// [`tile_walk`] of the `simd` lane path.
-#[doc(hidden)]
-pub fn simd_tile_walk(
-    n0: usize,
-    n1: usize,
-    window_len: usize,
-) -> impl Iterator<Item = (std::ops::Range<usize>, std::ops::Range<usize>)> {
-    tile_walk(n0, n1, window_len, KernelBackend::Simd.lane_width())
-}
-
 /// Number of cache tiles a lane path of `lane_width` walks for one
 /// key's `n0 × n1` pair rectangle — the telemetry counterpart of
 /// [`tile_walk`], computed analytically so instrumentation never
@@ -268,11 +258,6 @@ pub fn tile_count(n0: usize, n1: usize, window_len: usize, lane_width: usize) ->
         return 0;
     }
     n0.div_ceil(TILE_I) as u64 * n1.div_ceil(tile_j_for(window_len, lane_width)) as u64
-}
-
-/// [`tile_count`] of the `simd` lane path.
-pub fn simd_tile_count(n0: usize, n1: usize, window_len: usize) -> u64 {
-    tile_count(n0, n1, window_len, KernelBackend::Simd.lane_width())
 }
 
 /// Cache tiles the resolved lane kernel walks for one key's `n0 × n1`
@@ -1129,6 +1114,7 @@ mod tests {
 
     #[test]
     fn simd_tile_count_matches_tiling() {
+        let simd_tile_count = |n0, n1, l| tile_count(n0, n1, l, KernelBackend::Simd.lane_width());
         assert_eq!(simd_tile_count(0, 100, 60), 0);
         assert_eq!(simd_tile_count(100, 0, 60), 0);
         // One tile covers small rectangles entirely.
@@ -1161,10 +1147,6 @@ mod tests {
                         let walked = tile_walk(n0, n1, l, width).count() as u64;
                         let tag = format!("{backend:?} n0={n0} n1={n1} l={l}");
                         assert_eq!(tile_count(n0, n1, l, width), walked, "{tag}");
-                        if backend == KernelBackend::Simd {
-                            assert_eq!(simd_tile_count(n0, n1, l), walked, "{tag}");
-                            assert_eq!(simd_tile_walk(n0, n1, l).count() as u64, walked, "{tag}");
-                        }
                     }
                 }
             }
@@ -1172,7 +1154,7 @@ mod tests {
         // Walked tiles cover the rectangle exactly once, in order.
         let (n0, n1, l) = (TILE_I + 3, tile_j_60 + 9, 60);
         let mut covered = vec![false; n0 * n1];
-        for (ti, tj) in simd_tile_walk(n0, n1, l) {
+        for (ti, tj) in tile_walk(n0, n1, l, KernelBackend::Simd.lane_width()) {
             for i in ti {
                 for j in tj.clone() {
                     assert!(!covered[i * n1 + j], "tile overlap at ({i},{j})");

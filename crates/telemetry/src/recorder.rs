@@ -195,21 +195,17 @@ impl Recorder for MemRecorder {
 
     fn add(&self, name: &Key, delta: u64) {
         let mut inner = self.inner.lock().expect("recorder poisoned");
-        *inner.counters.entry(name.as_str().to_string()).or_insert(0) += delta;
+        *held(&mut inner.counters, name) += delta;
     }
 
     fn observe(&self, name: &Key, value: u64) {
         let mut inner = self.inner.lock().expect("recorder poisoned");
-        inner
-            .histograms
-            .entry(name.as_str().to_string())
-            .or_default()
-            .observe(value);
+        held(&mut inner.histograms, name).observe(value);
     }
 
     fn record_span(&self, name: &Key, seconds: f64) {
         let mut inner = self.inner.lock().expect("recorder poisoned");
-        let stat = inner.spans.entry(name.as_str().to_string()).or_default();
+        let stat = held(&mut inner.spans, name);
         stat.count += 1;
         stat.seconds += seconds;
     }
@@ -220,6 +216,15 @@ impl Recorder for MemRecorder {
             .meta
             .insert(name.as_str().to_string(), value.to_string());
     }
+}
+
+/// `map`'s entry for `name`, inserted at its default the first time the
+/// key is seen: a key already held costs no allocation.
+fn held<'m, V: Default>(map: &'m mut BTreeMap<String, V>, name: &Key) -> &'m mut V {
+    if !map.contains_key(name.as_str()) {
+        map.insert(name.as_str().to_string(), V::default());
+    }
+    map.get_mut(name.as_str()).expect("inserted above")
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! cargo run --release --example genome_annotation
 //! ```
 
-use psc_core::{search_genome, PipelineConfig, Step2Backend};
+use psc_core::{NullRecorder, NullTracer, PipelineConfig, SearchEngine, Step2Backend};
 use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig, MutationConfig};
 use psc_score::blosum62;
 
@@ -44,32 +44,28 @@ fn main() {
         proteins.total_residues()
     );
 
+    let search = |config| {
+        let engine = SearchEngine::for_genome(&synth.genome, blosum62(), config, &NullRecorder);
+        let answer = engine.query_traced(&proteins, &NullRecorder, &NullTracer);
+        answer.expect("a valid configuration")
+    };
+
     // Software pipeline.
-    let sw = search_genome(
-        &proteins,
-        &synth.genome,
-        blosum62(),
-        PipelineConfig {
-            backend: Step2Backend::SoftwareParallel { threads: 4 },
-            index_threads: 4,
-            ..PipelineConfig::default()
-        },
-    );
+    let sw = search(PipelineConfig {
+        backend: Step2Backend::SoftwareParallel { threads: 4 },
+        index_threads: 4,
+        ..PipelineConfig::default()
+    });
 
     // Simulated RASC-100, one FPGA, 192 PEs.
-    let hw = search_genome(
-        &proteins,
-        &synth.genome,
-        blosum62(),
-        PipelineConfig {
-            backend: Step2Backend::Rasc {
-                pe_count: 192,
-                fpga_count: 1,
-                host_threads: 4,
-            },
-            ..PipelineConfig::default()
+    let hw = search(PipelineConfig {
+        backend: Step2Backend::Rasc {
+            pe_count: 192,
+            fpga_count: 1,
+            host_threads: 4,
         },
-    );
+        ..PipelineConfig::default()
+    });
 
     // Both backends must agree.
     assert_eq!(sw.output.hsps, hw.output.hsps);

@@ -1,87 +1,61 @@
-//! Quickstart: compare two small protein banks and print the alignments.
+//! Quickstart: the README's library snippet on a small synthetic genome.
+//! Four proteins of an eight-protein bank are planted, diverged, in a
+//! 20 kb genome; the bank is searched against the genome's six frames
+//! on the simulated RASC-100, and every planted copy must be found.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use psc_core::{Pipeline, PipelineConfig};
+use psc_core::{
+    NullRecorder, NullTracer, PipelineConfig, PipelineError, SearchEngine, Step2Backend,
+};
+use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig};
 use psc_score::blosum62;
-use psc_seqio::{Bank, Seq};
 
-fn main() {
-    // Two toy banks: bank 1 contains a diverged copy of one bank-0
-    // protein (a few substitutions and a 3-residue deletion) plus an
-    // unrelated sequence.
-    let bank0 = Bank::from_seqs(vec![
-        Seq::protein(
-            "lysozyme-like",
-            b"MKALIVLGLVLLSVTVQGKVFERCELARTLKRLGMDGYRGISLANWMCLAKWESGYNTRATNYNAGDRSTDYGIFQINSRYWCNDGKTPGAVNACHLSCSALLQDNIADAVACAKRVVRDPQGIRAWVAWRNRCQNRDVRQYVQGCGV",
-        ),
-        Seq::protein(
-            "unrelated",
-            b"MSTNPKPQRKTKRNTNRRPQDVKFPGGGQIVGGVYLLPRRGPRLGVRATRKTSERSQPRGRRQPIPKARRPEGRTWAQPGYPWPLYGNEGCGWAGWLLSPRGSRPSWGPTDPRRRSRNLGKVIDTLTCGFADLMGYIPLVGAPLGGAA",
-        ),
-    ]);
-    let bank1 = Bank::from_seqs(vec![Seq::protein(
-        "lysozyme-homolog",
-        b"MKALIVLGLVLLSVTVQGKVYERCELARTLKRLGMDGYKGISLANWMCLAKWESGYNTRATNYNDRSTDYGIFQINSRYWCNDGKTPGAVNACHLSCSALLQDNIADAVACAKRVVRDPQGIRAWVAWRNHCQNRDVRQYVQGCGV",
-    )]);
+fn main() -> Result<(), PipelineError> {
+    let proteins = random_bank(&BankConfig {
+        count: 8,
+        min_len: 100,
+        max_len: 200,
+        seed: 33,
+    });
+    let synth = generate_genome(
+        &GenomeConfig {
+            len: 20_000,
+            gene_count: 4,
+            seed: 34,
+            ..GenomeConfig::default()
+        },
+        &proteins,
+    );
+    let genome = synth.genome;
 
-    let pipeline = Pipeline::new(PipelineConfig::default());
-    let out = pipeline.run(&bank0, &bank1, blosum62());
-
-    println!("pipeline profile:");
-    println!(
-        "  step 1 (indexing):            {:>9.4} s",
-        out.profile.step1
-    );
-    println!(
-        "  step 2 (ungapped extension):  {:>9.4} s",
-        out.profile.step2_wall
-    );
-    println!(
-        "  step 3 (gapped extension):    {:>9.4} s",
-        out.profile.step3
-    );
-    println!(
-        "  pairs scored: {}   candidates: {}   anchors: {}",
-        out.stats.step2.pairs, out.stats.step2.candidates, out.stats.anchors
-    );
-    println!();
-
-    if out.hsps.is_empty() {
-        println!("no alignments found");
-        return;
-    }
-    for h in &out.hsps {
-        let q = bank0.get(h.seq0 as usize);
-        let s = bank1.get(h.seq1 as usize);
+    let config = PipelineConfig {
+        backend: Step2Backend::Rasc {
+            pe_count: 192,
+            fpga_count: 1,
+            host_threads: 4,
+        },
+        ..PipelineConfig::default()
+    };
+    let engine = SearchEngine::for_genome(&genome, blosum62(), config, &NullRecorder);
+    let result = engine.query_traced(&proteins, &NullRecorder, &NullTracer)?;
+    for m in &result.matches {
         println!(
-            "{} [{}..{}] vs {} [{}..{}]  raw={}  bits={:.1}  E={:.2e}",
-            q.id, h.start0, h.end0, s.id, h.start1, h.end1, h.score, h.bit_score, h.evalue
+            "{} hits {}..{} (frame {}, E={:.1e})",
+            m.protein_id, m.genome_start, m.genome_end, m.frame, m.evalue
         );
-        // Recover the alignment operations for display.
-        let aln = psc_align::banded_global(
-            blosum62(),
-            &q.residues[h.start0 as usize..h.end0 as usize],
-            &s.residues[h.start1 as usize..h.end1 as usize],
-            &psc_align::GapConfig::default(),
-            32,
-        );
-        println!(
-            "  identity: {}/{} aligned columns",
-            aln.identities(),
-            aln.aligned_columns()
-        );
-        for line in aln
-            .render(
-                &q.residues[h.start0 as usize..h.end0 as usize],
-                &s.residues[h.start1 as usize..h.end1 as usize],
-            )
-            .lines()
-        {
-            println!("  {line}");
-        }
-        println!();
     }
+
+    for plant in &synth.plants {
+        let found = result.matches.iter().any(|m| {
+            m.protein_idx == plant.protein_idx
+                && m.genome_start < plant.end
+                && plant.start < m.genome_end
+        });
+        assert!(found, "planted copy not found: {plant:?}");
+    }
+    println!("all {} planted copies found", synth.plants.len());
+    Ok(())
 }

@@ -8,9 +8,8 @@
 mod lattice;
 
 use lattice::{check_where, Backend};
-use psc_core::{search_genome, PipelineConfig, Step2Backend};
+use psc_core::{PipelineConfig, Step2Backend};
 use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig, MutationConfig};
-use psc_score::blosum62;
 
 fn workload() -> (psc_seqio::Bank, psc_seqio::Seq) {
     let proteins = random_bank(&BankConfig {
@@ -74,10 +73,9 @@ fn more_pes_fewer_cycles() {
     );
     let coarse_seed = || SeedChoice::Custom(SubsetSeed::new(vec![murphy15(), murphy15()]));
     let cycles_at = |pe_count: usize| -> u64 {
-        let r = search_genome(
+        let r = lattice::search(
             &proteins,
             &genome.genome,
-            blosum62(),
             PipelineConfig {
                 seed: coarse_seed(),
                 backend: Step2Backend::Rasc {
@@ -109,10 +107,9 @@ fn more_pes_fewer_cycles() {
 fn two_fpgas_same_answers_faster_hardware() {
     let (proteins, genome) = workload();
     let run = |fpga_count: usize| {
-        search_genome(
+        lattice::search(
             &proteins,
             &genome,
-            blosum62(),
             PipelineConfig {
                 backend: Step2Backend::Rasc {
                     pe_count: 192,

@@ -3,7 +3,7 @@
 //! (the paper's sensitivity claim, Table 6, in its crudest form).
 
 use psc_blast::{tblastn, BlastConfig};
-use psc_core::{search_genome, PipelineConfig};
+use psc_core::{NullRecorder, NullTracer, PipelineConfig, SearchEngine};
 use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig, MutationConfig};
 use psc_score::blosum62;
 use psc_seqio::{translate_six_frames, Frame, FrameCoord, GeneticCode};
@@ -33,12 +33,10 @@ fn both_tools_recover_the_same_plants() {
     assert!(synth.plants.len() >= 8);
 
     // Pipeline.
-    let pipe = search_genome(
-        &proteins,
-        &synth.genome,
-        blosum62(),
-        PipelineConfig::default(),
-    );
+    let config = PipelineConfig::default();
+    let engine = SearchEngine::for_genome(&synth.genome, blosum62(), config, &NullRecorder);
+    let pipe = engine.query_traced(&proteins, &NullRecorder, &NullTracer);
+    let pipe = pipe.unwrap();
 
     // Baseline: same translated-frames subject bank.
     let translated = translate_six_frames(&synth.genome, GeneticCode::standard());

@@ -10,9 +10,8 @@
 mod lattice;
 
 use lattice::{check_where, Backend};
-use psc_core::{search_genome, PipelineConfig};
+use psc_core::PipelineConfig;
 use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig};
-use psc_score::blosum62;
 
 #[test]
 fn repeated_runs_identical() {
@@ -71,17 +70,16 @@ fn masking_is_deterministic_and_recall_preserving() {
         &proteins,
     )
     .genome;
-    let masked = search_genome(
+    let masked = lattice::search(
         &proteins,
         &genome,
-        blosum62(),
         PipelineConfig {
             mask: Some(psc_seqio::MaskConfig::default()),
             ..PipelineConfig::default()
         },
     );
     // Every unmasked match's protein is still matched when masking.
-    let plain = search_genome(&proteins, &genome, blosum62(), PipelineConfig::default());
+    let plain = lattice::search(&proteins, &genome, PipelineConfig::default());
     for m in &plain.matches {
         assert!(
             masked.matches.iter().any(|x| x.protein_idx == m.protein_idx

@@ -4,7 +4,7 @@
 //! tools clear a floor and land near each other.
 
 use psc_blast::{tblastn, BlastConfig};
-use psc_core::{search_genome, PipelineConfig};
+use psc_core::{NullRecorder, NullTracer, PipelineConfig, SearchEngine};
 use psc_datagen::family::FamilyConfig;
 use psc_datagen::MutationConfig;
 use psc_quality::{build_benchmark, evaluate_ranked, Benchmark, BenchmarkConfig, RankedHit};
@@ -31,7 +31,10 @@ fn small_benchmark() -> Benchmark {
 }
 
 fn pipeline_hits(b: &Benchmark) -> Vec<RankedHit> {
-    let result = search_genome(&b.queries, &b.genome, blosum62(), PipelineConfig::default());
+    let config = PipelineConfig::default();
+    let engine = SearchEngine::for_genome(&b.genome, blosum62(), config, &NullRecorder);
+    let result = engine.query_traced(&b.queries, &NullRecorder, &NullTracer);
+    let result = result.unwrap();
     result
         .matches
         .iter()

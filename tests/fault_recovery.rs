@@ -1,31 +1,29 @@
 //! The simulated board's baseline run has work in it, and the step-2
 //! SIMD tile telemetry counts the tiles the hot loop walks.
 
-use psc_core::{Pipeline, PipelineConfig, Step2Backend};
-use psc_datagen::{random_bank, BankConfig};
+use psc_core::step2;
+use psc_core::{
+    KernelBackend, NullRecorder, NullTracer, PipelineConfig, SearchEngine, Step2Backend,
+};
+use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig};
 use psc_score::blosum62;
 use psc_seqio::prng::for_cases;
-use psc_seqio::Bank;
 
-fn banks() -> (Bank, Bank) {
-    let b0 = random_bank(&BankConfig {
+#[test]
+fn baseline_has_work_to_corrupt() {
+    let proteins = random_bank(&BankConfig {
         count: 10,
         min_len: 80,
         max_len: 150,
         seed: 1101,
     });
-    let b1 = random_bank(&BankConfig {
-        count: 8,
-        min_len: 80,
-        max_len: 150,
+    let genome = GenomeConfig {
+        len: 30_000,
+        gene_count: 6,
         seed: 1102,
-    });
-    (b0, b1)
-}
-
-#[test]
-fn baseline_has_work_to_corrupt() {
-    let (b0, b1) = banks();
+        ..GenomeConfig::default()
+    };
+    let genome = generate_genome(&genome, &proteins).genome;
     let cfg = PipelineConfig {
         backend: Step2Backend::Rasc {
             pe_count: 64,
@@ -37,7 +35,9 @@ fn baseline_has_work_to_corrupt() {
         max_evalue: 10.0,
         ..PipelineConfig::default()
     };
-    let baseline = Pipeline::new(cfg).run(&b0, &b1, blosum62());
+    let engine = SearchEngine::for_genome(&genome, blosum62(), cfg, &NullRecorder);
+    let answer = engine.query_traced(&proteins, &NullRecorder, &NullTracer);
+    let baseline = answer.unwrap().output;
     let board = baseline.board.as_ref().expect("rasc run has a board");
     assert!(board.entries > 0);
     assert!(board.hit_count > 0);
@@ -54,7 +54,8 @@ fn simd_tile_count_matches_walk() {
             g.range(0usize..30_000),
             g.range(1usize..4096),
         );
-        let walked = psc_core::step2::simd_tile_walk(n0, n1, l).count() as u64;
-        assert_eq!(psc_core::step2::simd_tile_count(n0, n1, l), walked);
+        let width = KernelBackend::Simd.lane_width();
+        let walked = step2::tile_walk(n0, n1, l, width).count() as u64;
+        assert_eq!(step2::tile_count(n0, n1, l, width), walked);
     });
 }

@@ -35,9 +35,9 @@ use std::sync::OnceLock;
 
 use psc_align::Hsp;
 use psc_core::{
-    build_run_report, KernelChoice, MemRecorder, NullRecorder, NullTracer, PipelineConfig,
-    PipelineStats, Recorder, RingTracer, RunReport, SearchEngine, SeedChoice, Step2Backend,
-    Step2Schedule, TraceClock, Tracer,
+    build_run_report, GenomeSearchResult, KernelChoice, MemRecorder, NullRecorder, NullTracer,
+    PipelineConfig, PipelineStats, Recorder, RingTracer, RunReport, SearchEngine, SeedChoice,
+    Step2Backend, Step2Schedule, TraceClock, Tracer,
 };
 use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig};
 use psc_score::blosum62;
@@ -374,6 +374,14 @@ fn loaded(w: usize) -> &'static Loaded {
             oracle,
         }
     })
+}
+
+/// One untraced query on a fresh engine over `genome`: a one-shot
+/// `psc search`.
+pub fn search(proteins: &Bank, genome: &Seq, cfg: PipelineConfig) -> GenomeSearchResult {
+    let engine = SearchEngine::for_genome(genome, blosum62(), cfg, &NullRecorder);
+    let answer = engine.query_traced(proteins, &NullRecorder, &NullTracer);
+    answer.expect("a valid configuration")
 }
 
 fn run(w: &Workload, proteins: &Bank, genome: &Seq, p: &Point) -> Run {

@@ -4,9 +4,8 @@
 #[path = "lattice.rs"]
 mod lattice;
 
-use psc_core::{search_genome, PipelineConfig, Step2Backend};
+use psc_core::{PipelineConfig, Step2Backend};
 use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig, MutationConfig};
-use psc_score::blosum62;
 
 fn workload() -> (psc_seqio::Bank, psc_datagen::SyntheticGenome) {
     let proteins = random_bank(&BankConfig {
@@ -36,12 +35,7 @@ fn workload() -> (psc_seqio::Bank, psc_datagen::SyntheticGenome) {
 fn recovers_every_planted_gene() {
     let (proteins, synth) = workload();
     assert!(synth.plants.len() >= 10, "want a meaningful plant count");
-    let result = search_genome(
-        &proteins,
-        &synth.genome,
-        blosum62(),
-        PipelineConfig::default(),
-    );
+    let result = lattice::search(&proteins, &synth.genome, PipelineConfig::default());
     for plant in &synth.plants {
         let found = result.matches.iter().any(|m| {
             m.protein_idx == plant.protein_idx
@@ -58,12 +52,7 @@ fn no_hallucinated_matches() {
     // Every reported match must overlap *some* plant: the background is
     // random DNA, which should not align at E ≤ 1e-3.
     let (proteins, synth) = workload();
-    let result = search_genome(
-        &proteins,
-        &synth.genome,
-        blosum62(),
-        PipelineConfig::default(),
-    );
+    let result = lattice::search(&proteins, &synth.genome, PipelineConfig::default());
     assert!(!result.matches.is_empty());
     for m in &result.matches {
         let on_plant = synth
@@ -83,10 +72,9 @@ fn step2_dominates_sequential_profile() {
     // sliver survives to become step-3 anchors — the work funnel the
     // paper offloads.
     let (proteins, synth) = workload();
-    let result = search_genome(
+    let result = lattice::search(
         &proteins,
         &synth.genome,
-        blosum62(),
         PipelineConfig {
             backend: Step2Backend::SoftwareScalar,
             ..PipelineConfig::default()
@@ -115,19 +103,17 @@ fn step2_dominates_sequential_profile() {
 #[test]
 fn tighter_evalue_reports_less() {
     let (proteins, synth) = workload();
-    let loose = search_genome(
+    let loose = lattice::search(
         &proteins,
         &synth.genome,
-        blosum62(),
         PipelineConfig {
             max_evalue: 1e-3,
             ..PipelineConfig::default()
         },
     );
-    let strict = search_genome(
+    let strict = lattice::search(
         &proteins,
         &synth.genome,
-        blosum62(),
         PipelineConfig {
             max_evalue: 1e-40,
             ..PipelineConfig::default()

@@ -10,29 +10,12 @@ mod lattice;
 
 use lattice::{check_where, Backend};
 use psc_core::{
-    build_run_report, MemRecorder, NullRecorder, Pipeline, PipelineConfig, PipelineOutput,
-    RingTracer, Step2Backend, TraceClock,
+    build_run_report, MemRecorder, NullRecorder, PipelineConfig, PipelineOutput, Recorder,
+    RingTracer, SearchEngine, Step2Backend, TraceClock,
 };
-use psc_datagen::{random_bank, BankConfig};
+use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig};
 use psc_score::blosum62;
-use psc_seqio::Bank;
 use psc_telemetry::{analyze, reconcile, Trace};
-
-fn banks() -> (Bank, Bank) {
-    let b0 = random_bank(&BankConfig {
-        count: 10,
-        min_len: 80,
-        max_len: 150,
-        seed: 2201,
-    });
-    let b1 = random_bank(&BankConfig {
-        count: 8,
-        min_len: 80,
-        max_len: 150,
-        seed: 2202,
-    });
-    (b0, b1)
-}
 
 fn base_config() -> PipelineConfig {
     PipelineConfig {
@@ -43,12 +26,24 @@ fn base_config() -> PipelineConfig {
     }
 }
 
-fn run_traced(cfg: PipelineConfig, tracer: &RingTracer) -> (PipelineOutput, Trace) {
-    let (b0, b1) = banks();
-    let out = Pipeline::new(cfg)
-        .try_run_traced(&b0, &b1, blosum62(), &NullRecorder, tracer)
-        .unwrap();
-    (out, tracer.finish(&[]))
+/// Ten proteins of 80–150 aa against a 30 kb genome holding six planted
+/// copies of them: enough anchors for fourteen step-3 shards.
+fn run_traced(cfg: PipelineConfig, rec: &dyn Recorder, tracer: &RingTracer) -> PipelineOutput {
+    let proteins = random_bank(&BankConfig {
+        count: 10,
+        min_len: 80,
+        max_len: 150,
+        seed: 2201,
+    });
+    let genome = GenomeConfig {
+        len: 30_000,
+        gene_count: 6,
+        seed: 2202,
+        ..GenomeConfig::default()
+    };
+    let genome = generate_genome(&genome, &proteins).genome;
+    let engine = SearchEngine::for_genome(&genome, blosum62(), cfg, rec);
+    engine.query_traced(&proteins, rec, tracer).unwrap().output
 }
 
 /// The virtual clock models scheduled work, not measured time, so the
@@ -91,7 +86,6 @@ fn tracing_does_not_change_pipeline_output() {
 /// report sums, and step-2 busy is bounded by the report's step-2 wall.
 #[test]
 fn wall_trace_reconciles_with_run_report() {
-    let (b0, b1) = banks();
     let cfg = PipelineConfig {
         backend: Step2Backend::SoftwareParallel { threads: 2 },
         step3_threads: 2,
@@ -99,9 +93,7 @@ fn wall_trace_reconciles_with_run_report() {
     };
     let rec = MemRecorder::new();
     let tracer = RingTracer::new(TraceClock::Wall);
-    let out = Pipeline::new(cfg.clone())
-        .try_run_traced(&b0, &b1, blosum62(), &rec, &tracer)
-        .unwrap();
+    let out = run_traced(cfg.clone(), &rec, &tracer);
     let report = build_run_report(&out, &cfg, &rec.snapshot());
     let analysis = analyze(&tracer.finish(&[]));
     let rows = reconcile(&analysis, &report);
@@ -126,7 +118,8 @@ fn stall_attribution_is_exhaustive() {
         step3_threads: 2,
         ..base_config()
     };
-    let (_, trace) = run_traced(cfg, &tracer);
+    run_traced(cfg, &NullRecorder, &tracer);
+    let trace = tracer.finish(&[]);
     let analysis = analyze(&trace);
     assert!(
         analysis.lanes.len() >= 4,
@@ -160,29 +153,15 @@ fn stall_attribution_is_exhaustive() {
 /// the export; a clipped trace still parses and analyzes.
 #[test]
 fn ring_overflow_drops_oldest_and_counts() {
-    // Bigger banks and a two-slot ring so step 3 commits far more
-    // shard units than the ring holds.
-    let b0 = random_bank(&BankConfig {
-        count: 24,
-        min_len: 100,
-        max_len: 220,
-        seed: 2203,
-    });
-    let b1 = random_bank(&BankConfig {
-        count: 20,
-        min_len: 100,
-        max_len: 220,
-        seed: 2204,
-    });
+    // A two-slot ring, so step 3 commits far more shard units than
+    // the ring holds.
     let tracer = RingTracer::with_capacity(TraceClock::Wall, 2);
     let cfg = PipelineConfig {
         backend: Step2Backend::SoftwareParallel { threads: 2 },
         step3_threads: 2,
         ..base_config()
     };
-    let out = Pipeline::new(cfg)
-        .try_run_traced(&b0, &b1, blosum62(), &NullRecorder, &tracer)
-        .unwrap();
+    let out = run_traced(cfg, &NullRecorder, &tracer);
     assert!(out.stats.anchors > 0);
     let trace = tracer.finish(&[]);
     assert!(
