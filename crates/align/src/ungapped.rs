@@ -23,8 +23,7 @@
 //! filter needs, because the literal variant's score never decreases and
 //! therefore cannot "forget" a noisy prefix). Both are implemented; the
 //! PSC-operator simulator is tested bit-identical against whichever is
-//! configured, and `experiments ablation-kernel` measures the
-//! sensitivity difference.
+//! configured. EXPERIMENTS.md records the sensitivity difference.
 
 // A hot module: no panic path outside test code (DESIGN §9).
 #![deny(

@@ -4,7 +4,7 @@
 
 use psc_align::{ungapped_score, Kernel};
 use psc_blast::{tblastn, BlastConfig};
-use psc_core::{PipelineConfig, SeedChoice, Step2Backend};
+use psc_core::{PipelineConfig, Step2Backend};
 use psc_datagen::family::FamilyConfig;
 use psc_quality::{build_benchmark, evaluate_ranked, BenchmarkConfig, QualityScores, RankedHit};
 use psc_score::blosum62;
@@ -53,16 +53,12 @@ experiments! {
     "table2", Components { baseline: true, ..RASC }, |i| table2(i.rows);
     "table3", Components { dual: true, ..RASC }, |i| table3(i.rows);
     "table4", Components { scalar: true, ..RASC }, |i| table4(i.rows);
-    "table5", Components { baseline: true, scalar: true, ..RASC }, |i| table5(i.rows, i.workload);
+    "table5", RASC, |i| table5(i.rows, i.workload);
     "table6", NONE, |i| table6(i.quick);
     "table7", RASC, |i| table7(i.rows);
     "fig1", NONE, |i| fig1(i.workload);
     "fig2", NONE, |_| fig2();
     "fig3", RASC, |i| fig3(i.rows);
-    "ablation-kernel", NONE, |i| ablation_kernel(i.workload);
-    "ablation-seed", NONE, |i| ablation_seed(i.workload);
-    "ablation-twohit", NONE, |i| ablation_twohit(i.workload);
-    "ablation-masking", NONE, |_| ablation_masking();
 }
 
 /// The experiments `wants` names, in table order; `all` is the whole
@@ -124,10 +120,7 @@ pub fn table2(rows: &[LadderRow]) {
         "Speedup",
     ]);
     for row in rows {
-        let base = row
-            .baseline
-            .expect("table2 needs the baseline")
-            .total_seconds;
+        let base = row.baseline.expect("table2 needs the baseline");
         let mut cells = vec![row.label.clone(), secs(base)];
         for run in &row.rasc {
             let total = run.profile.total();
@@ -177,12 +170,7 @@ pub fn table4(rows: &[LadderRow]) {
         "Speedup",
     ]);
     for row in rows {
-        let seq = row
-            .scalar
-            .as_ref()
-            .expect("table4 needs scalar run")
-            .0
-            .step2_wall;
+        let seq = row.scalar.expect("table4 needs scalar run").step2_wall;
         let mut cells = vec![row.label.clone(), secs(seq)];
         for run in &row.rasc {
             let accel = run
@@ -492,211 +480,6 @@ pub fn fig3(rows: &[LadderRow]) {
     println!("    double-buffered dispatch; occupancy = overlapped share of the busy span)\n");
 }
 
-/// Ablation — the two readings of the paper's ungapped pseudocode.
-pub fn ablation_kernel(workload: &Workload) {
-    println!("## Ablation — ungapped kernel variant (10× bank)");
-    println!("   (the paper's pseudocode literally accumulates positive scores only;");
-    println!("    the PE datapath description matches the clamped 1-D Smith-Waterman)\n");
-    let mut t = Table::new(&[
-        "kernel",
-        "candidates",
-        "anchors",
-        "alignments",
-        "plants recovered",
-        "step2 (s)",
-    ]);
-    for (kernel, label) in [
-        (Kernel::ClampedSum, "ClampedSum (default)"),
-        (Kernel::PaperLiteral, "PaperLiteral"),
-    ] {
-        let mut cfg = experiment_config();
-        cfg.kernel = kernel;
-        let r = search(&workload.banks[2], &workload.genome.genome, cfg);
-        let recovered = workload
-            .genome
-            .plants
-            .iter()
-            .filter(|p| {
-                r.matches.iter().any(|m| {
-                    m.protein_idx == p.protein_idx
-                        && m.genome_start < p.end
-                        && p.start < m.genome_end
-                })
-            })
-            .count();
-        t.row(vec![
-            label.into(),
-            r.output.stats.step2.candidates.to_string(),
-            r.output.stats.anchors.to_string(),
-            r.output.hsps.len().to_string(),
-            format!("{recovered}/{}", workload.genome.plants.len()),
-            secs(r.output.profile.step2_wall),
-        ]);
-    }
-    t.print();
-    println!();
-}
-
-/// Ablation — seed models: index fan-out, work and recall.
-pub fn ablation_seed(workload: &Workload) {
-    println!("## Ablation — seed model (10× bank)");
-    println!("   (the paper chose a span-4 subset seed for indexing efficiency and");
-    println!("    BLAST-equivalent sensitivity)\n");
-    let mut t = Table::new(&[
-        "seed",
-        "keys",
-        "pairs",
-        "candidates",
-        "alignments",
-        "plants recovered",
-        "step2 (s)",
-    ]);
-    let choices: Vec<(SeedChoice, String)> = vec![
-        (
-            SeedChoice::Custom(psc_index::subset_seed_span3()),
-            "subset span-3 (ladder)".into(),
-        ),
-        (SeedChoice::SubsetDefault, "subset span-4 (paper)".into()),
-        (SeedChoice::Exact(4), "exact 4-mer".into()),
-    ];
-    for (seed, label) in choices {
-        let keys = seed.model().key_count();
-        let mut cfg = experiment_config();
-        cfg.seed = seed;
-        let r = search(&workload.banks[2], &workload.genome.genome, cfg);
-        let recovered = workload
-            .genome
-            .plants
-            .iter()
-            .filter(|p| {
-                r.matches.iter().any(|m| {
-                    m.protein_idx == p.protein_idx
-                        && m.genome_start < p.end
-                        && p.start < m.genome_end
-                })
-            })
-            .count();
-        t.row(vec![
-            label,
-            keys.to_string(),
-            r.output.stats.step2.pairs.to_string(),
-            r.output.stats.step2.candidates.to_string(),
-            r.output.hsps.len().to_string(),
-            format!("{recovered}/{}", workload.genome.plants.len()),
-            secs(r.output.profile.step2_wall),
-        ]);
-    }
-    t.print();
-    println!();
-}
-
-/// Ablation — soft low-complexity masking on a repeat-laden genome.
-pub fn ablation_masking() {
-    use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig, MutationConfig};
-    println!("## Ablation — SEG-like soft masking (repeat-laden genome, 3× bank)");
-    println!("   (low-complexity tracts flood seeding; masking suppresses them");
-    println!("    without losing true homology — BLAST's rationale for SEG)\n");
-    let proteins = random_bank(&BankConfig {
-        count: 150,
-        min_len: 100,
-        max_len: 400,
-        seed: 4242,
-    });
-    let synth = generate_genome(
-        &GenomeConfig {
-            len: 120_000,
-            gene_count: 30,
-            repeat_tracts: 40,
-            repeat_len: 600,
-            mutation: MutationConfig {
-                divergence: 0.25,
-                indel_rate: 0.004,
-                indel_extend: 0.3,
-            },
-            seed: 4243,
-            ..GenomeConfig::default()
-        },
-        &proteins,
-    );
-    let mut t = Table::new(&[
-        "masking",
-        "pairs",
-        "candidates",
-        "anchors",
-        "alignments",
-        "plants recovered",
-        "step2 (s)",
-    ]);
-    for (mask, label) in [
-        (None, "off"),
-        (Some(psc_seqio::MaskConfig::default()), "on"),
-    ] {
-        let cfg = PipelineConfig {
-            mask,
-            ..experiment_config()
-        };
-        let r = search(&proteins, &synth.genome, cfg);
-        let recovered = synth
-            .plants
-            .iter()
-            .filter(|p| {
-                r.matches.iter().any(|m| {
-                    m.protein_idx == p.protein_idx
-                        && m.genome_start < p.end
-                        && p.start < m.genome_end
-                })
-            })
-            .count();
-        t.row(vec![
-            label.into(),
-            r.output.stats.step2.pairs.to_string(),
-            r.output.stats.step2.candidates.to_string(),
-            r.output.stats.anchors.to_string(),
-            r.output.hsps.len().to_string(),
-            format!("{recovered}/{}", synth.plants.len()),
-            secs(r.output.profile.step2_wall),
-        ]);
-    }
-    t.print();
-    println!();
-}
-
-/// Ablation — one-hit vs two-hit seeding in the baseline.
-pub fn ablation_twohit(workload: &Workload) {
-    println!("## Ablation — baseline two-hit rule (3× bank)");
-    let translated = translate_six_frames(&workload.genome.genome, GeneticCode::standard());
-    let frames = translated.to_bank();
-    let mut t = Table::new(&[
-        "mode",
-        "word hits",
-        "ungapped ext.",
-        "gapped ext.",
-        "HSPs",
-        "scan (s)",
-    ]);
-    for (one_hit, label) in [(false, "two-hit (NCBI)"), (true, "one-hit")] {
-        let rep = tblastn(
-            &workload.banks[1],
-            &frames,
-            blosum62(),
-            &BlastConfig {
-                one_hit,
-                ..BlastConfig::default()
-            },
-        );
-        t.row(vec![
-            label.into(),
-            rep.word_hits.to_string(),
-            rep.ungapped_extensions.to_string(),
-            rep.gapped_extensions.to_string(),
-            rep.hsps.len().to_string(),
-            secs(rep.scan_seconds),
-        ]);
-    }
-    t.print();
-    println!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -720,6 +503,10 @@ mod tests {
             "analyzer-bench",
             "ablation-hybrid",
             "extension-step3",
+            "ablation-kernel",
+            "ablation-seed",
+            "ablation-twohit",
+            "ablation-masking",
         ] {
             assert_eq!(select(&["table1", removed]).err(), Some(removed));
         }

@@ -19,8 +19,6 @@ pub struct BlastConfig {
     pub word_threshold: i32,
     /// Two-hit window A (NCBI default: 40).
     pub two_hit_window: usize,
-    /// One-hit mode (ablation; NCBI's older behaviour).
-    pub one_hit: bool,
     /// X-drop for the ungapped extension (raw score units; NCBI's 7 bits
     /// ≈ 16 raw under BLOSUM62).
     pub xdrop_ungapped: i32,
@@ -41,7 +39,6 @@ impl Default for BlastConfig {
             word_len: 3,
             word_threshold: 11,
             two_hit_window: 40,
-            one_hit: false,
             xdrop_ungapped: 16,
             gap_trigger: 41,
             gap: GapConfig::default(),
@@ -128,12 +125,8 @@ pub fn tblastn(
     let t1 = Instant::now();
     let mut word_hits = 0u64;
     let mut ungapped_extensions = 0u64;
-    let mut tracker = TwoHitTracker::new(
-        config.two_hit_window,
-        config.word_len,
-        lookup.query_total,
-        config.one_hit,
-    );
+    let mut tracker =
+        TwoHitTracker::new(config.two_hit_window, config.word_len, lookup.query_total);
     // Surviving ungapped segments: (query, subject, anchor q, anchor s, raw score).
     let mut candidates: Vec<(u32, u32, usize, usize, i32)> = Vec::new();
 
@@ -315,34 +308,6 @@ mod tests {
             r.hsps
         );
         assert!(r.word_hits > 0, "scan should at least see word hits");
-    }
-
-    #[test]
-    fn one_hit_mode_extends_more() {
-        let q = random_bank(&BankConfig {
-            count: 3,
-            min_len: 120,
-            max_len: 160,
-            seed: 3,
-        });
-        let s = random_bank(&BankConfig {
-            count: 3,
-            min_len: 120,
-            max_len: 160,
-            seed: 4,
-        });
-        let two = tblastn(&q, &s, blosum62(), &config());
-        let one = tblastn(
-            &q,
-            &s,
-            blosum62(),
-            &BlastConfig {
-                one_hit: true,
-                ..config()
-            },
-        );
-        assert!(one.ungapped_extensions > two.ungapped_extensions);
-        assert_eq!(one.word_hits, two.word_hits);
     }
 
     #[test]

@@ -45,22 +45,18 @@ pub struct TwoHitTracker {
     query_total: usize,
     epoch: u32,
     diags: Vec<DiagState>,
-    /// When true, every first hit triggers (one-hit mode, the ablation
-    /// configuration).
-    one_hit: bool,
 }
 
 impl TwoHitTracker {
     /// `query_total` is the summed residue count of all queries (the
     /// concatenated coordinate space word sites are expressed in).
-    pub fn new(window: usize, word_len: usize, query_total: usize, one_hit: bool) -> TwoHitTracker {
+    pub fn new(window: usize, word_len: usize, query_total: usize) -> TwoHitTracker {
         TwoHitTracker {
             window: window as i32,
             word_len: word_len as i32,
             query_total,
             epoch: 1,
             diags: Vec::new(),
-            one_hit,
         }
     }
 
@@ -89,16 +85,11 @@ impl TwoHitTracker {
     /// subject offset `spos`.
     #[inline]
     pub fn on_hit(&mut self, qconcat: u32, spos: u32) -> HitAction {
-        let one_hit = self.one_hit;
         let (window, word_len) = (self.window, self.word_len);
         let entry = self.slot(qconcat, spos);
         let s = spos as i32;
         if s < entry.covered_to {
             return HitAction::Covered;
-        }
-        if one_hit {
-            entry.last_hit = s;
-            return HitAction::Trigger;
         }
         let gap = s - entry.last_hit;
         if gap < word_len {
@@ -128,20 +119,20 @@ impl TwoHitTracker {
 mod tests {
     use super::*;
 
-    fn tracker(one_hit: bool) -> TwoHitTracker {
-        TwoHitTracker::new(40, 3, 1000, one_hit)
+    fn tracker() -> TwoHitTracker {
+        TwoHitTracker::new(40, 3, 1000)
     }
 
     #[test]
     fn two_hits_required() {
-        let mut t = tracker(false);
+        let mut t = tracker();
         assert_eq!(t.on_hit(100, 10), HitAction::Record);
         assert_eq!(t.on_hit(105, 15), HitAction::Trigger); // same diag
     }
 
     #[test]
     fn overlapping_second_hit_does_not_trigger() {
-        let mut t = tracker(false);
+        let mut t = tracker();
         assert_eq!(t.on_hit(100, 10), HitAction::Record);
         // Distance 2 < word_len 3: overlapping, ignored (anchor stays 10).
         assert_eq!(t.on_hit(102, 12), HitAction::Record);
@@ -151,7 +142,7 @@ mod tests {
 
     #[test]
     fn distant_second_hit_restarts() {
-        let mut t = tracker(false);
+        let mut t = tracker();
         assert_eq!(t.on_hit(100, 10), HitAction::Record);
         assert_eq!(t.on_hit(190, 100), HitAction::Record); // > window
         assert_eq!(t.on_hit(195, 105), HitAction::Trigger);
@@ -159,7 +150,7 @@ mod tests {
 
     #[test]
     fn different_diagonals_independent() {
-        let mut t = tracker(false);
+        let mut t = tracker();
         assert_eq!(t.on_hit(100, 10), HitAction::Record); // diag -90
         assert_eq!(t.on_hit(100, 20), HitAction::Record); // diag -80
         assert_eq!(t.on_hit(900, 15), HitAction::Record); // other query region
@@ -168,7 +159,7 @@ mod tests {
 
     #[test]
     fn covered_region_suppresses() {
-        let mut t = tracker(false);
+        let mut t = tracker();
         t.on_hit(100, 10);
         t.on_hit(105, 15);
         t.mark_covered(105, 15, 60);
@@ -177,16 +168,8 @@ mod tests {
     }
 
     #[test]
-    fn one_hit_mode_always_triggers() {
-        let mut t = tracker(true);
-        assert_eq!(t.on_hit(100, 10), HitAction::Trigger);
-        t.mark_covered(100, 10, 50);
-        assert_eq!(t.on_hit(110, 20), HitAction::Covered);
-    }
-
-    #[test]
     fn reset_forgets() {
-        let mut t = tracker(false);
+        let mut t = tracker();
         t.on_hit(100, 10);
         t.reset();
         assert_eq!(t.on_hit(105, 15), HitAction::Record);
@@ -194,7 +177,7 @@ mod tests {
 
     #[test]
     fn extreme_diagonals_addressable() {
-        let mut t = tracker(false);
+        let mut t = tracker();
         // qconcat at the end of the query space, spos 0 → index 0.
         assert_eq!(t.on_hit(1000, 0), HitAction::Record);
         // qconcat 0, huge spos → large index (forces growth); the second
