@@ -60,6 +60,7 @@ use std::ops::Range;
 
 use psc_score::SubstitutionMatrix;
 use psc_seqio::alphabet::AA_ALPHABET_LEN;
+use psc_seqio::isa::Isa;
 
 use crate::ungapped::{ungapped_score, Kernel};
 
@@ -87,11 +88,11 @@ pub enum KernelBackend {
     /// then a single indexed load per residue pair.
     Profile,
     /// The AVX2 lane path: [`LaneFilter`] over [`LANES`]-wide blocks
-    /// (a portable lane array on hosts without AVX2).
+    /// (a portable lane array below [`Isa::Avx2`]).
     Simd,
     /// The AVX-512 VBMI lane path: [`LaneFilter`] over
-    /// [`WIDE_LANES`]-wide blocks (a portable lane array on hosts
-    /// without AVX-512BW and VBMI).
+    /// [`WIDE_LANES`]-wide blocks (a portable lane array below
+    /// [`Isa::Avx512Vbmi`]).
     Wide,
 }
 
@@ -150,8 +151,8 @@ impl KernelChoice {
     /// 16-bit lanes are exact only while `window_len * max_score` fits
     /// an `i16` — so the lane backends are selected (or honoured when
     /// requested) under that guard, although [`LaneFilter`] itself is
-    /// exact at any length. `Auto` prefers the widest path the host's
-    /// instruction set and the guard allow.
+    /// exact at any length. `Auto` prefers the widest path
+    /// [`Isa::host`] and the guard allow.
     pub fn resolve(self, window_len: usize, matrix: &SubstitutionMatrix) -> KernelBackend {
         self.resolve_with_reason(window_len, matrix).0
     }
@@ -175,9 +176,11 @@ impl KernelChoice {
                 KernelBackend::Profile,
                 Some("window overflows the i16 lane accumulator"),
             ),
-            KernelChoice::Auto if fits_i16 && wide_available() => (KernelBackend::Wide, None),
-            KernelChoice::Auto if fits_i16 && simd_available() => (KernelBackend::Simd, None),
-            KernelChoice::Auto => (KernelBackend::Profile, None),
+            KernelChoice::Auto => match (fits_i16, Isa::host()) {
+                (true, Isa::Avx512Vbmi) => (KernelBackend::Wide, None),
+                (true, Isa::Avx2 | Isa::Avx512) => (KernelBackend::Simd, None),
+                _ => (KernelBackend::Profile, None),
+            },
         }
     }
 }
@@ -188,39 +191,6 @@ impl KernelChoice {
 fn simd_window_fits(window_len: usize, matrix: &SubstitutionMatrix) -> bool {
     let max = matrix.max_score().max(0) as i64;
     (window_len as i64) * max <= i16::MAX as i64
-}
-
-/// Does this host have the AVX2 instructions the `simd` lane path
-/// wants?
-///
-/// Without them the path still works (the lane-array fallback is plain
-/// safe Rust the compiler autovectorizes), so this only steers `Auto`
-/// away from a path with no hardware win.
-pub fn simd_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Does this host have the AVX-512BW and VBMI instructions the `wide`
-/// lane path wants (`vpermb` is VBMI)? Same contract as
-/// [`simd_available`]: the wide fallback is portable, this only informs
-/// `Auto` (BW without VBMI resolves to `simd`) and the recorded profile.
-pub fn wide_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx512bw")
-            && std::arch::is_x86_feature_detected!("avx512vbmi")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
 }
 
 /// One matrix row in shuffle-table form: `scores[c]` for residue codes
@@ -455,22 +425,17 @@ fn pass_portable(rows: &Sources, p0: usize, cols: usize, out: &mut [u8], stride:
     }
 }
 
-/// The passes [`InterleavedWindows::fill`] runs, widest first. On
-/// x86-64 that is the 512-bit pass where the host has AVX-512BW, with
-/// SSE2 (part of the baseline) for the positions short of a 64-wide
-/// pass and for hosts without it; everywhere else the portable pass.
-fn host_passes() -> &'static [Pass] {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512bw") {
-            &[x86::AVX512, x86::SSE2]
-        } else {
-            &[x86::SSE2]
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        &[PORTABLE]
+/// The passes [`InterleavedWindows::fill`] runs at `level`, widest
+/// first: on x86-64 the 512-bit pass from [`Isa::Avx512`], then SSE2
+/// (the baseline); elsewhere the portable pass.
+fn passes_at(level: Isa) -> &'static [Pass] {
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 | Isa::Avx512Vbmi => &[x86::AVX512, x86::SSE2],
+        #[cfg(target_arch = "x86_64")]
+        _ => &[x86::SSE2],
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => &[PORTABLE],
     }
 }
 
@@ -505,8 +470,8 @@ fn transpose_group(
             let out = &mut data[p0 * stride + j0..len * stride];
             // SAFETY: the first assert and the loop's bound keep `width`
             // bytes from `p0` inside every source, the second the lane
-            // run of every position inside `out`; `passes` are the
-            // host's.
+            // run of every position inside `out`; `passes` are those of
+            // a level at most `Isa::detected()`.
             unsafe { (pass.run)(rows, p0, pass.width.min(len - p0), out, stride) };
             p0 += pass.width;
         }
@@ -536,7 +501,7 @@ impl InterleavedWindows {
         len: usize,
         source: impl FnMut(usize, &mut [u8]) -> Option<&'w [u8]>,
     ) {
-        self.fill_with(host_passes(), count, len, source);
+        self.fill_with(passes_at(Isa::host()), count, len, source);
     }
 
     /// [`fill`](InterleavedWindows::fill) through named passes, widest
@@ -641,25 +606,13 @@ impl InterleavedWindows {
     }
 }
 
-/// The instruction set a lane body runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Isa {
-    /// AVX-512BW and VBMI, [`WIDE_LANES`]-wide blocks.
-    Avx512,
-    /// AVX2, [`LANES`]-wide blocks.
-    Avx2,
-    /// Plain lane arrays at either width.
-    Portable,
-}
-
-impl Isa {
-    /// The body `backend`'s lane path runs on this host.
-    fn of(backend: KernelBackend) -> Isa {
-        match backend {
-            KernelBackend::Wide if wide_available() => Isa::Avx512,
-            KernelBackend::Simd if simd_available() => Isa::Avx2,
-            _ => Isa::Portable,
-        }
+/// The level of the body `backend`'s lane path runs at `level`; at
+/// [`Isa::Portable`], plain lane arrays of either width.
+fn lane_body(backend: KernelBackend, level: Isa) -> Isa {
+    match backend {
+        KernelBackend::Wide if level >= Isa::Avx512Vbmi => Isa::Avx512Vbmi,
+        KernelBackend::Simd if level >= Isa::Avx2 => Isa::Avx2,
+        _ => Isa::Portable,
     }
 }
 
@@ -687,7 +640,7 @@ pub struct LaneFilter {
     threshold: i32,
     /// Lanes per block ([`KernelBackend::lane_width`]).
     width: usize,
-    isa: Isa,
+    body: Isa,
 }
 
 impl LaneFilter {
@@ -708,17 +661,8 @@ impl LaneFilter {
             kernel,
             threshold,
             width,
-            isa: Isa::of(backend),
+            body: lane_body(backend, Isa::host()),
         })
-    }
-
-    /// Run the body of `isa` instead of the one the host would pick.
-    /// The caller answers for the host having `isa` and for its block
-    /// width being this backend's.
-    #[cfg(test)]
-    fn with_isa(mut self, isa: Isa) -> LaneFilter {
-        self.isa = isa;
-        self
     }
 
     /// Lanes per block: `range.start` of a [`scan`](LaneFilter::scan)
@@ -796,16 +740,16 @@ impl LaneFilter {
         // re-checks a higher one on the rescored lanes. Lanes never go
         // negative, so a threshold of zero or less flags them all.
         let threshold = self.threshold.clamp(0, i8::MAX as i32) as i8;
-        match self.isa {
+        match self.body {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Isa::of` saw AVX-512BW and VBMI; `scan` checked
-            // that the window is as long as the layout's and that `left`
-            // blocks from `j0` lie inside its stride.
-            Isa::Avx512 => unsafe {
+            // SAFETY: `lane_body` named the host level, at most the CPU's;
+            // `scan` checked that the window is as long as the layout's
+            // and that `left` blocks from `j0` lie inside its stride.
+            Isa::Avx512Vbmi => unsafe {
                 x86::classify_avx512(self, window, lanes, j0, left, threshold, masks)
             },
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above, with AVX2.
+            // SAFETY: as above, at `Avx2`.
             Isa::Avx2 => unsafe {
                 x86::classify_avx2(self, window, lanes, j0, left, threshold, masks)
             },
@@ -886,8 +830,8 @@ const SIMD_WORDS: usize = LANES / 2;
 const WIDE_WORDS: usize = WIDE_LANES / 2;
 
 /// Best scores of lanes `j0 .. j0 + best.len()` of `il1` against
-/// `profile` in 16-bit lanes: `best.len()` is [`SIMD_WORDS`] (AVX2 when
-/// the host has it) or [`WIDE_WORDS`] (AVX-512BW under [`wide_available`]).
+/// `profile` in 16-bit lanes: `best.len()` is [`SIMD_WORDS`] (AVX2 from
+/// [`Isa::Avx2`]) or [`WIDE_WORDS`] (AVX-512BW from [`Isa::Avx512`]).
 fn score_words(
     kernel: Kernel,
     profile: &ScoreProfile,
@@ -899,16 +843,16 @@ fn score_words(
     assert!(j0 + best.len() <= il1.stride);
     #[cfg(target_arch = "x86_64")]
     {
-        let codes = il1.data[j0..].as_ptr();
-        if best.len() == WIDE_WORDS && wide_available() {
-            // SAFETY: `wide_available` saw AVX-512BW, and the asserts
-            // above keep every 32-byte load of `profile.len()` positions
-            // at `j0` inside the layout.
+        let (codes, level) = (il1.data[j0..].as_ptr(), Isa::host());
+        if best.len() == WIDE_WORDS && level >= Isa::Avx512 {
+            // SAFETY: the host level, at most the CPU's, is `Avx512`; the
+            // asserts above keep every 32-byte load of `profile.len()`
+            // positions at `j0` inside the layout.
             unsafe { x86::words_avx512(kernel, profile, codes, il1.stride, best) };
             return;
         }
-        if best.len() == SIMD_WORDS && simd_available() {
-            // SAFETY: as above, with AVX2 and 16-byte loads.
+        if best.len() == SIMD_WORDS && level >= Isa::Avx2 {
+            // SAFETY: as above, at `Avx2` and with 16-byte loads.
             unsafe { x86::words_avx2(kernel, profile, codes, il1.stride, best) };
             return;
         }
@@ -992,7 +936,7 @@ mod x86 {
     /// See [`AVX512`].
     ///
     /// # Safety
-    /// AVX-512F/BW must be available; see [`Pass`].
+    /// The CPU must be at [`Isa::Avx512`] or above; see [`Pass`].
     #[target_feature(enable = "avx512f,avx512bw")]
     unsafe fn pass_avx512(rows: &Sources, p0: usize, cols: usize, out: &mut [u8], stride: usize) {
         let mut x = [_mm512_setzero_si512(); GROUP];
@@ -1022,7 +966,7 @@ mod x86 {
     /// direct form's add, clamp and max take three (DESIGN.md §4.2b).
     ///
     /// # Safety
-    /// AVX-512F/BW/VBMI must be available, and `codes + p * stride` must
+    /// The CPU must be at [`Isa::Avx512Vbmi`], and `codes + p * stride` must
     /// be readable for `64 * N` bytes at every `p < window.len()`.
     #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
     #[inline]
@@ -1067,7 +1011,7 @@ mod x86 {
     /// [`bytes_avx512`] over the next 1, 2 or 4 of `left` blocks.
     ///
     /// # Safety
-    /// AVX-512F/BW/VBMI must be available, `window.len() == lanes.len()`
+    /// The CPU must be at [`Isa::Avx512Vbmi`], `window.len() == lanes.len()`
     /// and `j0 + left * 64 <= lanes.stride`.
     #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
     pub(super) unsafe fn classify_avx512(
@@ -1102,7 +1046,7 @@ mod x86 {
     /// registers.
     ///
     /// # Safety
-    /// AVX2 must be available, and `codes + p * stride` must be
+    /// The CPU must be at [`Isa::Avx2`] or above, and `codes + p * stride` must be
     /// readable for `32 * N` bytes at every `p < window.len()`.
     #[target_feature(enable = "avx2")]
     #[inline]
@@ -1156,7 +1100,7 @@ mod x86 {
     /// [`bytes_avx2`] over the next 1, 2 or 4 of `left` blocks.
     ///
     /// # Safety
-    /// AVX2 must be available, `window.len() == lanes.len()` and
+    /// The CPU must be at [`Isa::Avx2`] or above, `window.len() == lanes.len()` and
     /// `j0 + left * 32 <= lanes.stride`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn classify_avx2(
@@ -1192,7 +1136,7 @@ mod x86 {
     /// lanes, then the add/max gates.
     ///
     /// # Safety
-    /// AVX-512F/BW must be available, `codes + p * stride` must be
+    /// The CPU must be at [`Isa::Avx512`] or above, `codes + p * stride` must be
     /// readable for 32 bytes at every `p < profile.len()`, and `best`
     /// must hold 32 lanes.
     #[target_feature(enable = "avx512f,avx512bw")]
@@ -1240,7 +1184,7 @@ mod x86 {
     /// to `i16`, then the add/max gates.
     ///
     /// # Safety
-    /// AVX2 must be available, `codes + p * stride` must be readable
+    /// The CPU must be at [`Isa::Avx2`] or above, `codes + p * stride` must be readable
     /// for 16 bytes at every `p < profile.len()`, and `best` must hold
     /// 16 lanes.
     #[target_feature(enable = "avx2")]
@@ -1347,6 +1291,7 @@ mod tests {
     use super::*;
     use psc_score::blosum62;
     use psc_score::matrix::match_mismatch;
+    use psc_seqio::isa;
     use psc_seqio::prng::SplitMix64;
 
     /// Seeded residue stream over the full alphabet.
@@ -1406,27 +1351,18 @@ mod tests {
 
     const KERNELS: [Kernel; 2] = [Kernel::ClampedSum, Kernel::PaperLiteral];
 
-    /// Every dispatch body of both lane backends: the portable one, and
-    /// each vector one whose instruction set this host has.
-    fn bodies(
-        kernel: Kernel,
-        m: &SubstitutionMatrix,
-        threshold: i32,
-    ) -> Vec<(&'static str, LaneFilter)> {
-        let (wide, simd) = (KernelBackend::Wide, KernelBackend::Simd);
-        let mut out = Vec::new();
-        for (backend, isa, name, available) in [
-            (wide, Isa::Avx512, "avx512vbmi", wide_available()),
-            (wide, Isa::Portable, "portable64", true),
-            (simd, Isa::Avx2, "avx2", simd_available()),
-            (simd, Isa::Portable, "portable32", true),
-        ] {
-            let f = LaneFilter::new(backend, kernel, m, threshold).expect("a lane backend");
-            assert_eq!(f.block_width(), backend.lane_width());
-            if available {
-                out.push((name, f.with_isa(isa)));
-            } else {
-                eprintln!("note: this CPU lacks {name}; that body is not exercised");
+    /// Every dispatch body of both lane backends at each level this
+    /// CPU has ([`lane_body`]), once each.
+    fn bodies(kernel: Kernel, m: &SubstitutionMatrix, threshold: i32) -> Vec<(String, LaneFilter)> {
+        let mut out: Vec<(String, LaneFilter)> = Vec::new();
+        for level in isa::levels("a lane body") {
+            for backend in [KernelBackend::Wide, KernelBackend::Simd] {
+                let mut f = LaneFilter::new(backend, kernel, m, threshold).expect("a lane backend");
+                f.body = lane_body(backend, level);
+                let name = format!("{} at {:?}", backend.name(), f.body);
+                if out.iter().all(|(seen, _)| *seen != name) {
+                    out.push((name, f));
+                }
             }
         }
         out
@@ -1696,17 +1632,18 @@ mod tests {
     }
 
     /// Every network of passes `fill` may run: the portable pass, and
-    /// each vector one whose instruction set this host has, finished by
-    /// the baseline SSE2 one as [`host_passes`] does.
+    /// on x86-64 [`passes_at`] each level this CPU has, once each.
     fn passes() -> Vec<(&'static str, &'static [Pass])> {
         let mut out: Vec<(&'static str, &'static [Pass])> = vec![("portable", &[PORTABLE])];
         #[cfg(target_arch = "x86_64")]
-        {
-            out.push(("sse2", &[x86::SSE2]));
-            if std::arch::is_x86_feature_detected!("avx512bw") {
-                out.push(("512-bit", &[x86::AVX512, x86::SSE2]));
+        for level in isa::levels("a transpose pass") {
+            let name = if level >= Isa::Avx512 {
+                "512-bit"
             } else {
-                eprintln!("note: this CPU lacks avx512bw; the 512-bit pass is not exercised");
+                "sse2"
+            };
+            if out.iter().all(|&(seen, _)| seen != name) {
+                out.push((name, passes_at(level)));
             }
         }
         out
@@ -2014,16 +1951,41 @@ mod tests {
         let (b, why) = KernelChoice::Simd.resolve_with_reason(4000, m);
         assert_eq!(b, KernelBackend::Profile);
         assert!(why.is_some_and(|r| r.contains("i16")));
-        // Auto never reports a downgrade, and picks the widest lane
-        // count the host supports when the window fits i16.
-        let (auto, why) = KernelChoice::Auto.resolve_with_reason(60, m);
-        assert_eq!(why, None);
-        if wide_available() {
-            assert_eq!(auto, KernelBackend::Wide);
-        } else if simd_available() {
-            assert_eq!(auto, KernelBackend::Simd);
-        } else {
-            assert_eq!(auto, KernelBackend::Profile);
+        // Auto never reports a downgrade; what it picks at each level
+        // is `each_level_picks_its_own_bodies`'.
+        assert_eq!(KernelChoice::Auto.resolve_with_reason(60, m).1, None);
+    }
+
+    /// Under a cap at each level this CPU has, every picker of this
+    /// crate names that level's body. The only test here that caps.
+    #[test]
+    fn each_level_picks_its_own_bodies() {
+        use Isa::*;
+        use KernelBackend::{Profile, Simd, Wide};
+        let m = blosum62();
+        for level in isa::levels("a level's picks") {
+            let _cap = isa::cap(level);
+            let body = |b| {
+                LaneFilter::new(b, Kernel::ClampedSum, m, 45)
+                    .expect("lanes")
+                    .body
+            };
+            let auto = KernelChoice::Auto.resolve(60, m);
+            let row = crate::xdrop::pick_body(&crate::GapConfig::default(), 60);
+            let got = (
+                body(Simd),
+                body(Wide),
+                auto,
+                row,
+                passes_at(Isa::host()).len(),
+            );
+            let want = match level {
+                Portable => (Portable, Portable, Profile, Portable, 1),
+                Avx2 => (Avx2, Portable, Simd, Avx2, 1),
+                Avx512 => (Avx2, Portable, Simd, Avx512, 2),
+                Avx512Vbmi => (Avx2, Avx512Vbmi, Wide, Avx512, 2),
+            };
+            assert_eq!(got, want, "{level:?}");
         }
     }
 

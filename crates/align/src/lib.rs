@@ -32,8 +32,8 @@ pub mod ungapped;
 pub mod xdrop;
 
 pub use batch::{
-    profile_score, profile_score2, score_batch, simd_available, wide_available, InterleavedWindows,
-    KernelBackend, KernelChoice, LaneFilter, ScoreProfile, LANES, MAX_BLOCKS, WIDE_LANES,
+    profile_score, profile_score2, score_batch, InterleavedWindows, KernelBackend, KernelChoice,
+    LaneFilter, ScoreProfile, LANES, MAX_BLOCKS, WIDE_LANES,
 };
 pub use gapped::{
     banded_global, gapped_extend, AlignOp, Alignment, ExtendScratch, GapConfig, GappedHit,

@@ -8,9 +8,9 @@
 //! the window, the work count — and hands each row's cells to a *row body*:
 //! [`row_scalar`], which with the frame is the definition of the
 //! extension, or a lane body that computes the same row 16 (AVX-512F)
-//! or 8 (AVX2) cells at a time. The bodies are picked by what the CPU
-//! has and what the gap model allows ([`Body::pick`]), never by a
-//! setting, and return the same digits: score, end cell and cell count.
+//! or 8 (AVX2) cells at a time. The bodies are picked by [`Isa`] level
+//! and gap model ([`pick_body`]), never by a setting, and return the
+//! same digits: score, end cell and cell count.
 //!
 //! Nothing here allocates once an [`ExtendScratch`] has been sized, and
 //! a sweep initialises only the cells its window reaches.
@@ -19,6 +19,7 @@ use std::ops::Range;
 
 use psc_score::SubstitutionMatrix;
 use psc_seqio::alphabet::AA_ALPHABET_LEN;
+use psc_seqio::isa::Isa;
 
 use crate::gapped::{GapConfig, GappedHit, NEG_INF};
 
@@ -97,7 +98,7 @@ fn xdrop_half<const REV: bool>(
     cfg: &GapConfig,
     scratch: &mut ExtendScratch,
 ) -> Swept {
-    let body = Body::pick(cfg, b.len().min(cfg.max_extent));
+    let body = pick_body(cfg, b.len().min(cfg.max_extent));
     sweep::<REV>(matrix, a, b, cfg, scratch, body)
 }
 
@@ -110,61 +111,37 @@ fn sweep<const REV: bool>(
     b: &[u8],
     cfg: &GapConfig,
     scratch: &mut ExtendScratch,
-    body: Body,
+    body: Isa,
 ) -> Swept {
     match body {
-        Body::Scalar => sweep_frame::<REV>(matrix, a, b, cfg, scratch, Body::Scalar),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Body::pick` (or a test) saw AVX-512F before naming
-        // this body.
-        Body::Avx512 => unsafe { x86::sweep_avx512::<REV>(matrix, a, b, cfg, scratch) },
+        // SAFETY: `body`, `pick_body`'s or a test's, is at most the CPU's.
+        Isa::Avx512 => unsafe { x86::sweep_avx512::<REV>(matrix, a, b, cfg, scratch) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, with AVX2.
-        Body::Avx2 => unsafe { x86::sweep_avx2::<REV>(matrix, a, b, cfg, scratch) },
+        // SAFETY: as above, at `Avx2`.
+        Isa::Avx2 => unsafe { x86::sweep_avx2::<REV>(matrix, a, b, cfg, scratch) },
+        _ => sweep_frame::<REV>(matrix, a, b, cfg, scratch, Isa::Portable),
     }
 }
 
-/// Which row body a sweep runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Body {
-    /// [`row_scalar`]: the definition, and what runs off x86-64.
-    Scalar,
-    /// [`x86::row_avx512`], 16 cells a step.
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    /// [`x86::row_avx2`], 8 cells a step.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl Body {
-    /// The widest body that is exact for `cfg` over `m` columns.
-    ///
-    /// The lane bodies' proof (see [`Row`]) needs gap moves that only
-    /// subtract and a drop-off that only prunes — `open`, `extend` and
-    /// `xdrop` non-negative — and, so that nothing wraps and `NEG_INF`
-    /// stays below every threshold, costs that are small against it.
-    /// Any other model runs the scalar body.
-    fn pick(cfg: &GapConfig, m: usize) -> Body {
-        // The most a sweep can subtract from a value, lanes of padding
-        // included.
-        let reach = i128::from(cfg.open)
-            + i128::from(cfg.xdrop)
-            + i128::from(cfg.extend) * (m as i128 + 16);
-        if cfg.open < 0 || cfg.extend < 0 || cfg.xdrop < 0 || reach > i128::from(-(NEG_INF / 2)) {
-            return Body::Scalar;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return Body::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Body::Avx2;
-            }
-        }
-        Body::Scalar
+/// The level of the widest row body exact for `cfg` over `m` columns:
+/// [`row_scalar`] (the definition), [`x86::row_avx2`] (8 cells a step)
+/// or [`x86::row_avx512`] (16).
+///
+/// The lane bodies' proof (see [`Row`]) needs gap moves that only
+/// subtract and a drop-off that only prunes — `open`, `extend` and
+/// `xdrop` non-negative — and, so that nothing wraps and `NEG_INF`
+/// stays below every threshold, costs that are small against it.
+/// Any other model runs the scalar body.
+pub(crate) fn pick_body(cfg: &GapConfig, m: usize) -> Isa {
+    // The most a sweep can subtract from a value, lanes of padding
+    // included.
+    let reach =
+        i128::from(cfg.open) + i128::from(cfg.xdrop) + i128::from(cfg.extend) * (m as i128 + 16);
+    if cfg.open < 0 || cfg.extend < 0 || cfg.xdrop < 0 || reach > i128::from(-(NEG_INF / 2)) {
+        return Isa::Portable;
     }
+    Isa::host().min(Isa::Avx512)
 }
 
 /// Residue `k` of a side, counted outward from the anchor: forwards
@@ -215,7 +192,7 @@ fn outward<const REV: bool>(side: &[u8], k: usize) -> u8 {
 /// induction over rows. Two details: what descends from a `NEG_INF`
 /// cell differs by a few costs between the bodies (the lane bodies add
 /// the score to a `NEG_INF` diagonal where the scalar body keeps
-/// `NEG_INF`) — all of it is below every threshold, [`Body::pick`]
+/// `NEG_INF`) — all of it is below every threshold, [`pick_body`]
 /// having bounded the costs; and lanes past `cols.end` are masked out
 /// of every load, store and survivor mask: the scalar body never
 /// evaluates them, and their `E` could well clear the threshold.
@@ -307,7 +284,7 @@ fn sweep_frame<const REV: bool>(
     b: &[u8],
     cfg: &GapConfig,
     scratch: &mut ExtendScratch,
-    body: Body,
+    body: Isa,
 ) -> Swept {
     let n = a.len().min(cfg.max_extent);
     let m = b.len().min(cfg.max_extent);
@@ -379,14 +356,14 @@ fn sweep_frame<const REV: bool>(
 
         cells += r.cols.len() as u64;
         match body {
-            Body::Scalar => row_scalar::<REV>(&mut r),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: only `sweep_avx512` passes this body, and its
-            // caller saw AVX-512F.
-            Body::Avx512 => unsafe { x86::row_avx512::<REV>(&mut r) },
+            // SAFETY: only `sweep_avx512` passes this level, and its
+            // caller is at it.
+            Isa::Avx512 => unsafe { x86::row_avx512::<REV>(&mut r) },
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above, with `sweep_avx2` and AVX2.
-            Body::Avx2 => unsafe { x86::row_avx2::<REV>(&mut r) },
+            // SAFETY: as above, with `sweep_avx2` and `Avx2`.
+            Isa::Avx2 => unsafe { x86::row_avx2::<REV>(&mut r) },
+            _ => row_scalar::<REV>(&mut r),
         }
         if r.best_j != 0 {
             (best_i, best_j) = (i, r.best_j);
@@ -410,7 +387,7 @@ mod x86 {
     /// [`sweep_frame`] compiled for AVX-512F around [`row_avx512`].
     ///
     /// # Safety
-    /// AVX-512F must be available.
+    /// The CPU must be at [`Isa::Avx512`] or above (AVX-512F).
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn sweep_avx512<const REV: bool>(
         matrix: &SubstitutionMatrix,
@@ -419,13 +396,13 @@ mod x86 {
         cfg: &GapConfig,
         scratch: &mut ExtendScratch,
     ) -> Swept {
-        sweep_frame::<REV>(matrix, a, b, cfg, scratch, Body::Avx512)
+        sweep_frame::<REV>(matrix, a, b, cfg, scratch, Isa::Avx512)
     }
 
     /// [`sweep_frame`] compiled for AVX2 around [`row_avx2`].
     ///
     /// # Safety
-    /// AVX2 must be available.
+    /// The CPU must be at [`Isa::Avx2`] or above.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn sweep_avx2<const REV: bool>(
         matrix: &SubstitutionMatrix,
@@ -434,7 +411,7 @@ mod x86 {
         cfg: &GapConfig,
         scratch: &mut ExtendScratch,
     ) -> Swept {
-        sweep_frame::<REV>(matrix, a, b, cfg, scratch, Body::Avx2)
+        sweep_frame::<REV>(matrix, a, b, cfg, scratch, Isa::Avx2)
     }
 
     /// The residues of `N` (8 or 16) columns in the low bytes of a
@@ -507,7 +484,7 @@ mod x86 {
     /// two registers and indexed by the residues (`vpermt2d`).
     ///
     /// # Safety
-    /// AVX-512F must be available. The bounds of every access are
+    /// The CPU must be at [`Isa::Avx512`] or above. The bounds of every access are
     /// asserted.
     #[target_feature(enable = "avx512f")]
     #[inline]
@@ -615,7 +592,7 @@ mod x86 {
     /// halves of the row) before they are widened.
     ///
     /// # Safety
-    /// AVX2 must be available. The bounds of every access are asserted.
+    /// The CPU must be at [`Isa::Avx2`] or above. The bounds of every access are asserted.
     #[target_feature(enable = "avx2")]
     #[inline]
     pub(super) unsafe fn row_avx2<const REV: bool>(r: &mut Row<'_>) {
@@ -704,20 +681,15 @@ mod tests {
     use psc_score::blosum62;
     use psc_seqio::prng::{for_cases, SplitMix64};
 
-    /// The lane bodies this CPU can run — named here by feature
-    /// detection, never through `Body::pick`.
-    fn lane_bodies() -> Vec<Body> {
-        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
-        let mut bodies = Vec::new();
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                bodies.push(Body::Avx512);
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                bodies.push(Body::Avx2);
-            }
-        }
+    /// The levels of the lane bodies this CPU has, once each — named
+    /// here by level, never through `pick_body`.
+    fn lane_bodies() -> Vec<Isa> {
+        let levels = psc_seqio::isa::levels("a row body").into_iter();
+        let mut bodies: Vec<Isa> = levels
+            .map(|l| l.min(Isa::Avx512))
+            .filter(|&l| l != Isa::Portable)
+            .collect();
+        bodies.dedup();
         bodies
     }
 
@@ -816,8 +788,8 @@ mod tests {
         let m = blosum62();
         let fresh = &mut ExtendScratch::new();
         let want: [Swept; 2] = [
-            sweep::<false>(m, a, b, cfg, fresh, Body::Scalar),
-            sweep::<true>(m, a, b, cfg, fresh, Body::Scalar),
+            sweep::<false>(m, a, b, cfg, fresh, Isa::Portable),
+            sweep::<true>(m, a, b, cfg, fresh, Isa::Portable),
         ];
         for body in lane_bodies() {
             let got = [
@@ -869,7 +841,7 @@ mod tests {
             let a = noise(g, len_a);
             let b = homolog(g, &a, len_b);
             check(&a, &b, &cfg, &mut dirty);
-            let (_, i, _, _) = sweep::<false>(blosum62(), &a, &b, &cfg, &mut dirty, Body::Scalar);
+            let (_, i, _, _) = sweep::<false>(blosum62(), &a, &b, &cfg, &mut dirty, Isa::Portable);
             reached = reached.max(i);
         });
         assert!(reached > 600, "no extension ran long: {reached}");
@@ -887,14 +859,14 @@ mod tests {
             let b = homolog(g, &a, len_b);
             let m = blosum62();
             let fresh = &mut ExtendScratch::new();
-            let forwards = sweep::<false>(m, &a, &b, &cfg, fresh, Body::Scalar);
+            let forwards = sweep::<false>(m, &a, &b, &cfg, fresh, Isa::Portable);
             let poison = &mut poisoned(b.len() + 1, *g.select(&[i32::MAX, 0, 1000, NEG_INF]));
             assert_eq!(
-                sweep::<false>(m, &a, &b, &cfg, poison, Body::Scalar),
+                sweep::<false>(m, &a, &b, &cfg, poison, Isa::Portable),
                 forwards
             );
             assert_eq!(
-                sweep::<true>(m, &reversed(&a), &reversed(&b), &cfg, poison, Body::Scalar),
+                sweep::<true>(m, &reversed(&a), &reversed(&b), &cfg, poison, Isa::Portable),
                 forwards
             );
         });
@@ -934,9 +906,9 @@ mod tests {
         for (a0, a1) in anchors {
             let got = gapped_extend(m, &s0, &s1, a0, a1, &cfg, scratch);
             let (right, ri, rj, rc) =
-                sweep::<false>(m, &s0[a0..], &s1[a1..], &cfg, scalar, Body::Scalar);
+                sweep::<false>(m, &s0[a0..], &s1[a1..], &cfg, scalar, Isa::Portable);
             let (left, li, lj, lc) =
-                sweep::<true>(m, &s0[..a0], &s1[..a1], &cfg, scalar, Body::Scalar);
+                sweep::<true>(m, &s0[..a0], &s1[..a1], &cfg, scalar, Isa::Portable);
             let want = GappedHit {
                 score: left + right,
                 start0: a0 - li,
@@ -978,7 +950,7 @@ mod tests {
                 (s0, g.range(0..=300usize), at + g.range(0..=300usize))
             })
             .collect();
-        let mut bodies = vec![Body::Scalar];
+        let mut bodies = vec![Isa::Portable];
         bodies.extend(lane_bodies());
         let scratch = &mut ExtendScratch::new();
         let mut scalar = (0i64, 0u64);
@@ -996,7 +968,7 @@ mod tests {
                 }
                 best = best.min(t0.elapsed().as_secs_f64());
             }
-            if body == Body::Scalar {
+            if body == Isa::Portable {
                 scalar = sums;
             }
             assert_eq!(sums, scalar, "{body:?}");
@@ -1030,15 +1002,15 @@ mod tests {
                 xdrop,
                 max_extent: 60,
             };
-            assert_eq!(Body::pick(&cfg, 60), Body::Scalar, "{cfg:?}");
+            assert_eq!(pick_body(&cfg, 60), Isa::Portable, "{cfg:?}");
             let scratch = &mut ExtendScratch::new();
             assert_eq!(
                 xdrop_half::<false>(m, &a, &b, &cfg, scratch),
-                sweep::<false>(m, &a, &b, &cfg, scratch, Body::Scalar)
+                sweep::<false>(m, &a, &b, &cfg, scratch, Isa::Portable)
             );
             assert_eq!(
                 xdrop_half::<true>(m, &a, &b, &cfg, scratch),
-                sweep::<true>(m, &a, &b, &cfg, scratch, Body::Scalar)
+                sweep::<true>(m, &a, &b, &cfg, scratch, Isa::Portable)
             );
         }
     }

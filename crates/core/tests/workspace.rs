@@ -1,11 +1,16 @@
-//! The workspace rules of `rules/` checked over a whole tree: the real
-//! workspace keeps them, and a synthetic one that breaks each of them
-//! is reported line by line.
+//! The workspace rules of `rules/`, and that one module asks the CPU
+//! for its features, checked over a whole tree: the real workspace
+//! keeps them, and a synthetic one that breaks each of them is reported
+//! line by line.
 
 mod rules;
 
 use std::fs;
 use std::path::{Path, PathBuf};
+
+/// The one source under `crates/*/src` that asks the CPU for its
+/// features; every other one reads the level it decides.
+const ISA_MODULE: &str = "crates/seqio/src/isa.rs";
 
 /// One line per broken rule under the workspace root `root`, and the
 /// number of crate manifests read.
@@ -23,11 +28,19 @@ fn violations(root: &Path) -> (Vec<String>, usize) {
     dirs.sort();
     let mut manifests = 0;
     for dir in dirs {
+        let name = dir.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        for path in sources(&dir.join("src")) {
+            let rel = path.strip_prefix(root).expect("under the root");
+            let src = fs::read_to_string(&path).expect("a source reads");
+            if rel != Path::new(ISA_MODULE) && src.contains("is_x86_feature_detected") {
+                let rel = rel.display();
+                found.push(format!("{rel} detects CPU features outside {ISA_MODULE}"));
+            }
+        }
         let Ok(manifest) = fs::read_to_string(dir.join("Cargo.toml")) else {
             continue;
         };
         manifests += 1;
-        let name = dir.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if !rules::manifest_scopes_unsafe(name, &manifest) {
             found.push(format!(
                 "crates/{name}/Cargo.toml neither inherits [workspace.lints] nor is an \
@@ -36,6 +49,20 @@ fn violations(root: &Path) -> (Vec<String>, usize) {
         }
     }
     (found, manifests)
+}
+
+/// Every `.rs` file under `dir`, sorted; none if it is not a directory.
+fn sources(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir).into_iter().flatten() {
+        let path = entry.expect("a directory entry").path();
+        match path.is_dir() {
+            true => out.extend(sources(&path)),
+            false => out.extend(path.extension().is_some_and(|e| e == "rs").then_some(path)),
+        }
+    }
+    out.sort();
+    out
 }
 
 #[test]
@@ -69,6 +96,14 @@ fn synthetic_workspace_reports_expected_diagnostics() {
         "use psc_telemetry::keys::Key;\nfn run() {}\n",
     );
     write("crates/align/Cargo.toml", own_table);
+    write(
+        "crates/align/src/simd/pick.rs",
+        "fn wide() -> bool { std::arch::is_x86_feature_detected!(\"avx2\") }\n",
+    );
+    write(
+        "crates/seqio/src/isa.rs",
+        "fn detected() -> bool { std::arch::is_x86_feature_detected!(\"avx2\") }\n",
+    );
     write("crates/score/Cargo.toml", own_table);
     write(
         "crates/seqio/Cargo.toml",
@@ -85,6 +120,7 @@ fn synthetic_workspace_reports_expected_diagnostics() {
         [
             "crates/core/src/step2.rs names `psc_telemetry`".to_string(),
             "crates/core/src/step2.rs names `keys::`".to_string(),
+            format!("crates/align/src/simd/pick.rs detects CPU features outside {ISA_MODULE}"),
             format!("crates/score/Cargo.toml {table}"),
             format!("crates/seqio/Cargo.toml {table}"),
         ]

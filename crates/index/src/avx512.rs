@@ -162,26 +162,9 @@ mod tests {
     use crate::guard::Guarded;
     use crate::seed::{key_rows, subset_seed_default, ExactSeed, SeedModel, SubsetSeed};
     use crate::{FlatBank, SeedIndex};
+    use psc_seqio::isa::{levels, Isa};
     use psc_seqio::prng::{for_cases, SplitMix64};
     use psc_seqio::translate_six_frames_into;
-
-    /// Whether the CPU runs the 512-bit keying body; a note when not.
-    fn keying() -> bool {
-        let runs = crate::table::Walk::host() != crate::table::Walk::Portable;
-        if !runs {
-            eprintln!("note: this CPU lacks avx512bw; the 512-bit keying is not exercised");
-        }
-        runs
-    }
-
-    /// Whether the CPU runs the 512-bit translation body; a note when not.
-    fn translation() -> bool {
-        let runs = crate::flat::vbmi();
-        if !runs {
-            eprintln!("note: this CPU lacks avx512vbmi; the 512-bit translation is not exercised");
-        }
-        runs
-    }
 
     /// The windows [`keys`] passes on, and the count it returns.
     fn keys_of(residues: &[u8], rows: &[KeyRow], kept: &[u8]) -> (usize, Vec<(u32, u32)>) {
@@ -202,7 +185,7 @@ mod tests {
     /// byte says.
     #[test]
     fn no_key_is_read_past_a_sequence_or_the_kept_table() {
-        if !keying() {
+        if !levels("the 512-bit keying").contains(&Isa::Avx512) {
             return;
         }
         let coarse = || crate::seed::PositionClasses::from_groups("c", "LVIMCAG|STPFYW|EDNQKRH");
@@ -253,7 +236,7 @@ mod tests {
     /// lengths around one and two steps and of thousands.
     #[test]
     fn no_codon_is_read_past_the_genome() {
-        if !translation() {
+        if !levels("the 512-bit translation").contains(&Isa::Avx512Vbmi) {
             return;
         }
         let code = GeneticCode::standard();
@@ -329,7 +312,7 @@ mod tests {
                 black_box(out);
             }),
         );
-        if translation() {
+        if levels("the 512-bit translation").contains(&Isa::Avx512Vbmi) {
             print(
                 "translate, 512-bit",
                 best_and_median(|| {
@@ -356,7 +339,7 @@ mod tests {
             "keyed T1 build, portable",
             best_and_median(build(Walk::Portable)),
         );
-        if keying() {
+        if levels("the 512-bit keying").contains(&Isa::Avx512) {
             print(
                 "keyed T1 build, 512-bit",
                 best_and_median(build(Walk::Avx512)),

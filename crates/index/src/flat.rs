@@ -7,6 +7,7 @@
 //! consumes (clamped at sequence boundaries, padded with `X`).
 
 use psc_seqio::alphabet::Aa;
+use psc_seqio::isa::Isa;
 use psc_seqio::{translate_six_frames_into, Bank, Frame, GeneticCode, Seq};
 
 /// Padding residue for windows that overhang a sequence boundary. `X`
@@ -75,14 +76,14 @@ impl FlatBank {
 
     /// The six frames of `genome` under `code`, in `Frame::ALL` order:
     /// the bank `psc_seqio::translate_six_frames_into` fills, translated
-    /// 42 codons a step where the CPU has AVX-512 VBMI.
+    /// 42 codons a step at [`Isa::Avx512Vbmi`] ([`wide_translation`]).
     pub fn six_frames(genome: &Seq, code: &GeneticCode) -> FlatBank {
         let lens = Frame::ALL.map(|f| f.translated_len(genome.len()));
-        let residues = match vbmi() {
+        let residues = match wide_translation() {
             #[cfg(target_arch = "x86_64")]
             true if genome.kind == psc_seqio::SeqKind::Dna => {
                 let mut residues = vec![0; lens.iter().sum()];
-                // SAFETY: `vbmi` found the flags the body takes.
+                // SAFETY: the host level, at most the CPU's, is the body's.
                 unsafe { crate::avx512::six_frames(&genome.residues, code, &mut residues) };
                 residues
             }
@@ -188,14 +189,9 @@ impl FlatBank {
     }
 }
 
-/// Does the CPU have the AVX-512BW (and so F) and VBMI the 512-bit
-/// translation takes?
-pub(crate) fn vbmi() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return std::arch::is_x86_feature_detected!("avx512bw")
-        && std::arch::is_x86_feature_detected!("avx512vbmi");
-    #[cfg(not(target_arch = "x86_64"))]
-    false
+/// Whether [`FlatBank::six_frames`] takes the 512-bit translation.
+fn wide_translation() -> bool {
+    cfg!(target_arch = "x86_64") && Isa::host() >= Isa::Avx512Vbmi
 }
 
 /// Bytes an interior window is copied in: whole blocks are fixed-size
@@ -574,16 +570,13 @@ mod tests {
     /// Three routes to the six frames' flat bank: in place, the frames
     /// appended to one buffer that becomes the bank; frame by frame
     /// through a `Bank`; and [`FlatBank::six_frames`], 42 codons a step
-    /// where the CPU has AVX-512 VBMI. Lengths around one and two steps
-    /// and past thousands; codes past `N` read as `N`.
+    /// at the host's level. Lengths around one and two steps and past
+    /// thousands; codes past `N` read as `N`.
     #[test]
     fn six_frames_flattened_in_place_equal_the_bank_route() {
         use psc_seqio::prng::for_cases;
         use psc_seqio::{translate_six_frames, translate_six_frames_into};
         use psc_seqio::{Frame, GeneticCode, SeqKind};
-        if !vbmi() {
-            eprintln!("note: this CPU lacks avx512vbmi; the 512-bit translation is not exercised");
-        }
         let code = GeneticCode::standard();
         let lens = (0..=40).chain(125..=130).chain(251..=257);
         for len in lens.chain([2_999, 3_000, 4_097, 8_001]) {
@@ -606,6 +599,29 @@ mod tests {
                     assert_eq!(in_place.seq(i), translated.frame(frame).residues);
                 }
             });
+        }
+    }
+
+    /// Under a cap at each level this CPU has, the keying walk and the
+    /// six-frame route are that level's. The only test here that caps.
+    #[test]
+    fn each_level_picks_its_own_bodies() {
+        use crate::table::Walk;
+        use psc_seqio::isa::{self, Isa};
+        for level in isa::levels("a level's picks") {
+            let _cap = isa::cap(level);
+            let x86 = cfg!(target_arch = "x86_64");
+            let wide_keys = x86 && level >= Isa::Avx512;
+            assert_eq!(
+                Walk::at(Isa::host()) != Walk::Portable,
+                wide_keys,
+                "{level:?}"
+            );
+            assert_eq!(
+                wide_translation(),
+                x86 && level == Isa::Avx512Vbmi,
+                "{level:?}"
+            );
         }
     }
 

@@ -21,6 +21,8 @@
 use std::ops::Range;
 use std::{slice, thread};
 
+use psc_seqio::isa::Isa;
+
 use crate::flat::FlatBank;
 use crate::seed::{key_rows, KeyRow, SeedModel, NO_KEY};
 
@@ -58,7 +60,7 @@ impl SeedIndex {
         threads: usize,
         keep: Option<&SeedIndex>,
     ) -> SeedIndex {
-        SeedIndex::build_with(flat, model, threads, keep, Walk::host())
+        SeedIndex::build_with(flat, model, threads, keep, Walk::at(Isa::host()))
     }
 
     /// [`SeedIndex::build`] through the keying body `walk`: both passes
@@ -205,7 +207,7 @@ impl<'a> KeyCounts<'a> {
         threads: usize,
         keep: Option<&SeedIndex>,
     ) -> KeyCounts<'a> {
-        KeyCounts::count_with(flat, model, parts, threads, keep, Walk::host())
+        KeyCounts::count_with(flat, model, parts, threads, keep, Walk::at(Isa::host()))
     }
 
     /// [`KeyCounts::count`] through the keying body `walk`.
@@ -408,13 +410,13 @@ pub(crate) enum Walk {
 }
 
 impl Walk {
-    /// The 512-bit body where the CPU has AVX-512BW (and so F).
-    pub(crate) fn host() -> Walk {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx512bw") {
-            return Walk::Avx512;
+    /// The 512-bit body from [`Isa::Avx512`].
+    pub(crate) fn at(level: Isa) -> Walk {
+        match level {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 | Isa::Avx512Vbmi => Walk::Avx512,
+            _ => Walk::Portable,
         }
-        Walk::Portable
     }
 
     /// Call `f(position, key)` in position order for the windows of
@@ -431,9 +433,9 @@ impl Walk {
     ) -> usize {
         let (r, seqs) = (flat.residues(), (s0..s1).map(|seq| flat.bounds_of(seq)));
         match (self, rows.len()) {
-            // SAFETY: `host` picks this body only where the CPU has
-            // AVX-512BW; `kept` holds a byte per key and 3 of padding,
-            // and `seqs` are the bank's own sequences.
+            // SAFETY: `at` names this body from `Avx512`, at most the CPU's
+            // level; `kept` holds a byte per key and 3 of padding, and
+            // `seqs` are the bank's own sequences.
             #[cfg(target_arch = "x86_64")]
             (Walk::Avx512, _) => unsafe { crate::avx512::keys(r, seqs, rows, kept, f) },
             (_, 1) => for_each_key::<1>(r, seqs, rows, f),
@@ -560,13 +562,11 @@ mod tests {
         }
     }
 
-    /// The bodies [`SeedIndex::build`] can take on this host: the
-    /// portable one, and the 512-bit one where the CPU has it.
+    /// The bodies [`SeedIndex::build`] takes at each level this CPU
+    /// has, once each.
     fn walks() -> Vec<Walk> {
-        if Walk::host() == Walk::Portable {
-            eprintln!("note: this CPU lacks avx512bw; the 512-bit keying body is not exercised");
-        }
-        let mut walks = vec![Walk::Portable, Walk::host()];
+        let levels = psc_seqio::isa::levels("a keying body").into_iter();
+        let mut walks: Vec<Walk> = levels.map(Walk::at).collect();
         walks.dedup();
         walks
     }

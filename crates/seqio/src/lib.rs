@@ -10,8 +10,8 @@
 //! works on the compact `u8` residue codes defined by [`alphabet`]; ASCII
 //! only appears at the I/O boundary.
 //!
-//! As the crate every other one depends on, it also carries [`prng`]:
-//! the workspace's one seeded random source and property-case runner.
+//! As the crate every other one depends on, it also carries [`prng`],
+//! the one seeded random source, and [`isa`], the one ISA level.
 
 pub mod alphabet;
 pub mod bank;
@@ -19,6 +19,7 @@ pub mod codon;
 pub mod complexity;
 pub mod error;
 pub mod fasta;
+pub mod isa;
 pub mod prng;
 pub mod seq;
 pub mod translate;

@@ -14,7 +14,8 @@
 //! step-3 and index threads, recorder, tracer, repetition) may change
 //! nothing at all: the whole wall-stripped report and the whole
 //! virtual-clock trace of the same point without them must come back.
-//! [`Neutral`] ones may change only what
+//! [`Neutral`] ones (the ISA level among them: `Auto` resolves per
+//! level) may change only what
 //! `psc_telemetry::keys::CONFIG_DEPENDENT` registers: matches (E-value
 //! by bits), HSPs, `PipelineStats`, the report stripped of those keys
 //! and the host lanes of the virtual trace must equal the oracle's.
@@ -31,7 +32,7 @@
 //! including this file as a module.
 #![allow(dead_code)] // each including binary uses its own part
 
-use std::sync::OnceLock;
+use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 use psc_align::Hsp;
 use psc_core::{
@@ -41,6 +42,7 @@ use psc_core::{
 };
 use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig};
 use psc_score::blosum62;
+use psc_seqio::isa::{self, Isa};
 use psc_seqio::prng::{mix, SplitMix64};
 use psc_seqio::{Bank, MaskConfig, Seq};
 
@@ -132,6 +134,8 @@ pub struct Neutral {
     pub schedule: Step2Schedule,
     /// Query an engine loaded from the bundle of a fresh one.
     pub bundle: bool,
+    /// The level every picker runs at: below [`Isa::detected`], a cap.
+    pub isa: Isa,
 }
 
 /// Observational configuration: may change nothing.
@@ -159,6 +163,7 @@ pub const ORACLE: Point = Point {
         kernel: KernelChoice::Scalar,
         schedule: Step2Schedule::Bucketed,
         bundle: false,
+        isa: Isa::Avx512Vbmi,
     },
     obs: Observed {
         host_threads: 1,
@@ -179,6 +184,9 @@ const BOARD: Backend = Backend::Board(64, 2);
 pub type Axis = (&'static str, bool, &'static [fn(&mut Point)]);
 
 /// One line per axis value.
+///
+/// An ISA level runs `Auto`, what a host of that level runs; a level
+/// at or above the CPU's is the oracle's own and is left out ([`here`]).
 pub const AXES: &[Axis] = &[
     (
         "step-2 backend",
@@ -192,6 +200,15 @@ pub const AXES: &[Axis] = &[
             |p| p.cfg.backend = Backend::Board(128, 1),
             |p| p.cfg.backend = Backend::Board(192, 1),
             |p| p.cfg.backend = Backend::Board(192, 2),
+        ],
+    ),
+    (
+        "ISA level",
+        false,
+        &[
+            |p| (p.cfg.isa, p.cfg.kernel) = (Isa::Portable, KernelChoice::Auto),
+            |p| (p.cfg.isa, p.cfg.kernel) = (Isa::Avx2, KernelChoice::Auto),
+            |p| (p.cfg.isa, p.cfg.kernel) = (Isa::Avx512, KernelChoice::Auto),
         ],
     ),
     (
@@ -238,6 +255,17 @@ pub const AXES: &[Axis] = &[
     ("repetition", false, &[|p| p.obs.repeat = true]),
 ];
 
+/// The values of an axis that this host runs: each that sets no ISA
+/// level, or one below the CPU's.
+fn here(values: &[fn(&mut Point)]) -> Vec<fn(&mut Point)> {
+    let runs = |set: &&fn(&mut Point)| {
+        let mut p = ORACLE;
+        set(&mut p);
+        p.cfg.isa == ORACLE.cfg.isa || p.cfg.isa < Isa::detected()
+    };
+    values.iter().filter(runs).copied().collect()
+}
+
 /// Points of the full product sampled per workload.
 const SAMPLED: usize = 14;
 
@@ -246,7 +274,7 @@ const SAMPLED: usize = 14;
 pub fn points(w: usize) -> Vec<(String, Point)> {
     let mut out = Vec::new();
     for (name, on_board, values) in AXES {
-        for (i, set) in values.iter().enumerate() {
+        for (i, set) in here(values).iter().enumerate() {
             let mut p = ORACLE;
             if *on_board {
                 p.cfg.backend = BOARD;
@@ -258,6 +286,7 @@ pub fn points(w: usize) -> Vec<(String, Point)> {
     for s in 0..SAMPLED {
         let mut p = ORACLE;
         for (name, on_board, values) in AXES {
+            let values = here(values);
             let drawn = axis_draw(w, s, name).range(0..=values.len()).checked_sub(1);
             let applies = !on_board || matches!(p.cfg.backend, Backend::Board(..));
             if let Some(set) = drawn.filter(|_| applies) {
@@ -377,8 +406,9 @@ fn loaded(w: usize) -> &'static Loaded {
 }
 
 /// One untraced query on a fresh engine over `genome`: a one-shot
-/// `psc search`.
+/// `psc search`, at the CPU's level.
 pub fn search(proteins: &Bank, genome: &Seq, cfg: PipelineConfig) -> GenomeSearchResult {
+    let _uncapped = shared();
     let engine = SearchEngine::for_genome(genome, blosum62(), cfg, &NullRecorder);
     let answer = engine.query_traced(proteins, &NullRecorder, &NullTracer);
     answer.expect("a valid configuration")
@@ -467,14 +497,33 @@ fn same_run(label: &str, want: &Run, got: &Run, whole: bool) {
     }
 }
 
+/// Held by every run at the CPU's level, and alone by a capped one:
+/// the sweeps run side by side, and a cap is process-wide.
+static CAP: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    CAP.read().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Run `p` on workload `w` and hold it to the oracle — and, if it sets
 /// anything observational, to the same point without that.
 pub fn check(w: usize, label: &str, p: &Point) -> Run {
+    // The oracle runs at the CPU's level.
     let Loaded {
         proteins,
         genome,
         oracle,
-    } = loaded(w);
+    } = {
+        let _uncapped = shared();
+        loaded(w)
+    };
+    let capped = p.cfg.isa < Isa::detected();
+    let _shared = (!capped).then(shared);
+    // The cap drops before the lock, so the next run is at the CPU's level.
+    let _alone = capped.then(|| {
+        let alone = CAP.write().unwrap_or_else(PoisonError::into_inner);
+        (isa::cap(p.cfg.isa), alone)
+    });
     let label = format!("{} / {label} {p:?}", WORKLOADS[w].name);
     let got = run(&WORKLOADS[w], proteins, genome, p);
     let unobserved = Point {

@@ -13,10 +13,15 @@ macro_rules! sweeps {
             check_where(|w, _| w.name == $workload);
         })*
 
-        /// The sweeps are the whole table, and the table is not small.
+        /// The sweeps are the whole table, the table is not small, and
+        /// its ISA axis holds each level below the CPU's.
         #[test]
         fn every_workload_is_swept() {
             assert!(WORKLOADS.iter().map(|w| w.name).eq([$($workload),*]));
+            let isa = points(0).into_iter().filter(|(label, _)| label.starts_with("ISA level"));
+            let mut below = psc_seqio::isa::levels("an ISA point");
+            below.pop(); // the CPU's own: the oracle's
+            assert!(isa.map(|(_, p)| p.cfg.isa).eq(below));
             let total: usize = (0..WORKLOADS.len()).map(|w| points(w).len()).sum();
             assert!(total >= 200, "{total} points");
             println!("{total} lattice points over {} workloads", WORKLOADS.len());
