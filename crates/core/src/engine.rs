@@ -696,6 +696,25 @@ mod tests {
         output.unwrap()
     }
 
+    /// A run's lane counters, when a lane kernel resolved: one useful
+    /// lane slot a pair scored, and per-bucket slots that add up to the
+    /// two totals, however the rectangles fell into chunks.
+    fn lanes_add_up(snap: &psc_telemetry::Snapshot, what: &str) {
+        let kernel = snap.meta["step2.kernel"].as_str();
+        if kernel == "scalar" || kernel == "profile" {
+            return;
+        }
+        let counter = |key: &str| snap.counters[key];
+        let (useful, pairs) = (counter("step2.lane_slots_useful"), counter("step2.pairs"));
+        assert_eq!(useful, pairs, "{what}");
+        for kind in ["useful", "total"] {
+            let key = format!("step2.lane_slots_{kind}");
+            let buckets = snap.counters.range(format!("{key}.")..format!("{key}/"));
+            let sum: u64 = buckets.map(|(_, v)| v).sum();
+            assert_eq!(sum, counter(&key), "{what}");
+        }
+    }
+
     /// A fresh engine's genome side in chunks of frames answers as the
     /// whole keyed T1 does: matches, HSPs, `PipelineStats`, the
     /// wall-stripped report and the virtual trace — every frame a chunk
@@ -778,7 +797,9 @@ mod tests {
                         }
                         true => (whole_t1_query(engine, proteins, &rec, &ring), None),
                     };
-                    let report = crate::build_run_report(&output.0, &config, &rec.snapshot());
+                    let snap = rec.snapshot();
+                    lanes_add_up(&snap, &format!("threads {threads}, group {}", engine.group));
+                    let report = crate::build_run_report(&output.0, &config, &snap);
                     let trace = ring.finish(&[]).to_chrome_string();
                     (output, strip(report), trace)
                 };

@@ -18,7 +18,7 @@ use psc_telemetry::{keys, Recorder, SpanGuard, TraceClock, Tracer, UnitEvent, Un
 
 use crate::config::{PipelineConfig, Step2Backend};
 use crate::profile::StepProfile;
-use crate::step2::{self, Candidate, ItemTiming, Step2Params, Step2Stats};
+use crate::step2::{self, Candidate, ItemTiming, LaneTally, Step2Params, Step2Stats, TimedRun};
 
 /// Instrumentation of a pipeline run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -225,8 +225,11 @@ impl Pipeline {
         };
         rec.add(keys::STEP1_POSITIONS_INDEXED_BANK1, seeded1 as u64);
         rec.add(keys::STEP1_POSITIONS_HELD_BANK1, held1 as u64);
-        // Step 2 walks each key once a chunk.
-        rec.add(keys::STEP1_CHUNKS_BANK1, t1.walked(0).len() as u64);
+        let chunks = match t1 {
+            T1::Whole(_) => 1,
+            T1::Chunks(_, chunks) => chunks.len(),
+        };
+        rec.add(keys::STEP1_CHUNKS_BANK1, chunks as u64);
 
         // ---- Step 2: ungapped extension ----------------------------
         #[expect(
@@ -249,7 +252,7 @@ impl Pipeline {
         if tracer.enabled() && tracer.clock() == TraceClock::Virtual {
             commit_virtual_step2(tracer, step2::key_masses(idx0, |k| t1.list_len(k)));
         }
-        let (mut s2stats, board, scatter) = run_step2(
+        let (mut s2stats, lanes, board, scatter) = run_step2(
             cfg, &params, flat0, idx0, flat1, t1, &mut dedup, tracer, &t1_clock,
         )?;
         if let Some(b) = board.as_ref().filter(|_| tracer.enabled()) {
@@ -277,9 +280,9 @@ impl Pipeline {
         };
 
         // Step-2 telemetry, all computed off the hot loop: counters from
-        // the stats the run produced anyway, and an O(key-count) pass
-        // over the indexes for the per-key pair distribution and the
-        // SIMD tile count — never taken with a disabled recorder.
+        // the stats and lane tally the run produced anyway, and an
+        // O(key-count) pass over the indexes for the per-key pair
+        // distribution — never taken with a disabled recorder.
         rec.add(keys::STEP2_PAIRS, s2stats.pairs);
         rec.add(keys::STEP2_CANDIDATES_KEPT, s2stats.candidates);
         rec.add(
@@ -305,9 +308,7 @@ impl Pipeline {
             }
             rec.set_meta(keys::WINDOW_LEN, &cfg.window_len().to_string());
             rec.set_meta(keys::THRESHOLD, &cfg.threshold.to_string());
-            let mut lane_tiles = 0u64;
             let mut gather_bytes = 0u64;
-            let (mut slots_useful, mut slots_total) = (0u64, 0u64);
             for key in 0..idx0.key_count() as u32 {
                 let (n0, n1) = (idx0.list(key).len(), t1.list_len(key));
                 if n0 == 0 || n1 == 0 {
@@ -315,32 +316,24 @@ impl Pipeline {
                 }
                 rec.observe(keys::STEP2_PAIRS_PER_KEY, n0 as u64 * n1 as u64);
                 gather_bytes += (n0 + n1) as u64 * params.window_len() as u64;
-                let Some(kb) = step2_kernel else { continue };
-                // The rectangles step 2 walked: one a chunk.
-                for n1 in t1.walked(key).into_iter().filter(|&n1| n1 > 0) {
-                    let (mass, l) = (n0 as u64 * n1 as u64, params.window_len());
-                    lane_tiles += step2::rectangle_tile_count(n0, n1, l, kb, params.schedule);
-                    let (useful, total) = step2::rectangle_lane_slots(n0, n1, kb, params.schedule);
-                    if kb.lane_width() > 1 {
-                        // Percent of vector slots doing useful work for
-                        // this rectangle, and the same accounting split
-                        // by log2 pair-mass bucket — the heavy-tail keys
-                        // the bucketed schedule exists to balance are the
-                        // high buckets.
-                        rec.observe(keys::STEP2_LANE_FILL, useful * 100 / total);
-                        slots_useful += useful;
-                        slots_total += total;
-                        let b = step2::bucket_of_mass(mass);
-                        rec.add(&keys::step2_lane_slots_useful_bucket(b), useful);
-                        rec.add(&keys::step2_lane_slots_total_bucket(b), total);
-                    }
-                }
             }
             rec.add(keys::STEP2_GATHER_BYTES, gather_bytes);
             if step2_kernel.is_some_and(|k| k.lane_width() > 1) {
-                rec.add(keys::STEP2_SIMD_TILES, lane_tiles);
-                rec.add(keys::STEP2_LANE_SLOTS_USEFUL, slots_useful);
-                rec.add(keys::STEP2_LANE_SLOTS_TOTAL, slots_total);
+                // Tiles and lane slots, the slots again by log2 pair-mass
+                // bucket — the heavy-tail keys the bucketed schedule
+                // exists to balance are the high buckets — and each
+                // rectangle's percent of slots doing useful work.
+                rec.add(keys::STEP2_SIMD_TILES, lanes.tiles);
+                rec.add(keys::STEP2_LANE_SLOTS_USEFUL, lanes.useful.iter().sum());
+                rec.add(keys::STEP2_LANE_SLOTS_TOTAL, lanes.total.iter().sum());
+                let buckets = (0u32..).zip(lanes.useful.into_iter().zip(lanes.total));
+                for (b, (useful, total)) in buckets.filter(|&(_, (_, total))| total > 0) {
+                    rec.add(&keys::step2_lane_slots_useful_bucket(b), useful);
+                    rec.add(&keys::step2_lane_slots_total_bucket(b), total);
+                }
+                for (percent, n) in (0u64..).zip(lanes.fill).filter(|&(_, n)| n > 0) {
+                    rec.observe_n(keys::STEP2_LANE_FILL, percent, n);
+                }
             }
         }
 
@@ -594,14 +587,6 @@ impl T1<'_> {
         match self {
             T1::Whole(idx) => idx.list(key).len(),
             T1::Chunks(counts, _) => counts.list_len(0..counts.parts(), key),
-        }
-    }
-
-    /// `|IL1_key|` in each chunk step 2 walks.
-    fn walked(&self, key: u32) -> Vec<usize> {
-        match self {
-            T1::Whole(idx) => vec![idx.list(key).len()],
-            T1::Chunks(n, chunks) => chunks.iter().map(|c| n.list_len(c.clone(), key)).collect(),
         }
     }
 }
@@ -1000,9 +985,10 @@ fn commit_board_timeline(tracer: &dyn Tracer, report: &BoardReport) {
 
 /// What [`run_step2`] hands back besides the candidates it pushed into
 /// the dedup: counters (`candidates` left for the caller to fill from
-/// [`AnchorDedup::pushed`]), on the simulated board its report, and
-/// step 1's share of its wall: chunk scatters.
-type Step2Output = (Step2Stats, Option<BoardReport>, f64);
+/// [`AnchorDedup::pushed`]), what the lane kernels walked, on the
+/// simulated board its report, and step 1's share of its wall: chunk
+/// scatters.
+type Step2Output = (Step2Stats, LaneTally, Option<BoardReport>, f64);
 
 /// Step 2 on the configured backend, feeding `dedup` directly: the
 /// board pushes each entry's candidates from the draining thread as the
@@ -1048,7 +1034,7 @@ fn run_step2(
                 &board,
                 *host_threads,
             );
-            return Ok((stats, Some(report), 0.0));
+            return Ok((stats, LaneTally::default(), Some(report), 0.0));
         }
     };
     // Units are timed, and their timings become trace spans, only under
@@ -1057,11 +1043,12 @@ fn run_step2(
     let banks = (flat0, idx0, flat1);
     let runs = run_chunks(cfg, params, banks, t1, threads, (clock, trace_wall));
     let base = tracer.epoch_seconds() - clock.elapsed().as_secs_f64();
-    let (mut stats, mut scatter, mut units) = (Step2Stats::default(), 0.0, 0);
-    for ((candidates, st, mut times), seconds) in runs {
+    let (mut stats, mut lanes): (Step2Stats, LaneTally) = Default::default();
+    let (mut scatter, mut units) = (0.0, 0);
+    for ((candidates, st, mut times, tally), seconds) in runs {
         candidates.iter().for_each(|c| dedup.push(c));
-        stats.pairs += st.pairs;
-        stats.active_keys += st.active_keys;
+        stats += st;
+        lanes += tally;
         scatter += seconds;
         times.iter_mut().for_each(|t| t.item += units);
         units += times.len();
@@ -1071,12 +1058,12 @@ fn run_step2(
         // A key active in several chunks is one active key.
         stats.active_keys = active_keys(idx0, |k| t1.list_len(k)) as u64;
     }
-    Ok((stats, None, scatter))
+    Ok((stats, lanes, None, scatter))
 }
 
-/// One software step-2 run — candidates, stats and unit timings — and
-/// the seconds of step 1 it took (a chunk's scatter).
-type Step2Run = ((Vec<Candidate>, Step2Stats, Vec<ItemTiming>), f64);
+/// One software step-2 run — candidates, stats, unit timings and lane
+/// tally — and the seconds of step 1 it took (a chunk's scatter).
+type Step2Run = (TimedRun, f64);
 
 /// Software step 2 over `t1`, one run a chunk (a whole T1 is one
 /// chunk); scatters are timed on `clock`, step 2's, and so are its units
@@ -1338,17 +1325,53 @@ mod tests {
                 });
             }
         }
-        // Lane-occupancy diagnostics ride along whenever a lane kernel
-        // resolved (Auto resolves to one on SIMD hosts).
+        // What the lane kernels walked on these banks, at one worker and
+        // four: tiles, useful and total lane slots, each by log2
+        // pair-mass bucket too, and `step2.lane_fill`'s count, sum, min
+        // and max.
+        use psc_align::KernelChoice::{Simd, Wide};
+        use Step2Schedule::{Bucketed, Contiguous};
+        const USEFUL: &str = "useful=20524 b07=2652 b09=2380 b10=12332 b11=3160";
+        const TOTAL: [&str; 4] = [
+            "total=30784 b07=8544 b09=3840 b10=13280 b11=5120 fill=[49, 2612, 28, 93]",
+            "total=30624 b07=8544 b09=3808 b10=13216 b11=5056 fill=[49, 2623, 28, 93]",
+            "total=56448 b07=17088 b09=7680 b10=26560 b11=5120 fill=[49, 1349, 14, 62]",
+            "total=56192 b07=17088 b09=7616 b10=26432 b11=5056 fill=[49, 1355, 14, 62]",
+        ];
+        let runs = [
+            (Simd, Contiguous),
+            (Simd, Bucketed),
+            (Wide, Contiguous),
+            (Wide, Bucketed),
+        ];
+        let runs = runs.into_iter().zip(TOTAL);
         let (b0, b1) = overlapping_banks();
-        let rec = psc_telemetry::MemRecorder::new();
-        compare_banks(small_config(), &b0, &b1, &rec);
-        let snap = rec.snapshot();
-        let kernel = snap.meta.get("step2.kernel");
-        if kernel.is_some_and(|k| k != "scalar" && k != "profile") {
-            let fill = snap.histograms.get("step2.lane_fill");
-            assert!(fill.is_some_and(|h| h.count > 0), "no step2.lane_fill");
-            assert!(snap.counters.get("step2.lane_slots_total").copied() > Some(0));
+        for (((kernel, schedule), want), threads) in runs.flat_map(|r| [(r, 1), (r, 4)]) {
+            let rec = psc_telemetry::MemRecorder::new();
+            let cfg = PipelineConfig {
+                step2_kernel: kernel,
+                step2_schedule: schedule,
+                backend: Step2Backend::SoftwareParallel { threads },
+                ..small_config()
+            };
+            compare_banks(cfg, &b0, &b1, &rec);
+            let snap = rec.snapshot();
+            let tag = format!("{kernel:?} {schedule:?} threads={threads}");
+            let name = format!("{kernel:?}").to_lowercase();
+            assert_eq!(snap.meta["step2.kernel"], name, "{tag}");
+            assert_eq!(snap.counters["step2.simd_tiles"], 51, "{tag}");
+            let slots = |kind: &str| {
+                let key = format!("step2.lane_slots_{kind}");
+                let buckets = snap.counters.range(format!("{key}.")..format!("{key}/"));
+                let buckets: String = buckets
+                    .map(|(k, v)| format!(" {}={v}", &k[k.len() - 3..]))
+                    .collect();
+                format!("{kind}={}{buckets}", snap.counters[&key])
+            };
+            assert_eq!(slots("useful"), USEFUL, "{tag}");
+            let h = &snap.histograms["step2.lane_fill"];
+            let fill = [h.count, h.sum, h.min, h.max];
+            assert_eq!(format!("{} fill={fill:?}", slots("total")), want, "{tag}");
         }
     }
 

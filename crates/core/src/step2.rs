@@ -82,6 +82,54 @@ pub struct Step2Stats {
     pub active_keys: u64,
 }
 
+impl std::ops::AddAssign for Step2Stats {
+    fn add_assign(&mut self, other: Step2Stats) {
+        self.pairs += other.pairs;
+        self.candidates += other.candidates;
+        self.active_keys += other.active_keys;
+    }
+}
+
+/// What the lane kernels walked, counted as they walk it, a rectangle
+/// (one key's `IL0 × IL1`) at a time: the cache tiles; by the log2
+/// pair-mass bucket of each rectangle ([`bucket_of_mass`]), the lane
+/// slots holding a pair and those consumed in whole lane blocks; and
+/// `fill[p]`, the rectangles whose useful slots are `p` % of their
+/// total, rounded down. A worker keeps one and the run adds them up
+/// after the join; all zero under the scalar-width backends.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LaneTally {
+    pub tiles: u64,
+    pub useful: [u64; 65],
+    pub total: [u64; 65],
+    pub fill: [u64; 101],
+}
+
+impl Default for LaneTally {
+    fn default() -> LaneTally {
+        LaneTally {
+            tiles: 0,
+            useful: [0; 65],
+            total: [0; 65],
+            fill: [0; 101],
+        }
+    }
+}
+
+impl std::ops::AddAssign for LaneTally {
+    fn add_assign(&mut self, other: LaneTally) {
+        self.tiles += other.tiles;
+        let sums = [
+            (&mut self.useful[..], &other.useful[..]),
+            (&mut self.total[..], &other.total[..]),
+            (&mut self.fill[..], &other.fill[..]),
+        ];
+        for (a, b) in sums.into_iter().flat_map(|(a, b)| a.iter_mut().zip(b)) {
+            *a += b;
+        }
+    }
+}
+
 /// Wall timing of one step-2 work unit — a bucketed [`WorkItem`], a
 /// contiguous chunk, or the whole key range of a one-thread run —
 /// collected by [`run_software_timed`] for the flight recorder. Kernel
@@ -215,71 +263,24 @@ const TILE_I: usize = 32;
 /// stays cache-resident while every window of the i-tile scans it.
 const TILE_J_BYTES: usize = 32 << 10;
 
-/// j-tile width (in windows) for a given window length and lane-block
-/// width — the one formula both the hot loop and the analytic tile
-/// count derive from. Always a whole number of lane blocks.
-fn tile_j_for(window_len: usize, lane_width: usize) -> usize {
-    (TILE_J_BYTES / window_len.max(1)).clamp(lane_width, 1 << 14) / lane_width * lane_width
-}
-
-/// j-tile width of the `simd` lane path.
-#[cfg(test)]
-fn simd_tile_j(window_len: usize) -> usize {
-    tile_j_for(window_len, KernelBackend::Simd.lane_width())
-}
-
-/// The exact `(i, j)` tile sequence [`lanes_rectangle`] walks for one
-/// key's `n0 × n1` pair rectangle — i-tiles outer, j-tiles inner. The
-/// hot loop iterates this directly, and tests pin [`tile_count`]'s
-/// closed form to `tile_walk(..).count()`, so the telemetry number
-/// cannot drift from the real walk.
-#[doc(hidden)]
-pub fn tile_walk(
+/// The `(i, j)` tile sequence [`lanes_rectangle`] walks for one key's
+/// `n0 × n1` pair rectangle — i-tiles outer, j-tiles inner, each j-tile
+/// a whole number of lane blocks, so the walk's tiles and lane slots
+/// are what the kernel counts into its [`LaneTally`].
+fn tile_walk(
     n0: usize,
     n1: usize,
     window_len: usize,
     lane_width: usize,
 ) -> impl Iterator<Item = (std::ops::Range<usize>, std::ops::Range<usize>)> {
-    let tile_j = tile_j_for(window_len, lane_width);
+    let tile_j =
+        (TILE_J_BYTES / window_len.max(1)).clamp(lane_width, 1 << 14) / lane_width * lane_width;
     (0..n0).step_by(TILE_I).flat_map(move |i0| {
         let i_end = (i0 + TILE_I).min(n0);
         (0..n1)
             .step_by(tile_j)
             .map(move |j0| (i0..i_end, j0..(j0 + tile_j).min(n1)))
     })
-}
-
-/// Number of cache tiles a lane path of `lane_width` walks for one
-/// key's `n0 × n1` pair rectangle — the telemetry counterpart of
-/// [`tile_walk`], computed analytically so instrumentation never
-/// touches the hot loop.
-pub fn tile_count(n0: usize, n1: usize, window_len: usize, lane_width: usize) -> u64 {
-    if n0 == 0 || n1 == 0 {
-        return 0;
-    }
-    n0.div_ceil(TILE_I) as u64 * n1.div_ceil(tile_j_for(window_len, lane_width)) as u64
-}
-
-/// Cache tiles the resolved lane kernel walks for one key's `n0 × n1`
-/// rectangle under `schedule` — 0 for scalar-width backends. Consults
-/// the same orientation the hot loop does, so the telemetry count
-/// cannot drift from the real walk.
-pub fn rectangle_tile_count(
-    n0: usize,
-    n1: usize,
-    window_len: usize,
-    backend: KernelBackend,
-    schedule: Step2Schedule,
-) -> u64 {
-    let width = backend.lane_width();
-    if width == 1 {
-        return 0;
-    }
-    if lane_orientation(n0, n1, schedule) {
-        tile_count(n1, n0, window_len, width)
-    } else {
-        tile_count(n0, n1, window_len, width)
-    }
 }
 
 /// Log2 mass bucket of a pair mass, using the same convention as the
@@ -378,41 +379,8 @@ fn lpt_order(items: &[WorkItem]) -> Vec<usize> {
 /// Whether a lane path transposes one `n0 × n1` rectangle under
 /// `schedule`: the lane axis stays on `IL1` (`false`, always under
 /// `contiguous`) or moves onto the larger `IL0` (`true`).
-///
-/// This is the single orientation decision both the hot loop and the
-/// analytic lane-occupancy accounting consult, so the recorded
-/// `step2.lane_fill` numbers cannot drift from the real walk.
-pub fn lane_orientation(n0: usize, n1: usize, schedule: Step2Schedule) -> bool {
+fn lane_orientation(n0: usize, n1: usize, schedule: Step2Schedule) -> bool {
     schedule == Step2Schedule::Bucketed && n1 < n0
-}
-
-/// Lane-slot accounting for one key's `n0 × n1` rectangle: `(useful,
-/// total)` lane slots the resolved backend consumes under `schedule`.
-///
-/// Pure arithmetic mirroring [`lane_orientation`] — the pipeline
-/// derives the `step2.lane_fill` histogram and per-bucket occupancy
-/// counters from this after the run, never inside the kernel loop.
-pub fn rectangle_lane_slots(
-    n0: usize,
-    n1: usize,
-    backend: KernelBackend,
-    schedule: Step2Schedule,
-) -> (u64, u64) {
-    let useful = n0 as u64 * n1 as u64;
-    if useful == 0 {
-        return (0, 0);
-    }
-    let width = backend.lane_width();
-    if width == 1 {
-        return (useful, useful);
-    }
-    let (rows, cols) = if lane_orientation(n0, n1, schedule) {
-        (n1, n0)
-    } else {
-        (n0, n1)
-    };
-    let total = rows as u64 * cols.div_ceil(width) as u64 * width as u64;
-    (useful, total)
 }
 
 /// The transposed substitution lookup used when a rectangle runs in
@@ -432,7 +400,7 @@ fn transposed_matrix(m: &SubstitutionMatrix) -> SubstitutionMatrix {
 }
 
 /// Reusable scratch buffers for one worker's key range, so the per-key
-/// loop allocates nothing in steady state.
+/// loop allocates nothing in steady state, and the worker's lane tally.
 #[derive(Default)]
 struct KeyScratch {
     /// Row-major `IL0` / `IL1` windows — on the lane path only the
@@ -448,6 +416,8 @@ struct KeyScratch {
     profile: ScoreProfile,
     /// `(i, j, score)` hits of the current key, tile order.
     hits: Vec<(u32, u32, i32)>,
+    /// What this worker's lane rectangles walked.
+    tally: LaneTally,
 }
 
 /// The run's two lane filters: `[0]` scans `IL0` windows over `IL1`
@@ -597,6 +567,7 @@ fn profile_rectangle(
 /// fill from the larger list while every recurrence step adds the same
 /// substitution score — hits are recorded in `(i0, i1)` coordinates
 /// either way and sorted back to the scalar loop's lexicographic order.
+/// The rectangle's tiles and lane slots go into `scratch.tally`.
 fn lanes_rectangle(
     params: &Step2Params<'_>,
     filter: &LaneFilter,
@@ -613,6 +584,7 @@ fn lanes_rectangle(
         lanes,
         lane_window,
         hits,
+        tally,
         ..
     } = scratch;
     let (rows, nr, nl) = if transposed {
@@ -623,7 +595,11 @@ fn lanes_rectangle(
     debug_assert_eq!((lanes.count(), lanes.len()), (nl, l));
     hits.clear();
 
-    for (ti, tj) in tile_walk(nr, nl, l, filter.block_width()) {
+    let width = filter.block_width();
+    let (mut tiles, mut slots) = (0, 0);
+    for (ti, tj) in tile_walk(nr, nl, l, width) {
+        tiles += 1;
+        slots += (ti.len() * tj.len().div_ceil(width) * width) as u64;
         for i in ti {
             let window = &rows[i * l..(i + 1) * l];
             filter.scan(window, lanes, tj.clone(), lane_window, |j, score| {
@@ -632,6 +608,12 @@ fn lanes_rectangle(
             });
         }
     }
+    let useful = nr as u64 * nl as u64;
+    let b = bucket_of_mass(useful) as usize;
+    tally.tiles += tiles;
+    tally.useful[b] += useful;
+    tally.total[b] += slots;
+    tally.fill[(useful * 100 / slots.max(1)) as usize] += 1;
 
     // Tiles (and the transposed orientation) visit (i0, i1) out of
     // order; restore the scalar loop's lexicographic candidate order.
@@ -654,26 +636,17 @@ pub fn run_software(
     params: &Step2Params<'_>,
     threads: usize,
 ) -> (Vec<Candidate>, Step2Stats) {
-    let (out, stats, _) = run_units(flat0, idx0, flat1, idx1, params, threads, None);
+    let (out, stats, ..) = run_software_timed(flat0, idx0, flat1, idx1, params, threads, None);
     (out, stats)
 }
 
-/// [`run_software`] that also returns, with `epoch`, per-unit wall
-/// timings for the flight recorder (none without). Candidates and stats
-/// are byte-identical to the untimed driver; the only extra work is two
-/// `epoch.elapsed()` reads per unit, outside the kernels.
-pub fn run_software_timed(
-    flat0: &FlatBank,
-    idx0: &SeedIndex,
-    flat1: &FlatBank,
-    idx1: &SeedIndex,
-    params: &Step2Params<'_>,
-    threads: usize,
-    epoch: Option<&std::time::Instant>,
-) -> (Vec<Candidate>, Step2Stats, Vec<ItemTiming>) {
-    run_units(flat0, idx0, flat1, idx1, params, threads, epoch)
-}
+/// Candidates, stats, unit timings and lane tally of one timed run.
+pub type TimedRun = (Vec<Candidate>, Step2Stats, Vec<ItemTiming>, LaneTally);
 
+/// [`run_software`] that also returns, with `epoch`, per-unit wall
+/// timings for the flight recorder (none without), and what the lane
+/// kernels walked; candidates and stats are the untimed driver's.
+///
 /// The one step-2 worker loop. The key space is cut into *units* — the
 /// whole range for one thread (both schedules walk keys in order then; only
 /// the per-rectangle lane orientation differs, and that is a function of
@@ -683,8 +656,9 @@ pub fn run_software_timed(
 /// atomic counter. Per-unit results are stitched back together in unit
 /// (= key) order, so the merged output is independent of which worker
 /// finished which unit when. With `epoch` set each unit also yields an
-/// [`ItemTiming`].
-fn run_units(
+/// [`ItemTiming`] from two `epoch.elapsed()` reads, outside the kernels.
+/// The workers' lane tallies are added up last.
+pub fn run_software_timed(
     flat0: &FlatBank,
     idx0: &SeedIndex,
     flat1: &FlatBank,
@@ -692,7 +666,7 @@ fn run_units(
     params: &Step2Params<'_>,
     threads: usize,
     epoch: Option<&std::time::Instant>,
-) -> (Vec<Candidate>, Step2Stats, Vec<ItemTiming>) {
+) -> TimedRun {
     assert_eq!(idx0.key_count(), idx1.key_count(), "incompatible indexes");
     let threads = threads.max(1);
     let backend = params.resolved_backend();
@@ -722,7 +696,7 @@ fn run_units(
 
     type UnitResult = (usize, Vec<Candidate>, Step2Stats);
     let next = AtomicUsize::new(0);
-    let worker = |w: u32| -> (Vec<UnitResult>, Vec<ItemTiming>) {
+    let worker = |w: u32| -> (Vec<UnitResult>, Vec<ItemTiming>, LaneTally) {
         let mut scratch = KeyScratch::default();
         let mut mine = Vec::new();
         let mut my_times = Vec::new();
@@ -754,7 +728,7 @@ fn run_units(
             }));
             mine.push((unit, out, st));
         }
-        (mine, my_times)
+        (mine, my_times, scratch.tally)
     };
     let workers = threads.min(units.len());
     #[expect(
@@ -778,9 +752,11 @@ fn run_units(
 
     let mut results: Vec<UnitResult> = Vec::new();
     let mut times: Vec<ItemTiming> = Vec::new();
-    for (mine, my_times) in per_worker {
+    let mut lanes = LaneTally::default();
+    for (mine, my_times, tally) in per_worker {
         results.extend(mine);
         times.extend(my_times);
+        lanes += tally;
     }
     results.sort_unstable_by_key(|&(unit, ..)| unit);
     times.sort_unstable_by_key(|t| t.item);
@@ -793,11 +769,10 @@ fn run_units(
         } else {
             out.append(&mut part);
         }
-        stats.pairs += st.pairs;
-        stats.active_keys += st.active_keys;
+        stats += st;
     }
     stats.candidates = out.len() as u64;
-    (out, stats, times)
+    (out, stats, times, lanes)
 }
 
 /// Cut the key space into at most `threads` ranges of roughly equal pair mass
@@ -974,7 +949,7 @@ mod tests {
                 ..params(m, 18)
             };
             for threads in [1, 2, 8] {
-                let (c, st, times) =
+                let (c, st, times, _) =
                     run_software_timed(&f0, &i0, &f1, &i1, &p, threads, Some(&epoch));
                 let tag = format!("{schedule:?} threads={threads}");
                 assert_eq!(seq_c, c, "{tag}");
@@ -1113,81 +1088,6 @@ mod tests {
     }
 
     #[test]
-    fn simd_tile_count_matches_tiling() {
-        let simd_tile_count = |n0, n1, l| tile_count(n0, n1, l, KernelBackend::Simd.lane_width());
-        assert_eq!(simd_tile_count(0, 100, 60), 0);
-        assert_eq!(simd_tile_count(100, 0, 60), 0);
-        // One tile covers small rectangles entirely.
-        assert_eq!(simd_tile_count(1, 1, 60), 1);
-        assert_eq!(simd_tile_count(TILE_I, 8, 60), 1);
-        // i splits every TILE_I rows.
-        assert_eq!(simd_tile_count(TILE_I + 1, 8, 60), 2);
-        // j splits every tile_j columns (the simd_rectangle formula).
-        let l = 60;
-        let tile_j = simd_tile_j(l);
-        assert_eq!(simd_tile_count(1, tile_j, l), 1);
-        assert_eq!(simd_tile_count(1, tile_j + 1, l), 2);
-    }
-
-    #[test]
-    fn simd_tile_count_equals_walk_length() {
-        // The closed form must agree with the tile sequence the hot
-        // loop actually iterates, across boundary-straddling shapes and
-        // window lengths (including extremes that hit both clamps) —
-        // at the block width the hot loop takes from its filter, which
-        // is the width the telemetry takes from the backend.
-        let tile_j_60 = simd_tile_j(60);
-        for backend in [KernelBackend::Simd, KernelBackend::Wide] {
-            let filter = LaneFilter::new(backend, Kernel::ClampedSum, blosum62(), 45);
-            let width = filter.expect("a lane backend").block_width();
-            assert_eq!(width, backend.lane_width());
-            for l in [1, 4, 16, 60, 200, TILE_J_BYTES, TILE_J_BYTES * 2] {
-                for n0 in [0, 1, TILE_I - 1, TILE_I, TILE_I + 1, 3 * TILE_I + 5] {
-                    for n1 in [0, 1, tile_j_60 - 1, tile_j_60, tile_j_60 + 1, 70_000] {
-                        let walked = tile_walk(n0, n1, l, width).count() as u64;
-                        let tag = format!("{backend:?} n0={n0} n1={n1} l={l}");
-                        assert_eq!(tile_count(n0, n1, l, width), walked, "{tag}");
-                    }
-                }
-            }
-        }
-        // Walked tiles cover the rectangle exactly once, in order.
-        let (n0, n1, l) = (TILE_I + 3, tile_j_60 + 9, 60);
-        let mut covered = vec![false; n0 * n1];
-        for (ti, tj) in tile_walk(n0, n1, l, KernelBackend::Simd.lane_width()) {
-            for i in ti {
-                for j in tj.clone() {
-                    assert!(!covered[i * n1 + j], "tile overlap at ({i},{j})");
-                    covered[i * n1 + j] = true;
-                }
-            }
-        }
-        assert!(covered.iter().all(|&c| c), "walk left cells uncovered");
-    }
-
-    #[test]
-    fn tile_count_matches_walk_for_wide_lanes() {
-        // The generalized closed form must agree with the generalized
-        // walk at the 64-lane width the wide path steps by.
-        for l in [1, 16, 60, 200] {
-            let tj = tile_j_for(l, WIDE_LANES);
-            for n0 in [0, 1, TILE_I, TILE_I + 1] {
-                for n1 in [0, 1, tj - 1, tj, tj + 1, 3 * tj + 17] {
-                    let walked = tile_walk(n0, n1, l, WIDE_LANES).count() as u64;
-                    assert_eq!(
-                        tile_count(n0, n1, l, WIDE_LANES),
-                        walked,
-                        "n0={n0} n1={n1} l={l}"
-                    );
-                }
-            }
-            // The j tile is always a whole number of wide lane blocks.
-            assert_eq!(tj % WIDE_LANES, 0, "l={l}");
-            assert_eq!(WIDE_LANES, KernelBackend::Wide.lane_width());
-        }
-    }
-
-    #[test]
     fn bucketed_items_partition_key_range() {
         let seqs: Vec<Vec<u8>> = (0..40)
             .map(|i| {
@@ -1261,7 +1161,8 @@ mod tests {
     fn lane_orientation_and_slots_are_consistent() {
         // Contiguous never transposes (it reproduces the historical
         // walk); bucketed picks the larger side as the lane axis, however
-        // narrow both sides are.
+        // narrow both sides are. The slots each orientation pads are
+        // pinned by the pipeline's `schedules_agree_and_lane_fill_is_recorded`.
         let c = Step2Schedule::Contiguous;
         let b = Step2Schedule::Bucketed;
         assert!(!lane_orientation(3, 500, c));
@@ -1272,51 +1173,6 @@ mod tests {
         assert!(!lane_orientation(5, 7, b));
         assert!(lane_orientation(7, 5, b));
         assert!(!lane_orientation(5, 7, c));
-
-        // Slot accounting mirrors orientation: scalar-width backends
-        // waste nothing; contiguous pads the il1 axis to whole blocks
-        // (32 lanes under simd, 64 under wide); bucketed pads the larger
-        // axis so narrow-il1 rectangles stop wasting nearly the whole
-        // vector.
-        let wide = KernelBackend::Wide;
-        assert_eq!(
-            rectangle_lane_slots(10, 10, KernelBackend::Scalar, b),
-            (100, 100)
-        );
-        let (useful, total) = rectangle_lane_slots(3, 500, KernelBackend::Simd, c);
-        assert_eq!(useful, 1500);
-        assert_eq!(total, 3 * 500u64.div_ceil(32) * 32);
-        let (useful_b, total_b) = rectangle_lane_slots(3, 500, wide, b);
-        assert_eq!(useful_b, 1500);
-        assert_eq!(total_b, 3 * 500u64.div_ceil(64) * 64);
-        // Transposed, the padded axis is il0.
-        assert_eq!(
-            rectangle_lane_slots(500, 3, wide, b),
-            (1500, 3 * 500u64.div_ceil(64) * 64)
-        );
-        assert_eq!(
-            rectangle_tile_count(500, 3, 60, wide, b),
-            tile_walk(3, 500, 60, 64).count() as u64
-        );
-        // Narrow-both rectangles take the lane path too: each of the
-        // five rows pads its seven lanes to a whole block, and a single
-        // pair takes one whole block.
-        assert_eq!(rectangle_lane_slots(5, 7, wide, b), (35, 64 * 5));
-        assert_eq!(
-            rectangle_tile_count(5, 7, 60, wide, b),
-            tile_walk(5, 7, 60, 64).count() as u64
-        );
-        for schedule in [c, b] {
-            assert_eq!(rectangle_lane_slots(1, 1, wide, schedule), (1, 64));
-            let simd = KernelBackend::Simd;
-            assert_eq!(rectangle_lane_slots(1, 1, simd, schedule), (1, 32));
-            assert_eq!(rectangle_tile_count(1, 1, 60, simd, schedule), 1);
-        }
-        // Contiguous on a lane-starved rectangle: 500×1 pads each row
-        // to a full block.
-        let (u, t) = rectangle_lane_slots(500, 1, KernelBackend::Simd, c);
-        assert_eq!((u, t), (500, 500 * 32));
-        assert!(u * 10 < t, "expected heavy padding on starved axis");
     }
 
     #[test]

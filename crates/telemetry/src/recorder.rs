@@ -33,19 +33,27 @@ pub struct Histogram {
 
 impl Histogram {
     pub fn observe(&mut self, value: u64) {
+        self.observe_n(value, 1);
+    }
+
+    /// [`Histogram::observe`] `n` times over.
+    pub fn observe_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         self.min = if self.count == 0 {
             value
         } else {
             self.min.min(value)
         };
         self.max = self.max.max(value);
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
+        self.count += n;
+        self.sum = self.sum.saturating_add(value.saturating_mul(n));
         let b = Self::bucket_of(value);
         if self.buckets.len() <= b {
             self.buckets.resize(b + 1, 0);
         }
-        self.buckets[b] += 1;
+        self.buckets[b] += n;
     }
 
     /// Index of the bucket holding `value`.
@@ -115,8 +123,12 @@ pub trait Recorder: Sync {
     fn enabled(&self) -> bool;
     /// Add `delta` to the named counter.
     fn add(&self, name: &Key, delta: u64);
+    /// Record `n` observations of `value` into the named histogram.
+    fn observe_n(&self, name: &Key, value: u64, n: u64);
     /// Record one observation into the named histogram.
-    fn observe(&self, name: &Key, value: u64);
+    fn observe(&self, name: &Key, value: u64) {
+        self.observe_n(name, value, 1);
+    }
     /// Credit `seconds` to the named span (called by [`SpanGuard`]).
     fn record_span(&self, name: &Key, seconds: f64);
     /// Attach free-form metadata (backend names, kernel choices, …).
@@ -132,7 +144,7 @@ impl Recorder for NullRecorder {
         false
     }
     fn add(&self, _name: &Key, _delta: u64) {}
-    fn observe(&self, _name: &Key, _value: u64) {}
+    fn observe_n(&self, _name: &Key, _value: u64, _n: u64) {}
     fn record_span(&self, _name: &Key, _seconds: f64) {}
     fn set_meta(&self, _name: &Key, _value: &str) {}
 }
@@ -198,9 +210,9 @@ impl Recorder for MemRecorder {
         *held(&mut inner.counters, name) += delta;
     }
 
-    fn observe(&self, name: &Key, value: u64) {
+    fn observe_n(&self, name: &Key, value: u64, n: u64) {
         let mut inner = self.inner.lock().expect("recorder poisoned");
-        held(&mut inner.histograms, name).observe(value);
+        held(&mut inner.histograms, name).observe_n(value, n);
     }
 
     fn record_span(&self, name: &Key, seconds: f64) {
@@ -265,6 +277,11 @@ mod tests {
         assert_eq!(h.buckets[10], 1);
         assert_eq!(h.buckets.len(), 11);
         assert!((h.mean() - 141.0).abs() < 1e-12);
+        let mut n = Histogram::default();
+        for (v, times) in [(0, 1), (1, 2), (3, 1), (700, 1), (9, 0)] {
+            n.observe_n(v, times);
+        }
+        assert_eq!(n, h);
     }
 
     #[test]

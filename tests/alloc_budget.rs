@@ -1,6 +1,7 @@
 //! The hot loops allocate per unit of scheduling, never per unit of
 //! data: steps 2 and 3 and one board entry, counted by a global
-//! allocator that sees every thread.
+//! allocator that sees every thread. A whole query through a recorder
+//! that already holds its keys allocates about what it does untraced.
 //!
 //! The genome-side bank is prepared once, like an engine's, and a first
 //! query warms it; the counts are read on a second query four times the
@@ -15,8 +16,10 @@
 
 use psc_align::{gapped_extend, ExtendScratch};
 use psc_core::step2::{self, Step2Params, Step2Schedule};
-use psc_core::{NullRecorder, Pipeline, PipelineConfig};
-use psc_datagen::{mutate_protein, random_bank, BankConfig, MutationConfig};
+use psc_core::SearchEngine;
+use psc_core::{MemRecorder, NullRecorder, NullTracer, Pipeline, PipelineConfig, Recorder};
+use psc_datagen::{generate_genome, mutate_protein, random_bank};
+use psc_datagen::{BankConfig, GenomeConfig, MutationConfig};
 use psc_index::KeyCounts;
 use psc_rasc::{FunctionalOperator, OperatorConfig};
 use psc_score::blosum62;
@@ -45,6 +48,11 @@ const STEP3_BUDGET: u64 = 4;
 
 /// One board entry's allowance: its result vector.
 const ENTRY_BUDGET: u64 = 4;
+
+/// A traced query's allowance over an untraced one's: the run report's
+/// metadata strings and the keys named per run (step-3 worker ladder,
+/// lane-slot buckets).
+const TRACED_EXTRA: u64 = 64;
 
 /// A query of `count` proteins, each a mutated copy of one of `genome`'s.
 fn query(genome: &Bank, count: usize, seed: u64) -> Bank {
@@ -193,5 +201,34 @@ fn hot_loops_allocate_per_unit_not_per_key() {
     assert!(
         allocs <= ENTRY_BUDGET,
         "a board entry of {windows} windows: {allocs} allocations, budget {ENTRY_BUDGET}"
+    );
+
+    // A whole query on an engine loaded from a bundle of a genome the 48
+    // proteins are planted in: the 32-protein query again, untraced and
+    // then through a recorder that a first query already filled.
+    let planted = GenomeConfig {
+        len: 120_000,
+        gene_count: genome.len(),
+        seed: 0xa110d,
+        ..GenomeConfig::default()
+    };
+    let dna = generate_genome(&planted, &genome).genome;
+    let bundle = SearchEngine::for_genome(&dna, matrix, cfg.clone(), &NullRecorder);
+    let bundle = bundle.to_bundle_bytes(None);
+    let engine = SearchEngine::from_bundle(&bundle, matrix, cfg).expect("bundle loads");
+    let run = |proteins: &Bank, rec: &dyn Recorder| {
+        let answer = engine.query_traced(proteins, rec, &NullTracer);
+        answer.expect("query runs")
+    };
+    let (first, second) = (query(&genome, 8, 1), query(&genome, 32, 2));
+    run(&first, &NullRecorder);
+    let (found, untraced) = counted(|| run(&second, &NullRecorder));
+    let rec = MemRecorder::new();
+    run(&first, &rec);
+    let (_, traced) = counted(|| run(&second, &rec));
+    assert!(!found.matches.is_empty(), "the query found nothing");
+    assert!(
+        traced <= 2 * untraced + TRACED_EXTRA,
+        "a recorded query: {traced} allocations against {untraced} untraced"
     );
 }

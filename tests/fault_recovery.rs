@@ -1,13 +1,8 @@
-//! The simulated board's baseline run has work in it, and the step-2
-//! SIMD tile telemetry counts the tiles the hot loop walks.
+//! The simulated board's baseline run has work in it.
 
-use psc_core::step2;
-use psc_core::{
-    KernelBackend, NullRecorder, NullTracer, PipelineConfig, SearchEngine, Step2Backend,
-};
+use psc_core::{NullRecorder, NullTracer, PipelineConfig, SearchEngine, Step2Backend};
 use psc_datagen::{generate_genome, random_bank, BankConfig, GenomeConfig};
 use psc_score::blosum62;
-use psc_seqio::prng::for_cases;
 
 #[test]
 fn baseline_has_work_to_corrupt() {
@@ -42,20 +37,4 @@ fn baseline_has_work_to_corrupt() {
     assert!(board.entries > 0);
     assert!(board.hit_count > 0);
     assert!(!baseline.hsps.is_empty());
-}
-
-/// The step-2 SIMD tile telemetry's closed form equals the length
-/// of the tile walk the hot loop actually performs.
-#[test]
-fn simd_tile_count_matches_walk() {
-    for_cases(0xfa02, 8, |g| {
-        let (n0, n1, l) = (
-            g.range(0usize..3000),
-            g.range(0usize..30_000),
-            g.range(1usize..4096),
-        );
-        let width = KernelBackend::Simd.lane_width();
-        let walked = step2::tile_walk(n0, n1, l, width).count() as u64;
-        assert_eq!(step2::tile_count(n0, n1, l, width), walked);
-    });
 }
