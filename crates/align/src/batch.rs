@@ -963,7 +963,7 @@ mod x86 {
     /// so the index is `code & 0x1f`, as in the portable body) and the
     /// PE's gates. `ClampedSum` keeps `t = 127 - score` and its least
     /// value: a `vpsubsb` and a `vpminsb`, two port-0 µops where the
-    /// direct form's add, clamp and max take three (DESIGN.md §4.2b).
+    /// direct form's add, clamp and max take three (DESIGN.md §4).
     ///
     /// # Safety
     /// The CPU must be at [`Isa::Avx512Vbmi`], and `codes + p * stride` must

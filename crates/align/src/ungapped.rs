@@ -23,7 +23,8 @@
 //! filter needs, because the literal variant's score never decreases and
 //! therefore cannot "forget" a noisy prefix). Both are implemented; the
 //! PSC-operator simulator is tested bit-identical against whichever is
-//! configured. EXPERIMENTS.md records the sensitivity difference.
+//! configured. EXPERIMENTS.md, "Measured causes and negatives", records
+//! what the literal variant costs.
 
 // A hot module: no panic path outside test code (DESIGN §9).
 #![deny(

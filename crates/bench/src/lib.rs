@@ -1,7 +1,7 @@
 //! # psc-bench — experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation section
-//! on the synthetic, scaled-down workload described in DESIGN.md §2/§5.
+//! on the synthetic, scaled-down workload described in DESIGN.md §1.
 //! The `experiments` binary drives everything; per-component rates are
 //! the per-layer metrics of `benchmark/` (see BENCHMARK.json).
 //!

@@ -1,26 +1,4 @@
 //! `psc` — command-line front-end for the seed-based comparison pipeline.
-//!
-//! ```text
-//! psc generate-bank   --count N [--min-len A --max-len B --seed S] -o bank.fasta
-//! psc generate-genome --len L [--genes G --bank bank.fasta --seed S] -o genome.fasta
-//! psc translate       --genome genome.fasta [-o frames.fasta]
-//! psc search          --proteins bank.fasta --genome genome.fasta
-//!                     [--backend scalar|parallel|rasc] [--pes 192] [--fpgas 1]
-//!                     [--threads T] [--evalue 1e-3] [--seed-model subset4|subset3|exact4]
-//!                     [--step2-kernel auto|scalar|profile|simd|wide]
-//!                     [--step2-schedule contiguous|bucketed]
-//!                     [--report-json report.json]
-//!                     [--trace trace.json] [--trace-clock wall|virtual]
-//! psc report          report.json
-//! psc report          --compare old.json new.json [--max-wall-regress PCT]
-//! psc trace           render|analyze trace.json
-//! psc blast           --proteins bank.fasta --genome genome.fasta [--evalue 1e-3]
-//! psc index           --genome genome.fasta -o genome.psc [--proteins bank.fasta]
-//! psc serve           --index genome.psc [--listen 127.0.0.1:0] [--queue N]
-//! psc query           --connect HOST:PORT --proteins bank.fasta
-//! psc resources       [--pes N] [--window W] [--slot S]
-//! psc matrix
-//! ```
 
 // A timing crate: it times runs and served queries on the wall clock.
 #![allow(clippy::disallowed_methods)]
@@ -44,7 +22,7 @@ use psc_seqio::{
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(command) = args.next() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", help_text());
         return ExitCode::from(2);
     };
     // `report` and `trace` take positional paths, not flag pairs.
@@ -62,22 +40,10 @@ fn main() -> ExitCode {
             }
         };
     }
-    let known = match command.as_str() {
-        "generate-bank" => KNOWN_GENERATE_BANK,
-        "generate-genome" => KNOWN_GENERATE_GENOME,
-        "translate" => KNOWN_TRANSLATE,
-        "search" => KNOWN_SEARCH,
-        "blast" => KNOWN_BLAST,
-        "index" => KNOWN_INDEX,
-        "serve" => KNOWN_SERVE,
-        "query" => KNOWN_QUERY,
-        "resources" => KNOWN_RESOURCES,
-        _ => &[],
-    };
-    let flags = match Flags::parse_known(args, &command, known) {
+    let flags = match Flags::parse_known(args, &command) {
         Ok(f) => f,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", help_text());
             return ExitCode::from(2);
         }
     };
@@ -109,7 +75,7 @@ fn main() -> ExitCode {
         "resources" => resources(&flags),
         "matrix" => matrix(),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            println!("{}", help_text());
             Ok(())
         }
         other => Err(format!("unknown command {other:?}")),
@@ -123,102 +89,107 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
+const COMMANDS: &str = "\
 psc — protein seed-based comparison (RASC-100 reproduction)
 
 commands:
-  generate-bank   --count N [--min-len A] [--max-len B] [--seed S] -o FILE
-  generate-genome --len L [--genes G] [--bank FILE] [--seed S] -o FILE
-  translate       --genome FILE [-o FILE]
-  search          --proteins FILE --genome FILE [--backend scalar|parallel|rasc]
-                  [--pes N] [--fpgas N] [--threads N] [--evalue E]
-                  [--seed-model subset4|subset3|exact4] [--threshold T]
-                  [--step2-kernel auto|scalar|profile|simd|wide]
-                  [--step2-schedule contiguous|bucketed]   (step-2 work distribution)
-                  [--step3-threads N]    (parallel gapped extension workers)
-                  [--format tab|pairwise|gff] [--mask on]
-                  [--report-json FILE]   (write a telemetry run report)
-                  [--trace FILE]         (write a flight-recorder Chrome trace)
-                  [--trace-clock wall|virtual]   (virtual = byte-deterministic)
-  report          FILE                   (render a run report: step breakdown,
-                                          PE utilization, pair histograms)
-  report          --compare OLD NEW [--max-wall-regress PCT]
-                  [--max-counter-regress PCT]   (regression diff; exits 1 when
-                                          a gated metric regresses past PCT)
-  trace           render FILE [--width N]       (terminal lane timeline)
-  trace           analyze FILE [--report FILE]  (critical path, stall classes;
-                                          --report reconciles span walls)
-  blast           --proteins FILE --genome FILE [--evalue E] [--mask on]
-  index           --genome FILE -o FILE [--seed-model ...] [--mask on]
-                  [--proteins FILE]      (embed a T0 protein-bank section)
-                  (writes an index bundle: frames + T1 index + score
-                   profile + model fingerprint, for --index / serve)
-  serve           --index FILE [--listen ADDR] [--queue N] [--report-dir DIR]
-                  [search config flags]  (long-running query server; prints
-                                          the bound address on stdout)
-  query           --connect HOST:PORT --proteins FILE   (run one query
-                                          against a psc serve instance)
-  resources       [--pes N] [--window W] [--slot S]
-  matrix
+  generate-bank    write a seeded random protein bank
+  generate-genome  write a seeded genome, optionally with planted genes
+  translate        write a genome's six frames as FASTA
+  search           compare a protein bank against a genome or a bundle
+  report           FILE | --compare OLD NEW: render or diff run reports
+  trace            render|analyze FILE: view a flight recording
+  blast            the tblastn-like baseline
+  index            write an index bundle for `search --index` and `serve`
+  serve            answer queries against a bundle over TCP
+  query            send one protein bank to a `psc serve`
+  resources        does a PE array fit the Virtex-4 LX200?
+  matrix           print BLOSUM62";
 
-search also accepts --index FILE in place of --genome: the pipeline
-state (frames, T1 index, scoring) loads from the bundle, so the query
-skips the genome-side index build. Mistyped flags are rejected with a
-nearest-match suggestion.";
+/// The help text: the commands, then every flag of [`FLAGS`].
+fn help_text() -> String {
+    let mut text = format!("{COMMANDS}\n\nflags:\n");
+    for f in FLAGS {
+        let default = match f.default {
+            "" => String::new(),
+            d => format!("default {d}; "),
+        };
+        let (spelled, commands) = (f.spelled(), f.commands.join(", "));
+        text += &format!("  {spelled:<38} {} ({default}{commands})\n", f.effect);
+    }
+    text + "Mistyped flags are rejected with a nearest-match suggestion."
+}
 
-// --- per-command flag tables --------------------------------------
-//
-// `Flags::parse_known` rejects anything not listed for its command:
-// a mistyped flag used to be silently swallowed (`--step2-kernal
-// wide` ran the default kernel without a word), which is the worst
-// possible behavior for benchmark flags.
+/// One `psc` flag: its name, the value it takes, its default ("" for
+/// none), the commands that take it and what it does. [`FLAGS`] is the
+/// one list of flags: a command accepts exactly the flags that name it
+/// (a mistyped one is exit 2 with a suggestion, never silently
+/// ignored), and README's flag table is its rendering, kept byte-equal
+/// by a test.
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    default: &'static str,
+    commands: &'static [&'static str],
+    effect: &'static str,
+}
 
-const KNOWN_GENERATE_BANK: &[&str] = &["count", "min-len", "max-len", "seed", "o"];
-const KNOWN_GENERATE_GENOME: &[&str] = &["len", "genes", "bank", "seed", "o"];
-const KNOWN_TRANSLATE: &[&str] = &["genome", "o"];
-const KNOWN_SEARCH: &[&str] = &[
-    "proteins",
-    "genome",
-    "index",
-    "backend",
-    "pes",
-    "fpgas",
-    "threads",
-    "evalue",
-    "seed-model",
-    "threshold",
-    "step2-kernel",
-    "step2-schedule",
-    "step3-threads",
-    "format",
-    "mask",
-    "report-json",
-    "trace",
-    "trace-clock",
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "count", value: "N", default: "", commands: &["generate-bank"], effect: "proteins to generate (required)" },
+    Flag { name: "min-len", value: "A", default: "100", commands: &["generate-bank"], effect: "shortest protein, in residues" },
+    Flag { name: "max-len", value: "B", default: "600", commands: &["generate-bank"], effect: "longest protein, in residues" },
+    Flag { name: "len", value: "L", default: "", commands: &["generate-genome"], effect: "genome length in nucleotides (required)" },
+    Flag { name: "genes", value: "G", default: "0", commands: &["generate-genome"], effect: "genes to plant, each a protein of `--bank`" },
+    Flag { name: "bank", value: "FILE", default: "", commands: &["generate-genome"], effect: "donor proteins for `--genes`" },
+    Flag { name: "seed", value: "S", default: "24301 / 3348", commands: &["generate-bank", "generate-genome"], effect: "generator seed (bank / genome)" },
+    Flag { name: "o", value: "FILE", default: "", commands: &["generate-bank", "generate-genome", "translate", "index"], effect: "output file (`translate` writes stdout without it)" },
+    Flag { name: "genome", value: "FILE", default: "", commands: &["translate", "search", "blast", "index"], effect: "FASTA file of one genome sequence" },
+    Flag { name: "proteins", value: "FILE", default: "", commands: &["search", "blast", "index", "query"], effect: "protein bank FASTA (`index`: embedded as the bundle's T0)" },
+    Flag { name: "index", value: "FILE", default: "", commands: &["search", "serve"], effect: "answer from a `psc index` bundle (`search`: instead of `--genome`)" },
+    Flag { name: "backend", value: "scalar|parallel|rasc", default: "scalar", commands: &["search", "serve"], effect: "where step 2 runs" },
+    Flag { name: "threads", value: "N", default: "1", commands: &["search", "serve", "index"], effect: "software step-2 workers, board host threads, index-build threads" },
+    Flag { name: "pes", value: "N", default: "192", commands: &["search", "serve", "resources"], effect: "PE array per simulated FPGA; one that does not fit the LX200 exits 2" },
+    Flag { name: "fpgas", value: "1|2", default: "1", commands: &["search", "serve"], effect: "FPGAs on the simulated board" },
+    Flag { name: "evalue", value: "E", default: "0.001", commands: &["search", "serve", "blast"], effect: "largest E-value reported; must be positive" },
+    Flag { name: "seed-model", value: "subset4|subset3|exact4", default: "subset4", commands: &["search", "serve", "index"], effect: "step-1 seed model; a bundle refuses another" },
+    Flag { name: "threshold", value: "T", default: "45", commands: &["search", "serve"], effect: "step-2 ungapped score threshold" },
+    Flag { name: "step2-kernel", value: "auto|scalar|profile|simd|wide", default: "auto", commands: &["search", "serve"], effect: "software step-2 kernel; `auto` takes the widest the ISA level and window allow, and the report records a downgrade" },
+    Flag { name: "step2-schedule", value: "contiguous|bucketed", default: "bucketed", commands: &["search", "serve"], effect: "software step-2 work split: equal key ranges, or mass-bucketed items pulled heaviest first" },
+    Flag { name: "step3-threads", value: "N", default: "1", commands: &["search", "serve"], effect: "gapped-extension workers over 64-anchor shards, merged in order" },
+    Flag { name: "format", value: "tab|pairwise|gff", default: "tab", commands: &["search"], effect: "output format; `pairwise` needs `--genome`" },
+    Flag { name: "mask", value: "on|off", default: "off", commands: &["search", "serve", "blast", "index"], effect: "soft-mask low-complexity regions out of seeding" },
+    Flag { name: "report-json", value: "FILE", default: "", commands: &["search"], effect: "write the run report (`psc report FILE` renders it)" },
+    Flag { name: "trace", value: "FILE", default: "", commands: &["search"], effect: "write a Chrome-trace flight recording (`psc trace render|analyze`)" },
+    Flag { name: "trace-clock", value: "wall|virtual", default: "wall", commands: &["search"], effect: "`virtual`: modeled units, byte-identical at any thread count; needs `--trace`" },
+    Flag { name: "listen", value: "ADDR", default: "127.0.0.1:0", commands: &["serve"], effect: "bind address; the bound one is printed on stdout" },
+    Flag { name: "queue", value: "N", default: "4", commands: &["serve"], effect: "in-flight query bound; past it a query is answered `-BUSY` (`psc query` exits 4)" },
+    Flag { name: "report-dir", value: "DIR", default: "", commands: &["serve"], effect: "write each served query's run report here" },
+    Flag { name: "connect", value: "HOST:PORT", default: "", commands: &["query"], effect: "the `psc serve` to send the bank to" },
+    Flag { name: "window", value: "W", default: "60", commands: &["resources"], effect: "window length `W + 2N`" },
+    Flag { name: "slot", value: "S", default: "16", commands: &["resources"], effect: "PEs per slot" },
+    Flag { name: "max-wall-regress", value: "PCT", default: "", commands: &["report"], effect: "`--compare`: exit 1 when a wall regresses past PCT %" },
+    Flag { name: "max-counter-regress", value: "PCT", default: "", commands: &["report"], effect: "`--compare`: exit 1 when a counter regresses past PCT %" },
+    Flag { name: "width", value: "N", default: "72", commands: &["trace"], effect: "`render`: timeline width in columns (at least 16)" },
+    Flag { name: "report", value: "FILE", default: "", commands: &["trace"], effect: "`analyze`: reconcile the trace against this run report" },
 ];
-const KNOWN_BLAST: &[&str] = &["proteins", "genome", "evalue", "mask"];
-const KNOWN_INDEX: &[&str] = &["genome", "o", "seed-model", "threads", "proteins", "mask"];
-const KNOWN_SERVE: &[&str] = &[
-    "index",
-    "listen",
-    "queue",
-    "report-dir",
-    "backend",
-    "pes",
-    "fpgas",
-    "threads",
-    "evalue",
-    "seed-model",
-    "threshold",
-    "step2-kernel",
-    "step2-schedule",
-    "step3-threads",
-    "mask",
-];
-const KNOWN_QUERY: &[&str] = &["connect", "proteins"];
-const KNOWN_RESOURCES: &[&str] = &["pes", "window", "slot"];
-const KNOWN_REPORT_COMPARE: &[&str] = &["max-wall-regress", "max-counter-regress"];
-const KNOWN_TRACE: &[&str] = &["width", "report"];
+
+impl Flag {
+    /// The flag as typed, with its value: `--pes N`, `-o FILE`.
+    fn spelled(&self) -> String {
+        let dash = if self.name.len() == 1 { "-" } else { "--" };
+        format!("{dash}{} {}", self.name, self.value)
+    }
+}
+
+/// The flags `command` takes.
+fn known_flags(command: &str) -> Vec<&'static str> {
+    FLAGS
+        .iter()
+        .filter(|f| f.commands.contains(&command))
+        .map(|f| f.name)
+        .collect()
+}
 
 /// Edit distance for the did-you-mean suggestion.
 fn levenshtein(a: &str, b: &str) -> usize {
@@ -266,17 +237,14 @@ impl Flags {
         Ok(Flags(map))
     }
 
-    /// [`Flags::parse`], then reject any flag the command does not
-    /// know, suggesting the nearest known one.
-    fn parse_known(
-        args: impl Iterator<Item = String>,
-        command: &str,
-        known: &[&str],
-    ) -> Result<Flags, String> {
+    /// [`Flags::parse`], then reject any flag [`FLAGS`] does not give
+    /// `command`, suggesting the nearest one it does.
+    fn parse_known(args: impl Iterator<Item = String>, command: &str) -> Result<Flags, String> {
         let flags = Flags::parse(args)?;
+        let known = known_flags(command);
         for key in flags.0.keys() {
             if !known.contains(&key.as_str()) {
-                let hint = match nearest_flag(key, known) {
+                let hint = match nearest_flag(key, &known) {
                     Some(k) => format!(" (did you mean --{k}?)"),
                     None => String::new(),
                 };
@@ -667,7 +635,7 @@ fn report_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         let (Some(old_path), Some(new_path)) = (args.next(), args.next()) else {
             return Err("usage: psc report --compare OLD NEW [--max-wall-regress PCT] [--max-counter-regress PCT]".into());
         };
-        let flags = Flags::parse_known(args, "report --compare", KNOWN_REPORT_COMPARE)?;
+        let flags = Flags::parse_known(args, "report")?;
         let config = psc_telemetry::CompareConfig {
             max_wall_regress_pct: flags
                 .get("max-wall-regress")
@@ -717,7 +685,7 @@ fn trace_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let (Some(verb), Some(path)) = (args.next(), args.next()) else {
         return Err(USAGE.into());
     };
-    let flags = Flags::parse_known(args, "trace", KNOWN_TRACE)?;
+    let flags = Flags::parse_known(args, "trace")?;
     let text = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
     let trace = psc_telemetry::Trace::from_chrome_str(&text).map_err(|e| format!("{path}: {e}"))?;
     match verb.as_str() {
@@ -941,4 +909,46 @@ fn matrix() -> Result<(), String> {
         println!();
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::FLAGS;
+
+    /// [`FLAGS`] as README's markdown table.
+    fn markdown_table() -> String {
+        let cell = |s: &str| s.replace('|', "\\|");
+        let mut table = String::from("| flag | default | commands | effect |\n|---|---|---|---|\n");
+        for f in FLAGS {
+            let default = match f.default {
+                "" => "—".to_string(),
+                d => format!("`{d}`"),
+            };
+            table += &format!(
+                "| `{}` | {default} | {} | {} |\n",
+                cell(&f.spelled()),
+                f.commands.join(", "),
+                cell(f.effect)
+            );
+        }
+        table
+    }
+
+    #[test]
+    fn readme_flag_table_is_the_flag_table() {
+        let mut names: Vec<_> = FLAGS.iter().map(|f| f.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FLAGS.len(), "a flag is declared twice");
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+        let readme = std::fs::read_to_string(path).expect("README.md reads");
+        let header = "| flag | default | commands | effect |";
+        let at = readme.find(header).expect("README.md has the flag table");
+        let readme_table: String = readme[at..]
+            .lines()
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(readme_table, markdown_table(), "README.md's flag table");
+    }
 }

@@ -41,9 +41,7 @@ pub use config::{PipelineConfig, SeedChoice, Step2Backend};
 pub use engine::{EngineError, SearchEngine};
 pub use genome::{GenomeMatch, GenomeSearchResult};
 pub use gff::to_gff3;
-pub use pipeline::{
-    shard_critical_path, Pipeline, PipelineError, PipelineOutput, PipelineStats, PreparedBank,
-};
+pub use pipeline::{Pipeline, PipelineError, PipelineOutput, PipelineStats, PreparedBank};
 pub use profile::StepProfile;
 pub use psc_align::{KernelBackend, KernelChoice};
 pub use psc_telemetry::{

@@ -328,8 +328,8 @@ impl Pipeline {
                 rec.add(keys::STEP2_LANE_SLOTS_TOTAL, lanes.total.iter().sum());
                 let buckets = (0u32..).zip(lanes.useful.into_iter().zip(lanes.total));
                 for (b, (useful, total)) in buckets.filter(|&(_, (_, total))| total > 0) {
-                    rec.add(&keys::step2_lane_slots_useful_bucket(b), useful);
-                    rec.add(&keys::step2_lane_slots_total_bucket(b), total);
+                    rec.add(keys::step2_lane_slots_useful_bucket(b), useful);
+                    rec.add(keys::step2_lane_slots_total_bucket(b), total);
                 }
                 for (percent, n) in (0u64..).zip(lanes.fill).filter(|&(_, n)| n > 0) {
                     rec.observe_n(keys::STEP2_LANE_FILL, percent, n);
@@ -359,13 +359,9 @@ impl Pipeline {
             cfg.step3_threads,
             if trace_wall { Some(tracer) } else { None },
         );
-        // Machine-independent view of the shard schedule: the sum of
-        // per-shard costs is the sequential extension time, and the
-        // greedy critical path over `step3_threads` workers is what a
-        // host with that many free cores would observe. Both are wall
-        // clock and stripped with the other spans.
+        // The sum of per-shard costs is the sequential extension time;
+        // a wall-clock span, stripped with the others.
         let extension_seconds: f64 = shard_seconds.iter().sum();
-        let modeled_parallel = shard_critical_path(&shard_seconds, cfg.step3_threads);
         if trace_wall {
             // Span durations reuse the exact `shard_seconds` values so
             // the trace reconciles against the `step3.extension` report
@@ -458,16 +454,6 @@ impl Pipeline {
         rec.record_span(keys::STEP2_WALL, step2_wall);
         rec.record_span(keys::STEP3, step3);
         rec.record_span(keys::STEP3_EXTENSION, extension_seconds);
-        rec.record_span(keys::STEP3_MODELED_PARALLEL, modeled_parallel);
-        // Fixed ladder so an uncontended run reports what wider hosts
-        // would see; only meaningful when this run was sequential (a
-        // contended run's shard costs already include descheduling).
-        for workers in [2usize, 4, 8] {
-            rec.record_span(
-                &keys::step3_modeled_workers(workers),
-                shard_critical_path(&shard_seconds, workers),
-            );
-        }
         rec.record_span(keys::STEP3_MERGE_WAIT, merge_wait);
 
         Ok(PipelineOutput {
@@ -734,8 +720,8 @@ const STEP3_SHARD: usize = 64;
 /// costs no allocation.
 ///
 /// The second return value is the wall seconds each shard spent in
-/// extension, indexed by shard. It feeds the `step3.extension` /
-/// `step3.modeled_parallel` spans; results never depend on it.
+/// extension, indexed by shard. It feeds the `step3.extension` span
+/// and the wall-clock trace; results never depend on it.
 ///
 /// When a wall-clock `tracer` is attached, the third return value maps
 /// each shard to the worker that ran it and its start offset on the
@@ -822,28 +808,6 @@ struct ShardLane {
     shard: usize,
     worker: u32,
     start_seconds: f64,
-}
-
-/// Finish time of the shard-pull schedule on `workers` free cores: each
-/// worker takes the next shard the moment it goes idle — exactly the
-/// atomic-counter discipline [`extend_anchors`] runs. With measured
-/// per-shard costs this models the step-3 extension wall a host with
-/// that many cores would see, independent of how many this host has.
-/// The same pull discipline drives the bucketed step-2 scheduler, so
-/// `experiments step2-balance` replays per-item costs through it too.
-pub fn shard_critical_path(shard_seconds: &[f64], workers: usize) -> f64 {
-    let workers = workers.max(1);
-    if workers == 1 || shard_seconds.len() <= 1 {
-        return shard_seconds.iter().sum();
-    }
-    let mut finish = vec![0.0f64; workers.min(shard_seconds.len())];
-    for &cost in shard_seconds {
-        let idlest = (0..finish.len())
-            .min_by(|&a, &b| finish[a].total_cmp(&finish[b]))
-            .expect("at least one worker");
-        finish[idlest] += cost;
-    }
-    finish.iter().fold(0.0f64, |acc, &t| acc.max(t))
 }
 
 /// Pair mass → deterministic virtual-clock weight of a step-2 unit, in
@@ -1414,25 +1378,6 @@ mod tests {
             .hsps
             .iter()
             .any(|h| h.seq0 == 0 && h.seq1 == 0 && h.end0 - h.start0 == 32));
-    }
-
-    #[test]
-    fn shard_critical_path_models_the_pull_schedule() {
-        // One worker: plain sum.
-        let costs = [3.0, 1.0, 1.0, 1.0];
-        assert_eq!(shard_critical_path(&costs, 1), 6.0);
-        // Two workers: A takes shard 0 (3s); B takes 1, 2, 3 (3s) — the
-        // greedy pull balances around the long head shard.
-        assert_eq!(shard_critical_path(&costs, 2), 3.0);
-        // More workers than shards changes nothing past one-per-worker.
-        assert_eq!(shard_critical_path(&costs, 8), 3.0);
-        assert_eq!(shard_critical_path(&costs, 4), 3.0);
-        // Uniform shards split evenly.
-        let uniform = [1.0f64; 8];
-        assert!((shard_critical_path(&uniform, 4) - 2.0).abs() < 1e-12);
-        // Degenerate inputs.
-        assert_eq!(shard_critical_path(&[], 4), 0.0);
-        assert_eq!(shard_critical_path(&[2.5], 4), 2.5);
     }
 
     #[test]

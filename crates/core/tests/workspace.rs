@@ -48,6 +48,17 @@ fn violations(root: &Path) -> (Vec<String>, usize) {
             ));
         }
     }
+    let doc = |name: &str| fs::read_to_string(root.join(name)).expect("a document reads");
+    let (design, experiments) = (doc("DESIGN.md"), doc("EXPERIMENTS.md"));
+    for dir in ["crates", "tests", "examples"] {
+        for path in sources(&root.join(dir)) {
+            let src = fs::read_to_string(&path).expect("a source reads");
+            let rel = path.strip_prefix(root).expect("under the root").display();
+            for name in rules::stale_doc_refs(&src, &design, &experiments) {
+                found.push(format!("{rel} names {name}, a section it lacks"));
+            }
+        }
+    }
     (found, manifests)
 }
 
@@ -110,11 +121,28 @@ fn synthetic_workspace_reports_expected_diagnostics() {
         "[package]\nname = \"psc-seqio\"\n",
     );
     write("crates/notes/README.md", "not a crate\n");
+    write("DESIGN.md", "# Design\n\n## 1. Steps\n\n### 1.2 Step 2\n");
+    write(
+        "EXPERIMENTS.md",
+        "# Experiments\n\n## Where the time is (seed 7)\n",
+    );
+    write(
+        "crates/rasc/src/board.rs",
+        "//! Timing (DESIGN.md §1.2; DESIGN §1/§4).\n\
+         /// Measured (EXPERIMENTS.md, \"Where the\n/// time is\").\n\
+         /// Measured (EXPERIMENTS.md, \"Board simulator on the lane\n/// kernels\").\n\
+         const CHUNK: usize = 64;\n",
+    );
+    write(
+        "tests/board.rs",
+        "// See DESIGN.md\n// §14 for the layout.\n",
+    );
 
     let (found, manifests) = violations(&root);
     assert_eq!(manifests, 4);
     let table = "neither inherits [workspace.lints] nor is an allowed-unsafe crate \
                  with its own table";
+    let lacks = "a section it lacks";
     assert_eq!(
         found,
         [
@@ -123,6 +151,12 @@ fn synthetic_workspace_reports_expected_diagnostics() {
             format!("crates/align/src/simd/pick.rs detects CPU features outside {ISA_MODULE}"),
             format!("crates/score/Cargo.toml {table}"),
             format!("crates/seqio/Cargo.toml {table}"),
+            format!("crates/rasc/src/board.rs names DESIGN.md §4, {lacks}"),
+            format!(
+                "crates/rasc/src/board.rs names \
+                 EXPERIMENTS.md \"Board simulator on the lane kernels\", {lacks}"
+            ),
+            format!("tests/board.rs names DESIGN.md §14, {lacks}"),
         ]
     );
     fs::remove_dir_all(&root).expect("remove the synthetic workspace");

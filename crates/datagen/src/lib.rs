@@ -3,7 +3,7 @@
 //! The paper evaluates on the Human chromosome 1 and four NCBI `nr`
 //! protein banks; neither is available offline, so every experiment in
 //! this reproduction runs on synthetic data produced here (see DESIGN.md
-//! §2 for the substitution argument). Everything is deterministic given a
+//! §1 for the substitution argument). Everything is deterministic given a
 //! `u64` seed.
 //!
 //! * [`protein`]: random proteins with Robinson–Robinson composition,

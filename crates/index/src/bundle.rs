@@ -10,7 +10,7 @@
 //! --index` load them.
 //!
 //! The sections sit inside the [`serial`](crate::serial) frame (magic,
-//! version, flags, checksum); DESIGN.md §14 has the layout table.
+//! version, flags, checksum); DESIGN.md §7 has the layout table.
 //! The frame's checksum is verified before any section is parsed, and
 //! each table is then checked against the bank it indexes — offsets a
 //! monotone prefix sum over the positions, every position inside the

@@ -36,8 +36,8 @@ use crate::resource::{ResourceError, ResourceModel};
 /// Entry results a simulation worker hands to the draining thread at
 /// once. One channel crossing per entry wakes that thread thousands of
 /// times a run, which on `board_sim` cost as much as the scoring the
-/// second worker saved (EXPERIMENTS.md, "Board simulator on the lane
-/// kernels").
+/// second worker saved (EXPERIMENTS.md, "Measured causes and
+/// negatives").
 const RESULT_CHUNK: usize = 64;
 
 /// Board-level configuration.

@@ -21,6 +21,7 @@
 //! in a fixed-width suffix (`.b07`) so reports sort lexically.
 
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// A registered telemetry name. Its constructor is private to this
 /// module, so every name a sink receives is declared here.
@@ -62,20 +63,12 @@ pub const STEP2_WALL: &Key = &Key::new("step2.wall");
 pub const STEP3: &Key = &Key::new("step3");
 /// Step-3 extension-only time (excludes merge wait).
 pub const STEP3_EXTENSION: &Key = &Key::new("step3.extension");
-/// Step-3 critical-path time under the modeled parallel schedule.
-pub const STEP3_MODELED_PARALLEL: &Key = &Key::new("step3.modeled_parallel");
 /// Time step-3 merge spent waiting on extension shards.
 pub const STEP3_MERGE_WAIT: &Key = &Key::new("step3.merge_wait");
 
 /// End-to-end wall time of one served query, admission included
 /// (`psc serve`).
 pub const SERVE_QUERY_WALL: &Key = &Key::new("serve.query_wall");
-
-/// `step3.modeled_p{workers}` — the modeled-parallelism ladder
-/// (`step3.modeled_p2`, `step3.modeled_p4`, …).
-pub fn step3_modeled_workers(workers: usize) -> Key {
-    Key::family(format!("step3.modeled_p{workers}"))
-}
 
 // --- scoped spans (`SpanGuard::enter`) ----------------------------
 
@@ -98,7 +91,8 @@ pub const STEP1_POSITIONS_HELD_BANK1: &Key = &Key::new("step1.positions_held.ban
 pub const STEP1_CHUNKS_BANK1: &Key = &Key::new("step1.chunks.bank1");
 /// Seed pairs enumerated by step 2.
 pub const STEP2_PAIRS: &Key = &Key::new("step2.pairs");
-/// Step-2 candidates above threshold, post-dedup.
+/// Step-2 candidates at or above the threshold, every one pushed to
+/// the anchor dedup (counted before it folds them).
 pub const STEP2_CANDIDATES_KEPT: &Key = &Key::new("step2.candidates_kept");
 /// Seed pairs scored below threshold and dropped by step 2.
 pub const STEP2_CANDIDATES_CULLED: &Key = &Key::new("step2.candidates_culled");
@@ -106,7 +100,8 @@ pub const STEP2_CANDIDATES_CULLED: &Key = &Key::new("step2.candidates_culled");
 pub const STEP2_ACTIVE_KEYS: &Key = &Key::new("step2.active_keys");
 /// Window bytes step 2 reads out of the two banks: Σ over active keys
 /// of `(|IL0| + |IL1|) · window_len`. Computed from the indexes after
-/// the run, like the tile count — never counted inside the kernels.
+/// the run; the tile and lane-slot counts, by contrast, are tallied by
+/// the lane kernels as they walk.
 pub const STEP2_GATHER_BYTES: &Key = &Key::new("step2.gather_bytes");
 /// In-flight queries observed when a served query was admitted
 /// (admission-queue depth, this query included).
@@ -131,22 +126,34 @@ pub const STEP3_EVALUE_REJECTED: &Key = &Key::new("step3.evalue_rejected");
 pub const STEP3_HSPS_REPORTED: &Key = &Key::new("step3.hsps_reported");
 
 /// `step2.lane_slots_useful.b{bucket:02}` — per-bucket useful-slot
-/// counts behind [`STEP2_LANE_SLOTS_USEFUL`].
-pub fn step2_lane_slots_useful_bucket(bucket: u32) -> Key {
-    Key::family(format!("step2.lane_slots_useful.b{bucket:02}"))
+/// counts behind [`STEP2_LANE_SLOTS_USEFUL`], for a log2 mass bucket
+/// `0..=64`. Each name is built once per process.
+pub fn step2_lane_slots_useful_bucket(bucket: u32) -> &'static Key {
+    static KEYS: OnceLock<[Key; 65]> = OnceLock::new();
+    bucket_key(&KEYS, "step2.lane_slots_useful", bucket)
 }
 
 /// `step2.lane_slots_total.b{bucket:02}` — per-bucket slot totals
-/// behind [`STEP2_LANE_SLOTS_TOTAL`].
-pub fn step2_lane_slots_total_bucket(bucket: u32) -> Key {
-    Key::family(format!("step2.lane_slots_total.b{bucket:02}"))
+/// behind [`STEP2_LANE_SLOTS_TOTAL`], built once like
+/// [`step2_lane_slots_useful_bucket`]'s.
+pub fn step2_lane_slots_total_bucket(bucket: u32) -> &'static Key {
+    static KEYS: OnceLock<[Key; 65]> = OnceLock::new();
+    bucket_key(&KEYS, "step2.lane_slots_total", bucket)
+}
+
+/// Member `bucket` of the bucketed family `stem`, its 65 names made on
+/// the first call.
+fn bucket_key(keys: &'static OnceLock<[Key; 65]>, stem: &str, bucket: u32) -> &'static Key {
+    let keys = keys.get_or_init(|| std::array::from_fn(|b| Key::family(format!("{stem}.b{b:02}"))));
+    &keys[bucket as usize]
 }
 
 // --- distributions (`Recorder::observe`) --------------------------
 
 /// Seed-pair mass per active key (workload skew).
 pub const STEP2_PAIRS_PER_KEY: &Key = &Key::new("step2.pairs_per_key");
-/// Percent of SIMD lane slots doing useful work, per tile batch.
+/// Percent of SIMD lane slots doing useful work, one observation per
+/// lane rectangle.
 pub const STEP2_LANE_FILL: &Key = &Key::new("step2.lane_fill");
 
 // --- run metadata (`Recorder::set_meta`) --------------------------
@@ -247,12 +254,15 @@ mod tests {
             step2_lane_slots_total_bucket(12).as_str(),
             "step2.lane_slots_total.b12"
         );
-        assert_eq!(step3_modeled_workers(4).as_str(), "step3.modeled_p4");
         let (a, b) = (
             step2_lane_slots_useful_bucket(2),
             step2_lane_slots_useful_bucket(10),
         );
         let (a, b) = (a.as_str(), b.as_str());
+        assert!(std::ptr::eq(
+            step2_lane_slots_total_bucket(12),
+            step2_lane_slots_total_bucket(12)
+        ));
         assert!(a < b, "bucket keys must sort numerically: {a} vs {b}");
     }
 }

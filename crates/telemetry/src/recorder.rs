@@ -224,9 +224,10 @@ impl Recorder for MemRecorder {
 
     fn set_meta(&self, name: &Key, value: &str) {
         let mut inner = self.inner.lock().expect("recorder poisoned");
-        inner
-            .meta
-            .insert(name.as_str().to_string(), value.to_string());
+        // Overwritten in place: a held key's buffer is reused.
+        let held = held(&mut inner.meta, name);
+        held.clear();
+        held.push_str(value);
     }
 }
 

@@ -16,8 +16,8 @@
 //!   start offset and a lane hint (worker / FPGA index), so wall traces
 //!   show the real measured timeline of this run;
 //! * **scheduled** units (virtual clock) are replayed in unit-index
-//!   order through the same greedy earliest-idle model as
-//!   `shard_critical_path`, over a fixed [`VIRTUAL_LANES`]-wide lane
+//!   order through a greedy earliest-idle model (the pull discipline
+//!   of the step-2 and step-3 workers), over a fixed [`VIRTUAL_LANES`]-wide lane
 //!   set with tick durations derived from deterministic work counts —
 //!   so a virtual trace is byte-identical across thread counts.
 //!
@@ -359,10 +359,9 @@ fn build_stage_lanes(stage: &str, units: &[UnitTrace], lanes: &mut Vec<Lane>) {
         lay_unit_events(u, &mut cursor, |s| s.seconds * 1.0e6, entry);
     }
     if !scheduled.is_empty() {
-        // Greedy earliest-idle replay, the discipline of the pipeline's
-        // `shard_critical_path`: each unit starts on the lane that goes
-        // idle first (ties: the last minimal lane, matching that
-        // model's fold).
+        // Greedy earliest-idle replay, the workers' pull discipline:
+        // each unit starts on the lane that goes idle first (ties: the
+        // lowest lane).
         let lane_count = VIRTUAL_LANES.min(scheduled.len()).max(1);
         let mut lane_end = vec![0.0f64; lane_count];
         for u in &scheduled {
